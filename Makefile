@@ -6,7 +6,7 @@ GO ?= go
 # with .github/workflows/ci.yml.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test race smoke chaos bench fuzz-smoke xval obs-smoke
+.PHONY: ci fmt vet build test race smoke chaos bench bench-check fuzz-smoke xval obs-smoke
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -88,6 +88,12 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestServerBreakerLifecycle|TestServerQuarantineAndRecovery|TestServerQuoteCtxCanceledMidFlight|TestPriceBatchPanicIsolationRestoresBudget|TestScenarioSweepCtxCancelMidRun' .
 	AMOP_BENCH_SMOKE=1 $(GO) test -race -count=1 -run TestServeChaosSmoke -v .
 	$(GO) run ./cmd/amop-bench -experiment serve-chaos -maxT 1024 -json BENCH_chaos.json
+
+# bench-check covers the seeded benchmark in bench/, a module of its own
+# that `go test ./...` and `vet` at the root do not reach: its tests, go vet
+# and the project analyzers. Mirrors the CI bench-check step.
+bench-check:
+	cd bench && $(GO) test . && $(GO) vet . && $(GO) run github.com/nlstencil/amop/cmd/amop-vet ./...
 
 # bench regenerates the quick cross-section of every experiment and records
 # the machine-readable perf trajectory (BENCH_all.json).

@@ -24,6 +24,7 @@ import (
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/scratch"
 	"github.com/nlstencil/amop/internal/sweep"
 )
 
@@ -75,16 +76,47 @@ func New(p option.Params, steps int) (*Model, error) {
 func (m *Model) SetBaseCase(h int) { m.baseC = h }
 
 // Asset returns the underlying price at cell (depth, col).
-func (m *Model) Asset(depth, col int) float64 {
-	return m.Prm.S * math.Exp(float64(2*col-m.T+depth)*m.logU)
+func (m *Model) Asset(depth, col int) float64 { return m.asset(2*col - m.T + depth) }
+
+// asset returns S*u^i, the price i net up-moves away from the spot.
+func (m *Model) asset(i int) float64 {
+	return m.Prm.S * math.Exp(float64(i)*m.logU)
 }
 
 // Exercise returns the (unclipped) immediate-exercise value at (depth, col).
 func (m *Model) Exercise(kind option.Kind, depth, col int) float64 {
+	return m.exercise(kind, 2*col-m.T+depth)
+}
+
+// exercise returns the exercise value at asset(i).
+func (m *Model) exercise(kind option.Kind, i int) float64 {
 	if kind == option.Call {
-		return m.Asset(depth, col) - m.Prm.K
+		return m.asset(i) - m.Prm.K
 	}
-	return m.Prm.K - m.Asset(depth, col)
+	return m.Prm.K - m.asset(i)
+}
+
+// exerciseTable returns exercise(kind, i) for every net move i in [-T, T] a
+// fast solve reaches, at index i+T = 2*col + depth. The caller owns the pooled
+// table and returns it with scratch.PutFloats.
+func (m *Model) exerciseTable(kind option.Kind) []float64 {
+	tab := scratch.Floats(2*m.T + 1)
+	for k := range tab {
+		tab[k] = m.exercise(kind, k-m.T)
+	}
+	return tab
+}
+
+// tableGreen returns Exercise as a lookup into tab (from exerciseTable),
+// bitwise equal to the closed form. Cells outside the table — the put
+// solver's virtual columns left of 0 — fall back to the closed form.
+func (m *Model) tableGreen(kind option.Kind, tab []float64) fbstencil.GreenFunc {
+	return func(depth, col int) float64 {
+		if k := 2*col + depth; uint(k) < uint(len(tab)) {
+			return tab[k]
+		}
+		return m.Exercise(kind, depth, col)
+	}
 }
 
 // Stencil returns the one-step linear continuation stencil
@@ -131,18 +163,26 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	prob := &fbstencil.GreenRight{
+	tab := m.exerciseTable(option.Call)
+	defer scratch.PutFloats(tab)
+	prob := m.callProblem(m.tableGreen(option.Call, tab))
+	prob.Cancel = cancel
+	v, _, err := fbstencil.SolveGreenRight(prob, st)
+	return v, err
+}
+
+// callProblem builds the green-right instance for the American call with
+// the given exercise value.
+func (m *Model) callProblem(green fbstencil.GreenFunc) *fbstencil.GreenRight {
+	return &fbstencil.GreenRight{
 		Stencil:  m.Stencil(),
 		T:        m.T,
 		Hi0:      m.T,
-		Init:     func(col int) float64 { return math.Max(0, m.Exercise(option.Call, 0, col)) },
-		Green:    func(depth, col int) float64 { return m.Exercise(option.Call, depth, col) },
+		Init:     func(col int) float64 { return math.Max(0, green(0, col)) },
+		Green:    green,
 		Bnd0:     m.leafBoundary(),
 		BaseCase: m.baseC,
-		Cancel:   cancel,
 	}
-	v, _, err := fbstencil.SolveGreenRight(prob, st)
-	return v, err
 }
 
 // sweepProblem builds the baseline-sweep description for the given option

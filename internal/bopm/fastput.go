@@ -5,6 +5,7 @@ import (
 
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/scratch"
 )
 
 // This file implements the experimental fast American PUT under the
@@ -16,9 +17,9 @@ import (
 // assumptions are verified empirically (see ValidatePutStructure and the
 // package tests), not proven.
 
-// putProblem builds the green-left instance for the American put.
-func (m *Model) putProblem() *fbstencil.GreenLeftOneSided {
-	green := func(depth, col int) float64 { return m.Exercise(option.Put, depth, col) }
+// putProblem builds the green-left instance for the American put with the
+// given exercise value.
+func (m *Model) putProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
 	// Largest leaf column with strictly positive put payoff.
 	guess := int(math.Ceil((float64(m.T) + math.Log(m.Prm.K/m.Prm.S)/m.logU) / 2))
 	if guess > m.T {
@@ -54,16 +55,21 @@ func (m *Model) PriceFastPut() (float64, error) {
 
 // PriceFastPutStats is PriceFastPut with work-counter collection.
 func (m *Model) PriceFastPutStats(st *fbstencil.Stats) (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeftOneSided(m.putProblem(), st)
-	return v, err
+	return m.priceFastPut(st, nil)
 }
 
 // PriceFastPutCancel is PriceFastPut with a cancellation hook, polled at
 // trapezoid granularity.
 func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
-	prob := m.putProblem()
+	return m.priceFastPut(nil, cancel)
+}
+
+func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
+	tab := m.exerciseTable(option.Put)
+	defer scratch.PutFloats(tab)
+	prob := m.putProblem(m.tableGreen(option.Put, tab))
 	prob.Cancel = cancel
-	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
+	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err
 }
 
@@ -71,6 +77,7 @@ func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
 // free boundary on this instance (contiguity, monotonicity, unit drops) and
 // returns the first violation, if any.
 func (m *Model) ValidatePutStructure() error {
-	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(m.putProblem())
+	green := func(depth, col int) float64 { return m.Exercise(option.Put, depth, col) }
+	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(m.putProblem(green))
 	return err
 }

@@ -31,6 +31,7 @@ import (
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
+	"github.com/nlstencil/amop/internal/scratch"
 )
 
 // MaxSteps bounds T to keep grid allocations sane.
@@ -104,6 +105,28 @@ func (m *Model) green(col int) float64 {
 	return 1 - math.Exp(m.logPrice(col))
 }
 
+// greenTable returns green(col) for every column of the grid, [0, 2T]. The
+// caller owns the pooled table and returns it with scratch.PutFloats.
+func (m *Model) greenTable() []float64 {
+	tab := scratch.Floats(2*m.T + 1)
+	for col := range tab {
+		tab[col] = m.green(col)
+	}
+	return tab
+}
+
+// tableGreen returns green as a lookup into tab (from greenTable), bitwise
+// equal to the closed form. Columns outside the grid — zones near the left
+// edge read left of column 0 — fall back to the closed form.
+func (m *Model) tableGreen(tab []float64) fbstencil.GreenFunc {
+	return func(_, col int) float64 {
+		if uint(col) < uint(len(tab)) {
+			return tab[col]
+		}
+		return m.green(col)
+	}
+}
+
 // Stencil returns the one-step linear continuation stencil.
 func (m *Model) Stencil() linstencil.Stencil {
 	return linstencil.Stencil{MinOff: -1, W: []float64{m.B, m.C, m.A}}
@@ -146,19 +169,27 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	prob := &fbstencil.GreenLeft{
+	tab := m.greenTable()
+	defer scratch.PutFloats(tab)
+	prob := m.problem(m.tableGreen(tab))
+	prob.Cancel = cancel
+	v, _, err := fbstencil.SolveGreenLeft(prob, st)
+	return m.Prm.K * v, err
+}
+
+// problem builds the green-left instance for the American put with the
+// given exercise value.
+func (m *Model) problem(green fbstencil.GreenFunc) *fbstencil.GreenLeft {
+	return &fbstencil.GreenLeft{
 		Stencil:  m.Stencil(),
 		T:        m.T,
 		Lo0:      0,
 		Hi0:      2 * m.T,
-		Init:     func(col int) float64 { return math.Max(m.green(col), 0) },
-		Green:    func(depth, col int) float64 { return m.green(col) },
+		Init:     func(col int) float64 { return math.Max(green(0, col), 0) },
+		Green:    green,
 		Bnd0:     m.leafBoundary(),
 		BaseCase: m.baseC,
-		Cancel:   cancel,
 	}
-	v, _, err := fbstencil.SolveGreenLeft(prob, st)
-	return m.Prm.K * v, err
 }
 
 // PriceNaive is the serial projected explicit sweep over the full cone —

@@ -360,7 +360,17 @@ func (e *grEngine) naiveStep(seg []float64, c0, bnd, d int) ([]float64, int) {
 	if cap1 < c0 {
 		return nil, c0 - 1
 	}
-	next := scratch.Floats(cap1 - c0 + 1)
+	return e.stepInto(scratch.Floats(cap1-c0+1), seg, c0, bnd, d)
+}
+
+// stepInto is naiveStep writing the new row into dst, which must hold at
+// least min(bnd, hi(d+1))-c0+1 cells.
+func (e *grEngine) stepInto(dst, seg []float64, c0, bnd, d int) ([]float64, int) {
+	cap1 := min(bnd, e.hi(d+1))
+	if cap1 < c0 {
+		return dst[:0], c0 - 1
+	}
+	next := dst[:cap1-c0+1]
 	newBnd := c0 - 1
 	for j := c0; j <= cap1; j++ {
 		var lin float64
@@ -384,21 +394,26 @@ func (e *grEngine) naiveStep(seg []float64, c0, bnd, d int) ([]float64, int) {
 }
 
 // naiveBlock advances the red segment h steps with the direct loop. The
-// input segment is the caller's (possibly a shared subslice); intermediate
-// rows are recycled as they are consumed.
+// input segment is the caller's (possibly a shared subslice). Rows never
+// widen, so two buffers sized for the first step ping-pong for the rest;
+// the one not returned goes back to the pool.
 func (e *grEngine) naiveBlock(seg []float64, c0, bnd, d, h int) ([]float64, int) {
-	owned := false
+	n := min(bnd, e.hi(d+1)) - c0 + 1
+	if n <= 0 {
+		return nil, c0 - 1
+	}
+	cur := scratch.Floats(n)
+	spare := scratch.Floats(n)
 	for t := 0; t < h; t++ {
-		next, nb := e.naiveStep(seg, c0, bnd, d+t)
-		if owned {
-			scratch.PutFloats(seg)
-		}
-		seg, bnd, owned = next, nb, true
+		seg, bnd = e.stepInto(cur, seg, c0, bnd, d+t)
 		if bnd < c0 {
-			scratch.PutFloats(seg) // possibly a zero-length stub row
+			scratch.PutFloats(cur)
+			scratch.PutFloats(spare)
 			return nil, bnd
 		}
+		cur, spare = spare, cur
 	}
+	scratch.PutFloats(cur)
 	return seg, bnd
 }
 

@@ -234,7 +234,7 @@ func timeIt(fn func()) float64 {
 	for i := 0; i < reps; i++ {
 		fn()
 	}
-	return time.Since(start).Seconds() / float64(reps+1)
+	return time.Since(start).Seconds() / float64(reps)
 }
 
 // sweep returns powers of two from lo to hi inclusive.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // smokeCfg keeps every sweep tiny so the full suite runs in seconds.
@@ -67,6 +68,32 @@ func TestExperimentsRegistered(t *testing.T) {
 		if !seen {
 			t.Errorf("experiment %s not registered", id)
 		}
+	}
+}
+
+// TestTimeItDivisor pins timeIt's average to the calls it timed: a sleeping
+// fn measures its own durations, and the mean over the timed repetitions
+// (every call after the first, which only sizes the loop) can be no larger
+// than timeIt's figure, which also carries the loop's overhead. Dividing by
+// one more call than ran would undercut it by a whole call.
+func TestTimeItDivisor(t *testing.T) {
+	var calls []time.Duration
+	fn := func() {
+		start := time.Now()
+		time.Sleep(5 * time.Millisecond)
+		calls = append(calls, time.Since(start))
+	}
+	got := timeIt(fn)
+	timed := calls[1:]
+	if len(timed) == 0 {
+		t.Skip("first call exceeded the repetition threshold")
+	}
+	var sum time.Duration
+	for _, d := range timed {
+		sum += d
+	}
+	if mean := sum.Seconds() / float64(len(timed)); got < mean {
+		t.Fatalf("timeIt = %.3g s over %d timed calls, below their own mean %.3g s", got, len(timed), mean)
 	}
 }
 

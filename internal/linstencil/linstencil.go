@@ -347,22 +347,63 @@ func abs(x int) int {
 // evolveConeNaive is the direct O(n*k*span) evolution used both as the small
 // base case and as the testing reference (see EvolveConeNaive).
 func evolveConeNaive(cur []float64, s Stencil, k int) []float64 {
-	span := s.Span()
 	row := scratch.Floats(len(cur))
 	copy(row, cur)
 	for step := 0; step < k; step++ {
-		m := len(row) - span
-		next := row[:m]
-		for j := 0; j < m; j++ {
-			var acc float64
-			for i, w := range s.W {
-				acc += w * row[j+i]
-			}
-			next[j] = acc
+		switch w := s.W; len(w) {
+		case 2:
+			row = step2(row, w[0], w[1])
+		case 3:
+			row = step3(row, w[0], w[1], w[2])
+		default:
+			row = stepW(row, w)
 		}
-		row = next
 	}
 	return row
+}
+
+// stepW advances row one step in place and returns the shortened row. Each
+// cell reads only itself and cells to its right, so ascending order never
+// reads an overwritten value.
+func stepW(row, w []float64) []float64 {
+	next := row[:len(row)-len(w)+1]
+	for j := range next {
+		var acc float64
+		for i, wi := range w {
+			acc += wi * row[j+i]
+		}
+		next[j] = acc
+	}
+	return next
+}
+
+// step2 and step3 are stepW unrolled for the binomial and trinomial/BSM
+// stencils, with the same operation order so results are bitwise equal.
+// The shifted views have the length of next, which lets the compiler drop
+// the per-cell bounds checks.
+func step2(row []float64, w0, w1 float64) []float64 {
+	n := len(row) - 1
+	next, r1 := row[:n], row[1:n+1]
+	for j := range next {
+		var acc float64
+		acc += w0 * next[j]
+		acc += w1 * r1[j]
+		next[j] = acc
+	}
+	return next
+}
+
+func step3(row []float64, w0, w1, w2 float64) []float64 {
+	n := len(row) - 2
+	next, r1, r2 := row[:n], row[1:n+1], row[2:n+2]
+	for j := range next {
+		var acc float64
+		acc += w0 * next[j]
+		acc += w1 * r1[j]
+		acc += w2 * r2[j]
+		next[j] = acc
+	}
+	return next
 }
 
 // EvolveConeNaive exposes the direct evolution for tests and

@@ -271,6 +271,50 @@ func TestEvolveConePanics(t *testing.T) {
 	}
 }
 
+// TestUnrolledStepsMatchGeneric pins the 2- and 3-point direct loops to the
+// generic weight loop bit for bit, then checks whole direct evolutions
+// against the k-step kernel.
+func TestUnrolledStepsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 200; trial++ {
+		s := randStencil(rng)
+		row := randRow(rng, len(s.W)+rng.Intn(300))
+		row[0] = math.Copysign(0, -1) // a signed zero must survive as in the generic loop
+		want := stepW(append([]float64(nil), row...), s.W)
+		var got []float64
+		if w := s.W; len(w) == 2 {
+			got = step2(append([]float64(nil), row...), w[0], w[1])
+		} else {
+			got = step3(append([]float64(nil), row...), w[0], w[1], w[2])
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: length %d, want %d", trial, len(got), len(want))
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d (span %d) cell %d: unrolled %v, generic %v", trial, s.Span(), j, got[j], want[j])
+			}
+		}
+	}
+	for _, w := range [][]float64{{0.47, 0.52}, {0.3, 0.35, 0.33}} {
+		s := Stencil{W: w}
+		for k := 1; k <= 16; k++ {
+			row := randRow(rng, k*s.Span()+1+rng.Intn(40))
+			got, _ := EvolveConeNaive(row, s, k)
+			c := KernelCoefficients(s, k)
+			for j := range got {
+				var want float64
+				for m, cm := range c {
+					want += cm * row[j+m]
+				}
+				if math.Abs(got[j]-want) > 1e-12 {
+					t.Fatalf("span %d k=%d cell %d: direct %v, kernel %v", s.Span(), k, j, got[j], want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkEvolveCone64K(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	s := Stencil{MinOff: 0, W: []float64{0.48, 0.51}}

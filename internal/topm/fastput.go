@@ -5,6 +5,7 @@ import (
 
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/scratch"
 )
 
 // Experimental fast American PUT under the trinomial model (extension
@@ -12,9 +13,9 @@ import (
 // lines drift one column left per step — on top of the exercise boundary's
 // own leftward drift — so the per-step drop bound here is 2 rather than 1.
 
-// putProblem builds the green-left instance for the American put.
-func (m *Model) putProblem() *fbstencil.GreenLeftOneSided {
-	green := func(depth, col int) float64 { return m.Exercise(option.Put, depth, col) }
+// putProblem builds the green-left instance for the American put with the
+// given exercise value.
+func (m *Model) putProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
 	guess := int(math.Ceil(float64(m.T) + math.Log(m.Prm.K/m.Prm.S)/m.logU))
 	if guess > 2*m.T {
 		guess = 2 * m.T
@@ -50,22 +51,28 @@ func (m *Model) PriceFastPut() (float64, error) {
 
 // PriceFastPutStats is PriceFastPut with work-counter collection.
 func (m *Model) PriceFastPutStats(st *fbstencil.Stats) (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeftOneSided(m.putProblem(), st)
-	return v, err
+	return m.priceFastPut(st, nil)
 }
 
 // PriceFastPutCancel is PriceFastPut with a cancellation hook, polled at
 // trapezoid granularity.
 func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
-	prob := m.putProblem()
+	return m.priceFastPut(nil, cancel)
+}
+
+func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
+	tab := m.exerciseTable(option.Put)
+	defer scratch.PutFloats(tab)
+	prob := m.putProblem(m.tableGreen(option.Put, tab))
 	prob.Cancel = cancel
-	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
+	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err
 }
 
 // ValidatePutStructure runs the O(T^2) structural validator for the put's
 // free boundary on this instance.
 func (m *Model) ValidatePutStructure() error {
-	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(m.putProblem())
+	green := func(depth, col int) float64 { return m.Exercise(option.Put, depth, col) }
+	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(m.putProblem(green))
 	return err
 }

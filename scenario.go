@@ -26,6 +26,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 // Scenario is one market-state perturbation applied to every contract of a
@@ -232,6 +234,7 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 	eng := newEngine()
 	eng.memoOff = opts.DisableMemo
 	eng.cancel = ctxCancel(ctx)
+	eng.trace = obs.FromContext(ctx)
 
 	// Plan: fold the (contract, scenario) product into canonical tasks. A
 	// task key is the fully resolved (option, model, config) triple, so
@@ -333,7 +336,7 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 		}
 	}
 
-	runPool(len(tasks), opts.Workers, true, nil, func(i int) {
+	runPool(len(tasks), opts.Workers, true, eng.trace, func(i int) {
 		t := tasks[i]
 		res := eng.run(Request{Option: t.o, Model: t.m, Config: t.cfg})
 		t.price, t.err = res.Price, res.Err

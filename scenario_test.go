@@ -1,6 +1,7 @@
 package amop
 
 import (
+	"context"
 	"os"
 	"sort"
 	"sync"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"github.com/nlstencil/amop/internal/linstencil"
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 // sweepBook returns a small mixed book: calls (binomial fast path) and an
@@ -199,6 +201,23 @@ func TestScenarioSweepPlanDedup(t *testing.T) {
 	}
 	if a, b := sw.At(0, 1), sw.At(1, 2); a != b {
 		t.Errorf("duplicated cells disagree: %+v vs %+v", a, b)
+	}
+}
+
+// TestScenarioSweepCtxTrace checks that a sweep records its solves into the
+// trace its context carries, as PriceBatchCtx does.
+func TestScenarioSweepCtxTrace(t *testing.T) {
+	tr := obs.StartTrace("sweep", "test")
+	req := Request{Option: defaultCall(), Config: Config{Steps: 300}}
+	sw := ScenarioSweepCtx(obs.NewContext(context.Background(), tr), []Request{req}, []Scenario{{}, {Spot: 0.05}}, SweepOptions{})
+	var solves int64
+	for _, st := range tr.Finish().Stages {
+		if st.Stage == obs.StageSolveLattice.String() {
+			solves = st.Count
+		}
+	}
+	if solves != int64(sw.Stats.UniqueRepricings) {
+		t.Errorf("trace holds %d lattice solves, want one per unique repricing (%d)", solves, sw.Stats.UniqueRepricings)
 	}
 }
 
