@@ -37,9 +37,12 @@ test:
 	$(GO) test ./...
 
 # race matches the CI race job exactly, so a clean local run means a clean
-# CI run.
+# CI run. The scratch pools repeat 20 times: under -race sync.Pool drops
+# Puts at random, so a pool test that leans on retention fails here instead
+# of flaking later.
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=20 ./internal/scratch
 
 # smoke mirrors the CI bench-smoke job (minus govulncheck, which downloads
 # its tool): every benchmark runs one iteration, then the in-process

@@ -1,6 +1,7 @@
 package scratch
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -38,23 +39,130 @@ func TestFloatsLenCap(t *testing.T) {
 	}
 }
 
+// firstFreelistClass is the smallest class of ps kept in the mutex freelist
+// tier rather than in magazines.
+func firstFreelistClass[T any](ps *pools[T]) int {
+	c := minClass
+	for ps.magazined(c) {
+		c++
+	}
+	return c
+}
+
+// reuses counts, over rounds Put-then-get round trips, how often get handed
+// back the buffer just put.
+func reuses[T any](get func(int) []T, put func([]T), n, rounds int) int {
+	hits := 0
+	b := get(n)
+	for i := 0; i < rounds; i++ {
+		put(b)
+		next := get(n)
+		if &next[0] == &b[0] {
+			hits++
+		}
+		b = next
+	}
+	put(b)
+	return hits
+}
+
 func TestRecycleRoundTrip(t *testing.T) {
-	b := Floats(1000)
-	b[0], b[999] = 1, 2
+	// Freelist tier: LIFO under a mutex, so reuse is deterministic.
+	n := 1<<firstFreelistClass(&floatPools) - 100
+	b := Floats(n)
+	b[0], b[n-1] = 1, 2
 	PutFloats(b)
-	c := Floats(900)
+	c := Floats(n - 50)
 	if cap(c) != cap(b) || &c[0] != &b[0] {
-		t.Error("Floats did not reuse the pooled buffer")
+		t.Error("Floats did not reuse the pooled freelist buffer")
 	}
 	PutFloats(c)
 
-	z := Complexes(512)
+	zn := 1 << firstFreelistClass(&complexPools)
+	z := Complexes(zn)
 	PutComplexes(z)
-	z2 := Complexes(512)
+	z2 := Complexes(zn)
 	if &z2[0] != &z[0] {
-		t.Error("Complexes did not reuse the pooled buffer")
+		t.Error("Complexes did not reuse the pooled freelist buffer")
 	}
 	PutComplexes(z2)
+
+	// Magazine tier: sync.Pool may drop a magazine (the race detector drops
+	// about one Put in four on purpose) or strand it on another P, so only
+	// require that most round trips reuse.
+	const rounds = 200
+	if got := reuses(Floats, PutFloats, 1000, rounds); got < rounds/2 {
+		t.Errorf("Floats(1000) reused %d of %d round trips", got, rounds)
+	}
+	if got := reuses(Complexes, PutComplexes, 512, rounds); got < rounds/2 {
+		t.Errorf("Complexes(512) reused %d of %d round trips", got, rounds)
+	}
+}
+
+// TestIdleBound: the freelist tier never retains more than retain(c)
+// buffers, and a magazine never more than magazineCap, with every slot past
+// its count cleared so it pins no buffer it has handed out.
+func TestIdleBound(t *testing.T) {
+	c := firstFreelistClass(&floatPools)
+	r := retain(c, 8)
+	bufs := make([][]float64, 2*r)
+	for i := range bufs {
+		bufs[i] = Floats(1 << c)
+	}
+	for _, b := range bufs {
+		PutFloats(b)
+	}
+	p := &floatPools.class[c]
+	p.mu.Lock()
+	held := len(p.free)
+	p.free = nil // leave the class empty for later tests
+	p.mu.Unlock()
+	if held != r {
+		t.Errorf("freelist class %d holds %d buffers after %d puts, want retain = %d", c, held, 2*r, r)
+	}
+
+	const small = 6
+	bufs = make([][]float64, 3*magazineCap)
+	for i := range bufs {
+		bufs[i] = make([]float64, 1<<small)
+	}
+	for _, b := range bufs {
+		PutFloats(b)
+	}
+	for i := 0; i < magazineCap/2; i++ {
+		Floats(1 << small)
+	}
+	mags := &floatPools.class[small].mags
+	for m, _ := mags.Get().(*magazine[float64]); m != nil; m, _ = mags.Get().(*magazine[float64]) {
+		if m.n > magazineCap {
+			t.Fatalf("magazine count %d over capacity %d", m.n, magazineCap)
+		}
+		for i, b := range m.bufs {
+			if (i < m.n) != (b != nil) {
+				t.Errorf("magazine slot %d (count %d) holds %v", i, m.n, b != nil)
+			}
+		}
+	}
+}
+
+func TestMissesCountsAllocations(t *testing.T) {
+	c := firstFreelistClass(&floatPools)
+	p := &floatPools.class[c]
+	p.mu.Lock()
+	p.free = nil
+	p.mu.Unlock()
+
+	before := Misses()
+	b := Floats(1 << c)
+	if got := Misses() - before; got != 1 {
+		t.Errorf("allocating Floats counted %d misses, want 1", got)
+	}
+	PutFloats(b)
+	PutFloats(Floats(1 << c))
+	Floats(0)
+	if got := Misses() - before; got != 1 {
+		t.Errorf("pool hit or bypass counted a miss: %d misses, want 1", got)
+	}
 }
 
 // TestPutRejectsForeign: non-power-of-two capacities (e.g. leafRow buffers
@@ -132,5 +240,20 @@ func BenchmarkFloatsRecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := Floats(4096)
 		PutFloats(f)
+	}
+}
+
+// BenchmarkFloatsRecycleParallel round-trips buffers from every P at once,
+// the traffic pattern of parallel trapezoids and batch workers.
+func BenchmarkFloatsRecycleParallel(b *testing.B) {
+	for _, n := range []int{64, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					PutFloats(Floats(n))
+				}
+			})
+		})
 	}
 }
