@@ -6,7 +6,7 @@ GO ?= go
 # with .github/workflows/ci.yml.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test race smoke chaos bench bench-check fuzz-smoke xval obs-smoke
+.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check fuzz-smoke xval obs-smoke
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -36,6 +36,12 @@ build:
 test:
 	$(GO) test ./...
 
+# purego matches the CI cross-compile job's test step: the whole suite with
+# the AVX2 assembly compiled out, so the generic split-plane butterflies (the
+# kernel on every non-AVX2 target) carry every FFT.
+purego:
+	$(GO) test -tags amop_purego ./...
+
 # race matches the CI race job exactly, so a clean local run means a clean
 # CI run. The scratch pools repeat 20 times: under -race sync.Pool drops
 # Puts at random, so a pool test that leans on retention fails here instead
@@ -46,17 +52,13 @@ race:
 
 # smoke mirrors the CI bench-smoke job (minus govulncheck, which downloads
 # its tool): every benchmark runs one iteration, then the in-process
-# regression gates time the radix-4 kernel against radix-2, the SoA
-# split-plane kernel against the complex kernel it replaced as default, the
-# scenario sweep against the naive fan-out, the live pricing server's serve
-# path (tick skips, request coalescing, cache-serve latency vs cold
-# pricing), the analytic tier against the lattice on an in-envelope
-# vanilla chain (>= 10x required), and the telemetry layer's overhead on
-# the cached-quote path (0 allocs, <5% p50).
+# regression gates time the scenario sweep against the naive fan-out, the
+# live pricing server's serve path (tick skips, request coalescing,
+# cache-serve latency vs cold pricing), the analytic tier against the
+# lattice on an in-envelope vanilla chain (>= 10x required), and the
+# telemetry layer's overhead on the cached-quote path (0 allocs, <5% p50).
 smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestRadix4NotSlowerSmoke -v ./internal/fft/
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestSoANotSlowerSmoke -v ./internal/fft/
 	AMOP_BENCH_SMOKE=1 $(GO) test -run TestScenarioSweepNotSlowerSmoke -v .
 	AMOP_BENCH_SMOKE=1 $(GO) test -run TestServeLoadSmoke -v .
 	AMOP_BENCH_SMOKE=1 $(GO) test -run TestAnalyticNotSlowerSmoke -v .

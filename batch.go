@@ -70,11 +70,6 @@ type BatchOptions struct {
 	// completes (in completion order, serialized, concurrent with the rest
 	// of the batch) — e.g. to stream quotes as they become available.
 	OnResult func(i int, r Result)
-	// DisableMemo turns off the engine's repricing memo, so every request
-	// prices from scratch. It exists for A/B measurement of the
-	// amortization (the harness's radix4 experiment); leave it off in
-	// production.
-	DisableMemo bool
 	// Interactive marks the batch as quote-path work: its pool workers are
 	// exempt from the bulk-reserve headroom (par.SetBulkReserve). Plain
 	// batches and scenario sweeps are bulk class — under budget pressure
@@ -140,7 +135,6 @@ func PriceBatchCtx(ctx context.Context, reqs []Request, opts BatchOptions) []Res
 		return res
 	}
 	eng := newEngine()
-	eng.memoOff = opts.DisableMemo
 	eng.cancel = ctxCancel(ctx)
 	eng.tier = opts.Tier
 	eng.trace = obs.FromContext(ctx)
@@ -247,11 +241,10 @@ func resolveModel(o Option, m Model, cfg Config) Model {
 // config) point is ever priced twice within a batch. It is safe for
 // concurrent use.
 type engine struct {
-	models  modelCache
-	memoOff bool         // set before the pool starts; read-only afterwards
-	cancel  func() error // batch-wide cancellation hook; nil means never
-	tier    TierMode     // tier routing policy; set before the pool starts
-	trace   *obs.Trace   // span trace from the batch context; nil when untraced
+	models modelCache
+	cancel func() error // batch-wide cancellation hook; nil means never
+	tier   TierMode     // tier routing policy; set before the pool starts
+	trace  *obs.Trace   // span trace from the batch context; nil when untraced
 
 	mu   sync.Mutex
 	memo map[priceKey]*priceEntry
@@ -396,9 +389,6 @@ func (e *engine) analytic(o Option, cfg Config) (float64, error) {
 // price is the memoized pricer: identical (option, model, config) requests
 // are priced exactly once; concurrent duplicates wait for the first.
 func (e *engine) price(o Option, m Model, cfg Config) (float64, error) {
-	if e.memoOff {
-		return e.dispatch(o, m, cfg)
-	}
 	var memoStart time.Time
 	if e.trace != nil {
 		memoStart = time.Now()
@@ -597,8 +587,6 @@ type ChainOptions struct {
 	SkipGreeks, SkipImpliedVol bool
 	// Workers bounds the pool as in BatchOptions.
 	Workers int
-	// DisableMemo turns off the repricing memo, as in BatchOptions.
-	DisableMemo bool
 	// Tier selects the pricing tier, as in BatchOptions: under TierAuto the
 	// headline prices, the Greeks bumps and the implied-vol iterations of
 	// every in-envelope cell all run on the analytic fast path, which turns
@@ -641,7 +629,6 @@ func ChainCtx(ctx context.Context, underlying Option, strikes, expiries []float6
 		return quotes
 	}
 	eng := newEngine()
-	eng.memoOff = o.DisableMemo
 	eng.cancel = ctxCancel(ctx)
 	eng.tier = o.Tier
 	eng.trace = obs.FromContext(ctx)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/par"
 )
 
@@ -346,26 +345,6 @@ func TestChainRepricingMemoHits(t *testing.T) {
 	}
 }
 
-// DisableMemo must leave prices unchanged while bypassing the memo entirely.
-func TestPriceBatchDisableMemo(t *testing.T) {
-	reqs := []Request{
-		{Option: defaultCall(), Config: Config{Steps: 400}},
-		{Option: defaultCall(), Config: Config{Steps: 400}}, // duplicate
-	}
-	before := ReadPerfCounters()
-	res := PriceBatch(reqs, BatchOptions{DisableMemo: true})
-	after := ReadPerfCounters()
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatalf("errors: %v, %v", res[0].Err, res[1].Err)
-	}
-	if res[0].Price != res[1].Price {
-		t.Errorf("duplicate requests priced differently without the memo: %v vs %v", res[0].Price, res[1].Price)
-	}
-	if d := (after.RepricingMemoHits + after.RepricingMemoMisses) - (before.RepricingMemoHits + before.RepricingMemoMisses); d != 0 {
-		t.Errorf("memo counters advanced by %d with DisableMemo set", d)
-	}
-}
-
 // The Newton fast path must also solve from a seed far from the answer (the
 // quote's vol mark is a hint, not a requirement).
 func TestImpliedVolFarSeed(t *testing.T) {
@@ -426,13 +405,9 @@ func TestPriceBatchSharesSpectrumCache(t *testing.T) {
 }
 
 // TestPerfCountersSoATransforms pins the SoA transform counter's plumbing
-// through the public snapshot: with the SoA kernel enabled (the default on
-// accelerated machines) a lattice solve large enough for the FFT path must
-// advance FFTSoATransforms, and the counter never goes backwards.
+// through the public snapshot: a lattice solve large enough for the FFT path
+// must advance FFTSoATransforms, and the counter never goes backwards.
 func TestPerfCountersSoATransforms(t *testing.T) {
-	if !fft.SoA() {
-		t.Skip("SoA kernel disabled on this machine (no accelerated butterfly kernel)")
-	}
 	o := defaultCall()
 	before := ReadPerfCounters()
 	if _, err := Price(o, Binomial, Config{Steps: 3000}); err != nil {

@@ -296,24 +296,6 @@ func BenchmarkEvolveCone(b *testing.B) {
 	}
 }
 
-// BenchmarkEvolveConeComplex is the legacy full-complex, uncached path on the
-// same instance, kept benchmarked so the fast path's margin is tracked rather
-// than asserted.
-func BenchmarkEvolveConeComplex(b *testing.B) {
-	s := linstencil.Stencil{MinOff: 0, W: []float64{0.48, 0.51}}
-	n := 1 << 16
-	row := make([]float64, n)
-	for i := range row {
-		row[i] = math.Sin(float64(i))
-	}
-	b.SetBytes(int64(8 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		linstencil.EvolveConeComplex(row, s, n/4)
-	}
-}
-
 // BenchmarkRealFFT measures a forward+inverse real round trip at 256K;
 // compare against BenchmarkComplexFFT for the half-transform win.
 func BenchmarkRealFFT(b *testing.B) {
@@ -351,14 +333,10 @@ func BenchmarkComplexFFT(b *testing.B) {
 }
 
 // BenchmarkRealFFTSoAPlanes is BenchmarkRealFFT's workload through the
-// plane-native SoA entry points (the path the stencil evolution takes when
-// the SoA kernel is enabled); BenchmarkRealFFTComplexKernel pins the same
-// complex-spectrum round trip with the SoA kernel disabled, so the three
-// real-FFT benchmarks bracket both the kernel switch and the plane-API win.
+// plane-native entry points (the path the stencil evolution takes), so the
+// pair tracks the plane-API win over the complex-spectrum API.
 func BenchmarkRealFFTSoAPlanes(b *testing.B) {
 	n := 1 << 18
-	prev := fft.SetSoA(true)
-	defer fft.SetSoA(prev)
 	rp := fft.RPlanFor(n)
 	x := make([]float64, n)
 	for i := range x {
@@ -372,25 +350,6 @@ func BenchmarkRealFFTSoAPlanes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rp.ForwardSoA(x, sr, si)
 		rp.InverseSoA(sr, si, x)
-	}
-}
-
-func BenchmarkRealFFTComplexKernel(b *testing.B) {
-	n := 1 << 18
-	prev := fft.SetSoA(false)
-	defer fft.SetSoA(prev)
-	rp := fft.RPlanFor(n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
-	}
-	spec := make([]complex128, rp.HalfLen())
-	b.SetBytes(int64(8 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rp.Forward(x, spec)
-		rp.Inverse(spec, x)
 	}
 }
 
@@ -458,16 +417,12 @@ func BenchmarkBatchNaiveFanout(b *testing.B) {
 
 // BenchmarkChainGreeksIV prices a 12-quote chain with Greeks and round-trip
 // implied vols — the workload the repricing memo and the Newton-seeded IV
-// solver amortize. BenchmarkChainGreeksIVNoMemo is the same chain with the
-// memo disabled, so the amortization margin is tracked per run.
-func BenchmarkChainGreeksIV(b *testing.B)       { benchChainGreeksIV(b, false) }
-func BenchmarkChainGreeksIVNoMemo(b *testing.B) { benchChainGreeksIV(b, true) }
-
-func benchChainGreeksIV(b *testing.B, disableMemo bool) {
+// solver amortize.
+func BenchmarkChainGreeksIV(b *testing.B) {
 	underlying := amop.Option{Type: amop.Call, S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
 	strikes := []float64{110, 120, 125, 130, 135, 140}
 	expiries := []float64{0.5, 1.0}
-	opts := amop.ChainOptions{Steps: 4000, DisableMemo: disableMemo}
+	opts := amop.ChainOptions{Steps: 4000}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,13 +11,12 @@
 // Experiment IDs map one-to-one onto the paper: fig5a/fig5b/fig5c (running
 // time), fig6 (energy), fig7 (cache misses), fig10 (energy by domain),
 // table5 (scaling with p), table2 (work exponents), accuracy, ablation —
-// plus batch, the chain-repricing workload of the batch engine; fastpath,
-// the A/B of the real-input cached FFT stack against the legacy complex one
-// (wall time, spectrum-cache hit rate, transform traffic); radix4, the
-// A/B of the mixed radix-4/radix-2 FFT kernel against plain radix-2 plus the
-// chain-level repricing-memo amortization (Greeks + implied vols); and
+// plus batch, the chain-repricing workload of the batch engine;
 // sweep-scenarios, the scenario-sweep engine against the naive per-scenario
-// PriceBatch fan-out on a 45-contract x 25-scenario risk grid.
+// PriceBatch fan-out on a 45-contract x 25-scenario risk grid; analytic-tier,
+// the spectral-collocation fast path against the lattice; and the live
+// server's serve-load, serve-chaos and obs-overhead experiments (-list
+// prints them all).
 //
 // Every run also writes a machine-readable BENCH_<experiment>.json record
 // (override the path with -json, disable with -json -), so the repository's

@@ -1,15 +1,12 @@
 // Package fft implements the fast Fourier transform substrate used by the
 // linear-stencil machinery (Ahmad et al., SPAA 2021 — reference [1] of the
 // paper). It is a self-contained, allocation-conscious, parallel
-// implementation over complex128:
+// implementation:
 //
-//   - iterative Cooley-Tukey decimation-in-time over a precomputed twiddle
-//     table and bit-reversal permutation, with a mixed radix-4/radix-2
-//     kernel: pairs of consecutive radix-2 stages are fused into 4-way
-//     butterflies (the first two stages into a trivial-twiddle pass), which
-//     halves the number of passes over the data and cuts the twiddle
-//     multiplies by a quarter — the plain radix-2 kernel is kept selectable
-//     via SetRadix4(false) for A/B comparison;
+//   - one kernel: an iterative radix-4 Cooley-Tukey ladder (plus one
+//     trailing radix-2 stage for odd log2 sizes) over split re/im float64
+//     planes, with two butterfly implementations behind a build-tag seam —
+//     AVX2+FMA assembly and portable Go loops (see soa.go);
 //   - stage-level parallelism via internal/par for large transforms;
 //   - exact complex integer powers by binary exponentiation (used to raise a
 //     stencil's symbol to the k-th power with ~log2(k)-ulp error growth);
@@ -34,17 +31,10 @@ import (
 const defaultParThreshold = 1 << 13
 
 // parThresholdV holds the current parallel-stage threshold; see
-// SetParThreshold.
+// setParThreshold.
 var parThresholdV atomic.Int64
 
-// radix4Enabled selects the mixed radix-4/radix-2 kernel (the default); see
-// SetRadix4.
-var radix4Enabled atomic.Bool
-
-func init() {
-	parThresholdV.Store(defaultParThreshold)
-	radix4Enabled.Store(true)
-}
+func init() { parThresholdV.Store(defaultParThreshold) }
 
 func parThreshold() int { return int(parThresholdV.Load()) }
 
@@ -52,40 +42,25 @@ func parThreshold() int { return int(parThresholdV.Load()) }
 // parallel.
 func ParThreshold() int { return parThreshold() }
 
-// SetParThreshold sets the transform size at or above which transforms use
+// setParThreshold sets the transform size at or above which transforms use
 // stage-level parallelism and returns the previous value; n <= 0 restores the
-// default (1<<13). It exists so the harness's A/B experiments can isolate
-// fork-join overhead from kernel speed; leave it at the default in
-// production.
-func SetParThreshold(n int) int {
+// default (1<<13). Tests lower it to drive the parallel paths on small
+// transforms.
+func setParThreshold(n int) int {
 	if n <= 0 {
 		n = defaultParThreshold
 	}
 	return int(parThresholdV.Swap(int64(n)))
 }
 
-// Radix4 reports whether the mixed radix-4/radix-2 kernel is enabled.
-func Radix4() bool { return radix4Enabled.Load() }
-
-// SetRadix4 enables or disables the radix-4 kernel and returns the previous
-// setting. The radix-2 kernel is kept for benchmarking and parity testing;
-// leave radix-4 enabled in production. Note the SoA path dispatches before
-// the radix toggle is consulted, so a radix-4-vs-radix-2 A/B must also pin
-// SetSoA(false) to be meaningful.
-func SetRadix4(enabled bool) bool { return radix4Enabled.Swap(enabled) }
-
-// Plan holds the precomputed tables for transforms of one fixed size.
-// A Plan is safe for concurrent use: the core tables are read-only after
-// creation and the lazily-built SoA twiddle tables are guarded by a
-// sync.Once (immutable once published).
+// Plan holds the precomputed tables for transforms of one fixed size. A Plan
+// is safe for concurrent use: its tables are read-only after creation.
 type Plan struct {
-	n    int
-	rev  []int32      // bit-reversal permutation
-	tw   []complex128 // tw[k] = exp(-2*pi*i*k/n), k in [0, n/2)
-	half int
-
-	soaOnce sync.Once
-	soaT    *soaTables // split-plane twiddles, built on first SoA transform
+	n          int
+	rev        []int32    // bit-reversal permutation
+	twRe, twIm []float64  // exp(-2*pi*i*k/n) split into planes, k in [0, n/2)
+	stages     []soaStage // packed radix-4 twiddles, h = 4, 16, 64, ...
+	finalR2    bool       // odd log2: one radix-2 stage of span n closes the ladder
 }
 
 // NewPlan creates a plan for transforms of size n. n must be a power of two
@@ -94,17 +69,18 @@ func NewPlan(n int) *Plan {
 	if n <= 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("fft: size %d is not a positive power of two", n))
 	}
-	p := &Plan{n: n, half: n / 2}
+	p := &Plan{n: n}
 	p.rev = make([]int32, n)
 	shift := bits.UintSize - uint(bits.TrailingZeros(uint(n)))
 	for i := 0; i < n; i++ {
 		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
 	}
-	p.tw = make([]complex128, p.half)
-	for k := 0; k < p.half; k++ {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		p.tw[k] = complex(c, s)
+	p.twRe = make([]float64, n/2)
+	p.twIm = make([]float64, n/2)
+	for k := range p.twRe {
+		p.twIm[k], p.twRe[k] = math.Sincos(-2 * math.Pi * float64(k) / float64(n))
 	}
+	p.buildStages()
 	return p
 }
 
@@ -131,10 +107,7 @@ func PlanFor(n int) *Plan {
 func Prewarm(n int) {
 	N := NextPow2(n)
 	for s := 1; s <= N; s <<= 1 {
-		p := PlanFor(s)
-		if soaEnabled.Load() && s >= 4 {
-			p.soa()
-		}
+		PlanFor(s)
 		RPlanFor(s)
 	}
 }
@@ -180,240 +153,19 @@ func (p *Plan) scalePar(a []complex128, inv complex128) {
 	})
 }
 
+// transform runs the unscaled transform in place. Sizes 1 and 2 have no
+// radix-4 structure and are computed directly (the size-2 butterfly has
+// twiddle 1 in both directions); everything else runs the split-plane kernel.
 func (p *Plan) transform(a []complex128, inverse bool) {
-	n := p.n
-	if len(a) != n {
-		panic(fmt.Sprintf("fft: input length %d does not match plan size %d", len(a), n))
+	if len(a) != p.n {
+		panic(fmt.Sprintf("fft: input length %d does not match plan size %d", len(a), p.n))
 	}
-	if n == 1 {
-		return
-	}
-	if p.soaEligible() {
+	switch p.n {
+	case 1:
+	case 2:
+		a[0], a[1] = a[0]+a[1], a[0]-a[1]
+	default:
 		p.soaTransform(a, inverse)
-		return
-	}
-	p.permute(a)
-	r4 := radix4Enabled.Load()
-	if n >= parThreshold() && par.Workers() > 1 {
-		if r4 {
-			p.transformPar4(a, inverse)
-		} else {
-			p.transformPar(a, inverse)
-		}
-		return
-	}
-	if r4 {
-		p.transform4(a, inverse)
-		return
-	}
-	for size := 2; size <= n; size <<= 1 {
-		p.stageSerial(a, 0, n/size, size, size>>1, n/size, inverse)
-	}
-}
-
-// transform4 runs the serial mixed radix-4/radix-2 stage loop: an odd number
-// of radix-2 stages is led by one trivial-twiddle size-2 sweep, then every
-// remaining pair of radix-2 stages is fused into one radix-4 pass, so the
-// data makes ~log4(n) trips through memory instead of log2(n).
-func (p *Plan) transform4(a []complex128, inverse bool) {
-	n := p.n
-	h := 1
-	if bits.TrailingZeros(uint(n))&1 == 1 {
-		stage2(a, 0, n/2)
-		h = 2
-	}
-	for ; h < n; h *= 4 {
-		p.stage4Serial(a, 0, n/(4*h), h, n/(4*h), inverse)
-	}
-}
-
-// transformPar4 is transform4 with parallel passes, mirroring transformPar's
-// stage shape: many small blocks parallelize across blocks, few large blocks
-// split each block's butterfly range instead.
-func (p *Plan) transformPar4(a []complex128, inverse bool) {
-	n := p.n
-	h := 1
-	if bits.TrailingZeros(uint(n))&1 == 1 {
-		par.For(n/2, 2048, func(lo, hi int) { stage2(a, lo, hi) })
-		h = 2
-	}
-	for ; h < n; h *= 4 {
-		hh := h
-		step := n / (4 * hh)
-		blocks := step // one twiddle stride per block: both equal n/(4h)
-		switch {
-		case blocks >= 2*par.Workers():
-			par.For(blocks, 1, func(lo, hi int) {
-				p.stage4Serial(a, lo, hi, hh, step, inverse)
-			})
-		default:
-			for b := 0; b < blocks; b++ {
-				base := b * 4 * hh
-				par.For(hh, 2048, func(lo, hi int) {
-					p.butterflies4(a, base, lo, hi, hh, step, inverse)
-				})
-			}
-		}
-	}
-}
-
-// stage2 applies the trivial size-2 stage (twiddle 1, identical forward and
-// inverse) to index pairs (2i, 2i+1) for i in [lo, hi).
-func stage2(a []complex128, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		x, y := a[2*i], a[2*i+1]
-		a[2*i], a[2*i+1] = x+y, x-y
-	}
-}
-
-// stage4Serial applies one radix-4 pass to blocks [blockLo, blockHi), each of
-// size 4*h, combining four completed size-h sub-transforms into one of size
-// 4*h. The first pass (h == 1, the fusion of the first two radix-2 stages)
-// has only trivial twiddles {1, -i} and runs without table loads.
-func (p *Plan) stage4Serial(a []complex128, blockLo, blockHi, h, step int, inverse bool) {
-	if h == 1 {
-		stage4First(a[4*blockLo:4*blockHi], inverse)
-		return
-	}
-	for b := blockLo; b < blockHi; b++ {
-		p.butterflies4(a, b*4*h, 0, h, h, step, inverse)
-	}
-}
-
-// stage4First is the fused first two stages: radix-4 butterflies over
-// contiguous quads with twiddles 1 and -i (+i for the inverse), so the pass
-// is pure adds plus one component swap.
-func stage4First(a []complex128, inverse bool) {
-	if inverse {
-		for i := 0; i+3 < len(a); i += 4 {
-			x0, x1, x2, x3 := a[i], a[i+1], a[i+2], a[i+3]
-			u0, u1 := x0+x1, x0-x1
-			u2, u3 := x2+x3, x2-x3
-			t3 := mulI(u3)
-			a[i], a[i+2] = u0+u2, u0-u2
-			a[i+1], a[i+3] = u1+t3, u1-t3
-		}
-		return
-	}
-	for i := 0; i+3 < len(a); i += 4 {
-		x0, x1, x2, x3 := a[i], a[i+1], a[i+2], a[i+3]
-		u0, u1 := x0+x1, x0-x1
-		u2, u3 := x2+x3, x2-x3
-		t3 := mulNegI(u3)
-		a[i], a[i+2] = u0+u2, u0-u2
-		a[i+1], a[i+3] = u1+t3, u1-t3
-	}
-}
-
-// butterflies4 applies the fused-pair (radix-4) butterflies j in [jLo, jHi)
-// within the block of size 4*h starting at base; step = n/(4*h) is the
-// twiddle stride of the combined stage. Each butterfly performs exactly the
-// arithmetic of the two underlying radix-2 stages — twiddles w^j and w^2j for
-// the inner stage, and the outer stage's w^(j+h) folded to -i*w^j via
-// w^h = -i — reading both from the plan's radix-2 twiddle table. The four
-// lanes are re-sliced up front so the bounds checks hoist out of the loop.
-func (p *Plan) butterflies4(a []complex128, base, jLo, jHi, h, step int, inverse bool) {
-	s0 := a[base : base+h]
-	s1 := a[base+h : base+2*h]
-	s2 := a[base+2*h : base+3*h]
-	s3 := a[base+3*h : base+4*h]
-	tw := p.tw
-	_, _, _, _ = s0[jHi-1], s1[jHi-1], s2[jHi-1], s3[jHi-1]
-	_ = tw[2*(jHi-1)*step]
-	if inverse {
-		for j := jLo; j < jHi; j++ {
-			w1 := tw[j*step]
-			w1 = complex(real(w1), -imag(w1))
-			w2 := tw[2*j*step]
-			w2 = complex(real(w2), -imag(w2))
-			x0, x1, x2, x3 := s0[j], s1[j], s2[j], s3[j]
-			t0 := x1 * w2
-			u0, u1 := x0+t0, x0-t0
-			t1 := x3 * w2
-			u2, u3 := x2+t1, x2-t1
-			t2 := u2 * w1
-			t3 := mulI(u3 * w1)
-			s0[j], s2[j] = u0+t2, u0-t2
-			s1[j], s3[j] = u1+t3, u1-t3
-		}
-		return
-	}
-	for j := jLo; j < jHi; j++ {
-		w1 := tw[j*step]
-		w2 := tw[2*j*step]
-		x0, x1, x2, x3 := s0[j], s1[j], s2[j], s3[j]
-		t0 := x1 * w2
-		u0, u1 := x0+t0, x0-t0
-		t1 := x3 * w2
-		u2, u3 := x2+t1, x2-t1
-		t2 := u2 * w1
-		t3 := mulNegI(u3 * w1)
-		s0[j], s2[j] = u0+t2, u0-t2
-		s1[j], s3[j] = u1+t3, u1-t3
-	}
-}
-
-// transformPar runs the stage loop with parallel butterflies. Kept separate
-// from transform so the small-transform path allocates nothing (see
-// scalePar).
-func (p *Plan) transformPar(a []complex128, inverse bool) {
-	n := p.n
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		blocks := n / size
-		switch {
-		case blocks >= 2*par.Workers():
-			par.For(blocks, 1, func(lo, hi int) {
-				p.stageSerial(a, lo, hi, size, half, step, inverse)
-			})
-		default:
-			// Few large blocks: split each block's butterfly range instead.
-			for b := 0; b < blocks; b++ {
-				base := b * size
-				par.For(half, 2048, func(lo, hi int) {
-					p.butterflies(a, base, lo, hi, half, step, inverse)
-				})
-			}
-		}
-	}
-}
-
-// permute applies the bit-reversal permutation in place.
-func (p *Plan) permute(a []complex128) {
-	for i, r := range p.rev {
-		if int32(i) < r {
-			a[i], a[r] = a[r], a[i]
-		}
-	}
-}
-
-func (p *Plan) stageSerial(a []complex128, blockLo, blockHi, size, half, step int, inverse bool) {
-	for b := blockLo; b < blockHi; b++ {
-		p.butterflies(a, b*size, 0, half, half, step, inverse)
-	}
-}
-
-// butterflies applies butterflies j in [jLo, jHi) within the block starting
-// at base. half and step describe the current stage geometry.
-func (p *Plan) butterflies(a []complex128, base, jLo, jHi, half, step int, inverse bool) {
-	if inverse {
-		for j := jLo; j < jHi; j++ {
-			w := p.tw[j*step]
-			w = complex(real(w), -imag(w))
-			lo, hi := base+j, base+j+half
-			t := a[hi] * w
-			a[hi] = a[lo] - t
-			a[lo] += t
-		}
-		return
-	}
-	for j := jLo; j < jHi; j++ {
-		w := p.tw[j*step]
-		lo, hi := base+j, base+j+half
-		t := a[hi] * w
-		a[hi] = a[lo] - t
-		a[lo] += t
 	}
 }
 

@@ -293,22 +293,52 @@ func TestPlanForCaches(t *testing.T) {
 	}
 }
 
+// TestSetParThreshold checks the setter returns the previous value, that
+// n <= 0 restores the default, and that a tiny threshold (forcing the
+// parallel path onto small transforms) preserves parity with the naive DFT.
+func TestSetParThreshold(t *testing.T) {
+	orig := ParThreshold()
+	if prev := setParThreshold(64); prev != orig {
+		t.Errorf("setParThreshold returned %d, want previous value %d", prev, orig)
+	}
+	if got := ParThreshold(); got != 64 {
+		t.Errorf("ParThreshold() = %d after setParThreshold(64)", got)
+	}
+	rng := rand.New(rand.NewSource(44))
+	for _, n := range []int{128, 256} {
+		a := randVec(rng, n)
+		got := append([]complex128(nil), a...)
+		PlanFor(n).Forward(got)
+		if d := maxAbsDiff(got, naiveDFT(a, false)); d > 1e-9 {
+			t.Errorf("n=%d with threshold 64: differs from naive DFT by %g", n, d)
+		}
+	}
+	if prev := setParThreshold(0); prev != 64 {
+		t.Errorf("setParThreshold(0) returned %d, want 64", prev)
+	}
+	if got := ParThreshold(); got != 1<<13 {
+		t.Errorf("ParThreshold() = %d after reset, want default %d", got, 1<<13)
+	}
+	setParThreshold(orig)
+}
+
+// TestPrewarmPopulatesPlanCaches checks Prewarm installs the whole plan
+// ladder, so a later PlanFor/RPlanFor is a pure cache hit.
+func TestPrewarmPopulatesPlanCaches(t *testing.T) {
+	Prewarm(1000) // ladder up to 1024
+	for s := 1; s <= 1024; s <<= 1 {
+		if _, ok := planCache.Load(s); !ok {
+			t.Errorf("Prewarm(1000) did not cache the complex plan of size %d", s)
+		}
+		if _, ok := rplanCache.Load(s); !ok {
+			t.Errorf("Prewarm(1000) did not cache the real plan of size %d", s)
+		}
+	}
+}
+
 func BenchmarkForward1K(b *testing.B)   { benchForward(b, 1<<10) }
 func BenchmarkForward64K(b *testing.B)  { benchForward(b, 1<<16) }
 func BenchmarkForward512K(b *testing.B) { benchForward(b, 1<<19) }
-
-// The Radix2 twins pin the legacy kernel at the same sizes, so the radix-4
-// margin is tracked in every `go test -bench` run rather than asserted.
-func BenchmarkForward64KRadix2(b *testing.B)  { benchForwardRadix2(b, 1<<16) }
-func BenchmarkForward512KRadix2(b *testing.B) { benchForwardRadix2(b, 1<<19) }
-
-func benchForwardRadix2(b *testing.B, n int) {
-	prevSoA := SetSoA(false) // the radix toggle is dead while SoA dispatches first
-	defer SetSoA(prevSoA)
-	prev := SetRadix4(false)
-	defer SetRadix4(prev)
-	benchForward(b, n)
-}
 
 func benchForward(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(9))

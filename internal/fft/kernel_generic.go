@@ -5,14 +5,14 @@ package fft
 // amop_purego build tag), the fallback when the CPU lacks the required
 // vector extensions, and the parity oracle the assembly is tested against.
 // The loops are written over pre-sliced lanes with the bounds checks
-// hoisted, mirroring the complex kernel's butterflies4, so the generic SoA
-// path costs what the layout costs — not what naive indexing would add.
+// hoisted, so the generic path costs what the layout costs — not what naive
+// indexing would add.
 
 // bfly4RangeGeneric applies radix-4 butterflies j in [jLo, jHi) within the
 // block of size 4*h starting at base, reading the stage's packed twiddles
-// w1 = w^j and w2 = w^2j. The butterfly algebra matches the complex
-// kernel's butterflies4 exactly: the inner radix-2 pair uses w^2j, the
-// outer pair w^j with the second half folded to -i*w^j via w^h = -i.
+// w1 = w^j and w2 = w^2j. Each butterfly is two fused radix-2 stages: the
+// inner pair uses w^2j, the outer pair w^j with the second half folded to
+// -i*w^j via w^h = -i.
 func bfly4RangeGeneric(re, im []float64, base int, st *soaStage, jLo, jHi int) {
 	h := st.h
 	r0 := re[base : base+h]

@@ -4,9 +4,7 @@ package fft
 
 // Non-assembly side of the kernel-dispatch seam: platforms without the
 // AVX2 kernel (or builds with -tags amop_purego) route every butterfly
-// range straight to the portable split-plane loops. The SoA path therefore
-// defaults off here (see soaEnabled's init) but remains fully functional
-// for parity tests and explicit opt-in.
+// range straight to the portable split-plane loops.
 
 // kernelArch names the accelerated kernel this build can dispatch to; the
 // generic build has none.

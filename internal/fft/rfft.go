@@ -9,19 +9,18 @@ import (
 	"github.com/nlstencil/amop/internal/par"
 )
 
-// The stencil machinery transforms purely real rows, but the baseline Plan
-// runs them through a full complex128 FFT — twice the butterflies and twice
-// the memory traffic actually required. RPlan is the real-input fast path:
-// a forward real-to-half-spectrum transform and its inverse, built on the
-// classic N/2-complex packing trick. The n real samples are viewed as n/2
-// complex samples (even samples in the real lane, odd samples in the
-// imaginary lane), transformed with the existing size-n/2 complex Plan —
-// reusing its twiddle table, bit-reversal staging, and stage-level
-// parallelism — and then unpacked into the half spectrum X[0..n/2] via the
-// conjugate symmetry X[n-k] = conj(X[k]) of real input. Both directions run
-// in place in the caller's buffers: the packing, the inner transform, and
-// the symmetric unpacking all reuse the spectrum slice, so a transform
-// allocates nothing.
+// The stencil machinery transforms purely real rows; a full complex128 FFT
+// of them would do twice the butterflies and move twice the memory actually
+// required. RPlan is the real-input transform: a forward
+// real-to-half-spectrum transform and its inverse, built on the classic
+// N/2-complex packing trick. The n real samples are viewed as n/2 complex
+// samples (even samples in the real lane, odd samples in the imaginary
+// lane), transformed with the size-n/2 complex Plan — reusing its twiddle
+// tables, bit-reversal staging, and stage-level parallelism — and then
+// unpacked into the half spectrum X[0..n/2] via the conjugate symmetry
+// X[n-k] = conj(X[k]) of real input. The complex-spectrum API here runs in
+// place in the caller's buffers; the plane-native API the stencil evolution
+// uses is in rfft_soa.go.
 
 // RPlan holds the precomputed tables for real-input transforms of one fixed
 // size. An RPlan is safe for concurrent use: all fields are read-only after

@@ -1,9 +1,9 @@
 package fft
 
-// Plane-native real-input transforms. RPlan.Forward/Inverse already pick up
-// the SoA butterfly kernel through the inner Plan's dispatch, but their
-// complex-spectrum signatures force a deinterleave on entry and a
-// reinterleave on exit of every transform. The stencil evolution hot path
+// Plane-native real-input transforms. RPlan.Forward/Inverse run the
+// split-plane kernel through the inner Plan, but their complex-spectrum
+// signatures force a deinterleave on entry and a reinterleave on exit of
+// every transform. The stencil evolution hot path
 // multiplies spectra element-wise between a forward and an inverse, so it
 // never needs the complex128 view at all: ForwardSoA and InverseSoA carry
 // the spectrum as split re/im planes end to end — the pack fuses directly
@@ -31,8 +31,9 @@ func (p *RPlan) ForwardSoA(x, sr, si []float64) {
 	}
 	m := p.half
 	if m < 4 {
-		// Too small for the radix-4 entry pass; delegate to the complex path
-		// (which counts its own traffic) and split the result.
+		// Too small for the radix-4 entry pass; delegate to the
+		// complex-spectrum API (which counts its own traffic) and split the
+		// result.
 		spec := scratch.Complexes(m + 1)
 		p.Forward(x, spec)
 		for k, z := range spec {

@@ -171,16 +171,6 @@ func TestTransformedBytesAdvances(t *testing.T) {
 func BenchmarkRealFFT64K(b *testing.B)  { benchRealFFT(b, 1<<16) }
 func BenchmarkRealFFT512K(b *testing.B) { benchRealFFT(b, 1<<19) }
 
-// BenchmarkRealFFT512KRadix2 pins the real-input round trip on the legacy
-// radix-2 kernel; compare against BenchmarkRealFFT512K for the radix-4 win.
-func BenchmarkRealFFT512KRadix2(b *testing.B) {
-	prevSoA := SetSoA(false) // the radix toggle is dead while SoA dispatches first
-	defer SetSoA(prevSoA)
-	prev := SetRadix4(false)
-	defer SetRadix4(prev)
-	benchRealFFT(b, 1<<19)
-}
-
 // benchRealFFT times one forward+inverse real round trip; compare against
 // BenchmarkForward* to see the half-transform win.
 func benchRealFFT(b *testing.B, n int) {

@@ -1,29 +1,27 @@
 package fft
 
-// Deinterleaved (structure-of-arrays) float64 kernels. Go's compiler will
-// not vectorize complex128 arithmetic — every butterfly in the complex
-// kernel runs as scalar MULSD/ADDSD no matter how wide the machine's vector
-// units are. Splitting the data into separate re/im planes ("SoA") turns
-// each butterfly stage into plain float64 lane arithmetic that a SIMD
-// kernel can chew four lanes at a time; on amd64 with AVX2+FMA the
+// The transform kernel runs on deinterleaved (structure-of-arrays) float64
+// planes. Go's compiler will not vectorize complex128 arithmetic, so a
+// butterfly over complex128 runs as scalar MULSD/ADDSD no matter how wide
+// the machine's vector units are. Splitting the data into separate re/im
+// planes turns each butterfly stage into plain float64 lane arithmetic that
+// a SIMD kernel can chew four lanes at a time; on amd64 with AVX2+FMA the
 // butterflies run in hand-written assembly behind the dispatch seam in
 // kernel_amd64.go / kernel_noasm.go, and everywhere else the portable
-// split-plane loops in kernel_generic.go serve as fallback and parity
-// oracle.
+// split-plane loops in kernel_generic.go do the work (they are also the
+// parity reference the assembly is tested against).
 //
-// The SoA transform restructures the stage ladder around the layout change
-// rather than translating the complex kernel loop for loop:
+// The stage ladder is built around the layout:
 //
 //   - entry fuses three passes into one: the complex->planes deinterleave,
 //     the bit-reversal permutation (a gather a[rev[i]] with sequential
-//     writes, which beats the in-place swap walk), and the trivial-twiddle
+//     writes, which beats an in-place swap walk), and the trivial-twiddle
 //     first radix-4 butterfly (twiddles {1, -i}), so the data's first trip
 //     through memory already completes two butterfly stages;
 //   - the remaining radix-4 stages read their twiddles from per-stage
 //     *packed* split tables (w^j and w^2j stored contiguously per j), so
-//     the vector kernel issues unit-stride loads instead of the complex
-//     kernel's strided tw[j*step] walk, and the conj-folded w^(j+h) = -i*w^j
-//     identity is baked into the butterfly exactly as in the complex kernel;
+//     the vector kernel issues unit-stride loads instead of a strided
+//     tw[j*step] walk; the outer pair's w^(j+h) folds to -i*w^j via w^h = -i;
 //   - odd-log2 sizes finish with one radix-2 stage at span n (step-1
 //     twiddles straight off the split base table) instead of leading with a
 //     pairwise pass, keeping every vectorizable stage unit-stride;
@@ -31,12 +29,10 @@ package fft
 //     identity IDFT(Z) = conj(DFT(conj(Z)))/n, with both conjugations folded
 //     into the entry gather and exit reinterleave passes, so only one
 //     assembly direction exists;
-//   - stages parallelize via internal/par with the same blocks-vs-lanes
-//     split as the complex kernel's transformPar4.
+//   - stages parallelize via internal/par: block-parallel when blocks are
+//     plentiful, lane-range-parallel within each block when they are few.
 //
 // Scratch planes come from internal/scratch and are returned on every path.
-// SetSoA(false) restores the complex kernel for A/B comparison; the SoA
-// path is the default whenever the accelerated kernel is available.
 
 import (
 	"math/bits"
@@ -46,35 +42,12 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// soaEnabled selects the SoA split-plane kernel for Plan transforms and the
-// linstencil evolution hot path. It defaults to enabled exactly when the
-// accelerated assembly kernel is usable on this machine: the generic SoA
-// loops exist for portability and parity, not speed, so platforms without
-// the assembly keep the complex kernel unless a caller opts in explicitly.
-var soaEnabled atomic.Bool
-
-// soaForceGeneric routes SoA butterflies through the portable generic
-// kernel even when assembly is available. Tests use it to cover both sides
-// of the dispatch seam on one machine; it is not part of the public API.
+// soaForceGeneric routes butterflies through the portable generic kernel
+// even when assembly is available. Tests use it to cover both sides of the
+// dispatch seam on one machine; it is not part of the public API.
 var soaForceGeneric atomic.Bool
 
-func init() { soaEnabled.Store(kernelAsmAvailable()) }
-
-// SoA reports whether the SoA split-plane kernel is enabled.
-func SoA() bool { return soaEnabled.Load() }
-
-// SetSoA enables or disables the SoA split-plane kernel and returns the
-// previous setting. The complex kernel is kept for benchmarking, parity
-// testing, and as the portable fallback; on machines with the accelerated
-// kernel, leave SoA enabled in production.
-func SetSoA(enabled bool) bool { return soaEnabled.Swap(enabled) }
-
-// SoAAccelerated reports whether the assembly SoA kernel is compiled in and
-// usable on this CPU. When false, the SoA path (if enabled) runs the
-// portable generic kernel.
-func SoAAccelerated() bool { return kernelAsmAvailable() }
-
-// KernelName identifies the butterfly kernel the SoA path would use:
+// KernelName identifies the butterfly implementation transforms use:
 // "avx2" when the assembly kernel is active, "generic" otherwise.
 func KernelName() string {
 	if kernelAsmAvailable() && !soaForceGeneric.Load() {
@@ -83,14 +56,13 @@ func KernelName() string {
 	return "generic"
 }
 
-// soaTransforms counts transforms executed by the SoA kernel (Plan
-// dispatches and RPlan plane-native calls, one count per direction). The
-// bytes those transforms move are counted in transformedBytes by the same
-// call sites that count the complex kernel, so the traffic counter never
-// silently undercounts when SoA is the default.
+// soaTransforms counts split-plane kernel transforms (Plan transforms of
+// size >= 4 and RPlan plane-native calls, one count per direction). The
+// bytes those transforms move are counted in transformedBytes by the public
+// entry points.
 var soaTransforms atomic.Int64
 
-// SoATransforms returns the cumulative number of SoA-kernel transforms.
+// SoATransforms returns the cumulative number of split-plane transforms.
 func SoATransforms() int64 { return soaTransforms.Load() }
 
 // soaStage holds one radix-4 stage's packed twiddles: w1[j] = w^j and
@@ -101,77 +73,46 @@ type soaStage struct {
 	w1r, w1i, w2r, w2i []float64
 }
 
-// soaTables holds a plan's split-plane twiddle data: the base table split
-// into planes (twRe/twIm, n/2 entries, used by the trailing radix-2 stage
-// and by scalar edge cases) and the packed per-stage radix-4 tables.
-// Tables are immutable after construction and shared by every transform of
-// the plan.
-type soaTables struct {
-	twRe, twIm []float64
-	stages     []soaStage // h = 4, 16, 64, ...
-	finalR2    bool       // odd log2: one radix-2 stage of span n closes the ladder
-	r2Half     int        // n/2 when finalR2
-}
-
-// soa returns the plan's SoA tables, building them on first use. The build
-// reads the already-computed complex twiddle table — no new Sincos calls —
-// so lazily constructing it keeps NewPlan cheap for complex-only callers.
-func (p *Plan) soa() *soaTables {
-	p.soaOnce.Do(func() {
-		n := p.n
-		t := &soaTables{}
-		t.twRe = make([]float64, p.half)
-		t.twIm = make([]float64, p.half)
-		for k, w := range p.tw {
-			t.twRe[k] = real(w)
-			t.twIm[k] = imag(w)
-		}
-		lg := bits.TrailingZeros(uint(n))
-		t.finalR2 = lg%2 == 1 && n >= 2
-		t.r2Half = n / 2
-		radix4End := n
-		if t.finalR2 {
-			radix4End = n / 2
-		}
-		for h := 4; 4*h <= radix4End; h *= 4 {
-			st := soaStage{h: h}
-			st.w1r = make([]float64, h)
-			st.w1i = make([]float64, h)
-			st.w2r = make([]float64, h)
-			st.w2i = make([]float64, h)
-			// The stage combines four size-h sub-transforms into size 4h, so
-			// its twiddles live on the circle of size 4h: w^j = tw[j*n/(4h)]
-			// on the plan's size-n table. w^2j can run past the table's half
-			// circle; w^(m+n/2) = -w^m folds it back.
-			stride := n / (4 * h)
-			for j := 0; j < h; j++ {
-				st.w1r[j] = t.twRe[j*stride]
-				st.w1i[j] = t.twIm[j*stride]
-				if idx2 := 2 * j * stride; idx2 < p.half {
-					st.w2r[j] = t.twRe[idx2]
-					st.w2i[j] = t.twIm[idx2]
-				} else {
-					st.w2r[j] = -t.twRe[idx2-p.half]
-					st.w2i[j] = -t.twIm[idx2-p.half]
-				}
+// buildStages derives the plan's packed per-stage radix-4 tables from its
+// split base table — no new Sincos calls.
+func (p *Plan) buildStages() {
+	n, half := p.n, p.n/2
+	p.finalR2 = bits.TrailingZeros(uint(n))%2 == 1
+	radix4End := n
+	if p.finalR2 {
+		radix4End = half
+	}
+	for h := 4; 4*h <= radix4End; h *= 4 {
+		st := soaStage{h: h}
+		st.w1r = make([]float64, h)
+		st.w1i = make([]float64, h)
+		st.w2r = make([]float64, h)
+		st.w2i = make([]float64, h)
+		// The stage combines four size-h sub-transforms into size 4h, so
+		// its twiddles live on the circle of size 4h: w^j = tw[j*n/(4h)]
+		// on the plan's size-n table. w^2j can run past the table's half
+		// circle; w^(m+n/2) = -w^m folds it back.
+		stride := n / (4 * h)
+		for j := 0; j < h; j++ {
+			st.w1r[j] = p.twRe[j*stride]
+			st.w1i[j] = p.twIm[j*stride]
+			if idx2 := 2 * j * stride; idx2 < half {
+				st.w2r[j] = p.twRe[idx2]
+				st.w2i[j] = p.twIm[idx2]
+			} else {
+				st.w2r[j] = -p.twRe[idx2-half]
+				st.w2i[j] = -p.twIm[idx2-half]
 			}
-			t.stages = append(t.stages, st)
 		}
-		p.soaT = t
-	})
-	return p.soaT
+		p.stages = append(p.stages, st)
+	}
 }
 
-// soaEligible reports whether this transform should run on the SoA kernel.
-// Sizes below 4 have no radix-4 structure to exploit; the complex kernel's
-// trivial loops handle them.
-func (p *Plan) soaEligible() bool { return soaEnabled.Load() && p.n >= 4 }
-
-// soaTransform is the complex-slice entry point: deinterleave a into
-// scratch planes (fused with bit reversal and the first butterfly), run the
-// split-plane stage ladder, and reinterleave. inverse applies the
-// conjugation identity; like the complex transform method, the inverse here
-// is unscaled — Plan.Inverse applies the 1/n sweep.
+// soaTransform is the complex-slice entry point (n >= 4): deinterleave a
+// into scratch planes (fused with bit reversal and the first butterfly), run
+// the split-plane stage ladder, and reinterleave. inverse applies the
+// conjugation identity; the inverse here is unscaled — Plan.Inverse applies
+// the 1/n sweep.
 func (p *Plan) soaTransform(a []complex128, inverse bool) {
 	n := p.n
 	soaTransforms.Add(1)
@@ -192,27 +133,13 @@ func (p *Plan) soaTransform(a []complex128, inverse bool) {
 // a[rev[i]], deinterleaves into the planes, and applies the trivial-twiddle
 // first radix-4 butterfly (the fusion of the first two radix-2 stages).
 // For the inverse, the conjugation of the input folds into the gather as a
-// sign flip on the imaginary lane. Sizes below 4 (no quads) deinterleave
-// without a butterfly.
+// sign flip on the imaginary lane.
 func (p *Plan) soaGather(a []complex128, re, im []float64, inverse bool) {
-	n := p.n
-	if n < 4 {
-		for i, r := range p.rev {
-			z := a[r]
-			re[i] = real(z)
-			if inverse {
-				im[i] = -imag(z)
-			} else {
-				im[i] = imag(z)
-			}
-		}
-		return
-	}
-	if n >= parThreshold() && par.Workers() > 1 {
+	if p.n >= parThreshold() && par.Workers() > 1 {
 		p.soaGatherPar(a, re, im, inverse)
 		return
 	}
-	gatherQuads(a, p.rev, re, im, 0, n/4, inverse)
+	gatherQuads(a, p.rev, re, im, 0, p.n/4, inverse)
 }
 
 func (p *Plan) soaGatherPar(a []complex128, re, im []float64, inverse bool) {
@@ -242,8 +169,8 @@ func gatherQuads(a []complex128, rev []int32, re, im []float64, qLo, qHi int, in
 }
 
 // quadStore applies the trivial first radix-4 butterfly to one gathered
-// quad and writes the results at planes[i..i+3]. Shared by the complex
-// gather and the real-input pack so the butterfly algebra exists once.
+// quad and writes the results at planes[i..i+3]. Shared by the complex-slice
+// gather and the real-input packs so the butterfly algebra exists once.
 func quadStore(re, im []float64, i int, x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i float64) {
 	u0r, u1r := x0r+x1r, x0r-x1r
 	u0i, u1i := x0i+x1i, x0i-x1i
@@ -278,34 +205,33 @@ func interleavePar(a []complex128, re, im []float64, inverse bool) {
 // soaStages runs the split-plane butterfly ladder over planes that already
 // hold the output of the fused entry pass (bit-reversed order, first
 // radix-4 butterfly applied). It is the shared engine of the complex-slice
-// wrappers and the RPlan plane-native path.
+// wrapper and the RPlan plane-native path.
 func (p *Plan) soaStages(re, im []float64) {
-	t := p.soa()
 	n := p.n
 	if n >= parThreshold() && par.Workers() > 1 {
-		p.soaStagesPar(re, im, t)
+		p.soaStagesPar(re, im)
 		return
 	}
-	for si := range t.stages {
-		st := &t.stages[si]
+	for si := range p.stages {
+		st := &p.stages[si]
 		h := st.h
 		for b := 0; b < n/(4*h); b++ {
 			bfly4Range(re, im, b*4*h, st, 0, h)
 		}
 	}
-	if t.finalR2 {
-		bfly2Range(re, im, t.twRe, t.twIm, t.r2Half, 0, t.r2Half)
+	if p.finalR2 {
+		bfly2Range(re, im, p.twRe, p.twIm, n/2, 0, n/2)
 	}
 }
 
-// soaStagesPar mirrors the complex kernel's transformPar4 shape: many small
-// blocks parallelize across blocks, few large blocks split each block's
-// lane range instead. Lane chunks are quad-granular so the vector kernel
-// always sees multiples of four.
-func (p *Plan) soaStagesPar(re, im []float64, t *soaTables) {
+// soaStagesPar splits each stage by shape: many small blocks parallelize
+// across blocks, few large blocks split each block's lane range instead.
+// Lane chunks are quad-granular so the vector kernel always sees multiples
+// of four.
+func (p *Plan) soaStagesPar(re, im []float64) {
 	n := p.n
-	for si := range t.stages {
-		st := &t.stages[si]
+	for si := range p.stages {
+		st := &p.stages[si]
 		h := st.h
 		blocks := n / (4 * h)
 		switch {
@@ -324,10 +250,10 @@ func (p *Plan) soaStagesPar(re, im []float64, t *soaTables) {
 			}
 		}
 	}
-	if t.finalR2 {
-		half := t.r2Half
+	if p.finalR2 {
+		half := n / 2
 		par.For(half/4, 512, func(qLo, qHi int) {
-			bfly2Range(re, im, t.twRe, t.twIm, half, 4*qLo, 4*qHi)
+			bfly2Range(re, im, p.twRe, p.twIm, half, 4*qLo, 4*qHi)
 		})
 	}
 }

@@ -4,34 +4,17 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"os"
-	"sort"
 	"sync"
 	"testing"
-	"time"
+	"testing/quick"
 
 	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// withComplexKernel runs fn with the SoA path disabled (complex kernel),
-// restoring the prior setting afterwards.
-func withComplexKernel(fn func()) {
-	prev := SetSoA(false)
-	defer SetSoA(prev)
-	fn()
-}
-
-// withSoAKernel runs fn with the SoA path force-enabled.
-func withSoAKernel(fn func()) {
-	prev := SetSoA(true)
-	defer SetSoA(prev)
-	fn()
-}
-
-// withGenericSoA runs fn with the SoA butterflies forced through the
-// portable generic kernel, covering the non-assembly side of the dispatch
-// seam even on machines where the assembly is active.
+// withGenericSoA runs fn with the butterflies forced through the portable
+// generic kernel, covering the non-assembly side of the dispatch seam even
+// on machines where the assembly is active.
 func withGenericSoA(fn func()) {
 	soaForceGeneric.Store(true)
 	defer soaForceGeneric.Store(false)
@@ -41,15 +24,28 @@ func withGenericSoA(fn func()) {
 // soaKernelVariants runs fn once per available butterfly kernel, labeled.
 func soaKernelVariants(t *testing.T, fn func(t *testing.T)) {
 	t.Run("generic", func(t *testing.T) { withGenericSoA(func() { fn(t) }) })
-	if SoAAccelerated() {
+	if kernelAsmAvailable() {
 		t.Run(kernelArch, fn)
 	}
 }
 
+// transformCopy returns p's forward or inverse transform of a, leaving a
+// untouched.
+func transformCopy(p *Plan, a []complex128, inverse bool) []complex128 {
+	out := append([]complex128(nil), a...)
+	if inverse {
+		p.Inverse(out)
+	} else {
+		p.Forward(out)
+	}
+	return out
+}
+
 // relDiff returns the max absolute difference between a and b scaled by the
-// largest magnitude in b: the parity bound for comparing two kernels whose
-// only legitimate divergence is rounding (the assembly contracts multiplies
-// and adds into FMAs; the complex kernel does not).
+// largest magnitude in b: the parity bound for comparing the two butterfly
+// implementations, whose only legitimate divergence is rounding (the
+// assembly contracts multiplies and adds into FMAs; the generic loops do
+// not).
 func relDiff(a, b []complex128) float64 {
 	norm := 0.0
 	for _, z := range b {
@@ -63,92 +59,105 @@ func relDiff(a, b []complex128) float64 {
 	return maxAbsDiff(a, b) / norm
 }
 
-// soaParitySizes covers the degenerate transforms (1, 2 — below the SoA
-// eligibility floor), the smallest eligible size 4, every odd-log2 shape up
-// to 512 (which exercises the trailing radix-2 stage), and the even shapes
-// in between.
+// parityCase is one transform input with the generic butterflies' output as
+// the reference the active kernel must match.
+type parityCase struct {
+	a       []complex128
+	inverse bool
+	generic []complex128
+}
+
+// parityCases draws one forward and one inverse input per size and computes
+// their generic-kernel transforms.
+func parityCases(rng *rand.Rand, sizes []int) []parityCase {
+	var cases []parityCase
+	for _, n := range sizes {
+		for _, inverse := range []bool{false, true} {
+			c := parityCase{a: randVec(rng, n), inverse: inverse}
+			withGenericSoA(func() { c.generic = transformCopy(PlanFor(n), c.a, inverse) })
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
+// soaParitySizes covers the directly computed transforms (1, 2), the
+// smallest split-plane size 4, every odd-log2 shape up to 512 (which
+// exercises the trailing radix-2 stage), and the even shapes in between.
 var soaParitySizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// TestSoAMatchesComplexAndNaive pins the three-way parity: for each size and
-// direction, the SoA kernel (both butterfly variants) must agree with the
-// complex kernel within 1e-12 relative and with the O(n^2) DFT within 1e-9.
+// TestSoAMatchesComplexAndNaive pins the complex128 entry point of the
+// split-plane kernel: for each size and direction, Plan.Forward/Inverse
+// under each butterfly implementation must agree with the O(n^2) DFT within
+// 1e-9 and with the generic butterflies within 1e-12 relative.
 func TestSoAMatchesComplexAndNaive(t *testing.T) {
+	cases := parityCases(rand.New(rand.NewSource(61)), soaParitySizes)
 	soaKernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(61))
-		for _, n := range soaParitySizes {
-			for _, inverse := range []bool{false, true} {
-				a := randVec(rng, n)
-				want := naiveDFT(a, inverse)
-				p := PlanFor(n)
-
-				soa := append([]complex128(nil), a...)
-				withSoAKernel(func() {
-					if inverse {
-						p.Inverse(soa)
-					} else {
-						p.Forward(soa)
-					}
-				})
-
-				cpx := append([]complex128(nil), a...)
-				withComplexKernel(func() {
-					if inverse {
-						p.Inverse(cpx)
-					} else {
-						p.Forward(cpx)
-					}
-				})
-
-				if d := maxAbsDiff(soa, want); d > 1e-9 {
-					t.Errorf("n=%d inverse=%v: SoA differs from naive DFT by %g", n, inverse, d)
-				}
-				if d := relDiff(soa, cpx); d > 1e-12 {
-					t.Errorf("n=%d inverse=%v: SoA differs from complex kernel by %g relative", n, inverse, d)
-				}
+		for _, c := range cases {
+			n := len(c.a)
+			got := transformCopy(PlanFor(n), c.a, c.inverse)
+			if d := maxAbsDiff(got, naiveDFT(c.a, c.inverse)); d > 1e-9 {
+				t.Errorf("n=%d inverse=%v: differs from naive DFT by %g", n, c.inverse, d)
+			}
+			if d := relDiff(got, c.generic); d > 1e-12 {
+				t.Errorf("n=%d inverse=%v: differs from generic butterflies by %g relative", n, c.inverse, d)
 			}
 		}
 	})
 }
 
-// TestSoALargeParity extends the kernel parity to production-scale sizes up
-// to 2^17 (the harness's top transform size, odd log2) with only the
-// complex kernel as oracle — the naive DFT is O(n^2).
+// directBins checks got against the DFT of a evaluated directly at 32
+// random bins: O(n) per bin, so the absolute oracle reaches sizes where the
+// full O(n^2) DFT is out of reach. The twiddle angle is reduced mod n in
+// integers so the reference carries no argument-growth error.
+func directBins(t *testing.T, rng *rand.Rand, a, got []complex128, inverse bool) {
+	t.Helper()
+	n := len(a)
+	sign := -1.0
+	if inverse {
+		sign = 1
+	}
+	norm := 0.0
+	for _, z := range got {
+		norm = math.Max(norm, cmplx.Abs(z))
+	}
+	for b := 0; b < 32; b++ {
+		f := rng.Intn(n)
+		var sum complex128
+		for j, x := range a {
+			s, c := math.Sincos(sign * 2 * math.Pi * float64(j*f%n) / float64(n))
+			sum += x * complex(c, s)
+		}
+		if inverse {
+			sum /= complex(float64(n), 0)
+		}
+		if d := cmplx.Abs(got[f]-sum) / norm; d > 1e-10 {
+			t.Errorf("n=%d inverse=%v bin %d: differs from direct DFT sum by %g relative", n, inverse, f, d)
+		}
+	}
+}
+
+// TestSoALargeParity extends the parity to production-scale sizes up to
+// 2^17 (the harness's top transform size, odd log2): each butterfly
+// implementation must match the generic one within 1e-12 relative, and 32
+// random bins per transform must match a direct DFT sum.
 func TestSoALargeParity(t *testing.T) {
+	cases := parityCases(rand.New(rand.NewSource(62)), []int{1 << 10, 1 << 13, 1 << 16, 1 << 17})
 	soaKernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(62))
-		for _, n := range []int{1 << 10, 1 << 13, 1 << 16, 1 << 17} {
-			for _, inverse := range []bool{false, true} {
-				a := randVec(rng, n)
-				p := PlanFor(n)
-
-				soa := append([]complex128(nil), a...)
-				withSoAKernel(func() {
-					if inverse {
-						p.Inverse(soa)
-					} else {
-						p.Forward(soa)
-					}
-				})
-
-				cpx := append([]complex128(nil), a...)
-				withComplexKernel(func() {
-					if inverse {
-						p.Inverse(cpx)
-					} else {
-						p.Forward(cpx)
-					}
-				})
-
-				if d := relDiff(soa, cpx); d > 1e-12 {
-					t.Errorf("n=%d inverse=%v: SoA differs from complex kernel by %g relative", n, inverse, d)
-				}
+		bins := rand.New(rand.NewSource(72))
+		for _, c := range cases {
+			got := transformCopy(PlanFor(len(c.a)), c.a, c.inverse)
+			if d := relDiff(got, c.generic); d > 1e-12 {
+				t.Errorf("n=%d inverse=%v: differs from generic butterflies by %g relative", len(c.a), c.inverse, d)
 			}
+			directBins(t, bins, c.a, got, c.inverse)
 		}
 	})
 }
 
-// TestSoARoundTrip checks Inverse(Forward(a)) == a under the SoA kernel,
-// which pins the inverse's conjugation identity and the 1/n scaling.
+// TestSoARoundTrip checks Inverse(Forward(a)) == a under each butterfly
+// implementation, which pins the inverse's conjugation identity and the 1/n
+// scaling.
 func TestSoARoundTrip(t *testing.T) {
 	soaKernelVariants(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(63))
@@ -156,12 +165,10 @@ func TestSoARoundTrip(t *testing.T) {
 			a := randVec(rng, n)
 			rt := append([]complex128(nil), a...)
 			p := PlanFor(n)
-			withSoAKernel(func() {
-				p.Forward(rt)
-				p.Inverse(rt)
-			})
+			p.Forward(rt)
+			p.Inverse(rt)
 			if d := maxAbsDiff(rt, a); d > 1e-9 {
-				t.Errorf("n=%d: SoA round trip error %g", n, d)
+				t.Errorf("n=%d: round trip error %g", n, d)
 			}
 		}
 	})
@@ -234,7 +241,7 @@ func TestRPlanSoAPlanePanics(t *testing.T) {
 	}
 }
 
-// TestSoAParallelMatchesSerial verifies the SoA parallel staging performs
+// TestSoAParallelMatchesSerial verifies the parallel staging performs
 // bit-identical arithmetic to the serial pass: the parallel split only
 // partitions loop ranges (quad-granular, so the kernel choice per butterfly
 // is unchanged), it never reassociates the butterfly algebra.
@@ -245,51 +252,158 @@ func TestSoAParallelMatchesSerial(t *testing.T) {
 	}
 	soaKernelVariants(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(65))
-		prevThresh := SetParThreshold(1 << 6)
-		defer SetParThreshold(prevThresh)
+		prevThresh := setParThreshold(1 << 6)
+		defer setParThreshold(prevThresh)
 		for _, n := range []int{1 << 8, 1 << 9} {
 			for _, inverse := range []bool{false, true} {
 				a := randVec(rng, n)
 				p := PlanFor(n)
 
 				parallel := append([]complex128(nil), a...)
-				withSoAKernel(func() { p.transform(parallel, inverse) })
+				p.transform(parallel, inverse)
 
-				SetParThreshold(1 << 30) // force the serial path
+				setParThreshold(1 << 30) // force the serial path
 				serial := append([]complex128(nil), a...)
-				withSoAKernel(func() { p.transform(serial, inverse) })
-				SetParThreshold(1 << 6)
+				p.transform(serial, inverse)
+				setParThreshold(1 << 6)
 
 				if d := maxAbsDiff(parallel, serial); d > 0 {
-					t.Errorf("n=%d inverse=%v: parallel SoA differs from serial by %g (want bit-identical)", n, inverse, d)
+					t.Errorf("n=%d inverse=%v: parallel differs from serial by %g (want bit-identical)", n, inverse, d)
 				}
 			}
 		}
 	})
 }
 
-// TestSetSoA checks the toggle round-trips its previous value and that the
-// default matches the accelerated-kernel availability on this machine.
-func TestSetSoA(t *testing.T) {
-	orig := SoA()
-	if orig != SoAAccelerated() {
-		t.Errorf("SoA() default %v does not match SoAAccelerated() %v", orig, SoAAccelerated())
+// TestRadix4ParallelMatchesSerial is the plane-native counterpart: the
+// radix-4 ladder's parallel staging, reached through RPlan.ForwardSoA and
+// InverseSoA (with their parallel pack, unpack, repack and unzip passes),
+// must be bit-identical to the serial pass, on an even- and an odd-log2
+// inner size.
+func TestRadix4ParallelMatchesSerial(t *testing.T) {
+	if par.Workers() <= 1 {
+		prev := par.SetWorkers(4)
+		defer par.SetWorkers(prev)
 	}
-	if prev := SetSoA(!orig); prev != orig {
-		t.Errorf("SetSoA returned %v, want previous value %v", prev, orig)
+	rng := rand.New(rand.NewSource(43))
+	prevThresh := setParThreshold(1 << 6)
+	defer setParThreshold(prevThresh)
+	for _, n := range []int{1 << 9, 1 << 10} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+		round := func() (sr, si, out []float64) {
+			sr = make([]float64, rp.HalfLen())
+			si = make([]float64, rp.HalfLen())
+			out = make([]float64, n)
+			rp.ForwardSoA(x, sr, si)
+			rp.InverseSoA(append([]float64(nil), sr...), append([]float64(nil), si...), out)
+			return sr, si, out
+		}
+		pr, pi, pout := round()
+		setParThreshold(1 << 30) // force the serial path
+		sr, si, sout := round()
+		setParThreshold(1 << 6)
+		for k := range sr {
+			if pr[k] != sr[k] || pi[k] != si[k] {
+				t.Fatalf("n=%d bin %d: parallel forward differs from serial (want bit-identical)", n, k)
+			}
+		}
+		for j := range sout {
+			if pout[j] != sout[j] {
+				t.Fatalf("n=%d sample %d: parallel inverse differs from serial (want bit-identical)", n, j)
+			}
+		}
 	}
-	if SoA() == orig {
-		t.Error("SoA() unchanged after SetSoA")
+}
+
+// TestRadix4RoundTripQuick is the property form of the kernel parity: on
+// arbitrary input vectors across a mix of even- and odd-log2 sizes, the
+// radix-4 ladder's forward+inverse recovers the input, and the active
+// butterflies match the generic ones bin for bin.
+func TestRadix4RoundTripQuick(t *testing.T) {
+	sizes := []int{2, 8, 64, 128}
+	idx := 0
+	prop := func(re, im [128]float64) bool {
+		n := sizes[idx%len(sizes)]
+		idx++
+		a := make([]complex128, n)
+		for i := range a {
+			// quick generates magnitudes up to MaxFloat64; scale into a range
+			// whose partial sums cannot overflow (the property is scale-free).
+			a[i] = complex(re[i]/1e300, im[i]/1e300)
+		}
+		p := PlanFor(n)
+
+		got := transformCopy(p, a, false)
+		var generic []complex128
+		withGenericSoA(func() { generic = transformCopy(p, a, false) })
+		for i := range got {
+			scale := 1 + cmplx.Abs(generic[i])
+			if cmplx.Abs(got[i]-generic[i]) > 1e-9*scale {
+				return false
+			}
+		}
+
+		p.Inverse(got)
+		for i := range a {
+			scale := 1 + cmplx.Abs(a[i])
+			if cmplx.Abs(got[i]-a[i]) > 1e-9*scale {
+				return false
+			}
+		}
+		return true
 	}
-	if prev := SetSoA(orig); prev == orig {
-		t.Error("SetSoA did not report the toggled state")
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRadix4RPlanParity pins the complex-spectrum real-input API, whose inner
+// transform runs at n/2: the half spectrum must agree between the butterfly
+// implementations and with the naive DFT within 1e-9, and the real round
+// trip must recover the input, across the RPlan packing edge cases — n=1
+// (DC only), n=2 (empty recombination loop), n=4 (Nyquist-pair bin only),
+// the self-paired-bin sizes, and odd-log2 inner sizes.
+func TestRadix4RPlanParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+
+		spec := make([]complex128, rp.HalfLen())
+		rp.Forward(append([]float64(nil), x...), spec)
+		generic := make([]complex128, rp.HalfLen())
+		withGenericSoA(func() { rp.Forward(append([]float64(nil), x...), generic) })
+		if d := maxAbsDiff(spec, generic); d > 1e-9 {
+			t.Errorf("n=%d: half spectrum differs from generic butterflies by %g", n, d)
+		}
+
+		a := make([]complex128, n)
+		for i, v := range x {
+			a[i] = complex(v, 0)
+		}
+		naive := naiveDFT(a, false)
+		for k := 0; k <= n/2; k++ {
+			if d := cmplx.Abs(spec[k] - naive[k]); d > 1e-9 {
+				t.Errorf("n=%d k=%d: half spectrum differs from naive DFT by %g", n, k, d)
+			}
+		}
+
+		out := make([]float64, n)
+		rp.Inverse(spec, out)
+		for i := range x {
+			if math.Abs(out[i]-x[i]) > 1e-9 {
+				t.Errorf("n=%d: real round trip error %g at %d", n, out[i]-x[i], i)
+				break
+			}
+		}
 	}
 }
 
 // TestKernelName checks the kernel label is consistent with availability.
 func TestKernelName(t *testing.T) {
 	got := KernelName()
-	if SoAAccelerated() {
+	if kernelAsmAvailable() {
 		if got != kernelArch || got == "generic" {
 			t.Errorf("KernelName() = %q with accelerated kernel available", got)
 		}
@@ -303,27 +417,26 @@ func TestKernelName(t *testing.T) {
 	}
 }
 
-// TestSoATransformsCounter checks the SoA transform counter advances exactly
-// when the SoA path runs, and that transformed-bytes accounting continues to
-// tick under the SoA kernel (the traffic counter must not silently go dark
-// when the new path became the default).
+// TestSoATransformsCounter checks the split-plane transform counter
+// advances exactly when the kernel runs (not on the directly computed size
+// 2), and that transformed-bytes accounting ticks with it.
 func TestSoATransformsCounter(t *testing.T) {
 	p := PlanFor(64)
 	a := randVec(rand.New(rand.NewSource(66)), 64)
 
 	c0, b0 := SoATransforms(), TransformedBytes()
-	withSoAKernel(func() { p.Forward(a) })
+	p.Forward(a)
 	c1, b1 := SoATransforms(), TransformedBytes()
 	if c1 != c0+1 {
-		t.Errorf("SoATransforms went %d -> %d across one SoA transform, want +1", c0, c1)
+		t.Errorf("SoATransforms went %d -> %d across one transform, want +1", c0, c1)
 	}
 	if b1-b0 != 16*64 {
-		t.Errorf("TransformedBytes advanced %d across one SoA transform, want %d", b1-b0, 16*64)
+		t.Errorf("TransformedBytes advanced %d across one transform, want %d", b1-b0, 16*64)
 	}
 
-	withComplexKernel(func() { p.Forward(a) })
+	PlanFor(2).Forward(a[:2])
 	if c2 := SoATransforms(); c2 != c1 {
-		t.Errorf("SoATransforms advanced under the complex kernel: %d -> %d", c1, c2)
+		t.Errorf("SoATransforms advanced on a size-2 transform: %d -> %d", c1, c2)
 	}
 
 	// The plane-native real path counts one per direction at 8 bytes/sample.
@@ -343,10 +456,10 @@ func TestSoATransformsCounter(t *testing.T) {
 }
 
 // TestSoAConcurrentTransforms hammers one shared plan (and the shared
-// scratch pool) from many goroutines under both SoA entry points. Run with
-// -race this pins the concurrency contract: the lazily-built SoA tables
-// publish through sync.Once, scratch planes are private per transform, and
-// no transform state leaks across goroutines.
+// scratch pool) from many goroutines under both kernel entry points. Run
+// with -race this pins the concurrency contract: plan tables are read-only,
+// scratch planes are private per transform, and no transform state leaks
+// across goroutines.
 func TestSoAConcurrentTransforms(t *testing.T) {
 	const n = 1 << 10
 	p := PlanFor(n)
@@ -354,7 +467,7 @@ func TestSoAConcurrentTransforms(t *testing.T) {
 	rng := rand.New(rand.NewSource(68))
 	a := randVec(rng, n)
 	want := append([]complex128(nil), a...)
-	withSoAKernel(func() { p.Forward(want) })
+	p.Forward(want)
 	x := randReal(rng, 2*n)
 	wantSr := make([]float64, rp.HalfLen())
 	wantSi := make([]float64, rp.HalfLen())
@@ -369,9 +482,9 @@ func TestSoAConcurrentTransforms(t *testing.T) {
 			for iter := 0; iter < 8; iter++ {
 				buf := scratch.Complexes(n)
 				copy(buf, a)
-				withSoAKernel(func() { p.Forward(buf) })
+				p.Forward(buf)
 				if d := maxAbsDiff(buf, want); d > 0 {
-					errs <- "concurrent SoA transform diverged"
+					errs <- "concurrent transform diverged"
 				}
 				scratch.PutComplexes(buf)
 
@@ -396,68 +509,8 @@ func TestSoAConcurrentTransforms(t *testing.T) {
 	}
 }
 
-// TestSoANotSlowerSmoke is the CI bench-smoke gate for the SoA kernel: on
-// machines with the accelerated kernel it must not regress below the complex
-// kernel it replaced as the default. Median-of-rounds timing, 5% tolerance,
-// opt-in via AMOP_BENCH_SMOKE=1 — wall-clock assertions do not belong in the
-// default tier-1 run.
-func TestSoANotSlowerSmoke(t *testing.T) {
-	if os.Getenv("AMOP_BENCH_SMOKE") == "" {
-		t.Skip("set AMOP_BENCH_SMOKE=1 to run the SoA vs complex timing gate")
-	}
-	if !SoAAccelerated() {
-		t.Skip("no accelerated SoA kernel on this machine; the generic SoA path is not expected to beat the complex kernel")
-	}
-	const n = 1 << 16
-	rng := rand.New(rand.NewSource(69))
-	src := randVec(rng, n)
-	buf := make([]complex128, n)
-	p := PlanFor(n)
-	run := func() {
-		copy(buf, src)
-		p.Forward(buf)
-	}
-	withSoAKernel(run) // warm the plan, the SoA tables, and the scratch pool
-	median := func() float64 {
-		times := make([]float64, 0, 5)
-		for round := 0; round < 5; round++ {
-			start := time.Now()
-			for rep := 0; rep < 8; rep++ {
-				run()
-			}
-			times = append(times, time.Since(start).Seconds())
-		}
-		sort.Float64s(times)
-		return times[len(times)/2]
-	}
-	var soa, cpx float64
-	withSoAKernel(func() { soa = median() })
-	withComplexKernel(func() { cpx = median() })
-	t.Logf("soa(%s) %.4gs, complex %.4gs (%.2fx) at n=%d", KernelName(), soa, cpx, cpx/soa, n)
-	if soa > cpx*1.05 {
-		t.Errorf("SoA kernel slower than complex: %.4gs vs %.4gs", soa, cpx)
-	}
-}
-
-func BenchmarkForwardSoA64K(b *testing.B)  { benchForwardSoA(b, 1<<16) }
-func BenchmarkForwardSoA128K(b *testing.B) { benchForwardSoA(b, 1<<17) }
-
-func benchForwardSoA(b *testing.B, n int) {
-	prev := SetSoA(true)
-	defer SetSoA(prev)
-	a := randVec(rand.New(rand.NewSource(70)), n)
-	p := PlanFor(n)
-	b.SetBytes(int64(16 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(a)
-	}
-}
-
 func BenchmarkRPlanForwardSoA128K(b *testing.B) {
 	const n = 1 << 17
-	prev := SetSoA(true)
-	defer SetSoA(prev)
 	x := randReal(rand.New(rand.NewSource(71)), n)
 	rp := RPlanFor(n)
 	sr := make([]float64, rp.HalfLen())

@@ -8,8 +8,6 @@ import (
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/energy"
-	"github.com/nlstencil/amop/internal/fft"
-	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/topm"
 	"github.com/nlstencil/amop/internal/trace"
@@ -17,107 +15,12 @@ import (
 
 // Counter experiments: Figures 6 (total energy), 7 (L1/L2 misses) and 10
 // (pkg/RAM energy split). One traced run per (model, algorithm, T) feeds all
-// three; results are memoized for the life of the process. The fastpath
-// experiment reads the production counters (spectrum cache, transform
-// traffic) instead of the simulator.
+// three; results are memoized for the life of the process.
 
 func init() {
 	register(Experiment{"fig6", "total energy consumption model (fig6a BOPM, fig6b TOPM, fig6c BSM)", fig6})
 	register(Experiment{"fig7", "simulated L1 and L2 cache misses (fig7a-f)", fig7})
 	register(Experiment{"fig10", "energy split by domain: package vs RAM", fig10})
-	register(Experiment{"fastpath", "real-input FFT fast path vs legacy complex path: wall time, spectrum-cache hit rate, transform traffic", fastpath})
-}
-
-// fastpath A/Bs the real-input cached FFT stack against the legacy
-// full-complex per-call-symbol stack on the same solver, model by model, and
-// reads the production counters around single solves: spectrum-cache hit
-// rate at steady state and bytes moved through FFT butterfly stages.
-func fastpath(cfg Config) ([]*Table, error) {
-	prm := option.Default()
-	pricers := []struct {
-		model string
-		build func(T int) (func(), error)
-	}{
-		{"bopm", func(T int) (func(), error) {
-			m, err := bopm.New(prm, T)
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if _, err := m.PriceFast(); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{"topm", func(T int) (func(), error) {
-			m, err := topm.New(prm, T)
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if _, err := m.PriceFast(); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-		{"bsm", func(T int) (func(), error) {
-			m, err := bsm.New(prm, T, 0)
-			if err != nil {
-				return nil, err
-			}
-			return func() {
-				if _, err := m.PriceFast(); err != nil {
-					panic(err)
-				}
-			}, nil
-		}},
-	}
-
-	var tables []*Table
-	for _, p := range pricers {
-		t := &Table{
-			ID:     "fastpath-" + p.model,
-			Title:  fmt.Sprintf("%s fast solver: real-input cached FFT path vs legacy complex path", p.model),
-			Note:   "hit_rate and MB are per steady-state solve (after one warm-up); legacy = full complex transforms, per-call symbol evaluation, no caching",
-			Header: []string{"T", "real_s", "legacy_s", "speedup", "hit_rate", "real_MB", "legacy_MB"},
-		}
-		for _, T := range sweep(1<<11, cfg.MaxT) {
-			solve, err := p.build(T)
-			if err != nil {
-				return nil, err
-			}
-			solve() // warm plans, scratch pools, and the spectrum cache
-
-			h0, m0, _, _ := linstencil.SpectrumCacheStats()
-			b0 := fft.TransformedBytes()
-			solve()
-			h1, m1, _, _ := linstencil.SpectrumCacheStats()
-			b1 := fft.TransformedBytes()
-			tReal := timeIt(solve)
-
-			prev := linstencil.SetRealPath(false)
-			solve()
-			lb0 := fft.TransformedBytes()
-			solve()
-			lb1 := fft.TransformedBytes()
-			tLegacy := timeIt(solve)
-			linstencil.SetRealPath(prev)
-
-			hitRate := "-"
-			if lookups := (h1 - h0) + (m1 - m0); lookups > 0 {
-				hitRate = fmt.Sprintf("%.4f", float64(h1-h0)/float64(lookups))
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(T),
-				secs(tReal), secs(tLegacy), ratio(tLegacy, tReal),
-				hitRate,
-				fmt.Sprintf("%.1f", float64(b1-b0)/(1<<20)),
-				fmt.Sprintf("%.1f", float64(lb1-lb0)/(1<<20)),
-			})
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
 }
 
 type tracedPoint struct {

@@ -23,7 +23,6 @@ package linstencil
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"github.com/nlstencil/amop/internal/fft"
@@ -73,19 +72,6 @@ func (s Stencil) Validate() error {
 // exact; this is purely a constant-factor optimization for tiny subproblems.
 const naiveCutoff = 1 << 11
 
-// realPath selects the real-input FFT fast path (the default). Disabling it
-// routes EvolveCone and EvolvePeriodic through the original full-complex,
-// uncached implementation, which the harness uses to A/B the two stacks on
-// identical inputs.
-var realPath atomic.Bool
-
-func init() { realPath.Store(true) }
-
-// SetRealPath enables or disables the real-input fast path and returns the
-// previous setting. It exists for benchmarking and cross-validation; leave it
-// enabled in production.
-func SetRealPath(enabled bool) bool { return realPath.Swap(enabled) }
-
 // EvolveCone advances cur (positions 0..n-1 at some time t) by k steps and
 // returns the exactly computable positions at time t+k: vals[i] is the value
 // at position firstPos+i, where firstPos = -k*MinOff and
@@ -116,30 +102,16 @@ func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) 
 	if n*k*(span+1) <= naiveCutoff {
 		return evolveConeNaive(cur, s, k), firstPos
 	}
-	if !realPath.Load() {
-		return evolveConeComplex(cur, s, k, outN), firstPos
-	}
 
-	// Real-input fast path: pad into pooled scratch, transform the real row
-	// to its half spectrum, multiply by the cached kernel spectrum, and
-	// transform back — half the butterfly work of the complex path and zero
+	// Pad into pooled scratch, transform the real row to its half spectrum,
+	// multiply by the cached kernel spectrum, and transform back — zero
 	// steady-state allocations beyond the result row.
 	N := fft.NextPow2(n)
 	rp := fft.RPlanFor(N)
 	x := scratch.Floats(N)
 	copy(x, cur)
 	clear(x[n:])
-	if fft.SoA() && N >= 8 {
-		// SoA plane path: the spectrum never materializes as complex128 —
-		// forward, pointwise multiply, and inverse all run on split planes.
-		evolveSpectrumSoA(rp, x, kernelSpectrum(s, 0, N, k, rp))
-	} else {
-		spec := scratch.Complexes(rp.HalfLen())
-		rp.Forward(x, spec)
-		mulSpectrum(spec, kernelSpectrum(s, 0, N, k, rp))
-		rp.Inverse(spec, x)
-		scratch.PutComplexes(spec)
-	}
+	evolveSpectrumSoA(rp, x, kernelSpectrum(s, 0, N, k, rp))
 
 	// x[t] now holds corr[t] = sum_m C[m] cur[t+m] for the kernel C of
 	// P(x)^k; position j at time t+k corresponds to t = j + k*MinOff, and
@@ -151,54 +123,36 @@ func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) 
 }
 
 // evolveSpectrumSoA runs forward transform, kernel multiply, and inverse
-// transform of x in place over split spectrum planes. The multiplier stays
-// complex128 (it comes from the kernel-spectrum cache); only the per-solve
-// spectrum data is carried as planes.
+// transform of x in place over split spectrum planes: the spectrum never
+// materializes as complex128. The multiplier stays complex128 (it comes from
+// the kernel-spectrum cache); only the per-solve spectrum data is carried as
+// planes.
 func evolveSpectrumSoA(rp *fft.RPlan, x []float64, mult []complex128) {
 	hl := rp.HalfLen()
 	sr := scratch.Floats(hl)
 	si := scratch.Floats(hl)
 	rp.ForwardSoA(x, sr, si)
-	mulSpectrumSoA(sr, si, mult)
+	mulSpectrum(sr, si, mult)
 	rp.InverseSoA(sr, si, x)
 	scratch.PutFloats(sr)
 	scratch.PutFloats(si)
 }
 
-// mulSpectrum multiplies the half spectrum pointwise by the cached kernel
-// multiplier. The small case runs a plain loop so the call allocates nothing
-// (the parallel variant's closure would box both slice headers per call).
-// The cutover follows the FFT substrate's parallel-stage threshold so the
-// harness's fork-join A/B experiments cover this stage too.
-func mulSpectrum(spec, mult []complex128) {
-	if len(spec) >= fft.ParThreshold() {
-		mulSpectrumPar(spec, mult)
-		return
-	}
-	for f := range spec {
-		spec[f] *= mult[f]
-	}
-}
-
-func mulSpectrumPar(spec, mult []complex128) {
-	par.For(len(spec), 4096, func(lo, hi int) {
-		for f := lo; f < hi; f++ {
-			spec[f] *= mult[f]
-		}
-	})
-}
-
-// mulSpectrumSoA is mulSpectrum over split spectrum planes: one complex
-// multiply per bin, expanded into float64 lane arithmetic.
-func mulSpectrumSoA(sr, si []float64, mult []complex128) {
+// mulSpectrum multiplies the half spectrum, held as split planes, pointwise
+// by the cached kernel multiplier: one complex multiply per bin, expanded
+// into float64 lane arithmetic. The small case runs a plain loop so the call
+// allocates nothing (the parallel variant's closure would box the slice
+// headers per call); the cutover follows the FFT substrate's parallel-stage
+// threshold.
+func mulSpectrum(sr, si []float64, mult []complex128) {
 	if len(sr) >= fft.ParThreshold() {
-		mulSpectrumSoAPar(sr, si, mult)
+		mulSpectrumPar(sr, si, mult)
 		return
 	}
-	mulSpectrumSoARange(sr, si, mult, 0, len(sr))
+	mulSpectrumRange(sr, si, mult, 0, len(sr))
 }
 
-func mulSpectrumSoARange(sr, si []float64, mult []complex128, lo, hi int) {
+func mulSpectrumRange(sr, si []float64, mult []complex128, lo, hi int) {
 	for f := lo; f < hi; f++ {
 		mr, mi := real(mult[f]), imag(mult[f])
 		r, i := sr[f], si[f]
@@ -206,62 +160,8 @@ func mulSpectrumSoARange(sr, si []float64, mult []complex128, lo, hi int) {
 	}
 }
 
-func mulSpectrumSoAPar(sr, si []float64, mult []complex128) {
-	par.For(len(sr), 4096, func(lo, hi int) { mulSpectrumSoARange(sr, si, mult, lo, hi) })
-}
-
-// evolveConeComplex is the pre-real-path implementation: full complex128
-// transform with per-call symbol evaluation and no caching. Kept verbatim as
-// the A/B reference for parity tests and the harness's fastpath experiment.
-func evolveConeComplex(cur []float64, s Stencil, k, outN int) []float64 {
-	n := len(cur)
-	N := fft.NextPow2(n)
-	plan := fft.PlanFor(N)
-	a := make([]complex128, N)
-	for i, v := range cur {
-		a[i] = complex(v, 0)
-	}
-	plan.Forward(a)
-	mulSymbolPow(a, s, k, N)
-	plan.Inverse(a)
-	vals := make([]float64, outN)
-	for i := range vals {
-		vals[i] = real(a[i])
-	}
-	return vals
-}
-
-// EvolveConeComplex runs EvolveCone's legacy full-complex path regardless of
-// the SetRealPath setting. Exposed for parity tests and benchmarks.
-func EvolveConeComplex(cur []float64, s Stencil, k int) (vals []float64, firstPos int) {
-	n := len(cur)
-	outN := n - k*s.Span()
-	if k < 0 || outN <= 0 {
-		panic("linstencil: cone empty")
-	}
-	if k == 0 {
-		return append([]float64(nil), cur...), 0
-	}
-	return evolveConeComplex(cur, s, k, outN), -k * s.MinOff
-}
-
-// mulSymbolPow multiplies the spectrum a (size N) pointwise by the conjugate
-// of symbol(s)^k, which converts the product into a correlation with the
-// k-step kernel after the inverse transform.
-func mulSymbolPow(a []complex128, s Stencil, k, N int) {
-	par.For(N, 1024, func(lo, hi int) {
-		for f := lo; f < hi; f++ {
-			sin, cos := math.Sincos(-2 * math.Pi * float64(f) / float64(N))
-			omega := complex(cos, sin)
-			// Evaluate P at omega^f using Horner on the shifted polynomial.
-			sym := complex(s.W[len(s.W)-1], 0)
-			for i := len(s.W) - 2; i >= 0; i-- {
-				sym = sym*omega + complex(s.W[i], 0)
-			}
-			kp := fft.Pow(sym, k)
-			a[f] *= complex(real(kp), -imag(kp))
-		}
-	})
+func mulSpectrumPar(sr, si []float64, mult []complex128) {
+	par.For(len(sr), 4096, func(lo, hi int) { mulSpectrumRange(sr, si, mult, lo, hi) })
 }
 
 // EvolvePeriodic advances cur, interpreted as a ring of power-of-two size, by
@@ -283,64 +183,10 @@ func EvolvePeriodic(cur []float64, s Stencil, k int) []float64 {
 	if k < 0 {
 		panic("linstencil: negative step count")
 	}
-	if !realPath.Load() {
-		return evolvePeriodicComplex(cur, s, k)
-	}
 	rp := fft.RPlanFor(n)
 	x := scratch.Floats(n)
 	copy(x, cur)
-	if fft.SoA() && n >= 8 {
-		evolveSpectrumSoA(rp, x, kernelSpectrum(s, s.MinOff, n, k, rp))
-		return x
-	}
-	spec := scratch.Complexes(rp.HalfLen())
-	rp.Forward(x, spec)
-	mulSpectrum(spec, kernelSpectrum(s, s.MinOff, n, k, rp))
-	rp.Inverse(spec, x)
-	scratch.PutComplexes(spec)
-	return x
-}
-
-// evolvePeriodicComplex is the pre-real-path ring evolution: full complex
-// transform with the symbol re-derived per frequency via math.Sincos. Kept as
-// the A/B reference.
-func evolvePeriodicComplex(cur []float64, s Stencil, k int) []float64 {
-	n := len(cur)
-	plan := fft.PlanFor(n)
-	a := make([]complex128, n)
-	for i, v := range cur {
-		a[i] = complex(v, 0)
-	}
-	plan.Forward(a)
-	par.For(n, 1024, func(lo, hi int) {
-		for f := lo; f < hi; f++ {
-			sin, cos := math.Sincos(-2 * math.Pi * float64(f) / float64(n))
-			omega := complex(cos, sin)
-			sym := complex(s.W[len(s.W)-1], 0)
-			for i := len(s.W) - 2; i >= 0; i-- {
-				sym = sym*omega + complex(s.W[i], 0)
-			}
-			shift := fft.Pow(omega, abs(s.MinOff))
-			if s.MinOff < 0 {
-				shift = complex(real(shift), -imag(shift))
-			}
-			sym *= shift
-			kp := fft.Pow(sym, k)
-			a[f] *= complex(real(kp), -imag(kp))
-		}
-	})
-	plan.Inverse(a)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = real(a[i])
-	}
-	return out
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
+	evolveSpectrumSoA(rp, x, kernelSpectrum(s, s.MinOff, n, k, rp))
 	return x
 }
 

@@ -343,12 +343,12 @@ func symbolAt(s Stencil, shift int, omega complex128) complex128 {
 	for i := len(s.W) - 2; i >= 0; i-- {
 		sym = sym*omega + complex(s.W[i], 0)
 	}
-	if shift != 0 {
-		mod := fft.Pow(omega, abs(shift))
-		if shift < 0 {
-			mod = complex(real(mod), -imag(mod))
-		}
-		sym *= mod
+	switch {
+	case shift > 0:
+		sym *= fft.Pow(omega, shift)
+	case shift < 0:
+		mod := fft.Pow(omega, -shift)
+		sym *= complex(real(mod), -imag(mod))
 	}
 	return sym
 }

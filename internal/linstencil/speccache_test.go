@@ -1,6 +1,7 @@
 package linstencil
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -8,11 +9,10 @@ import (
 	"github.com/nlstencil/amop/internal/fft"
 )
 
-// TestRealMatchesComplexPath is the golden parity test of the tentpole: the
-// real-input cached path and the legacy full-complex path must agree within
-// 1e-9 relative error across sizes, including size 1, 2, and odd lengths
-// (which EvolveCone pads up internally).
-func TestRealMatchesComplexPath(t *testing.T) {
+// TestEvolveConeEdgeSizesMatchNaive pins the FFT evolution against the
+// direct oracle within 1e-9 relative error across sizes, including size 2
+// and odd lengths (which EvolveCone pads up internally).
+func TestEvolveConeEdgeSizesMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{2, 3, 5, 17, 64, 100, 257, 1000, 4096, 4097} {
 		for trial := 0; trial < 4; trial++ {
@@ -24,56 +24,35 @@ func TestRealMatchesComplexPath(t *testing.T) {
 			k := 1 + rng.Intn(maxK)
 			row := randRow(rng, n)
 
-			real1, fp1 := EvolveCone(row, s, k)
-			cplx, fp2 := EvolveConeComplex(row, s, k)
-			if fp1 != fp2 || len(real1) != len(cplx) {
-				t.Fatalf("n=%d k=%d: shape mismatch (%d,%d) vs (%d,%d)", n, k, fp1, len(real1), fp2, len(cplx))
+			fast, fp1 := EvolveCone(row, s, k)
+			naive, fp2 := EvolveConeNaive(row, s, k)
+			if fp1 != fp2 || len(fast) != len(naive) {
+				t.Fatalf("n=%d k=%d: shape mismatch (%d,%d) vs (%d,%d)", n, k, fp1, len(fast), fp2, len(naive))
 			}
-			for i := range real1 {
-				scale := 1 + absf(cplx[i])
-				if d := absf(real1[i] - cplx[i]); d > 1e-9*scale {
-					t.Fatalf("n=%d k=%d: real vs complex diff %g at %d", n, k, d, i)
+			for i := range fast {
+				scale := 1 + math.Abs(naive[i])
+				if d := math.Abs(fast[i] - naive[i]); d > 1e-9*scale {
+					t.Fatalf("n=%d k=%d: FFT vs direct diff %g at %d", n, k, d, i)
 				}
 			}
 		}
 	}
 }
 
-// TestRealPathToggle verifies SetRealPath actually switches implementations
-// and that both agree with the naive oracle.
-func TestRealPathToggle(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	s := Stencil{MinOff: 0, W: []float64{0.48, 0.51}}
-	n, k := 2048, 512
-	row := randRow(rng, n)
-	naive, _ := EvolveConeNaive(row, s, k)
-
-	prev := SetRealPath(false)
-	defer SetRealPath(prev)
-	legacy, _ := EvolveCone(row, s, k)
-	SetRealPath(true)
-	fast, _ := EvolveCone(row, s, k)
-
-	if d := maxDiff(legacy, naive); d > 1e-9 {
-		t.Fatalf("legacy path off naive by %g", d)
-	}
-	if d := maxDiff(fast, naive); d > 1e-9 {
-		t.Fatalf("real path off naive by %g", d)
-	}
-}
-
-// TestEvolvePeriodicSize1 covers the degenerate one-cell ring on both paths.
+// TestEvolvePeriodicSize1 covers the tiny rings n in {1, 2, 4, 8}, whose
+// real transforms have an inner size below 4 and so run through the
+// plane-native API's complex-spectrum delegation.
 func TestEvolvePeriodicSize1(t *testing.T) {
 	s := Stencil{MinOff: -1, W: []float64{0.25, 0.5, 0.2}}
-	row := []float64{1.5}
-	want := EvolvePeriodicNaive(row, s, 7)
-	if d := maxDiff(EvolvePeriodic(row, s, 7), want); d > 1e-12 {
-		t.Fatalf("real ring path off naive by %g", d)
-	}
-	prev := SetRealPath(false)
-	defer SetRealPath(prev)
-	if d := maxDiff(EvolvePeriodic(row, s, 7), want); d > 1e-12 {
-		t.Fatalf("legacy ring path off naive by %g", d)
+	rng := rand.New(rand.NewSource(32))
+	for _, n := range []int{1, 2, 4, 8} {
+		row := randRow(rng, n)
+		for _, k := range []int{0, 1, 7} {
+			want := EvolvePeriodicNaive(row, s, k)
+			if d := maxDiff(EvolvePeriodic(row, s, k), want); d > 1e-12 {
+				t.Fatalf("n=%d k=%d: ring evolution off naive by %g", n, k, d)
+			}
+		}
 	}
 }
 
@@ -291,11 +270,4 @@ func TestSymbolCachePoweredParity(t *testing.T) {
 			}
 		}
 	}
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

@@ -52,11 +52,9 @@ type PerfCounters struct {
 	// stages (8 per real sample, 16 per complex sample, per direction). The
 	// real-input path moves half the bytes of the complex path it replaced.
 	FFTBytesTransformed int64 `prom:"amop_fft_bytes_transformed_total"`
-	// FFTSoATransforms counts transforms executed by the SoA split-plane
-	// kernel (per direction). With the SoA path enabled — the default on
-	// machines with the accelerated butterfly kernel — a healthy workload
-	// shows this tracking the transform count, and its bytes are included in
-	// FFTBytesTransformed.
+	// FFTSoATransforms counts transforms executed by the split-plane FFT
+	// kernel (per direction; sizes below 4 are computed directly and not
+	// counted). Their bytes are included in FFTBytesTransformed.
 	FFTSoATransforms int64 `prom:"amop_fft_soa_transforms_total"`
 	// ScratchMisses counts requests for poolable row, staging and spectrum
 	// buffers that found no idle buffer in the scratch pools and allocated.

@@ -139,9 +139,6 @@ type SweepOptions struct {
 	// as it completes (serialized, completion order, concurrent with the
 	// rest of the sweep) — e.g. to stream the P&L ladder as it fills in.
 	OnResult func(contract, scenario int, r ScenarioResult)
-	// DisableMemo turns off the engine's repricing memo for A/B measurement,
-	// as in BatchOptions; leave it off in production.
-	DisableMemo bool
 }
 
 // ScenarioResult is one cell of the sweep: a contract priced under a
@@ -232,7 +229,6 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 		return sw
 	}
 	eng := newEngine()
-	eng.memoOff = opts.DisableMemo
 	eng.cancel = ctxCancel(ctx)
 	eng.trace = obs.FromContext(ctx)
 
