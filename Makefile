@@ -45,10 +45,12 @@ purego:
 # race matches the CI race job exactly, so a clean local run means a clean
 # CI run. The scratch pools repeat 20 times: under -race sync.Pool drops
 # Puts at random, so a pool test that leans on retention fails here instead
-# of flaking later.
+# of flaking later. The spawn budget repeats 20 times too: its token
+# hand-offs between exiting workers and blocked joiners race by design.
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=20 ./internal/scratch
+	$(GO) test -race -count=20 ./internal/par
 
 # smoke mirrors the CI bench-smoke job (minus govulncheck, which downloads
 # its tool): every benchmark runs one iteration, then the in-process

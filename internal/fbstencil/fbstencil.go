@@ -49,8 +49,8 @@ var ErrNonFinite = errors.New("non-finite solve result")
 // threading an error return through every level. Scratch buffers in flight
 // are abandoned to the GC rather than returned to their pools; that is
 // explicitly safe (see the buffer-discipline note above: correctness never
-// depends on a Put succeeding), and par's own defers keep the spawn budget
-// paired on the panic path.
+// depends on a Put succeeding), and par's joins keep the spawn budget paired
+// on the panic path.
 type canceled struct{ err error }
 
 // checkCancel polls the problem's cancellation hook (nil means
@@ -634,8 +634,9 @@ func SolveGreenLeft(p *GreenLeft, st *Stats) (price float64, boundary int, err e
 		var zoneVals []float64
 		var newBnd int
 		var rightVals []float64
+		// The bounded FFT strip forks and the zone recursion stays inline,
+		// so the strip's token returns for the recursion's own forks.
 		par.Do(
-			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
 			func() {
 				// Exact for columns >= bnd+h: base row [bnd, hi(d)]
 				// (column bnd is green closed form, the rest stored red).
@@ -646,6 +647,7 @@ func SolveGreenLeft(p *GreenLeft, st *Stats) (price float64, boundary int, err e
 				scratch.PutFloats(in)
 				e.stats.addFFT(len(rightVals))
 			},
+			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
 		)
 		// rightVals[0] is column bnd+h; zoneVals covers [bnd-h, bnd+h].
 		newHi := e.hi(d + h)
@@ -827,7 +829,8 @@ func (e *glEngine) zoneFFT(read func(int) float64, base, count, steps int) []flo
 
 // zoneSplit runs one half of the zone recursion — the boundary-band subzone
 // of height hh and the exact FFT strip beside it — sequentially below
-// parCutoff, forked above it. h is the parent zone height (used only for the
+// parCutoff. Above it the strip forks and the subzone recursion stays
+// inline, as in halfStepPar. h is the parent zone height (used only for the
 // cutoff decision); base/count describe the FFT staging window.
 func (e *glEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, count int) ([]float64, int, []float64) {
 	if h <= parCutoff {
@@ -839,8 +842,8 @@ func (e *glEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, count 
 
 func (e *glEngine) zoneSplitPar(read func(int) float64, d, bnd, hh, base, count int) (z []float64, nb int, fftOut []float64) {
 	par.Do(
-		func() { z, nb = e.zone(read, d, bnd, hh) },
 		func() { fftOut = e.zoneFFT(read, base, count, hh) },
+		func() { z, nb = e.zone(read, d, bnd, hh) },
 	)
 	return z, nb, fftOut
 }

@@ -146,8 +146,8 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		var zoneVals []float64
 		var newBnd int
 		var rightVals []float64
+		// As in SolveGreenLeft: fork the FFT, keep the zone recursion inline.
 		par.Do(
-			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
 			func() {
 				// Everything right of the old boundary comes from one FFT:
 				// the one-sided cone never reaches left into the green.
@@ -156,6 +156,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 					e.stats.addFFT(len(rightVals))
 				}
 			},
+			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
 		)
 		// zoneVals covers [bnd-drop*h, bnd] at depth d+h; rightVals covers
 		// (bnd, hi(d)-r*h].
@@ -356,8 +357,9 @@ func (e *glosEngine) zoneFFT(read func(int) float64, base, count, steps int) []f
 }
 
 // zoneSplit runs one half of the zone recursion — the boundary subzone of
-// height hh and the exact FFT strip beside it — sequentially below parCutoff,
-// forked above it. h is the parent zone height (cutoff decision only).
+// height hh and the exact FFT strip beside it — sequentially below parCutoff.
+// Above it the strip forks and the subzone stays inline. h is the parent
+// zone height (cutoff decision only).
 func (e *glosEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, count int) ([]float64, int, []float64) {
 	if h <= parCutoff {
 		z, nb := e.zone(read, d, bnd, hh)
@@ -368,8 +370,8 @@ func (e *glosEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, coun
 
 func (e *glosEngine) zoneSplitPar(read func(int) float64, d, bnd, hh, base, count int) (z []float64, nb int, fftOut []float64) {
 	par.Do(
-		func() { z, nb = e.zone(read, d, bnd, hh) },
 		func() { fftOut = e.zoneFFT(read, base, count, hh) },
+		func() { z, nb = e.zone(read, d, bnd, hh) },
 	)
 	return z, nb, fftOut
 }

@@ -31,14 +31,17 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// obsEvolveDone records one kernel evolution into the telemetry layer: the
-// process-wide evolve-latency histogram plus the fft_evolve stage of the
-// active span trace, when a repricing flight has one installed. Callers gate
-// on obs.Enabled() so the disabled path costs one atomic load and no
-// time.Now.
-func obsEvolveDone(start time.Time) {
-	obs.FFTEvolve.RecordSince(start)
-	obs.Active().AddSince(obs.StageFFTEvolve, start)
+// obsEvolveDone records one FFT-path evolution, started at the obs.Mono stamp
+// start, into the telemetry layer: the process-wide evolve-latency histogram
+// plus the fft_evolve stage of the active span trace, when a repricing flight
+// has one installed. One duration feeds both, so a call costs two clock
+// reads. Callers gate on obs.Enabled() so the disabled path costs one atomic
+// load and no clock read. The direct paths record nothing: they are cheaper
+// than the record itself, and their time belongs to the caller's layer.
+func obsEvolveDone(start int64) {
+	d := obs.Mono() - start
+	obs.FFTEvolve.Record(d)
+	obs.Active().Add(obs.StageFFTEvolve, time.Duration(d))
 }
 
 // Stencil is a linear 1D stencil. W[i] is the weight of offset MinOff+i; the
@@ -81,9 +84,6 @@ const naiveCutoff = 1 << 11
 // The returned slice is freshly owned by the caller; callers that drop it on
 // a hot path may recycle it with scratch.PutFloats.
 func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) {
-	if obs.Enabled() {
-		defer obsEvolveDone(time.Now())
-	}
 	n := len(cur)
 	span := s.Span()
 	if k < 0 {
@@ -101,6 +101,9 @@ func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) 
 	}
 	if n*k*(span+1) <= naiveCutoff {
 		return evolveConeNaive(cur, s, k), firstPos
+	}
+	if obs.Enabled() {
+		defer obsEvolveDone(obs.Mono())
 	}
 
 	// Pad into pooled scratch, transform the real row to its half spectrum,
@@ -173,15 +176,15 @@ func mulSpectrumPar(sr, si []float64, mult []complex128) {
 // polynomial: position j pulls from j+MinOff+m. The MinOff shift is folded
 // into the cached kernel spectrum as a w_f^MinOff modulation.
 func EvolvePeriodic(cur []float64, s Stencil, k int) []float64 {
-	if obs.Enabled() {
-		defer obsEvolveDone(time.Now())
-	}
 	n := len(cur)
 	if n == 0 || n&(n-1) != 0 {
 		panic(fmt.Sprintf("linstencil: EvolvePeriodic requires power-of-two length, got %d", n))
 	}
 	if k < 0 {
 		panic("linstencil: negative step count")
+	}
+	if obs.Enabled() {
+		defer obsEvolveDone(obs.Mono())
 	}
 	rp := fft.RPlanFor(n)
 	x := scratch.Floats(n)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 func randStencil(rng *rand.Rand) Stencil {
@@ -323,5 +325,40 @@ func BenchmarkEvolveCone64K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EvolveCone(row, s, n/4)
+	}
+}
+
+// Only FFT-path evolutions are timed: the k=0 copy and the direct loop
+// record nothing, and each FFT-path call adds exactly one FFTEvolve record
+// and one fft_evolve stage entry to the installed trace.
+func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	tr := obs.StartTrace("test", "")
+	defer obs.SetActive(obs.SetActive(tr))
+	s := Stencil{W: []float64{0.5, 0.49}}
+	count := func() int64 { return obs.FFTEvolve.Snapshot().Count }
+
+	before := count()
+	EvolveCone(make([]float64, 64), s, 0)
+	EvolveCone(make([]float64, 64), s, 3) // 64*3*2 cells: the direct loop
+	if got := count(); got != before {
+		t.Fatalf("direct-path evolutions added %d FFTEvolve records, want 0", got-before)
+	}
+	EvolveCone(make([]float64, 4096), s, 512)
+	if got := count(); got != before+1 {
+		t.Fatalf("FFT-path EvolveCone added %d FFTEvolve records, want 1", got-before)
+	}
+	EvolvePeriodic(make([]float64, 64), s, 5)
+	if got := count(); got != before+2 {
+		t.Fatalf("EvolvePeriodic added %d FFTEvolve records, want 1", got-before-1)
+	}
+	stages := 0
+	for _, st := range tr.Finish().Stages {
+		if st.Stage == obs.StageFFTEvolve.String() {
+			stages += int(st.Count)
+		}
+	}
+	if stages != 2 {
+		t.Errorf("trace holds %d fft_evolve entries, want 2", stages)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // enabled gates every instrumentation point. Histogram records, span stage
@@ -47,6 +48,15 @@ func Enabled() bool { return enabled.Load() }
 // absolute floor; leave it on in production — that is the configuration the
 // overhead gate pins.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
+
+// epoch anchors Mono. time.Since on a time carrying a monotonic reading reads
+// only the monotonic clock; time.Now reads the wall clock as well.
+var epoch = time.Now()
+
+// Mono returns monotonic nanoseconds since an arbitrary process-wide origin,
+// in one clock read: a cheaper start stamp than time.Now for hot-path
+// timings that only ever subtract two stamps.
+func Mono() int64 { return int64(time.Since(epoch)) }
 
 // The pricing stack's standing instruments. Every latency the ROADMAP's
 // sharding router needs to steer around a slow shard lives here: quote serve

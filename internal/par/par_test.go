@@ -1,10 +1,13 @@
 package par
 
 import (
+	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestForCoversRangeExactlyOnce(t *testing.T) {
@@ -236,4 +239,172 @@ func TestRowSweepOrdering(t *testing.T) {
 func TestRowSweepEmpty(t *testing.T) {
 	RowSweep(0, func(int) int { return 10 }, func(int, int, int) { t.Fatal("called") })
 	RowSweep(3, func(int) int { return 0 }, func(int, int, int) { t.Fatal("called on empty row") })
+}
+
+// awaitToken waits up to five seconds for a Release to let TryAcquire(1)
+// grant a token, returns the token at once and reports how many it got.
+func awaitToken() int {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	n, _ := AcquireCtx(ctx, 1)
+	Release(n)
+	return n
+}
+
+// A forked worker returns its token when it exits, not at the join: the
+// inline long branch of Do(short, long) can fork again once the short
+// branch is done.
+func TestForkedWorkerReturnsTokenOnExit(t *testing.T) {
+	withWorkers(t, 2)
+	taken, _ := Forks()
+	got := 0
+	Do(
+		func() {},
+		func() { got = awaitToken() },
+	)
+	if after, _ := Forks(); after != taken+1 {
+		t.Fatalf("Do forked %d times, want 1", after-taken)
+	}
+	if got != 1 {
+		t.Errorf("long branch got %d tokens after the short branch exited, want 1", got)
+	}
+	if n := InUse(); n != 0 {
+		t.Errorf("%d tokens in use after the join", n)
+	}
+}
+
+// A goroutine blocked in a join lends its slot: once the caller of
+// Do(long, short) or For has finished its inline share and waits, the
+// forked long branch can claim a token of its own.
+func TestBlockedJoinerLendsSlot(t *testing.T) {
+	withWorkers(t, 2)
+	t.Run("Do", func(t *testing.T) {
+		inlineDone := make(chan struct{})
+		got := 0
+		Do(
+			func() {
+				<-inlineDone
+				got = awaitToken()
+			},
+			func() { close(inlineDone) },
+		)
+		if got != 1 {
+			t.Errorf("forked branch got %d tokens while the caller waited, want 1", got)
+		}
+		if n := InUse(); n != 0 {
+			t.Errorf("%d tokens in use after the join", n)
+		}
+	})
+	t.Run("For", func(t *testing.T) {
+		inlineDone := make(chan struct{})
+		got := 0
+		For(2, 1, func(lo, hi int) {
+			if lo == 0 {
+				close(inlineDone)
+				return
+			}
+			<-inlineDone
+			got = awaitToken()
+		})
+		if got != 1 {
+			t.Errorf("forked chunk got %d tokens while the caller waited, want 1", got)
+		}
+		if n := InUse(); n != 0 {
+			t.Errorf("%d tokens in use after the join", n)
+		}
+	})
+}
+
+// A Do branch that found the budget empty waits as an offer: a token released
+// while the caller runs the last function starts it beside the caller.
+func TestReleasedTokenStartsPendingOffer(t *testing.T) {
+	withWorkers(t, 2)
+	release := drainBudget(t)
+	started := make(chan struct{})
+	beside := false
+	Do(
+		func() { close(started) },
+		func() {
+			release()
+			select {
+			case <-started:
+				beside = true
+			case <-time.After(5 * time.Second):
+			}
+		},
+	)
+	if !beside {
+		t.Error("the offered branch did not start when a token was released")
+	}
+	if n := InUse(); n != 0 {
+		t.Errorf("%d tokens in use after the join", n)
+	}
+}
+
+// nestedTree runs a fork-join tree alternating Do and For levels whose
+// leaves spin briefly; leaf is called once per leaf.
+func nestedTree(depth int, leaf func()) {
+	switch {
+	case depth == 0:
+		leaf()
+	case depth%2 == 0:
+		Do(
+			func() { nestedTree(depth-1, leaf) },
+			leaf,
+			func() { nestedTree(depth-1, leaf) },
+		)
+	default:
+		For(4, 1, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				nestedTree(depth-1, leaf)
+			}
+		})
+	}
+}
+
+// With tokens returned on exit and lent by blocked joiners, running leaves
+// still never outnumber Workers(): only goroutines waiting in a join are
+// exempt, and they run no leaf.
+func TestNestedDoForStaysWithinBudget(t *testing.T) {
+	withWorkers(t, 3)
+	var live, peak atomic.Int64
+	leaf := func() {
+		n := live.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+		}
+		live.Add(-1)
+	}
+	nestedTree(5, leaf)
+	if p := peak.Load(); p > 3 {
+		t.Errorf("peak concurrent leaves %d exceeds worker budget 3", p)
+	}
+	if n := InUse(); n != 0 {
+		t.Errorf("%d tokens in use after the tree", n)
+	}
+}
+
+// Regions opened from several goroutines at once share the budget; every
+// token comes back however their forks, exits and lends interleave.
+func TestConcurrentRegionsRestoreBudget(t *testing.T) {
+	withWorkers(t, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				nestedTree(4, func() {})
+			}
+		}()
+	}
+	wg.Wait()
+	if n := InUse(); n != 0 {
+		t.Errorf("%d tokens in use after concurrent regions", n)
+	}
 }

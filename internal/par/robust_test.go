@@ -160,6 +160,37 @@ func TestDoPanicRestoresBudget(t *testing.T) {
 	)
 }
 
+// A worker that panics after its caller has lent its slot and blocked in the
+// join must still hand the token back: the panic surfaces at the join and
+// the budget ends clean, for a nested region too.
+func TestPanicAfterJoinerLendsRestoresBudget(t *testing.T) {
+	withWorkers(t, 2)
+	for _, nested := range []bool{false, true} {
+		func() {
+			defer func() {
+				pe, ok := recover().(*PanicError)
+				if !ok || pe.Value != "late boom" {
+					t.Fatalf("nested=%v: recovered %v, want *PanicError late boom", nested, pe)
+				}
+				if got := InUse(); got != 0 {
+					t.Fatalf("nested=%v: %d spawn tokens leaked across the panic", nested, got)
+				}
+			}()
+			inlineDone := make(chan struct{})
+			Do(
+				func() {
+					<-inlineDone
+					if nested {
+						Do(func() {}, func() { panic("late boom") })
+					}
+					panic("late boom")
+				},
+				func() { close(inlineDone) },
+			)
+		}()
+	}
+}
+
 // A panicking RowSweep worker must keep crossing the row barriers so its
 // peers never deadlock waiting for it, and the panic must still propagate
 // with the budget intact. On a single-core box RowSweep clamps to the serial
