@@ -6,7 +6,7 @@ GO ?= go
 # with .github/workflows/ci.yml.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check fuzz-smoke xval obs-smoke
+.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check bench-compare fuzz-smoke xval
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -52,30 +52,11 @@ race:
 	$(GO) test -race -count=20 ./internal/scratch
 	$(GO) test -race -count=20 ./internal/par
 
-# smoke mirrors the CI bench-smoke job (minus govulncheck, which downloads
-# its tool): every benchmark runs one iteration, then the in-process
-# regression gates time the scenario sweep against the naive fan-out, the
-# live pricing server's serve path (tick skips, request coalescing,
-# cache-serve latency vs cold pricing), the analytic tier against the
-# lattice on an in-envelope vanilla chain (>= 10x required), and the
-# telemetry layer's overhead on the cached-quote path (0 allocs, <5% p50).
+# smoke mirrors the CI benchmarks job (minus govulncheck, which downloads
+# its tool): every Go benchmark runs one iteration, so none can bit-rot.
+# Timing is not judged here; bench-compare does that.
 smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestScenarioSweepNotSlowerSmoke -v .
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestServeLoadSmoke -v .
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestAnalyticNotSlowerSmoke -v .
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestObsOverheadSmoke -v .
-
-# obs-smoke gates the telemetry layer's price of admission: the cached-quote
-# fast path must stay at 0 allocs/op with telemetry on and within 5% p50 of
-# telemetry off, the project analyzers must pass over internal/obs (its
-# counters are all atomics), and the obs-overhead harness experiment records
-# the measured numbers to BENCH_obs.json.
-obs-smoke:
-	$(GO) run ./cmd/amop-vet ./internal/obs/
-	AMOP_BENCH_SMOKE=1 $(GO) test -run TestObsOverheadSmoke -v .
-	$(GO) test -race -count=1 ./internal/obs/
-	$(GO) run ./cmd/amop-bench -experiment obs-overhead -json BENCH_obs.json
 
 # xval mirrors the CI xval job: the pinned-seed cross-validation soak of the
 # fast lattice pricers against their quadratic baselines and the analytic
@@ -87,13 +68,12 @@ xval:
 		-report xval-report.ndjson
 
 # chaos mirrors the CI chaos-smoke job: the fault-injected robustness tests
-# (breaker lifecycle, quarantine, canceled flights) under the race detector,
-# the gated chaos replay smoke test, and the serve-chaos harness experiment
-# (availability + degraded-mode accounting under injected solver panics and
-# slowdowns, recorded to BENCH_chaos.json).
+# (breaker lifecycle, quarantine, canceled flights, the chaos replay) under
+# the race detector, and the serve-chaos harness experiment (availability +
+# degraded-mode accounting under injected solver panics and slowdowns,
+# recorded to BENCH_chaos.json).
 chaos:
-	$(GO) test -race -count=1 -run 'TestServerBreakerLifecycle|TestServerQuarantineAndRecovery|TestServerQuoteCtxCanceledMidFlight|TestPriceBatchPanicIsolationRestoresBudget|TestScenarioSweepCtxCancelMidRun' .
-	AMOP_BENCH_SMOKE=1 $(GO) test -race -count=1 -run TestServeChaosSmoke -v .
+	$(GO) test -race -count=1 -run 'TestServerBreakerLifecycle|TestServerQuarantineAndRecovery|TestServerQuoteCtxCanceledMidFlight|TestPriceBatchPanicIsolationRestoresBudget|TestScenarioSweepCtxCancelMidRun|TestServeChaosSmoke' .
 	$(GO) run ./cmd/amop-bench -experiment serve-chaos -maxT 1024 -json BENCH_chaos.json
 
 # bench-check covers the seeded benchmark in bench/, a module of its own
@@ -102,7 +82,14 @@ chaos:
 bench-check:
 	cd bench && $(GO) test . && $(GO) vet . && $(GO) run github.com/nlstencil/amop/cmd/amop-vet ./...
 
-# bench regenerates the quick cross-section of every experiment and records
-# the machine-readable perf trajectory (BENCH_all.json).
+# bench-compare is the perf gate the CI perf job runs: the seeded benchmark
+# on BASE (default: the merge-base with origin/main) and on HEAD, alternating
+# on this machine, judged by bench/'s --compare rule. BENCH_SEEDS and
+# BENCH_SECONDS size it (see the script).
+BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null || echo HEAD~1)
+bench-compare:
+	bash scripts/bench-compare.sh $(BASE) HEAD
+
+# bench regenerates every paper-figure experiment (cmd/amop-bench).
 bench:
 	$(GO) run ./cmd/amop-bench -experiment all

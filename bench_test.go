@@ -436,9 +436,9 @@ func BenchmarkChainGreeksIV(b *testing.B) {
 
 // BenchmarkScenarioSweep and BenchmarkScenarioNaiveFanout track the
 // scenario-sweep engine against the per-scenario PriceBatch fan-out it
-// replaces, on a reduced cut of the harness's 45x25 risk grid (9 contracts x
-// 9 scenarios so one iteration stays benchtime-friendly). The full grid runs
-// in cmd/amop-bench -experiment sweep-scenarios.
+// replaces, on a reduced cut of the 45x25 risk grid (9 contracts x 9
+// scenarios so one iteration stays benchtime-friendly). The full grid is the
+// seeded benchmark's sweep-grid workload (bench/).
 func benchSweepInputs() ([]amop.Request, []amop.Scenario) {
 	base := amop.Option{S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163, E: 0.75}
 	var reqs []amop.Request

@@ -11,16 +11,12 @@
 // Experiment IDs map one-to-one onto the paper: fig5a/fig5b/fig5c (running
 // time), fig6 (energy), fig7 (cache misses), fig10 (energy by domain),
 // table5 (scaling with p), table2 (work exponents), accuracy, ablation —
-// plus batch, the chain-repricing workload of the batch engine;
-// sweep-scenarios, the scenario-sweep engine against the naive per-scenario
-// PriceBatch fan-out on a 45-contract x 25-scenario risk grid; analytic-tier,
-// the spectral-collocation fast path against the lattice; and the live
-// server's serve-load, serve-chaos and obs-overhead experiments (-list
-// prints them all).
+// plus serve-chaos, the live server's availability under injected faults
+// (-list prints them all).
 //
-// Every run also writes a machine-readable BENCH_<experiment>.json record
-// (override the path with -json, disable with -json -), so the repository's
-// performance trajectory is tracked commit over commit.
+// -json FILE also writes the run's tables as one machine-readable record.
+// Performance of the library as a whole is measured by the seeded benchmark
+// in bench/, not here.
 package main
 
 import (
@@ -38,7 +34,7 @@ func main() {
 		maxQuadT   = flag.Int("maxQuadT", 1<<15, "largest T for quadratic baselines (wall clock)")
 		maxTraceT  = flag.Int("maxTraceT", 1<<13, "largest T for traced (simulated) runs")
 		outDir     = flag.String("out", "", "directory for CSV output (empty: stdout only)")
-		jsonOut    = flag.String("json", "", "path for a machine-readable run record (empty: BENCH_<experiment>.json; '-' disables)")
+		jsonPath   = flag.String("json", "", "path for a machine-readable run record (empty: none)")
 		list       = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
@@ -49,19 +45,12 @@ func main() {
 		}
 		return
 	}
-	jsonPath := *jsonOut
-	switch jsonPath {
-	case "":
-		jsonPath = fmt.Sprintf("BENCH_%s.json", *experiment)
-	case "-":
-		jsonPath = ""
-	}
 	cfg := harness.Config{
 		MaxT:      *maxT,
 		MaxQuadT:  *maxQuadT,
 		MaxTraceT: *maxTraceT,
 		OutDir:    *outDir,
-		JSONPath:  jsonPath,
+		JSONPath:  *jsonPath,
 	}
 	if err := harness.RunByID(*experiment, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "amop-bench:", err)

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -35,6 +36,41 @@ const (
 	chaosGoodSym  = "CHAOS-GOOD"
 )
 
+// chaosBook builds the 45-contract book: 15 strikes x 3 expiries on one
+// underlying, with every third strike an American put (BSM fast path) so the
+// replay exercises both solver families.
+func chaosBook(steps int) []amop.Request {
+	base := amop.Option{S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
+	var reqs []amop.Request
+	for i := 0; i < 15; i++ {
+		o := base
+		o.K = 100 + 4*float64(i)
+		if i%3 == 2 {
+			o.Type = amop.Put
+		}
+		for _, e := range []float64{0.25, 0.5, 1.0} {
+			o.E = e
+			reqs = append(reqs, amop.Request{
+				Option: o,
+				Model:  amop.AutoModel,
+				Config: amop.Config{Steps: steps},
+			})
+		}
+	}
+	return reqs
+}
+
+// percentile returns the p-quantile of lat in milliseconds.
+func percentile(lat []time.Duration, p float64) float64 {
+	if len(lat) == 0 {
+		return 0
+	}
+	sorted := append([]time.Duration(nil), lat...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	idx := int(p * float64(len(sorted)-1))
+	return float64(sorted[idx].Nanoseconds()) / 1e6
+}
+
 func serveChaos(cfg Config) ([]*Table, error) {
 	steps := 1000
 	if steps > cfg.MaxT {
@@ -46,7 +82,7 @@ func serveChaos(cfg Config) ([]*Table, error) {
 		workers       = 8
 		slowdown      = 10
 	)
-	book := sweepBook(steps)
+	book := chaosBook(steps)
 	syms := []string{chaosGoodSym, chaosPanicSym, chaosSlowSym}
 	entries := make([]amop.BookEntry, len(book))
 	for i, r := range book {

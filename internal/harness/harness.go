@@ -175,9 +175,8 @@ func RunByID(id string, cfg Config) error {
 	return nil
 }
 
-// benchDoc is the machine-readable experiment record written by WriteJSON —
-// one BENCH_*.json per run, so the repository's performance trajectory can
-// be tracked across commits and machines.
+// benchDoc is the machine-readable experiment record written by WriteJSON:
+// the run's tables plus the machine they were measured on.
 type benchDoc struct {
 	Experiment  string   `json:"experiment"`
 	GeneratedAt string   `json:"generated_at"`

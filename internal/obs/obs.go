@@ -14,7 +14,7 @@
 //   - recording is zero-alloc: histograms bump a fixed atomic bucket, spans
 //     accumulate into fixed atomic stage slots, and the cached-quote serving
 //     path stays at 0 allocs/op with telemetry enabled (pinned by
-//     TestObsOverheadSmoke);
+//     TestCachedQuoteZeroAllocs);
 //   - snapshots (Prometheus quantiles, NDJSON trace export) do the work, on
 //     the monitoring path, never the serving path.
 //
@@ -43,10 +43,9 @@ func init() { enabled.Store(true) }
 func Enabled() bool { return enabled.Load() }
 
 // SetEnabled turns telemetry on or off process-wide and returns the previous
-// setting. It exists for A/B overhead measurement (the obs-overhead harness
-// experiment and TestObsOverheadSmoke) and for operators who want the
-// absolute floor; leave it on in production — that is the configuration the
-// overhead gate pins.
+// setting. It exists for A/B overhead measurement (the seeded benchmark's
+// traced runs) and for operators who want the absolute floor; leave it on in
+// production — that is the configuration the benchmark measures.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
 // epoch anchors Mono. time.Since on a time carrying a monotonic reading reads
@@ -58,12 +57,10 @@ var epoch = time.Now()
 // timings that only ever subtract two stamps.
 func Mono() int64 { return int64(time.Since(epoch)) }
 
-// The pricing stack's standing instruments. Every latency the ROADMAP's
-// sharding router needs to steer around a slow shard lives here: quote serve
-// latency by symbol, solve latency by tier (with the analytic tier split by
-// cold/warm boundary cache), the two queueing delays (coalescer wait, spawn
-// budget wait), staleness age at serve time, and the FFT evolution kernel
-// underneath it all.
+// The pricing stack's standing instruments: quote serve latency by symbol,
+// solve latency by tier (with the analytic tier split by cold/warm boundary
+// cache), coalescer wait, staleness age at serve time, and the FFT evolution
+// kernel underneath it all.
 var (
 	// QuoteLatency is the end-to-end Server.Quote latency, labeled by the
 	// contract's symbol: cache serves land in the nanosecond buckets,
@@ -79,11 +76,13 @@ var (
 	// it joined (leaders' solve time is SolveLatency's to report).
 	CoalescerWait = NewHistogram("amop_coalescer_wait_seconds",
 		"time quote requests spent waiting on a joined repricing flight")
-	// BudgetWait is the time spent acquiring spawn-budget tokens in
-	// par.AcquireCtx — the queueing delay bulk work sees when the machine is
-	// saturated.
+	// BudgetWait was the time spent blocked acquiring spawn-budget tokens.
+	// The spawn budget never blocks (par.TryAcquire answers at once), so
+	// nothing records into it and it stays off /metrics; the batch engine's
+	// budget_wait trace stage times its acquisitions instead. It remains
+	// only because the seeded benchmark (bench/) reads it.
 	BudgetWait = NewHistogram("amop_budget_wait_seconds",
-		"time spent blocked acquiring spawn-budget tokens (par.AcquireCtx)")
+		"time spent blocked acquiring spawn-budget tokens (never recorded)")
 	// StalenessAge is the age of the surface entry each quote was answered
 	// from, at serve time — the distribution MaxStaleness trades against.
 	StalenessAge = NewHistogram("amop_staleness_age_seconds",

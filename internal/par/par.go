@@ -23,16 +23,13 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/nlstencil/amop/internal/faultinject"
-	"github.com/nlstencil/amop/internal/obs"
 )
 
 // PanicError is a panic captured in a worker goroutine and re-raised on the
@@ -154,57 +151,8 @@ func tryAcquire(max int, reserve int64) int {
 // token released while a Do offers work starts the oldest offer on a new
 // goroutine instead, and that goroutine returns the token when it exits.
 func Release(n int) {
-	n = startOffers(n)
-	if n > 0 {
+	if n = startOffers(n); n > 0 {
 		spawned.Add(-int64(n))
-		// Wake one AcquireCtx waiter. The channel is buffered(1), so a
-		// pulse sent between a waiter's failed TryAcquire and its select
-		// is not lost — the select finds it already pending.
-		select {
-		case releasePulse <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// releasePulse carries "tokens were just returned" wakeups to AcquireCtx
-// waiters. Capacity 1: a pending pulse means "re-check the budget", and one
-// pending pulse conveys that as well as many.
-var releasePulse = make(chan struct{}, 1)
-
-// AcquireCtx claims between 1 and max tokens, blocking until at least one is
-// free or ctx is done. It returns the token count (released with Release) or
-// ctx.Err(). Unlike TryAcquire it waits for capacity instead of answering 0,
-// so callers that strongly prefer to fork — the batch pool's first worker,
-// say — need not busy-retry. The one exception is a budget with no capacity
-// at all (a single-worker configuration has Workers()-1 = 0 tokens): waiting
-// could never succeed, so AcquireCtx returns (0, nil) immediately and the
-// caller runs inline, the same degrade-to-serial contract as TryAcquire.
-func AcquireCtx(ctx context.Context, max int) (int, error) {
-	if max <= 0 {
-		return 0, ctx.Err()
-	}
-	if obs.Enabled() {
-		// Time the whole acquisition, blocked or not: uncontended acquires
-		// land in the histogram's bottom bucket, so the budget-wait quantiles
-		// reflect how often callers actually queue for tokens.
-		defer obs.BudgetWait.RecordSince(time.Now())
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		if Workers() <= 1 {
-			return 0, nil
-		}
-		if n := TryAcquire(max); n > 0 {
-			return n, nil
-		}
-		select {
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		case <-releasePulse:
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -244,11 +243,14 @@ func TestRowSweepEmpty(t *testing.T) {
 // awaitToken waits up to five seconds for a Release to let TryAcquire(1)
 // grant a token, returns the token at once and reports how many it got.
 func awaitToken() int {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	n, _ := AcquireCtx(ctx, 1)
-	Release(n)
-	return n
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if n := TryAcquire(1); n > 0 {
+			Release(n)
+			return n
+		}
+		runtime.Gosched()
+	}
+	return 0
 }
 
 // A forked worker returns its token when it exits, not at the join: the

@@ -2,7 +2,6 @@ package par
 
 import (
 	"bytes"
-	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,85 +29,6 @@ func drainBudget(t *testing.T) func() {
 		t.Fatalf("drained %d tokens, want the full budget %d", n, Workers()-1)
 	}
 	return func() { Release(n) }
-}
-
-func TestAcquireCtxImmediate(t *testing.T) {
-	withWorkers(t, 4)
-	n, err := AcquireCtx(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1 {
-		t.Fatalf("AcquireCtx returned %d workers on an idle budget, want >= 1", n)
-	}
-	Release(n)
-	if got := InUse(); got != 0 {
-		t.Fatalf("%d tokens leaked", got)
-	}
-}
-
-func TestAcquireCtxSerialBudgetDoesNotBlock(t *testing.T) {
-	withWorkers(t, 1)
-	// Workers()-1 = 0 tokens: waiting could never succeed, so AcquireCtx
-	// must degrade to serial (0, nil) instead of parking forever.
-	n, err := AcquireCtx(context.Background(), 4)
-	if n != 0 || err != nil {
-		t.Fatalf("got (%d, %v), want (0, nil) on a capacityless budget", n, err)
-	}
-}
-
-func TestAcquireCtxCanceledWhileExhausted(t *testing.T) {
-	withWorkers(t, 4)
-	release := drainBudget(t)
-	defer release()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		n, err := AcquireCtx(ctx, 1)
-		if n != 0 {
-			Release(n)
-			t.Error("AcquireCtx granted tokens from an exhausted budget")
-		}
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the acquirer park on the pulse
-	cancel()
-	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("got %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AcquireCtx did not observe cancellation")
-	}
-}
-
-func TestAcquireCtxWokenByRelease(t *testing.T) {
-	withWorkers(t, 4)
-	release := drainBudget(t)
-	type grant struct {
-		n   int
-		err error
-	}
-	done := make(chan grant, 1)
-	go func() {
-		n, err := AcquireCtx(context.Background(), 1)
-		done <- grant{n, err}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	release() // frees the budget; the pulse must wake the waiter
-	select {
-	case g := <-done:
-		if g.err != nil || g.n != 1 {
-			t.Fatalf("got (%d, %v), want (1, nil)", g.n, g.err)
-		}
-		Release(g.n)
-	case <-time.After(5 * time.Second):
-		t.Fatal("AcquireCtx missed the release pulse")
-	}
-	if got := InUse(); got != 0 {
-		t.Fatalf("%d tokens leaked", got)
-	}
 }
 
 // A panic in a For worker must reach the caller as a *PanicError carrying

@@ -1,8 +1,6 @@
 package amop
 
 import (
-	"os"
-	"sort"
 	"testing"
 	"time"
 
@@ -112,15 +110,11 @@ func TestServerHealthOpenBreaker(t *testing.T) {
 	}
 }
 
-// The telemetry layer's price of admission, pinned: the cached-quote fast
-// path must stay at 0 allocs/op with telemetry ON, and its p50 latency with
-// telemetry on must be within 5% of telemetry off. Opt-in via
-// AMOP_BENCH_SMOKE=1 — wall-clock assertions do not belong in the default
-// test run.
-func TestObsOverheadSmoke(t *testing.T) {
-	if os.Getenv("AMOP_BENCH_SMOKE") == "" {
-		t.Skip("set AMOP_BENCH_SMOKE=1 to run the telemetry overhead gate")
-	}
+// The telemetry layer's price of admission on the serving path: a cached
+// quote allocates nothing with telemetry on. Its latency cost is measured by
+// the seeded benchmark (serve-replay's cached_quote_ns under --compare), not
+// here: wall-clock assertions do not belong in the test suite.
+func TestCachedQuoteZeroAllocs(t *testing.T) {
 	faultinject.Reset()
 	s, goodID, _ := robustBook(t, ServerOptions{
 		SpotBucket: 0.25, VolBucket: 0.01, RateBucket: 0.0005,
@@ -128,51 +122,12 @@ func TestObsOverheadSmoke(t *testing.T) {
 	if _, err := s.Quote(goodID); err != nil {
 		t.Fatal(err)
 	}
-	prev := obs.Enabled()
-	defer obs.SetEnabled(prev)
-
-	// Gate 1: zero allocations on the cached path with telemetry recording.
-	obs.SetEnabled(true)
+	defer obs.SetEnabled(obs.SetEnabled(true))
 	if allocs := testing.AllocsPerRun(2000, func() {
 		if _, err := s.Quote(goodID); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("cached quote with telemetry on: %.2f allocs/op, want 0", allocs)
-	}
-
-	// Gate 2: p50 overhead under 5%. Trials are interleaved on/off so clock
-	// drift and thermal throttling hit both modes equally, and the median of
-	// many batched trials stands in for p50 — a per-call timestamp would
-	// dwarf the ~100ns operation being measured.
-	const trials = 21
-	const perTrial = 20000
-	run := func(enabled bool) time.Duration {
-		obs.SetEnabled(enabled)
-		start := time.Now()
-		for i := 0; i < perTrial; i++ {
-			if _, err := s.Quote(goodID); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start) / perTrial
-	}
-	run(true) // warm both code paths and the branch predictor
-	run(false)
-	on := make([]time.Duration, 0, trials)
-	off := make([]time.Duration, 0, trials)
-	for i := 0; i < trials; i++ {
-		on = append(on, run(true))
-		off = append(off, run(false))
-	}
-	p50 := func(d []time.Duration) time.Duration {
-		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-		return d[len(d)/2]
-	}
-	onP, offP := p50(on), p50(off)
-	t.Logf("cached quote p50: telemetry on %v, off %v (%.1f%% overhead)",
-		onP, offP, 100*(float64(onP)/float64(offP)-1))
-	if float64(onP) > float64(offP)*1.05 {
-		t.Errorf("telemetry overhead: p50 on %v vs off %v exceeds the 5%% budget", onP, offP)
 	}
 }

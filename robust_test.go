@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -416,12 +415,8 @@ func TestServerQuoteCtxCanceledMidFlight(t *testing.T) {
 // book where every solve for one symbol panics and every solve for another is
 // slowed, driven through tick/quote rounds. Every quote must be answered —
 // degraded where the faults land, fresh elsewhere — with no spawn-budget
-// leak. Opt-in via AMOP_BENCH_SMOKE=1 (wall-clock-sensitive; the full replay
-// lives in the serve-chaos harness experiment).
+// leak. The full replay lives in the serve-chaos harness experiment.
 func TestServeChaosSmoke(t *testing.T) {
-	if os.Getenv("AMOP_BENCH_SMOKE") == "" {
-		t.Skip("set AMOP_BENCH_SMOKE=1 to run the chaos smoke gate")
-	}
 	const steps = 400
 	syms := []string{"CHAOS-GOOD", "CHAOS-PANIC", "CHAOS-SLOW"}
 	reqs := sweepBook(steps)

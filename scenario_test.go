@@ -2,11 +2,8 @@ package amop
 
 import (
 	"context"
-	"os"
-	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/obs"
@@ -26,21 +23,6 @@ func sweepBook(steps int) []Request {
 	put.Type = Put
 	reqs = append(reqs, Request{Option: put, Model: AutoModel, Config: Config{Steps: steps}})
 	return reqs
-}
-
-// naiveFanout is the reference the sweep engine is measured against: one
-// independent PriceBatch per scenario, every repricing at full resolution.
-func naiveFanout(reqs []Request, scenarios []Scenario, workers int) [][]Result {
-	out := make([][]Result, len(scenarios))
-	for s, sc := range scenarios {
-		bumped := make([]Request, len(reqs))
-		for c, req := range reqs {
-			req.Option = sc.Apply(req.Option)
-			bumped[c] = req
-		}
-		out[s] = PriceBatch(bumped, BatchOptions{Workers: workers})
-	}
-	return out
 }
 
 func TestScenarioGridExpansion(t *testing.T) {
@@ -359,48 +341,5 @@ func TestSweepPerfCountersMonotoneAndCrossRes(t *testing.T) {
 	}
 	if after.SpectrumSymbolMisses == before.SpectrumSymbolMisses {
 		t.Error("sweep built no symbol tables (cache flush did not take?)")
-	}
-}
-
-// TestScenarioSweepNotSlowerSmoke is the CI bench-smoke gate: the sweep
-// engine must beat (or at worst match) the naive per-scenario PriceBatch
-// fan-out it replaces. Median of several back-to-back rounds, 5% tolerance,
-// opt-in via AMOP_BENCH_SMOKE=1 — wall-clock assertions do not belong in the
-// default tier-1 run.
-func TestScenarioSweepNotSlowerSmoke(t *testing.T) {
-	if os.Getenv("AMOP_BENCH_SMOKE") == "" {
-		t.Skip("set AMOP_BENCH_SMOKE=1 to run the sweep vs naive fan-out timing gate")
-	}
-	steps := 2000
-	reqs := sweepBook(steps)
-	scenarios := ScenarioGrid{
-		SpotBumps: []float64{-0.05, 0, 0.05},
-		VolBumps:  []float64{-0.02, 0, 0.02},
-	}.Scenarios()
-	check := func(sw *Sweep) {
-		for i, r := range sw.Results {
-			if r.Err != nil {
-				t.Fatalf("cell %d: %v", i, r.Err)
-			}
-		}
-	}
-	check(ScenarioSweep(reqs, scenarios, SweepOptions{})) // warm plans, spectra, scratch
-	naiveFanout(reqs, scenarios, 0)
-	median := func(run func()) float64 {
-		times := make([]float64, 0, 5)
-		for round := 0; round < 5; round++ {
-			start := time.Now()
-			run()
-			times = append(times, time.Since(start).Seconds())
-		}
-		sort.Float64s(times)
-		return times[len(times)/2]
-	}
-	sweepT := median(func() { check(ScenarioSweep(reqs, scenarios, SweepOptions{})) })
-	naiveT := median(func() { naiveFanout(reqs, scenarios, 0) })
-	t.Logf("sweep %.4gs, naive fan-out %.4gs (%.2fx) on %d contracts x %d scenarios at T=%d",
-		sweepT, naiveT, naiveT/sweepT, len(reqs), len(scenarios), steps)
-	if sweepT > naiveT*1.05 {
-		t.Errorf("scenario sweep slower than naive fan-out: %.4gs vs %.4gs", sweepT, naiveT)
 	}
 }

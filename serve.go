@@ -429,8 +429,8 @@ const quoteRounds = 3
 // in quoteSampleEvery is timed into obs.QuoteLatency / obs.StalenessAge.
 // Must be a power of two (the sample check is a mask). At 1/512 the
 // amortized clock-read cost of the sampled calls is well under a nanosecond
-// per serve, which is what keeps the telemetry-on fast path inside its 5%
-// latency budget (TestObsOverheadSmoke).
+// per serve, which keeps telemetry out of the cached-quote latency
+// (serve-replay's cached_quote_ns in the seeded benchmark).
 const quoteSampleEvery = 512
 
 // Quote answers one contract from the surface; it is QuoteCtx without a

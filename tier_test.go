@@ -3,10 +3,7 @@ package amop
 import (
 	"errors"
 	"math"
-	"os"
-	"sort"
 	"testing"
-	"time"
 
 	"github.com/nlstencil/amop/internal/analytic"
 )
@@ -301,46 +298,5 @@ func TestBatchAnalyticTierConcurrent(t *testing.T) {
 		if concurrent[i].Price != serial[i].Price {
 			t.Errorf("request %d: concurrent %.17g != serial %.17g", i, concurrent[i].Price, serial[i].Price)
 		}
-	}
-}
-
-// TestAnalyticNotSlowerSmoke is the CI bench-smoke gate for the analytic
-// tier: on an in-envelope vanilla chain it must beat the lattice by at least
-// 10x (the measured gap is orders of magnitude larger once boundaries are
-// cached — see BENCH_analytic.json). Median of several rounds, opt-in via
-// AMOP_BENCH_SMOKE=1 like the other wall-clock gates.
-func TestAnalyticNotSlowerSmoke(t *testing.T) {
-	if os.Getenv("AMOP_BENCH_SMOKE") == "" {
-		t.Skip("set AMOP_BENCH_SMOKE=1 to run the analytic vs lattice timing gate")
-	}
-	const steps = 4000
-	reqs := tierBook(steps)
-	check := func(res []Result) {
-		for i, r := range res {
-			if r.Err != nil {
-				t.Fatalf("request %d: %v", i, r.Err)
-			}
-		}
-	}
-	// Warm both arms: boundary cache for the analytic tier, FFT plans and
-	// kernel spectra for the lattice.
-	check(PriceBatch(reqs, BatchOptions{Tier: TierAuto}))
-	check(PriceBatch(reqs, BatchOptions{}))
-	median := func(run func()) float64 {
-		times := make([]float64, 0, 5)
-		for round := 0; round < 5; round++ {
-			start := time.Now()
-			run()
-			times = append(times, time.Since(start).Seconds())
-		}
-		sort.Float64s(times)
-		return times[len(times)/2]
-	}
-	analyticT := median(func() { check(PriceBatch(reqs, BatchOptions{Tier: TierAuto})) })
-	latticeT := median(func() { check(PriceBatch(reqs, BatchOptions{})) })
-	t.Logf("analytic tier %.4gs, lattice %.4gs (%.0fx) on %d contracts at T=%d",
-		analyticT, latticeT, latticeT/analyticT, len(reqs), steps)
-	if analyticT*10 > latticeT {
-		t.Errorf("analytic tier not >=10x faster: %.4gs vs lattice %.4gs", analyticT, latticeT)
 	}
 }
