@@ -104,8 +104,10 @@ func greeks(o Option, price func(Option) (float64, error)) (Greeks, error) {
 	return g, nil
 }
 
-// ImpliedVol solves for the volatility at which the American option's fast
-// model price equals target, by bisection over [lo, hi] = [0.0001, 5].
+// ImpliedVol solves for the volatility in [0.0001, 5] at which the American
+// option's fast model price equals target: a safeguarded Newton/secant
+// iteration seeded at the option's own vol, falling back to bisection over
+// the whole range when that cannot certify a root (see impliedVolWith).
 // American prices are strictly increasing in volatility, so the root is
 // unique when it exists; an error is returned when target lies outside the
 // attainable range.

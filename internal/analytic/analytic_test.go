@@ -286,7 +286,9 @@ func BenchmarkPricePut(b *testing.B) {
 
 func BenchmarkPriceChainColdBoundary(b *testing.B) {
 	// Each iteration uses a fresh expiry so every price pays a boundary
-	// solve: the worst case the tier can hit.
+	// solve: the worst case the tier can hit. Only the expiry moves, so no
+	// solve finds a cached boundary at its (r, q, T) to warm-start from and
+	// every one runs from QD+.
 	p := option.Params{S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.02}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -294,5 +296,38 @@ func BenchmarkPriceChainColdBoundary(b *testing.B) {
 		if _, err := Price(p, option.Put); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBoundaryWarmStart replays the vols an implied-vol solve and the
+// vega bumps ask for around a mark: sigma +- 1e-2, +- 1e-4 and +- 1e-8 at
+// one (r, q, T). Each iteration empties the cache and prices the mark cold
+// off the clock, then times the six neighbours, every one a boundary miss
+// warm-started from a cached neighbour; ns/op covers all six.
+func BenchmarkBoundaryWarmStart(b *testing.B) {
+	defer clearBoundaryCache()
+	p := option.Params{S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.02, E: 0.75}
+	steps := []float64{1e-2, -1e-2, 1e-4, -1e-4, 1e-8, -1e-8}
+	warm0, _ := BoundaryCacheUsage()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		clearBoundaryCache()
+		p.V = 0.2
+		if _, err := Price(p, option.Put); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, d := range steps {
+			p.V = 0.2 + d
+			if _, err := Price(p, option.Put); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	if warm, _ := BoundaryCacheUsage(); warm-warm0 < int64(len(steps)*b.N) {
+		b.Fatalf("%d warm starts over %d iterations, want %d each", warm-warm0, b.N, len(steps))
 	}
 }

@@ -83,28 +83,105 @@ func (b *Boundary) Value(tau float64) float64 {
 	return b.X * math.Exp(-math.Sqrt(h))
 }
 
-// solveBoundary seeds the nodal boundary values with QD+ and refines them
-// with FP-B sweeps on n+1 collocation nodes. c must be strike-normalized
-// (k == 1) with r > 0.
-func solveBoundary(c *contract, n int) *Boundary {
-	tab := chebFor(n)
-	x := c.boundaryLimit()
-	out := &Boundary{X: x, T: c.T, c: make([]float64, n+1)}
+// solveBoundary solves for the boundary with FP-B sweeps on n+1 collocation
+// nodes. The sweeps start from seed, the cached boundary of a contract with
+// the same (r, q, T) and a nearby sigma, when one is given, and from
+// QD+ otherwise. Where the undamped map contracts, the fixed point converges
+// to the same boundary within boundaryTol from either start, but a near
+// neighbour is a few sweeps from it where QD+ is about a dozen, and reading
+// it costs no per-node bisection. A stiff contract that needs damping stops
+// where the damped sweeps' steps fall below boundaryTol, which depends on
+// the start, so a seeded solve that would engage damping starts over from
+// QD+: its boundary then does not depend on what the cache held. c must be
+// strike-normalized (k == 1) with r > 0.
+func solveBoundary(c *contract, n int, seed *Boundary) *Boundary {
+	fp := newFPB(c, n)
+	defer scratch.PutFloats(fp.nodeBuf)
+	defer scratch.PutFloats(fp.pairBuf)
+	if seed == nil || !fp.refine(c, seed) {
+		fp.refine(c, nil)
+	}
+	out := &Boundary{X: fp.x, T: c.T, c: make([]float64, n+1)}
+	fp.tab.coeffs(fp.hv, out.c)
+	return out
+}
 
-	tau := scratch.Floats(n + 1)
-	bv := scratch.Floats(n + 1)
-	hv := scratch.Floats(n + 1)
-	cf := scratch.Floats(n + 1)
-	defer scratch.PutFloats(tau)
-	defer scratch.PutFloats(bv)
-	defer scratch.PutFloats(hv)
-	defer scratch.PutFloats(cf)
+// fpb is one boundary solve's state. tau, bv and hv hold the nodes, the
+// nodal boundary values and their transforms; cf the current interpolant.
+// The rest is what a sweep needs that no sweep changes: for each interior
+// node i and quadrature point j (flattened at (i-1)*m + j) the substituted
+// time s, the Chebyshev coordinate of tau_i - s^2 and the weighted
+// discount factors at s. Building them once per solve takes three of the
+// inner loop's transcendental calls out of every sweep. Each value is computed by
+// the same expression the sweep used to evaluate inline, so the boundary is
+// bitwise unchanged. The slices live in two scratch buffers, nodeBuf and
+// pairBuf, which the caller returns.
+type fpb struct {
+	tab *chebTable
+	x   float64 // B(0+)
+	m   int     // quadrature points per node
 
-	tau[0], bv[0], hv[0] = 0, x, 0
+	nodeBuf, pairBuf []float64
+
+	tau, bv, hv, cf []float64 // per node, i = 0..n
+	s, zu, weq, wer []float64 // per (node, point); weq = w e^{q(tau-s^2)}, wer = w e^{r(tau-s^2)}
+}
+
+func newFPB(c *contract, n int) fpb {
+	rule := tanhSinh(tsStepBoundary)
+	m := len(rule.y)
+	fp := fpb{tab: chebFor(n), x: c.boundaryLimit(), m: m}
+	nodes, nm := n+1, n*m
+	fp.nodeBuf, fp.pairBuf = scratch.Floats(4*nodes), scratch.Floats(4*nm)
+	split := func(b []float64, k int, dst ...*[]float64) {
+		for i, d := range dst {
+			*d = b[i*k : (i+1)*k : (i+1)*k]
+		}
+	}
+	split(fp.nodeBuf, nodes, &fp.tau, &fp.bv, &fp.hv, &fp.cf)
+	split(fp.pairBuf, nm, &fp.s, &fp.zu, &fp.weq, &fp.wer)
+
+	fp.tau[0] = 0
 	for i := 1; i <= n; i++ {
-		half := 0.5 * (1 + tab.z[i])
-		tau[i] = c.T * half * half
-		s := c.qdSeed(tau[i])
+		half := 0.5 * (1 + fp.tab.z[i])
+		ti := c.T * half * half
+		fp.tau[i] = ti
+		sqTau := math.Sqrt(ti)
+		row := (i - 1) * m
+		for j := range rule.y {
+			// tau - s^2 = tau (1-y)(3+y)/4, cancellation-free via om.
+			tu := ti * rule.om[j] * (2 + rule.op[j]) * 0.25
+			zu := 2*math.Sqrt(tu/c.T) - 1
+			if zu > 1 {
+				zu = 1
+			} else if zu < -1 {
+				zu = -1
+			}
+			w := rule.w[j]
+			fp.s[row+j] = sqTau * 0.5 * rule.op[j]
+			fp.zu[row+j] = zu
+			fp.weq[row+j] = w * math.Exp(c.q*tu)
+			fp.wer[row+j] = w * math.Exp(c.r*tu)
+		}
+	}
+	return fp
+}
+
+// refine seeds the nodal values from seed, or from QD+ when seed is nil, and
+// runs FP-B sweeps until the largest nodal update falls below boundaryTol or
+// the sweep budget runs out. A seeded run gives up, returning false, at the
+// first sweep that would engage damping.
+func (fp *fpb) refine(c *contract, seed *Boundary) bool {
+	x, n := fp.x, fp.tab.n
+	bv, hv, cf := fp.bv, fp.hv, fp.cf
+	bv[0], hv[0] = x, 0
+	for i := 1; i <= n; i++ {
+		var s float64
+		if seed != nil {
+			s = seed.Value(fp.tau[i])
+		} else {
+			s = c.qdSeed(fp.tau[i])
+		}
 		if !(s > 0) || s > x {
 			s = x
 		}
@@ -113,42 +190,33 @@ func solveBoundary(c *contract, n int) *Boundary {
 		hv[i] = l * l
 	}
 
-	rule := tanhSinh(tsStepBoundary)
 	eta := 1.0
 	prevRel := math.Inf(1)
 	for it := 0; it < boundaryIters; it++ {
-		tab.coeffs(hv, cf)
+		fp.tab.coeffs(hv, cf)
 		maxRel := 0.0
 		for i := 1; i <= n; i++ {
-			ti, bi := tau[i], bv[i]
+			ti, bi := fp.tau[i], bv[i]
 			sqTau := math.Sqrt(ti)
 			var k1, k2, k3 float64
-			for j := range rule.y {
-				s := sqTau * 0.5 * rule.op[j]
-				// tau - s^2 = tau (1-y)(3+y)/4, cancellation-free via om.
-				tu := ti * rule.om[j] * (2 + rule.op[j]) * 0.25
-				zu := 2*math.Sqrt(tu/c.T) - 1
-				if zu > 1 {
-					zu = 1
-				} else if zu < -1 {
-					zu = -1
-				}
-				hu := clenshaw(cf, zu)
-				if hu < 0 {
-					hu = 0
-				}
-				bu := x * math.Exp(-math.Sqrt(hu))
+			row := (i - 1) * fp.m
+			for j := row; j < row+fp.m; j++ {
+				s := fp.s[j]
 				ss := c.sigma * s
 				if ss <= 0 {
 					continue
 				}
+				hu := clenshaw(cf, fp.zu[j])
+				if hu < 0 {
+					hu = 0
+				}
+				bu := x * math.Exp(-math.Sqrt(hu))
 				dp := (math.Log(bi/bu)+(c.r-c.q)*s*s)/ss + 0.5*ss
 				dm := dp - ss
-				w := rule.w[j]
-				eq := math.Exp(c.q * tu)
-				k1 += w * eq * normCDF(dp) * 2 * s
-				k2 += w * eq * normPDF(dp)
-				k3 += w * math.Exp(c.r*tu) * normPDF(dm)
+				weq := fp.weq[j]
+				k1 += weq * normCDF(dp) * 2 * s
+				k2 += weq * normPDF(dp)
+				k3 += fp.wer[j] * normPDF(dm)
 			}
 			jac := 0.5 * sqTau // ds/dy for s = sqrt(tau)(1+y)/2
 			k1 *= jac
@@ -185,6 +253,9 @@ func solveBoundary(c *contract, n int) *Boundary {
 		// persists (see boundaryDamp above).
 		if maxRel > prevRel && maxRel > 1e-9 {
 			if eta == 1 {
+				if seed != nil {
+					return false
+				}
 				eta = boundaryDamp
 			} else if eta > boundaryDampMin {
 				eta *= 0.5
@@ -192,8 +263,7 @@ func solveBoundary(c *contract, n int) *Boundary {
 		}
 		prevRel = maxRel
 	}
-	tab.coeffs(hv, out.c)
-	return out
+	return true
 }
 
 // nodesFor picks the collocation resolution from the stiffness ratio
@@ -219,48 +289,104 @@ type boundaryKey struct {
 	r, q, sigma, T float64
 }
 
+// A miss is usually a vol move, a vega bump or an implied-vol iterate: a new
+// sigma at an (r, q, T) the cache already holds. bNear indexes the cached
+// boundaries by (r, q, T) so the miss can seed its solve from the nearest
+// sigma (see solveBoundary). It holds exactly bCache's boundaries and is
+// cleared with it, so it is bounded by the same capacity.
+type sigmaGroup struct {
+	r, q, T float64
+}
+
+type sigmaEntry struct {
+	sigma float64
+	b     *Boundary
+}
+
 const boundaryCacheCap = 512
+
+// warmMaxRel bounds how far, relative to sigma, a cached neighbour may be
+// to seed a solve. A neighbour 10% away costs up to ~2 more sweeps than QD+
+// (10-12 on ordinary contracts) but skips the seed's bisection; at 20% it
+// can take twice QD+'s sweeps.
+const warmMaxRel = 0.1
 
 var (
 	bMu    sync.RWMutex
 	bCache = make(map[boundaryKey]*Boundary)
+	bNear  = make(map[sigmaGroup][]sigmaEntry)
 	bHits  atomic.Int64
 	bMiss  atomic.Int64
+	bWarm  atomic.Int64
 )
 
 // boundaryFor returns the shared boundary for the normalized contract,
 // solving it outside any lock on a miss (concurrent misses may both solve;
-// the first store wins and the loser adopts it). cold reports whether this
-// call paid for a boundary solve — the cold/warm split the tier-labelled
-// solve-latency histograms key on — and is true even for a losing concurrent
-// solver: the caller experienced cold-path latency regardless of whose
-// boundary was kept.
+// the first store wins and the loser adopts it). A miss is seeded from the
+// cached boundary with the same (r, q, T) and the nearest sigma, found under
+// the read lock. cold reports whether this call paid for a boundary solve —
+// the cold/warm split the tier-labelled solve-latency histograms key on —
+// and is true even for a losing concurrent solver: the caller experienced
+// cold-path latency regardless of whose boundary was kept.
 func boundaryFor(c *contract) (b *Boundary, cold bool) {
 	key := boundaryKey{c.r, c.q, c.sigma, c.T}
+	group := sigmaGroup{c.r, c.q, c.T}
+	var seed *Boundary
 	bMu.RLock()
 	b = bCache[key]
+	if b == nil {
+		seed = nearestSigma(bNear[group], c.sigma)
+	}
 	bMu.RUnlock()
 	if b != nil {
 		bHits.Add(1)
 		return b, false
 	}
 	bMiss.Add(1)
-	fresh := solveBoundary(c, nodesFor(c))
+	if seed != nil {
+		bWarm.Add(1)
+	}
+	fresh := solveBoundary(c, nodesFor(c), seed)
 	bMu.Lock()
 	if prior, ok := bCache[key]; ok {
 		fresh = prior
 	} else {
 		if len(bCache) >= boundaryCacheCap {
 			clear(bCache)
+			clear(bNear)
 		}
 		bCache[key] = fresh
+		bNear[group] = append(bNear[group], sigmaEntry{c.sigma, fresh})
 	}
 	bMu.Unlock()
 	return fresh, true
+}
+
+// nearestSigma returns the boundary in group whose sigma is closest to
+// sigma, or nil when none is within warmMaxRel of it.
+func nearestSigma(group []sigmaEntry, sigma float64) *Boundary {
+	var best *Boundary
+	bestDist := warmMaxRel * sigma
+	for _, e := range group {
+		if d := math.Abs(e.sigma - sigma); d <= bestDist {
+			best, bestDist = e.b, d
+		}
+	}
+	return best
 }
 
 // BoundaryCacheStats reports the boundary cache's cumulative hit and miss
 // counts (concurrency tests pin cross-contract sharing through these).
 func BoundaryCacheStats() (hits, misses int64) {
 	return bHits.Load(), bMiss.Load()
+}
+
+// BoundaryCacheUsage reports how many misses were warm-started from a
+// cached neighbour (cumulative; a subset of BoundaryCacheStats' misses) and
+// how many boundaries the cache holds now.
+func BoundaryCacheUsage() (warmStarts int64, entries int) {
+	bMu.RLock()
+	entries = len(bCache)
+	bMu.RUnlock()
+	return bWarm.Load(), entries
 }

@@ -75,8 +75,10 @@ type normGreeks struct {
 // does not depend on the spot, so these are full derivatives); theta then
 // follows from the Black-Scholes PDE identity dV/dt = rV - (r-q)S Delta -
 // sigma^2 S^2 Gamma / 2, which the American value satisfies in the
-// continuation region. Vega and the rate sensitivity are frozen-boundary
-// central bumps.
+// continuation region. Vega and the rate sensitivity are central
+// differences of putValue at sigma +- bumpVol and r (or q) +- bumpRate.
+// Each bumped price uses the bumped contract's own boundary, cached or
+// freshly solved; the vol bumps' solves warm-start from the unbumped one.
 func putGreeks(c *contract, bumpQ bool) normGreeks {
 	if c.r == 0 {
 		return europeanPutGreeks(c, bumpQ)

@@ -1,12 +1,13 @@
 // Package analytic prices vanilla American options by spectral collocation
 // on the early-exercise boundary — the Andersen-Lake algorithm family — with
-// no lattice at all: a QD+ approximation seeds the boundary, an FP-B fixed
-// point refines it on Chebyshev nodes, and the early-exercise premium is
-// recovered from Kim's integral representation with tanh-sinh quadrature.
+// no lattice at all: a QD+ approximation, or the cached boundary at the
+// nearest vol, seeds the boundary, an FP-B fixed point refines it on
+// Chebyshev nodes, and the early-exercise premium is recovered from Kim's
+// integral representation with tanh-sinh quadrature.
 // Calls are priced through McDonald-Schroder put-call symmetry, and Greeks
 // come from the same boundary (delta/gamma by differentiating the premium
-// integrand, theta via the Black-Scholes PDE identity, vega/rho by
-// frozen-boundary bumps, exact to first order by the envelope theorem).
+// integrand, theta via the Black-Scholes PDE identity, vega/rho by central
+// bumps that re-price on the bumped contract's own boundary).
 //
 // The solve is strike-normalized, so an early-exercise boundary depends only
 // on (r, q, sigma, T) and one cached solve serves every strike and spot of a
@@ -106,9 +107,9 @@ func putValue(c *contract) (v float64, cold bool) {
 //	∫_0^T [ r K e^{-ru} Phi(-d-(u, s/B(T-u))) - q s e^{-qu} Phi(-d+(u, s/B(T-u))) ] du
 //
 // where u runs over calendar time from now, so the boundary is evaluated at
-// remaining life T-u. c may carry bumped parameters (vega/rho bumps reuse
-// the unbumped boundary; the envelope theorem makes that exact to first
-// order, since the value is stationary in the boundary at the optimum).
+// remaining life T-u. b must be the boundary solved for c's own (r, q,
+// sigma, T): the representation is not stationary in the boundary, so a
+// boundary from other parameters biases the premium at first order.
 func premium(c *contract, b *Boundary, s float64) float64 {
 	rule := tanhSinh(tsStepPremium)
 	halfT := 0.5 * c.T

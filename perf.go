@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 
+	"github.com/nlstencil/amop/internal/analytic"
 	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/par"
@@ -110,6 +111,19 @@ type PerfCounters struct {
 	AnalyticServes int64 `prom:"amop_tier_analytic_serves_total"`
 	TierFallbacks  int64 `prom:"amop_tier_fallbacks_total"`
 	XvalChecks     int64 `prom:"amop_tier_xval_checks_total"`
+	// AnalyticBoundaryHits / AnalyticBoundaryMisses count the analytic
+	// tier's lookups in its shared early-exercise boundary cache, keyed by
+	// (rate, yield, vol, expiry). AnalyticBoundaryWarmStarts counts the
+	// misses whose solve started from a cached boundary at a nearby vol
+	// with the same rate, yield and expiry instead of from QD+, and
+	// AnalyticBoundaryCacheEntries is the number of boundaries held now (at
+	// most 512; the cache clears when full). A desk chain under TierAuto
+	// hits about 95% of the time; its misses are vol moves and implied-vol
+	// iterates, which are mostly warm starts.
+	AnalyticBoundaryHits         int64 `prom:"amop_analytic_boundary_hits_total"`
+	AnalyticBoundaryMisses       int64 `prom:"amop_analytic_boundary_misses_total"`
+	AnalyticBoundaryWarmStarts   int64 `prom:"amop_analytic_boundary_warm_starts_total"`
+	AnalyticBoundaryCacheEntries int   `prom:"amop_analytic_boundary_cache_entries"`
 	// PanicsRecovered counts pricer panics captured and confined to a single
 	// contract (the batch engine's per-item recover, or a coalesced flight's
 	// recover); DegradedServes counts quotes answered from a pinned last-good
@@ -131,35 +145,41 @@ func ReadPerfCounters() PerfCounters {
 	forks, inlined := par.Forks()
 	memoHits, memoMisses := RepricingMemoStats()
 	tierAnalytic, tierFall, tierXval := TierStats()
+	bndHits, bndMisses := analytic.BoundaryCacheStats()
+	bndWarm, bndEntries := analytic.BoundaryCacheUsage()
 	srv := serve.ReadStats()
 	return PerfCounters{
-		SpectrumCacheHits:    hits,
-		SpectrumCacheMisses:  misses,
-		SpectrumCacheBytes:   bytes,
-		SpectrumCacheEntries: entries,
-		SpectrumSymbolHits:   symHits,
-		SpectrumSymbolMisses: symMisses,
-		SpectrumCrossResHits: crossRes,
-		FFTBytesTransformed:  fft.TransformedBytes(),
-		FFTSoATransforms:     fft.SoATransforms(),
-		ScratchMisses:        scratch.Misses(),
-		ParForks:             forks,
-		ParForksInlined:      inlined,
-		ParBudgetInUse:       par.InUse(),
-		RepricingMemoHits:    memoHits,
-		RepricingMemoMisses:  memoMisses,
-		AnalyticServes:       tierAnalytic,
-		TierFallbacks:        tierFall,
-		XvalChecks:           tierXval,
-		TickReprices:         srv.TickReprices,
-		TickSkips:            srv.TickSkips,
-		CoalescedRequests:    srv.CoalescedRequests,
-		StaleServes:          srv.StaleServes,
-		ServeCacheHits:       srv.CacheServes,
-		PanicsRecovered:      srv.PanicsRecovered,
-		DegradedServes:       srv.DegradedServes,
-		CircuitOpens:         srv.CircuitOpens,
-		CtxCancels:           srv.CtxCancels,
+		SpectrumCacheHits:            hits,
+		SpectrumCacheMisses:          misses,
+		SpectrumCacheBytes:           bytes,
+		SpectrumCacheEntries:         entries,
+		SpectrumSymbolHits:           symHits,
+		SpectrumSymbolMisses:         symMisses,
+		SpectrumCrossResHits:         crossRes,
+		FFTBytesTransformed:          fft.TransformedBytes(),
+		FFTSoATransforms:             fft.SoATransforms(),
+		ScratchMisses:                scratch.Misses(),
+		ParForks:                     forks,
+		ParForksInlined:              inlined,
+		ParBudgetInUse:               par.InUse(),
+		RepricingMemoHits:            memoHits,
+		RepricingMemoMisses:          memoMisses,
+		AnalyticServes:               tierAnalytic,
+		TierFallbacks:                tierFall,
+		XvalChecks:                   tierXval,
+		AnalyticBoundaryHits:         bndHits,
+		AnalyticBoundaryMisses:       bndMisses,
+		AnalyticBoundaryWarmStarts:   bndWarm,
+		AnalyticBoundaryCacheEntries: bndEntries,
+		TickReprices:                 srv.TickReprices,
+		TickSkips:                    srv.TickSkips,
+		CoalescedRequests:            srv.CoalescedRequests,
+		StaleServes:                  srv.StaleServes,
+		ServeCacheHits:               srv.CacheServes,
+		PanicsRecovered:              srv.PanicsRecovered,
+		DegradedServes:               srv.DegradedServes,
+		CircuitOpens:                 srv.CircuitOpens,
+		CtxCancels:                   srv.CtxCancels,
 	}
 }
 

@@ -125,6 +125,43 @@ func TestTierAutoPromotesAndFallsBack(t *testing.T) {
 	}
 }
 
+// TestPerfCountersAnalyticBoundary: the boundary-cache counters move with
+// analytic pricing. A fresh expiry misses and adds an entry, a repeat hits,
+// and a nearby vol at the same rate, yield and expiry is a warm start.
+func TestPerfCountersAnalyticBoundary(t *testing.T) {
+	price := func(o Option) {
+		t.Helper()
+		if _, err := Price(o, AutoModel, Config{Algorithm: Analytic}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := ReadPerfCounters()
+	// The miss count only grows, so the expiry is new on every run of the
+	// test in one process (-count).
+	o := Option{Type: Put, S: 100, K: 100, R: 0.045, V: 0.23, Y: 0.012,
+		E: 1.3125 + 1e-9*float64(before.AnalyticBoundaryMisses)}
+	price(o)
+	cold := ReadPerfCounters()
+	price(o)
+	hit := ReadPerfCounters()
+	o.V += 1e-3
+	price(o)
+	warm := ReadPerfCounters()
+
+	if cold.AnalyticBoundaryMisses <= before.AnalyticBoundaryMisses {
+		t.Error("a fresh expiry did not count a boundary miss")
+	}
+	if cold.AnalyticBoundaryCacheEntries == 0 {
+		t.Error("a solved boundary left the cache empty")
+	}
+	if hit.AnalyticBoundaryHits <= cold.AnalyticBoundaryHits {
+		t.Error("a repeated contract did not count a boundary hit")
+	}
+	if warm.AnalyticBoundaryWarmStarts <= hit.AnalyticBoundaryWarmStarts {
+		t.Error("a nearby vol did not count a warm start")
+	}
+}
+
 // TestTierAnalyticForced: TierAnalytic serves eligible contracts and
 // surfaces the envelope error for ineligible ones instead of falling back.
 func TestTierAnalyticForced(t *testing.T) {
