@@ -23,12 +23,13 @@ vet:
 	$(GO) run ./cmd/amop-vet ./...
 
 # fuzz-smoke gives every fuzz target a short fixed budget — enough to shake
-# out parser/merge regressions on every CI run without turning the job into
-# a fuzzing campaign.
+# out parser/merge and fast-vs-naive pricer regressions on every CI run
+# without turning the job into a fuzzing campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseContractRow -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run='^$$' -fuzz=FuzzTickMerge -fuzztime=10s ./cmd/amop-serve/
 	$(GO) test -run='^$$' -fuzz=FuzzForwardInverseRoundTrip -fuzztime=10s ./internal/fft/
+	$(GO) test -run='^$$' -fuzz=FuzzBSMPutFast -fuzztime=10s ./internal/bsm/
 
 build:
 	$(GO) build ./...

@@ -27,6 +27,7 @@ package amop
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"github.com/nlstencil/amop/internal/option"
 )
@@ -175,7 +176,21 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 // engine passes both so that requests sharing lattice parameters reuse a
 // single model instance and in-flight solves observe cancellation. A nil
 // cache constructs models directly; a nil cancel never cancels.
+//
+// Every price is floored at 0. The exact discrete value is a non-negative
+// combination of non-negative payoffs, but far out of the money FFT
+// roundoff leaves it up to ~1e-10 below zero, which the serving health gate
+// would reject. NaN and -Inf pass through for the gate to catch.
 func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error) (float64, error) {
+	v, err := solveModel(o, m, cfg, cache, cancel)
+	if v < 0 && !math.IsInf(v, -1) {
+		v = 0
+	}
+	return v, err
+}
+
+// solveModel routes one request to its model's solver.
+func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error) (float64, error) {
 	if cfg.Algorithm == Analytic {
 		// The analytic tier has no lattice: Model and Steps are irrelevant,
 		// so the Steps >= 1 rule does not apply.
@@ -246,8 +261,10 @@ func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 
 // priceAmericanLattice dispatches an American lattice pricing request to the
 // concrete algorithm implementations. Fast calls are the paper's algorithm;
-// fast puts are this library's experimental extension (empirically validated
-// green-left boundary structure — see internal/fbstencil/greenleftos.go).
+// fast puts are this library's experimental extension. They run on the same
+// one-sided green-left engine as the paper's BSM put, but their boundary
+// structure is validated empirically, not proven (see
+// internal/fbstencil/greenleftos.go).
 func priceAmericanLattice(
 	cfg Config, kind option.Kind, cancel func() error,
 	fast func(func() error) (float64, error),

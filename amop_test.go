@@ -109,6 +109,38 @@ func TestFastLatticePuts(t *testing.T) {
 	}
 }
 
+// TestDeepOTMPricesNonNegative pins the price floor: far out of the money
+// the exact discrete value is tiny but non-negative, and FFT roundoff used
+// to publish it below zero under every model and style.
+func TestDeepOTMPricesNonNegative(t *testing.T) {
+	type combo struct {
+		m   Model
+		typ OptionType
+	}
+	combos := []combo{
+		{Binomial, Call}, {Binomial, Put},
+		{Trinomial, Call}, {Trinomial, Put},
+		{BlackScholesFD, Put},
+	}
+	moneyness := [][2]float64{{400, 50}, {50, 400}, {500, 100}, {100, 500}}
+	for _, c := range combos {
+		for _, european := range []bool{false, true} {
+			for _, sk := range moneyness {
+				for _, steps := range []int{333, 2000, 4096, 8192} {
+					o := Option{Type: c.typ, S: sk[0], K: sk[1], R: 0.03, V: 0.2, Y: 0.01, E: 1}
+					p, err := Price(o, c.m, Config{Steps: steps, European: european})
+					if err != nil {
+						t.Fatalf("%v %v european=%v S/K=%v T=%d: %v", c.m, c.typ, european, sk, steps, err)
+					}
+					if !(p >= 0) {
+						t.Errorf("%v %v european=%v S/K=%v T=%d: price %v < 0", c.m, c.typ, european, sk, steps, p)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPriceAmericanConvenience(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for trial := 0; trial < 6; trial++ {

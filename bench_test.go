@@ -10,6 +10,7 @@ package amop_test
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -135,6 +136,34 @@ func BenchmarkFig5cVanillaBsm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.PriceNaiveParallel()
+	}
+}
+
+// --- Lattice fast puts (extension beyond the paper) -------------------------
+
+// BenchmarkPriceFastPut times the binomial and trinomial fast American puts,
+// which run on the same green-left engine as the BSM put.
+func BenchmarkPriceFastPut(b *testing.B) {
+	type putModel interface{ PriceFastPut() (float64, error) }
+	for _, T := range []int{4000, 1 << 16} {
+		bm := mustBOPM(b, T)
+		tm, err := topm.New(option.Default(), T)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			m    putModel
+		}{{"bopm", bm}, {"topm", tm}} {
+			b.Run(c.name+"/T="+strconv.Itoa(T), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.m.PriceFastPut(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package bsm implements American put pricing under the
 // Black-Scholes-Merton model by an explicit projected finite-difference
 // scheme on the log-price-transformed PDE (Section 4 of the paper), plus the
-// paper's FFT-based fast solver for it ("fft-bsm").
+// paper's FFT-based fast solver for it ("fft-bsm"). The fast solver indexes
+// each row by column minus depth, where the centered stencil is one-sided,
+// and runs fbstencil's one-sided green-left engine.
 //
 // Nondimensionalization follows Section 4.2: with s = ln(x/K),
 // tau = sigma^2 (T-t)/2 and vtilde = v/K, the American put satisfies the
@@ -115,15 +117,16 @@ func (m *Model) greenTable() []float64 {
 	return tab
 }
 
-// tableGreen returns green as a lookup into tab (from greenTable), bitwise
+// tableGreen returns green in depth-shifted columns — cell (depth, col) is
+// grid column col+depth — as a lookup into tab (from greenTable), bitwise
 // equal to the closed form. Columns outside the grid — zones near the left
-// edge read left of column 0 — fall back to the closed form.
+// edge read left of grid column 0 — fall back to the closed form.
 func (m *Model) tableGreen(tab []float64) fbstencil.GreenFunc {
-	return func(_, col int) float64 {
-		if uint(col) < uint(len(tab)) {
-			return tab[col]
+	return func(depth, col int) float64 {
+		if k := col + depth; uint(k) < uint(len(tab)) {
+			return tab[k]
 		}
-		return m.green(col)
+		return m.green(col + depth)
 	}
 }
 
@@ -173,22 +176,24 @@ func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, er
 	defer scratch.PutFloats(tab)
 	prob := m.problem(m.tableGreen(tab))
 	prob.Cancel = cancel
-	v, _, err := fbstencil.SolveGreenLeft(prob, st)
+	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return m.Prm.K * v, err
 }
 
-// problem builds the green-left instance for the American put with the
-// given exercise value.
-func (m *Model) problem(green fbstencil.GreenFunc) *fbstencil.GreenLeft {
-	return &fbstencil.GreenLeft{
-		Stencil:  m.Stencil(),
+// problem builds the American put on depth-shifted columns c' = c-d, given
+// its exercise value in those columns. The centered stencil is one-sided
+// there (offsets 0..2 on columns [0, 2T-2d]), and Theorem 4.3's leftward
+// boundary move of at most one grid column becomes a drop of at most two.
+func (m *Model) problem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
+	return &fbstencil.GreenLeftOneSided{
+		Stencil:  linstencil.Stencil{MinOff: 0, W: []float64{m.B, m.C, m.A}},
 		T:        m.T,
-		Lo0:      0,
 		Hi0:      2 * m.T,
 		Init:     func(col int) float64 { return math.Max(green(0, col), 0) },
 		Green:    green,
 		Bnd0:     m.leafBoundary(),
 		BaseCase: m.baseC,
+		MaxDrop:  2,
 	}
 }
 

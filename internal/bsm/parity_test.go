@@ -47,7 +47,7 @@ func TestGreenTableParity(t *testing.T) {
 
 // TestGreenTableFallback runs a put far out of the money, whose exercise
 // boundary sits near the left edge of the grid so the zones read left of
-// column 0, and checks those reads take the closed-form fallback and leave
+// grid column 0, and checks those reads take the closed-form fallback and leave
 // the price bitwise unchanged.
 func TestGreenTableFallback(t *testing.T) {
 	m, err := New(option.Params{S: 500, K: 100, R: 0.05, V: 0.1, Y: 0, E: 1}, 333, 0)
@@ -59,12 +59,12 @@ func TestGreenTableFallback(t *testing.T) {
 	green := m.tableGreen(tab)
 	var left atomic.Int64
 	probe := func(d, col int) float64 {
-		if col < 0 {
+		if col+d < 0 {
 			left.Add(1)
 		}
 		return green(d, col)
 	}
-	got, _, err := fbstencil.SolveGreenLeft(m.problem(probe), nil)
+	got, _, err := fbstencil.SolveGreenLeftOneSided(m.problem(probe), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +82,6 @@ func TestGreenTableFallback(t *testing.T) {
 
 // closedFormSolve is PriceFast driven by the per-cell closed form.
 func (m *Model) closedFormSolve() (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeft(m.problem(func(_, col int) float64 { return m.green(col) }), nil)
+	v, _, err := fbstencil.SolveGreenLeftOneSided(m.problem(func(d, col int) float64 { return m.green(col + d) }), nil)
 	return m.Prm.K * v, err
 }

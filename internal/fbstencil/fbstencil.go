@@ -23,7 +23,9 @@
 //   - GreenRight (Section 2.3/3): one-sided stencil with offsets 0..r, green
 //     region on the right; used by BOPM (r=1) and TOPM (r=2) American calls.
 //   - GreenLeft centered (Section 4.3): 3-point stencil with offsets -1..1,
-//     green region on the left; used by the BSM American put.
+//     green region on the left; the BSM American put. It is solved in
+//     depth-shifted columns, where it becomes a one-sided green-left problem
+//     (GreenLeftOneSided, the solver the lattice puts share).
 package fbstencil
 
 import (
@@ -517,6 +519,11 @@ func (e *grEngine) halfStepPar(seg []float64, c0, bnd, d, k, cut int) (left, rig
 // Grid geometry: depth 0 holds the initial row on columns [Lo0, Hi0]; at
 // depth d the valid columns are [Lo0+d, Hi0-d]. The answer is the apex cell
 // (T, apex) with apex = Lo0+T = Hi0-T, so Hi0-Lo0 must equal 2*T.
+//
+// It is solved in depth-shifted columns c' = c-Lo0-d. There the stencil is
+// one-sided (offsets 0..2 on columns [0, 2T-2d]) and the boundary's unit
+// leftward move is a drop of at most two, which makes it a
+// GreenLeftOneSided instance.
 type GreenLeft struct {
 	Stencil  linstencil.Stencil // MinOff must be -1, span 2
 	T        int
@@ -551,333 +558,26 @@ func (p *GreenLeft) validate() error {
 	return nil
 }
 
-type glEngine struct {
-	s      linstencil.Stencil
-	lo0    int
-	hi0    int
-	green  GreenFunc
-	base   int
-	stats  *Stats
-	cancel func() error
-}
-
-func (e *glEngine) lo(depth int) int { return e.lo0 + depth }
-func (e *glEngine) hi(depth int) int { return e.hi0 - depth }
-
-// SolveGreenLeft runs the fast solver and returns the apex value (depth T,
-// column Lo0+T) and the final boundary column. Cancellation and health
-// semantics match SolveGreenRight.
-func SolveGreenLeft(p *GreenLeft, st *Stats) (price float64, boundary int, err error) {
+// SolveGreenLeft runs the fast solver on the depth-shifted problem and
+// returns the apex value (depth T, column Lo0+T) and the final boundary
+// column. Cancellation and health semantics match SolveGreenRight.
+func SolveGreenLeft(p *GreenLeft, st *Stats) (float64, int, error) {
 	if err := p.validate(); err != nil {
 		return 0, 0, err
 	}
-	defer recoverCancel(&err)
-	e := &glEngine{s: p.Stencil, lo0: p.Lo0, hi0: p.Hi0, green: p.Green, base: p.BaseCase, stats: st, cancel: p.Cancel}
-	if e.base <= 0 {
-		e.base = DefaultBaseCase
-	}
-	apex := p.Lo0 + p.T
-
-	bnd := p.Bnd0
-	// seg stores red values for columns [bnd+1, hi(d)].
-	var seg []float64
-	if bnd < p.Hi0 {
-		from := max(bnd+1, p.Lo0)
-		bnd = from - 1
-		seg = scratch.Floats(p.Hi0 - from + 1)
-		for j := range seg {
-			seg[j] = p.Init(from + j)
-		}
-	} else {
-		bnd = p.Hi0
-	}
-
-	d := 0
-	if p.T >= 1 {
-		// As in SolveGreenRight, the monotone-boundary guarantee (Thm 4.3)
-		// only covers interior rows: on the payoff row "green" means the
-		// payoff dominates, and with Y > R the exercise boundary drops to
-		// s ~ ln(R/Y) — arbitrarily many cells — at depth 1. One exact
-		// full-width step establishes the true boundary.
-		seg, bnd = e.exactFirstStep(seg, bnd)
-		d = 1
-	}
-	for d < p.T {
-		checkCancel(e.cancel)
-		if bnd >= e.hi(d) {
-			// Entire row green; stays green to the apex (boundary is
-			// non-increasing while the right edge shrinks every step).
-			scratch.PutFloats(seg)
-			v := p.Green(p.T, apex)
-			return v, bnd, checkFinite(v)
-		}
-		remaining := p.T - d
-		if bnd < e.lo(d) {
-			// Entire row red: a single FFT evolution reaches the apex.
-			out, _ := linstencil.EvolveCone(seg, e.s, remaining)
-			e.stats.addFFT(len(out))
-			// out[0] is column (bnd+1)+remaining; the apex is lo(d)+remaining.
-			v := out[e.lo(d)-(bnd+1)]
-			scratch.PutFloats(out)
-			scratch.PutFloats(seg)
-			return v, bnd, checkFinite(v)
-		}
-		h := min(remaining/2, (e.hi(d)-bnd)/2)
-		if h < e.base {
-			old := seg
-			seg, bnd = e.naiveStepC(seg, bnd, d)
-			scratch.PutFloats(old)
-			d++
-			continue
-		}
-		read := e.readRowC(seg, bnd, d)
-		var zoneVals []float64
-		var newBnd int
-		var rightVals []float64
-		// The bounded FFT strip forks and the zone recursion stays inline,
-		// so the strip's token returns for the recursion's own forks.
-		par.Do(
-			func() {
-				// Exact for columns >= bnd+h: base row [bnd, hi(d)]
-				// (column bnd is green closed form, the rest stored red).
-				in := scratch.Floats(e.hi(d) - bnd + 1)
-				in[0] = e.green(d, bnd)
-				copy(in[1:], seg)
-				rightVals, _ = linstencil.EvolveCone(in, e.s, h)
-				scratch.PutFloats(in)
-				e.stats.addFFT(len(rightVals))
-			},
-			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
-		)
-		// rightVals[0] is column bnd+h; zoneVals covers [bnd-h, bnd+h].
-		newHi := e.hi(d + h)
-		newSeg := scratch.Floats(newHi - newBnd)
-		for j := newBnd + 1; j <= bnd+h; j++ {
-			newSeg[j-newBnd-1] = zoneVals[j-(bnd-h)]
-		}
-		copy(newSeg[bnd+h+1-(newBnd+1):], rightVals[1:])
-		scratch.PutFloats(zoneVals)
-		scratch.PutFloats(rightVals)
-		scratch.PutFloats(seg)
-		seg, bnd = newSeg, newBnd
-		d += h
-	}
-	if apex > bnd {
-		v := seg[apex-(bnd+1)]
-		scratch.PutFloats(seg)
-		return v, bnd, checkFinite(v)
-	}
-	scratch.PutFloats(seg)
-	v := p.Green(p.T, apex)
-	return v, bnd, checkFinite(v)
-}
-
-// exactFirstStep advances the initial row to depth 1 across the full cone
-// width, classifying every cell, and returns the depth-1 red segment
-// (columns [newBnd+1, hi(1)]) with its exact boundary. Cost O(Hi0-Lo0),
-// paid once per solve. It consumes (recycles) its input segment.
-func (e *glEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
-	defer scratch.PutFloats(seg)
-	read := e.readRowC(seg, bnd, 0)
-	lo1, hi1 := e.lo(1), e.hi(1)
-	n := hi1 - lo1 + 1
-	if n <= 0 {
-		return nil, bnd
-	}
-	vals := scratch.Floats(n)
-	isGreen := make([]bool, n)
-	w := e.s.W
-	par.For(n, 512, func(clo, chi int) {
-		for idx := clo; idx < chi; idx++ {
-			j := lo1 + idx
-			lin := w[0]*read(j-1) + w[1]*read(j) + w[2]*read(j+1)
-			g := e.green(1, j)
-			if g > lin {
-				vals[idx] = g
-				isGreen[idx] = true
-			} else {
-				vals[idx] = lin
-			}
-		}
-	})
-	e.stats.addNaive(n)
-	newBnd := lo1 - 1
-	for idx := n - 1; idx >= 0; idx-- {
-		if isGreen[idx] {
-			newBnd = lo1 + idx
-			break
-		}
-	}
-	return vals[newBnd+1-lo1:], newBnd
-}
-
-// readRowC returns an accessor for a row at the given depth: red values
-// [bnd+1, hi(depth)] come from seg, anything at or left of bnd is green
-// closed form (exact, and well-defined arbitrarily far left).
-func (e *glEngine) readRowC(seg []float64, bnd, depth int) func(col int) float64 {
-	return func(col int) float64 {
-		if col > bnd {
-			return seg[col-bnd-1]
-		}
-		return e.green(depth, col)
-	}
-}
-
-// at is readRowC without the closure, for the per-step direct loop.
-func (e *glEngine) at(seg []float64, bnd, depth, col int) float64 {
-	if col > bnd {
-		return seg[col-bnd-1]
-	}
-	return e.green(depth, col)
-}
-
-// naiveStepC advances the stored red segment one step. Cost is O(hi-bnd),
-// which the caller only pays when that gap (or the remaining depth) is small.
-func (e *glEngine) naiveStepC(seg []float64, bnd, d int) ([]float64, int) {
-	newHi := e.hi(d + 1)
-	lo := max(bnd, e.lo(d+1)) // candidate columns: boundary moves left <= 1
-	next := scratch.Floats(newHi - lo + 1)
-	// By Theorem 4.3 the new boundary is bnd or bnd-1; if bnd lies left of
-	// the cone it is unreachable and simply carried along.
-	newBnd := bnd - 1
-	if bnd < e.lo(d+1) {
-		newBnd = bnd
-	}
-	for j := lo; j <= newHi; j++ {
-		lin := e.s.W[0]*e.at(seg, bnd, d, j-1) + e.s.W[1]*e.at(seg, bnd, d, j) + e.s.W[2]*e.at(seg, bnd, d, j+1)
-		g := e.green(d+1, j)
-		if g > lin {
-			next[j-lo] = g
-			if j > newBnd {
-				newBnd = j
-			}
-		} else {
-			next[j-lo] = lin
-		}
-	}
-	e.stats.addNaive(newHi - lo + 1)
-	if trim := newBnd + 1 - lo; trim > 0 {
-		next = next[trim:]
-	}
-	return next, newBnd
-}
-
-// zone resolves the uncertain band around the boundary: given read access to
-// the row at depth d on columns [bnd-2h, bnd+2h] (green closed form left of
-// bnd), it returns the values on columns [bnd-h, bnd+h] at depth d+h and the
-// new boundary. This is the paper's trapezoid egjl recursion (Figure 4a).
-func (e *glEngine) zone(read func(int) float64, d, bnd, h int) ([]float64, int) {
-	checkCancel(e.cancel)
-	e.stats.addTrap()
-	if h <= e.base {
-		return e.zoneNaive(read, d, bnd, h)
-	}
-	h1 := h / 2
-	h2 := h - h1
-
-	// First half: the zone recursion and, alongside it, columns
-	// [bnd+h1, bnd+2h-h1] at depth d+h1 from one FFT over base columns
-	// [bnd, bnd+2h].
-	midZone, midBnd, midRight := e.zoneSplit(read, d, bnd, h, h1, bnd, 2*h+1)
-	// Mid row accessor on columns [bnd-h1, bnd+2h-h1] (and green beyond the
-	// left edge).
-	midRead := func(col int) float64 {
-		switch {
-		case col <= midBnd:
-			return e.green(d+h1, col)
-		case col <= bnd+h1:
-			return midZone[col-(bnd-h1)]
-		default:
-			return midRight[col-(bnd+h1)]
-		}
-	}
-
-	// Second half: columns [midBnd+h2, bnd+h] at depth d+h from one FFT over
-	// mid columns [midBnd, bnd+2h-h1].
-	botZone, newBnd, botRight := e.zoneSplit(midRead, d+h1, midBnd, h, h2, midBnd, bnd+2*h-h1-midBnd+1)
-	scratch.PutFloats(midZone)
-	scratch.PutFloats(midRight)
-
-	out := scratch.Floats(2*h + 1)
-	for j := bnd - h; j <= bnd+h; j++ {
-		switch {
-		case j <= newBnd:
-			out[j-(bnd-h)] = e.green(d+h, j)
-		case j <= midBnd+h2:
-			out[j-(bnd-h)] = botZone[j-(midBnd-h2)]
-		default:
-			out[j-(bnd-h)] = botRight[j-(midBnd+h2)]
-		}
-	}
-	scratch.PutFloats(botZone)
-	scratch.PutFloats(botRight)
-	return out, newBnd
-}
-
-// zoneFFT evolves the closed-under-read window [base, base+count) by steps
-// with one staged FFT call.
-func (e *glEngine) zoneFFT(read func(int) float64, base, count, steps int) []float64 {
-	in := scratch.Floats(count)
-	for j := 0; j < count; j++ {
-		in[j] = read(base + j)
-	}
-	out, _ := linstencil.EvolveCone(in, e.s, steps)
-	scratch.PutFloats(in)
-	e.stats.addFFT(len(out))
-	return out
-}
-
-// zoneSplit runs one half of the zone recursion — the boundary-band subzone
-// of height hh and the exact FFT strip beside it — sequentially below
-// parCutoff. Above it the strip forks and the subzone recursion stays
-// inline, as in halfStepPar. h is the parent zone height (used only for the
-// cutoff decision); base/count describe the FFT staging window.
-func (e *glEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, count int) ([]float64, int, []float64) {
-	if h <= parCutoff {
-		z, nb := e.zone(read, d, bnd, hh)
-		return z, nb, e.zoneFFT(read, base, count, hh)
-	}
-	return e.zoneSplitPar(read, d, bnd, hh, base, count)
-}
-
-func (e *glEngine) zoneSplitPar(read func(int) float64, d, bnd, hh, base, count int) (z []float64, nb int, fftOut []float64) {
-	par.Do(
-		func() { fftOut = e.zoneFFT(read, base, count, hh) },
-		func() { z, nb = e.zone(read, d, bnd, hh) },
-	)
-	return z, nb, fftOut
-}
-
-// zoneNaive is the direct base case of zone: evolve the shrinking window
-// [bnd-2h+t, bnd+2h-t] step by step, tracking the boundary. The two window
-// buffers ping-pong from the scratch pool; the one not returned goes back.
-func (e *glEngine) zoneNaive(read func(int) float64, d, bnd, h int) ([]float64, int) {
-	lo, hi := bnd-2*h, bnd+2*h
-	cur := scratch.Floats(hi - lo + 1)
-	for j := lo; j <= hi; j++ {
-		cur[j-lo] = read(j)
-	}
-	spare := scratch.Floats(hi - lo + 1)
-	b := bnd
-	for t := 1; t <= h; t++ {
-		nlo, nhi := lo+1, hi-1
-		next := spare[:nhi-nlo+1]
-		newB := b - 1 // boundary moves left at most one per step
-		for j := nlo; j <= nhi; j++ {
-			lin := e.s.W[0]*cur[j-1-lo] + e.s.W[1]*cur[j-lo] + e.s.W[2]*cur[j+1-lo]
-			g := e.green(d+t, j)
-			if g > lin {
-				next[j-nlo] = g
-				if j > newB {
-					newB = j
-				}
-			} else {
-				next[j-nlo] = lin
-			}
-		}
-		e.stats.addNaive(nhi - nlo + 1)
-		cur, spare, lo, hi, b = next, cur, nlo, nhi, newB
-	}
-	scratch.PutFloats(spare)
-	return cur, b
+	lo, init, green := p.Lo0, p.Init, p.Green
+	v, bnd, err := SolveGreenLeftOneSided(&GreenLeftOneSided{
+		Stencil: linstencil.Stencil{MinOff: 0, W: p.Stencil.W},
+		T:       p.T,
+		Hi0:     p.Hi0 - lo,
+		Init:    func(c int) float64 { return init(c + lo) },
+		Green:   func(d, c int) float64 { return green(d, c+lo+d) },
+		// An all-green row may carry any Bnd0 >= Hi0; the one-sided
+		// problem only accepts up to its row end.
+		Bnd0:     min(max(p.Bnd0, lo-1), p.Hi0) - lo,
+		BaseCase: p.BaseCase,
+		MaxDrop:  2,
+		Cancel:   p.Cancel,
+	}, st)
+	return v, bnd + lo + p.T, err
 }

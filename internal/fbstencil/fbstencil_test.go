@@ -199,6 +199,61 @@ func TestGreenLeftBSMMatchesNaive(t *testing.T) {
 	}
 }
 
+// shiftGL moves a GreenLeft instance so its initial row starts at column lo.
+func shiftGL(p *GreenLeft, lo int) *GreenLeft {
+	q := *p
+	off := lo - p.Lo0
+	q.Lo0, q.Hi0, q.Bnd0 = p.Lo0+off, p.Hi0+off, p.Bnd0+off
+	q.Init = func(col int) float64 { return p.Init(col - off) }
+	q.Green = func(depth, col int) float64 { return p.Green(depth, col-off) }
+	return &q
+}
+
+// TestGreenLeftGeometry covers SolveGreenLeft's mapping onto depth-shifted
+// columns: initial rows starting left of, at and right of column 0, tiny
+// and large T, rows declared all red or all green, and a dividend yield
+// above the rate, each against the direct sweep.
+func TestGreenLeftGeometry(t *testing.T) {
+	atm := optParams{S: 100, K: 100, R: 0.05, V: 0.3, Y: 0.02, E: 1}
+	rows := []struct {
+		name  string
+		p     optParams
+		build func(*GreenLeft)
+	}{
+		{"mixed", atm, func(*GreenLeft) {}},
+		// Every initial cell declared red: the solver must classify the
+		// payoff's green prefix itself on its first step.
+		{"all red", atm, func(q *GreenLeft) { q.Bnd0 = q.Lo0 - 1 }},
+		// The whole initial row is the exercise value, declared green past
+		// the row end.
+		{"all green", optParams{S: 20, K: 300, R: 0.05, V: 0.2, Y: 0, E: 0.5}, func(q *GreenLeft) {
+			green := q.Green
+			q.Init = func(col int) float64 { return green(0, col) }
+			q.Bnd0 = q.Hi0 + 5
+		}},
+		{"Y > R", optParams{S: 100, K: 110, R: 0.01, V: 0.25, Y: 0.08, E: 2}, func(*GreenLeft) {}},
+	}
+	for _, T := range []int{1, 2, 3, 64, 333, 2000} {
+		for _, lo := range []int{0, -T, 17} {
+			for _, row := range rows {
+				prob := shiftGL(bsmProblem(row.p, T), lo)
+				row.build(prob)
+				fast, _, err := SolveGreenLeft(prob, nil)
+				if err != nil {
+					t.Fatalf("%s T=%d Lo0=%d: %v", row.name, T, lo, err)
+				}
+				naive, err := SolveGreenLeftNaive(prob)
+				if err != nil {
+					t.Fatalf("%s T=%d Lo0=%d: %v", row.name, T, lo, err)
+				}
+				if d := relDiff(fast, naive); d > 1e-10 {
+					t.Errorf("%s T=%d Lo0=%d: fast %.12g naive %.12g rel %g", row.name, T, lo, fast, naive, d)
+				}
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Structural lemmas verified empirically (Cor. 2.7, Cor. A.6, Thm 4.3).
 // ---------------------------------------------------------------------------

@@ -8,20 +8,24 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// This file extends the paper: a fast solver for one-sided stencils whose
-// green region lies on the LEFT — the structure of American PUTS under the
-// binomial and trinomial models, which the paper lists as future work. The
-// stencil's dependencies (offsets 0..r) point right, *away* from the green
-// zone, so every cell strictly right of the old boundary has an all-red
-// dependency cone whenever the boundary never moves right; one FFT then
-// covers everything beyond the old boundary and only a width-h band at the
-// boundary needs recursion.
+// This file holds the fast solver for one-sided stencils whose green region
+// lies on the LEFT. The stencil's dependencies (offsets 0..r) point right,
+// *away* from the green zone, so every cell strictly right of the old
+// boundary has an all-red dependency cone whenever the boundary never moves
+// right; one FFT then covers everything beyond the old boundary and only a
+// width-h band at the boundary needs recursion.
 //
-// The required structure (green-prefix contiguity; boundary non-increasing,
-// dropping at most one column per interior step) is NOT proven in the paper
-// for puts. GreenLeftOneSidedBoundaryTrace verifies it empirically on any
-// instance, and the package tests exercise it across broad random
-// parameters; the public API surfaces this solver as experimental.
+// It carries three instances. The paper's BSM American put (Section 4,
+// Figure 4b) becomes one in depth-shifted columns c' = c-d: the centered
+// stencil turns one-sided (offsets 0..2) and Theorem 4.3's unit leftward
+// boundary move turns into a drop of at most two per step (see GreenLeft).
+// The binomial and trinomial American puts, which the paper lists as future
+// work, are the other two; for them the required structure (green-prefix
+// contiguity; boundary non-increasing, dropping at most MaxDrop columns per
+// interior step) is NOT proven. GreenLeftOneSidedBoundaryTrace verifies it
+// empirically on any instance, and the package tests exercise it across
+// broad random parameters; the public API surfaces the lattice puts as
+// experimental.
 
 // GreenLeftOneSided describes a free-boundary problem with stencil offsets
 // 0..r and the green region on the left. Geometry matches GreenRight
@@ -134,7 +138,10 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 			scratch.PutFloats(seg)
 			return v, bnd, checkFinite(v)
 		}
-		h := min(remaining, (e.hi(d)-bnd)/e.r)
+		// Half the remaining depth at most: one trapezoid down to the apex
+		// makes the zone recursion cut ~25% more trapezoids (BSM put,
+		// T=65536) and costs more time than it saves in direct cells.
+		h := min(remaining/2, (e.hi(d)-bnd)/e.r)
 		if h < e.base {
 			old := seg
 			seg, bnd = e.naiveStep(seg, bnd, d)
@@ -146,7 +153,8 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		var zoneVals []float64
 		var newBnd int
 		var rightVals []float64
-		// As in SolveGreenLeft: fork the FFT, keep the zone recursion inline.
+		// The FFT forks and the zone recursion stays inline, so the FFT's
+		// token returns for the recursion's own forks.
 		par.Do(
 			func() {
 				// Everything right of the old boundary comes from one FFT:
@@ -376,47 +384,36 @@ func (e *glosEngine) zoneSplitPar(read func(int) float64, d, bnd, hh, base, coun
 	return z, nb, fftOut
 }
 
-// zoneNaive iterates the shrinking window [bnd-drop*h, bnd+r*(h-t)] directly.
-// The two window buffers ping-pong from the scratch pool.
+// zoneNaive iterates the shrinking window [bnd-drop*h, bnd+r*(h-t)] directly,
+// in place in one scratch buffer: each step is the linear step, then the
+// obstacle.
 func (e *glosEngine) zoneNaive(read func(int) float64, d, bnd, h int) ([]float64, int) {
 	lo, hi := bnd-e.drop*h, bnd+e.r*h
-	cur := scratch.Floats(hi - lo + 1)
+	row := scratch.Floats(hi - lo + 1)
 	for j := lo; j <= hi; j++ {
-		cur[j-lo] = read(j)
+		row[j-lo] = read(j)
 	}
-	spare := scratch.Floats(hi - lo + 1)
 	b := bnd
 	for t := 1; t <= h; t++ {
-		nhi := bnd + e.r*(h-t)
-		next := spare[:nhi-lo+1]
+		row = linstencil.Step(row, e.s) // now columns [lo, bnd+r*(h-t)]
 		// The boundary drops at most e.drop per interior step and is
 		// clamped at -1: columns below 0 are virtual filler (no real cell
 		// ever reads them, since dependencies point right) and must never
 		// be counted as green.
-		newB := b - e.drop
-		if newB < -1 {
-			newB = -1
-		}
-		for j := lo; j <= nhi; j++ {
-			var lin float64
-			for i, w := range e.s.W {
-				lin += w * cur[j+i-lo]
-			}
-			g := e.green(d+t, j)
-			if g > lin {
-				next[j-lo] = g
+		newB := max(b-e.drop, -1)
+		for i, lin := range row {
+			j := lo + i
+			if g := e.green(d+t, j); g > lin {
+				row[i] = g
 				if j >= 0 && j > newB {
 					newB = j
 				}
-			} else {
-				next[j-lo] = lin
 			}
 		}
-		e.stats.addNaive(nhi - lo + 1)
-		cur, spare, b = next, cur, newB
+		e.stats.addNaive(len(row))
+		b = newB
 	}
-	scratch.PutFloats(spare)
-	return cur[:e.drop*h+1], b
+	return row, b
 }
 
 // SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle.

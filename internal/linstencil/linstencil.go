@@ -199,16 +199,23 @@ func evolveConeNaive(cur []float64, s Stencil, k int) []float64 {
 	row := scratch.Floats(len(cur))
 	copy(row, cur)
 	for step := 0; step < k; step++ {
-		switch w := s.W; len(w) {
-		case 2:
-			row = step2(row, w[0], w[1])
-		case 3:
-			row = step3(row, w[0], w[1], w[2])
-		default:
-			row = stepW(row, w)
-		}
+		row = Step(row, s)
 	}
 	return row
+}
+
+// Step advances row one step of s in place and returns it shortened by
+// s.Span(): cell j becomes sum_i W[i]*row[j+i], summed in offset order, as
+// in the direct evolution.
+func Step(row []float64, s Stencil) []float64 {
+	switch w := s.W; len(w) {
+	case 2:
+		return step2(row, w[0], w[1])
+	case 3:
+		return step3(row, w[0], w[1], w[2])
+	default:
+		return stepW(row, w)
+	}
 }
 
 // stepW advances row one step in place and returns the shortened row. Each

@@ -41,8 +41,10 @@ func NaiveGL(h *cachesim.Hierarchy, s *GLSpec) float64 {
 	return cur.Get(0)
 }
 
-// FastGL replays the paper's FFT-based BSM solver (a serial mirror of
-// fbstencil.SolveGreenLeft) on traced memory.
+// FastGL replays the paper's FFT-based BSM solver serially on traced memory.
+// It keeps the centered indexing of the paper's Figure 4b for the Figure
+// 6/7/10 replays; the production solver (fbstencil.SolveGreenLeftOneSided
+// on depth-shifted columns c-d) cuts the same trapezoids up to that shift.
 func FastGL(h *cachesim.Hierarchy, s *GLSpec) float64 {
 	e := &glTrace{engine: newEngine(h), s: s, base: s.Base}
 	if e.base <= 0 {

@@ -357,6 +357,24 @@ func TestServerBackpressure(t *testing.T) {
 	}
 }
 
+// TestServerDeepOTMPutQuotes serves a put so far out of the money that its
+// solve used to come back a few ulps below zero, which the health gate
+// rejected: the quote must be healthy, not an error or a degraded serve.
+func TestServerDeepOTMPutQuotes(t *testing.T) {
+	put := Option{Type: Put, S: 400, K: 50, R: 0.03, V: 0.2, Y: 0.01, E: 1}
+	s, err := NewServer([]BookEntry{{Symbol: "OTM", Option: put, Model: BlackScholesFD, Config: Config{Steps: 4096}}}, ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.Quote(0)
+	if err != nil {
+		t.Fatalf("quote: %v", err)
+	}
+	if q.Degraded || q.Price < 0 {
+		t.Errorf("quote %+v: want a healthy non-negative price", q)
+	}
+}
+
 func TestServerPerContractErrors(t *testing.T) {
 	book := serveTestBook(256)
 	// An American call under the BSM grid is unpriceable (puts only); the
