@@ -30,6 +30,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTickMerge -fuzztime=10s ./cmd/amop-serve/
 	$(GO) test -run='^$$' -fuzz=FuzzForwardInverseRoundTrip -fuzztime=10s ./internal/fft/
 	$(GO) test -run='^$$' -fuzz=FuzzBSMPutFast -fuzztime=10s ./internal/bsm/
+	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/bopm/
+	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/topm/
 
 build:
 	$(GO) build ./...

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
 )
 
@@ -180,10 +181,16 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 // Every price is floored at 0. The exact discrete value is a non-negative
 // combination of non-negative payoffs, but far out of the money FFT
 // roundoff leaves it up to ~1e-10 below zero, which the serving health gate
-// would reject. NaN and -Inf pass through for the gate to catch.
+// would reject. A NaN or infinite price — a full-grid sweep at extreme
+// volatility overflows the top leaves to +Inf, and the linear step carries
+// them down to the apex — fails with an error wrapping
+// fbstencil.ErrNonFinite, whatever the algorithm.
 func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error) (float64, error) {
 	v, err := solveModel(o, m, cfg, cache, cancel)
-	if v < 0 && !math.IsInf(v, -1) {
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return v, fmt.Errorf("amop: %v %v under %v: %w (price=%v)", cfg.Algorithm, o.Type, m, fbstencil.ErrNonFinite, v)
+	}
+	if v < 0 {
 		v = 0
 	}
 	return v, err

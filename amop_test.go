@@ -1,10 +1,13 @@
 package amop
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"github.com/nlstencil/amop/internal/fbstencil"
 )
 
 func paperOption(t OptionType) Option {
@@ -137,6 +140,46 @@ func TestDeepOTMPricesNonNegative(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestExtremeVolCallPrices covers calls whose top leaves overflow float64.
+// The fast solver only ever reads those cells as the closed-form exercise
+// value, so its trinomial call stays finite and agrees with the binomial
+// one (whose leaves stay finite) within lattice drift. Any algorithm whose
+// sweep does carry the overflow down to the apex must say so with
+// ErrNonFinite instead of publishing +Inf.
+func TestExtremeVolCallPrices(t *testing.T) {
+	o := Option{Type: Call, S: 100, K: 100, R: 0.05, Y: 0.1, E: 1, V: 4}
+	cfg := Config{Steps: 16384}
+	tri, err := Price(o, Trinomial, cfg)
+	if err != nil {
+		t.Fatalf("trinomial fast: %v", err)
+	}
+	bin, err := Price(o, Binomial, cfg)
+	if err != nil {
+		t.Fatalf("binomial fast: %v", err)
+	}
+	if math.Abs(tri-bin) > 1e-5*bin {
+		t.Errorf("trinomial fast %.10g vs binomial fast %.10g", tri, bin)
+	}
+
+	// At V=16 the trinomial top leaf S*u^T = S*e^(16*sqrt(2*1000)) overflows
+	// already at T=1000, small enough for the full-grid sweeps.
+	o.V = 16
+	cfgs := []Config{{European: true}, {European: true, Algorithm: Naive}}
+	for _, alg := range []Algorithm{Fast, Naive, NaiveParallel, Tiled, Recursive} {
+		cfgs = append(cfgs, Config{Algorithm: alg})
+	}
+	for _, cfg := range cfgs {
+		cfg.Steps = 1000
+		v, err := Price(o, Trinomial, cfg)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			t.Errorf("%v european=%v: price %v with a nil error", cfg.Algorithm, cfg.European, v)
+		}
+		if err != nil && !errors.Is(err, fbstencil.ErrNonFinite) {
+			t.Errorf("%v european=%v: error %v does not wrap ErrNonFinite", cfg.Algorithm, cfg.European, err)
 		}
 	}
 }

@@ -139,13 +139,18 @@ func BenchmarkFig5cVanillaBsm(b *testing.B) {
 	}
 }
 
-// --- Lattice fast puts (extension beyond the paper) -------------------------
+// --- Lattice fast calls and puts --------------------------------------------
 
-// BenchmarkPriceFastPut times the binomial and trinomial fast American puts,
-// which run on the same green-left engine as the BSM put.
-func BenchmarkPriceFastPut(b *testing.B) {
-	type putModel interface{ PriceFastPut() (float64, error) }
-	for _, T := range []int{4000, 1 << 16} {
+// latticeFast is the fast-solver surface bopm.Model and topm.Model share.
+type latticeFast interface {
+	PriceFast() (float64, error)
+	PriceFastPut() (float64, error)
+}
+
+// benchLatticeFast times solve on the binomial and trinomial models at each
+// step count.
+func benchLatticeFast(b *testing.B, steps []int, solve func(latticeFast) (float64, error)) {
+	for _, T := range steps {
 		bm := mustBOPM(b, T)
 		tm, err := topm.New(option.Default(), T)
 		if err != nil {
@@ -153,18 +158,30 @@ func BenchmarkPriceFastPut(b *testing.B) {
 		}
 		for _, c := range []struct {
 			name string
-			m    putModel
+			m    latticeFast
 		}{{"bopm", bm}, {"topm", tm}} {
 			b.Run(c.name+"/T="+strconv.Itoa(T), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := c.m.PriceFastPut(); err != nil {
+					if _, err := solve(c.m); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+}
+
+// BenchmarkPriceFastCall times the binomial and trinomial fast American
+// calls, which run on the green-left engine in mirrored columns.
+func BenchmarkPriceFastCall(b *testing.B) {
+	benchLatticeFast(b, []int{333, 4000, 1 << 16}, latticeFast.PriceFast)
+}
+
+// BenchmarkPriceFastPut times the binomial and trinomial fast American puts
+// (an extension beyond the paper), which run on the same engine.
+func BenchmarkPriceFastPut(b *testing.B) {
+	benchLatticeFast(b, []int{4000, 1 << 16}, latticeFast.PriceFastPut)
 }
 
 // --- Table 5: scaling with worker count p ------------------------------------

@@ -43,6 +43,8 @@ func TestNewValidation(t *testing.T) {
 		{"nan rate", option.Params{S: 100, K: 100, R: math.NaN(), V: 0.2, Y: 0, E: 1}, 100},
 		// One huge drift step overwhelms the volatility: q > 1.
 		{"degenerate tree", option.Params{S: 100, K: 100, R: 3, V: 0.01, Y: 0, E: 1}, 1},
+		// u and the drift factor both overflow: q = Inf/Inf is NaN.
+		{"overflowed tree", option.Params{S: 8, K: 245, R: 91, V: 1082, Y: 15.6, E: 42}, 3},
 	}
 	for _, c := range cases {
 		if _, err := New(c.prm, c.steps); err == nil {

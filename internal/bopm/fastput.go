@@ -67,7 +67,7 @@ func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
 func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
 	tab := m.exerciseTable(option.Put)
 	defer scratch.PutFloats(tab)
-	prob := m.putProblem(m.tableGreen(option.Put, tab))
+	prob := m.putProblem(m.putGreen(tab))
 	prob.Cancel = cancel
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err

@@ -34,8 +34,9 @@ func TestExerciseTableParity(t *testing.T) {
 				continue // the tree is degenerate at this resolution
 			}
 			ran++
-			call := func(d, c int) float64 { return m.Exercise(option.Call, d, c) }
-			want, _, wantErr := fbstencil.SolveGreenRight(m.callProblem(call), nil)
+			// The call runs in mirrored columns; see callProblem.
+			call := func(d, c int) float64 { return m.Exercise(option.Call, d, m.T-d-c) }
+			want, _, wantErr := fbstencil.SolveGreenLeftOneSided(m.callProblem(call), nil)
 			got, gotErr := m.PriceFast()
 			checkParity(t, "call", p, T, got, want, gotErr, wantErr)
 

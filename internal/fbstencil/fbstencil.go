@@ -12,20 +12,27 @@
 // one cell per step and only in one direction (the paper's Corollary 2.7 for
 // BOPM, Corollary A.6 for TOPM, Theorem 4.3 for BSM).
 //
-// The solvers exploit that structure: large all-red trapezoids are advanced
+// The solver exploits that structure: large all-red trapezoids are advanced
 // many steps at once with one FFT-accelerated linear evolution
 // (linstencil.EvolveCone), while a geometrically shrinking band around the
 // unknown boundary is resolved recursively, giving O(T log^2 T) work and O(T)
 // span on a grid of size Theta(T) evolved for T steps.
 //
-// Two geometries are supported, matching the paper's three models:
+// There is one engine, SolveGreenLeftOneSided: a one-sided stencil (offsets
+// 0..r) whose green region lies on the left. The paper's three models reach
+// it by a change of columns:
 //
-//   - GreenRight (Section 2.3/3): one-sided stencil with offsets 0..r, green
-//     region on the right; used by BOPM (r=1) and TOPM (r=2) American calls.
-//   - GreenLeft centered (Section 4.3): 3-point stencil with offsets -1..1,
-//     green region on the left; the BSM American put. It is solved in
-//     depth-shifted columns, where it becomes a one-sided green-left problem
-//     (GreenLeftOneSided, the solver the lattice puts share).
+//   - GreenRight (Section 2.3/3): offsets 0..r with the green region on the
+//     right, the BOPM (r=1) and TOPM (r=2) American calls. In mirrored
+//     columns c' = (T-d)*r - c the green region lies on the left and the
+//     stencil keeps offsets 0..r with reversed weights.
+//   - GreenLeft (Section 4.3): a centered 3-point stencil with the green
+//     region on the left, the BSM American put. In depth-shifted columns
+//     c' = c - d it becomes one-sided with offsets 0..2.
+//
+// The pricing models build GreenLeftOneSided problems directly;
+// SolveGreenRight and SolveGreenLeft are the adapters for the stencil
+// package and the tests.
 package fbstencil
 
 import (
@@ -36,7 +43,6 @@ import (
 
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/par"
-	"github.com/nlstencil/amop/internal/scratch"
 )
 
 // ErrNonFinite is wrapped by the error a solve returns when its result is
@@ -105,9 +111,9 @@ func checkFinite(v float64) error {
 //
 //   - EvolveCone results, zone outputs, and naiveStep rows are owned by their
 //     caller, which recycles them after merging them into the next segment;
-//   - functions never recycle their *input* segment — inputs may be
+//   - functions never recycle or write their *input* window — inputs may be
 //     subslices of a buffer another parallel branch is still reading (see
-//     halfStep) — except for exactFirstStep, which by contract consumes it;
+//     zoneSplit) — except for exactFirstStep, which by contract consumes it;
 //   - buffers whose front gets trimmed (the boundary ate a prefix) lose
 //     their power-of-two capacity and are dropped by scratch.PutFloats
 //     automatically; correctness never depends on a Put succeeding.
@@ -117,8 +123,8 @@ func checkFinite(v float64) error {
 // performing best; our default is close and can be overridden per problem.
 const DefaultBaseCase = 8
 
-// parCutoff is the trapezoid height below which the FFT half and the
-// boundary-side recursion run sequentially instead of through par.Do: under
+// parCutoff is the zone height at or below which the FFT strip and the
+// boundary subzone run sequentially instead of through par.Do: under
 // ~this much work the fork-join costs more — goroutine spawn, plus the
 // closure and capture-box allocations the fork forces on every call — than
 // the parallelism returns. The deep, numerous small trapezoids all take the
@@ -160,16 +166,20 @@ func (s *Stats) addTrap() {
 type GreenFunc func(depth, col int) float64
 
 // ---------------------------------------------------------------------------
-// Green-right, one-sided stencils (BOPM and TOPM American calls).
+// Green-right, one-sided stencils (the paper's BOPM and TOPM American calls).
 // ---------------------------------------------------------------------------
 
 // GreenRight describes a free-boundary problem whose stencil has offsets
 // 0..r (deps point right at the previous depth) and whose green region lies
-// to the right of the red region in every row.
+// to the right of the red region in every row. After the first step the
+// boundary (the largest red column) never moves right and moves left by at
+// most r columns per step; the lattice calls move at most one (Corollaries
+// 2.7 and A.6).
 //
 // Grid geometry: depth 0 holds the initial row on columns [0, Hi0]; at depth
 // d the valid columns are [0, Hi0-d*r]. The answer is the value of the apex
-// cell (T, 0), which requires Hi0 >= T*r.
+// cell (T, 0), which requires Hi0 >= T*r. Init and Green are only evaluated
+// on that grid.
 type GreenRight struct {
 	Stencil linstencil.Stencil // MinOff must be 0
 	T       int                // number of steps
@@ -181,9 +191,8 @@ type GreenRight struct {
 	// Green(0, col).
 	Bnd0     int
 	BaseCase int // recursion cutoff; 0 means DefaultBaseCase
-	// Cancel, when non-nil, is polled at trapezoid granularity; the first
-	// non-nil error it returns unwinds the solve, and SolveGreenRight
-	// returns that error. Typically ctx.Err of a request context.
+	// Cancel, when non-nil, is polled at trapezoid granularity; see
+	// GreenLeftOneSided.Cancel.
 	Cancel func() error
 }
 
@@ -212,298 +221,38 @@ func (p *GreenRight) validate() error {
 	return nil
 }
 
-type grEngine struct {
-	s      linstencil.Stencil
-	r      int // span = max offset
-	hi0    int
-	green  GreenFunc
-	base   int
-	stats  *Stats
-	cancel func() error
-}
-
-// hi returns the last valid column at the given depth.
-func (e *grEngine) hi(depth int) int { return e.hi0 - depth*e.r }
-
-// SolveGreenRight runs the fast solver and returns the apex value (depth T,
-// column 0) together with the red/green boundary column of the final row
-// (-1 when the final row is entirely green). When p.Cancel reports an error
-// the solve stops within roughly one trapezoid of work and returns it; a
-// non-finite apex returns an ErrNonFinite-wrapped error.
-func SolveGreenRight(p *GreenRight, st *Stats) (price float64, boundary int, err error) {
+// SolveGreenRight solves p as a GreenLeftOneSided problem in mirrored
+// columns c' = (T-d)*r - c. The stencil keeps offsets 0..r with reversed
+// weights, and a boundary that never moves right and moves left by at most
+// r becomes a green boundary that never rises and drops by at most r. Only
+// the apex's cone, columns [0, T*r] of the initial row, is solved. It returns
+// the apex value and the largest red column of the final row (0, or -1 when
+// the apex is green). Cancellation and health semantics match
+// SolveGreenLeftOneSided.
+func SolveGreenRight(p *GreenRight, st *Stats) (float64, int, error) {
 	if err := p.validate(); err != nil {
 		return 0, 0, err
 	}
-	defer recoverCancel(&err)
-	e := &grEngine{s: p.Stencil, r: p.Stencil.Span(), hi0: p.Hi0, green: p.Green, base: p.BaseCase, stats: st, cancel: p.Cancel}
-	if e.base <= 0 {
-		e.base = DefaultBaseCase
+	T, r, init, green := p.T, p.Stencil.Span(), p.Init, p.Green
+	hi := T * r
+	w := make([]float64, r+1)
+	for i, wi := range p.Stencil.W {
+		w[r-i] = wi
 	}
-
-	bnd := min(p.Bnd0, p.Hi0)
-	var seg []float64 // red values, columns [0, bnd]
-	if bnd >= 0 {
-		seg = scratch.Floats(bnd + 1)
-		for j := range seg {
-			seg[j] = p.Init(j)
-		}
-	}
-	d := 0
-	if p.T >= 1 {
-		// The "boundary never moves right" guarantee (Cor. 2.7/A.6) only
-		// covers interior rows: on the initial row "red" means
-		// 0 >= exercise value, and with R > Y the red region genuinely
-		// widens once at depth 1 (Lemmas 2.3/2.4 need rows with real
-		// children). One exact full-width step establishes the true
-		// boundary; monotonicity holds from here on.
-		seg, bnd = e.exactFirstStep(seg, bnd)
-		d = 1
-	}
-	for d < p.T {
-		checkCancel(e.cancel)
-		if bnd < 0 {
-			// The whole row is green; since the boundary never moves right,
-			// every later row (and the apex) is green too. seg here is at
-			// most a zero-length stub, but its pooled backing array can be
-			// row-sized.
-			scratch.PutFloats(seg)
-			v := p.Green(p.T, 0)
-			return v, -1, checkFinite(v)
-		}
-		remaining := p.T - d
-		old := seg
-		h := min((bnd+1)/e.r, remaining)
-		if h >= e.base {
-			seg, bnd = e.solveTrap(seg, 0, bnd, d, h)
-			d += h
-		} else {
-			// Red strip too short for a trapezoid (or nearly done): one
-			// direct step. The strip has fewer than r*base red cells, so
-			// this is O(1) per step.
-			seg, bnd = e.naiveStep(seg, 0, bnd, d)
-			d++
-		}
-		scratch.PutFloats(old) // both paths return fresh rows, never aliases
-	}
-	if bnd < 0 {
-		scratch.PutFloats(seg)
-		v := p.Green(p.T, 0)
-		return v, -1, checkFinite(v)
-	}
-	apex := seg[0]
-	scratch.PutFloats(seg)
-	return apex, bnd, checkFinite(apex)
-}
-
-// exactFirstStep advances the initial row to depth 1 across the full cone
-// width, classifying every cell, and returns the depth-1 red prefix and its
-// exact boundary. Cost O(Hi0), paid once per solve. It consumes (recycles)
-// its input segment.
-func (e *grEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
-	defer scratch.PutFloats(seg)
-	read := e.readRow(seg, 0, bnd, 0)
-	hi1 := e.hi(1)
-	if hi1 < 0 {
-		return nil, -1
-	}
-	vals := scratch.Floats(hi1 + 1)
-	red := make([]bool, hi1+1)
-	par.For(hi1+1, 512, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var lin float64
-			for i, w := range e.s.W {
-				lin += w * read(j+i)
-			}
-			g := e.green(1, j)
-			if lin >= g {
-				vals[j] = lin
-				red[j] = true
-			} else {
-				vals[j] = g
-			}
-		}
-	})
-	e.stats.addNaive(hi1 + 1)
-	newBnd := -1
-	for j := hi1; j >= 0; j-- {
-		if red[j] {
-			newBnd = j
-			break
-		}
-	}
-	return vals[:newBnd+1], newBnd
-}
-
-// readRow returns an accessor for a row at the given depth whose red values
-// [c0, bnd] are stored in seg; anything right of bnd is green closed form.
-func (e *grEngine) readRow(seg []float64, c0, bnd, depth int) func(col int) float64 {
-	return func(col int) float64 {
-		if col <= bnd {
-			return seg[col-c0]
-		}
-		return e.green(depth, col)
-	}
-}
-
-// at is readRow without the closure: naiveStep runs once per direct step, and
-// a per-call closure allocation there is pure overhead.
-func (e *grEngine) at(seg []float64, c0, bnd, depth, col int) float64 {
-	if col <= bnd {
-		return seg[col-c0]
-	}
-	return e.green(depth, col)
-}
-
-// naiveStep advances the red segment [c0, bnd] at depth d by one step,
-// returning the red segment at depth d+1 (still starting at c0) and the new
-// boundary. The candidate red region never extends beyond min(bnd, hi(d+1)).
-func (e *grEngine) naiveStep(seg []float64, c0, bnd, d int) ([]float64, int) {
-	cap1 := min(bnd, e.hi(d+1))
-	if cap1 < c0 {
-		return nil, c0 - 1
-	}
-	return e.stepInto(scratch.Floats(cap1-c0+1), seg, c0, bnd, d)
-}
-
-// stepInto is naiveStep writing the new row into dst, which must hold at
-// least min(bnd, hi(d+1))-c0+1 cells.
-func (e *grEngine) stepInto(dst, seg []float64, c0, bnd, d int) ([]float64, int) {
-	cap1 := min(bnd, e.hi(d+1))
-	if cap1 < c0 {
-		return dst[:0], c0 - 1
-	}
-	next := dst[:cap1-c0+1]
-	newBnd := c0 - 1
-	for j := c0; j <= cap1; j++ {
-		var lin float64
-		for i, w := range e.s.W {
-			lin += w * e.at(seg, c0, bnd, d, j+i)
-		}
-		g := e.green(d+1, j)
-		if lin >= g {
-			next[j-c0] = lin
-			newBnd = j
-		} else {
-			next[j-c0] = g
-		}
-	}
-	e.stats.addNaive(cap1 - c0 + 1)
-	// Red cells are a prefix by Cor. 2.7/A.6; trim storage to it.
-	if newBnd < cap1 {
-		next = next[:max(newBnd-c0+1, 0)]
-	}
-	return next, newBnd
-}
-
-// naiveBlock advances the red segment h steps with the direct loop. The
-// input segment is the caller's (possibly a shared subslice). Rows never
-// widen, so two buffers sized for the first step ping-pong for the rest;
-// the one not returned goes back to the pool.
-func (e *grEngine) naiveBlock(seg []float64, c0, bnd, d, h int) ([]float64, int) {
-	n := min(bnd, e.hi(d+1)) - c0 + 1
-	if n <= 0 {
-		return nil, c0 - 1
-	}
-	cur := scratch.Floats(n)
-	spare := scratch.Floats(n)
-	for t := 0; t < h; t++ {
-		seg, bnd = e.stepInto(cur, seg, c0, bnd, d+t)
-		if bnd < c0 {
-			scratch.PutFloats(cur)
-			scratch.PutFloats(spare)
-			return nil, bnd
-		}
-		cur, spare = spare, cur
-	}
-	scratch.PutFloats(cur)
-	return seg, bnd
-}
-
-// solveTrap solves one trapezoid: given the red values seg on [c0, bnd] at
-// depth d with bnd-c0+1 >= r*h, it returns the red values [c0, newBnd] and
-// newBnd at depth d+h. The FFT half and the boundary-side recursion run in
-// parallel, matching the paper's span analysis (Theorem 2.8).
-func (e *grEngine) solveTrap(seg []float64, c0, bnd, d, h int) ([]float64, int) {
-	checkCancel(e.cancel)
-	e.stats.addTrap()
-	if h <= e.base {
-		return e.naiveBlock(seg, c0, bnd, d, h)
-	}
-	h1 := (h + 1) / 2
-	h2 := h - h1
-
-	mid, midBnd := e.halfStep(seg, c0, bnd, d, h1)
-	if midBnd < c0 {
-		return nil, midBnd
-	}
-	var out []float64
-	var outBnd int
-	// Defensive: theory guarantees midBnd >= bnd-h1, so the invariant
-	// (red count >= r*h2) holds; fall back to the always-correct direct
-	// loop if floating-point ties ever break it.
-	if midBnd-c0+1 < e.r*h2 {
-		out, outBnd = e.naiveBlock(mid, c0, midBnd, d+h1, h2)
-	} else {
-		out, outBnd = e.halfStep(mid, c0, midBnd, d+h1, h2)
-	}
-	scratch.PutFloats(mid)
-	return out, outBnd
-}
-
-// halfStep advances the red segment [c0, bnd] at depth d by k steps, where
-// the caller guarantees bnd-c0+1 >= r*k: the columns [c0, bnd-r*k] come from
-// one FFT evolution (they are guaranteed red and their dependency cones are
-// all red), the rest from a recursive trapezoid of height k anchored at the
-// boundary. Below parCutoff the two halves run sequentially; above it they
-// fork, matching the paper's span analysis (Theorem 2.8).
-func (e *grEngine) halfStep(seg []float64, c0, bnd, d, k int) ([]float64, int) {
-	cut := bnd - e.r*k // last FFT-exact column at depth d+k
-	var left []float64
-	var right []float64
-	var rightBnd int
-	if k <= parCutoff {
-		if cut >= c0 {
-			left, _ = linstencil.EvolveCone(seg[:bnd-c0+1], e.s, k)
-			e.stats.addFFT(len(left))
-		}
-		right, rightBnd = e.solveTrap(seg[cut+1-c0:], cut+1, bnd, d, k)
-	} else {
-		left, right, rightBnd = e.halfStepPar(seg, c0, bnd, d, k, cut)
-	}
-	if rightBnd <= cut {
-		// Boundary consumed the whole recursive part; red region is just
-		// the FFT prefix (possibly trimmed if the boundary moved past cut,
-		// which theory forbids — keep the exact cells we have).
-		scratch.PutFloats(right) // at most a zero-length stub
-		if cut < c0 {
-			scratch.PutFloats(left)
-			return nil, c0 - 1
-		}
-		return left, cut
-	}
-	merged := scratch.Floats(rightBnd - c0 + 1)
-	copy(merged, left)
-	copy(merged[cut+1-c0:], right)
-	scratch.PutFloats(left)
-	scratch.PutFloats(right)
-	return merged, rightBnd
-}
-
-// halfStepPar is halfStep's fork: isolated in its own function so the serial
-// path never pays for the closures' capture boxes.
-func (e *grEngine) halfStepPar(seg []float64, c0, bnd, d, k, cut int) (left, right []float64, rightBnd int) {
-	par.Do(
-		func() {
-			if cut >= c0 {
-				left, _ = linstencil.EvolveCone(seg[:bnd-c0+1], e.s, k)
-				e.stats.addFFT(len(left))
-			}
-		},
-		func() {
-			right, rightBnd = e.solveTrap(seg[cut+1-c0:], cut+1, bnd, d, k)
-		},
-	)
-	return left, right, rightBnd
+	v, b, err := SolveGreenLeftOneSided(&GreenLeftOneSided{
+		Stencil: linstencil.Stencil{MinOff: 0, W: w},
+		T:       T,
+		Hi0:     hi,
+		Init:    func(c int) float64 { return init(hi - c) },
+		// Virtual columns c' < 0 lie off the grid and never reach a real
+		// cell; clamp them onto the row's last column.
+		Green:    func(d, c int) float64 { return green(d, (T-d)*r-max(c, 0)) },
+		Bnd0:     hi - min(p.Bnd0, hi) - 1,
+		BaseCase: p.BaseCase,
+		MaxDrop:  r,
+		Cancel:   p.Cancel,
+	}, st)
+	return v, max(-b-1, -1), err
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package fbstencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,6 +91,60 @@ func topmProblem(p optParams, T int) *GreenRight {
 		Init:    func(col int) float64 { return math.Max(0, green(0, col)) },
 		Green:   green,
 		Bnd0:    bnd0,
+	}
+}
+
+// spanProblem builds an American call on a lattice of span r: each step is r
+// binomial substeps of factor sqrt(x) up or down, collapsed into one stencil
+// with binomial(r, q) weights. r=1 is the binomial tree, r=2 a trinomial
+// one; r=3 exercises a span the pricing models do not.
+func spanProblem(p optParams, T, r int) *GreenRight {
+	dt := p.E / float64(T)
+	lnx := 2 * p.V * math.Sqrt(dt/float64(r)) // ln x; a substep moves by sqrt(x)
+	sq := math.Exp(lnx / 2)
+	q := (math.Exp((p.R-p.Y)*dt/float64(r)) - 1/sq) / (sq - 1/sq)
+	disc := math.Exp(-p.R * dt)
+	w := make([]float64, r+1)
+	for k := range w {
+		binom := 1.0
+		for i := 0; i < k; i++ {
+			binom = binom * float64(r-i) / float64(i+1)
+		}
+		w[k] = disc * binom * math.Pow(q, float64(k)) * math.Pow(1-q, float64(r-k))
+	}
+	green := func(depth, col int) float64 {
+		return p.S*math.Exp((float64(col)+float64(r*(depth-T))/2)*lnx) - p.K
+	}
+	bnd0 := -1
+	for bnd0 < T*r && green(0, bnd0+1) <= 0 {
+		bnd0++
+	}
+	return &GreenRight{
+		Stencil: linstencil.Stencil{MinOff: 0, W: w},
+		T:       T,
+		Hi0:     T * r,
+		Init:    func(col int) float64 { return math.Max(0, green(0, col)) },
+		Green:   green,
+		Bnd0:    bnd0,
+	}
+}
+
+// strictGrid makes Init and Green panic off the documented grid: Init on
+// [0, Hi0], Green at depths [0, T] on columns [0, Hi0-d*r].
+func strictGrid(q *GreenRight) {
+	init, green := q.Init, q.Green
+	T, hi0, r := q.T, q.Hi0, q.Stencil.Span()
+	q.Init = func(col int) float64 {
+		if col < 0 || col > hi0 {
+			panic(fmt.Sprintf("Init(%d) off the grid [0, %d]", col, hi0))
+		}
+		return init(col)
+	}
+	q.Green = func(depth, col int) float64 {
+		if depth < 0 || depth > T || col < 0 || col > hi0-depth*r {
+			panic(fmt.Sprintf("Green(%d, %d) off the grid (T=%d, Hi0=%d, r=%d)", depth, col, T, hi0, r))
+		}
+		return green(depth, col)
 	}
 }
 
@@ -195,6 +250,56 @@ func TestGreenLeftBSMMatchesNaive(t *testing.T) {
 		if d := relDiff(fast, naive); d > 1e-10 {
 			t.Errorf("trial %d (T=%d, params %+v): fast %.12g naive %.12g rel %g",
 				trial, T, p, fast, naive, d)
+		}
+	}
+}
+
+// TestGreenRightGeometry covers SolveGreenRight's mapping onto mirrored
+// columns against the direct sweep: spans 1 to 3, initial rows wider than
+// the apex's cone, Bnd0 declared all green (-1), all red (Hi0) and past the
+// cone, a dividend yield above the rate, and T from 0 to 2000. Init and
+// Green panic off the documented grid.
+func TestGreenRightGeometry(t *testing.T) {
+	atm := optParams{S: 100, K: 100, R: 0.05, V: 0.3, Y: 0.02, E: 1}
+	rows := []struct {
+		name  string
+		p     optParams
+		build func(*GreenRight)
+	}{
+		{"mixed", atm, func(*GreenRight) {}},
+		// Cells right of the apex's cone exist but cannot reach it.
+		{"wide row", atm, func(q *GreenRight) { q.Hi0 += 7 }},
+		// Every initial cell declared red: the solver must classify the
+		// payoff's green suffix itself on its first step.
+		{"all red", atm, func(q *GreenRight) { q.Bnd0 = q.Hi0 }},
+		{"red past the cone", atm, func(q *GreenRight) { q.Hi0 += 7; q.Bnd0 = q.Hi0 - 2 }},
+		// The whole initial row is the exercise value, declared green.
+		{"all green", optParams{S: 400, K: 10, R: 0.001, V: 0.1, Y: 0.5, E: 2}, func(q *GreenRight) {
+			green := q.Green
+			q.Init = func(col int) float64 { return green(0, col) }
+			q.Bnd0 = -1
+		}},
+		{"Y > R", optParams{S: 100, K: 90, R: 0.01, V: 0.25, Y: 0.08, E: 2}, func(*GreenRight) {}},
+	}
+	for _, T := range []int{0, 1, 2, 3, 64, 333, 2000} {
+		for r := 1; r <= 3; r++ {
+			for _, row := range rows {
+				prob := spanProblem(row.p, max(T, 1), r)
+				prob.T = T
+				row.build(prob)
+				strictGrid(prob)
+				fast, _, err := SolveGreenRight(prob, nil)
+				if err != nil {
+					t.Fatalf("%s T=%d r=%d: %v", row.name, T, r, err)
+				}
+				naive, err := SolveGreenRightNaive(prob)
+				if err != nil {
+					t.Fatalf("%s T=%d r=%d: %v", row.name, T, r, err)
+				}
+				if d := relDiff(fast, naive); d > 1e-10 {
+					t.Errorf("%s T=%d r=%d: fast %.12g naive %.12g rel %g", row.name, T, r, fast, naive, d)
+				}
+			}
 		}
 	}
 }
@@ -331,7 +436,7 @@ func TestGreenRightAllGreen(t *testing.T) {
 	p := optParams{S: 400, K: 10, R: 0.001, V: 0.1, Y: 0.5, E: 2}
 	T := 300
 	prob := bopmProblem(p, T)
-	fast, _, err := SolveGreenRight(prob, nil)
+	fast, bnd, err := SolveGreenRight(prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +446,9 @@ func TestGreenRightAllGreen(t *testing.T) {
 	}
 	if d := relDiff(fast, naive); d > 1e-10 {
 		t.Errorf("all-green: fast %.12g naive %.12g", fast, naive)
+	}
+	if bnd != -1 {
+		t.Errorf("all-green final boundary = %d, want -1", bnd)
 	}
 	if want := p.S - p.K; relDiff(fast, want) > 1e-9 {
 		t.Errorf("deep ITM immediate exercise: got %.12g want %.12g", fast, want)

@@ -15,17 +15,26 @@ import (
 // right; one FFT then covers everything beyond the old boundary and only a
 // width-h band at the boundary needs recursion.
 //
-// It carries three instances. The paper's BSM American put (Section 4,
-// Figure 4b) becomes one in depth-shifted columns c' = c-d: the centered
-// stencil turns one-sided (offsets 0..2) and Theorem 4.3's unit leftward
-// boundary move turns into a drop of at most two per step (see GreenLeft).
-// The binomial and trinomial American puts, which the paper lists as future
-// work, are the other two; for them the required structure (green-prefix
-// contiguity; boundary non-increasing, dropping at most MaxDrop columns per
-// interior step) is NOT proven. GreenLeftOneSidedBoundaryTrace verifies it
+// It carries five instances. Three are the paper's: the BSM American put
+// (Section 4, Figure 4b) in depth-shifted columns c' = c-d, where the
+// centered stencil turns one-sided (offsets 0..2) and Theorem 4.3's unit
+// leftward boundary move turns into a drop of at most two per step (see
+// GreenLeft); and the BOPM and TOPM American calls in mirrored columns
+// c' = (T-d)*r - c, where their green-right boundary (Corollaries 2.7 and
+// A.6: never right, at most one left) never rises and drops at most r per
+// step (see GreenRight). For these the structure is proven. The binomial
+// and trinomial American puts, which the paper lists as future work, are
+// the other two; for them the required structure (green-prefix contiguity;
+// boundary non-increasing, dropping at most MaxDrop columns per interior
+// step) is NOT proven. GreenLeftOneSidedBoundaryTrace verifies it
 // empirically on any instance, and the package tests exercise it across
 // broad random parameters; the public API surfaces the lattice puts as
 // experimental.
+//
+// The solver works on contiguous slices: a zone receives its window of the
+// row as one slice and hands subslices of it straight to the FFT. Besides
+// the obstacle test of each computed cell, the closed form is read only to
+// fill the green cells at or left of a boundary.
 
 // GreenLeftOneSided describes a free-boundary problem with stencil offsets
 // 0..r and the green region on the left. Geometry matches GreenRight
@@ -42,11 +51,13 @@ type GreenLeftOneSided struct {
 	Bnd0     int
 	BaseCase int
 	// MaxDrop bounds how many columns the boundary can move left per
-	// interior step (0 means 1). Binomial puts satisfy 1; trinomial puts 2
-	// (one from the grid's per-step price drift plus the boundary's own).
+	// interior step (0 means 1). Binomial puts satisfy 1; trinomial puts
+	// and the BSM put 2 (one from the grid's per-step drift plus the
+	// boundary's own); the mirrored lattice calls r, the stencil's span.
 	MaxDrop int
-	// Cancel, when non-nil, is polled at trapezoid granularity; see
-	// GreenRight.Cancel.
+	// Cancel, when non-nil, is polled at trapezoid granularity; the first
+	// non-nil error it returns unwinds the solve, and the solver returns
+	// that error. Typically ctx.Err of a request context.
 	Cancel func() error
 }
 
@@ -88,9 +99,18 @@ type glosEngine struct {
 
 func (e *glosEngine) hi(depth int) int { return e.hi0 - depth*e.r }
 
+// fillGreen writes the closed form of the row at depth on columns
+// [lo, lo+len(dst)) into dst.
+func (e *glosEngine) fillGreen(dst []float64, depth, lo int) {
+	for i := range dst {
+		dst[i] = e.green(depth, lo+i)
+	}
+}
+
 // SolveGreenLeftOneSided runs the fast solver and returns the apex value
-// (depth T, column 0) and the final boundary. Cancellation and health
-// semantics match SolveGreenRight.
+// (depth T, column 0) and the final boundary. When p.Cancel reports an error
+// the solve stops within roughly one trapezoid of work and returns it; a
+// non-finite apex returns an ErrNonFinite-wrapped error.
 func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, boundary int, err error) {
 	if err := p.validate(); err != nil {
 		return 0, 0, err
@@ -113,9 +133,11 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 
 	d := 0
 	if p.T >= 1 {
-		// Same leaf-row exemption as the other solvers: the payoff-based
-		// leaf boundary can jump at the first interior step; one exact
-		// full-width step establishes the true one.
+		// The monotone-boundary structure only covers interior rows: the
+		// payoff-based leaf boundary can jump at the first step (for calls
+		// the red region widens once when R > Y; for puts the green one can
+		// fall to ~ln(R/Y) when Y > R). One exact full-width step
+		// establishes the true boundary.
 		seg, bnd = e.exactFirstStep(seg, bnd)
 		d = 1
 	}
@@ -149,35 +171,25 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 			d++
 			continue
 		}
-		read := e.readRow(seg, bnd, d)
-		var zoneVals []float64
-		var newBnd int
-		var rightVals []float64
-		// The FFT forks and the zone recursion stays inline, so the FFT's
-		// token returns for the recursion's own forks.
-		par.Do(
-			func() {
-				// Everything right of the old boundary comes from one FFT:
-				// the one-sided cone never reaches left into the green.
-				if len(seg)-e.r*h > 0 {
-					rightVals, _ = linstencil.EvolveCone(seg, e.s, h)
-					e.stats.addFFT(len(rightVals))
-				}
-			},
-			func() { zoneVals, newBnd = e.zone(read, d, bnd, h) },
-		)
-		// zoneVals covers [bnd-drop*h, bnd] at depth d+h; rightVals covers
+		// The zone's window [bnd-drop*h, bnd+r*h]: closed form up to the
+		// boundary, stored red values beyond it. Everything right of the
+		// old boundary comes from one FFT of seg: the one-sided cone never
+		// reaches left into the green.
+		dh := e.drop * h
+		win := scratch.Floats(dh + e.r*h + 1)
+		e.fillGreen(win[:dh+1], d, bnd-dh)
+		copy(win[dh+1:], seg)
+		red, newBnd, right := e.zoneSplit(win, d, bnd, h, h, seg)
+		scratch.PutFloats(win)
+		// red covers (newBnd, bnd] at depth d+h; right covers
 		// (bnd, hi(d)-r*h].
-		newHi := e.hi(d + h)
-		newSeg := scratch.Floats(newHi - newBnd)
-		for j := newBnd + 1; j <= bnd; j++ {
-			newSeg[j-newBnd-1] = zoneVals[j-(bnd-e.drop*h)]
-		}
-		copy(newSeg[bnd-newBnd:], rightVals)
-		scratch.PutFloats(zoneVals)
-		scratch.PutFloats(rightVals)
+		next := scratch.Floats(e.hi(d+h) - newBnd)
+		copy(next, red)
+		copy(next[len(red):], right)
+		scratch.PutFloats(red)
+		scratch.PutFloats(right)
 		scratch.PutFloats(seg)
-		seg, bnd = newSeg, newBnd
+		seg, bnd = next, newBnd
 		d += h
 	}
 	if bnd >= 0 {
@@ -191,33 +203,22 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 	return v, bnd, checkFinite(v)
 }
 
-// readRow gives row access at the stated depth: stored red right of bnd,
-// exact green closed form at or left of it (valid arbitrarily far left).
-func (e *glosEngine) readRow(seg []float64, bnd, depth int) func(col int) float64 {
-	return func(col int) float64 {
-		if col > bnd {
-			return seg[col-bnd-1]
-		}
-		return e.green(depth, col)
-	}
-}
-
 // exactFirstStep computes the full depth-1 row and its exact boundary. It
 // consumes (recycles) its input segment.
 func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
-	defer scratch.PutFloats(seg)
-	read := e.readRow(seg, bnd, 0)
+	row := scratch.Floats(e.hi0 + 1)
+	e.fillGreen(row[:bnd+1], 0, 0)
+	copy(row[bnd+1:], seg)
+	scratch.PutFloats(seg)
+	defer scratch.PutFloats(row)
 	hi1 := e.hi(1)
-	if hi1 < 0 {
-		return nil, -1
-	}
 	vals := scratch.Floats(hi1 + 1)
 	isGreen := make([]bool, hi1+1)
 	par.For(hi1+1, 512, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			var lin float64
 			for i, w := range e.s.W {
-				lin += w * read(j+i)
+				lin += w * row[j+i]
 			}
 			g := e.green(1, j)
 			if g > lin {
@@ -236,10 +237,16 @@ func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
 			break
 		}
 	}
-	return vals[newBnd+1:], newBnd
+	// Copy the red suffix out: a front-trimmed buffer could not go back to
+	// its pool, and this one is row-sized.
+	seg = scratch.Floats(hi1 - newBnd)
+	copy(seg, vals[newBnd+1:])
+	scratch.PutFloats(vals)
+	return seg, newBnd
 }
 
-// at is readRow without the closure, for the per-step direct loop.
+// at reads column col of the row at depth: stored red right of bnd, exact
+// green closed form at or left of it (valid arbitrarily far left).
 func (e *glosEngine) at(seg []float64, bnd, depth, col int) float64 {
 	if col > bnd {
 		return seg[col-bnd-1]
@@ -283,137 +290,126 @@ func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
 	return next, newBnd
 }
 
-// zone resolves the boundary band: given read access to the row at depth d
-// on columns [bnd-drop*h, bnd+r*h], it returns values on [bnd-drop*h, bnd]
-// at depth d+h and the new boundary.
-func (e *glosEngine) zone(read func(int) float64, d, bnd, h int) ([]float64, int) {
+// zone resolves the boundary band: given win, the row at depth d on columns
+// [bnd-drop*h, bnd+r*h], it returns the red cells (newBnd, bnd] at depth d+h
+// and the new boundary newBnd. Every cell at or left of newBnd is green, so
+// the caller rebuilds it from the closed form.
+func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	checkCancel(e.cancel)
 	e.stats.addTrap()
 	if bnd < 0 {
-		// No green cells remain, so the whole band consists of virtual
-		// columns; return closed-form filler (never read by any real cell)
-		// and keep the boundary dead.
-		out := scratch.Floats(e.drop*h + 1)
-		for i := range out {
-			out[i] = e.green(d+h, bnd-e.drop*h+i)
-		}
-		return out, -1
+		// No green cells remain and the band holds no red cell of its own.
+		return nil, -1
 	}
 	if h <= e.base {
-		return e.zoneNaive(read, d, bnd, h)
+		return e.zoneNaive(win, d, bnd, h)
 	}
 	h1 := (h + 1) / 2
 	h2 := h - h1
-	r := e.r
+	r, dh, dh1, dh2 := e.r, e.drop*h, e.drop*h1, e.drop*h2
 
-	// First half: the boundary subzone and cells (bnd, bnd+r*h2] at depth
-	// d+h1 from base columns (bnd, bnd+r*h].
-	zoneA, midBnd, midRight := e.zoneSplit(read, d, bnd, h, h1, bnd+1, r*h)
-	midRead := func(col int) float64 {
-		switch {
-		case col <= midBnd:
-			return e.green(d+h1, col)
-		case col <= bnd:
-			return zoneA[col-(bnd-e.drop*h1)]
-		default:
-			return midRight[col-(bnd+1)]
-		}
-	}
+	// First half: the boundary subzone on [bnd-drop*h1, bnd+r*h1], and the
+	// cells (bnd, bnd+r*h2] at depth d+h1 from base columns (bnd, bnd+r*h].
+	redA, midBnd, rightA := e.zoneSplit(win[dh-dh1:dh+r*h1+1], d, bnd, h, h1, win[dh+1:])
+
+	// The row at depth d+h1 on [midBnd-drop*h2, bnd+r*h2].
+	mid := scratch.Floats(dh2 + 1 + len(redA) + len(rightA))
+	e.fillGreen(mid[:dh2+1], d+h1, midBnd-dh2)
+	copy(mid[dh2+1:], redA)
+	copy(mid[dh2+1+len(redA):], rightA)
+	scratch.PutFloats(redA)
+	scratch.PutFloats(rightA)
 
 	// Second half: cells (midBnd, bnd] at depth d+h from mid columns
-	// (midBnd, bnd+r*h2]. The FFT strip is empty when the boundary did not
+	// (midBnd, bnd+r*h2]. That strip is empty when the boundary did not
 	// move in the first half (midBnd == bnd).
-	fftCount := 0
-	if midBnd < bnd {
-		fftCount = bnd + r*h2 - midBnd
-	}
-	zoneB, newBnd, botRight := e.zoneSplit(midRead, d+h1, midBnd, h, h2, midBnd+1, fftCount)
-	scratch.PutFloats(zoneA)
-	scratch.PutFloats(midRight)
+	redB, newBnd, rightB := e.zoneSplit(mid[:dh2+r*h2+1], d+h1, midBnd, h, h2, mid[dh2+1:])
+	scratch.PutFloats(mid)
 
-	lo := bnd - e.drop*h
-	out := scratch.Floats(e.drop*h + 1) // columns [bnd-drop*h, bnd]
-	for j := lo; j <= bnd; j++ {
-		switch {
-		case j <= newBnd:
-			out[j-lo] = e.green(d+h, j)
-		case j <= midBnd:
-			out[j-lo] = zoneB[j-(midBnd-e.drop*h2)]
-		default:
-			out[j-lo] = botRight[j-(midBnd+1)]
-		}
-	}
-	scratch.PutFloats(zoneB)
-	scratch.PutFloats(botRight)
+	out := scratch.Floats(len(redB) + len(rightB))
+	copy(out, redB)
+	copy(out[len(redB):], rightB)
+	scratch.PutFloats(redB)
+	scratch.PutFloats(rightB)
 	return out, newBnd
 }
 
-// zoneFFT evolves the window [base, base+count) by steps with one staged FFT
-// call; a zero count returns nil (the strip is empty).
-func (e *glosEngine) zoneFFT(read func(int) float64, base, count, steps int) []float64 {
-	if count <= 0 {
+// evolve advances the all-red strip by steps with one FFT evolution; a
+// strip too short to leave any exact cell returns nil.
+func (e *glosEngine) evolve(strip []float64, steps int) []float64 {
+	if len(strip) <= e.r*steps {
 		return nil
 	}
-	in := scratch.Floats(count)
-	for j := 0; j < count; j++ {
-		in[j] = read(base + j)
-	}
-	out, _ := linstencil.EvolveCone(in, e.s, steps)
-	scratch.PutFloats(in)
+	out, _ := linstencil.EvolveCone(strip, e.s, steps)
 	e.stats.addFFT(len(out))
 	return out
 }
 
-// zoneSplit runs one half of the zone recursion — the boundary subzone of
-// height hh and the exact FFT strip beside it — sequentially below parCutoff.
-// Above it the strip forks and the subzone stays inline. h is the parent
-// zone height (cutoff decision only).
-func (e *glosEngine) zoneSplit(read func(int) float64, d, bnd, h, hh, base, count int) ([]float64, int, []float64) {
+// zoneSplit runs the boundary subzone of height hh on win beside the FFT
+// evolution of strip: sequentially when the parent height h is at most
+// parCutoff, else with the strip forked and the subzone inline, so the
+// FFT's token returns for the subzone's own forks.
+func (e *glosEngine) zoneSplit(win []float64, d, bnd, h, hh int, strip []float64) ([]float64, int, []float64) {
 	if h <= parCutoff {
-		z, nb := e.zone(read, d, bnd, hh)
-		return z, nb, e.zoneFFT(read, base, count, hh)
+		red, nb := e.zone(win, d, bnd, hh)
+		return red, nb, e.evolve(strip, hh)
 	}
-	return e.zoneSplitPar(read, d, bnd, hh, base, count)
+	return e.zoneSplitPar(win, d, bnd, hh, strip)
 }
 
-func (e *glosEngine) zoneSplitPar(read func(int) float64, d, bnd, hh, base, count int) (z []float64, nb int, fftOut []float64) {
+// zoneSplitPar is zoneSplit's fork, in its own function so the serial path
+// never pays for the closures; the results share one capture box.
+func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64) ([]float64, int, []float64) {
+	var res struct {
+		red, right []float64
+		nb         int
+	}
 	par.Do(
-		func() { fftOut = e.zoneFFT(read, base, count, hh) },
-		func() { z, nb = e.zone(read, d, bnd, hh) },
+		func() { res.right = e.evolve(strip, hh) },
+		func() { res.red, res.nb = e.zone(win, d, bnd, hh) },
 	)
-	return z, nb, fftOut
+	return res.red, res.nb, res.right
 }
 
-// zoneNaive iterates the shrinking window [bnd-drop*h, bnd+r*(h-t)] directly,
-// in place in one scratch buffer: each step is the linear step, then the
-// obstacle.
-func (e *glosEngine) zoneNaive(read func(int) float64, d, bnd, h int) ([]float64, int) {
-	lo, hi := bnd-e.drop*h, bnd+e.r*h
-	row := scratch.Floats(hi - lo + 1)
-	for j := lo; j <= hi; j++ {
-		row[j-lo] = read(j)
-	}
+// zoneNaive steps the window [lo, bnd+r*h], lo = bnd-drop*h, h times in one
+// scratch buffer. Each step computes only the columns from b-drop on, b the
+// boundary before it: everything left of that is green by the structure.
+// The columns the next step reads left of its own start are refilled from
+// the closed form (at most drop of them).
+func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
+	lo := bnd - e.drop*h
+	row := scratch.Floats(len(win))
+	copy(row, win)
+	end := len(row) // row[:end] holds the current row
 	b := bnd
 	for t := 1; t <= h; t++ {
-		row = linstencil.Step(row, e.s) // now columns [lo, bnd+r*(h-t)]
-		// The boundary drops at most e.drop per interior step and is
-		// clamped at -1: columns below 0 are virtual filler (no real cell
-		// ever reads them, since dependencies point right) and must never
-		// be counted as green.
-		newB := max(b-e.drop, -1)
-		for i, lin := range row {
-			j := lo + i
-			if g := e.green(d+t, j); g > lin {
-				row[i] = g
-				if j >= 0 && j > newB {
+		from := b - e.drop
+		next := linstencil.Step(row[from-lo:end], e.s) // depth d+t on [from, bnd+r*(h-t)]
+		end -= e.r
+		// Columns below 0 are virtual filler (no real cell ever reads them,
+		// since dependencies point right) and never count as green. Nor
+		// does a cell right of b: the boundary never rises, and a cell there
+		// that the closed form wins only by roundoff keeps max(lin, green),
+		// as in the direct sweep.
+		newB := max(from, -1)
+		for i, lin := range next {
+			if g := e.green(d+t, from+i); g > lin {
+				next[i] = g
+				if j := from + i; j > newB && j <= b {
 					newB = j
 				}
 			}
 		}
-		e.stats.addNaive(len(row))
+		e.stats.addNaive(len(next))
 		b = newB
+		if t < h {
+			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop)
+		}
 	}
-	return row, b
+	red := scratch.Floats(bnd - b)
+	copy(red, row[b+1-lo:])
+	scratch.PutFloats(row)
+	return red, b
 }
 
 // SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle.

@@ -58,7 +58,7 @@ func New(p option.Params, steps int) (*Model, error) {
 	pd := (sqU - eh) / (sqU - sqD)
 	pd *= pd
 	po := 1 - pu - pd
-	if pu <= 0 || pd <= 0 || po <= 0 {
+	if !(pu > 0 && pd > 0 && po > 0) { // NaN too: u or the drift overflowed
 		return nil, fmt.Errorf("topm: degenerate transition probabilities (pu=%v, po=%v, pd=%v); increase steps or volatility", pu, po, pd)
 	}
 	disc := math.Exp(-p.R * dt)
@@ -105,15 +105,16 @@ func (m *Model) exerciseTable(kind option.Kind) []float64 {
 	return tab
 }
 
-// tableGreen returns Exercise as a lookup into tab (from exerciseTable),
-// bitwise equal to the closed form. Cells outside the table — the put
-// solver's virtual columns left of 0 — fall back to the closed form.
-func (m *Model) tableGreen(kind option.Kind, tab []float64) fbstencil.GreenFunc {
+// putGreen returns the put's exercise value as a lookup into tab (from
+// exerciseTable): cell (depth, col) is tab[col+depth], bitwise equal to the
+// closed form. Cells outside the table — the put solver's virtual columns
+// left of 0 — fall back to the closed form.
+func (m *Model) putGreen(tab []float64) fbstencil.GreenFunc {
 	return func(depth, col int) float64 {
 		if k := col + depth; uint(k) < uint(len(tab)) {
 			return tab[k]
 		}
-		return m.Exercise(kind, depth, col)
+		return m.Exercise(option.Put, depth, col)
 	}
 }
 
@@ -160,23 +161,43 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
 	tab := m.exerciseTable(option.Call)
 	defer scratch.PutFloats(tab)
-	prob := m.callProblem(m.tableGreen(option.Call, tab))
+	prob := m.callProblem(m.callGreen(tab))
 	prob.Cancel = cancel
-	v, _, err := fbstencil.SolveGreenRight(prob, st)
+	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err
 }
 
-// callProblem builds the green-right instance for the American call with
-// the given exercise value.
-func (m *Model) callProblem(green fbstencil.GreenFunc) *fbstencil.GreenRight {
-	return &fbstencil.GreenRight{
-		Stencil:  m.Stencil(),
+// callGreen returns the call's exercise value in mirrored columns
+// c' = 2(T-d)-c as a lookup into tab (from exerciseTable): cell (depth, c')
+// is tab[2T-d-c'], bitwise equal to the closed form. Table misses — all
+// in virtual columns c' < 0, right of the lattice — fall back to the closed
+// form, which may overflow to +Inf there without reaching a real cell.
+func (m *Model) callGreen(tab []float64) fbstencil.GreenFunc {
+	T := m.T
+	return func(depth, col int) float64 {
+		if k := 2*T - depth - col; uint(k) < uint(len(tab)) {
+			return tab[k]
+		}
+		return m.Exercise(option.Call, depth, 2*(T-depth)-col)
+	}
+}
+
+// callProblem builds the American call in mirrored columns c' = 2(T-d)-c,
+// given its exercise value in those columns. Mirrored, the exercise region
+// lies on the left and the stencil keeps its offsets with reversed weights;
+// the boundary that never moves right and moves left by at most one column
+// per step (Corollary A.6) never rises and drops by at most 2. The apex
+// stays at (T, 0).
+func (m *Model) callProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
+	return &fbstencil.GreenLeftOneSided{
+		Stencil:  linstencil.Stencil{MinOff: 0, W: []float64{m.S2, m.S1, m.S0}},
 		T:        m.T,
 		Hi0:      2 * m.T,
 		Init:     func(col int) float64 { return math.Max(0, green(0, col)) },
 		Green:    green,
-		Bnd0:     m.leafBoundary(),
+		Bnd0:     2*m.T - m.leafBoundary() - 1,
 		BaseCase: m.baseC,
+		MaxDrop:  2,
 	}
 }
 

@@ -36,6 +36,8 @@ func TestNewValidation(t *testing.T) {
 		"too many steps":  {option.Default(), MaxSteps + 1},
 		"bad vol":         {option.Params{S: 100, K: 100, R: 0.01, V: -0.1, Y: 0, E: 1}, 100},
 		"degenerate tree": {option.Params{S: 100, K: 100, R: 5, V: 0.01, Y: 0, E: 1}, 1},
+		// u and the drift factor both overflow: the probabilities are NaN.
+		"overflowed tree": {option.Params{S: 100, K: 100, R: 2000, V: 1100, Y: 0, E: 1}, 1},
 	} {
 		if _, err := New(c.prm, c.steps); err == nil {
 			t.Errorf("%s: expected error", name)

@@ -3,7 +3,10 @@ package trace
 import "github.com/nlstencil/amop/internal/cachesim"
 
 // GRSpec describes a one-sided (green-right) nonlinear stencil instance for
-// the traced kernels; it mirrors fbstencil.GreenRight.
+// the traced kernels, with the fields of fbstencil.GreenRight. The traced
+// kernels keep the paper's green-right indexing for the Figure 6/7/10
+// replays, while the production solver runs the same problem on the
+// green-left engine in mirrored columns.
 type GRSpec struct {
 	W     []float64
 	T     int
@@ -162,8 +165,8 @@ func tiledBandGR(h *cachesim.Hierarchy, s *GRSpec, row cachesim.F64, depth, hh, 
 	return out
 }
 
-// FastGR replays the paper's FFT-based solver (a serial mirror of
-// fbstencil.SolveGreenRight) on traced memory.
+// FastGR replays the paper's FFT-based solver for green-right problems (the
+// trapezoid decomposition of Section 2.3, serial) on traced memory.
 func FastGR(h *cachesim.Hierarchy, s *GRSpec) float64 {
 	e := &grTrace{engine: newEngine(h), s: s, base: s.Base}
 	if e.base <= 0 {

@@ -76,12 +76,15 @@ type Stats = fbstencil.Stats
 
 // ObstacleRight describes a free-boundary problem whose stencil has offsets
 // 0..r and whose obstacle-active region lies to the right of the linear
-// region in every row, with a boundary that moves left by at most one column
-// per step between interior rows (the structure of American calls under
-// binomial/trinomial trees; Corollaries 2.7 and A.6 of the paper).
+// region in every row, with a boundary that never moves right and moves left
+// by at most r columns per step between interior rows (American calls under
+// binomial/trinomial trees move at most one; Corollaries 2.7 and A.6 of the
+// paper). Solve runs it on the same engine as ObstacleLeftOneSided, in
+// mirrored columns.
 //
 // Depth 0 holds the initial row on columns [0, Hi0]; at depth d the valid
-// columns are [0, Hi0-d*r]; Solve returns the apex value (T, 0).
+// columns are [0, Hi0-d*r]; Solve returns the apex value (T, 0). Init and
+// Obstacle are only evaluated on that grid.
 type ObstacleRight struct {
 	Stencil  Linear
 	Steps    int
