@@ -267,10 +267,10 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 }
 
 // priceAmericanLattice dispatches an American lattice pricing request to the
-// concrete algorithm implementations. Fast calls are the paper's algorithm;
-// fast puts are this library's experimental extension. They run on the same
-// one-sided green-left engine as the paper's BSM put, but their boundary
-// structure is validated empirically, not proven (see
+// concrete algorithm implementations. Fast calls and puts run on the same
+// one-sided green-left engine as the paper's BSM put: a fast put directly,
+// and a fast call as the put of its swapped contract (put-call symmetry),
+// with the boundary structure the paper proves for calls (see
 // internal/fbstencil/greenleftos.go).
 func priceAmericanLattice(
 	cfg Config, kind option.Kind, cancel func() error,
@@ -317,8 +317,7 @@ func priceEuropeanLattice(
 // PriceAmerican prices an American option with the fast algorithm under the
 // natural model for its type: binomial for calls (Section 2 of the paper),
 // Black-Scholes-Merton finite differences for puts (Section 4). (Fast puts
-// directly on the binomial lattice are also available through Price as an
-// experimental extension.)
+// directly on the binomial lattice are also available through Price.)
 func PriceAmerican(o Option, steps int) (float64, error) {
 	m := Binomial
 	if o.Type == Put {

@@ -93,8 +93,8 @@ func TestPriceErrors(t *testing.T) {
 	}
 }
 
-// TestFastLatticePuts covers the experimental extension: fast American puts
-// directly on the binomial and trinomial lattices.
+// TestFastLatticePuts covers the extension beyond the paper: fast American
+// puts directly on the binomial and trinomial lattices.
 func TestFastLatticePuts(t *testing.T) {
 	put := paperOption(Put)
 	for _, m := range []Model{Binomial, Trinomial} {

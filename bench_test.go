@@ -173,7 +173,7 @@ func benchLatticeFast(b *testing.B, steps []int, solve func(latticeFast) (float6
 }
 
 // BenchmarkPriceFastCall times the binomial and trinomial fast American
-// calls, which run on the green-left engine in mirrored columns.
+// calls, which run as the fast puts of their swapped contracts.
 func BenchmarkPriceFastCall(b *testing.B) {
 	benchLatticeFast(b, []int{333, 4000, 1 << 16}, latticeFast.PriceFast)
 }
@@ -181,7 +181,7 @@ func BenchmarkPriceFastCall(b *testing.B) {
 // BenchmarkPriceFastPut times the binomial and trinomial fast American puts
 // (an extension beyond the paper), which run on the same engine.
 func BenchmarkPriceFastPut(b *testing.B) {
-	benchLatticeFast(b, []int{4000, 1 << 16}, latticeFast.PriceFastPut)
+	benchLatticeFast(b, []int{333, 4000, 1 << 16}, latticeFast.PriceFastPut)
 }
 
 // --- Table 5: scaling with worker count p ------------------------------------

@@ -49,8 +49,9 @@ type line struct {
 	// drift for analytic pairs.
 	Allowed float64       `json:"allowed"`
 	Fail    bool          `json:"fail"`
-	A       float64       `json:"a"` // fast / analytic leg
-	B       float64       `json:"b"` // naive / extrapolated-lattice leg
+	Err     string        `json:"err,omitempty"` // a failed fast solve's error
+	A       float64       `json:"a"`             // fast / analytic leg
+	B       float64       `json:"b"`             // naive / extrapolated-lattice leg
 	Params  option.Params `json:"params"`
 }
 
@@ -78,8 +79,8 @@ func (t *tracker) record(l line) bool {
 	if l.Fail {
 		t.failures[l.Model]++
 		if t.failures[l.Model] > t.budget {
-			fmt.Fprintf(os.Stderr, "amop-xval: model %s exhausted its failure budget (%d > %d): rel %.3e > allowed %.3e at T=%d params=%+v\n",
-				l.Model, t.failures[l.Model], t.budget, l.Rel, l.Allowed, l.T, l.Params)
+			fmt.Fprintf(os.Stderr, "amop-xval: model %s exhausted its failure budget (%d > %d): rel %.3e > allowed %.3e at T=%d params=%+v %s\n",
+				l.Model, t.failures[l.Model], t.budget, l.Rel, l.Allowed, l.T, l.Params, l.Err)
 			return false
 		}
 	}
@@ -129,33 +130,34 @@ func main() {
 	}
 	randT := func() int { return 16 + rng.Intn(*maxT-15) }
 
+	// lattice records one fast-vs-naive pair. A failed fast solve counts as
+	// a failure whenever the direct sweep's price is finite.
+	lattice := func(model string, T int, prm option.Params, fast func() (float64, error), naive func() float64) {
+		a, err := fast()
+		b := naive()
+		l := line{Model: model, T: T, Rel: relErr(a, b), Allowed: *tol, A: a, B: b, Params: prm}
+		if err != nil {
+			if math.IsNaN(b) || math.IsInf(b, 0) {
+				return
+			}
+			l.Rel, l.A, l.Err = math.MaxFloat64, 0, err.Error()
+		}
+		if !trk.record(l) {
+			exitFail()
+		}
+	}
 	for i := 0; i < *trials; i++ {
 		prm, T := randParams(), randT()
 		if m, err := bopm.New(prm, T); err == nil {
-			if fast, err := m.PriceFast(); err == nil {
-				naive := m.PriceNaive(option.Call)
-				if !trk.record(line{Model: "bopm", T: T, Rel: relErr(fast, naive), Allowed: *tol, A: fast, B: naive, Params: prm}) {
-					exitFail()
-				}
-			}
+			lattice("bopm", T, prm, m.PriceFast, func() float64 { return m.PriceNaive(option.Call) })
 		}
 		prm, T = randParams(), randT()
 		if m, err := topm.New(prm, T); err == nil {
-			if fast, err := m.PriceFast(); err == nil {
-				naive := m.PriceNaive(option.Call)
-				if !trk.record(line{Model: "topm", T: T, Rel: relErr(fast, naive), Allowed: *tol, A: fast, B: naive, Params: prm}) {
-					exitFail()
-				}
-			}
+			lattice("topm", T, prm, m.PriceFast, func() float64 { return m.PriceNaive(option.Call) })
 		}
 		prm, T = randParams(), randT()
 		if m, err := bsm.New(prm, T, 0); err == nil {
-			if fast, err := m.PriceFast(); err == nil {
-				naive := m.PriceNaive()
-				if !trk.record(line{Model: "bsm", T: T, Rel: relErr(fast, naive), Allowed: *tol, A: fast, B: naive, Params: prm}) {
-					exitFail()
-				}
-			}
+			lattice("bsm", T, prm, m.PriceFast, m.PriceNaive)
 		}
 	}
 

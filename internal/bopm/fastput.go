@@ -8,14 +8,16 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// This file implements the experimental fast American PUT under the
-// binomial model — an extension beyond the paper, which proves the
-// red/green boundary structure for lattice calls only. For puts the
-// exercise (green) region sits on the low-price side, i.e. the LEFT of the
-// grid, and the one-sided stencil's dependencies point away from it; the
-// corresponding solver is fbstencil.SolveGreenLeftOneSided. The structural
-// assumptions are verified empirically (see ValidatePutStructure and the
-// package tests), not proven.
+// This file implements the fast American PUT under the binomial model, the
+// one fast lattice path: PriceFast prices a call as the put of its swapped
+// contract (see swap). For puts the exercise (green) region sits on the
+// low-price side, i.e. the LEFT of the grid, and the one-sided stencil's
+// dependencies point away from it; the corresponding solver is
+// fbstencil.SolveGreenLeftOneSided. The paper lists lattice puts as future
+// work, but the structure the solver needs is proven: the put is its swapped
+// contract's call in mirrored columns, whose boundary, by Corollary 2.7,
+// never rises and drops at most one column per interior step.
+// ValidatePutStructure checks it on an instance.
 
 // putProblem builds the green-left instance for the American put with the
 // given exercise value.
@@ -46,9 +48,7 @@ func (m *Model) putProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSid
 }
 
 // PriceFastPut prices the American put with the FFT-based green-left
-// solver: O(T log^2 T) work. Experimental — the put boundary structure is
-// validated empirically, not proven; cross-check against PriceNaive(Put) for
-// unusual parameter regimes (ValidatePutStructure automates that check).
+// solver: O(T log^2 T) work, O(T) span.
 func (m *Model) PriceFastPut() (float64, error) {
 	return m.PriceFastPutStats(nil)
 }
@@ -65,7 +65,7 @@ func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	tab := m.exerciseTable(option.Put)
+	tab := m.exerciseTable()
 	defer scratch.PutFloats(tab)
 	prob := m.putProblem(m.putGreen(tab))
 	prob.Cancel = cancel

@@ -8,8 +8,9 @@ import (
 )
 
 func TestPutBoundaryStructure(t *testing.T) {
-	// The empirical basis for the experimental fast put: the green-left
-	// structure holds across broad parameters.
+	// The green-left structure that Corollary 2.7 gives the put (and so the
+	// fast call, the put of the swapped contract) holds across broad
+	// parameters.
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 25; trial++ {
 		m, err := New(randParams(rng), 16+rng.Intn(400))

@@ -24,7 +24,8 @@ var parityT = []int{1, 7, 64, 333, 2000, 4096}
 
 // TestExerciseTableParity pins the table-backed fast call and put to the
 // per-cell closed form: the same solve driven by a GreenFunc that evaluates
-// Exercise cell by cell must return the identical float64.
+// Exercise cell by cell must return the identical float64. The call is
+// checked on the production path, the put of the swapped model.
 func TestExerciseTableParity(t *testing.T) {
 	ran := 0
 	for _, p := range parityParams {
@@ -34,9 +35,10 @@ func TestExerciseTableParity(t *testing.T) {
 				continue // the tree is degenerate at this resolution
 			}
 			ran++
-			// The call runs in mirrored columns; see callProblem.
-			call := func(d, c int) float64 { return m.Exercise(option.Call, d, m.T-d-c) }
-			want, _, wantErr := fbstencil.SolveGreenLeftOneSided(m.callProblem(call), nil)
+			// The call runs as the put of the swapped contract; see swap.
+			sw := m.swap()
+			swPut := func(d, c int) float64 { return sw.Exercise(option.Put, d, c) }
+			want, _, wantErr := fbstencil.SolveGreenLeftOneSided(sw.putProblem(swPut), nil)
 			got, gotErr := m.PriceFast()
 			checkParity(t, "call", p, T, got, want, gotErr, wantErr)
 

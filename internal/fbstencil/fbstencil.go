@@ -19,20 +19,21 @@
 // span on a grid of size Theta(T) evolved for T steps.
 //
 // There is one engine, SolveGreenLeftOneSided: a one-sided stencil (offsets
-// 0..r) whose green region lies on the left. The paper's three models reach
-// it by a change of columns:
+// 0..r) whose green region lies on the left. The pricing models build its
+// problems directly. The BOPM and TOPM American puts are instances as they
+// stand, and the lattice calls are priced as the puts of their swapped
+// contracts (put-call symmetry). The BSM American put (Section 4.3, a
+// centered 3-point stencil) becomes one in depth-shifted columns c' = c - d,
+// with offsets 0..2.
 //
-//   - GreenRight (Section 2.3/3): offsets 0..r with the green region on the
-//     right, the BOPM (r=1) and TOPM (r=2) American calls. In mirrored
-//     columns c' = (T-d)*r - c the green region lies on the left and the
-//     stencil keeps offsets 0..r with reversed weights.
-//   - GreenLeft (Section 4.3): a centered 3-point stencil with the green
-//     region on the left, the BSM American put. In depth-shifted columns
-//     c' = c - d it becomes one-sided with offsets 0..2.
+// Two adapters serve the stencil package and the tests:
 //
-// The pricing models build GreenLeftOneSided problems directly;
-// SolveGreenRight and SolveGreenLeft are the adapters for the stencil
-// package and the tests.
+//   - SolveGreenRight (behind stencil.ObstacleRight): offsets 0..r with the
+//     green region on the right. In mirrored columns c' = (T-d)*r - c the
+//     green region lies on the left and the stencil keeps offsets 0..r
+//     with reversed weights.
+//   - SolveGreenLeft (behind stencil.ObstacleLeft): a centered stencil with
+//     the green region on the left, in depth-shifted columns.
 package fbstencil
 
 import (
@@ -166,15 +167,15 @@ func (s *Stats) addTrap() {
 type GreenFunc func(depth, col int) float64
 
 // ---------------------------------------------------------------------------
-// Green-right, one-sided stencils (the paper's BOPM and TOPM American calls).
+// Green-right, one-sided stencils (the stencil.ObstacleRight adapter).
 // ---------------------------------------------------------------------------
 
 // GreenRight describes a free-boundary problem whose stencil has offsets
 // 0..r (deps point right at the previous depth) and whose green region lies
 // to the right of the red region in every row. After the first step the
 // boundary (the largest red column) never moves right and moves left by at
-// most r columns per step; the lattice calls move at most one (Corollaries
-// 2.7 and A.6).
+// most r columns per step; American calls on the binomial and trinomial
+// trees move at most one (Corollaries 2.7 and A.6).
 //
 // Grid geometry: depth 0 holds the initial row on columns [0, Hi0]; at depth
 // d the valid columns are [0, Hi0-d*r]. The answer is the value of the apex

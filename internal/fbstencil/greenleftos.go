@@ -15,21 +15,20 @@ import (
 // right; one FFT then covers everything beyond the old boundary and only a
 // width-h band at the boundary needs recursion.
 //
-// It carries five instances. Three are the paper's: the BSM American put
-// (Section 4, Figure 4b) in depth-shifted columns c' = c-d, where the
+// It carries three production instances. One is the paper's BSM American
+// put (Section 4, Figure 4b) in depth-shifted columns c' = c-d, where the
 // centered stencil turns one-sided (offsets 0..2) and Theorem 4.3's unit
 // leftward boundary move turns into a drop of at most two per step (see
-// GreenLeft); and the BOPM and TOPM American calls in mirrored columns
-// c' = (T-d)*r - c, where their green-right boundary (Corollaries 2.7 and
-// A.6: never right, at most one left) never rises and drops at most r per
-// step (see GreenRight). For these the structure is proven. The binomial
-// and trinomial American puts, which the paper lists as future work, are
-// the other two; for them the required structure (green-prefix contiguity;
-// boundary non-increasing, dropping at most MaxDrop columns per interior
-// step) is NOT proven. GreenLeftOneSidedBoundaryTrace verifies it
-// empirically on any instance, and the package tests exercise it across
-// broad random parameters; the public API surfaces the lattice puts as
-// experimental.
+// GreenLeft). The other two are the binomial and trinomial American puts,
+// which also price the lattice calls: a call is the put of its swapped
+// contract (S and K, r and q exchanged; McDonald–Schroder symmetry, exact on
+// both trees). Read the other way, a lattice put in its own columns is its
+// swapped contract's call in mirrored columns c' = (T-d)*r - c, so the
+// paper's call structure (Corollaries 2.7 and A.6: never right, at most one
+// left) proves the put's: the green region is a left prefix whose boundary
+// never rises and drops at most r columns per interior step (see GreenRight).
+// GreenLeftOneSidedBoundaryTrace checks that structure on any instance and
+// stays as the tests' oracle.
 //
 // The solver works on contiguous slices: a zone receives its window of the
 // row as one slice and hands subslices of it straight to the FFT. Besides
@@ -53,7 +52,8 @@ type GreenLeftOneSided struct {
 	// MaxDrop bounds how many columns the boundary can move left per
 	// interior step (0 means 1). Binomial puts satisfy 1; trinomial puts
 	// and the BSM put 2 (one from the grid's per-step drift plus the
-	// boundary's own); the mirrored lattice calls r, the stencil's span.
+	// boundary's own); GreenRight problems in mirrored columns r, the
+	// stencil's span.
 	MaxDrop int
 	// Cancel, when non-nil, is polled at trapezoid granularity; the first
 	// non-nil error it returns unwinds the solve, and the solver returns

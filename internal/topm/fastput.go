@@ -8,10 +8,12 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// Experimental fast American PUT under the trinomial model (extension
-// beyond the paper; see bopm/fastput.go). The trinomial grid's fixed-price
-// lines drift one column left per step — on top of the exercise boundary's
-// own leftward drift — so the per-step drop bound here is 2 rather than 1.
+// Fast American PUT under the trinomial model, which PriceFast also runs for
+// calls through the swapped contract (see bopm/fastput.go). The trinomial
+// grid's fixed-price lines drift one column left per step — on top of the
+// exercise boundary's own leftward drift — so the per-step drop bound here
+// is 2 rather than 1; Corollary A.6, through the swapped call in mirrored
+// columns, proves it.
 
 // putProblem builds the green-left instance for the American put with the
 // given exercise value.
@@ -42,9 +44,7 @@ func (m *Model) putProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSid
 }
 
 // PriceFastPut prices the American put with the FFT-based green-left
-// solver: O(T log^2 T) work. Experimental — the put boundary structure
-// (unit contiguity, drops of at most two columns per interior step) is
-// validated empirically, not proven.
+// solver: O(T log^2 T) work, O(T) span.
 func (m *Model) PriceFastPut() (float64, error) {
 	return m.PriceFastPutStats(nil)
 }
@@ -61,7 +61,7 @@ func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	tab := m.exerciseTable(option.Put)
+	tab := m.exerciseTable()
 	defer scratch.PutFloats(tab)
 	prob := m.putProblem(m.putGreen(tab))
 	prob.Cancel = cancel

@@ -94,13 +94,13 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 	return m.Prm.K - m.asset(i)
 }
 
-// exerciseTable returns exercise(kind, i) for every net move i in [-T, T] a
-// fast solve reaches, at index i+T = col + depth. The caller owns the pooled
-// table and returns it with scratch.PutFloats.
-func (m *Model) exerciseTable(kind option.Kind) []float64 {
+// exerciseTable returns the put's exercise value for every net move i in
+// [-T, T] a fast solve reaches, at index i+T = col + depth. The caller owns
+// the pooled table and returns it with scratch.PutFloats.
+func (m *Model) exerciseTable() []float64 {
 	tab := scratch.Floats(2*m.T + 1)
 	for k := range tab {
-		tab[k] = m.exercise(kind, k-m.T)
+		tab[k] = m.exercise(option.Put, k-m.T)
 	}
 	return tab
 }
@@ -142,7 +142,9 @@ func (m *Model) leafBoundary() int {
 }
 
 // PriceFast prices the American call with the paper's FFT-based algorithm
-// ("fft-topm"): O(T log^2 T) work, O(T) span.
+// ("fft-topm"): O(T log^2 T) work, O(T) span. It runs as the fast put of the
+// swapped contract (see swap), so the FFT evolves values bounded by the spot
+// rather than the call's red region, which reaches S*u^(2T).
 func (m *Model) PriceFast() (float64, error) {
 	return m.PriceFastStats(nil)
 }
@@ -159,46 +161,28 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	tab := m.exerciseTable(option.Call)
-	defer scratch.PutFloats(tab)
-	prob := m.callProblem(m.callGreen(tab))
-	prob.Cancel = cancel
-	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
-	return v, err
+	sw := m.swap()
+	if math.IsNaN(sw.Disc) || math.IsInf(sw.Disc, 0) { // U overflowed
+		return 0, fmt.Errorf("topm: swapped weights (%v, %v, %v): %w", sw.S0, sw.S1, sw.S2, fbstencil.ErrNonFinite)
+	}
+	return sw.priceFastPut(st, cancel)
 }
 
-// callGreen returns the call's exercise value in mirrored columns
-// c' = 2(T-d)-c as a lookup into tab (from exerciseTable): cell (depth, c')
-// is tab[2T-d-c'], bitwise equal to the closed form. Table misses — all
-// in virtual columns c' < 0, right of the lattice — fall back to the closed
-// form, which may overflow to +Inf there without reaching a real cell.
-func (m *Model) callGreen(tab []float64) fbstencil.GreenFunc {
-	T := m.T
-	return func(depth, col int) float64 {
-		if k := 2*T - depth - col; uint(k) < uint(len(tab)) {
-			return tab[k]
-		}
-		return m.Exercise(option.Call, depth, 2*(T-depth)-col)
-	}
-}
-
-// callProblem builds the American call in mirrored columns c' = 2(T-d)-c,
-// given its exercise value in those columns. Mirrored, the exercise region
-// lies on the left and the stencil keeps its offsets with reversed weights;
-// the boundary that never moves right and moves left by at most one column
-// per step (Corollary A.6) never rises and drops by at most 2. The apex
-// stays at (T, 0).
-func (m *Model) callProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
-	return &fbstencil.GreenLeftOneSided{
-		Stencil:  linstencil.Stencil{MinOff: 0, W: []float64{m.S2, m.S1, m.S0}},
-		T:        m.T,
-		Hi0:      2 * m.T,
-		Init:     func(col int) float64 { return math.Max(0, green(0, col)) },
-		Green:    green,
-		Bnd0:     2*m.T - m.leafBoundary() - 1,
-		BaseCase: m.baseC,
-		MaxDrop:  2,
-	}
+// swap returns the model of the swapped contract (S and K, R and Y
+// exchanged), whose American put is this model's American call
+// (McDonald–Schroder symmetry, exact on the tree): node by node,
+// C(i) = u^i * P'(-i). The weights come from that identity rather than from
+// New, which can round the swapped p_o to 0 and reject the swap of a call
+// its own tree prices. Disc is the weights' sum, so it is not finite exactly
+// when a weight is not.
+func (m *Model) swap() *Model {
+	sw := *m
+	sw.Prm.S, sw.Prm.K = m.Prm.K, m.Prm.S
+	sw.Prm.R, sw.Prm.Y = m.Prm.Y, m.Prm.R
+	sw.S0, sw.S2 = m.S2*m.U, m.S0/m.U
+	sw.Disc = sw.S0 + sw.S1 + sw.S2
+	sw.Pd, sw.Po, sw.Pu = sw.S0/sw.Disc, sw.S1/sw.Disc, sw.S2/sw.Disc
+	return &sw
 }
 
 func (m *Model) sweepProblem(kind option.Kind, american bool) *sweep.Problem {

@@ -5,8 +5,8 @@ import "github.com/nlstencil/amop/internal/cachesim"
 // GRSpec describes a one-sided (green-right) nonlinear stencil instance for
 // the traced kernels, with the fields of fbstencil.GreenRight. The traced
 // kernels keep the paper's green-right indexing for the Figure 6/7/10
-// replays, while the production solver runs the same problem on the
-// green-left engine in mirrored columns.
+// replays, while the production pricers solve the swapped contract's put on
+// the green-left engine.
 type GRSpec struct {
 	W     []float64
 	T     int

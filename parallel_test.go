@@ -9,7 +9,8 @@ import (
 )
 
 // fastSolvers lists every Fast lattice solver: the paper's BOPM and TOPM
-// calls and BSM put, and the experimental green-left BOPM and TOPM puts.
+// calls (the puts of their swapped contracts) and BSM put, and the BOPM and
+// TOPM puts.
 var fastSolvers = []struct {
 	name  string
 	model Model

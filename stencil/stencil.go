@@ -80,7 +80,8 @@ type Stats = fbstencil.Stats
 // by at most r columns per step between interior rows (American calls under
 // binomial/trinomial trees move at most one; Corollaries 2.7 and A.6 of the
 // paper). Solve runs it on the same engine as ObstacleLeftOneSided, in
-// mirrored columns.
+// mirrored columns. The lattice pricers reach that engine without the
+// mirror: they price a call as the put of its swapped contract.
 //
 // Depth 0 holds the initial row on columns [0, Hi0]; at depth d the valid
 // columns are [0, Hi0-d*r]; Solve returns the apex value (T, 0). Init and
@@ -184,9 +185,9 @@ func (p *ObstacleLeft) problem() *fbstencil.GreenLeft {
 
 // ObstacleLeftOneSided describes a free-boundary problem with stencil
 // offsets 0..r and the obstacle-active region on the LEFT — the structure of
-// American puts on binomial/trinomial lattices (this library's extension
-// beyond the paper; the boundary structure is validated empirically, not
-// proven — run BoundaryTrace on new problem classes).
+// American puts on binomial/trinomial lattices, which is ObstacleRight's in
+// mirrored columns (the put of a contract is the call of its swapped one).
+// Run BoundaryTrace to check the structure on new problem classes.
 //
 // Geometry matches ObstacleRight (columns [0, Hi0-d*r] at depth d; Solve
 // returns the apex (Steps, 0)). Obstacle-active cells must equal Obstacle
