@@ -19,6 +19,7 @@ import (
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/energy"
+	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
@@ -232,9 +233,17 @@ func benchTraced(b *testing.B, run func(h *cachesim.Hierarchy)) {
 	}
 }
 
+// benchReplay runs benchTraced on the replay of a production fast solve.
+func benchReplay(b *testing.B, solve func(*fbstencil.Stats) (float64, error)) {
+	benchTraced(b, func(h *cachesim.Hierarchy) {
+		if _, _, err := trace.Replay(h, solve); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkFig67TracedFFTBopm(b *testing.B) {
-	spec := trace.BOPMSpec(mustBOPM(b, benchSimT))
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.FastGR(h, spec) })
+	benchReplay(b, mustBOPM(b, benchSimT).PriceFastStats)
 }
 
 func BenchmarkFig67TracedQlBopm(b *testing.B) {
@@ -252,8 +261,7 @@ func BenchmarkFig67TracedFFTTopm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := trace.TOPMSpec(m)
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.FastGR(h, spec) })
+	benchReplay(b, m.PriceFastStats)
 }
 
 func BenchmarkFig67TracedVanillaTopm(b *testing.B) {
@@ -270,8 +278,7 @@ func BenchmarkFig67TracedFFTBsm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := trace.BSMSpec(m)
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.FastGL(h, spec) })
+	benchReplay(b, m.PriceFastStats)
 }
 
 func BenchmarkFig67TracedVanillaBsm(b *testing.B) {

@@ -268,7 +268,3 @@ func (m *Model) PriceEuropean(kind option.Kind) float64 {
 func (m *Model) PriceEuropeanNaive(kind option.Kind) float64 {
 	return sweep.Naive(m.sweepProblem(kind, false))
 }
-
-// LeafBoundary exposes the initial red/green boundary for the traced kernels
-// and diagnostics.
-func (m *Model) LeafBoundary() int { return m.leafBoundary() }

@@ -283,10 +283,6 @@ func (m *Model) PriceEuropeanNaive() float64 {
 	return m.Prm.K * cur[m.T]
 }
 
-// LeafBoundary exposes the initial green-zone boundary for the traced
-// kernels and diagnostics.
-func (m *Model) LeafBoundary() int { return m.leafBoundary() }
-
 // Green exposes the dimensionless exercise value 1 - e^(s_col) for the
-// traced kernels and diagnostics.
+// traced direct sweep and diagnostics.
 func (m *Model) Green(col int) float64 { return m.green(col) }

@@ -4,12 +4,17 @@
 // geometry of the paper's Stampede2 SKX node (Table 3): 32 KB 8-way L1 and
 // 1 MB 16-way L2 with 64-byte lines.
 //
-// Traced variants of each pricing kernel (package trace) replay their exact
-// array traffic through a Hierarchy; the resulting miss counts reproduce the
-// relative behavior the paper measures — the quadratic algorithms stream the
-// whole grid every row while the FFT algorithm's working sets are
-// logarithmically sized. Absolute counts differ from hardware (no
-// prefetchers, no speculation); EXPERIMENTS.md discusses the gap.
+// Package trace drives it: the fast algorithm's column replays the
+// production engine's recorded schedule serially, and the quadratic
+// baselines run traced copies of the direct sweeps. The resulting miss
+// counts reproduce the relative behavior the paper measures — the quadratic
+// algorithms stream the whole grid every row while the FFT algorithm's
+// working sets are logarithmically sized.
+//
+// The substitution for hardware counters is this model: the SKX geometry
+// above, LRU replacement, and no prefetchers, speculation or other cores.
+// Absolute counts therefore differ from hardware; only their shape and
+// ratios carry over.
 package cachesim
 
 import "fmt"
@@ -197,6 +202,9 @@ func (v F64) Set(i int, x float64) {
 	v.h.Access(v.base + 8*uint64(i))
 	v.data[i] = x
 }
+
+// Addr returns the simulated address of element i without accessing it.
+func (v F64) Addr(i int) uint64 { return v.base + 8*uint64(i) }
 
 // Slice returns a traced view of [lo, hi) sharing the same storage.
 func (v F64) Slice(lo, hi int) F64 {

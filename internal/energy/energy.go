@@ -1,5 +1,5 @@
 // Package energy models package (CPU+caches) and DRAM energy from the event
-// counts produced by the traced kernels, replacing the paper's perf/RAPL
+// counts produced by package trace's replays, replacing the paper's perf/RAPL
 // measurements (Figures 6 and 10).
 //
 // The model is the standard linear event-cost form

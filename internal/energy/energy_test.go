@@ -49,11 +49,12 @@ func TestFastSavesEnergy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := trace.BOPMSpec(mdl)
 		hN := cachesim.NewSKX()
-		trace.NaiveGR(hN, spec)
+		trace.NaiveGR(hN, trace.BOPMSpec(mdl))
 		hF := cachesim.NewSKX()
-		trace.FastGR(hF, spec)
+		if _, _, err := trace.Replay(hF, mdl.PriceFastStats); err != nil {
+			t.Fatal(err)
+		}
 		// Dynamic energy only (zero wall time): machine-independent.
 		eN := em.Energy(hN.Snapshot(), 0).Total
 		eF := em.Energy(hF.Snapshot(), 0).Total

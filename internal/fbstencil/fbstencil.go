@@ -141,24 +141,80 @@ type Stats struct {
 	FFTCells   atomic.Int64 // cells produced by FFT evolutions
 	NaiveCells atomic.Int64 // cells computed by direct max-loops
 	Trapezoids atomic.Int64 // recursive trapezoid solves (including base cases)
+
+	// rec, set by Record, receives the schedule of the solves counted here.
+	rec func(Event)
 }
 
-func (s *Stats) addFFT(cells int) {
+// EventKind names one kind of step in a solve's schedule.
+type EventKind uint8
+
+const (
+	// EventZone is a boundary zone: its window of the row at Depth, N
+	// columns from Lo. Each one counts as a trapezoid.
+	EventZone EventKind = iota
+	// EventDirect is a direct max-loop: cells Lo..Lo+N-1 at Depth+1, each
+	// from len(W) cells of the row at Depth.
+	EventDirect
+	// EventFFT is an FFT evolution of the N cells from Lo of the row at
+	// Depth by Steps steps of W: the first N-(len(W)-1)*Steps columns come
+	// out at Depth+Steps.
+	EventFFT
+	// EventFill is a closed-form fill (the initial row or the green
+	// region) of the row at Depth, N columns from Lo.
+	EventFill
+)
+
+// Event is one step of a solve's schedule. Columns are the engine's
+// (GreenLeftOneSided's) and may be negative: columns below 0 are virtual
+// filler left of the grid.
+type Event struct {
+	Kind         EventKind
+	Depth, Lo, N int
+	Steps        int       // EventFFT only
+	W            []float64 // stencil weights of EventDirect and EventFFT
+}
+
+// Record makes every solve st is passed to report its schedule to rec, in
+// order, and run serially so that the order is deterministic; the counters
+// are unchanged, since they do not depend on the schedule. rec == nil stops
+// recording. A recording Stats must serve one solve at a time.
+func Record(st *Stats, rec func(Event)) { st.rec = rec }
+
+func (s *Stats) recording() bool { return s != nil && s.rec != nil }
+
+func (s *Stats) addFFT(depth, lo, n, steps int, w []float64, cells int) {
 	if s != nil {
 		s.FFTCalls.Add(1)
 		s.FFTCells.Add(int64(cells))
+		if s.rec != nil {
+			s.rec(Event{Kind: EventFFT, Depth: depth, Lo: lo, N: n, Steps: steps, W: w})
+		}
 	}
 }
 
-func (s *Stats) addNaive(cells int) {
+// addDirect counts the direct cells [lo, hi] at depth+1.
+func (s *Stats) addDirect(depth, lo, hi int, w []float64) {
 	if s != nil {
-		s.NaiveCells.Add(int64(cells))
+		s.NaiveCells.Add(int64(hi - lo + 1))
+		if s.rec != nil {
+			s.rec(Event{Kind: EventDirect, Depth: depth, Lo: lo, N: hi - lo + 1, W: w})
+		}
 	}
 }
 
-func (s *Stats) addTrap() {
+func (s *Stats) addZone(depth, lo, n int) {
 	if s != nil {
 		s.Trapezoids.Add(1)
+		if s.rec != nil {
+			s.rec(Event{Kind: EventZone, Depth: depth, Lo: lo, N: n})
+		}
+	}
+}
+
+func (s *Stats) addFill(depth, lo, n int) {
+	if s.recording() {
+		s.rec(Event{Kind: EventFill, Depth: depth, Lo: lo, N: n})
 	}
 }
 

@@ -105,6 +105,7 @@ func (e *glosEngine) fillGreen(dst []float64, depth, lo int) {
 	for i := range dst {
 		dst[i] = e.green(depth, lo+i)
 	}
+	e.stats.addFill(depth, lo, len(dst))
 }
 
 // SolveGreenLeftOneSided runs the fast solver and returns the apex value
@@ -129,6 +130,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		for j := range seg {
 			seg[j] = p.Init(bnd + 1 + j)
 		}
+		st.addFill(0, bnd+1, len(seg))
 	}
 
 	d := 0
@@ -153,8 +155,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		remaining := p.T - d
 		if bnd < 0 {
 			// Entirely red: one FFT evolution reaches the apex.
-			out, _ := linstencil.EvolveCone(seg, e.s, remaining)
-			e.stats.addFFT(len(out))
+			out := e.evolve(seg, d, 0, remaining)
 			v := out[0]
 			scratch.PutFloats(out)
 			scratch.PutFloats(seg)
@@ -229,7 +230,7 @@ func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
 			}
 		}
 	})
-	e.stats.addNaive(hi1 + 1)
+	e.stats.addDirect(0, 0, hi1, e.s.W)
 	newBnd := -1
 	for j := hi1; j >= 0; j-- {
 		if isGreen[j] {
@@ -272,21 +273,21 @@ func (e *glosEngine) cellAt(seg []float64, bnd, d, j int) (float64, bool) {
 // previous one, so the cost is O(red width + boundary movement).
 func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
 	newHi := e.hi(d + 1)
-	newBnd := min(bnd, newHi)
-	cells := 0
+	top := min(bnd, newHi)
+	newBnd := top
 	for newBnd >= 0 {
-		cells++
 		if _, green := e.cellAt(seg, bnd, d, newBnd); green {
 			break
 		}
 		newBnd--
 	}
+	e.stats.addDirect(d, max(newBnd, 0), top, e.s.W)
 	next := scratch.Floats(newHi - newBnd)
 	for j := newBnd + 1; j <= newHi; j++ {
 		v, _ := e.cellAt(seg, bnd, d, j)
 		next[j-newBnd-1] = v
 	}
-	e.stats.addNaive(cells + len(next))
+	e.stats.addDirect(d, newBnd+1, newHi, e.s.W)
 	return next, newBnd
 }
 
@@ -296,7 +297,7 @@ func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
 // the caller rebuilds it from the closed form.
 func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	checkCancel(e.cancel)
-	e.stats.addTrap()
+	e.stats.addZone(d, bnd-e.drop*h, len(win))
 	if bnd < 0 {
 		// No green cells remain and the band holds no red cell of its own.
 		return nil, -1
@@ -334,25 +335,27 @@ func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	return out, newBnd
 }
 
-// evolve advances the all-red strip by steps with one FFT evolution; a
-// strip too short to leave any exact cell returns nil.
-func (e *glosEngine) evolve(strip []float64, steps int) []float64 {
+// evolve advances the all-red strip, columns from lo of the row at depth d,
+// by steps with one FFT evolution; a strip too short to leave any exact cell
+// returns nil.
+func (e *glosEngine) evolve(strip []float64, d, lo, steps int) []float64 {
 	if len(strip) <= e.r*steps {
 		return nil
 	}
 	out, _ := linstencil.EvolveCone(strip, e.s, steps)
-	e.stats.addFFT(len(out))
+	e.stats.addFFT(d, lo, len(strip), steps, e.s.W, len(out))
 	return out
 }
 
 // zoneSplit runs the boundary subzone of height hh on win beside the FFT
-// evolution of strip: sequentially when the parent height h is at most
-// parCutoff, else with the strip forked and the subzone inline, so the
-// FFT's token returns for the subzone's own forks.
+// evolution of strip, the columns right of bnd: sequentially when the
+// parent height h is at most parCutoff or the schedule is being recorded,
+// else with the strip forked and the subzone inline, so the FFT's token
+// returns for the subzone's own forks.
 func (e *glosEngine) zoneSplit(win []float64, d, bnd, h, hh int, strip []float64) ([]float64, int, []float64) {
-	if h <= parCutoff {
+	if h <= parCutoff || e.stats.recording() {
 		red, nb := e.zone(win, d, bnd, hh)
-		return red, nb, e.evolve(strip, hh)
+		return red, nb, e.evolve(strip, d, bnd+1, hh)
 	}
 	return e.zoneSplitPar(win, d, bnd, hh, strip)
 }
@@ -365,7 +368,7 @@ func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64
 		nb         int
 	}
 	par.Do(
-		func() { res.right = e.evolve(strip, hh) },
+		func() { res.right = e.evolve(strip, d, bnd+1, hh) },
 		func() { res.red, res.nb = e.zone(win, d, bnd, hh) },
 	)
 	return res.red, res.nb, res.right
@@ -400,7 +403,7 @@ func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
 				}
 			}
 		}
-		e.stats.addNaive(len(next))
+		e.stats.addDirect(d+t-1, from, from+len(next)-1, e.s.W)
 		b = newB
 		if t < h {
 			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop)

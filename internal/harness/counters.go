@@ -33,8 +33,10 @@ var (
 	tracedCache = map[string]tracedPoint{}
 )
 
-// tracedRun replays the traced kernel for one (model, alg, T) and measures
-// the production implementation's wall time.
+// tracedRun replays one (model, alg, T) on a simulated hierarchy and
+// measures the production implementation's wall time. The fft column
+// replays the recorded schedule of the production fast solve (trace.Replay);
+// the others run the traced direct sweeps.
 func tracedRun(model, alg string, T int) (tracedPoint, error) {
 	key := fmt.Sprintf("%s/%s/%d", model, alg, T)
 	tracedMu.Lock()
@@ -54,7 +56,9 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.BOPMSpec(m)
 		switch alg {
 		case "fft":
-			trace.FastGR(h, spec)
+			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+				return tracedPoint{}, err
+			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
 		case "ql":
 			trace.NaiveGR(h, spec)
@@ -73,7 +77,9 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.TOPMSpec(m)
 		switch alg {
 		case "fft":
-			trace.FastGR(h, spec)
+			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+				return tracedPoint{}, err
+			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
 		case "vanilla":
 			trace.NaiveGR(h, spec)
@@ -89,7 +95,9 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.BSMSpec(m)
 		switch alg {
 		case "fft":
-			trace.FastGL(h, spec)
+			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+				return tracedPoint{}, err
+			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
 		case "vanilla":
 			trace.NaiveGL(h, spec)
@@ -157,7 +165,7 @@ func fig7(cfg Config) ([]*Table, error) {
 			t := &Table{
 				ID:     fmt.Sprintf("fig7%c", 'a'+lvl.sub+i),
 				Title:  fmt.Sprintf("%s %s cache misses (simulated SKX hierarchy)", mm.model, lvl.name),
-				Note:   "set-associative LRU simulation; no prefetchers — see DESIGN.md substitution notes",
+				Note:   "set-associative LRU simulation of the SKX geometry; no prefetchers — see the internal/cachesim package doc",
 				Header: append([]string{"T"}, algCols(mm.algs, "")...),
 			}
 			for _, T := range sweep(1<<10, cfg.MaxTraceT) {

@@ -279,6 +279,7 @@ func Do(fns ...func()) {
 		}
 		capture(&j.pe, offs[i].f)
 		j.pending.Add(-1)
+		j.done.Done()
 	}
 	if started {
 		forks.Add(1)
@@ -364,7 +365,9 @@ func startOffers(n int) int {
 // then hands its token to the joiner instead of returning it, and the joiner
 // resumes on it. So a token is held only while a goroutine runs, the joiner
 // leaves with exactly the slot it came in with, and every token the region
-// claimed is back when the joiner returns.
+// claimed is back when the joiner returns: the joiner waits for every worker
+// to finish exit, not just to count itself out, since a worker can be
+// preempted between the two.
 //
 // A panic in any worker or inline function is captured and re-raised after
 // the join, so no goroutine outlives the region and the budget stays paired
@@ -374,9 +377,11 @@ type join struct {
 	// withdrawn, plus one for the joiner until it reaches the join; whoever
 	// takes it to zero is last.
 	pending atomic.Int64
-	// resume releases a joiner that found workers still running.
-	resume sync.WaitGroup
-	pe     atomic.Pointer[PanicError]
+	// done counts the workers and offers that have not finished: a worker
+	// is done once it has returned or handed over its token, an offer once
+	// its caller has run it inline.
+	done sync.WaitGroup
+	pe   atomic.Pointer[PanicError]
 }
 
 // newJoin prepares a region of the given number of workers: For forks each on
@@ -384,13 +389,14 @@ type join struct {
 func newJoin(workers int) *join {
 	j := &join{}
 	j.pending.Store(int64(workers) + 1)
-	j.resume.Add(1)
+	j.done.Add(workers)
 	return j
 }
 
 // fork runs f on a new goroutine holding one of the region's tokens.
 func (j *join) fork(f func()) {
 	go func() {
+		defer j.done.Done()
 		defer j.exit()
 		capture(&j.pe, f)
 	}()
@@ -400,20 +406,18 @@ func (j *join) fork(f func()) {
 // its token over, so the joiner resumes on a slot without racing other
 // goroutines for the budget; every other worker returns its token.
 func (j *join) exit() {
-	if j.pending.Add(-1) == 0 {
-		j.resume.Done()
-		return
+	if j.pending.Add(-1) != 0 {
+		Release(1)
 	}
-	Release(1)
 }
 
-// wait is the join. A joiner whose workers are all done returns at once;
-// otherwise it lends its slot to the budget and blocks until the last worker
-// hands it a token back.
+// wait is the join. A joiner whose workers have all counted themselves out
+// waits only for their tokens to be back; otherwise it lends its slot to the
+// budget and blocks until the last worker hands it a token back.
 func (j *join) wait() {
 	if j.pending.Add(-1) != 0 {
 		Release(1)
-		j.resume.Wait()
 	}
+	j.done.Wait()
 	rethrow(&j.pe)
 }

@@ -410,3 +410,27 @@ func TestConcurrentRegionsRestoreBudget(t *testing.T) {
 		t.Errorf("%d tokens in use after concurrent regions", n)
 	}
 }
+
+// Every join returns with its workers' tokens back, even when a worker that
+// finished early is still between its exit bookkeeping and its Release as
+// the joiner arrives. Only many short joins hit that window, and mostly
+// under -race.
+func TestJoinReturnsAfterEveryToken(t *testing.T) {
+	withWorkers(t, 2)
+	for i := 0; i < 20000; i++ {
+		var ran atomic.Bool
+		Do(
+			func() { ran.Store(true) },
+			func() {
+				// Reach the join only once the forked branch has run (or,
+				// when no token started it, at once: it runs inline).
+				for !ran.Load() && InUse() != 0 {
+					runtime.Gosched()
+				}
+			},
+		)
+		if n := InUse(); n != 0 {
+			t.Fatalf("join %d returned with %d tokens in use", i, n)
+		}
+	}
+}

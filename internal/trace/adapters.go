@@ -9,7 +9,7 @@ import (
 	"github.com/nlstencil/amop/internal/topm"
 )
 
-// BOPMSpec adapts a binomial model (American call) to the traced kernels.
+// BOPMSpec adapts a binomial model (American call) to the traced sweeps.
 func BOPMSpec(m *bopm.Model) *GRSpec {
 	return &GRSpec{
 		W:     m.Stencil().W,
@@ -17,11 +17,10 @@ func BOPMSpec(m *bopm.Model) *GRSpec {
 		Hi0:   m.T,
 		Init:  func(col int) float64 { return math.Max(0, m.Exercise(option.Call, 0, col)) },
 		Green: func(depth, col int) float64 { return m.Exercise(option.Call, depth, col) },
-		Bnd0:  m.LeafBoundary(),
 	}
 }
 
-// TOPMSpec adapts a trinomial model (American call) to the traced kernels.
+// TOPMSpec adapts a trinomial model (American call) to the traced sweeps.
 func TOPMSpec(m *topm.Model) *GRSpec {
 	return &GRSpec{
 		W:     m.Stencil().W,
@@ -29,12 +28,11 @@ func TOPMSpec(m *topm.Model) *GRSpec {
 		Hi0:   2 * m.T,
 		Init:  func(col int) float64 { return math.Max(0, m.Exercise(option.Call, 0, col)) },
 		Green: func(depth, col int) float64 { return m.Exercise(option.Call, depth, col) },
-		Bnd0:  m.LeafBoundary(),
 	}
 }
 
 // BSMSpec adapts a Black-Scholes FD model (American put) to the traced
-// kernels. The traced result is in dimensionless units; multiply by K to
+// sweeps. The traced result is in dimensionless units; multiply by K to
 // compare with bsm prices.
 func BSMSpec(m *bsm.Model) *GLSpec {
 	return &GLSpec{
@@ -44,6 +42,5 @@ func BSMSpec(m *bsm.Model) *GLSpec {
 		Hi0:   2 * m.T,
 		Init:  func(col int) float64 { return math.Max(m.Green(col), 0) },
 		Green: func(depth, col int) float64 { return m.Green(col) },
-		Bnd0:  m.LeafBoundary(),
 	}
 }

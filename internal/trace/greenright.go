@@ -3,18 +3,14 @@ package trace
 import "github.com/nlstencil/amop/internal/cachesim"
 
 // GRSpec describes a one-sided (green-right) nonlinear stencil instance for
-// the traced kernels, with the fields of fbstencil.GreenRight. The traced
-// kernels keep the paper's green-right indexing for the Figure 6/7/10
-// replays, while the production pricers solve the swapped contract's put on
-// the green-left engine.
+// the traced direct sweeps, with the fields of fbstencil.GreenRight: the
+// lattice calls in the paper's indexing, as internal/sweep solves them.
 type GRSpec struct {
 	W     []float64
 	T     int
 	Hi0   int
 	Init  func(col int) float64
 	Green func(depth, col int) float64
-	Bnd0  int
-	Base  int // fast-solver recursion cutoff (0 = 8)
 }
 
 func (s *GRSpec) span() int { return len(s.W) - 1 }
@@ -163,170 +159,4 @@ func tiledBandGR(h *cachesim.Hierarchy, s *GRSpec, row cachesim.F64, depth, hh, 
 		}
 	}
 	return out
-}
-
-// FastGR replays the paper's FFT-based solver for green-right problems (the
-// trapezoid decomposition of Section 2.3, serial) on traced memory.
-func FastGR(h *cachesim.Hierarchy, s *GRSpec) float64 {
-	e := &grTrace{engine: newEngine(h), s: s, base: s.Base}
-	if e.base <= 0 {
-		e.base = 8
-	}
-	r := s.span()
-	bnd := min(s.Bnd0, s.Hi0)
-	var seg cachesim.F64
-	if bnd >= 0 {
-		seg = h.NewF64(bnd + 1)
-		for j := 0; j <= bnd; j++ {
-			seg.Set(j, s.Init(j))
-			h.AddFlops(flopsPerExp)
-		}
-	}
-	d := 0
-	if s.T >= 1 {
-		seg, bnd = e.exactFirstStep(seg, bnd)
-		d = 1
-	}
-	for d < s.T {
-		if bnd < 0 {
-			return s.Green(s.T, 0)
-		}
-		remaining := s.T - d
-		hh := min((bnd+1)/r, remaining)
-		if hh >= e.base {
-			seg, bnd = e.solveTrap(seg, 0, bnd, d, hh)
-			d += hh
-			continue
-		}
-		seg, bnd = e.naiveStep(seg, 0, bnd, d)
-		d++
-	}
-	if bnd < 0 {
-		return s.Green(s.T, 0)
-	}
-	return seg.Get(0)
-}
-
-type grTrace struct {
-	*engine
-	s    *GRSpec
-	base int
-}
-
-func (e *grTrace) hi(depth int) int { return e.s.Hi0 - depth*e.s.span() }
-
-func (e *grTrace) read(seg cachesim.F64, c0, bnd, depth int) func(col int) float64 {
-	return func(col int) float64 {
-		if col <= bnd {
-			return seg.Get(col - c0)
-		}
-		e.h.AddFlops(flopsPerExp)
-		return e.s.Green(depth, col)
-	}
-}
-
-func (e *grTrace) exactFirstStep(seg cachesim.F64, bnd int) (cachesim.F64, int) {
-	read := e.read(seg, 0, bnd, 0)
-	hi1 := e.hi(1)
-	if hi1 < 0 {
-		return cachesim.F64{}, -1
-	}
-	vals := e.h.NewF64(hi1 + 1)
-	newBnd := -1
-	for j := 0; j <= hi1; j++ {
-		var lin float64
-		for i, w := range e.s.W {
-			lin += w * read(j+i)
-		}
-		g := e.s.Green(1, j)
-		if lin >= g {
-			vals.Set(j, lin)
-			newBnd = j // ascending scan: ends at the largest red column
-		} else {
-			vals.Set(j, g)
-		}
-		e.h.AddFlops(flopsPerCell + flopsPerExp)
-	}
-	if newBnd < 0 {
-		return cachesim.F64{}, -1
-	}
-	return vals.Slice(0, newBnd+1), newBnd
-}
-
-func (e *grTrace) naiveStep(seg cachesim.F64, c0, bnd, d int) (cachesim.F64, int) {
-	read := e.read(seg, c0, bnd, d)
-	cap1 := min(bnd, e.hi(d+1))
-	if cap1 < c0 {
-		return cachesim.F64{}, c0 - 1
-	}
-	next := e.h.NewF64(cap1 - c0 + 1)
-	newBnd := c0 - 1
-	for j := c0; j <= cap1; j++ {
-		var lin float64
-		for i, w := range e.s.W {
-			lin += w * read(j+i)
-		}
-		g := e.s.Green(d+1, j)
-		if lin >= g {
-			next.Set(j-c0, lin)
-			newBnd = j
-		} else {
-			next.Set(j-c0, g)
-		}
-		e.h.AddFlops(flopsPerCell + flopsPerExp)
-	}
-	if newBnd < cap1 {
-		next = next.Slice(0, max(newBnd-c0+1, 0))
-	}
-	return next, newBnd
-}
-
-func (e *grTrace) naiveBlock(seg cachesim.F64, c0, bnd, d, hh int) (cachesim.F64, int) {
-	for t := 0; t < hh; t++ {
-		seg, bnd = e.naiveStep(seg, c0, bnd, d+t)
-		if bnd < c0 {
-			return cachesim.F64{}, bnd
-		}
-	}
-	return seg, bnd
-}
-
-func (e *grTrace) solveTrap(seg cachesim.F64, c0, bnd, d, hh int) (cachesim.F64, int) {
-	if hh <= e.base {
-		return e.naiveBlock(seg, c0, bnd, d, hh)
-	}
-	h1 := (hh + 1) / 2
-	h2 := hh - h1
-	mid, midBnd := e.halfStep(seg, c0, bnd, d, h1)
-	if midBnd < c0 {
-		return cachesim.F64{}, midBnd
-	}
-	if midBnd-c0+1 < e.s.span()*h2 {
-		return e.naiveBlock(mid, c0, midBnd, d+h1, h2)
-	}
-	return e.halfStep(mid, c0, midBnd, d+h1, h2)
-}
-
-func (e *grTrace) halfStep(seg cachesim.F64, c0, bnd, d, k int) (cachesim.F64, int) {
-	r := e.s.span()
-	cut := bnd - r*k
-	var left cachesim.F64
-	if cut >= c0 {
-		left = e.evolveCone(seg.Slice(0, bnd-c0+1), 0, e.s.W, k)
-	}
-	right, rightBnd := e.solveTrap(seg.Slice(cut+1-c0, bnd-c0+1), cut+1, bnd, d, k)
-	if rightBnd <= cut {
-		if cut < c0 {
-			return cachesim.F64{}, c0 - 1
-		}
-		return left, cut
-	}
-	merged := e.h.NewF64(rightBnd - c0 + 1)
-	for i := 0; i < left.Len(); i++ {
-		merged.Set(i, left.Get(i))
-	}
-	for i := 0; i < right.Len(); i++ {
-		merged.Set(cut+1-c0+i, right.Get(i))
-	}
-	return merged, rightBnd
 }

@@ -1,13 +1,20 @@
-// Package trace contains instrumented ("traced") variants of every pricing
-// kernel the paper profiles with PAPI (Figure 7) and RAPL (Figures 6 and
-// 10). Each traced kernel performs the same arithmetic as its production
-// counterpart — tests assert the prices agree — but routes every array
-// access through a cachesim.Hierarchy and accrues approximate flop counts,
-// so cache-miss and energy experiments can be reproduced in software.
+// Package trace reproduces the cache-miss (Figure 7) and energy (Figures 6
+// and 10) experiments the paper runs with PAPI and RAPL, in software: it
+// routes array traffic through a cachesim.Hierarchy and accrues approximate
+// flop counts for the energy model.
 //
-// Traced kernels are deliberately serial: hardware-counter runs in the paper
-// measure total traffic, which is schedule-independent for these algorithms,
-// and a serial replay keeps the simulator deterministic.
+// The fast column replays the production engine's recorded schedule
+// (Replay): fbstencil.SolveGreenLeftOneSided reports its zone windows,
+// direct steps, FFT evolutions and closed-form fills, and each is replayed
+// on simulated buffers with a traced FFT, so the counters measure the solver
+// that ships. The direct baselines (NaiveGR, TiledGR, NaiveGL) are traced
+// copies of internal/sweep's loops; tests assert their prices agree with
+// production.
+//
+// Everything here runs serially, the recorded solve included: hardware-
+// counter runs in the paper measure total traffic, which is
+// schedule-independent for these algorithms, and a serial replay keeps the
+// simulator deterministic.
 package trace
 
 import (
@@ -109,38 +116,20 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, a cachesim.C128, inverse b
 	}
 }
 
-// engine carries the hierarchy and plan cache through a traced solve.
-type engine struct {
-	h     *cachesim.Hierarchy
-	plans planCache
-}
-
-func newEngine(h *cachesim.Hierarchy) *engine {
-	return &engine{h: h, plans: planCache{}}
-}
-
 // evolveCone mirrors linstencil.EvolveCone on traced memory: k steps of the
-// stencil with offsets minOff..minOff+len(w)-1 applied to in, returning the
-// in-cone outputs (first position -k*minOff relative to in's origin).
-func (e *engine) evolveCone(in cachesim.F64, minOff int, w []float64, k int) cachesim.F64 {
-	n := in.Len()
+// stencil with offsets 0..len(w)-1 applied to the n cells load reads in
+// order, returning the in-cone outputs (the first n-k*(len(w)-1) positions).
+func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k int) cachesim.F64 {
 	span := len(w) - 1
 	outN := n - k*span
 	if outN <= 0 {
 		panic("trace: cone empty")
 	}
-	if k == 0 {
-		out := e.h.NewF64(n)
-		for i := 0; i < n; i++ {
-			out.Set(i, in.Get(i))
-		}
-		return out
-	}
 	if n*k*(span+1) <= 1<<11 {
 		// Mirror the production naive cutoff so traffic patterns match.
-		buf := e.h.NewF64(n)
+		buf := r.h.NewF64(n)
 		for i := 0; i < n; i++ {
-			buf.Set(i, in.Get(i))
+			buf.Set(i, load(i))
 		}
 		m := n
 		for step := 0; step < k; step++ {
@@ -151,22 +140,22 @@ func (e *engine) evolveCone(in cachesim.F64, minOff int, w []float64, k int) cac
 					acc += wi * buf.Get(j+i)
 				}
 				buf.Set(j, acc)
-				e.h.AddFlops(flopsPerCell)
+				r.h.AddFlops(flopsPerCell)
 			}
 		}
 		return buf.Slice(0, outN)
 	}
 
 	N := fft.NextPow2(n)
-	p := e.plans.get(e.h, N)
-	a := e.h.NewC128(N)
+	p := r.plans.get(r.h, N)
+	a := r.h.NewC128(N)
 	for i := 0; i < n; i++ {
-		a.Set(i, complex(in.Get(i), 0))
+		a.Set(i, complex(load(i), 0))
 	}
 	for i := n; i < N; i++ {
 		a.Set(i, 0)
 	}
-	p.transform(e.h, a, false)
+	p.transform(r.h, a, false)
 	logK := uint64(bits.Len(uint(k)))
 	for f := 0; f < N; f++ {
 		sin, cos := math.Sincos(-2 * math.Pi * float64(f) / float64(N))
@@ -177,10 +166,10 @@ func (e *engine) evolveCone(in cachesim.F64, minOff int, w []float64, k int) cac
 		}
 		kp := fft.Pow(sym, k)
 		a.Set(f, a.Get(f)*complex(real(kp), -imag(kp)))
-		e.h.AddFlops(flopsPerExp + 8*logK + 8)
+		r.h.AddFlops(flopsPerExp + 8*logK + 8)
 	}
-	p.transform(e.h, a, true)
-	out := e.h.NewF64(outN)
+	p.transform(r.h, a, true)
+	out := r.h.NewF64(outN)
 	for i := 0; i < outN; i++ {
 		out.Set(i, real(a.Get(i)))
 	}

@@ -7,6 +7,7 @@ import (
 	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/cachesim"
+	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/topm"
 )
@@ -15,7 +16,7 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / (1 + math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// The traced kernels must compute the same prices as the production
+// The traced sweeps must compute the same prices as the production
 // implementations — that is what makes their traffic counts meaningful.
 
 func TestTracedBOPMKernelsMatchProduction(t *testing.T) {
@@ -33,9 +34,6 @@ func TestTracedBOPMKernelsMatchProduction(t *testing.T) {
 		if got := TiledGR(cachesim.NewSKX(), spec, 128, 16); relDiff(got, want) > 1e-10 {
 			t.Errorf("T=%d TiledGR: %.12g want %.12g", T, got, want)
 		}
-		if got := FastGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-			t.Errorf("T=%d FastGR: %.12g want %.12g", T, got, want)
-		}
 	}
 }
 
@@ -48,9 +46,6 @@ func TestTracedTOPMKernelsMatchProduction(t *testing.T) {
 	spec := TOPMSpec(m)
 	if got := NaiveGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
 		t.Errorf("NaiveGR: %.12g want %.12g", got, want)
-	}
-	if got := FastGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-		t.Errorf("FastGR: %.12g want %.12g", got, want)
 	}
 }
 
@@ -66,8 +61,53 @@ func TestTracedBSMKernelsMatchProduction(t *testing.T) {
 		if got := K * NaiveGL(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
 			t.Errorf("T=%d NaiveGL: %.12g want %.12g", T, got, want)
 		}
-		if got := K * FastGL(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-			t.Errorf("T=%d FastGL: %.12g want %.12g", T, got, want)
+	}
+}
+
+// TestReplayMatchesProductionStats: the replay executes the schedule the
+// production engine runs. Its trapezoid, direct-cell and FFT counts equal
+// the Stats of an unrecorded solve at the default worker count, whose zone
+// recursion forks, and recording leaves the price bitwise unchanged.
+func TestReplayMatchesProductionStats(t *testing.T) {
+	type pricer interface {
+		PriceFast() (float64, error)
+		PriceFastStats(*fbstencil.Stats) (float64, error)
+	}
+	models := []struct {
+		name string
+		make func(T int) (pricer, error)
+	}{
+		{"bopm-call", func(T int) (pricer, error) { return bopm.New(option.Default(), T) }},
+		{"topm-call", func(T int) (pricer, error) { return topm.New(option.Default(), T) }},
+		{"bsm-put", func(T int) (pricer, error) { return bsm.New(option.Default(), T, 0) }},
+	}
+	for _, mm := range models {
+		for _, T := range []int{333, 1024, 4096} {
+			m, err := mm.make(T)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st fbstencil.Stats
+			want, err := m.PriceFastStats(&st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, work, err := Replay(cachesim.NewSKX(), m.PriceFastStats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s T=%d: recorded price %v, production %v", mm.name, T, got, want)
+			}
+			prod := Work{
+				Trapezoids:  st.Trapezoids.Load(),
+				DirectCells: st.NaiveCells.Load(),
+				FFTCalls:    st.FFTCalls.Load(),
+				FFTCells:    st.FFTCells.Load(),
+			}
+			if work != prod {
+				t.Errorf("%s T=%d: replay work %+v, production Stats %+v", mm.name, T, work, prod)
+			}
 		}
 	}
 }
@@ -88,7 +128,9 @@ func TestMissShape(t *testing.T) {
 	hNaive := cachesim.NewSKX()
 	NaiveGR(hNaive, spec)
 	hFast := cachesim.NewSKX()
-	FastGR(hFast, spec)
+	if _, _, err := Replay(hFast, m.PriceFastStats); err != nil {
+		t.Fatal(err)
+	}
 
 	nm := hNaive.Snapshot().L1Misses
 	fm := hFast.Snapshot().L1Misses
@@ -136,7 +178,9 @@ func TestFlopsAccrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cachesim.NewSKX()
-	FastGR(h, BOPMSpec(m))
+	if _, _, err := Replay(h, m.PriceFastStats); err != nil {
+		t.Fatal(err)
+	}
 	if h.Snapshot().Flops == 0 {
 		t.Error("no flops recorded")
 	}
