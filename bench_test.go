@@ -236,7 +236,7 @@ func benchTraced(b *testing.B, run func(h *cachesim.Hierarchy)) {
 // benchReplay runs benchTraced on the replay of a production fast solve.
 func benchReplay(b *testing.B, solve func(*fbstencil.Stats) (float64, error)) {
 	benchTraced(b, func(h *cachesim.Hierarchy) {
-		if _, _, err := trace.Replay(h, solve); err != nil {
+		if _, err := trace.Replay(h, solve); err != nil {
 			b.Fatal(err)
 		}
 	})

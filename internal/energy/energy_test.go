@@ -52,7 +52,7 @@ func TestFastSavesEnergy(t *testing.T) {
 		hN := cachesim.NewSKX()
 		trace.NaiveGR(hN, trace.BOPMSpec(mdl))
 		hF := cachesim.NewSKX()
-		if _, _, err := trace.Replay(hF, mdl.PriceFastStats); err != nil {
+		if _, err := trace.Replay(hF, mdl.PriceFastStats); err != nil {
 			t.Fatal(err)
 		}
 		// Dynamic energy only (zero wall time): machine-independent.

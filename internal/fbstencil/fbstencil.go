@@ -150,29 +150,37 @@ type Stats struct {
 type EventKind uint8
 
 const (
-	// EventZone is a boundary zone: its window of the row at Depth, N
-	// columns from Lo. Each one counts as a trapezoid.
-	EventZone EventKind = iota
-	// EventDirect is a direct max-loop: cells Lo..Lo+N-1 at Depth+1, each
-	// from len(W) cells of the row at Depth.
+	// EventFill writes Dst from the closed form, one evaluation per cell:
+	// the initial row, or green cells at or left of a boundary.
+	EventFill EventKind = iota
+	// EventCopy copies Src into Dst.
+	EventCopy
+	// EventDirect is a direct max-loop over the N cells from column Lo of
+	// the next row. Cell Lo+j reads columns Lo+j .. Lo+j+len(W)-1 of the
+	// current row: those at or left of Bnd from the closed form, column c
+	// right of it from Src[c-Bnd-1]. It evaluates the closed form once more
+	// for its own obstacle and stores to Dst[j]; with Dst nil the cells only
+	// locate a boundary and are not kept.
 	EventDirect
-	// EventFFT is an FFT evolution of the N cells from Lo of the row at
-	// Depth by Steps steps of W: the first N-(len(W)-1)*Steps columns come
-	// out at Depth+Steps.
+	// EventFFT evolves Src by Steps steps of W with one FFT; Dst holds the
+	// len(Src)-(len(W)-1)*Steps exact outputs.
 	EventFFT
-	// EventFill is a closed-form fill (the initial row or the green
-	// region) of the row at Depth, N columns from Lo.
-	EventFill
 )
 
-// Event is one step of a solve's schedule. Columns are the engine's
-// (GreenLeftOneSided's) and may be negative: columns below 0 are virtual
-// filler left of the grid.
+// Event is one step of a solve's schedule. Src and Dst are the solver's own
+// buffers: a replay can follow every value from the step that wrote it to
+// the steps that read it. They are valid only during the callback.
 type Event struct {
-	Kind         EventKind
-	Depth, Lo, N int
-	Steps        int       // EventFFT only
-	W            []float64 // stencil weights of EventDirect and EventFFT
+	Kind     EventKind
+	Src, Dst []float64
+	Lo, Bnd  int       // EventDirect: first column and closed-form boundary
+	N        int       // EventDirect: number of cells
+	Steps    int       // EventFFT: steps evolved
+	W        []float64 // stencil weights of EventDirect and EventFFT
+	// InPlace marks an EventFill or EventDirect that rewrites cells of a
+	// buffer earlier steps already wrote (a base-case zone stepping its
+	// window); otherwise Dst is memory the step writes fresh.
+	InPlace bool
 }
 
 // Record makes every solve st is passed to report its schedule to rec, in
@@ -183,38 +191,36 @@ func Record(st *Stats, rec func(Event)) { st.rec = rec }
 
 func (s *Stats) recording() bool { return s != nil && s.rec != nil }
 
-func (s *Stats) addFFT(depth, lo, n, steps int, w []float64, cells int) {
+// record reports ev to the recorder. It stays out of line so that
+// addDirect, called once per base-case step, inlines.
+//
+//go:noinline
+func (s *Stats) record(ev Event) {
+	if s.recording() {
+		s.rec(ev)
+	}
+}
+
+func (s *Stats) addFFT(src, out []float64, steps int, w []float64) {
 	if s != nil {
 		s.FFTCalls.Add(1)
-		s.FFTCells.Add(int64(cells))
-		if s.rec != nil {
-			s.rec(Event{Kind: EventFFT, Depth: depth, Lo: lo, N: n, Steps: steps, W: w})
-		}
+		s.FFTCells.Add(int64(len(out)))
+		s.record(Event{Kind: EventFFT, Src: src, Dst: out, Steps: steps, W: w})
 	}
 }
 
-// addDirect counts the direct cells [lo, hi] at depth+1.
-func (s *Stats) addDirect(depth, lo, hi int, w []float64) {
+// addDirect counts the ev.N cells of a direct step (an EventDirect) and
+// records it.
+func (s *Stats) addDirect(ev Event) {
 	if s != nil {
-		s.NaiveCells.Add(int64(hi - lo + 1))
-		if s.rec != nil {
-			s.rec(Event{Kind: EventDirect, Depth: depth, Lo: lo, N: hi - lo + 1, W: w})
-		}
+		s.NaiveCells.Add(int64(ev.N))
+		s.record(ev)
 	}
 }
 
-func (s *Stats) addZone(depth, lo, n int) {
+func (s *Stats) addTrap() {
 	if s != nil {
 		s.Trapezoids.Add(1)
-		if s.rec != nil {
-			s.rec(Event{Kind: EventZone, Depth: depth, Lo: lo, N: n})
-		}
-	}
-}
-
-func (s *Stats) addFill(depth, lo, n int) {
-	if s.recording() {
-		s.rec(Event{Kind: EventFill, Depth: depth, Lo: lo, N: n})
 	}
 }
 

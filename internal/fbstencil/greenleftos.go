@@ -100,12 +100,23 @@ type glosEngine struct {
 func (e *glosEngine) hi(depth int) int { return e.hi0 - depth*e.r }
 
 // fillGreen writes the closed form of the row at depth on columns
-// [lo, lo+len(dst)) into dst.
-func (e *glosEngine) fillGreen(dst []float64, depth, lo int) {
+// [lo, lo+len(dst)) into dst; inPlace reports that dst already holds cells
+// of an earlier row (see Event.InPlace).
+func (e *glosEngine) fillGreen(dst []float64, depth, lo int, inPlace bool) {
 	for i := range dst {
 		dst[i] = e.green(depth, lo+i)
 	}
-	e.stats.addFill(depth, lo, len(dst))
+	if e.stats.recording() {
+		e.stats.record(Event{Kind: EventFill, Dst: dst, InPlace: inPlace})
+	}
+}
+
+// copyRow is copy(dst, src), recorded.
+func (e *glosEngine) copyRow(dst, src []float64) {
+	n := copy(dst, src)
+	if e.stats.recording() {
+		e.stats.record(Event{Kind: EventCopy, Src: src[:n], Dst: dst[:n]})
+	}
 }
 
 // SolveGreenLeftOneSided runs the fast solver and returns the apex value
@@ -130,7 +141,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		for j := range seg {
 			seg[j] = p.Init(bnd + 1 + j)
 		}
-		st.addFill(0, bnd+1, len(seg))
+		st.record(Event{Kind: EventFill, Dst: seg})
 	}
 
 	d := 0
@@ -155,7 +166,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		remaining := p.T - d
 		if bnd < 0 {
 			// Entirely red: one FFT evolution reaches the apex.
-			out := e.evolve(seg, d, 0, remaining)
+			out := e.evolve(seg, remaining)
 			v := out[0]
 			scratch.PutFloats(out)
 			scratch.PutFloats(seg)
@@ -178,15 +189,15 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		// reaches left into the green.
 		dh := e.drop * h
 		win := scratch.Floats(dh + e.r*h + 1)
-		e.fillGreen(win[:dh+1], d, bnd-dh)
-		copy(win[dh+1:], seg)
+		e.fillGreen(win[:dh+1], d, bnd-dh, false)
+		e.copyRow(win[dh+1:], seg)
 		red, newBnd, right := e.zoneSplit(win, d, bnd, h, h, seg)
 		scratch.PutFloats(win)
 		// red covers (newBnd, bnd] at depth d+h; right covers
 		// (bnd, hi(d)-r*h].
 		next := scratch.Floats(e.hi(d+h) - newBnd)
-		copy(next, red)
-		copy(next[len(red):], right)
+		e.copyRow(next, red)
+		e.copyRow(next[len(red):], right)
 		scratch.PutFloats(red)
 		scratch.PutFloats(right)
 		scratch.PutFloats(seg)
@@ -208,8 +219,8 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 // consumes (recycles) its input segment.
 func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
 	row := scratch.Floats(e.hi0 + 1)
-	e.fillGreen(row[:bnd+1], 0, 0)
-	copy(row[bnd+1:], seg)
+	e.fillGreen(row[:bnd+1], 0, 0, false)
+	e.copyRow(row[bnd+1:], seg)
 	scratch.PutFloats(seg)
 	defer scratch.PutFloats(row)
 	hi1 := e.hi(1)
@@ -230,7 +241,7 @@ func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
 			}
 		}
 	})
-	e.stats.addDirect(0, 0, hi1, e.s.W)
+	e.stats.addDirect(Event{Kind: EventDirect, Src: row, Dst: vals, Lo: 0, Bnd: -1, N: hi1 + 1, W: e.s.W})
 	newBnd := -1
 	for j := hi1; j >= 0; j-- {
 		if isGreen[j] {
@@ -241,7 +252,7 @@ func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
 	// Copy the red suffix out: a front-trimmed buffer could not go back to
 	// its pool, and this one is row-sized.
 	seg = scratch.Floats(hi1 - newBnd)
-	copy(seg, vals[newBnd+1:])
+	e.copyRow(seg, vals[newBnd+1:])
 	scratch.PutFloats(vals)
 	return seg, newBnd
 }
@@ -281,13 +292,15 @@ func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
 		}
 		newBnd--
 	}
-	e.stats.addDirect(d, max(newBnd, 0), top, e.s.W)
+	// The walk's cells only locate the boundary; the red ones are
+	// recomputed below.
+	e.stats.addDirect(Event{Kind: EventDirect, Src: seg, Lo: max(newBnd, 0), Bnd: bnd, N: top - max(newBnd, 0) + 1, W: e.s.W})
 	next := scratch.Floats(newHi - newBnd)
 	for j := newBnd + 1; j <= newHi; j++ {
 		v, _ := e.cellAt(seg, bnd, d, j)
 		next[j-newBnd-1] = v
 	}
-	e.stats.addDirect(d, newBnd+1, newHi, e.s.W)
+	e.stats.addDirect(Event{Kind: EventDirect, Src: seg, Dst: next, Lo: newBnd + 1, Bnd: bnd, N: len(next), W: e.s.W})
 	return next, newBnd
 }
 
@@ -297,7 +310,7 @@ func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
 // the caller rebuilds it from the closed form.
 func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	checkCancel(e.cancel)
-	e.stats.addZone(d, bnd-e.drop*h, len(win))
+	e.stats.addTrap()
 	if bnd < 0 {
 		// No green cells remain and the band holds no red cell of its own.
 		return nil, -1
@@ -315,9 +328,9 @@ func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 
 	// The row at depth d+h1 on [midBnd-drop*h2, bnd+r*h2].
 	mid := scratch.Floats(dh2 + 1 + len(redA) + len(rightA))
-	e.fillGreen(mid[:dh2+1], d+h1, midBnd-dh2)
-	copy(mid[dh2+1:], redA)
-	copy(mid[dh2+1+len(redA):], rightA)
+	e.fillGreen(mid[:dh2+1], d+h1, midBnd-dh2, false)
+	e.copyRow(mid[dh2+1:], redA)
+	e.copyRow(mid[dh2+1+len(redA):], rightA)
 	scratch.PutFloats(redA)
 	scratch.PutFloats(rightA)
 
@@ -328,22 +341,21 @@ func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	scratch.PutFloats(mid)
 
 	out := scratch.Floats(len(redB) + len(rightB))
-	copy(out, redB)
-	copy(out[len(redB):], rightB)
+	e.copyRow(out, redB)
+	e.copyRow(out[len(redB):], rightB)
 	scratch.PutFloats(redB)
 	scratch.PutFloats(rightB)
 	return out, newBnd
 }
 
-// evolve advances the all-red strip, columns from lo of the row at depth d,
-// by steps with one FFT evolution; a strip too short to leave any exact cell
-// returns nil.
-func (e *glosEngine) evolve(strip []float64, d, lo, steps int) []float64 {
+// evolve advances the all-red strip by steps with one FFT evolution; a
+// strip too short to leave any exact cell returns nil.
+func (e *glosEngine) evolve(strip []float64, steps int) []float64 {
 	if len(strip) <= e.r*steps {
 		return nil
 	}
 	out, _ := linstencil.EvolveCone(strip, e.s, steps)
-	e.stats.addFFT(d, lo, len(strip), steps, e.s.W, len(out))
+	e.stats.addFFT(strip, out, steps, e.s.W)
 	return out
 }
 
@@ -355,7 +367,7 @@ func (e *glosEngine) evolve(strip []float64, d, lo, steps int) []float64 {
 func (e *glosEngine) zoneSplit(win []float64, d, bnd, h, hh int, strip []float64) ([]float64, int, []float64) {
 	if h <= parCutoff || e.stats.recording() {
 		red, nb := e.zone(win, d, bnd, hh)
-		return red, nb, e.evolve(strip, d, bnd+1, hh)
+		return red, nb, e.evolve(strip, hh)
 	}
 	return e.zoneSplitPar(win, d, bnd, hh, strip)
 }
@@ -368,7 +380,7 @@ func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64
 		nb         int
 	}
 	par.Do(
-		func() { res.right = e.evolve(strip, d, bnd+1, hh) },
+		func() { res.right = e.evolve(strip, hh) },
 		func() { res.red, res.nb = e.zone(win, d, bnd, hh) },
 	)
 	return res.red, res.nb, res.right
@@ -382,7 +394,7 @@ func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64
 func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
 	lo := bnd - e.drop*h
 	row := scratch.Floats(len(win))
-	copy(row, win)
+	e.copyRow(row, win)
 	end := len(row) // row[:end] holds the current row
 	b := bnd
 	for t := 1; t <= h; t++ {
@@ -403,14 +415,14 @@ func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
 				}
 			}
 		}
-		e.stats.addDirect(d+t-1, from, from+len(next)-1, e.s.W)
+		e.stats.addDirect(Event{Kind: EventDirect, Src: row, Dst: next, Lo: from, Bnd: lo - 1, N: len(next), W: e.s.W, InPlace: true})
 		b = newB
 		if t < h {
-			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop)
+			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop, true)
 		}
 	}
 	red := scratch.Floats(bnd - b)
-	copy(red, row[b+1-lo:])
+	e.copyRow(red, row[b+1-lo:])
 	scratch.PutFloats(row)
 	return red, b
 }

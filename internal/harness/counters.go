@@ -56,7 +56,7 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.BOPMSpec(m)
 		switch alg {
 		case "fft":
-			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
 				return tracedPoint{}, err
 			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
@@ -77,7 +77,7 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.TOPMSpec(m)
 		switch alg {
 		case "fft":
-			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
 				return tracedPoint{}, err
 			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
@@ -95,7 +95,7 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		spec := trace.BSMSpec(m)
 		switch alg {
 		case "fft":
-			if _, _, err := trace.Replay(h, m.PriceFastStats); err != nil {
+			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
 				return tracedPoint{}, err
 			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck

@@ -4,10 +4,11 @@
 // flop counts for the energy model.
 //
 // The fast column replays the production engine's recorded schedule
-// (Replay): fbstencil.SolveGreenLeftOneSided reports its zone windows,
-// direct steps, FFT evolutions and closed-form fills, and each is replayed
-// on simulated buffers with a traced FFT, so the counters measure the solver
-// that ships. The direct baselines (NaiveGR, TiledGR, NaiveGL) are traced
+// (Replay): fbstencil.SolveGreenLeftOneSided reports its closed-form fills,
+// copies, direct steps and FFT evolutions together with the buffers they
+// read and write, and each is replayed on simulated memory that follows
+// those buffers, with a traced FFT, so the counters measure the solver that
+// ships. The direct baselines (NaiveGR, TiledGR, NaiveGL) are traced
 // copies of internal/sweep's loops; tests assert their prices agree with
 // production.
 //

@@ -65,21 +65,31 @@ func TestTracedBSMKernelsMatchProduction(t *testing.T) {
 }
 
 // TestReplayMatchesProductionStats: the replay executes the schedule the
-// production engine runs. Its trapezoid, direct-cell and FFT counts equal
-// the Stats of an unrecorded solve at the default worker count, whose zone
-// recursion forks, and recording leaves the price bitwise unchanged.
+// production engine runs. The recorded solve's trapezoid, direct-cell and
+// FFT counts equal the Stats of an unrecorded solve at the default worker
+// count, whose zone recursion forks, and recording leaves the price bitwise
+// unchanged. Every read the replay makes, FFT inputs included, finds the
+// step that wrote its cell. In the deep in-the-money put the boundary
+// reaches the apex, so the solve ends in direct steps that read the green
+// columns from the closed form.
 func TestReplayMatchesProductionStats(t *testing.T) {
 	type pricer interface {
-		PriceFast() (float64, error)
 		PriceFastStats(*fbstencil.Stats) (float64, error)
 	}
+	itm := option.Default()
+	itm.S, itm.R = 100, 0.05
 	models := []struct {
-		name string
-		make func(T int) (pricer, error)
+		name       string
+		make       func(T int) (pricer, error)
+		closedForm bool // the solve reads green columns from the closed form
 	}{
-		{"bopm-call", func(T int) (pricer, error) { return bopm.New(option.Default(), T) }},
-		{"topm-call", func(T int) (pricer, error) { return topm.New(option.Default(), T) }},
-		{"bsm-put", func(T int) (pricer, error) { return bsm.New(option.Default(), T, 0) }},
+		{"bopm-call", func(T int) (pricer, error) { return bopm.New(option.Default(), T) }, false},
+		{"topm-call", func(T int) (pricer, error) { return topm.New(option.Default(), T) }, false},
+		{"bsm-put", func(T int) (pricer, error) { return bsm.New(option.Default(), T, 0) }, false},
+		{"bsm-put-itm", func(T int) (pricer, error) { return bsm.New(itm, T, 0) }, true},
+	}
+	counts := func(st *fbstencil.Stats) [4]int64 {
+		return [4]int64{st.Trapezoids.Load(), st.NaiveCells.Load(), st.FFTCalls.Load(), st.FFTCells.Load()}
 	}
 	for _, mm := range models {
 		for _, T := range []int{333, 1024, 4096} {
@@ -92,23 +102,48 @@ func TestReplayMatchesProductionStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, work, err := Replay(cachesim.NewSKX(), m.PriceFastStats)
+			r := newReplayer(cachesim.NewSKX())
+			got, rec, err := r.replay(m.PriceFastStats)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s T=%d: %v", mm.name, T, err)
 			}
 			if got != want {
 				t.Errorf("%s T=%d: recorded price %v, production %v", mm.name, T, got, want)
 			}
-			prod := Work{
-				Trapezoids:  st.Trapezoids.Load(),
-				DirectCells: st.NaiveCells.Load(),
-				FFTCalls:    st.FFTCalls.Load(),
-				FFTCells:    st.FFTCells.Load(),
+			if counts(rec) != counts(&st) {
+				t.Errorf("%s T=%d: recorded [trapezoids direct fftCalls fftCells] %v, production %v", mm.name, T, counts(rec), counts(&st))
 			}
-			if work != prod {
-				t.Errorf("%s T=%d: replay work %+v, production Stats %+v", mm.name, T, work, prod)
+			if r.unresolved != 0 || r.stale != 0 {
+				t.Errorf("%s T=%d: %d unwritten and %d rewritten reads", mm.name, T, r.unresolved, r.stale)
+			}
+			if mm.closedForm && r.closedForm == 0 {
+				t.Errorf("%s T=%d: no closed-form reads", mm.name, T)
 			}
 		}
+	}
+}
+
+// TestReplayCatchesMissedWrites: a schedule that leaves out a step's write
+// makes the replay fail instead of reading the cell from somewhere else.
+func TestReplayCatchesMissedWrites(t *testing.T) {
+	m, err := bsm.New(option.Default(), 1024, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newReplayer(cachesim.NewSKX())
+	dropped := false
+	_, _, err = r.replay(func(st *fbstencil.Stats) (float64, error) {
+		fbstencil.Record(st, func(ev fbstencil.Event) {
+			if ev.Kind == fbstencil.EventCopy && !dropped && len(ev.Dst) > 0 {
+				dropped = true
+				return
+			}
+			r.apply(ev)
+		})
+		return m.PriceFastStats(st)
+	})
+	if !dropped || err == nil {
+		t.Fatalf("dropped a copy: %v, replay error: %v", dropped, err)
 	}
 }
 
@@ -128,7 +163,7 @@ func TestMissShape(t *testing.T) {
 	hNaive := cachesim.NewSKX()
 	NaiveGR(hNaive, spec)
 	hFast := cachesim.NewSKX()
-	if _, _, err := Replay(hFast, m.PriceFastStats); err != nil {
+	if _, err := Replay(hFast, m.PriceFastStats); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,7 +213,7 @@ func TestFlopsAccrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cachesim.NewSKX()
-	if _, _, err := Replay(h, m.PriceFastStats); err != nil {
+	if _, err := Replay(h, m.PriceFastStats); err != nil {
 		t.Fatal(err)
 	}
 	if h.Snapshot().Flops == 0 {
