@@ -6,7 +6,7 @@ GO ?= go
 # with .github/workflows/ci.yml.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check bench-compare fuzz-smoke xval
+.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check bench-compare fuzz-smoke xval loc
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -35,6 +35,12 @@ fuzz-smoke:
 
 build:
 	$(GO) build ./...
+
+# loc prints the non-test and test Go line counts of the tracked files
+# outside bench/ (its own module), the figures each CHANGES.md entry reports.
+loc:
+	@echo "non-test $$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l)"
+	@echo "test     $$(git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l)"
 
 test:
 	$(GO) test ./...

@@ -208,28 +208,40 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 	}
 	kind := option.Kind(o.Type)
 	switch m {
-	case Binomial:
-		mdl, err := cache.bopm(o.params(), cfg)
+	case Binomial, Trinomial:
+		mdl, err := cache.lattice(m, o.params(), cfg)
 		if err != nil {
 			return 0, err
 		}
 		if cfg.European {
-			return priceEuropeanLattice(cfg, kind,
-				mdl.PriceEuropean, mdl.PriceEuropeanNaive)
+			switch cfg.Algorithm {
+			case Fast:
+				return mdl.PriceEuropean(kind), nil
+			case Naive, NaiveParallel:
+				return mdl.PriceEuropeanNaive(kind), nil
+			default:
+				return 0, fmt.Errorf("amop: algorithm %v not available for European lattice pricing", cfg.Algorithm)
+			}
 		}
-		return priceAmericanLattice(cfg, kind, cancel,
-			mdl.PriceFastCancel, mdl.PriceFastPutCancel, mdl.PriceNaive, mdl.PriceNaiveParallel, mdl.PriceTiled, mdl.PriceRecursive)
-	case Trinomial:
-		mdl, err := cache.topm(o.params(), cfg)
-		if err != nil {
-			return 0, err
+		// Fast calls and puts both run on the one-sided green-left engine of
+		// the paper's BSM put: a call as the put of its swapped contract.
+		switch cfg.Algorithm {
+		case Fast:
+			if kind == option.Put {
+				return mdl.PriceFastPutCancel(cancel)
+			}
+			return mdl.PriceFastCancel(cancel)
+		case Naive:
+			return mdl.PriceNaive(kind), nil
+		case NaiveParallel:
+			return mdl.PriceNaiveParallel(kind), nil
+		case Tiled:
+			return mdl.PriceTiled(kind, cfg.TileW, cfg.TileH), nil
+		case Recursive:
+			return mdl.PriceRecursive(kind), nil
+		default:
+			return 0, fmt.Errorf("amop: unknown algorithm %v", cfg.Algorithm)
 		}
-		if cfg.European {
-			return priceEuropeanLattice(cfg, kind,
-				mdl.PriceEuropean, mdl.PriceEuropeanNaive)
-		}
-		return priceAmericanLattice(cfg, kind, cancel,
-			mdl.PriceFastCancel, mdl.PriceFastPutCancel, mdl.PriceNaive, mdl.PriceNaiveParallel, mdl.PriceTiled, mdl.PriceRecursive)
 	case BlackScholesFD:
 		mdl, err := cache.bsm(o.params(), cfg)
 		if err != nil {
@@ -263,54 +275,6 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		}
 	default:
 		return 0, fmt.Errorf("amop: unknown model %v", m)
-	}
-}
-
-// priceAmericanLattice dispatches an American lattice pricing request to the
-// concrete algorithm implementations. Fast calls and puts run on the same
-// one-sided green-left engine as the paper's BSM put: a fast put directly,
-// and a fast call as the put of its swapped contract (put-call symmetry),
-// with the boundary structure the paper proves for calls (see
-// internal/fbstencil/greenleftos.go).
-func priceAmericanLattice(
-	cfg Config, kind option.Kind, cancel func() error,
-	fast func(func() error) (float64, error),
-	fastPut func(func() error) (float64, error),
-	naive, naivePar func(option.Kind) float64,
-	tiled func(option.Kind, int, int) float64,
-	recursive func(option.Kind) float64,
-) (float64, error) {
-	switch cfg.Algorithm {
-	case Fast:
-		if kind == option.Put {
-			return fastPut(cancel)
-		}
-		return fast(cancel)
-	case Naive:
-		return naive(kind), nil
-	case NaiveParallel:
-		return naivePar(kind), nil
-	case Tiled:
-		return tiled(kind, cfg.TileW, cfg.TileH), nil
-	case Recursive:
-		return recursive(kind), nil
-	default:
-		return 0, fmt.Errorf("amop: unknown algorithm %v", cfg.Algorithm)
-	}
-}
-
-func priceEuropeanLattice(
-	cfg Config, kind option.Kind,
-	fast func(option.Kind) float64,
-	naive func(option.Kind) float64,
-) (float64, error) {
-	switch cfg.Algorithm {
-	case Fast:
-		return fast(kind), nil
-	case Naive, NaiveParallel:
-		return naive(kind), nil
-	default:
-		return 0, fmt.Errorf("amop: algorithm %v not available for European lattice pricing", cfg.Algorithm)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/faultinject"
 	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
@@ -430,25 +431,25 @@ func (e *engine) priceAmerican(o Option, steps int) (float64, error) {
 
 // --- model cache ------------------------------------------------------------
 
-// latticeKey identifies a constructed model: every input New consumes.
+// latticeKey identifies a constructed model: the model and every input its
+// constructor consumes.
 type latticeKey struct {
+	model    Model
 	prm      option.Params
 	steps    int
 	lambda   float64
 	baseCase int
 }
 
-// modelCache shares constructed bopm/topm/bsm models between requests with
+// modelCache shares constructed lattice and bsm models between requests with
 // identical lattice parameters. Models are immutable once built (SetBaseCase
 // is applied before publication), so cached instances are safe to price from
 // concurrently. The zero value is ready to use; a nil *modelCache disables
 // caching (every lookup constructs).
 type modelCache struct {
-	mu    sync.Mutex
-	bopms map[latticeKey]*bopm.Model
-	topms map[latticeKey]*topm.Model
-	bsms  map[latticeKey]*bsm.Model
-	hits  int
+	mu     sync.Mutex
+	models map[latticeKey]any // *lattice.Model or *bsm.Model, by key.model
+	hits   int
 }
 
 // Hits reports how many lookups were served from the cache (for tests).
@@ -458,106 +459,57 @@ func (c *modelCache) Hits() int {
 	return c.hits
 }
 
-func (c *modelCache) bopm(p option.Params, cfg Config) (*bopm.Model, error) {
-	if c == nil {
-		m, err := bopm.New(p, cfg.Steps)
+// lattice returns the Binomial or Trinomial model of p.
+func (c *modelCache) lattice(m Model, p option.Params, cfg Config) (*lattice.Model, error) {
+	newTree := bopm.New
+	if m == Trinomial {
+		newTree = topm.New
+	}
+	return cached(c, latticeKey{model: m, prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}, func() (*lattice.Model, error) {
+		mdl, err := newTree(p, cfg.Steps)
 		if err != nil {
 			return nil, err
 		}
-		m.SetBaseCase(cfg.BaseCase)
-		return m, nil
-	}
-	k := latticeKey{prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}
-	c.mu.Lock()
-	if m, ok := c.bopms[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	m, err := bopm.New(p, cfg.Steps)
-	if err != nil {
-		return nil, err
-	}
-	m.SetBaseCase(cfg.BaseCase)
-	c.mu.Lock()
-	if c.bopms == nil {
-		c.bopms = make(map[latticeKey]*bopm.Model)
-	}
-	if prior, ok := c.bopms[k]; ok {
-		m = prior // a concurrent builder won; share its instance
-	} else {
-		c.bopms[k] = m
-	}
-	c.mu.Unlock()
-	return m, nil
-}
-
-func (c *modelCache) topm(p option.Params, cfg Config) (*topm.Model, error) {
-	if c == nil {
-		m, err := topm.New(p, cfg.Steps)
-		if err != nil {
-			return nil, err
-		}
-		m.SetBaseCase(cfg.BaseCase)
-		return m, nil
-	}
-	k := latticeKey{prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}
-	c.mu.Lock()
-	if m, ok := c.topms[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return m, nil
-	}
-	c.mu.Unlock()
-	m, err := topm.New(p, cfg.Steps)
-	if err != nil {
-		return nil, err
-	}
-	m.SetBaseCase(cfg.BaseCase)
-	c.mu.Lock()
-	if c.topms == nil {
-		c.topms = make(map[latticeKey]*topm.Model)
-	}
-	if prior, ok := c.topms[k]; ok {
-		m = prior
-	} else {
-		c.topms[k] = m
-	}
-	c.mu.Unlock()
-	return m, nil
+		mdl.SetBaseCase(cfg.BaseCase)
+		return mdl, nil
+	})
 }
 
 func (c *modelCache) bsm(p option.Params, cfg Config) (*bsm.Model, error) {
-	if c == nil {
-		m, err := bsm.New(p, cfg.Steps, cfg.Lambda)
+	return cached(c, latticeKey{model: BlackScholesFD, prm: p, steps: cfg.Steps, lambda: cfg.Lambda, baseCase: cfg.BaseCase}, func() (*bsm.Model, error) {
+		mdl, err := bsm.New(p, cfg.Steps, cfg.Lambda)
 		if err != nil {
 			return nil, err
 		}
-		m.SetBaseCase(cfg.BaseCase)
-		return m, nil
+		mdl.SetBaseCase(cfg.BaseCase)
+		return mdl, nil
+	})
+}
+
+// cached returns c's model for k, building it outside the lock on a miss.
+func cached[M any](c *modelCache, k latticeKey, build func() (M, error)) (M, error) {
+	if c == nil {
+		return build()
 	}
-	k := latticeKey{prm: p, steps: cfg.Steps, lambda: cfg.Lambda, baseCase: cfg.BaseCase}
 	c.mu.Lock()
-	if m, ok := c.bsms[k]; ok {
+	if m, ok := c.models[k]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return m, nil
+		return m.(M), nil
 	}
 	c.mu.Unlock()
-	m, err := bsm.New(p, cfg.Steps, cfg.Lambda)
+	m, err := build()
 	if err != nil {
-		return nil, err
+		return m, err
 	}
-	m.SetBaseCase(cfg.BaseCase)
 	c.mu.Lock()
-	if c.bsms == nil {
-		c.bsms = make(map[latticeKey]*bsm.Model)
+	if c.models == nil {
+		c.models = make(map[latticeKey]any)
 	}
-	if prior, ok := c.bsms[k]; ok {
-		m = prior
+	if prior, ok := c.models[k]; ok {
+		m = prior.(M) // a concurrent builder won; share its instance
 	} else {
-		c.bsms[k] = m
+		c.models[k] = m
 	}
 	c.mu.Unlock()
 	return m, nil

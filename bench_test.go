@@ -21,6 +21,7 @@ import (
 	"github.com/nlstencil/amop/internal/energy"
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
@@ -142,29 +143,22 @@ func BenchmarkFig5cVanillaBsm(b *testing.B) {
 
 // --- Lattice fast calls and puts --------------------------------------------
 
-// latticeFast is the fast-solver surface bopm.Model and topm.Model share.
-type latticeFast interface {
-	PriceFast() (float64, error)
-	PriceFastPut() (float64, error)
-}
-
 // benchLatticeFast times solve on the binomial and trinomial models at each
 // step count.
-func benchLatticeFast(b *testing.B, steps []int, solve func(latticeFast) (float64, error)) {
+func benchLatticeFast(b *testing.B, steps []int, solve func(*lattice.Model) (float64, error)) {
 	for _, T := range steps {
-		bm := mustBOPM(b, T)
-		tm, err := topm.New(option.Default(), T)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range []struct {
+		for _, tree := range []struct {
 			name string
-			m    latticeFast
-		}{{"bopm", bm}, {"topm", tm}} {
-			b.Run(c.name+"/T="+strconv.Itoa(T), func(b *testing.B) {
+			new  func(option.Params, int) (*lattice.Model, error)
+		}{{"bopm", bopm.New}, {"topm", topm.New}} {
+			m, err := tree.new(option.Default(), T)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(tree.name+"/T="+strconv.Itoa(T), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := solve(c.m); err != nil {
+					if _, err := solve(m); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -176,13 +170,13 @@ func benchLatticeFast(b *testing.B, steps []int, solve func(latticeFast) (float6
 // BenchmarkPriceFastCall times the binomial and trinomial fast American
 // calls, which run as the fast puts of their swapped contracts.
 func BenchmarkPriceFastCall(b *testing.B) {
-	benchLatticeFast(b, []int{333, 4000, 1 << 16}, latticeFast.PriceFast)
+	benchLatticeFast(b, []int{333, 4000, 1 << 16}, (*lattice.Model).PriceFast)
 }
 
 // BenchmarkPriceFastPut times the binomial and trinomial fast American puts
 // (an extension beyond the paper), which run on the same engine.
 func BenchmarkPriceFastPut(b *testing.B) {
-	benchLatticeFast(b, []int{333, 4000, 1 << 16}, latticeFast.PriceFastPut)
+	benchLatticeFast(b, []int{333, 4000, 1 << 16}, (*lattice.Model).PriceFastPut)
 }
 
 // --- Table 5: scaling with worker count p ------------------------------------
@@ -247,12 +241,12 @@ func BenchmarkFig67TracedFFTBopm(b *testing.B) {
 }
 
 func BenchmarkFig67TracedQlBopm(b *testing.B) {
-	spec := trace.BOPMSpec(mustBOPM(b, benchSimT))
+	spec := trace.LatticeSpec(mustBOPM(b, benchSimT))
 	benchTraced(b, func(h *cachesim.Hierarchy) { trace.NaiveGR(h, spec) })
 }
 
 func BenchmarkFig67TracedZbBopm(b *testing.B) {
-	spec := trace.BOPMSpec(mustBOPM(b, benchSimT))
+	spec := trace.LatticeSpec(mustBOPM(b, benchSimT))
 	benchTraced(b, func(h *cachesim.Hierarchy) { trace.TiledGR(h, spec, 0, 0) })
 }
 
@@ -269,7 +263,7 @@ func BenchmarkFig67TracedVanillaTopm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := trace.TOPMSpec(m)
+	spec := trace.LatticeSpec(m)
 	benchTraced(b, func(h *cachesim.Hierarchy) { trace.NaiveGR(h, spec) })
 }
 
@@ -544,7 +538,7 @@ func BenchmarkScenarioNaiveFanout(b *testing.B) {
 	}
 }
 
-func mustBOPM(b *testing.B, T int) *bopm.Model {
+func mustBOPM(b *testing.B, T int) *lattice.Model {
 	b.Helper()
 	m, err := bopm.New(option.Default(), T)
 	if err != nil {

@@ -50,7 +50,7 @@ func TestFastSavesEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 		hN := cachesim.NewSKX()
-		trace.NaiveGR(hN, trace.BOPMSpec(mdl))
+		trace.NaiveGR(hN, trace.LatticeSpec(mdl))
 		hF := cachesim.NewSKX()
 		if _, err := trace.Replay(hF, mdl.PriceFastStats); err != nil {
 			t.Fatal(err)

@@ -457,8 +457,9 @@ func SolveGreenLeftOneSidedNaive(p *GreenLeftOneSided) (float64, error) {
 
 // GreenLeftOneSidedBoundaryTrace solves naively while checking the
 // structure the fast solver assumes: green-prefix contiguity at every depth,
-// no rightward boundary moves after depth 1, and drops of at most one per
-// interior step. It returns the boundary per depth or the first violation.
+// no rightward boundary moves after depth 1, and drops of at most MaxDrop
+// per interior step. It returns the boundary per depth or the first
+// violation.
 func GreenLeftOneSidedBoundaryTrace(p *GreenLeftOneSided) ([]int, error) {
 	if err := p.validate(); err != nil {
 		return nil, err

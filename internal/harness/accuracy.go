@@ -6,6 +6,7 @@ import (
 
 	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/bsm"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/topm"
 )
@@ -27,25 +28,17 @@ func accuracy(cfg Config) ([]*Table, error) {
 	for _, T := range sweep(1<<10, min(cfg.MaxQuadT, 1<<14)) {
 		row := []string{fmt.Sprint(T)}
 
-		mb, err := bopm.New(prm, T)
-		if err != nil {
-			return nil, err
+		for _, newTree := range []func(option.Params, int) (*lattice.Model, error){bopm.New, topm.New} {
+			m, err := newTree(prm, T)
+			if err != nil {
+				return nil, err
+			}
+			f, err := m.PriceFast()
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmt.Sprintf("%.2e", relErr(f, m.PriceNaive(option.Call))))
 		}
-		fb, err := mb.PriceFast()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, fmt.Sprintf("%.2e", relErr(fb, mb.PriceNaive(option.Call))))
-
-		mt, err := topm.New(prm, T)
-		if err != nil {
-			return nil, err
-		}
-		ft, err := mt.PriceFast()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, fmt.Sprintf("%.2e", relErr(ft, mt.PriceNaive(option.Call))))
 
 		ms, err := bsm.New(prm, T, 0)
 		if err != nil {

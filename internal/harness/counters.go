@@ -48,44 +48,30 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 	h := cachesim.NewSKX()
 	var seconds float64
 	switch model {
-	case "bopm":
-		m, err := bopm.New(prm, T)
+	case "bopm", "topm":
+		newTree := bopm.New
+		if model == "topm" {
+			newTree = topm.New
+		}
+		m, err := newTree(prm, T)
 		if err != nil {
 			return tracedPoint{}, err
 		}
-		spec := trace.BOPMSpec(m)
+		spec := trace.LatticeSpec(m)
 		switch alg {
 		case "fft":
 			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
 				return tracedPoint{}, err
 			}
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
-		case "ql":
+		case "ql", "vanilla": // the paper's names for the row-parallel loop on each tree
 			trace.NaiveGR(h, spec)
 			seconds = timeIt(func() { m.PriceNaiveParallel(option.Call) })
 		case "zb":
 			trace.TiledGR(h, spec, 0, 0)
 			seconds = timeIt(func() { m.PriceTiled(option.Call, 0, 0) })
 		default:
-			return tracedPoint{}, fmt.Errorf("unknown bopm algorithm %q", alg)
-		}
-	case "topm":
-		m, err := topm.New(prm, T)
-		if err != nil {
-			return tracedPoint{}, err
-		}
-		spec := trace.TOPMSpec(m)
-		switch alg {
-		case "fft":
-			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
-				return tracedPoint{}, err
-			}
-			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
-		case "vanilla":
-			trace.NaiveGR(h, spec)
-			seconds = timeIt(func() { m.PriceNaiveParallel(option.Call) })
-		default:
-			return tracedPoint{}, fmt.Errorf("unknown topm algorithm %q", alg)
+			return tracedPoint{}, fmt.Errorf("unknown %s algorithm %q", model, alg)
 		}
 	case "bsm":
 		m, err := bsm.New(prm, T, 0)

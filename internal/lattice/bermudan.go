@@ -1,4 +1,4 @@
-package bopm
+package lattice
 
 import (
 	"fmt"
@@ -8,10 +8,10 @@ import (
 	"github.com/nlstencil/amop/internal/par"
 )
 
-// PriceBermudan prices a Bermudan option on the binomial lattice: exercise
-// is allowed only at depths that are multiples of every (counting from
-// expiry; the valuation date is exercisable iff T is a multiple too, so
-// every=1 reproduces the American price exactly).
+// PriceBermudan prices a Bermudan option on the lattice: exercise is allowed
+// only at depths that are multiples of every (counting from expiry; the
+// valuation date is exercisable iff T is a multiple too, so every=1
+// reproduces the American price exactly).
 //
 // Between consecutive exercise dates the value function evolves purely
 // linearly, so each inter-date block is one multi-step FFT evolution of the
@@ -21,9 +21,9 @@ import (
 // both calls and puts).
 func (m *Model) PriceBermudan(kind option.Kind, every int) (float64, error) {
 	if every < 1 {
-		return 0, fmt.Errorf("bopm: Bermudan exercise interval %d must be >= 1", every)
+		return 0, fmt.Errorf("lattice: Bermudan exercise interval %d must be >= 1", every)
 	}
-	row := make([]float64, m.T+1)
+	row := make([]float64, m.r()*m.T+1)
 	for j := range row {
 		row[j] = m.Prm.Payoff(kind, m.Asset(0, j))
 	}
@@ -39,7 +39,7 @@ func (m *Model) PriceBermudan(kind option.Kind, every int) (float64, error) {
 		row, _ = linstencil.EvolveCone(row, st, next-depth)
 		depth = next
 		if depth%every == 0 {
-			hi := m.T - depth
+			hi := m.r() * (m.T - depth)
 			par.For(hi+1, 2048, func(lo, hiC int) {
 				const chunk = 512
 				var ex [chunk]float64

@@ -1,5 +1,7 @@
 package sweep
 
+import "github.com/nlstencil/amop/internal/scratch"
+
 // Recursive is the cache-oblivious trapezoidal-decomposition sweep of Frigo &
 // Strumpen (the "recursive tiling" baseline of the paper's Table 2), adapted
 // to the right-leaning dependency cone of the pricing grids and to the
@@ -17,10 +19,13 @@ package sweep
 // cache sizes — that is what "cache-oblivious" buys.
 func Recursive(p *Problem) float64 {
 	row := p.leafRow()
-	r := len(p.W) - 1
-	w := &rwalk{p: p, r: r, row: row}
+	ex := scratch.Floats(exChunk)
+	w := rwalk{p: p, r: len(p.W) - 1, row: row, ex: ex}
 	w.walk(0, p.T, 0, 0, p.Hi0)
-	return row[0]
+	v := row[0]
+	scratch.PutFloats(ex)
+	scratch.PutFloats(row)
+	return v
 }
 
 // recursiveBaseHeight is the height below which a region is swept row by
@@ -28,9 +33,9 @@ func Recursive(p *Problem) float64 {
 const recursiveBaseHeight = 24
 
 type rwalk struct {
-	p   *Problem
-	r   int
-	row []float64
+	p       *Problem
+	r       int
+	row, ex []float64
 }
 
 // walk processes depths (t0, t1] of the region [cl - sl*t, cr - r*t].
@@ -44,7 +49,7 @@ func (w *rwalk) walk(t0, t1, cl, sl, cr int) {
 			lo := cl - sl*t
 			hi := cr - w.r*t
 			if lo <= hi {
-				w.p.updateRowInPlace(w.row, t, lo, hi)
+				w.p.updateRowInPlace(w.row, w.ex, t, lo, hi)
 			}
 		}
 		return

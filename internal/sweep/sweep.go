@@ -35,7 +35,9 @@ type Problem struct {
 }
 
 // exChunk is the column-chunk granularity used to amortize FillExercise
-// calls while keeping scratch buffers stack-friendly.
+// calls. The chunk buffer comes from the scratch pools, not the stack:
+// FillExercise is a func value, so a stack array passed to it escapes, one
+// allocation per call.
 const exChunk = 512
 
 // leafRow materializes the initial row into a pooled buffer; callers recycle
@@ -49,10 +51,10 @@ func (p *Problem) leafRow() []float64 {
 }
 
 // updateRowInPlace advances columns [lo, hi] of row from depth-1 to depth,
-// in place. In-place ascending order is safe because dependencies point
-// right: cell j reads columns j..j+r, none of which have been overwritten
-// yet.
-func (p *Problem) updateRowInPlace(row []float64, depth, lo, hi int) {
+// in place, with ex (exChunk long) as the exercise chunk. In-place ascending
+// order is safe because dependencies point right: cell j reads columns
+// j..j+r, none of which have been overwritten yet.
+func (p *Problem) updateRowInPlace(row, ex []float64, depth, lo, hi int) {
 	r := len(p.W) - 1
 	if p.FillExercise == nil {
 		for j := lo; j <= hi; j++ {
@@ -64,7 +66,6 @@ func (p *Problem) updateRowInPlace(row []float64, depth, lo, hi int) {
 		}
 		return
 	}
-	var ex [exChunk]float64
 	for c := lo; c <= hi; c += exChunk {
 		ce := min(c+exChunk-1, hi)
 		p.FillExercise(depth, c, ce, ex[:ce-c+1])
@@ -86,10 +87,12 @@ func (p *Problem) updateRowInPlace(row []float64, depth, lo, hi int) {
 func Naive(p *Problem) float64 {
 	r := len(p.W) - 1
 	row := p.leafRow()
+	ex := scratch.Floats(exChunk)
 	for d := 1; d <= p.T; d++ {
-		p.updateRowInPlace(row, d, 0, p.Hi0-d*r)
+		p.updateRowInPlace(row, ex, d, 0, p.Hi0-d*r)
 	}
 	v := row[0]
+	scratch.PutFloats(ex)
 	scratch.PutFloats(row)
 	return v
 }
@@ -108,7 +111,7 @@ func NaiveParallel(p *Problem) float64 {
 			d := row + 1
 			cur := rows[row&1]
 			next := rows[1-row&1]
-			var ex [exChunk]float64
+			ex := scratch.Floats(exChunk)
 			for c := lo; c < hiEx; c += exChunk {
 				ce := min(c+exChunk, hiEx) - 1
 				if p.FillExercise != nil {
@@ -125,6 +128,7 @@ func NaiveParallel(p *Problem) float64 {
 					next[j] = lin
 				}
 			}
+			scratch.PutFloats(ex)
 		})
 	v := rows[p.T&1][0]
 	scratch.PutFloats(rows[0])

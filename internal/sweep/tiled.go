@@ -71,7 +71,7 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 
 	// Phase A: independent shrinking tiles.
 	par.For(numTiles, 1, func(klo, khi int) {
-		var ex [exChunk]float64
+		ex := scratch.Floats(exChunk)
 		for k := klo; k < khi; k++ {
 			a, b := tileLo(k), tileHi(k)
 			buf := scratch.Floats(b - a + 1)
@@ -104,6 +104,7 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 			copy(out[a:], buf) // bottom columns [a, b-h*r]
 			scratch.PutFloats(buf)
 		}
+		scratch.PutFloats(ex)
 	})
 
 	// Phase B: inverted triangles across interior tile boundaries. The
@@ -111,7 +112,7 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 	// depth offset t; its dependencies are the previous triangle row plus
 	// tile k's right halo and tile k+1's left halo.
 	par.For(numTiles-1, 1, func(klo, khi int) {
-		var ex [exChunk]float64
+		ex := scratch.Floats(exChunk)
 		src := make([]float64, 0, (h+1)*r)
 		tri := make([]float64, 0, h*r)
 		for k := klo; k < khi; k++ {
@@ -145,6 +146,7 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 			}
 			copy(out[b-h*r+1:], tri)
 		}
+		scratch.PutFloats(ex)
 	})
 	for k := range haloL {
 		scratch.PutFloats(haloL[k])

@@ -45,6 +45,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestProbabilitiesSumToOne: the weights are discounted probabilities — they
+// sum to Disc = e^(-R*dt) — under which the price is a martingale:
+// sum_k W[k]*u^(k-1) = e^(-Y*dt).
 func TestProbabilitiesSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
@@ -52,12 +55,12 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s := m.Pu + m.Po + m.Pd; math.Abs(s-1) > 1e-12 {
+		w := m.W
+		if s := (w[0] + w[1] + w[2]) / m.Disc; math.Abs(s-1) > 1e-12 {
 			t.Errorf("probabilities sum to %v", s)
 		}
-		// Martingale condition: E[price factor] = e^((R-Y)dt).
-		gro := m.Pd/m.U + m.Po + m.Pu*m.U
-		want := math.Exp((m.Prm.R - m.Prm.Y) * m.Dt)
+		gro := w[0]/m.U + w[1] + w[2]*m.U
+		want := math.Exp(-m.Prm.Y * m.Dt)
 		if relDiff(gro, want) > 1e-12 {
 			t.Errorf("martingale violated: %v vs %v", gro, want)
 		}
@@ -205,19 +208,58 @@ func TestBaseCaseAblation(t *testing.T) {
 	}
 }
 
-func TestLeafBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
+func TestPutBoundaryStructure(t *testing.T) {
+	rng := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 20; trial++ {
-		m, err := New(randParams(rng), 10+rng.Intn(200))
+		p := randParams(rng)
+		if trial%2 == 0 {
+			p.Y = 0
+		}
+		m, err := New(p, 16+rng.Intn(300))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := m.leafBoundary()
-		if b >= 0 && m.Exercise(option.Call, 0, b) > 0 {
-			t.Errorf("trial %d: boundary cell %d has positive exercise", trial, b)
+		if err := m.ValidatePutStructure(); err != nil {
+			t.Errorf("trial %d (T=%d, %+v): %v", trial, m.T, m.Prm, err)
 		}
-		if b < 2*m.T && m.Exercise(option.Call, 0, b+1) <= 0 {
-			t.Errorf("trial %d: cell %d right of boundary has exercise <= 0", trial, b+1)
+	}
+}
+
+func TestFastPutMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	for trial := 0; trial < 25; trial++ {
+		p := randParams(rng)
+		if trial%2 == 0 {
+			p.Y = 0
+		}
+		m, err := New(p, 16+rng.Intn(500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := m.PriceFastPut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := m.PriceNaive(option.Put)
+		if d := relDiff(fast, naive); d > 1e-10 {
+			t.Errorf("trial %d (T=%d, %+v): fast %.12g naive %.12g rel %g", trial, m.T, p, fast, naive, d)
+		}
+	}
+}
+
+func TestFastPutPaperParams(t *testing.T) {
+	for _, T := range []int{100, 1000, 4000} {
+		m, err := New(option.Default(), T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := m.PriceFastPut()
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := m.PriceNaive(option.Put)
+		if d := relDiff(fast, naive); d > 1e-10 {
+			t.Errorf("T=%d: fast %.12g naive %.12g rel %g", T, fast, naive, d)
 		}
 	}
 }

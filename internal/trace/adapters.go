@@ -3,29 +3,19 @@ package trace
 import (
 	"math"
 
-	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/bsm"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
-	"github.com/nlstencil/amop/internal/topm"
 )
 
-// BOPMSpec adapts a binomial model (American call) to the traced sweeps.
-func BOPMSpec(m *bopm.Model) *GRSpec {
+// LatticeSpec adapts a binomial or trinomial model (American call) to the
+// traced sweeps.
+func LatticeSpec(m *lattice.Model) *GRSpec {
+	st := m.Stencil()
 	return &GRSpec{
-		W:     m.Stencil().W,
+		W:     st.W,
 		T:     m.T,
-		Hi0:   m.T,
-		Init:  func(col int) float64 { return math.Max(0, m.Exercise(option.Call, 0, col)) },
-		Green: func(depth, col int) float64 { return m.Exercise(option.Call, depth, col) },
-	}
-}
-
-// TOPMSpec adapts a trinomial model (American call) to the traced sweeps.
-func TOPMSpec(m *topm.Model) *GRSpec {
-	return &GRSpec{
-		W:     m.Stencil().W,
-		T:     m.T,
-		Hi0:   2 * m.T,
+		Hi0:   st.Span() * m.T,
 		Init:  func(col int) float64 { return math.Max(0, m.Exercise(option.Call, 0, col)) },
 		Green: func(depth, col int) float64 { return m.Exercise(option.Call, depth, col) },
 	}

@@ -26,7 +26,7 @@ func TestTracedBOPMKernelsMatchProduction(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := m.PriceNaive(option.Call)
-		spec := BOPMSpec(m)
+		spec := LatticeSpec(m)
 
 		if got := NaiveGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
 			t.Errorf("T=%d NaiveGR: %.12g want %.12g", T, got, want)
@@ -43,7 +43,7 @@ func TestTracedTOPMKernelsMatchProduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := m.PriceNaive(option.Call)
-	spec := TOPMSpec(m)
+	spec := LatticeSpec(m)
 	if got := NaiveGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
 		t.Errorf("NaiveGR: %.12g want %.12g", got, want)
 	}
@@ -158,7 +158,7 @@ func TestMissShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := BOPMSpec(m)
+	spec := LatticeSpec(m)
 
 	hNaive := cachesim.NewSKX()
 	NaiveGR(hNaive, spec)
@@ -179,7 +179,7 @@ func TestMissShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	hSmall := cachesim.NewSKX()
-	NaiveGR(hSmall, BOPMSpec(small))
+	NaiveGR(hSmall, LatticeSpec(small))
 	if mm := hSmall.Snapshot().L1Misses; mm > 1<<12 {
 		t.Errorf("naive at T=2^11 missed %d times; its row should be L1-resident", mm)
 	}
@@ -193,7 +193,7 @@ func TestTiledImprovesOnNaiveL2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := BOPMSpec(m)
+	spec := LatticeSpec(m)
 
 	hNaive := cachesim.NewSKX()
 	NaiveGR(hNaive, spec)
