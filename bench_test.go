@@ -343,45 +343,8 @@ func BenchmarkEvolveCone(b *testing.B) {
 	}
 }
 
-// BenchmarkRealFFT measures a forward+inverse real round trip at 256K;
-// compare against BenchmarkComplexFFT for the half-transform win.
-func BenchmarkRealFFT(b *testing.B) {
-	n := 1 << 18
-	rp := fft.RPlanFor(n)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Cos(float64(i))
-	}
-	spec := make([]complex128, rp.HalfLen())
-	b.SetBytes(int64(8 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rp.Forward(x, spec)
-		rp.Inverse(spec, x)
-	}
-}
-
-// BenchmarkComplexFFT is the complex-plan round trip at the same size.
-func BenchmarkComplexFFT(b *testing.B) {
-	n := 1 << 18
-	p := fft.PlanFor(n)
-	a := make([]complex128, n)
-	for i := range a {
-		a[i] = complex(math.Cos(float64(i)), 0)
-	}
-	b.SetBytes(int64(16 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(a)
-		p.Inverse(a)
-	}
-}
-
-// BenchmarkRealFFTSoAPlanes is BenchmarkRealFFT's workload through the
-// plane-native entry points (the path the stencil evolution takes), so the
-// pair tracks the plane-API win over the complex-spectrum API.
+// BenchmarkRealFFTSoAPlanes measures a forward+inverse real round trip at
+// 256K through the transform the stencil evolution takes.
 func BenchmarkRealFFTSoAPlanes(b *testing.B) {
 	n := 1 << 18
 	rp := fft.RPlanFor(n)

@@ -1,6 +1,6 @@
 // Package pairing implements the acquire/release path analysis shared by
 // the budgetpair (par.TryAcquire/par.Release) and scratchpair
-// (scratch.Floats/PutFloats, scratch.Complexes/PutComplexes) analyzers.
+// (scratch.Floats/PutFloats) analyzers.
 //
 // The model: an acquire call produces a resource bound to a local variable;
 // the resource must reach a matching release on every path out of the

@@ -2,10 +2,9 @@
 // from internal/scratch's size-classed freelists are returned or
 // deliberately handed off.
 //
-// The invariant: scratch.Floats / scratch.Complexes transfer buffer
-// ownership to the caller; the owner either returns the buffer with
-// scratch.PutFloats / scratch.PutComplexes or passes ownership on (returns
-// it, stores it, hands it to a goroutine). A locally-owned buffer that
+// The invariant: scratch.Floats transfers buffer ownership to the caller;
+// the owner either returns the buffer with scratch.PutFloats or passes
+// ownership on (returns it, stores it, hands it to a goroutine). A locally-owned buffer that
 // reaches a return statement — or falls out of scope — without a Put is a
 // pool leak: correctness survives (the GC collects it) but the freelist
 // never recycles it, and the zero-allocation steady state the pools exist
@@ -31,7 +30,7 @@ const scratchPath = framework.ModulePath + "/internal/scratch"
 
 var Analyzer = &framework.Analyzer{
 	Name: "scratchpair",
-	Doc: "check that scratch.Floats/Complexes buffers reach scratch.Put* or escape\n\n" +
+	Doc: "check that scratch.Floats buffers reach scratch.Put* or escape\n\n" +
 		"A locally-owned buffer dropped without a Put silently erodes the\n" +
 		"scratch pools' zero-allocation steady state.",
 	Run: run,
@@ -39,18 +38,14 @@ var Analyzer = &framework.Analyzer{
 
 var spec = &pairing.Spec{
 	IsAcquire: func(info *types.Info, call *ast.CallExpr) (string, bool) {
-		for _, name := range [...]string{"Floats", "Complexes"} {
-			if framework.IsCallTo(info, call, scratchPath, name) {
-				return "scratch." + name, true
-			}
+		if framework.IsCallTo(info, call, scratchPath, "Floats") {
+			return "scratch.Floats", true
 		}
 		return "", false
 	},
 	IsRelease: func(info *types.Info, call *ast.CallExpr) (string, bool) {
-		for _, name := range [...]string{"PutFloats", "PutComplexes"} {
-			if framework.IsCallTo(info, call, scratchPath, name) {
-				return "scratch." + name, true
-			}
+		if framework.IsCallTo(info, call, scratchPath, "PutFloats") {
+			return "scratch.PutFloats", true
 		}
 		return "", false
 	},

@@ -7,9 +7,3 @@ func Floats(n int) []float64 { return make([]float64, n) }
 
 // PutFloats returns a buffer to the pool.
 func PutFloats(b []float64) { _ = b }
-
-// Complexes hands the caller a zeroed complex buffer.
-func Complexes(n int) []complex128 { return make([]complex128, n) }
-
-// PutComplexes returns a complex buffer to the pool.
-func PutComplexes(b []complex128) { _ = b }

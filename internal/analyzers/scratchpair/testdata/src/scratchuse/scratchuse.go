@@ -18,8 +18,6 @@ func sum(b []float64) float64 {
 	return t
 }
 
-func transform(s []complex128) { _ = s }
-
 func done(b []float64, i int) bool { return b[i] == 0 }
 
 type state struct{ buf []float64 }
@@ -84,12 +82,6 @@ func okLinear(n int) float64 {
 	total := sum(buf)
 	scratch.PutFloats(buf)
 	return total
-}
-
-func okComplexes(n int) {
-	spec := scratch.Complexes(n)
-	transform(spec)
-	scratch.PutComplexes(spec)
 }
 
 // The double-buffer loop from the stencil evolutions: each Put matches the

@@ -5,27 +5,20 @@ package fft
 // amd64 side of the kernel-dispatch seam: runtime CPU feature detection and
 // the thin wrappers that route quad-aligned butterfly ranges into the AVX2
 // assembly in kernel_amd64.s, falling back to the generic loops for
-// misaligned edges, tiny stages, or when tests force the generic kernel.
+// misaligned edges, tiny stages, or a CPU without AVX2+FMA.
 // Builds with -tags amop_purego exclude this file (and the assembly)
 // entirely; kernel_noasm.go then provides the same two entry points.
-
-import "sync"
 
 // kernelArch names the accelerated kernel this build can dispatch to.
 const kernelArch = "avx2"
 
-var (
-	asmOnce sync.Once
-	asmOK   bool
-)
+// asmOK records whether the CPU + OS expose AVX2, FMA, and saved YMM state.
+// Detection runs once at package initialization; the result is immutable.
+var asmOK = detectAVX2()
 
 // kernelAsmAvailable reports whether the assembly kernel is usable: the
-// binary carries it (build tags) and the CPU + OS expose AVX2, FMA, and
-// saved YMM state. Detection runs once; the result is immutable.
-func kernelAsmAvailable() bool {
-	asmOnce.Do(func() { asmOK = detectAVX2() })
-	return asmOK
-}
+// binary carries it (build tags) and the CPU supports it.
+func kernelAsmAvailable() bool { return asmOK }
 
 // detectAVX2 checks CPUID for AVX2+FMA and XGETBV for OS-managed YMM state
 // (the XGETBV read is gated on OSXSAVE, so it can never fault).
@@ -79,7 +72,7 @@ func bfly4Range(re, im []float64, base int, st *soaStage, jLo, jHi int) {
 	if n <= 0 {
 		return
 	}
-	if n&3 != 0 || !kernelAsmAvailable() || soaForceGeneric.Load() {
+	if n&3 != 0 || !kernelAsmAvailable() {
 		bfly4RangeGeneric(re, im, base, st, jLo, jHi)
 		return
 	}
@@ -97,7 +90,7 @@ func bfly2Range(re, im, twRe, twIm []float64, half, jLo, jHi int) {
 	if n <= 0 {
 		return
 	}
-	if n&3 != 0 || !kernelAsmAvailable() || soaForceGeneric.Load() {
+	if n&3 != 0 || !kernelAsmAvailable() {
 		bfly2RangeGeneric(re, im, twRe, twIm, half, jLo, jHi)
 		return
 	}

@@ -1,18 +1,15 @@
 package fft
 
-// Plane-native real-input transforms. RPlan.Forward/Inverse run the
-// split-plane kernel through the inner Plan, but their complex-spectrum
-// signatures force a deinterleave on entry and a reinterleave on exit of
-// every transform. The stencil evolution hot path
+// Plane-native real-input transforms. The stencil evolution hot path
 // multiplies spectra element-wise between a forward and an inverse, so it
-// never needs the complex128 view at all: ForwardSoA and InverseSoA carry
+// never needs a complex128 view of the data: ForwardSoA and InverseSoA carry
 // the spectrum as split re/im planes end to end — the pack fuses directly
 // with the inner plan's bit-reversal gather and first butterfly, the
 // unpack/repack recombination runs over float64 lanes, and the only
 // complex128 left in the pipeline is the caller's multiplier table.
 //
 // Layout: sr/si hold the half spectrum, length n/2+1, with the conjugate
-// symmetry X[n-k] = conj(X[k]) implied exactly as in RPlan.Forward.
+// symmetry X[n-k] = conj(X[k]) of real input implied.
 
 import (
 	"fmt"
@@ -22,27 +19,21 @@ import (
 )
 
 // ForwardSoA computes the half spectrum of the real input x into split
-// planes: sr[k] + i*si[k] equals spec[k] of Forward. len(x) must be n;
-// len(sr) and len(si) must be n/2 + 1. Prior contents of sr/si are ignored.
+// planes: sr[k] + i*si[k] = sum_j x[j] * exp(-2*pi*i*j*k/n) for k in
+// [0, n/2]. The remaining frequencies follow from conjugate symmetry and are
+// not stored. len(x) must be n; len(sr) and len(si) must be n/2 + 1. Prior
+// contents of sr/si are ignored.
 func (p *RPlan) ForwardSoA(x, sr, si []float64) {
 	if len(x) != p.n || len(sr) != p.half+1 || len(si) != p.half+1 {
 		panic(fmt.Sprintf("fft: RPlan size %d: got input %d, spectrum planes %d/%d",
 			p.n, len(x), len(sr), len(si)))
 	}
+	addTransformed(8 * p.n)
 	m := p.half
 	if m < 4 {
-		// Too small for the radix-4 entry pass; delegate to the
-		// complex-spectrum API (which counts its own traffic) and split the
-		// result.
-		spec := scratch.Complexes(m + 1)
-		p.Forward(x, spec)
-		for k, z := range spec {
-			sr[k], si[k] = real(z), imag(z)
-		}
-		scratch.PutComplexes(spec)
+		smallForward(x, sr, si)
 		return
 	}
-	addTransformed(8 * p.n)
 	soaTransforms.Add(1)
 
 	// Fused entry: view x as m packed complex samples (even samples real,
@@ -52,7 +43,7 @@ func (p *RPlan) ForwardSoA(x, sr, si []float64) {
 	re := scratch.Floats(m)
 	im := scratch.Floats(m)
 	inner := p.inner
-	parallel := m >= parThreshold() && par.Workers() > 1
+	parallel := m >= ParThreshold && par.Workers() > 1
 	if parallel {
 		par.For(m/4, 1024, func(qLo, qHi int) { packGatherQuads(x, inner.rev, re, im, qLo, qHi) })
 	} else {
@@ -61,21 +52,17 @@ func (p *RPlan) ForwardSoA(x, sr, si []float64) {
 	inner.soaStages(re, im)
 
 	// Unpack: split each Z[k] into the even/odd sample spectra and recombine
-	// on the size-n circle (same algebra as unpackRange, over planes).
+	// on the size-n circle. k = 0 (and the Nyquist bin m) read only Z[0].
 	z0r, z0i := re[0], im[0]
-	if lo, hi := 1, (m+1)/2; hi > lo {
-		if parallel {
-			par.For(hi-lo, 2048, func(a, b int) { p.unpackSoARange(sr, si, re, im, lo+a, lo+b) })
-		} else {
-			p.unpackSoARange(sr, si, re, im, lo, hi)
-		}
+	if parallel {
+		par.For(m/2-1, 2048, func(a, b int) { p.unpackSoARange(sr, si, re, im, 1+a, 1+b) })
+	} else {
+		p.unpackSoARange(sr, si, re, im, 1, m/2)
 	}
-	if m >= 2 && m%2 == 0 {
-		// Self-paired bin: Z[m/2] has E = (Re Z, 0) and O = (Im Z, 0).
-		k := m / 2
-		sr[k] = re[k] + p.rtwRe[k]*im[k]
-		si[k] = p.rtwIm[k] * im[k]
-	}
+	// Self-paired bin: Z[m/2] has E = (Re Z, 0) and O = (Im Z, 0).
+	k := m / 2
+	sr[k] = re[k] + p.rtwRe[k]*im[k]
+	si[k] = p.rtwIm[k] * im[k]
 	sr[0], si[0] = z0r+z0i, 0
 	sr[m], si[m] = z0r-z0i, 0
 	scratch.PutFloats(re)
@@ -97,7 +84,10 @@ func packGatherQuads(x []float64, rev []int32, re, im []float64, qLo, qHi int) {
 
 // unpackSoARange recombines spectrum pairs (k, m-k) for k in [lo, hi),
 // reading the transformed planes and writing the caller's spectrum planes.
-// Mirrors unpackRange: X[k] = E[k] + w^k O[k], X[m-k] = conj(E[k] - w^k O[k]).
+// X[k] = E[k] + w^k O[k]; X[m-k] = E[m-k] - conj(w^k) O[m-k] with
+// E[m-k] = conj(E[k]) and O[m-k] = conj(O[k]) (w^(m-k) = -conj(w^k)), which
+// folds to one conjugation of the already-computed product:
+// X[m-k] = conj(E[k] - w^k O[k]).
 func (p *RPlan) unpackSoARange(sr, si, re, im []float64, lo, hi int) {
 	m := p.half
 	rtwRe, rtwIm := p.rtwRe, p.rtwIm
@@ -126,17 +116,12 @@ func (p *RPlan) InverseSoA(sr, si, x []float64) {
 		panic(fmt.Sprintf("fft: RPlan size %d: got input %d, spectrum planes %d/%d",
 			p.n, len(x), len(sr), len(si)))
 	}
+	addTransformed(8 * p.n)
 	m := p.half
 	if m < 4 {
-		spec := scratch.Complexes(m + 1)
-		for k := range spec {
-			spec[k] = complex(sr[k], si[k])
-		}
-		p.Inverse(spec, x)
-		scratch.PutComplexes(spec)
+		smallInverse(sr, si, x)
 		return
 	}
-	addTransformed(8 * p.n)
 	soaTransforms.Add(1)
 
 	// Repack in place: rebuild the packed spectrum Z[k] = E[k] + i*O[k] with
@@ -147,21 +132,17 @@ func (p *RPlan) InverseSoA(sr, si, x []float64) {
 	invm := 1 / float64(m)
 	scale := 0.5 * invm
 	s0, sm := sr[0], sr[m]
-	parallel := m >= parThreshold() && par.Workers() > 1
-	if lo, hi := 1, (m+1)/2; hi > lo {
-		if parallel {
-			par.For(hi-lo, 2048, func(a, b int) { p.repackSoARange(sr, si, scale, lo+a, lo+b) })
-		} else {
-			p.repackSoARange(sr, si, scale, lo, hi)
-		}
+	parallel := m >= ParThreshold && par.Workers() > 1
+	if parallel {
+		par.For(m/2-1, 2048, func(a, b int) { p.repackSoARange(sr, si, scale, 1+a, 1+b) })
+	} else {
+		p.repackSoARange(sr, si, scale, 1, m/2)
 	}
-	if m >= 2 && m%2 == 0 {
-		// Self-paired bin, conjugated: Z[m/2] = E + i*conj(w)*O with
-		// E = (sr[k]/m, 0) and (X[k] - conj(X[k]))/2m = (0, si[k]/m).
-		k := m / 2
-		d := si[k] * invm
-		sr[k], si[k] = sr[k]*invm-p.rtwRe[k]*d, -p.rtwIm[k]*d
-	}
+	// Self-paired bin, conjugated: Z[m/2] = E + i*conj(w)*O with
+	// E = (sr[k]/m, 0) and (X[k] - conj(X[k]))/2m = (0, si[k]/m).
+	k := m / 2
+	d := si[k] * invm
+	sr[k], si[k] = sr[k]*invm-p.rtwRe[k]*d, -p.rtwIm[k]*d
 	sr[0], si[0] = (s0+sm)*scale, -(s0-sm)*scale
 
 	// Gather conj(Z) in bit-reversed order with the fused first butterfly,
@@ -188,8 +169,8 @@ func (p *RPlan) InverseSoA(sr, si, x []float64) {
 
 // repackSoARange rebuilds conj(Z) for pairs (k, m-k), k in [lo, hi), in
 // place in the spectrum planes, with the inverse normalization folded into
-// scale. Mirrors repackRange (then conjugated): Z[k] = E[k] + i*O[k],
-// Z[m-k] = conj(E[k] - i*O[k]), O[k] = conj(w^k)(X[k] - conj(X[m-k]))/2m.
+// scale: Z[k] = E[k] + i*O[k], Z[m-k] = conj(E[k] - i*O[k]), with
+// E[k] = (X[k] + conj(X[m-k]))/2m and O[k] = conj(w^k)(X[k] - conj(X[m-k]))/2m.
 func (p *RPlan) repackSoARange(sr, si []float64, scale float64, lo, hi int) {
 	m := p.half
 	rtwRe, rtwIm := p.rtwRe, p.rtwIm
@@ -226,5 +207,38 @@ func unzipSoARange(re, im, x []float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		x[2*j] = re[j]
 		x[2*j+1] = -im[j]
+	}
+}
+
+// smallForward computes the half spectrum of n <= 4 real samples in closed
+// form: every twiddle is 1, -1 or -i, so each bin is a few adds.
+func smallForward(x, sr, si []float64) {
+	switch len(x) {
+	case 1:
+		sr[0], si[0] = x[0], 0
+	case 2:
+		sr[0], si[0] = x[0]+x[1], 0
+		sr[1], si[1] = x[0]-x[1], 0
+	case 4:
+		e, o := x[0]+x[2], x[1]+x[3]
+		sr[0], si[0] = e+o, 0
+		sr[1], si[1] = x[0]-x[2], x[3]-x[1]
+		sr[2], si[2] = e-o, 0
+	}
+}
+
+// smallInverse is smallForward's inverse, including the 1/n scaling. As in
+// the kernel path, the imaginary parts of the DC and Nyquist bins are
+// ignored (they are zero for the spectrum of a real row).
+func smallInverse(sr, si, x []float64) {
+	switch len(x) {
+	case 1:
+		x[0] = sr[0]
+	case 2:
+		x[0], x[1] = (sr[0]+sr[1])*0.5, (sr[0]-sr[1])*0.5
+	case 4:
+		e, d := (sr[0]+sr[2])*0.25, (sr[0]-sr[2])*0.25
+		a, b := sr[1]*0.5, si[1]*0.5
+		x[0], x[1], x[2], x[3] = e+a, d-b, e-a, d+b
 	}
 }

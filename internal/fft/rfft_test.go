@@ -9,40 +9,19 @@ import (
 	"github.com/nlstencil/amop/internal/par"
 )
 
-func randReal(rng *rand.Rand, n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	return x
-}
-
-// TestRPlanForwardMatchesComplexAndNaive is the three-way golden parity test:
-// the real-input half spectrum must match both the complex Plan and the
-// O(n^2) naive DFT on the retained frequencies, across sizes including the
-// degenerate 1 and 2.
+// TestRPlanForwardMatchesComplexAndNaive checks that the half spectrum is
+// the full complex DFT of the real row: bins 0..n/2 match the O(n^2) DFT
+// directly, and bins above n/2 match by conjugate symmetry, across sizes
+// including the degenerate 1 and 2.
 func TestRPlanForwardMatchesComplexAndNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024} {
 		x := randReal(rng, n)
-		a := make([]complex128, n)
-		for i, v := range x {
-			a[i] = complex(v, 0)
-		}
-		naive := naiveDFT(a, false)
-		cplx := append([]complex128(nil), a...)
-		PlanFor(n).Forward(cplx)
-
-		rp := RPlanFor(n)
-		spec := make([]complex128, rp.HalfLen())
-		rp.Forward(append([]float64(nil), x...), spec)
-
-		for k := 0; k <= n/2; k++ {
-			if d := cmplx.Abs(spec[k] - naive[k]); d > 1e-9 {
-				t.Fatalf("n=%d k=%d: real path differs from naive DFT by %g", n, k, d)
-			}
-			if d := cmplx.Abs(spec[k] - cplx[k]); d > 1e-9 {
-				t.Fatalf("n=%d k=%d: real path differs from complex plan by %g", n, k, d)
+		naive := naiveDFT(toComplex(x), false)
+		full := fullSpectrum(forwardSoA(RPlanFor(n), x), n)
+		for k := range naive {
+			if d := cmplx.Abs(full[k] - naive[k]); !(d <= 1e-9) {
+				t.Fatalf("n=%d k=%d: real path differs from the complex DFT by %g", n, k, d)
 			}
 		}
 	}
@@ -53,71 +32,56 @@ func TestRPlanRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 16, 256, 4096, 1 << 15} {
 		x := randReal(rng, n)
 		rp := RPlanFor(n)
-		spec := make([]complex128, rp.HalfLen())
-		got := append([]float64(nil), x...)
-		rp.Forward(got, spec)
-		rp.Inverse(spec, got)
+		got := inverseSoA(rp, forwardSoA(rp, x))
 		for i := range x {
-			if math.Abs(got[i]-x[i]) > 1e-10*(1+math.Abs(x[i]))*float64(n) {
+			if !(math.Abs(got[i]-x[i]) <= 1e-10*(1+math.Abs(x[i]))*float64(n)) {
 				t.Fatalf("n=%d: round trip error %g at %d", n, got[i]-x[i], i)
 			}
 		}
 	}
 }
 
-// TestRPlanInverseMatchesComplex feeds the same conjugate-symmetric spectrum
-// through both inverse paths.
+// TestRPlanInverseMatchesComplex takes the complex DFT of a real row, keeps
+// its bins 0..n/2, and checks InverseSoA recovers the row.
 func TestRPlanInverseMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{2, 4, 8, 64, 512} {
-		// Build a valid half spectrum from a real signal's forward transform.
 		x := randReal(rng, n)
-		full := make([]complex128, n)
-		for i, v := range x {
-			full[i] = complex(v, 0)
-		}
-		p := PlanFor(n)
-		p.Forward(full)
-		spec := append([]complex128(nil), full[:n/2+1]...)
-
-		p.Inverse(full)
-		got := make([]float64, n)
-		RPlanFor(n).Inverse(spec, got)
+		full := naiveDFT(toComplex(x), false)
+		got := inverseSoA(RPlanFor(n), full[:n/2+1])
 		for i := range got {
-			if math.Abs(got[i]-real(full[i])) > 1e-9 {
-				t.Fatalf("n=%d: inverse mismatch at %d: %g vs %g", n, i, got[i], real(full[i]))
+			if !(math.Abs(got[i]-x[i]) <= 1e-9) {
+				t.Fatalf("n=%d: inverse mismatch at %d: %g vs %g", n, i, got[i], x[i])
 			}
 		}
 	}
 }
 
-// TestRPlanParallelMatchesSerial checks the parallel pack/unpack staging on a
-// transform large enough to trigger it.
+// TestRPlanParallelMatchesSerial checks the parallel pack, unpack, repack
+// and unzip passes at the largest production sizes (inner sizes 2^16 and
+// 2^17): one worker and four must give bit-identical spectra and rows.
 func TestRPlanParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	n := parThreshold() * 4
-	x := randReal(rng, n)
-	rp := RPlanFor(n)
-
-	serialSpec := make([]complex128, rp.HalfLen())
-	prev := par.SetWorkers(1)
-	rp.Forward(append([]float64(nil), x...), serialSpec)
-	serialOut := make([]float64, n)
-	specCopy := append([]complex128(nil), serialSpec...)
-	rp.Inverse(specCopy, serialOut)
-	par.SetWorkers(prev)
-
-	parSpec := make([]complex128, rp.HalfLen())
-	rp.Forward(append([]float64(nil), x...), parSpec)
-	if d := maxAbsDiff(serialSpec, parSpec); d > 0 {
-		t.Errorf("parallel forward differs from serial by %g", d)
-	}
-	parOut := make([]float64, n)
-	rp.Inverse(parSpec, parOut)
-	for i := range parOut {
-		if parOut[i] != serialOut[i] {
-			t.Errorf("parallel inverse differs from serial at %d", i)
-			break
+	for _, n := range []int{1 << 17, 1 << 18} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+		run := func(workers int) ([]complex128, []float64) {
+			prev := par.SetWorkers(workers)
+			defer par.SetWorkers(prev)
+			spec := forwardSoA(rp, x)
+			return spec, inverseSoA(rp, spec)
+		}
+		serialSpec, serialOut := run(1)
+		parSpec, parOut := run(4)
+		for k := range serialSpec {
+			if parSpec[k] != serialSpec[k] {
+				t.Fatalf("n=%d bin %d: parallel forward differs from serial", n, k)
+			}
+		}
+		for i := range parOut {
+			if parOut[i] != serialOut[i] {
+				t.Fatalf("n=%d sample %d: parallel inverse differs from serial", n, i)
+			}
 		}
 	}
 }
@@ -136,9 +100,9 @@ func TestRPlanPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"bad size":       func() { NewRPlan(3) },
 		"zero size":      func() { NewRPlan(0) },
-		"short input":    func() { RPlanFor(8).Forward(make([]float64, 4), make([]complex128, 5)) },
-		"short spectrum": func() { RPlanFor(8).Forward(make([]float64, 8), make([]complex128, 4)) },
-		"inverse sizes":  func() { RPlanFor(8).Inverse(make([]complex128, 8), make([]float64, 8)) },
+		"short input":    func() { RPlanFor(8).ForwardSoA(make([]float64, 4), make([]float64, 5), make([]float64, 5)) },
+		"short spectrum": func() { RPlanFor(8).ForwardSoA(make([]float64, 8), make([]float64, 4), make([]float64, 4)) },
+		"inverse sizes":  func() { RPlanFor(8).InverseSoA(make([]float64, 8), make([]float64, 8), make([]float64, 8)) },
 	} {
 		func() {
 			defer func() {
@@ -157,34 +121,15 @@ func TestRPlanForCaches(t *testing.T) {
 	}
 }
 
+// TestTransformedBytesAdvances checks both directions count 8 bytes per real
+// sample, on the kernel path and on the closed-form sizes.
 func TestTransformedBytesAdvances(t *testing.T) {
-	before := TransformedBytes()
-	n := 256
-	rp := RPlanFor(n)
-	spec := make([]complex128, rp.HalfLen())
-	rp.Forward(make([]float64, n), spec)
-	if got := TransformedBytes() - before; got < int64(8*n) {
-		t.Errorf("TransformedBytes advanced by %d, want >= %d", got, 8*n)
-	}
-}
-
-func BenchmarkRealFFT64K(b *testing.B)  { benchRealFFT(b, 1<<16) }
-func BenchmarkRealFFT512K(b *testing.B) { benchRealFFT(b, 1<<19) }
-
-// benchRealFFT times one forward+inverse real round trip; compare against
-// BenchmarkForward* to see the half-transform win.
-func benchRealFFT(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(25))
-	x := randReal(rng, n)
-	buf := make([]float64, n)
-	rp := RPlanFor(n)
-	spec := make([]complex128, rp.HalfLen())
-	b.SetBytes(int64(8 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, x)
-		rp.Forward(buf, spec)
-		rp.Inverse(spec, buf)
+	for _, n := range []int{4, 256} {
+		rp := RPlanFor(n)
+		before := TransformedBytes()
+		inverseSoA(rp, forwardSoA(rp, make([]float64, n)))
+		if got := TransformedBytes() - before; got < int64(2*8*n) {
+			t.Errorf("n=%d: TransformedBytes advanced by %d, want >= %d", n, got, 2*8*n)
+		}
 	}
 }

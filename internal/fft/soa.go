@@ -3,7 +3,7 @@ package fft
 // The transform kernel runs on deinterleaved (structure-of-arrays) float64
 // planes. Go's compiler will not vectorize complex128 arithmetic, so a
 // butterfly over complex128 runs as scalar MULSD/ADDSD no matter how wide
-// the machine's vector units are. Splitting the data into separate re/im
+// the machine's vector units are. Keeping the data in separate re/im
 // planes turns each butterfly stage into plain float64 lane arithmetic that
 // a SIMD kernel can chew four lanes at a time; on amd64 with AVX2+FMA the
 // butterflies run in hand-written assembly behind the dispatch seam in
@@ -13,11 +13,12 @@ package fft
 //
 // The stage ladder is built around the layout:
 //
-//   - entry fuses three passes into one: the complex->planes deinterleave,
-//     the bit-reversal permutation (a gather a[rev[i]] with sequential
-//     writes, which beats an in-place swap walk), and the trivial-twiddle
-//     first radix-4 butterfly (twiddles {1, -i}), so the data's first trip
-//     through memory already completes two butterfly stages;
+//   - the RPlan entry passes (rfft_soa.go) fuse three passes into one: the
+//     real-row pack (or the spectrum repack), the bit-reversal permutation
+//     (a gather x[rev[i]] with sequential writes, which beats an in-place
+//     swap walk), and the trivial-twiddle first radix-4 butterfly (twiddles
+//     {1, -i}, quadStore), so the data's first trip through memory already
+//     completes two butterfly stages;
 //   - the remaining radix-4 stages read their twiddles from per-stage
 //     *packed* split tables (w^j and w^2j stored contiguously per j), so
 //     the vector kernel issues unit-stride loads instead of a strided
@@ -25,41 +26,32 @@ package fft
 //   - odd-log2 sizes finish with one radix-2 stage at span n (step-1
 //     twiddles straight off the split base table) instead of leading with a
 //     pairwise pass, keeping every vectorizable stage unit-stride;
-//   - the inverse runs the same forward-only kernels under the conjugation
+//   - the inverse runs the same forward-only stages under the conjugation
 //     identity IDFT(Z) = conj(DFT(conj(Z)))/n, with both conjugations folded
-//     into the entry gather and exit reinterleave passes, so only one
-//     assembly direction exists;
+//     into the RPlan repack and unzip passes, so only one assembly direction
+//     exists;
 //   - stages parallelize via internal/par: block-parallel when blocks are
 //     plentiful, lane-range-parallel within each block when they are few.
-//
-// Scratch planes come from internal/scratch and are returned on every path.
 
 import (
 	"math/bits"
 	"sync/atomic"
 
 	"github.com/nlstencil/amop/internal/par"
-	"github.com/nlstencil/amop/internal/scratch"
 )
-
-// soaForceGeneric routes butterflies through the portable generic kernel
-// even when assembly is available. Tests use it to cover both sides of the
-// dispatch seam on one machine; it is not part of the public API.
-var soaForceGeneric atomic.Bool
 
 // KernelName identifies the butterfly implementation transforms use:
 // "avx2" when the assembly kernel is active, "generic" otherwise.
 func KernelName() string {
-	if kernelAsmAvailable() && !soaForceGeneric.Load() {
+	if kernelAsmAvailable() {
 		return kernelArch
 	}
 	return "generic"
 }
 
-// soaTransforms counts split-plane kernel transforms (Plan transforms of
-// size >= 4 and RPlan plane-native calls, one count per direction). The
-// bytes those transforms move are counted in transformedBytes by the public
-// entry points.
+// soaTransforms counts split-plane kernel transforms: RPlan calls of size
+// n >= 8, one count per direction. The bytes those transforms move are
+// counted in transformedBytes by the public entry points.
 var soaTransforms atomic.Int64
 
 // SoATransforms returns the cumulative number of split-plane transforms.
@@ -75,7 +67,7 @@ type soaStage struct {
 
 // buildStages derives the plan's packed per-stage radix-4 tables from its
 // split base table — no new Sincos calls.
-func (p *Plan) buildStages() {
+func (p *plan) buildStages() {
 	n, half := p.n, p.n/2
 	p.finalR2 = bits.TrailingZeros(uint(n))%2 == 1
 	radix4End := n
@@ -108,69 +100,9 @@ func (p *Plan) buildStages() {
 	}
 }
 
-// soaTransform is the complex-slice entry point (n >= 4): deinterleave a
-// into scratch planes (fused with bit reversal and the first butterfly), run
-// the split-plane stage ladder, and reinterleave. inverse applies the
-// conjugation identity; the inverse here is unscaled — Plan.Inverse applies
-// the 1/n sweep.
-func (p *Plan) soaTransform(a []complex128, inverse bool) {
-	n := p.n
-	soaTransforms.Add(1)
-	re := scratch.Floats(n)
-	im := scratch.Floats(n)
-	p.soaGather(a, re, im, inverse)
-	p.soaStages(re, im)
-	if n >= parThreshold() && par.Workers() > 1 {
-		interleavePar(a, re, im, inverse)
-	} else {
-		interleaveRange(a, re, im, 0, n, inverse)
-	}
-	scratch.PutFloats(re)
-	scratch.PutFloats(im)
-}
-
-// soaGather runs the fused entry pass: for each output quad it gathers
-// a[rev[i]], deinterleaves into the planes, and applies the trivial-twiddle
-// first radix-4 butterfly (the fusion of the first two radix-2 stages).
-// For the inverse, the conjugation of the input folds into the gather as a
-// sign flip on the imaginary lane.
-func (p *Plan) soaGather(a []complex128, re, im []float64, inverse bool) {
-	if p.n >= parThreshold() && par.Workers() > 1 {
-		p.soaGatherPar(a, re, im, inverse)
-		return
-	}
-	gatherQuads(a, p.rev, re, im, 0, p.n/4, inverse)
-}
-
-func (p *Plan) soaGatherPar(a []complex128, re, im []float64, inverse bool) {
-	par.For(p.n/4, 1024, func(lo, hi int) { gatherQuads(a, p.rev, re, im, lo, hi, inverse) })
-}
-
-// gatherQuads processes output quads [qLo, qHi): gather four reversed
-// inputs, butterfly with twiddles {1, -i}, store to the planes.
-func gatherQuads(a []complex128, rev []int32, re, im []float64, qLo, qHi int, inverse bool) {
-	if inverse {
-		for q := qLo; q < qHi; q++ {
-			i := 4 * q
-			z0, z1, z2, z3 := a[rev[i]], a[rev[i+1]], a[rev[i+2]], a[rev[i+3]]
-			quadStore(re, im, i,
-				real(z0), -imag(z0), real(z1), -imag(z1),
-				real(z2), -imag(z2), real(z3), -imag(z3))
-		}
-		return
-	}
-	for q := qLo; q < qHi; q++ {
-		i := 4 * q
-		z0, z1, z2, z3 := a[rev[i]], a[rev[i+1]], a[rev[i+2]], a[rev[i+3]]
-		quadStore(re, im, i,
-			real(z0), imag(z0), real(z1), imag(z1),
-			real(z2), imag(z2), real(z3), imag(z3))
-	}
-}
-
 // quadStore applies the trivial first radix-4 butterfly to one gathered
-// quad and writes the results at planes[i..i+3]. Shared by the complex-slice
-// gather and the real-input packs so the butterfly algebra exists once.
+// quad and writes the results at planes[i..i+3]. Shared by the forward pack
+// and the inverse repack gathers so the butterfly algebra exists once.
 func quadStore(re, im []float64, i int, x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i float64) {
 	u0r, u1r := x0r+x1r, x0r-x1r
 	u0i, u1i := x0i+x1i, x0i-x1i
@@ -184,31 +116,13 @@ func quadStore(re, im []float64, i int, x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i f
 	im[i+1], im[i+3] = u1i+t3i, u1i-t3i
 }
 
-// interleaveRange writes planes back into a[lo:hi]; the inverse direction
-// conjugates on the way out (second half of the conjugation identity).
-func interleaveRange(a []complex128, re, im []float64, lo, hi int, inverse bool) {
-	if inverse {
-		for i := lo; i < hi; i++ {
-			a[i] = complex(re[i], -im[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		a[i] = complex(re[i], im[i])
-	}
-}
-
-func interleavePar(a []complex128, re, im []float64, inverse bool) {
-	par.For(len(a), 2048, func(lo, hi int) { interleaveRange(a, re, im, lo, hi, inverse) })
-}
-
 // soaStages runs the split-plane butterfly ladder over planes that already
 // hold the output of the fused entry pass (bit-reversed order, first
-// radix-4 butterfly applied). It is the shared engine of the complex-slice
-// wrapper and the RPlan plane-native path.
-func (p *Plan) soaStages(re, im []float64) {
+// radix-4 butterfly applied). It is the shared engine of ForwardSoA and
+// InverseSoA.
+func (p *plan) soaStages(re, im []float64) {
 	n := p.n
-	if n >= parThreshold() && par.Workers() > 1 {
+	if n >= ParThreshold && par.Workers() > 1 {
 		p.soaStagesPar(re, im)
 		return
 	}
@@ -228,7 +142,7 @@ func (p *Plan) soaStages(re, im []float64) {
 // across blocks, few large blocks split each block's lane range instead.
 // Lane chunks are quad-granular so the vector kernel always sees multiples
 // of four.
-func (p *Plan) soaStagesPar(re, im []float64) {
+func (p *plan) soaStagesPar(re, im []float64) {
 	n := p.n
 	for si := range p.stages {
 		st := &p.stages[si]

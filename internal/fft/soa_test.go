@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -12,104 +13,114 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// withGenericSoA runs fn with the butterflies forced through the portable
-// generic kernel, covering the non-assembly side of the dispatch seam even
-// on machines where the assembly is active.
-func withGenericSoA(fn func()) {
-	soaForceGeneric.Store(true)
-	defer soaForceGeneric.Store(false)
-	fn()
-}
-
-// soaKernelVariants runs fn once per available butterfly kernel, labeled.
-func soaKernelVariants(t *testing.T, fn func(t *testing.T)) {
-	t.Run("generic", func(t *testing.T) { withGenericSoA(func() { fn(t) }) })
-	if kernelAsmAvailable() {
-		t.Run(kernelArch, fn)
-	}
-}
-
-// transformCopy returns p's forward or inverse transform of a, leaving a
-// untouched.
-func transformCopy(p *Plan, a []complex128, inverse bool) []complex128 {
-	out := append([]complex128(nil), a...)
-	if inverse {
-		p.Inverse(out)
-	} else {
-		p.Forward(out)
-	}
-	return out
-}
-
-// relDiff returns the max absolute difference between a and b scaled by the
-// largest magnitude in b: the parity bound for comparing the two butterfly
-// implementations, whose only legitimate divergence is rounding (the
-// assembly contracts multiplies and adds into FMAs; the generic loops do
-// not).
-func relDiff(a, b []complex128) float64 {
-	norm := 0.0
-	for _, z := range b {
-		if m := cmplx.Abs(z); m > norm {
-			norm = m
-		}
+// planeRelDiff returns the max absolute difference between the planes
+// (ar, ai) and (br, bi) scaled by the largest magnitude in b: the parity
+// bound for comparing the two butterfly implementations, whose only
+// legitimate divergence is rounding (the assembly contracts multiplies and
+// adds into FMAs; the generic loops do not).
+func planeRelDiff(ar, ai, br, bi []float64) float64 {
+	d, norm := 0.0, 0.0
+	for j := range br {
+		d = math.Max(d, math.Max(math.Abs(ar[j]-br[j]), math.Abs(ai[j]-bi[j])))
+		norm = math.Max(norm, math.Max(math.Abs(br[j]), math.Abs(bi[j])))
 	}
 	if norm == 0 {
 		norm = 1
 	}
-	return maxAbsDiff(a, b) / norm
+	return d / norm
 }
 
-// parityCase is one transform input with the generic butterflies' output as
-// the reference the active kernel must match.
-type parityCase struct {
-	a       []complex128
-	inverse bool
-	generic []complex128
-}
-
-// parityCases draws one forward and one inverse input per size and computes
-// their generic-kernel transforms.
-func parityCases(rng *rand.Rand, sizes []int) []parityCase {
-	var cases []parityCase
-	for _, n := range sizes {
-		for _, inverse := range []bool{false, true} {
-			c := parityCase{a: randVec(rng, n), inverse: inverse}
-			withGenericSoA(func() { c.generic = transformCopy(PlanFor(n), c.a, inverse) })
-			cases = append(cases, c)
+// TestButterflyKernelParity runs every stage of the plans from 2^2 to 2^17
+// (odd log2 sizes included, so the trailing radix-2 stage is covered)
+// through the dispatched butterflies and through the generic loops on
+// identical random planes; the two must agree within 1e-12 relative. Where
+// the CPU has AVX2+FMA the dispatched side is the assembly; the dispatched
+// ranges are split quad-granularly, as the parallel stages split them.
+// Under -tags amop_purego both sides are the generic loops.
+func TestButterflyKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for n := 4; n <= 1<<17; n <<= 1 {
+		p := newPlan(n)
+		re, im := randReal(rng, n), randReal(rng, n)
+		check := func(stage string, dispatched, generic func(re, im []float64)) {
+			ar, ai := append([]float64(nil), re...), append([]float64(nil), im...)
+			gr, gi := append([]float64(nil), re...), append([]float64(nil), im...)
+			dispatched(ar, ai)
+			generic(gr, gi)
+			if d := planeRelDiff(ar, ai, gr, gi); !(d <= 1e-12) {
+				t.Errorf("n=%d %s: %s butterflies differ from generic by %g relative", n, stage, KernelName(), d)
+			}
+		}
+		for si := range p.stages {
+			st := &p.stages[si]
+			h := st.h
+			mid := (h / 2) &^ 3
+			check(fmt.Sprintf("radix-4 h=%d", h), func(re, im []float64) {
+				for b := 0; b < n/(4*h); b++ {
+					bfly4Range(re, im, b*4*h, st, 0, mid)
+					bfly4Range(re, im, b*4*h, st, mid, h)
+				}
+			}, func(re, im []float64) {
+				for b := 0; b < n/(4*h); b++ {
+					bfly4RangeGeneric(re, im, b*4*h, st, 0, h)
+				}
+			})
+		}
+		if p.finalR2 {
+			half := n / 2
+			mid := (half / 2) &^ 3
+			check("radix-2", func(re, im []float64) {
+				bfly2Range(re, im, p.twRe, p.twIm, half, 0, mid)
+				bfly2Range(re, im, p.twRe, p.twIm, half, mid, half)
+			}, func(re, im []float64) {
+				bfly2RangeGeneric(re, im, p.twRe, p.twIm, half, 0, half)
+			})
 		}
 	}
-	return cases
 }
 
-// soaParitySizes covers the directly computed transforms (1, 2), the
-// smallest split-plane size 4, every odd-log2 shape up to 512 (which
-// exercises the trailing radix-2 stage), and the even shapes in between.
-var soaParitySizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+// planeRelErr returns the max difference between got and want scaled by
+// the largest magnitude in want.
+func planeRelErr(got, want []complex128) float64 {
+	norm := 0.0
+	for _, z := range want {
+		norm = math.Max(norm, cmplx.Abs(z))
+	}
+	if norm == 0 {
+		norm = 1
+	}
+	return maxAbsDiff(got, want) / norm
+}
 
-// TestSoAMatchesComplexAndNaive pins the complex128 entry point of the
-// split-plane kernel: for each size and direction, Plan.Forward/Inverse
-// under each butterfly implementation must agree with the O(n^2) DFT within
-// 1e-9 and with the generic butterflies within 1e-12 relative.
+// soaParitySizes covers the closed-form sizes (1, 2, 4), the smallest
+// kernel size 8, every odd-log2 inner shape up to 512 (which exercises the
+// trailing radix-2 stage), and the even shapes in between.
+var soaParitySizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+
+// TestSoAMatchesComplexAndNaive pins both directions against the complex
+// O(n^2) DFT within 1e-12 relative: ForwardSoA of a real row and InverseSoA
+// of a random half spectrum of a real row.
 func TestSoAMatchesComplexAndNaive(t *testing.T) {
-	cases := parityCases(rand.New(rand.NewSource(61)), soaParitySizes)
-	soaKernelVariants(t, func(t *testing.T) {
-		for _, c := range cases {
-			n := len(c.a)
-			got := transformCopy(PlanFor(n), c.a, c.inverse)
-			if d := maxAbsDiff(got, naiveDFT(c.a, c.inverse)); d > 1e-9 {
-				t.Errorf("n=%d inverse=%v: differs from naive DFT by %g", n, c.inverse, d)
-			}
-			if d := relDiff(got, c.generic); d > 1e-12 {
-				t.Errorf("n=%d inverse=%v: differs from generic butterflies by %g relative", n, c.inverse, d)
-			}
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range soaParitySizes {
+		rp := RPlanFor(n)
+		x := randReal(rng, n)
+		if d := planeRelErr(forwardSoA(rp, x), naiveDFT(toComplex(x), false)[:n/2+1]); !(d <= 1e-12) {
+			t.Errorf("n=%d forward: differs from naive DFT by %g relative", n, d)
 		}
-	})
+		spec := randHalfSpectrum(rng, n)
+		want := naiveDFT(fullSpectrum(spec, n), true)
+		if d := planeRelErr(toComplex(inverseSoA(rp, spec)), want); !(d <= 1e-12) {
+			t.Errorf("n=%d inverse: differs from naive DFT by %g relative", n, d)
+		}
+	}
 }
 
 // directBins checks got against the DFT of a evaluated directly at 32
-// random bins: O(n) per bin, so the absolute oracle reaches sizes where the
-// full O(n^2) DFT is out of reach. The twiddle angle is reduced mod n in
-// integers so the reference carries no argument-growth error.
+// random bins f in [0, len(got)): O(n) per bin, so the absolute oracle
+// reaches sizes where the full O(n^2) DFT is out of reach. The twiddle angle
+// is reduced mod n in integers so the reference carries no argument-growth
+// error.
 func directBins(t *testing.T, rng *rand.Rand, a, got []complex128, inverse bool) {
 	t.Helper()
 	n := len(a)
@@ -122,7 +133,7 @@ func directBins(t *testing.T, rng *rand.Rand, a, got []complex128, inverse bool)
 		norm = math.Max(norm, cmplx.Abs(z))
 	}
 	for b := 0; b < 32; b++ {
-		f := rng.Intn(n)
+		f := rng.Intn(len(got))
 		var sum complex128
 		for j, x := range a {
 			s, c := math.Sincos(sign * 2 * math.Pi * float64(j*f%n) / float64(n))
@@ -131,94 +142,68 @@ func directBins(t *testing.T, rng *rand.Rand, a, got []complex128, inverse bool)
 		if inverse {
 			sum /= complex(float64(n), 0)
 		}
-		if d := cmplx.Abs(got[f]-sum) / norm; d > 1e-10 {
+		if d := cmplx.Abs(got[f]-sum) / norm; !(d <= 1e-10) {
 			t.Errorf("n=%d inverse=%v bin %d: differs from direct DFT sum by %g relative", n, inverse, f, d)
 		}
 	}
 }
 
-// TestSoALargeParity extends the parity to production-scale sizes up to
-// 2^17 (the harness's top transform size, odd log2): each butterfly
-// implementation must match the generic one within 1e-12 relative, and 32
-// random bins per transform must match a direct DFT sum.
+// TestSoALargeParity extends the parity to production-scale sizes, inner
+// plans 2^10 to 2^17 (the harness's top transform size, odd log2): 32
+// random bins of each forward spectrum and 32 random samples of each
+// inverse row must match a direct DFT sum.
 func TestSoALargeParity(t *testing.T) {
-	cases := parityCases(rand.New(rand.NewSource(62)), []int{1 << 10, 1 << 13, 1 << 16, 1 << 17})
-	soaKernelVariants(t, func(t *testing.T) {
-		bins := rand.New(rand.NewSource(72))
-		for _, c := range cases {
-			got := transformCopy(PlanFor(len(c.a)), c.a, c.inverse)
-			if d := relDiff(got, c.generic); d > 1e-12 {
-				t.Errorf("n=%d inverse=%v: differs from generic butterflies by %g relative", len(c.a), c.inverse, d)
-			}
-			directBins(t, bins, c.a, got, c.inverse)
-		}
-	})
+	rng := rand.New(rand.NewSource(62))
+	for _, n := range []int{1 << 11, 1 << 14, 1 << 17, 1 << 18} {
+		rp := RPlanFor(n)
+		x := randReal(rng, n)
+		directBins(t, rng, toComplex(x), forwardSoA(rp, x), false)
+		spec := randHalfSpectrum(rng, n)
+		directBins(t, rng, fullSpectrum(spec, n), toComplex(inverseSoA(rp, spec)), true)
+	}
 }
 
-// TestSoARoundTrip checks Inverse(Forward(a)) == a under each butterfly
-// implementation, which pins the inverse's conjugation identity and the 1/n
-// scaling.
+// TestSoARoundTrip checks InverseSoA(ForwardSoA(x)) == x on the smallest
+// kernel sizes and a few larger ones, which pins the inverse's conjugation
+// identity and the 1/n scaling.
 func TestSoARoundTrip(t *testing.T) {
-	soaKernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(63))
-		for _, n := range []int{4, 8, 64, 512, 1 << 12} {
-			a := randVec(rng, n)
-			rt := append([]complex128(nil), a...)
-			p := PlanFor(n)
-			p.Forward(rt)
-			p.Inverse(rt)
-			if d := maxAbsDiff(rt, a); d > 1e-9 {
-				t.Errorf("n=%d: round trip error %g", n, d)
-			}
+	rng := rand.New(rand.NewSource(63))
+	for _, n := range []int{8, 16, 32, 128, 1024, 1 << 13} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+		if d := maxAbsDiff(toComplex(inverseSoA(rp, forwardSoA(rp, x))), toComplex(x)); !(d <= 1e-9) {
+			t.Errorf("n=%d: round trip error %g", n, d)
 		}
-	})
+	}
 }
 
-// TestRPlanSoAPlaneParity pins the plane-native real-input path against the
-// complex-spectrum API across the packing edge cases: n=1 (DC only), n=2
-// (delegated, no inner plan quads), n=4 and n=8 (delegated, inner size < 4),
-// n=16 (smallest plane-native size), self-paired-bin sizes, and odd-log2
-// inner sizes.
+// TestRPlanSoAPlaneParity pins the packing edge cases against the naive
+// DFT: n=1 (DC only), n=2 and n=4 (closed forms), n=8 (inner size 4, the
+// smallest kernel size, where the fused entry butterfly is the whole
+// ladder), n=16 (trailing radix-2 stage only), then even- and odd-log2
+// inner sizes. The DC and Nyquist bins must be exactly real, the
+// self-paired bin n/4 and every other bin must match within 1e-12
+// relative, and the row must round trip.
 func TestRPlanSoAPlaneParity(t *testing.T) {
-	soaKernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(64))
-		for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 256, 1024, 1 << 13} {
-			x := randReal(rng, n)
-			rp := RPlanFor(n)
-
-			spec := make([]complex128, rp.HalfLen())
-			rp.Forward(append([]float64(nil), x...), spec)
-
-			sr := make([]float64, rp.HalfLen())
-			si := make([]float64, rp.HalfLen())
-			rp.ForwardSoA(append([]float64(nil), x...), sr, si)
-
-			norm := 0.0
-			for _, z := range spec {
-				if m := cmplx.Abs(z); m > norm {
-					norm = m
-				}
-			}
-			if norm == 0 {
-				norm = 1
-			}
-			for k := range spec {
-				d := cmplx.Abs(complex(sr[k], si[k]) - spec[k])
-				if d/norm > 1e-12 {
-					t.Errorf("n=%d k=%d: plane spectrum (%g,%g) differs from complex %v", n, k, sr[k], si[k], spec[k])
-				}
-			}
-
-			out := make([]float64, n)
-			rp.InverseSoA(sr, si, out)
-			for i := range x {
-				if math.Abs(out[i]-x[i]) > 1e-9 {
-					t.Errorf("n=%d: plane round trip error %g at %d", n, out[i]-x[i], i)
-					break
-				}
+	rng := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64, 256, 1024} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+		spec := forwardSoA(rp, x)
+		if imag(spec[0]) != 0 || imag(spec[n/2]) != 0 {
+			t.Errorf("n=%d: DC %v or Nyquist %v bin not exactly real", n, spec[0], spec[n/2])
+		}
+		if d := planeRelErr(spec, naiveDFT(toComplex(x), false)[:n/2+1]); !(d <= 1e-12) {
+			t.Errorf("n=%d: plane spectrum differs from naive DFT by %g relative", n, d)
+		}
+		out := inverseSoA(rp, spec)
+		for i := range x {
+			if !(math.Abs(out[i]-x[i]) <= 1e-9) {
+				t.Errorf("n=%d: plane round trip error %g at %d", n, out[i]-x[i], i)
+				break
 			}
 		}
-	})
+	}
 }
 
 // TestRPlanSoAPlanePanics checks the plane APIs reject mismatched lengths.
@@ -241,113 +226,94 @@ func TestRPlanSoAPlanePanics(t *testing.T) {
 	}
 }
 
-// TestSoAParallelMatchesSerial verifies the parallel staging performs
-// bit-identical arithmetic to the serial pass: the parallel split only
+// TestSoAParallelMatchesSerial checks each direction separately at n = 2^14
+// and 2^15, whose inner sizes are 2^13 (odd log2, exactly ParThreshold) and
+// 2^14 (even log2): with one worker every pass runs serially, with four
+// the entry, stage and exit passes split across workers. The split only
 // partitions loop ranges (quad-granular, so the kernel choice per butterfly
-// is unchanged), it never reassociates the butterfly algebra.
+// is unchanged) and never reassociates the algebra, so the outputs must be
+// bit-identical.
 func TestSoAParallelMatchesSerial(t *testing.T) {
-	if par.Workers() <= 1 {
-		prev := par.SetWorkers(4)
-		defer par.SetWorkers(prev)
-	}
-	soaKernelVariants(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(65))
-		prevThresh := setParThreshold(1 << 6)
-		defer setParThreshold(prevThresh)
-		for _, n := range []int{1 << 8, 1 << 9} {
-			for _, inverse := range []bool{false, true} {
-				a := randVec(rng, n)
-				p := PlanFor(n)
-
-				parallel := append([]complex128(nil), a...)
-				p.transform(parallel, inverse)
-
-				setParThreshold(1 << 30) // force the serial path
-				serial := append([]complex128(nil), a...)
-				p.transform(serial, inverse)
-				setParThreshold(1 << 6)
-
-				if d := maxAbsDiff(parallel, serial); d > 0 {
-					t.Errorf("n=%d inverse=%v: parallel differs from serial by %g (want bit-identical)", n, inverse, d)
-				}
-			}
-		}
-	})
-}
-
-// TestRadix4ParallelMatchesSerial is the plane-native counterpart: the
-// radix-4 ladder's parallel staging, reached through RPlan.ForwardSoA and
-// InverseSoA (with their parallel pack, unpack, repack and unzip passes),
-// must be bit-identical to the serial pass, on an even- and an odd-log2
-// inner size.
-func TestRadix4ParallelMatchesSerial(t *testing.T) {
-	if par.Workers() <= 1 {
-		prev := par.SetWorkers(4)
-		defer par.SetWorkers(prev)
-	}
-	rng := rand.New(rand.NewSource(43))
-	prevThresh := setParThreshold(1 << 6)
-	defer setParThreshold(prevThresh)
-	for _, n := range []int{1 << 9, 1 << 10} {
-		x := randReal(rng, n)
+	rng := rand.New(rand.NewSource(65))
+	for _, n := range []int{1 << 14, 1 << 15} {
 		rp := RPlanFor(n)
-		round := func() (sr, si, out []float64) {
-			sr = make([]float64, rp.HalfLen())
-			si = make([]float64, rp.HalfLen())
-			out = make([]float64, n)
-			rp.ForwardSoA(x, sr, si)
-			rp.InverseSoA(append([]float64(nil), sr...), append([]float64(nil), si...), out)
-			return sr, si, out
+		x := randReal(rng, n)
+		spec := randHalfSpectrum(rng, n)
+		run := func(workers int) ([]complex128, []float64) {
+			prev := par.SetWorkers(workers)
+			defer par.SetWorkers(prev)
+			return forwardSoA(rp, x), inverseSoA(rp, spec)
 		}
-		pr, pi, pout := round()
-		setParThreshold(1 << 30) // force the serial path
-		sr, si, sout := round()
-		setParThreshold(1 << 6)
-		for k := range sr {
-			if pr[k] != sr[k] || pi[k] != si[k] {
+		sSpec, sOut := run(1)
+		pSpec, pOut := run(4)
+		for k := range sSpec {
+			if pSpec[k] != sSpec[k] {
 				t.Fatalf("n=%d bin %d: parallel forward differs from serial (want bit-identical)", n, k)
 			}
 		}
-		for j := range sout {
-			if pout[j] != sout[j] {
+		for j := range sOut {
+			if pOut[j] != sOut[j] {
 				t.Fatalf("n=%d sample %d: parallel inverse differs from serial (want bit-identical)", n, j)
 			}
 		}
 	}
 }
 
-// TestRadix4RoundTripQuick is the property form of the kernel parity: on
-// arbitrary input vectors across a mix of even- and odd-log2 sizes, the
-// radix-4 ladder's forward+inverse recovers the input, and the active
-// butterflies match the generic ones bin for bin.
+// TestRadix4ParallelMatchesSerial is the round-trip counterpart: ForwardSoA
+// then InverseSoA of its own spectrum, at the same sizes, with one worker and
+// with four, must give bit-identical spectra and rows.
+func TestRadix4ParallelMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range []int{1 << 14, 1 << 15} {
+		x := randReal(rng, n)
+		rp := RPlanFor(n)
+		round := func(workers int) ([]complex128, []float64) {
+			prev := par.SetWorkers(workers)
+			defer par.SetWorkers(prev)
+			spec := forwardSoA(rp, x)
+			return spec, inverseSoA(rp, spec)
+		}
+		sSpec, sOut := round(1)
+		pSpec, pOut := round(4)
+		for k := range sSpec {
+			if pSpec[k] != sSpec[k] {
+				t.Fatalf("n=%d bin %d: parallel forward differs from serial (want bit-identical)", n, k)
+			}
+		}
+		for j := range sOut {
+			if pOut[j] != sOut[j] {
+				t.Fatalf("n=%d sample %d: parallel inverse differs from serial (want bit-identical)", n, j)
+			}
+		}
+	}
+}
+
+// TestRadix4RoundTripQuick is the property form of the parity: on arbitrary
+// rows across a mix of closed-form, even- and odd-log2 sizes, the half
+// spectrum matches the naive DFT and the round trip recovers the row.
 func TestRadix4RoundTripQuick(t *testing.T) {
 	sizes := []int{2, 8, 64, 128}
 	idx := 0
-	prop := func(re, im [128]float64) bool {
+	prop := func(v [128]float64) bool {
 		n := sizes[idx%len(sizes)]
 		idx++
-		a := make([]complex128, n)
-		for i := range a {
+		x := make([]float64, n)
+		for i := range x {
 			// quick generates magnitudes up to MaxFloat64; scale into a range
 			// whose partial sums cannot overflow (the property is scale-free).
-			a[i] = complex(re[i]/1e300, im[i]/1e300)
+			x[i] = v[i] / 1e300
 		}
-		p := PlanFor(n)
-
-		got := transformCopy(p, a, false)
-		var generic []complex128
-		withGenericSoA(func() { generic = transformCopy(p, a, false) })
-		for i := range got {
-			scale := 1 + cmplx.Abs(generic[i])
-			if cmplx.Abs(got[i]-generic[i]) > 1e-9*scale {
+		rp := RPlanFor(n)
+		spec := forwardSoA(rp, x)
+		naive := naiveDFT(toComplex(x), false)
+		for k, z := range spec {
+			if !(cmplx.Abs(z-naive[k]) <= 1e-9*(1+cmplx.Abs(naive[k]))) {
 				return false
 			}
 		}
-
-		p.Inverse(got)
-		for i := range a {
-			scale := 1 + cmplx.Abs(a[i])
-			if cmplx.Abs(got[i]-a[i]) > 1e-9*scale {
+		got := inverseSoA(rp, spec)
+		for i := range x {
+			if !(math.Abs(got[i]-x[i]) <= 1e-9*(1+math.Abs(x[i]))) {
 				return false
 			}
 		}
@@ -358,43 +324,42 @@ func TestRadix4RoundTripQuick(t *testing.T) {
 	}
 }
 
-// TestRadix4RPlanParity pins the complex-spectrum real-input API, whose inner
-// transform runs at n/2: the half spectrum must agree between the butterfly
-// implementations and with the naive DFT within 1e-9, and the real round
-// trip must recover the input, across the RPlan packing edge cases — n=1
-// (DC only), n=2 (empty recombination loop), n=4 (Nyquist-pair bin only),
-// the self-paired-bin sizes, and odd-log2 inner sizes.
+// TestRadix4RPlanParity pins the recombination around the inner transform,
+// whose size is n/2: on rows that excite only the DC, Nyquist or self-paired
+// bin (a constant, an alternating row, a quarter-period cosine), the
+// spectrum must be exact up to rounding and the row must round trip.
 func TestRadix4RPlanParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, n := range []int{1, 2, 4, 8, 16, 64, 256, 1024} {
-		x := randReal(rng, n)
+	for _, n := range []int{4, 8, 16, 64, 256, 1024} {
 		rp := RPlanFor(n)
-
-		spec := make([]complex128, rp.HalfLen())
-		rp.Forward(append([]float64(nil), x...), spec)
-		generic := make([]complex128, rp.HalfLen())
-		withGenericSoA(func() { rp.Forward(append([]float64(nil), x...), generic) })
-		if d := maxAbsDiff(spec, generic); d > 1e-9 {
-			t.Errorf("n=%d: half spectrum differs from generic butterflies by %g", n, d)
-		}
-
-		a := make([]complex128, n)
-		for i, v := range x {
-			a[i] = complex(v, 0)
-		}
-		naive := naiveDFT(a, false)
-		for k := 0; k <= n/2; k++ {
-			if d := cmplx.Abs(spec[k] - naive[k]); d > 1e-9 {
-				t.Errorf("n=%d k=%d: half spectrum differs from naive DFT by %g", n, k, d)
+		for name, tc := range map[string]struct {
+			at   func(j int) float64
+			bin  int
+			want complex128
+		}{
+			"constant":    {func(int) float64 { return 1 }, 0, complex(float64(n), 0)},
+			"alternating": {func(j int) float64 { return 1 - 2*float64(j%2) }, n / 2, complex(float64(n), 0)},
+			"quarter":     {func(j int) float64 { return []float64{1, 0, -1, 0}[j%4] }, n / 4, complex(float64(n)/2, 0)},
+		} {
+			x := make([]float64, n)
+			for j := range x {
+				x[j] = tc.at(j)
 			}
-		}
-
-		out := make([]float64, n)
-		rp.Inverse(spec, out)
-		for i := range x {
-			if math.Abs(out[i]-x[i]) > 1e-9 {
-				t.Errorf("n=%d: real round trip error %g at %d", n, out[i]-x[i], i)
-				break
+			spec := forwardSoA(rp, x)
+			for k, z := range spec {
+				want := complex128(0)
+				if k == tc.bin {
+					want = tc.want
+				}
+				if !(cmplx.Abs(z-want) <= 1e-12*float64(n)) {
+					t.Errorf("n=%d %s: bin %d = %v, want %v", n, name, k, z, want)
+				}
+			}
+			out := inverseSoA(rp, spec)
+			for j := range x {
+				if !(math.Abs(out[j]-x[j]) <= 1e-12) {
+					t.Errorf("n=%d %s: round trip error %g at %d", n, name, out[j]-x[j], j)
+					break
+				}
 			}
 		}
 	}
@@ -402,101 +367,89 @@ func TestRadix4RPlanParity(t *testing.T) {
 
 // TestKernelName checks the kernel label is consistent with availability.
 func TestKernelName(t *testing.T) {
-	got := KernelName()
+	want := "generic"
 	if kernelAsmAvailable() {
-		if got != kernelArch || got == "generic" {
-			t.Errorf("KernelName() = %q with accelerated kernel available", got)
-		}
-		withGenericSoA(func() {
-			if name := KernelName(); name != "generic" {
-				t.Errorf("KernelName() = %q under forced generic", name)
-			}
-		})
-	} else if got != "generic" {
-		t.Errorf("KernelName() = %q without accelerated kernel", got)
+		want = kernelArch
+	}
+	if got := KernelName(); got != want {
+		t.Errorf("KernelName() = %q, want %q (assembly available: %v)", got, want, kernelAsmAvailable())
 	}
 }
 
 // TestSoATransformsCounter checks the split-plane transform counter
-// advances exactly when the kernel runs (not on the directly computed size
-// 2), and that transformed-bytes accounting ticks with it.
+// advances once per direction exactly when the kernel runs (not on the
+// closed-form sizes), and that transformed-bytes accounting ticks with it
+// at 8 bytes per real sample.
 func TestSoATransformsCounter(t *testing.T) {
-	p := PlanFor(64)
-	a := randVec(rand.New(rand.NewSource(66)), 64)
-
-	c0, b0 := SoATransforms(), TransformedBytes()
-	p.Forward(a)
-	c1, b1 := SoATransforms(), TransformedBytes()
-	if c1 != c0+1 {
-		t.Errorf("SoATransforms went %d -> %d across one transform, want +1", c0, c1)
-	}
-	if b1-b0 != 16*64 {
-		t.Errorf("TransformedBytes advanced %d across one transform, want %d", b1-b0, 16*64)
-	}
-
-	PlanFor(2).Forward(a[:2])
-	if c2 := SoATransforms(); c2 != c1 {
-		t.Errorf("SoATransforms advanced on a size-2 transform: %d -> %d", c1, c2)
-	}
-
-	// The plane-native real path counts one per direction at 8 bytes/sample.
 	rp := RPlanFor(64)
 	x := randReal(rand.New(rand.NewSource(67)), 64)
 	sr := make([]float64, rp.HalfLen())
 	si := make([]float64, rp.HalfLen())
-	b2 := TransformedBytes()
+
+	c0, b0 := SoATransforms(), TransformedBytes()
 	rp.ForwardSoA(x, sr, si)
 	rp.InverseSoA(sr, si, x)
-	if c3 := SoATransforms(); c3 != c1+2 {
-		t.Errorf("SoATransforms went %d -> %d across an RPlan plane round trip, want +2", c1, c3)
+	c1, b1 := SoATransforms(), TransformedBytes()
+	if c1 != c0+2 {
+		t.Errorf("SoATransforms went %d -> %d across a plane round trip, want +2", c0, c1)
 	}
-	if db := TransformedBytes() - b2; db != 2*8*64 {
-		t.Errorf("TransformedBytes advanced %d across an RPlan plane round trip, want %d", db, 2*8*64)
+	if b1-b0 != 2*8*64 {
+		t.Errorf("TransformedBytes advanced %d across a plane round trip, want %d", b1-b0, 2*8*64)
+	}
+
+	small := RPlanFor(4)
+	small.ForwardSoA(x[:4], sr[:3], si[:3])
+	if c2 := SoATransforms(); c2 != c1 {
+		t.Errorf("SoATransforms advanced on a closed-form size-4 transform: %d -> %d", c1, c2)
+	}
+	if db := TransformedBytes() - b1; db != 8*4 {
+		t.Errorf("TransformedBytes advanced %d across a size-4 transform, want %d", db, 8*4)
 	}
 }
 
 // TestSoAConcurrentTransforms hammers one shared plan (and the shared
-// scratch pool) from many goroutines under both kernel entry points. Run
-// with -race this pins the concurrency contract: plan tables are read-only,
-// scratch planes are private per transform, and no transform state leaks
-// across goroutines.
+// scratch pool) from many goroutines in both directions. Run with -race
+// this pins the concurrency contract: plan tables are read-only, scratch
+// planes are private per transform, and no transform state leaks across
+// goroutines.
 func TestSoAConcurrentTransforms(t *testing.T) {
-	const n = 1 << 10
-	p := PlanFor(n)
-	rp := RPlanFor(2 * n)
+	const n = 1 << 11
+	rp := RPlanFor(n)
 	rng := rand.New(rand.NewSource(68))
-	a := randVec(rng, n)
-	want := append([]complex128(nil), a...)
-	p.Forward(want)
-	x := randReal(rng, 2*n)
-	wantSr := make([]float64, rp.HalfLen())
-	wantSi := make([]float64, rp.HalfLen())
-	rp.ForwardSoA(append([]float64(nil), x...), wantSr, wantSi)
+	x := randReal(rng, n)
+	wantSpec := forwardSoA(rp, x)
+	spec := randHalfSpectrum(rng, n)
+	wantRow := inverseSoA(rp, spec)
 
+	const goroutines, iters = 8, 8
 	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for g := 0; g < 8; g++ {
+	errs := make(chan string, 2*goroutines*iters) // at most two sends per iteration
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for iter := 0; iter < 8; iter++ {
-				buf := scratch.Complexes(n)
-				copy(buf, a)
-				p.Forward(buf)
-				if d := maxAbsDiff(buf, want); d > 0 {
-					errs <- "concurrent transform diverged"
-				}
-				scratch.PutComplexes(buf)
-
+			for iter := 0; iter < iters; iter++ {
 				sr := scratch.Floats(rp.HalfLen())
 				si := scratch.Floats(rp.HalfLen())
 				rp.ForwardSoA(x, sr, si)
 				for k := range sr {
-					if sr[k] != wantSr[k] || si[k] != wantSi[k] {
-						errs <- "concurrent RPlan plane transform diverged"
+					if complex(sr[k], si[k]) != wantSpec[k] {
+						errs <- "concurrent forward transform diverged"
 						break
 					}
 				}
+				for k, z := range spec {
+					sr[k], si[k] = real(z), imag(z)
+				}
+				row := scratch.Floats(n)
+				rp.InverseSoA(sr, si, row)
+				for j := range row {
+					if row[j] != wantRow[j] {
+						errs <- "concurrent inverse transform diverged"
+						break
+					}
+				}
+				scratch.PutFloats(row)
 				scratch.PutFloats(sr)
 				scratch.PutFloats(si)
 			}
@@ -506,18 +459,5 @@ func TestSoAConcurrentTransforms(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
-	}
-}
-
-func BenchmarkRPlanForwardSoA128K(b *testing.B) {
-	const n = 1 << 17
-	x := randReal(rand.New(rand.NewSource(71)), n)
-	rp := RPlanFor(n)
-	sr := make([]float64, rp.HalfLen())
-	si := make([]float64, rp.HalfLen())
-	b.SetBytes(int64(8 * n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rp.ForwardSoA(x, sr, si)
 	}
 }

@@ -143,12 +143,12 @@ func evolveSpectrumSoA(rp *fft.RPlan, x []float64, mult []complex128) {
 
 // mulSpectrum multiplies the half spectrum, held as split planes, pointwise
 // by the cached kernel multiplier: one complex multiply per bin, expanded
-// into float64 lane arithmetic. The small case runs a plain loop so the call
+// into float64 lane arithmetic. Half spectra of at least fft.ParThreshold
+// bins split across workers; smaller ones run a plain loop so the call
 // allocates nothing (the parallel variant's closure would box the slice
-// headers per call); the cutover follows the FFT substrate's parallel-stage
-// threshold.
+// headers per call).
 func mulSpectrum(sr, si []float64, mult []complex128) {
-	if len(sr) >= fft.ParThreshold() {
+	if len(sr) >= fft.ParThreshold {
 		mulSpectrumPar(sr, si, mult)
 		return
 	}

@@ -39,9 +39,9 @@ func TestEvolveConeEdgeSizesMatchNaive(t *testing.T) {
 	}
 }
 
-// TestEvolvePeriodicSize1 covers the tiny rings n in {1, 2, 4, 8}, whose
-// real transforms have an inner size below 4 and so run through the
-// plane-native API's complex-spectrum delegation.
+// TestEvolvePeriodicSize1 covers the tiny rings n in {1, 2, 4, 8}: the
+// first three run the transform's closed-form sizes, n = 8 the smallest
+// kernel size.
 func TestEvolvePeriodicSize1(t *testing.T) {
 	s := Stencil{MinOff: -1, W: []float64{0.25, 0.5, 0.2}}
 	rng := rand.New(rand.NewSource(32))

@@ -13,7 +13,4 @@ func TestRoundTripAllocs(t *testing.T) {
 			t.Errorf("Floats(%d)/PutFloats round trip: %v allocs, want 0", n, a)
 		}
 	}
-	if a := testing.AllocsPerRun(100, func() { PutComplexes(Complexes(64)) }); a != 0 {
-		t.Errorf("Complexes(64)/PutComplexes round trip: %v allocs, want 0", a)
-	}
 }

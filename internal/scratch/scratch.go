@@ -29,10 +29,10 @@
 //
 // Classes whose single buffer exceeds maxClassBytes are never pooled.
 //
-// Ownership protocol: Floats/Complexes return a buffer with *undefined
-// contents* (callers must overwrite every element they read back) and the
-// caller becomes its owner. Ownership transfers with the slice; whoever holds
-// the last live reference may return the buffer with PutFloats/PutComplexes.
+// Ownership protocol: Floats returns a buffer with *undefined contents*
+// (callers must overwrite every element they read back) and the caller
+// becomes its owner. Ownership transfers with the slice; whoever holds the
+// last live reference may return the buffer with PutFloats.
 // Returning a buffer that is still referenced elsewhere is a data race —
 // when ownership is unclear, simply drop the buffer and let the GC take it;
 // the pools are an optimization, never a requirement.
@@ -56,13 +56,12 @@ const (
 	// maxClassBytes bounds the idle buffers a freelist class retains;
 	// buffers larger than this on their own are never retained at all. The
 	// freelist tier therefore holds at most maxClassBytes per retaining class
-	// (float classes 2^16..2^22 elements, complex 2^15..2^21) ≈ 448 MiB in
-	// the degenerate worst case and, in practice, a few dozen MiB shaped like
-	// the largest recent solve.
+	// (classes 2^16..2^22 elements) ≈ 224 MiB in the degenerate worst case
+	// and, in practice, a few dozen MiB shaped like the largest recent solve.
 	maxClassBytes = 32 << 20
 
 	// magazineBytes is the largest buffer the per-P magazine tier holds:
-	// float classes up to 2^15 elements, complex up to 2^14.
+	// classes up to 2^15 elements.
 	magazineBytes = 256 << 10
 
 	// magazineCap is the number of idle buffers one magazine holds.
@@ -72,7 +71,7 @@ const (
 // misses counts poolable requests that found no idle buffer and allocated.
 var misses atomic.Int64
 
-// Misses reports how many poolable Floats/Complexes requests had to allocate
+// Misses reports how many poolable Floats requests had to allocate
 // since process start.
 func Misses() int64 { return misses.Load() }
 
@@ -96,10 +95,7 @@ type pools[T any] struct {
 	class    [maxClass + 1]pool[T]
 }
 
-var (
-	floatPools   = pools[float64]{elemSize: 8}
-	complexPools = pools[complex128]{elemSize: 16}
-)
+var floatPools = pools[float64]{elemSize: 8}
 
 // retain reports how many idle buffers a class of the given element size may
 // hold under the maxClassBytes bound. Classes whose single buffer already
@@ -196,12 +192,3 @@ func Floats(n int) []float64 { return floatPools.get(n) }
 // re-sliced so their backing array is no longer fully owned) are dropped, as
 // are nil, tiny, and over-cap buffers.
 func PutFloats(b []float64) { floatPools.put(b) }
-
-// Complexes returns a []complex128 of length n with undefined contents and,
-// for poolable sizes, capacity rounded up to a power of two (see Floats for
-// the never-retained exception).
-func Complexes(n int) []complex128 { return complexPools.get(n) }
-
-// PutComplexes returns a buffer obtained from Complexes to its pool, under
-// the same rules as PutFloats.
-func PutComplexes(b []complex128) { complexPools.put(b) }

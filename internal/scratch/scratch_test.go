@@ -78,24 +78,12 @@ func TestRecycleRoundTrip(t *testing.T) {
 	}
 	PutFloats(c)
 
-	zn := 1 << firstFreelistClass(&complexPools)
-	z := Complexes(zn)
-	PutComplexes(z)
-	z2 := Complexes(zn)
-	if &z2[0] != &z[0] {
-		t.Error("Complexes did not reuse the pooled freelist buffer")
-	}
-	PutComplexes(z2)
-
 	// Magazine tier: sync.Pool may drop a magazine (the race detector drops
 	// about one Put in four on purpose) or strand it on another P, so only
 	// require that most round trips reuse.
 	const rounds = 200
 	if got := reuses(Floats, PutFloats, 1000, rounds); got < rounds/2 {
 		t.Errorf("Floats(1000) reused %d of %d round trips", got, rounds)
-	}
-	if got := reuses(Complexes, PutComplexes, 512, rounds); got < rounds/2 {
-		t.Errorf("Complexes(512) reused %d of %d round trips", got, rounds)
 	}
 }
 
@@ -174,8 +162,6 @@ func TestPutRejectsForeign(t *testing.T) {
 		t.Error("pool accepted a non-power-of-two buffer")
 	}
 	PutFloats(nil)
-	PutComplexes(nil)
-	PutComplexes(make([]complex128, 33, 33))
 }
 
 // TestFrontTrimmedPut: a pool buffer re-sliced from the front loses its
@@ -195,15 +181,12 @@ func TestRetainBound(t *testing.T) {
 		t.Errorf("retain(minClass) = %d", got)
 	}
 	// A class whose single buffer exceeds maxClassBytes must retain nothing.
-	if got := retain(maxClass, 16); got != 0 {
-		t.Errorf("retain(maxClass, 16) = %d, want 0", got)
+	if got := retain(maxClass, 8); got != 0 {
+		t.Errorf("retain(maxClass, 8) = %d, want 0", got)
 	}
-	// The largest retaining classes sit exactly at the bound.
+	// The largest retaining class sits exactly at the bound.
 	if got := retain(22, 8); got != 1 {
 		t.Errorf("retain(22, 8) = %d, want 1", got)
-	}
-	if got := retain(21, 16); got != 1 {
-		t.Errorf("retain(21, 16) = %d, want 1", got)
 	}
 }
 
@@ -226,9 +209,6 @@ func TestConcurrentUse(t *testing.T) {
 					}
 				}
 				PutFloats(f)
-				z := Complexes(n)
-				z[0] = complex(float64(g), 0)
-				PutComplexes(z)
 			}
 		}(g)
 	}

@@ -39,8 +39,12 @@ const (
 // Traced FFT and multi-step linear evolution.
 // ---------------------------------------------------------------------------
 
-// tracedPlan mirrors fft.Plan with its twiddle and bit-reversal tables
-// resident in simulated memory.
+// tracedPlan is a model of the FFT's memory traffic, not a copy of the
+// shipped kernel: a complex radix-2 transform of size N with its twiddle and
+// bit-reversal tables resident in simulated memory. The solver instead runs
+// a real transform through a size-N/2 split-plane radix-4 ladder
+// (internal/fft) and reads its multiplier from the spectrum cache, where
+// evolveCone below evaluates the symbol per frequency.
 type tracedPlan struct {
 	n       int
 	rev     []int32

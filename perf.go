@@ -51,12 +51,12 @@ type PerfCounters struct {
 	// work across the two step counts through exactly this path.
 	SpectrumCrossResHits int64 `prom:"amop_spectrum_cross_res_hits_total"`
 	// FFTBytesTransformed counts sample bytes pushed through FFT butterfly
-	// stages (8 per real sample, 16 per complex sample, per direction). The
-	// real-input path moves half the bytes of the complex path it replaced.
+	// stages (8 per real sample, per direction).
 	FFTBytesTransformed int64 `prom:"amop_fft_bytes_transformed_total"`
 	// FFTSoATransforms counts transforms executed by the split-plane FFT
-	// kernel (per direction; sizes below 4 are computed directly and not
-	// counted). Their bytes are included in FFTBytesTransformed.
+	// kernel (per direction; rows of n <= 4 real samples are computed
+	// directly and not counted). Their bytes are included in
+	// FFTBytesTransformed.
 	FFTSoATransforms int64 `prom:"amop_fft_soa_transforms_total"`
 	// ScratchMisses counts requests for poolable row, staging and spectrum
 	// buffers that found no idle buffer in the scratch pools and allocated.
