@@ -26,6 +26,7 @@ import (
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
+	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/topm"
 	"github.com/nlstencil/amop/internal/trace"
 )
@@ -236,18 +237,25 @@ func benchReplay(b *testing.B, solve func(*fbstencil.Stats) (float64, error)) {
 	})
 }
 
+// benchReplaySweep runs benchTraced on the replay of a baseline sweep.
+func benchReplaySweep(b *testing.B, p *sweep.Problem, run func(*sweep.Problem) float64) {
+	benchTraced(b, func(h *cachesim.Hierarchy) {
+		if _, err := trace.ReplaySweep(h, p, run); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 func BenchmarkFig67TracedFFTBopm(b *testing.B) {
 	benchReplay(b, mustBOPM(b, benchSimT).PriceFastStats)
 }
 
 func BenchmarkFig67TracedQlBopm(b *testing.B) {
-	spec := trace.LatticeSpec(mustBOPM(b, benchSimT))
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.NaiveGR(h, spec) })
+	benchReplaySweep(b, mustBOPM(b, benchSimT).SweepProblem(option.Call), sweep.Naive)
 }
 
 func BenchmarkFig67TracedZbBopm(b *testing.B) {
-	spec := trace.LatticeSpec(mustBOPM(b, benchSimT))
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.TiledGR(h, spec, 0, 0) })
+	benchReplaySweep(b, mustBOPM(b, benchSimT).SweepProblem(option.Call), func(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) })
 }
 
 func BenchmarkFig67TracedFFTTopm(b *testing.B) {
@@ -263,8 +271,7 @@ func BenchmarkFig67TracedVanillaTopm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := trace.LatticeSpec(m)
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.NaiveGR(h, spec) })
+	benchReplaySweep(b, m.SweepProblem(option.Call), sweep.Naive)
 }
 
 func BenchmarkFig67TracedFFTBsm(b *testing.B) {
@@ -280,8 +287,7 @@ func BenchmarkFig67TracedVanillaBsm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	spec := trace.BSMSpec(m)
-	benchTraced(b, func(h *cachesim.Hierarchy) { trace.NaiveGL(h, spec) })
+	benchReplaySweep(b, m.SweepProblem(), sweep.Naive)
 }
 
 // --- Extensions --------------------------------------------------------------

@@ -1,9 +1,11 @@
 // Package bsm implements American put pricing under the
 // Black-Scholes-Merton model by an explicit projected finite-difference
 // scheme on the log-price-transformed PDE (Section 4 of the paper), plus the
-// paper's FFT-based fast solver for it ("fft-bsm"). The fast solver indexes
-// each row by column minus depth, where the centered stencil is one-sided,
-// and runs fbstencil's one-sided green-left engine.
+// paper's FFT-based fast solver for it ("fft-bsm"). Both index each row by
+// column minus depth, where the centered stencil is one-sided: the fast
+// solver runs fbstencil's one-sided green-left engine there, and the direct
+// sweeps (PriceNaive, PriceNaiveParallel, PriceEuropeanNaive) run package
+// sweep's loops, bitwise equal to the centered loop of Equation 5.
 //
 // Nondimensionalization follows Section 4.2: with s = ln(x/K),
 // tau = sigma^2 (T-t)/2 and vtilde = v/K, the American put satisfies the
@@ -32,8 +34,8 @@ import (
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
-	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
+	"github.com/nlstencil/amop/internal/sweep"
 )
 
 // MaxSteps bounds T to keep grid allocations sane.
@@ -107,10 +109,9 @@ func (m *Model) green(col int) float64 {
 	return 1 - math.Exp(m.logPrice(col))
 }
 
-// greenTable returns green(col) for every column of the grid, [0, 2T]. The
-// caller owns the pooled table and returns it with scratch.PutFloats.
-func (m *Model) greenTable() []float64 {
-	tab := scratch.Floats(2*m.T + 1)
+// greenTable sets tab[col] = green(col) for every column of the grid,
+// [0, 2T], and returns tab, which is 2T+1 long.
+func (m *Model) greenTable(tab []float64) []float64 {
 	for col := range tab {
 		tab[col] = m.green(col)
 	}
@@ -172,7 +173,7 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 }
 
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
-	tab := m.greenTable()
+	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
 	prob := m.problem(m.tableGreen(tab))
 	prob.Cancel = cancel
@@ -197,60 +198,35 @@ func (m *Model) problem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided 
 	}
 }
 
-// PriceNaive is the serial projected explicit sweep over the full cone —
-// the direct implementation of Equation 5.
+// SweepProblem is the American put as a baseline sweep (package sweep) on
+// the fast solver's depth-shifted columns: weights {B, C, A} on offsets 0..2,
+// the initial row on columns [0, 2T], and the exercise value of cell
+// (depth, col) copied from a table of green over the grid's columns. Its
+// apex, column 0 at depth T, is grid column T. The sweep's result is
+// dimensionless; multiply by K for the price.
+func (m *Model) SweepProblem() *sweep.Problem {
+	tab := m.greenTable(make([]float64, 2*m.T+1))
+	return &sweep.Problem{
+		W:            []float64{m.B, m.C, m.A},
+		T:            m.T,
+		Hi0:          2 * m.T,
+		Leaf:         func(col int) float64 { return math.Max(tab[col], 0) },
+		FillExercise: func(depth, lo, hi int, out []float64) { copy(out, tab[lo+depth:hi+depth+1]) },
+	}
+}
+
+// PriceNaive is the serial projected explicit sweep over the full cone — the
+// direct implementation of Equation 5. It runs sweep.Naive on SweepProblem's
+// depth-shifted columns, which is bitwise equal to the centered loop on the
+// unshifted grid (fbstencil.SolveGreenLeftNaive).
 func (m *Model) PriceNaive() float64 {
-	width := 2*m.T + 1
-	cur := make([]float64, width)
-	for k := range cur {
-		cur[k] = math.Max(m.green(k), 0)
-	}
-	next := make([]float64, width)
-	eds := math.Exp(m.Ds)
-	for d := 1; d <= m.T; d++ {
-		lo, hi := d, 2*m.T-d
-		gv := math.Exp(m.logPrice(lo)) // e^(s_k), advanced multiplicatively
-		for k := lo; k <= hi; k++ {
-			lin := m.B*cur[k-1] + m.C*cur[k] + m.A*cur[k+1]
-			if exv := 1 - gv; exv > lin {
-				lin = exv
-			}
-			next[k] = lin
-			gv *= eds
-		}
-		cur, next = next, cur
-	}
-	return m.Prm.K * cur[m.T]
+	return m.Prm.K * sweep.Naive(m.SweepProblem())
 }
 
 // PriceNaiveParallel is the row-parallel projected explicit sweep — the
-// paper's vanilla-bsm baseline.
+// paper's vanilla-bsm baseline — bitwise equal to PriceNaive.
 func (m *Model) PriceNaiveParallel() float64 {
-	width := 2*m.T + 1
-	cur := make([]float64, width)
-	for k := range cur {
-		cur[k] = math.Max(m.green(k), 0)
-	}
-	rows := [2][]float64{cur, make([]float64, width)}
-	eds := math.Exp(m.Ds)
-	par.RowSweep(m.T,
-		func(row int) int { return 2*(m.T-row-1) + 1 },
-		func(row, clo, chi int) {
-			d := row + 1
-			lo := d
-			src := rows[row&1]
-			dst := rows[1-row&1]
-			gv := math.Exp(m.logPrice(lo + clo))
-			for k := lo + clo; k < lo+chi; k++ {
-				lin := m.B*src[k-1] + m.C*src[k] + m.A*src[k+1]
-				if exv := 1 - gv; exv > lin {
-					lin = exv
-				}
-				dst[k] = lin
-				gv *= eds
-			}
-		})
-	return m.Prm.K * rows[m.T&1][m.T]
+	return m.Prm.K * sweep.NaiveParallel(m.SweepProblem())
 }
 
 // PriceEuropean prices the European put on the same grid with one T-step
@@ -265,24 +241,9 @@ func (m *Model) PriceEuropean() float64 {
 	return m.Prm.K * out[0]
 }
 
-// PriceEuropeanNaive is the serial sweep without the obstacle.
+// PriceEuropeanNaive is PriceNaive without the obstacle.
 func (m *Model) PriceEuropeanNaive() float64 {
-	width := 2*m.T + 1
-	cur := make([]float64, width)
-	for k := range cur {
-		cur[k] = math.Max(m.green(k), 0)
-	}
-	next := make([]float64, width)
-	for d := 1; d <= m.T; d++ {
-		lo, hi := d, 2*m.T-d
-		for k := lo; k <= hi; k++ {
-			next[k] = m.B*cur[k-1] + m.C*cur[k] + m.A*cur[k+1]
-		}
-		cur, next = next, cur
-	}
-	return m.Prm.K * cur[m.T]
+	p := m.SweepProblem()
+	p.FillExercise = nil
+	return m.Prm.K * sweep.Naive(p)
 }
-
-// Green exposes the dimensionless exercise value 1 - e^(s_col) for the
-// traced direct sweep and diagnostics.
-func (m *Model) Green(col int) float64 { return m.green(col) }

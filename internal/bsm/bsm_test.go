@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
+	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
 )
 
@@ -130,8 +131,55 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b := m.PriceNaive(), m.PriceNaiveParallel()
-		if d := relDiff(a, b); d > 1e-11 {
-			t.Errorf("trial %d: serial %.12g parallel %.12g", trial, a, b)
+		if a != b {
+			t.Errorf("trial %d: serial %.17g parallel %.17g", trial, a, b)
+		}
+	}
+}
+
+// centered is the model's put as fbstencil's centered green-left problem on
+// the unshifted grid, with obstacle green; its naive solve is the loop of
+// Equation 5 as the paper writes it.
+func (m *Model) centered(green fbstencil.GreenFunc) *fbstencil.GreenLeft {
+	return &fbstencil.GreenLeft{
+		Stencil: m.Stencil(),
+		T:       m.T,
+		Lo0:     0,
+		Hi0:     2 * m.T,
+		Init:    func(col int) float64 { return math.Max(m.green(col), 0) },
+		Green:   green,
+		Bnd0:    m.leafBoundary(),
+	}
+}
+
+// TestNaiveMatchesCenteredReference: the sweep on depth-shifted columns is
+// the centered Equation-5 loop, bitwise, with and without the obstacle (a
+// -Inf obstacle never binds).
+func TestNaiveMatchesCenteredReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	noObstacle := func(int, int) float64 { return math.Inf(-1) }
+	for trial := 0; trial < 100; trial++ {
+		p := randParams(rng)
+		if trial%2 == 1 {
+			p.Y = 0.05 * rng.Float64()
+		}
+		m, err := New(p, 1+rng.Intn(600), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := fbstencil.SolveGreenLeftNaive(m.centered(func(_, col int) float64 { return m.green(col) }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.PriceNaive(), p.K*ref; got != want {
+			t.Errorf("trial %d (T=%d): PriceNaive %.17g, centered reference %.17g", trial, m.T, got, want)
+		}
+		eur, err := fbstencil.SolveGreenLeftNaive(m.centered(noObstacle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := m.PriceEuropeanNaive(), p.K*eur; got != want {
+			t.Errorf("trial %d (T=%d): PriceEuropeanNaive %.17g, centered reference %.17g", trial, m.T, got, want)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestGreenTableFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := m.greenTable()
+	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
 	green := m.tableGreen(tab)
 	var left atomic.Int64

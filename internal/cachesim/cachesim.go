@@ -4,9 +4,9 @@
 // geometry of the paper's Stampede2 SKX node (Table 3): 32 KB 8-way L1 and
 // 1 MB 16-way L2 with 64-byte lines.
 //
-// Package trace drives it: the fast algorithm's column replays the
-// production engine's recorded schedule serially, and the quadratic
-// baselines run traced copies of the direct sweeps. The resulting miss
+// Package trace drives it: every column replays, serially, the recorded
+// schedule of the code that ships, the fast engine and the quadratic
+// baselines of internal/sweep alike. The resulting miss
 // counts reproduce the relative behavior the paper measures — the quadratic
 // algorithms stream the whole grid every row while the FFT algorithm's
 // working sets are logarithmically sized.

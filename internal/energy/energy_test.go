@@ -6,6 +6,7 @@ import (
 	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/trace"
 )
 
@@ -50,7 +51,9 @@ func TestFastSavesEnergy(t *testing.T) {
 			t.Fatal(err)
 		}
 		hN := cachesim.NewSKX()
-		trace.NaiveGR(hN, trace.LatticeSpec(mdl))
+		if _, err := trace.ReplaySweep(hN, mdl.SweepProblem(option.Call), sweep.Naive); err != nil {
+			t.Fatal(err)
+		}
 		hF := cachesim.NewSKX()
 		if _, err := trace.Replay(hF, mdl.PriceFastStats); err != nil {
 			t.Fatal(err)

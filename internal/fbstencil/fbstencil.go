@@ -165,6 +165,14 @@ const (
 	// EventFFT evolves Src by Steps steps of W with one FFT; Dst holds the
 	// len(Src)-(len(W)-1)*Steps exact outputs.
 	EventFFT
+	// EventSweep is a baseline sweep's update of len(Dst) cells (package
+	// sweep): cell j reads Src[j .. j+len(W)-1] and stores Dst[j]. Its
+	// obstacle comes from a precomputed exercise chunk, not a closed-form
+	// evaluation. Dst may start at Src[0].
+	EventSweep
+	// EventAlloc gives Dst fresh memory without touching it; later steps
+	// write its cells in place.
+	EventAlloc
 )
 
 // Event is one step of a solve's schedule. Src and Dst are the solver's own
@@ -176,10 +184,10 @@ type Event struct {
 	Lo, Bnd  int       // EventDirect: first column and closed-form boundary
 	N        int       // EventDirect: number of cells
 	Steps    int       // EventFFT: steps evolved
-	W        []float64 // stencil weights of EventDirect and EventFFT
-	// InPlace marks an EventFill or EventDirect that rewrites cells of a
-	// buffer earlier steps already wrote (a base-case zone stepping its
-	// window); otherwise Dst is memory the step writes fresh.
+	W        []float64 // stencil weights of EventDirect, EventFFT and EventSweep
+	// InPlace marks a step that writes cells of a buffer earlier steps
+	// already wrote or allocated (a base-case zone stepping its window, a
+	// sweep's row); otherwise Dst is memory the step writes fresh.
 	InPlace bool
 }
 

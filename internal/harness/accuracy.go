@@ -25,7 +25,7 @@ func accuracy(cfg Config) ([]*Table, error) {
 		Title:  "relative |fast - naive| per model",
 		Header: []string{"T", "bopm", "topm", "bsm"},
 	}
-	for _, T := range sweep(1<<10, min(cfg.MaxQuadT, 1<<14)) {
+	for _, T := range powersOf2(1<<10, min(cfg.MaxQuadT, 1<<14)) {
 		row := []string{fmt.Sprint(T)}
 
 		for _, newTree := range []func(option.Params, int) (*lattice.Model, error){bopm.New, topm.New} {
@@ -60,7 +60,7 @@ func accuracy(cfg Config) ([]*Table, error) {
 	}
 	bsCall := option.BlackScholes(prm, option.Call)
 	bsPut := option.BlackScholes(prm, option.Put)
-	for _, T := range sweep(1<<8, min(cfg.MaxT, 1<<14)) {
+	for _, T := range powersOf2(1<<8, min(cfg.MaxT, 1<<14)) {
 		mb, err := bopm.New(prm, T)
 		if err != nil {
 			return nil, err

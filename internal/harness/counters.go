@@ -9,6 +9,7 @@ import (
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/energy"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/topm"
 	"github.com/nlstencil/amop/internal/trace"
 )
@@ -36,7 +37,8 @@ var (
 // tracedRun replays one (model, alg, T) on a simulated hierarchy and
 // measures the production implementation's wall time. The fft column
 // replays the recorded schedule of the production fast solve (trace.Replay);
-// the others run the traced direct sweeps.
+// the others replay the recorded steps of internal/sweep's baselines
+// (trace.ReplaySweep).
 func tracedRun(model, alg string, T int) (tracedPoint, error) {
 	key := fmt.Sprintf("%s/%s/%d", model, alg, T)
 	tracedMu.Lock()
@@ -57,39 +59,42 @@ func tracedRun(model, alg string, T int) (tracedPoint, error) {
 		if err != nil {
 			return tracedPoint{}, err
 		}
-		spec := trace.LatticeSpec(m)
 		switch alg {
 		case "fft":
-			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
-				return tracedPoint{}, err
-			}
+			_, err = trace.Replay(h, m.PriceFastStats)
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
 		case "ql", "vanilla": // the paper's names for the row-parallel loop on each tree
-			trace.NaiveGR(h, spec)
+			_, err = trace.ReplaySweep(h, m.SweepProblem(option.Call), sweep.Naive)
 			seconds = timeIt(func() { m.PriceNaiveParallel(option.Call) })
 		case "zb":
-			trace.TiledGR(h, spec, 0, 0)
+			_, err = trace.ReplaySweep(h, m.SweepProblem(option.Call), func(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) })
 			seconds = timeIt(func() { m.PriceTiled(option.Call, 0, 0) })
+		case "rec":
+			_, err = trace.ReplaySweep(h, m.SweepProblem(option.Call), sweep.Recursive)
+			seconds = timeIt(func() { m.PriceRecursive(option.Call) })
 		default:
 			return tracedPoint{}, fmt.Errorf("unknown %s algorithm %q", model, alg)
+		}
+		if err != nil {
+			return tracedPoint{}, err
 		}
 	case "bsm":
 		m, err := bsm.New(prm, T, 0)
 		if err != nil {
 			return tracedPoint{}, err
 		}
-		spec := trace.BSMSpec(m)
 		switch alg {
 		case "fft":
-			if _, err := trace.Replay(h, m.PriceFastStats); err != nil {
-				return tracedPoint{}, err
-			}
+			_, err = trace.Replay(h, m.PriceFastStats)
 			seconds = timeIt(func() { m.PriceFast() }) //nolint:errcheck
 		case "vanilla":
-			trace.NaiveGL(h, spec)
+			_, err = trace.ReplaySweep(h, m.SweepProblem(), sweep.Naive)
 			seconds = timeIt(func() { m.PriceNaiveParallel() })
 		default:
 			return tracedPoint{}, fmt.Errorf("unknown bsm algorithm %q", alg)
+		}
+		if err != nil {
+			return tracedPoint{}, err
 		}
 	default:
 		return tracedPoint{}, fmt.Errorf("unknown model %q", model)
@@ -105,7 +110,7 @@ var counterModels = []struct {
 	algs  []string
 	sub   string
 }{
-	{"bopm", []string{"fft", "ql", "zb"}, "a"},
+	{"bopm", []string{"fft", "ql", "zb", "rec"}, "a"},
 	{"topm", []string{"fft", "vanilla"}, "b"},
 	{"bsm", []string{"fft", "vanilla"}, "c"},
 }
@@ -120,7 +125,7 @@ func fig6(cfg Config) ([]*Table, error) {
 			Note:   "linear event-cost model over simulated counters + static power x measured wall time; see internal/energy",
 			Header: append([]string{"T"}, algCols(mm.algs, "")...),
 		}
-		for _, T := range sweep(1<<10, cfg.MaxTraceT) {
+		for _, T := range powersOf2(1<<10, cfg.MaxTraceT) {
 			row := []string{fmt.Sprint(T)}
 			for _, alg := range mm.algs {
 				p, err := tracedRun(mm.model, alg, T)
@@ -154,7 +159,7 @@ func fig7(cfg Config) ([]*Table, error) {
 				Note:   "set-associative LRU simulation of the SKX geometry; no prefetchers — see the internal/cachesim package doc",
 				Header: append([]string{"T"}, algCols(mm.algs, "")...),
 			}
-			for _, T := range sweep(1<<10, cfg.MaxTraceT) {
+			for _, T := range powersOf2(1<<10, cfg.MaxTraceT) {
 				row := []string{fmt.Sprint(T)}
 				for _, alg := range mm.algs {
 					p, err := tracedRun(mm.model, alg, T)
@@ -180,7 +185,7 @@ func fig10(cfg Config) ([]*Table, error) {
 			Title:  fmt.Sprintf("%s energy by domain (modeled Joules)", mm.model),
 			Header: append([]string{"T"}, append(algCols(mm.algs, "-pkg"), algCols(mm.algs, "-ram")...)...),
 		}
-		for _, T := range sweep(1<<10, cfg.MaxTraceT) {
+		for _, T := range powersOf2(1<<10, cfg.MaxTraceT) {
 			row := []string{fmt.Sprint(T)}
 			var pkgs, rams []string
 			for _, alg := range mm.algs {

@@ -236,8 +236,8 @@ func timeIt(fn func()) float64 {
 	return time.Since(start).Seconds() / float64(reps)
 }
 
-// sweep returns powers of two from lo to hi inclusive.
-func sweep(lo, hi int) []int {
+// powersOf2 returns powers of two from lo to hi inclusive.
+func powersOf2(lo, hi int) []int {
 	var ts []int
 	for t := lo; t <= hi; t *= 2 {
 		ts = append(ts, t)

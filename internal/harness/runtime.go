@@ -31,7 +31,7 @@ func fig5a(cfg Config) ([]*Table, error) {
 		Note:   fmt.Sprintf("host: %d cores; quadratic baselines capped at T=%d", runtime.NumCPU(), cfg.MaxQuadT),
 		Header: []string{"T", "fft-bopm", "ql-bopm", "zb-bopm", "speedup(ql/fft)"},
 	}
-	for _, T := range sweep(1<<11, cfg.MaxT) {
+	for _, T := range powersOf2(1<<11, cfg.MaxT) {
 		m, err := bopm.New(prm, T)
 		if err != nil {
 			return nil, err
@@ -60,7 +60,7 @@ func fig5b(cfg Config) ([]*Table, error) {
 		Note:   fmt.Sprintf("host: %d cores; vanilla baseline capped at T=%d", runtime.NumCPU(), cfg.MaxQuadT),
 		Header: []string{"T", "fft-topm", "vanilla-topm", "speedup"},
 	}
-	for _, T := range sweep(1<<11, cfg.MaxT) {
+	for _, T := range powersOf2(1<<11, cfg.MaxT) {
 		m, err := topm.New(prm, T)
 		if err != nil {
 			return nil, err
@@ -88,7 +88,7 @@ func fig5c(cfg Config) ([]*Table, error) {
 		Note:   fmt.Sprintf("host: %d cores; vanilla baseline capped at T=%d", runtime.NumCPU(), cfg.MaxQuadT),
 		Header: []string{"T", "fft-bsm", "vanilla-bsm", "speedup"},
 	}
-	for _, T := range sweep(1<<11, cfg.MaxT) {
+	for _, T := range powersOf2(1<<11, cfg.MaxT) {
 		m, err := bsm.New(prm, T, 0)
 		if err != nil {
 			return nil, err
@@ -148,7 +148,7 @@ func table5(cfg Config) ([]*Table, error) {
 func table2(cfg Config) ([]*Table, error) {
 	prm := option.Default()
 	maxFit := cfg.MaxQuadT
-	ts := sweep(1<<11, maxFit)
+	ts := powersOf2(1<<11, maxFit)
 	series := map[string][]float64{}
 	for _, T := range ts {
 		m, err := bopm.New(prm, T)

@@ -28,7 +28,7 @@ func (m *Model) PriceBermudan(kind option.Kind, every int) (float64, error) {
 		row[j] = m.Prm.Payoff(kind, m.Asset(0, j))
 	}
 	st := m.Stencil()
-	fillEx := m.sweepProblem(kind, true).FillExercise
+	fillEx := m.SweepProblem(kind).FillExercise
 
 	depth := 0
 	for depth < m.T {

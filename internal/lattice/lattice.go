@@ -120,37 +120,35 @@ func (m *Model) Stencil() linstencil.Stencil {
 	return linstencil.Stencil{MinOff: 0, W: m.W}
 }
 
-// sweepProblem builds the baseline-sweep description for the given option
-// kind; american=false drops the exercise comparison (European).
-func (m *Model) sweepProblem(kind option.Kind, american bool) *sweep.Problem {
+// SweepProblem builds the American baseline-sweep description of the given
+// option kind, the problem the Price* sweeps below solve.
+func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 	p := &sweep.Problem{
 		W:    m.W,
 		T:    m.T,
 		Hi0:  m.r() * m.T,
 		Leaf: func(col int) float64 { return m.Prm.Payoff(kind, m.Asset(0, col)) },
 	}
-	if american {
-		// One column is 2/r net up-moves.
-		f := m.U
-		if m.r() == 1 {
-			f *= m.U
-		}
-		K := m.Prm.K
-		if kind == option.Call {
-			p.FillExercise = func(depth, lo, hi int, out []float64) {
-				a := m.Asset(depth, lo)
-				for i := range out {
-					out[i] = a - K
-					a *= f
-				}
+	// One column is 2/r net up-moves.
+	f := m.U
+	if m.r() == 1 {
+		f *= m.U
+	}
+	K := m.Prm.K
+	if kind == option.Call {
+		p.FillExercise = func(depth, lo, hi int, out []float64) {
+			a := m.Asset(depth, lo)
+			for i := range out {
+				out[i] = a - K
+				a *= f
 			}
-		} else {
-			p.FillExercise = func(depth, lo, hi int, out []float64) {
-				a := m.Asset(depth, lo)
-				for i := range out {
-					out[i] = K - a
-					a *= f
-				}
+		}
+	} else {
+		p.FillExercise = func(depth, lo, hi int, out []float64) {
+			a := m.Asset(depth, lo)
+			for i := range out {
+				out[i] = K - a
+				a *= f
 			}
 		}
 	}
@@ -159,24 +157,24 @@ func (m *Model) sweepProblem(kind option.Kind, american bool) *sweep.Problem {
 
 // PriceNaive is the serial nested loop of Figure 1 (American).
 func (m *Model) PriceNaive(kind option.Kind) float64 {
-	return sweep.Naive(m.sweepProblem(kind, true))
+	return sweep.Naive(m.SweepProblem(kind))
 }
 
 // PriceNaiveParallel is the row-parallel nested loop — the structure of the
 // paper's ql-bopm and vanilla-topm baselines.
 func (m *Model) PriceNaiveParallel(kind option.Kind) float64 {
-	return sweep.NaiveParallel(m.sweepProblem(kind, true))
+	return sweep.NaiveParallel(m.SweepProblem(kind))
 }
 
 // PriceTiled is the cache-aware split-tiled sweep (zb-bopm analogue).
 // tileW/tileH <= 0 select L1-sized defaults.
 func (m *Model) PriceTiled(kind option.Kind, tileW, tileH int) float64 {
-	return sweep.Tiled(m.sweepProblem(kind, true), tileW, tileH)
+	return sweep.Tiled(m.SweepProblem(kind), tileW, tileH)
 }
 
 // PriceRecursive is the cache-oblivious recursive-tiling sweep (Table 2).
 func (m *Model) PriceRecursive(kind option.Kind) float64 {
-	return sweep.Recursive(m.sweepProblem(kind, true))
+	return sweep.Recursive(m.SweepProblem(kind))
 }
 
 // PriceEuropean prices the European option with a single T-step FFT
@@ -203,5 +201,7 @@ func (m *Model) PriceEuropean(kind option.Kind) float64 {
 
 // PriceEuropeanNaive is the serial nested loop without the exercise max.
 func (m *Model) PriceEuropeanNaive(kind option.Kind) float64 {
-	return sweep.Naive(m.sweepProblem(kind, false))
+	p := m.SweepProblem(kind)
+	p.FillExercise = nil
+	return sweep.Naive(p)
 }

@@ -49,7 +49,7 @@ func (w *rwalk) walk(t0, t1, cl, sl, cr int) {
 			lo := cl - sl*t
 			hi := cr - w.r*t
 			if lo <= hi {
-				w.p.updateRowInPlace(w.row, w.ex, t, lo, hi)
+				w.p.advance(w.row[lo:hi+1], w.row[lo:], w.ex, t, lo)
 			}
 		}
 		return

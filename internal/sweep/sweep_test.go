@@ -112,3 +112,52 @@ func TestWideGrid(t *testing.T) {
 		t.Errorf("recursive: %.15g vs %.15g", v, ref)
 	}
 }
+
+// TestStepRow pins the row kernel bitwise to the plain loop it replaces, for
+// each span, with and without the exercise chunk, in place and out of place.
+func TestStepRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	for r := 1; r <= 2; r++ {
+		for _, american := range []bool{false, true} {
+			for _, inPlace := range []bool{false, true} {
+				n := 1 + rng.Intn(700)
+				w := make([]float64, r+1)
+				for i := range w {
+					w[i] = rng.Float64()
+				}
+				src := make([]float64, n+r)
+				for i := range src {
+					src[i] = rng.NormFloat64()
+				}
+				var ex []float64
+				if american {
+					ex = make([]float64, n)
+					for i := range ex {
+						ex[i] = rng.NormFloat64()
+					}
+				}
+				want := make([]float64, n)
+				for j := range want {
+					var lin float64
+					for o := 0; o <= r; o++ {
+						lin += w[o] * src[j+o]
+					}
+					if ex != nil && ex[j] > lin {
+						lin = ex[j]
+					}
+					want[j] = lin
+				}
+				dst := make([]float64, n)
+				if inPlace {
+					dst = src[:n]
+				}
+				stepRow(dst, src, ex, w)
+				for j := range want {
+					if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("r=%d american=%v inPlace=%v cell %d: %v, want %v", r, american, inPlace, j, dst[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -52,7 +52,7 @@ func Tiled(p *Problem, tileW, tileH int) float64 {
 func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 	topHi := len(row) - 1
 	botHi := topHi - h*r
-	out := scratch.Floats(botHi + 1)
+	out := p.alloc(botHi + 1)
 
 	numTiles := max((topHi+1)/w, 1)
 	tileLo := func(k int) int { return k * w }
@@ -69,39 +69,28 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 	haloL := make([][]float64, numTiles)
 	haloR := make([][]float64, numTiles)
 
+	forTiles := par.For
+	if p.Record != nil {
+		forTiles = func(n, _ int, body func(lo, hi int)) { body(0, n) }
+	}
+
 	// Phase A: independent shrinking tiles.
-	par.For(numTiles, 1, func(klo, khi int) {
+	forTiles(numTiles, 1, func(klo, khi int) {
 		ex := scratch.Floats(exChunk)
 		for k := klo; k < khi; k++ {
 			a, b := tileLo(k), tileHi(k)
-			buf := scratch.Floats(b - a + 1)
-			copy(buf, row[a:b+1])
-			hl := scratch.Floats(h * r)
-			hr := scratch.Floats(h * r)
+			buf := p.alloc(b - a + 1)
+			p.copyCells(buf, row[a:b+1])
+			hl := p.alloc(h * r)
+			hr := p.alloc(h * r)
 			for t := 1; t <= h; t++ {
-				copy(hl[(t-1)*r:t*r], buf[:r])
-				copy(hr[(t-1)*r:t*r], buf[len(buf)-r:])
-				newLen := len(buf) - r
-				for c := 0; c < newLen; c += exChunk {
-					ce := min(c+exChunk, newLen) - 1
-					if p.FillExercise != nil {
-						p.FillExercise(depth+t, a+c, a+ce, ex[:ce-c+1])
-					}
-					for j := c; j <= ce; j++ {
-						var lin float64
-						for o := 0; o <= r; o++ {
-							lin += p.W[o] * buf[j+o]
-						}
-						if p.FillExercise != nil && ex[j-c] > lin {
-							lin = ex[j-c]
-						}
-						buf[j] = lin
-					}
-				}
-				buf = buf[:newLen]
+				p.copyCells(hl[(t-1)*r:t*r], buf[:r])
+				p.copyCells(hr[(t-1)*r:t*r], buf[len(buf)-r:])
+				p.advance(buf[:len(buf)-r], buf, ex, depth+t, a)
+				buf = buf[:len(buf)-r]
 			}
 			haloL[k], haloR[k] = hl, hr
-			copy(out[a:], buf) // bottom columns [a, b-h*r]
+			p.copyCells(out[a:], buf) // bottom columns [a, b-h*r]
 			scratch.PutFloats(buf)
 		}
 		scratch.PutFloats(ex)
@@ -111,41 +100,25 @@ func (p *Problem) tiledBand(row []float64, depth, h, w, r int) []float64 {
 	// triangle at boundary b = tileHi(k) covers columns [b-r*t+1, b] at
 	// depth offset t; its dependencies are the previous triangle row plus
 	// tile k's right halo and tile k+1's left halo.
-	par.For(numTiles-1, 1, func(klo, khi int) {
+	forTiles(numTiles-1, 1, func(klo, khi int) {
 		ex := scratch.Floats(exChunk)
-		src := make([]float64, 0, (h+1)*r)
-		tri := make([]float64, 0, h*r)
+		src := p.alloc((h + 1) * r)
+		tri := p.alloc(h * r)
 		for k := klo; k < khi; k++ {
 			b := tileHi(k)
-			tri = tri[:0]
 			for t := 1; t <= h; t++ {
-				// src covers columns [b-r*t+1, b+r] at depth offset t-1.
-				src = src[:0]
-				src = append(src, haloR[k][(t-1)*r:t*r]...)
-				src = append(src, tri...)
-				src = append(src, haloL[k+1][(t-1)*r:t*r]...)
+				// s covers columns [b-width+1, b+r] at depth offset t-1.
 				width := r * t
-				lo := b - width + 1
-				tri = tri[:width]
-				for c := 0; c < width; c += exChunk {
-					ce := min(c+exChunk, width) - 1
-					if p.FillExercise != nil {
-						p.FillExercise(depth+t, lo+c, lo+ce, ex[:ce-c+1])
-					}
-					for j := c; j <= ce; j++ {
-						var lin float64
-						for o := 0; o <= r; o++ {
-							lin += p.W[o] * src[j+o]
-						}
-						if p.FillExercise != nil && ex[j-c] > lin {
-							lin = ex[j-c]
-						}
-						tri[j] = lin
-					}
-				}
+				s := src[:width+r]
+				p.copyCells(s, haloR[k][(t-1)*r:t*r])
+				p.copyCells(s[r:], tri[:width-r])
+				p.copyCells(s[width:], haloL[k+1][(t-1)*r:t*r])
+				p.advance(tri[:width], s, ex, depth+t, b-width+1)
 			}
-			copy(out[b-h*r+1:], tri)
+			p.copyCells(out[b-h*r+1:], tri)
 		}
+		scratch.PutFloats(tri)
+		scratch.PutFloats(src)
 		scratch.PutFloats(ex)
 	})
 	for k := range haloL {

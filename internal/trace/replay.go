@@ -3,9 +3,11 @@ package trace
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/fbstencil"
+	"github.com/nlstencil/amop/internal/sweep"
 )
 
 // Replay runs solve, a production fast solve such as a model's
@@ -27,10 +29,22 @@ func Replay(h *cachesim.Hierarchy, solve func(*fbstencil.Stats) (float64, error)
 	return st, err
 }
 
+// ReplaySweep runs run, one of package sweep's baselines, on p with its
+// steps recorded (p.Record), replays each step on h as Replay does, and
+// returns the sweep's result. An error means a read found no recorded write
+// or a changed value.
+func ReplaySweep(h *cachesim.Hierarchy, p *sweep.Problem, run func(*sweep.Problem) float64) (float64, error) {
+	r := newReplayer(h)
+	q := *p
+	q.Record = r.apply
+	v := run(&q)
+	return v, r.err()
+}
+
 type replayer struct {
 	h     *cachesim.Hierarchy
 	plans planCache
-	cells map[*float64]cell // solver cell -> where and what it was last written
+	cells cellIndex // solver cell -> where and what it was last written
 
 	closedForm int // closed-form reads
 	unresolved int // reads of cells no recorded step wrote
@@ -38,14 +52,45 @@ type replayer struct {
 }
 
 // cell is the simulated address of a solver cell and the value recorded
-// there.
+// there. p is the solver cell itself, nil for a cell no step recorded; it
+// keeps the cell's buffer alive for the replay, so no later buffer can take
+// its address.
 type cell struct {
-	addr uint64
-	v    uint64 // math.Float64bits
+	p         *float64
+	addr      uint64
+	v         uint64 // math.Float64bits
+	unwritten bool   // allocated (EventAlloc), no value yet
+}
+
+// cellIndex holds the cells in pages of 1<<pageBits float64 slots keyed by
+// address. Steps walk their buffers in order, so the page used last serves
+// most lookups without hashing.
+type cellIndex struct {
+	pages map[uintptr]*cellPage
+	key   uintptr
+	last  *cellPage
+}
+
+const pageBits = 9
+
+type cellPage [1 << pageBits]cell
+
+// at returns the record of solver cell p.
+func (x *cellIndex) at(p *float64) *cell {
+	a := uintptr(unsafe.Pointer(p)) / 8
+	if k := a >> pageBits; x.last == nil || x.key != k {
+		pg := x.pages[k]
+		if pg == nil {
+			pg = new(cellPage)
+			x.pages[k] = pg
+		}
+		x.key, x.last = k, pg
+	}
+	return &x.last[a&(1<<pageBits-1)]
 }
 
 func newReplayer(h *cachesim.Hierarchy) *replayer {
-	return &replayer{h: h, plans: planCache{}, cells: map[*float64]cell{}}
+	return &replayer{h: h, plans: planCache{}, cells: cellIndex{pages: map[uintptr]*cellPage{}}}
 }
 
 // replay runs the recorded solve and returns its price and Stats.
@@ -53,10 +98,18 @@ func (r *replayer) replay(solve func(*fbstencil.Stats) (float64, error)) (float6
 	st := new(fbstencil.Stats)
 	fbstencil.Record(st, r.apply)
 	v, err := solve(st)
-	if err == nil && r.unresolved+r.stale > 0 {
-		err = fmt.Errorf("trace: replay read %d unwritten and %d rewritten cells: the schedule misses writes", r.unresolved, r.stale)
+	if err == nil {
+		err = r.err()
 	}
 	return v, st, err
+}
+
+// err reports the reads that found no recorded write or a changed value.
+func (r *replayer) err() error {
+	if r.unresolved+r.stale > 0 {
+		return fmt.Errorf("trace: replay read %d unwritten and %d rewritten cells: the schedule misses writes", r.unresolved, r.stale)
+	}
+	return nil
 }
 
 func (r *replayer) apply(ev fbstencil.Event) {
@@ -64,7 +117,7 @@ func (r *replayer) apply(ev fbstencil.Event) {
 	case fbstencil.EventFill:
 		r.write(ev.Dst, ev.InPlace, func(int) { r.h.AddFlops(flopsPerExp) })
 	case fbstencil.EventCopy:
-		r.write(ev.Dst, false, func(i int) { r.read(ev.Src, i, true) })
+		r.write(ev.Dst, ev.InPlace, func(i int) { r.read(ev.Src, i, true) })
 	case fbstencil.EventDirect:
 		// Cell j reads columns Lo+j+i; the stencil lands on Src past Bnd.
 		cellAt := func(j int) {
@@ -87,10 +140,27 @@ func (r *replayer) apply(ev fbstencil.Event) {
 			return
 		}
 		r.write(ev.Dst, ev.InPlace, cellAt)
+	case fbstencil.EventSweep:
+		// Cell j reads Src[j+i]. A step whose Dst starts at Src[0] has
+		// overwritten the inputs it shares with Dst; those past Dst's end
+		// are checked.
+		n := len(ev.Dst)
+		shared := n > 0 && &ev.Dst[0] == &ev.Src[0]
+		r.write(ev.Dst, ev.InPlace, func(j int) {
+			for i := range ev.W {
+				r.read(ev.Src, j+i, !shared || j+i >= n)
+			}
+			r.h.AddFlops(flopsPerCell + 2) // the exercise chunk: one multiply
+		})
+	case fbstencil.EventAlloc:
+		base := r.h.Alloc(8 * len(ev.Dst))
+		for i := range ev.Dst {
+			*r.cells.at(&ev.Dst[i]) = cell{p: &ev.Dst[i], addr: base + 8*uint64(i), unwritten: true}
+		}
 	case fbstencil.EventFFT:
 		out := r.evolveCone(len(ev.Src), func(i int) float64 { r.read(ev.Src, i, true); return 0 }, ev.W, ev.Steps)
 		for i := range ev.Dst {
-			r.cells[&ev.Dst[i]] = cell{out.Addr(i), math.Float64bits(ev.Dst[i])}
+			*r.cells.at(&ev.Dst[i]) = cell{p: &ev.Dst[i], addr: out.Addr(i), v: math.Float64bits(ev.Dst[i])}
 		}
 	}
 }
@@ -98,14 +168,14 @@ func (r *replayer) apply(ev fbstencil.Event) {
 // read accesses buf[i] where it was last written; check compares the value
 // recorded there with the one buf holds now.
 func (r *replayer) read(buf []float64, i int, check bool) {
-	c, ok := r.cells[&buf[i]]
+	c := r.cells.at(&buf[i])
 	switch {
-	case !ok:
+	case c.p == nil || c.unwritten:
 		r.unresolved++
 	case check && c.v != math.Float64bits(buf[i]):
 		r.stale++
 	}
-	if ok {
+	if c.p != nil {
 		r.h.Access(c.addr)
 	}
 }
@@ -119,16 +189,16 @@ func (r *replayer) write(dst []float64, inPlace bool, compute func(i int)) {
 	}
 	for i := range dst {
 		compute(i)
+		c := r.cells.at(&dst[i])
 		addr := base + 8*uint64(i)
 		if inPlace {
-			c, ok := r.cells[&dst[i]]
-			if !ok {
+			if c.p == nil {
 				r.unresolved++
 				continue
 			}
 			addr = c.addr
 		}
 		r.h.Access(addr)
-		r.cells[&dst[i]] = cell{addr, math.Float64bits(dst[i])}
+		*c = cell{p: &dst[i], addr: addr, v: math.Float64bits(dst[i])}
 	}
 }

@@ -3,14 +3,14 @@
 // routes array traffic through a cachesim.Hierarchy and accrues approximate
 // flop counts for the energy model.
 //
-// The fast column replays the production engine's recorded schedule
-// (Replay): fbstencil.SolveGreenLeftOneSided reports its closed-form fills,
-// copies, direct steps and FFT evolutions together with the buffers they
-// read and write, and each is replayed on simulated memory that follows
-// those buffers, with a traced FFT, so the counters measure the solver that
-// ships. The direct baselines (NaiveGR, TiledGR, NaiveGL) are traced
-// copies of internal/sweep's loops; tests assert their prices agree with
-// production.
+// Every column replays the recorded schedule of code that ships. The fast
+// column (Replay): fbstencil.SolveGreenLeftOneSided reports its closed-form
+// fills, copies, direct steps and FFT evolutions together with the buffers
+// they read and write, and each is replayed on simulated memory that follows
+// those buffers, with a traced FFT. The direct baselines (ReplaySweep):
+// internal/sweep's Naive, Tiled and Recursive report their buffers, copies
+// and row updates in the same event vocabulary, and the same replayer
+// follows them. There is no traced copy of any loop here.
 //
 // Everything here runs serially, the recorded solve included: hardware-
 // counter runs in the paper measure total traffic, which is

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"math"
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
@@ -9,57 +8,64 @@ import (
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/topm"
 )
 
-func relDiff(a, b float64) float64 {
-	return math.Abs(a-b) / (1 + math.Max(math.Abs(a), math.Abs(b)))
-}
-
-// The traced sweeps must compute the same prices as the production
-// implementations — that is what makes their traffic counts meaningful.
-
-func TestTracedBOPMKernelsMatchProduction(t *testing.T) {
-	for _, T := range []int{64, 333, 1024} {
-		m, err := bopm.New(option.Default(), T)
+// TestSweepReplayMatchesProduction: every baseline sweep, on each model's
+// problem, replays with every read finding the step that wrote its cell, and
+// recording leaves its result bitwise unchanged. T=333 covers every sweep;
+// at T=2048 the default tiles split the trinomial and BSM rows, so both
+// phases of the default tiling run too.
+func TestSweepReplayMatchesProduction(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func(*sweep.Problem) float64
+	}{
+		{"Naive", sweep.Naive},
+		{"NaiveParallel", sweep.NaiveParallel},
+		{"Tiled", func(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) }},
+		{"Tiled37x5", func(p *sweep.Problem) float64 { return sweep.Tiled(p, 37, 5) }},
+		{"Recursive", sweep.Recursive},
+	}
+	for _, T := range []int{333, 2048} {
+		b, err := bopm.New(option.Default(), T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.PriceNaive(option.Call)
-		spec := LatticeSpec(m)
-
-		if got := NaiveGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-			t.Errorf("T=%d NaiveGR: %.12g want %.12g", T, got, want)
-		}
-		if got := TiledGR(cachesim.NewSKX(), spec, 128, 16); relDiff(got, want) > 1e-10 {
-			t.Errorf("T=%d TiledGR: %.12g want %.12g", T, got, want)
-		}
-	}
-}
-
-func TestTracedTOPMKernelsMatchProduction(t *testing.T) {
-	m, err := topm.New(option.Default(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.PriceNaive(option.Call)
-	spec := LatticeSpec(m)
-	if got := NaiveGR(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-		t.Errorf("NaiveGR: %.12g want %.12g", got, want)
-	}
-}
-
-func TestTracedBSMKernelsMatchProduction(t *testing.T) {
-	for _, T := range []int{64, 333, 1024} {
-		m, err := bsm.New(option.Default(), T, 0)
+		tm, err := topm.New(option.Default(), T)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := m.PriceNaive()
-		spec := BSMSpec(m)
-		K := option.Default().K
-		if got := K * NaiveGL(cachesim.NewSKX(), spec); relDiff(got, want) > 1e-10 {
-			t.Errorf("T=%d NaiveGL: %.12g want %.12g", T, got, want)
+		bm, err := bsm.New(option.Default(), T, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		problems := []struct {
+			name string
+			p    *sweep.Problem
+		}{
+			{"bopm-call", b.SweepProblem(option.Call)},
+			{"topm-call", tm.SweepProblem(option.Call)},
+			{"bsm-put", bm.SweepProblem()},
+		}
+		for _, pp := range problems {
+			for _, rr := range runs {
+				if T > 333 && rr.name != "Tiled" {
+					continue
+				}
+				want := rr.run(pp.p)
+				got, err := ReplaySweep(cachesim.NewSKX(), pp.p, rr.run)
+				if err != nil {
+					t.Errorf("%s T=%d %s: %v", pp.name, T, rr.name, err)
+				}
+				if got != want {
+					t.Errorf("%s T=%d %s: recorded %v, production %v", pp.name, T, rr.name, got, want)
+				}
+			}
+		}
+		if got := option.Default().K * sweep.Naive(bm.SweepProblem()); got != bm.PriceNaive() {
+			t.Errorf("bsm-put T=%d: K * Naive %v, PriceNaive %v", T, got, bm.PriceNaive())
 		}
 	}
 }
@@ -145,6 +151,28 @@ func TestReplayCatchesMissedWrites(t *testing.T) {
 	if !dropped || err == nil {
 		t.Fatalf("dropped a copy: %v, replay error: %v", dropped, err)
 	}
+
+	// A sweep that leaves out one row update: the next row reads cells past
+	// its own end that the dropped update should have rewritten.
+	b, err := bopm.New(option.Default(), 333)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r = newReplayer(cachesim.NewSKX())
+	p := b.SweepProblem(option.Call)
+	rows := 0
+	p.Record = func(ev fbstencil.Event) {
+		if ev.Kind == fbstencil.EventSweep {
+			if rows++; rows == 100 {
+				return
+			}
+		}
+		r.apply(ev)
+	}
+	sweep.Naive(p)
+	if err := r.err(); rows < 100 || err == nil {
+		t.Fatalf("dropped row 100 of %d, replay error: %v", rows, err)
+	}
 }
 
 // TestMissShape reproduces the qualitative claim of Figure 7: once the row
@@ -158,10 +186,10 @@ func TestMissShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := LatticeSpec(m)
-
 	hNaive := cachesim.NewSKX()
-	NaiveGR(hNaive, spec)
+	if _, err := ReplaySweep(hNaive, m.SweepProblem(option.Call), sweep.Naive); err != nil {
+		t.Fatal(err)
+	}
 	hFast := cachesim.NewSKX()
 	if _, err := Replay(hFast, m.PriceFastStats); err != nil {
 		t.Fatal(err)
@@ -179,7 +207,9 @@ func TestMissShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	hSmall := cachesim.NewSKX()
-	NaiveGR(hSmall, LatticeSpec(small))
+	if _, err := ReplaySweep(hSmall, small.SweepProblem(option.Call), sweep.Naive); err != nil {
+		t.Fatal(err)
+	}
 	if mm := hSmall.Snapshot().L1Misses; mm > 1<<12 {
 		t.Errorf("naive at T=2^11 missed %d times; its row should be L1-resident", mm)
 	}
@@ -193,12 +223,16 @@ func TestTiledImprovesOnNaiveL2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := LatticeSpec(m)
+	p := m.SweepProblem(option.Call)
 
 	hNaive := cachesim.NewSKX()
-	NaiveGR(hNaive, spec)
+	if _, err := ReplaySweep(hNaive, p, sweep.Naive); err != nil {
+		t.Fatal(err)
+	}
 	hTiled := cachesim.NewSKX()
-	TiledGR(hTiled, spec, 0, 0)
+	if _, err := ReplaySweep(hTiled, p, func(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) }); err != nil {
+		t.Fatal(err)
+	}
 
 	nl1 := hNaive.Snapshot().L1Misses
 	tl1 := hTiled.Snapshot().L1Misses
