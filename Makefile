@@ -32,6 +32,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBSMPutFast -fuzztime=10s ./internal/bsm/
 	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/bopm/
 	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/topm/
+	$(GO) test -run='^$$' -fuzz=FuzzObstacleOneSided -fuzztime=10s ./stencil/
 
 build:
 	$(GO) build ./...

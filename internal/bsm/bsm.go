@@ -118,19 +118,6 @@ func (m *Model) greenTable(tab []float64) []float64 {
 	return tab
 }
 
-// tableGreen returns green in depth-shifted columns — cell (depth, col) is
-// grid column col+depth — as a lookup into tab (from greenTable), bitwise
-// equal to the closed form. Columns outside the grid — zones near the left
-// edge read left of grid column 0 — fall back to the closed form.
-func (m *Model) tableGreen(tab []float64) fbstencil.GreenFunc {
-	return func(depth, col int) float64 {
-		if k := col + depth; uint(k) < uint(len(tab)) {
-			return tab[k]
-		}
-		return m.green(col + depth)
-	}
-}
-
 // Stencil returns the one-step linear continuation stencil.
 func (m *Model) Stencil() linstencil.Stencil {
 	return linstencil.Stencil{MinOff: -1, W: []float64{m.B, m.C, m.A}}
@@ -175,23 +162,25 @@ func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
 func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
 	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
-	prob := m.problem(m.tableGreen(tab))
+	prob := m.problem(tab)
 	prob.Cancel = cancel
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return m.Prm.K * v, err
 }
 
-// problem builds the American put on depth-shifted columns c' = c-d, given
-// its exercise value in those columns. The centered stencil is one-sided
-// there (offsets 0..2 on columns [0, 2T-2d]), and Theorem 4.3's leftward
-// boundary move of at most one grid column becomes a drop of at most two.
-func (m *Model) problem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
+// problem builds the American put on depth-shifted columns c' = c-d, with
+// its exercise value from tab (from greenTable): cell (depth, col) is grid
+// column col+depth. The centered stencil is
+// one-sided there (offsets 0..2 on columns [0, 2T-2d]), and Theorem 4.3's
+// leftward boundary move of at most one grid column becomes a drop of at
+// most two.
+func (m *Model) problem(tab []float64) *fbstencil.GreenLeftOneSided {
 	return &fbstencil.GreenLeftOneSided{
 		Stencil:  linstencil.Stencil{MinOff: 0, W: []float64{m.B, m.C, m.A}},
 		T:        m.T,
 		Hi0:      2 * m.T,
-		Init:     func(col int) float64 { return math.Max(green(0, col), 0) },
-		Green:    green,
+		Init:     func(col int) float64 { return math.Max(tab[col], 0) },
+		Fill:     fbstencil.TableFill(tab),
 		Bnd0:     m.leafBoundary(),
 		BaseCase: m.baseC,
 		MaxDrop:  2,
@@ -211,7 +200,7 @@ func (m *Model) SweepProblem() *sweep.Problem {
 		T:            m.T,
 		Hi0:          2 * m.T,
 		Leaf:         func(col int) float64 { return math.Max(tab[col], 0) },
-		FillExercise: func(depth, lo, hi int, out []float64) { copy(out, tab[lo+depth:hi+depth+1]) },
+		FillExercise: fbstencil.TableFill(tab),
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // TestGreenTableParity pins the table-backed fast put to the per-cell
-// closed form: the same solve driven by a GreenFunc that evaluates green
-// cell by cell must return the identical float64. The cases cover at the
+// closed form: the same solve with its obstacle rows filled by evaluating
+// green cell by cell must return the identical float64. The cases cover at the
 // money, deep in and out of the money, dividend yield above the rate, and
 // volatility at both edges of the analytic tier's envelope.
 func TestGreenTableParity(t *testing.T) {
@@ -46,9 +46,10 @@ func TestGreenTableParity(t *testing.T) {
 }
 
 // TestGreenTableFallback runs a put far out of the money, whose exercise
-// boundary sits near the left edge of the grid so the zones read left of
-// grid column 0, and checks those reads take the closed-form fallback and leave
-// the price bitwise unchanged.
+// boundary sits near the left edge of the grid, so the engine's windows
+// reach the virtual columns left of 0. The engine fills those itself: it
+// asks the table for no fill off the grid, and the price is bitwise the
+// closed form's.
 func TestGreenTableFallback(t *testing.T) {
 	m, err := New(option.Params{S: 500, K: 100, R: 0.05, V: 0.1, Y: 0, E: 1}, 333, 0)
 	if err != nil {
@@ -56,20 +57,27 @@ func TestGreenTableFallback(t *testing.T) {
 	}
 	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
-	green := m.tableGreen(tab)
-	var left atomic.Int64
-	probe := func(d, col int) float64 {
-		if col+d < 0 {
-			left.Add(1)
+	prob := m.problem(tab)
+	fill := prob.Fill
+	var off, edge atomic.Int64
+	prob.Fill = func(d, lo, hi int, out []float64) {
+		if lo < 0 || hi > prob.Hi0-2*d {
+			off.Add(1)
 		}
-		return green(d, col)
+		if lo == 0 && d > 1 {
+			edge.Add(1)
+		}
+		fill(d, lo, hi, out)
 	}
-	got, _, err := fbstencil.SolveGreenLeftOneSided(m.problem(probe), nil)
+	got, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if left.Load() == 0 {
-		t.Fatal("no zone read left of column 0; pick a case that reaches the fallback")
+	if n := off.Load(); n != 0 {
+		t.Errorf("%d fills asked off the grid", n)
+	}
+	if edge.Load() == 0 {
+		t.Fatal("no fill starts at column 0 below depth 1; pick a case whose boundary reaches the left edge")
 	}
 	want, err := m.closedFormSolve()
 	if err != nil {
@@ -80,8 +88,17 @@ func TestGreenTableFallback(t *testing.T) {
 	}
 }
 
-// closedFormSolve is PriceFast driven by the per-cell closed form.
+// closedFormSolve is PriceFast with its obstacle rows filled from the
+// closed form, cell by cell.
 func (m *Model) closedFormSolve() (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeftOneSided(m.problem(func(d, col int) float64 { return m.green(col + d) }), nil)
+	tab := m.greenTable(scratch.Floats(2*m.T + 1))
+	defer scratch.PutFloats(tab)
+	prob := m.problem(tab)
+	prob.Fill = func(d, lo, _ int, out []float64) {
+		for i := range out {
+			out[i] = m.green(lo + i + d)
+		}
+	}
+	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 	return m.Prm.K * v, err
 }

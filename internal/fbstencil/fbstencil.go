@@ -6,17 +6,22 @@
 //	value(d+1, j) = max( sum_o w[o]*value(d, j+o),  Green(d+1, j) )
 //
 // where Green is a closed-form function of the cell coordinates (the exercise
-// value in option pricing). Every row then splits into a contiguous *red*
-// region, where the linear combination wins, and a contiguous *green* region,
-// where the closed form wins; the red/green boundary column moves by at most
-// one cell per step and only in one direction (the paper's Corollary 2.7 for
-// BOPM, Corollary A.6 for TOPM, Theorem 4.3 for BSM).
+// value in option pricing). The engine reads it a row at a time, through a
+// FillFunc; the pricing models read it out of a table computed once per
+// solve. Every row then splits into a contiguous *red* region, where the
+// linear combination wins, and a contiguous *green* region, where the closed
+// form wins; the red/green boundary column moves by at most one cell per
+// step and only in one direction (the paper's Corollary 2.7 for BOPM,
+// Corollary A.6 for TOPM, Theorem 4.3 for BSM).
 //
 // The solver exploits that structure: large all-red trapezoids are advanced
 // many steps at once with one FFT-accelerated linear evolution
 // (linstencil.EvolveCone), while a geometrically shrinking band around the
 // unknown boundary is resolved recursively, giving O(T log^2 T) work and O(T)
-// span on a grid of size Theta(T) evolved for T steps.
+// span on a grid of size Theta(T) evolved for T steps. The recursion ends in
+// one direct step, used wherever a band is too thin to split: linstencil.Step
+// on the window, one obstacle-row fill, an elementwise max and a boundary
+// scan.
 //
 // There is one engine, SolveGreenLeftOneSided: a one-sided stencil (offsets
 // 0..r) whose green region lies on the left. The pricing models build its
@@ -26,7 +31,8 @@
 // centered 3-point stencil) becomes one in depth-shifted columns c' = c - d,
 // with offsets 0..2.
 //
-// Two adapters serve the stencil package and the tests:
+// Two adapters serve the stencil package and the tests; each wraps its
+// per-cell obstacle in a row fill:
 //
 //   - SolveGreenRight (behind stencil.ObstacleRight): offsets 0..r with the
 //     green region on the right. In mirrored columns c' = (T-d)*r - c the
@@ -110,17 +116,22 @@ func checkFinite(v float64) error {
 // to make-and-drop a fresh slice at every level, which at T = 10^5+ made the
 // allocator and GC a measurable slice of the solve. The ownership rules are:
 //
-//   - EvolveCone results, zone outputs, and naiveStep rows are owned by their
-//     caller, which recycles them after merging them into the next segment;
+//   - EvolveCone results, zone outputs, and the red cells a direct step
+//     copies out are owned by their caller, which recycles them after
+//     merging them into the next segment;
+//   - a direct step runs in place on one buffer of its own that also holds
+//     its obstacle row, so a base-case zone takes one buffer for all its
+//     steps;
 //   - functions never recycle or write their *input* window — inputs may be
 //     subslices of a buffer another parallel branch is still reading (see
-//     zoneSplit) — except for exactFirstStep, which by contract consumes it;
+//     zoneSplit) — except for direct, which by contract consumes its
+//     segment;
 //   - buffers whose front gets trimmed (the boundary ate a prefix) lose
 //     their power-of-two capacity and are dropped by scratch.PutFloats
 //     automatically; correctness never depends on a Put succeeding.
 
 // DefaultBaseCase is the recursion cutoff height below which trapezoids are
-// solved by the direct loop. The paper reports a base case of 8 steps
+// solved by direct steps. The paper reports a base case of 8 steps
 // performing best; our default is close and can be overridden per problem.
 const DefaultBaseCase = 8
 
@@ -139,7 +150,7 @@ const parCutoff = 64
 type Stats struct {
 	FFTCalls   atomic.Int64 // linstencil.EvolveCone invocations
 	FFTCells   atomic.Int64 // cells produced by FFT evolutions
-	NaiveCells atomic.Int64 // cells computed by direct max-loops
+	NaiveCells atomic.Int64 // cells computed by direct steps
 	Trapezoids atomic.Int64 // recursive trapezoid solves (including base cases)
 
 	// rec, set by Record, receives the schedule of the solves counted here.
@@ -150,25 +161,22 @@ type Stats struct {
 type EventKind uint8
 
 const (
-	// EventFill writes Dst from the closed form, one evaluation per cell:
-	// the initial row, or green cells at or left of a boundary.
+	// EventFill writes Dst from the problem's initial row or its obstacle
+	// row fill: the initial row, the green cells at or left of a boundary,
+	// or a direct step's obstacle row. Virtual columns left of 0 are filled
+	// with zeros.
 	EventFill EventKind = iota
 	// EventCopy copies Src into Dst.
 	EventCopy
-	// EventDirect is a direct max-loop over the N cells from column Lo of
-	// the next row. Cell Lo+j reads columns Lo+j .. Lo+j+len(W)-1 of the
-	// current row: those at or left of Bnd from the closed form, column c
-	// right of it from Src[c-Bnd-1]. It evaluates the closed form once more
-	// for its own obstacle and stores to Dst[j]; with Dst nil the cells only
-	// locate a boundary and are not kept.
-	EventDirect
 	// EventFFT evolves Src by Steps steps of W with one FFT; Dst holds the
 	// len(Src)-(len(W)-1)*Steps exact outputs.
 	EventFFT
-	// EventSweep is a baseline sweep's update of len(Dst) cells (package
-	// sweep): cell j reads Src[j .. j+len(W)-1] and stores Dst[j]. Its
-	// obstacle comes from a precomputed exercise chunk, not a closed-form
-	// evaluation. Dst may start at Src[0].
+	// EventSweep is a direct step's update of len(Dst) cells: a baseline
+	// sweep's (package sweep) or one of the fast solver's. Cell j reads
+	// Src[j .. j+len(W)-1] and stores Dst[j], the max of that sum and the
+	// cell's obstacle. The obstacle comes from a row filled beforehand: the
+	// sweep's exercise chunk, or the EventFill the fast solver reports just
+	// before the step. Dst may start at Src[0].
 	EventSweep
 	// EventAlloc gives Dst fresh memory without touching it; later steps
 	// write its cells in place.
@@ -181,12 +189,10 @@ const (
 type Event struct {
 	Kind     EventKind
 	Src, Dst []float64
-	Lo, Bnd  int       // EventDirect: first column and closed-form boundary
-	N        int       // EventDirect: number of cells
 	Steps    int       // EventFFT: steps evolved
-	W        []float64 // stencil weights of EventDirect, EventFFT and EventSweep
+	W        []float64 // stencil weights of EventFFT and EventSweep
 	// InPlace marks a step that writes cells of a buffer earlier steps
-	// already wrote or allocated (a base-case zone stepping its window, a
+	// already wrote or allocated (a direct step's window and obstacle row, a
 	// sweep's row); otherwise Dst is memory the step writes fresh.
 	InPlace bool
 }
@@ -217,11 +223,11 @@ func (s *Stats) addFFT(src, out []float64, steps int, w []float64) {
 	}
 }
 
-// addDirect counts the ev.N cells of a direct step (an EventDirect) and
-// records it.
+// addDirect counts the len(ev.Dst) cells of a direct step (an EventSweep)
+// and records it.
 func (s *Stats) addDirect(ev Event) {
 	if s != nil {
-		s.NaiveCells.Add(int64(ev.N))
+		s.NaiveCells.Add(int64(len(ev.Dst)))
 		s.record(ev)
 	}
 }
@@ -235,6 +241,17 @@ func (s *Stats) addTrap() {
 // GreenFunc is the closed-form obstacle value of cell (depth, col). depth 0
 // is the initial row; the solve advances to depth T.
 type GreenFunc func(depth, col int) float64
+
+// FillFunc writes the obstacle values of cells (depth, lo..hi) into
+// out[0..hi-lo]: one row of a GreenFunc at a time. The engine and the
+// baseline sweeps (package sweep) read the obstacle through it.
+type FillFunc func(depth, lo, hi int, out []float64)
+
+// TableFill returns the fill that copies cell (depth, col) from
+// tab[col+depth].
+func TableFill(tab []float64) FillFunc {
+	return func(depth, lo, hi int, out []float64) { copy(out, tab[lo+depth:hi+depth+1]) }
+}
 
 // ---------------------------------------------------------------------------
 // Green-right, one-sided stencils (the stencil.ObstacleRight adapter).
@@ -315,9 +332,11 @@ func SolveGreenRight(p *GreenRight, st *Stats) (float64, int, error) {
 		T:       T,
 		Hi0:     hi,
 		Init:    func(c int) float64 { return init(hi - c) },
-		// Virtual columns c' < 0 lie off the grid and never reach a real
-		// cell; clamp them onto the row's last column.
-		Green:    func(d, c int) float64 { return green(d, (T-d)*r-max(c, 0)) },
+		Fill: func(d, c, _ int, out []float64) {
+			for i := range out {
+				out[i] = green(d, (T-d)*r-c-i)
+			}
+		},
 		Bnd0:     hi - min(p.Bnd0, hi) - 1,
 		BaseCase: p.BaseCase,
 		MaxDrop:  r,
@@ -334,11 +353,12 @@ func SolveGreenRight(p *GreenRight, st *Stats) (float64, int, error) {
 // (offsets -1, 0, +1) whose green region lies to the left of the red region,
 // and whose boundary moves left by at most one column per step (the paper's
 // Theorem 4.3). Green cells must equal Green exactly — this is what lets the
-// solver extend any window leftward with closed-form values.
+// solver extend any window leftward with obstacle values.
 //
 // Grid geometry: depth 0 holds the initial row on columns [Lo0, Hi0]; at
 // depth d the valid columns are [Lo0+d, Hi0-d]. The answer is the apex cell
-// (T, apex) with apex = Lo0+T = Hi0-T, so Hi0-Lo0 must equal 2*T.
+// (T, apex) with apex = Lo0+T = Hi0-T, so Hi0-Lo0 must equal 2*T. Init and
+// Green are only evaluated on that grid.
 //
 // It is solved in depth-shifted columns c' = c-Lo0-d. There the stencil is
 // one-sided (offsets 0..2 on columns [0, 2T-2d]) and the boundary's unit
@@ -391,7 +411,11 @@ func SolveGreenLeft(p *GreenLeft, st *Stats) (float64, int, error) {
 		T:       p.T,
 		Hi0:     p.Hi0 - lo,
 		Init:    func(c int) float64 { return init(c + lo) },
-		Green:   func(d, c int) float64 { return green(d, c+lo+d) },
+		Fill: func(d, c, _ int, out []float64) {
+			for i := range out {
+				out[i] = green(d, c+lo+d+i)
+			}
+		},
 		// An all-green row may carry any Bnd0 >= Hi0; the one-sided
 		// problem only accepts up to its row end.
 		Bnd0:     min(max(p.Bnd0, lo-1), p.Hi0) - lo,

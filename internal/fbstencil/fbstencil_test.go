@@ -94,11 +94,10 @@ func topmProblem(p optParams, T int) *GreenRight {
 	}
 }
 
-// spanProblem builds an American call on a lattice of span r: each step is r
-// binomial substeps of factor sqrt(x) up or down, collapsed into one stencil
-// with binomial(r, q) weights. r=1 is the binomial tree, r=2 a trinomial
-// one; r=3 exercises a span the pricing models do not.
-func spanProblem(p optParams, T, r int) *GreenRight {
+// spanWeights returns the weights of a lattice of span r, each step r
+// binomial substeps of factor sqrt(x) up or down collapsed into one stencil
+// with binomial(r, q) weights, and ln x.
+func spanWeights(p optParams, T, r int) ([]float64, float64) {
 	dt := p.E / float64(T)
 	lnx := 2 * p.V * math.Sqrt(dt/float64(r)) // ln x; a substep moves by sqrt(x)
 	sq := math.Exp(lnx / 2)
@@ -112,6 +111,14 @@ func spanProblem(p optParams, T, r int) *GreenRight {
 		}
 		w[k] = disc * binom * math.Pow(q, float64(k)) * math.Pow(1-q, float64(r-k))
 	}
+	return w, lnx
+}
+
+// spanProblem builds an American call on a lattice of span r (see
+// spanWeights). r=1 is the binomial tree, r=2 a trinomial one; r=3
+// exercises a span the pricing models do not.
+func spanProblem(p optParams, T, r int) *GreenRight {
+	w, lnx := spanWeights(p, T, r)
 	green := func(depth, col int) float64 {
 		return p.S*math.Exp((float64(col)+float64(r*(depth-T))/2)*lnx) - p.K
 	}

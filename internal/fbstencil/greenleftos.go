@@ -31,21 +31,27 @@ import (
 // stays as the tests' oracle.
 //
 // The solver works on contiguous slices: a zone receives its window of the
-// row as one slice and hands subslices of it straight to the FFT. Besides
-// the obstacle test of each computed cell, the closed form is read only to
-// fill the green cells at or left of a boundary.
+// row as one slice and hands subslices of it straight to the FFT. The
+// obstacle is read a row at a time, through Fill: each direct step fills the
+// obstacle row of the cells it computes, and a window that extends left of a
+// boundary fills its green cells. Columns left of 0 are virtual: a window
+// near the grid's left edge reaches them, but no real cell reads them, since
+// dependencies point right. The engine fills them with zeros, never tests
+// them against the obstacle, and never asks Fill for them.
 
 // GreenLeftOneSided describes a free-boundary problem with stencil offsets
 // 0..r and the green region on the left. Geometry matches GreenRight
 // (columns [0, Hi0-d*r] at depth d; answer at (T, 0)); green cells must
-// equal Green exactly, so boundary windows may extend leftward on the
-// closed form.
+// equal the obstacle exactly, so boundary windows may extend leftward on
+// obstacle fills.
 type GreenLeftOneSided struct {
 	Stencil linstencil.Stencil // MinOff must be 0
 	T       int
 	Hi0     int
 	Init    func(col int) float64
-	Green   GreenFunc
+	// Fill writes the obstacle row. The solver asks it only for cells on
+	// the grid: 0 <= lo <= hi <= Hi0-depth*r.
+	Fill FillFunc
 	// Bnd0 is the largest green column of the initial row (-1 if none).
 	Bnd0     int
 	BaseCase int
@@ -77,8 +83,8 @@ func (p *GreenLeftOneSided) validate() error {
 	if p.Hi0 < p.T*p.Stencil.Span() {
 		return fmt.Errorf("fbstencil: initial row too narrow: Hi0=%d < T*r=%d", p.Hi0, p.T*p.Stencil.Span())
 	}
-	if p.Init == nil || p.Green == nil {
-		return fmt.Errorf("fbstencil: Init and Green must be set")
+	if p.Init == nil || p.Fill == nil {
+		return fmt.Errorf("fbstencil: Init and Fill must be set")
 	}
 	if p.Bnd0 > p.Hi0 {
 		return fmt.Errorf("fbstencil: Bnd0=%d beyond row end %d", p.Bnd0, p.Hi0)
@@ -91,7 +97,7 @@ type glosEngine struct {
 	r      int
 	drop   int // max boundary drop per interior step
 	hi0    int
-	green  GreenFunc
+	fill   FillFunc
 	base   int
 	stats  *Stats
 	cancel func() error
@@ -99,12 +105,14 @@ type glosEngine struct {
 
 func (e *glosEngine) hi(depth int) int { return e.hi0 - depth*e.r }
 
-// fillGreen writes the closed form of the row at depth on columns
-// [lo, lo+len(dst)) into dst; inPlace reports that dst already holds cells
-// of an earlier row (see Event.InPlace).
+// fillGreen writes the obstacle row at depth on columns [lo, lo+len(dst))
+// into dst, zeros on the virtual columns left of 0; inPlace reports that dst
+// already holds cells of an earlier row (see Event.InPlace).
 func (e *glosEngine) fillGreen(dst []float64, depth, lo int, inPlace bool) {
-	for i := range dst {
-		dst[i] = e.green(depth, lo+i)
+	v := min(max(-lo, 0), len(dst))
+	clear(dst[:v])
+	if v < len(dst) {
+		e.fill(depth, lo+v, lo+len(dst)-1, dst[v:])
 	}
 	if e.stats.recording() {
 		e.stats.record(Event{Kind: EventFill, Dst: dst, InPlace: inPlace})
@@ -128,7 +136,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		return 0, 0, err
 	}
 	defer recoverCancel(&err)
-	e := &glosEngine{s: p.Stencil, r: p.Stencil.Span(), drop: max(p.MaxDrop, 1), hi0: p.Hi0, green: p.Green, base: p.BaseCase, stats: st, cancel: p.Cancel}
+	e := &glosEngine{s: p.Stencil, r: p.Stencil.Span(), drop: max(p.MaxDrop, 1), hi0: p.Hi0, fill: p.Fill, base: p.BaseCase, stats: st, cancel: p.Cancel}
 	if e.base <= 0 {
 		e.base = DefaultBaseCase
 	}
@@ -149,20 +157,13 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		// The monotone-boundary structure only covers interior rows: the
 		// payoff-based leaf boundary can jump at the first step (for calls
 		// the red region widens once when R > Y; for puts the green one can
-		// fall to ~ln(R/Y) when Y > R). One exact full-width step
-		// establishes the true boundary.
-		seg, bnd = e.exactFirstStep(seg, bnd)
+		// fall to ~ln(R/Y) when Y > R). One direct step over the full row,
+		// with no floor on the new boundary, establishes the true boundary.
+		seg, bnd = e.direct(seg, 0, bnd, 0, e.hi(1), -1)
 		d = 1
 	}
-	for d < p.T {
+	for d < p.T && bnd < e.hi(d) {
 		checkCancel(e.cancel)
-		if bnd >= e.hi(d) {
-			// Entirely green; since the boundary never rises while the
-			// right edge shrinks, every later row (and the apex) is green.
-			scratch.PutFloats(seg)
-			v := p.Green(p.T, 0)
-			return v, bnd, checkFinite(v)
-		}
 		remaining := p.T - d
 		if bnd < 0 {
 			// Entirely red: one FFT evolution reaches the apex.
@@ -177,13 +178,14 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		// T=65536) and costs more time than it saves in direct cells.
 		h := min(remaining/2, (e.hi(d)-bnd)/e.r)
 		if h < e.base {
-			old := seg
-			seg, bnd = e.naiveStep(seg, bnd, d)
-			scratch.PutFloats(old)
+			// One direct step on the window [bnd-drop, hi(d)]: the green
+			// cells the step reads, then seg.
+			from := bnd - e.drop
+			seg, bnd = e.direct(seg, d, bnd, from, bnd, max(from, -1))
 			d++
 			continue
 		}
-		// The zone's window [bnd-drop*h, bnd+r*h]: closed form up to the
+		// The zone's window [bnd-drop*h, bnd+r*h]: obstacle fill up to the
 		// boundary, stored red values beyond it. Everything right of the
 		// old boundary comes from one FFT of seg: the one-sided cone never
 		// reaches left into the green.
@@ -205,9 +207,14 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		d += h
 	}
 	if bnd >= 0 {
-		// Apex column 0 lies at or left of the boundary: green.
+		// The apex is green: it lies at or left of the boundary, or a row
+		// turned entirely green, and so is every later row, since the
+		// boundary never rises while the right edge shrinks.
+		g := scratch.Floats(1)
+		e.fill(p.T, 0, 0, g)
+		v := g[0]
+		scratch.PutFloats(g)
 		scratch.PutFloats(seg)
-		v := p.Green(p.T, 0)
 		return v, bnd, checkFinite(v)
 	}
 	v := seg[0]
@@ -215,99 +222,70 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 	return v, bnd, checkFinite(v)
 }
 
-// exactFirstStep computes the full depth-1 row and its exact boundary. It
-// consumes (recycles) its input segment.
-func (e *glosEngine) exactFirstStep(seg []float64, bnd int) ([]float64, int) {
-	row := scratch.Floats(e.hi0 + 1)
-	e.fillGreen(row[:bnd+1], 0, 0, false)
-	e.copyRow(row[bnd+1:], seg)
+// stepBuf takes one pooled buffer for direct steps on a row of n cells: the
+// row, and after it the obstacle row of a step, which it reports as
+// allocated (each step fills it in place).
+func (e *glosEngine) stepBuf(n int) (buf, row, ex []float64) {
+	buf = scratch.Floats(2*n - e.r)
+	row, ex = buf[:n], buf[n:]
+	if e.stats.recording() {
+		e.stats.record(Event{Kind: EventAlloc, Dst: ex})
+	}
+	return buf, row, ex
+}
+
+// step is the direct step. row holds the cells of depth d on columns
+// [from, from+len(row)); step advances it one step in place and returns the
+// cells of depth d+1 on [from, from+len(row)-r), each the max of its linear
+// update and the obstacle, which it fills into ex. It also returns the new
+// boundary: the largest column at most b where the obstacle won, or floor if
+// there is none. A cell right of b that the obstacle wins only by roundoff
+// keeps the max but does not move the boundary, which never rises. The
+// virtual cells left of column 0 keep their linear update.
+func (e *glosEngine) step(row, ex []float64, d, from, b, floor int) ([]float64, int) {
+	next := linstencil.Step(row, e.s)
+	e.fillGreen(ex[:len(next)], d+1, from, true)
+	v := min(max(-from, 0), len(next))
+	cells, newB := next[v:], floor
+	for i, g := range ex[v:len(next)] {
+		if g > cells[i] {
+			cells[i] = g
+			if j := from + v + i; j <= b {
+				newB = j
+			}
+		}
+	}
+	e.stats.addDirect(Event{Kind: EventSweep, Src: row, Dst: next, W: e.s.W, InPlace: true})
+	return next, newB
+}
+
+// direct runs step, with b and floor, from depth d on the window
+// [from, hi(d)]: the obstacle up to bnd, then seg, which it consumes
+// (recycles). It returns the red cells of depth d+1 right of the new
+// boundary, in a buffer of their own, and that boundary.
+func (e *glosEngine) direct(seg []float64, d, bnd, from, b, floor int) ([]float64, int) {
+	buf, win, ex := e.stepBuf(bnd - from + 1 + len(seg))
+	e.fillGreen(win[:bnd-from+1], d, from, false)
+	e.copyRow(win[bnd-from+1:], seg)
 	scratch.PutFloats(seg)
-	defer scratch.PutFloats(row)
-	hi1 := e.hi(1)
-	vals := scratch.Floats(hi1 + 1)
-	isGreen := make([]bool, hi1+1)
-	par.For(hi1+1, 512, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			var lin float64
-			for i, w := range e.s.W {
-				lin += w * row[j+i]
-			}
-			g := e.green(1, j)
-			if g > lin {
-				vals[j] = g
-				isGreen[j] = true
-			} else {
-				vals[j] = lin
-			}
-		}
-	})
-	e.stats.addDirect(Event{Kind: EventDirect, Src: row, Dst: vals, Lo: 0, Bnd: -1, N: hi1 + 1, W: e.s.W})
-	newBnd := -1
-	for j := hi1; j >= 0; j-- {
-		if isGreen[j] {
-			newBnd = j
-			break
-		}
-	}
-	// Copy the red suffix out: a front-trimmed buffer could not go back to
-	// its pool, and this one is row-sized.
-	seg = scratch.Floats(hi1 - newBnd)
-	e.copyRow(seg, vals[newBnd+1:])
-	scratch.PutFloats(vals)
-	return seg, newBnd
+	next, newBnd := e.step(win, ex, d, from, b, floor)
+	return e.keep(buf, next[newBnd-from+1:]), newBnd
 }
 
-// at reads column col of the row at depth: stored red right of bnd, exact
-// green closed form at or left of it (valid arbitrarily far left).
-func (e *glosEngine) at(seg []float64, bnd, depth, col int) float64 {
-	if col > bnd {
-		return seg[col-bnd-1]
-	}
-	return e.green(depth, col)
-}
-
-// cellAt computes cell (d+1, j) from the depth-d row and reports whether the
-// closed form won.
-func (e *glosEngine) cellAt(seg []float64, bnd, d, j int) (float64, bool) {
-	var lin float64
-	for i, w := range e.s.W {
-		lin += w * e.at(seg, bnd, d, j+i)
-	}
-	if g := e.green(d+1, j); g > lin {
-		return g, true
-	}
-	return lin, false
-}
-
-// naiveStep advances the stored red segment one step. It relies only on
-// green-prefix contiguity: the boundary is located by walking down from the
-// previous one, so the cost is O(red width + boundary movement).
-func (e *glosEngine) naiveStep(seg []float64, bnd, d int) ([]float64, int) {
-	newHi := e.hi(d + 1)
-	top := min(bnd, newHi)
-	newBnd := top
-	for newBnd >= 0 {
-		if _, green := e.cellAt(seg, bnd, d, newBnd); green {
-			break
-		}
-		newBnd--
-	}
-	// The walk's cells only locate the boundary; the red ones are
-	// recomputed below.
-	e.stats.addDirect(Event{Kind: EventDirect, Src: seg, Lo: max(newBnd, 0), Bnd: bnd, N: top - max(newBnd, 0) + 1, W: e.s.W})
-	next := scratch.Floats(newHi - newBnd)
-	for j := newBnd + 1; j <= newHi; j++ {
-		v, _ := e.cellAt(seg, bnd, d, j)
-		next[j-newBnd-1] = v
-	}
-	e.stats.addDirect(Event{Kind: EventDirect, Src: seg, Dst: next, Lo: newBnd + 1, Bnd: bnd, N: len(next), W: e.s.W})
-	return next, newBnd
+// keep copies red, cells of a direct step's buffer buf, out into a pooled
+// buffer of their own and recycles buf: a front-trimmed buffer could not go
+// back to its pool.
+func (e *glosEngine) keep(buf, red []float64) []float64 {
+	out := scratch.Floats(len(red))
+	e.copyRow(out, red)
+	scratch.PutFloats(buf)
+	return out
 }
 
 // zone resolves the boundary band: given win, the row at depth d on columns
 // [bnd-drop*h, bnd+r*h], it returns the red cells (newBnd, bnd] at depth d+h
 // and the new boundary newBnd. Every cell at or left of newBnd is green, so
-// the caller rebuilds it from the closed form.
+// the caller rebuilds it from the obstacle.
 func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
 	checkCancel(e.cancel)
 	e.stats.addTrap()
@@ -387,44 +365,27 @@ func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64
 }
 
 // zoneNaive steps the window [lo, bnd+r*h], lo = bnd-drop*h, h times in one
-// scratch buffer. Each step computes only the columns from b-drop on, b the
-// boundary before it: everything left of that is green by the structure.
-// The columns the next step reads left of its own start are refilled from
-// the closed form (at most drop of them).
+// scratch buffer of its own. Each step computes only the columns from
+// b-drop on, b the boundary before it: everything left of that is green by
+// the structure. When the boundary drops, the columns the next step reads
+// left of this one's start are refilled from the obstacle (at most drop of
+// them).
 func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
 	lo := bnd - e.drop*h
-	row := scratch.Floats(len(win))
+	buf, row, ex := e.stepBuf(len(win))
 	e.copyRow(row, win)
 	end := len(row) // row[:end] holds the current row
 	b := bnd
 	for t := 1; t <= h; t++ {
 		from := b - e.drop
-		next := linstencil.Step(row[from-lo:end], e.s) // depth d+t on [from, bnd+r*(h-t)]
+		// depth d+t on [from, bnd+r*(h-t)]
+		_, b = e.step(row[from-lo:end], ex, d+t-1, from, b, max(from, -1))
 		end -= e.r
-		// Columns below 0 are virtual filler (no real cell ever reads them,
-		// since dependencies point right) and never count as green. Nor
-		// does a cell right of b: the boundary never rises, and a cell there
-		// that the closed form wins only by roundoff keeps max(lin, green),
-		// as in the direct sweep.
-		newB := max(from, -1)
-		for i, lin := range next {
-			if g := e.green(d+t, from+i); g > lin {
-				next[i] = g
-				if j := from + i; j > newB && j <= b {
-					newB = j
-				}
-			}
-		}
-		e.stats.addDirect(Event{Kind: EventDirect, Src: row, Dst: next, Lo: from, Bnd: lo - 1, N: len(next), W: e.s.W, InPlace: true})
-		b = newB
-		if t < h {
+		if t < h && b < from+e.drop {
 			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop, true)
 		}
 	}
-	red := scratch.Floats(bnd - b)
-	e.copyRow(red, row[b+1-lo:])
-	scratch.PutFloats(row)
-	return red, b
+	return e.keep(buf, row[b+1-lo:end]), b
 }
 
 // SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle.
@@ -432,23 +393,40 @@ func SolveGreenLeftOneSidedNaive(p *GreenLeftOneSided) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
 	}
+	return sweepNaive(p, func(int, int, int) error { return nil })
+}
+
+// sweepNaive is the direct sweep of p, one obstacle fill per row, and
+// returns the apex value. After each depth d >= 1 it passes visit the row's
+// last green column and its first red one (-1 and Hi0-d*r+1 if none); an
+// error from visit stops the sweep.
+func sweepNaive(p *GreenLeftOneSided, visit func(d, lastGreen, firstRed int) error) (float64, error) {
 	row := make([]float64, p.Hi0+1)
 	for j := range row {
 		row[j] = p.Init(j)
 	}
+	ex := make([]float64, p.Hi0+1)
 	r := p.Stencil.Span()
 	w := p.Stencil.W
 	for d := 1; d <= p.T; d++ {
 		hi := p.Hi0 - d*r
+		p.Fill(d, 0, hi, ex[:hi+1])
+		lastGreen, firstRed := -1, hi+1
 		for j := 0; j <= hi; j++ {
 			var lin float64
 			for i, wi := range w {
 				lin += wi * row[j+i]
 			}
-			if g := p.Green(d, j); g > lin {
+			if g := ex[j]; g > lin {
 				lin = g
+				lastGreen = j
+			} else if firstRed > hi {
+				firstRed = j
 			}
 			row[j] = lin
+		}
+		if err := visit(d, lastGreen, firstRed); err != nil {
+			return 0, err
 		}
 		row = row[:hi+1]
 	}
@@ -464,56 +442,29 @@ func GreenLeftOneSidedBoundaryTrace(p *GreenLeftOneSided) ([]int, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	maxDrop := p.MaxDrop
-	if maxDrop < 1 {
-		maxDrop = 1
-	}
-	row := make([]float64, p.Hi0+1)
-	for j := range row {
-		row[j] = p.Init(j)
-	}
+	maxDrop := max(p.MaxDrop, 1)
 	r := p.Stencil.Span()
-	w := p.Stencil.W
 	trace := make([]int, p.T+1)
 	trace[0] = p.Bnd0
-	isGreen := make([]bool, p.Hi0+1)
-	for d := 1; d <= p.T; d++ {
-		hi := p.Hi0 - d*r
-		bnd := -1
-		for j := 0; j <= hi; j++ {
-			var lin float64
-			for i, wi := range w {
-				lin += wi * row[j+i]
-			}
-			g := p.Green(d, j)
-			if g > lin {
-				row[j] = g
-				isGreen[j] = true
-				bnd = j
-			} else {
-				row[j] = lin
-				isGreen[j] = false
-			}
+	_, err := sweepNaive(p, func(d, bnd, firstRed int) error {
+		if firstRed < bnd {
+			return fmt.Errorf("fbstencil: green region not contiguous at depth %d: col %d red, col %d green", d, firstRed, bnd)
 		}
-		for j := 0; j <= bnd; j++ {
-			if !isGreen[j] {
-				return nil, fmt.Errorf("fbstencil: green region not contiguous at depth %d: col %d red, col %d green", d, j, bnd)
-			}
-		}
-		prev := trace[d-1]
-		if prev > hi+r {
-			prev = hi + r
-		}
+		// The previous row may simply have been wider.
+		prev := min(trace[d-1], p.Hi0-(d-1)*r)
 		if d > 1 {
 			if bnd > prev {
-				return nil, fmt.Errorf("fbstencil: boundary moved right at depth %d: %d -> %d", d, prev, bnd)
+				return fmt.Errorf("fbstencil: boundary moved right at depth %d: %d -> %d", d, prev, bnd)
 			}
 			if prev >= 0 && bnd < prev-maxDrop {
-				return nil, fmt.Errorf("fbstencil: boundary dropped by more than %d at depth %d: %d -> %d", maxDrop, d, prev, bnd)
+				return fmt.Errorf("fbstencil: boundary dropped by more than %d at depth %d: %d -> %d", maxDrop, d, prev, bnd)
 			}
 		}
 		trace[d] = bnd
-		row = row[:hi+1]
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return trace, nil
 }

@@ -1,6 +1,7 @@
 package fbstencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,7 +10,16 @@ import (
 	"github.com/nlstencil/amop/internal/par"
 )
 
-// putProblemGR builds a binomial-put-like green-left instance (span 1).
+// rowFill fills an obstacle row cell by cell from green.
+func rowFill(green GreenFunc) FillFunc {
+	return func(depth, lo, _ int, out []float64) {
+		for i := range out {
+			out[i] = green(depth, lo+i)
+		}
+	}
+}
+
+// putProblemBOPM builds a binomial-put-like green-left instance (span 1).
 func putProblemBOPM(p optParams, T int) *GreenLeftOneSided {
 	dt := p.E / float64(T)
 	u := math.Exp(p.V * math.Sqrt(dt))
@@ -31,7 +41,7 @@ func putProblemBOPM(p optParams, T int) *GreenLeftOneSided {
 		T:       T,
 		Hi0:     T,
 		Init:    func(col int) float64 { return math.Max(0, green(0, col)) },
-		Green:   green,
+		Fill:    rowFill(green),
 		Bnd0:    bnd0,
 		MaxDrop: 1,
 	}
@@ -64,9 +74,66 @@ func putProblemTOPM(p optParams, T int) *GreenLeftOneSided {
 		T:       T,
 		Hi0:     2 * T,
 		Init:    func(col int) float64 { return math.Max(0, green(0, col)) },
-		Green:   green,
+		Fill:    rowFill(green),
 		Bnd0:    bnd0,
 		MaxDrop: 2,
+	}
+}
+
+// spanPut builds the American put on a lattice of span r (see spanWeights)
+// in its own columns, green on the left, with MaxDrop r. At r=3 it is a
+// four-branch put: weights disc*{(1-q)^3, 3(1-q)^2 q, 3(1-q)q^2, q^3}.
+// Init and Fill panic off the grid.
+func spanPut(p optParams, T, r int) *GreenLeftOneSided {
+	w, lnx := spanWeights(p, T, r)
+	hi0 := T * r
+	green := func(depth, col int) float64 {
+		if depth < 0 || depth > T || col < 0 || col > hi0-depth*r {
+			panic(fmt.Sprintf("obstacle (%d, %d) off the grid (T=%d, Hi0=%d, r=%d)", depth, col, T, hi0, r))
+		}
+		return p.K - p.S*math.Exp((float64(col)+float64(r*(depth-T))/2)*lnx)
+	}
+	bnd0 := -1
+	for bnd0 < hi0 && green(0, bnd0+1) > 0 {
+		bnd0++
+	}
+	return &GreenLeftOneSided{
+		Stencil: linstencil.Stencil{MinOff: 0, W: w},
+		T:       T,
+		Hi0:     hi0,
+		Init:    func(col int) float64 { return math.Max(0, green(0, col)) },
+		Fill:    rowFill(green),
+		Bnd0:    bnd0,
+		MaxDrop: r,
+	}
+}
+
+// TestGreenLeftOneSidedSpan3 runs a four-branch put: span 3, so the direct
+// step takes linstencil.Step's generic loop, and drops of up to 3. The
+// structure must hold, and the solve must match the direct sweep at every
+// base case without reading the obstacle off the grid.
+func TestGreenLeftOneSidedSpan3(t *testing.T) {
+	for _, T := range []int{50, 300, 1000} {
+		for _, K := range []float64{80, 100, 105, 130} {
+			prob := spanPut(optParams{S: 100, K: K, R: 0.05, V: 0.3, Y: 0.02, E: 1}, T, 3)
+			if _, err := GreenLeftOneSidedBoundaryTrace(prob); err != nil {
+				t.Fatalf("T=%d K=%v: %v", T, K, err)
+			}
+			naive, err := SolveGreenLeftOneSidedNaive(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, base := range []int{1, 3, 8, 64} {
+				prob.BaseCase = base
+				fast, _, err := SolveGreenLeftOneSided(prob, nil)
+				if err != nil {
+					t.Fatalf("T=%d K=%v base=%d: %v", T, K, base, err)
+				}
+				if d := relDiff(fast, naive); d > 1e-12 {
+					t.Errorf("T=%d K=%v base=%d: fast %.15g naive %.15g rel %g", T, K, base, fast, naive, d)
+				}
+			}
+		}
 	}
 }
 
@@ -229,7 +296,7 @@ func TestGreenLeftOneSidedValidation(t *testing.T) {
 		"narrow row": func(p *GreenLeftOneSided) { p.Hi0 = p.T - 1 },
 		"negative T": func(p *GreenLeftOneSided) { p.T = -1 },
 		"nil Init":   func(p *GreenLeftOneSided) { p.Init = nil },
-		"nil Green":  func(p *GreenLeftOneSided) { p.Green = nil },
+		"nil Fill":   func(p *GreenLeftOneSided) { p.Fill = nil },
 		"big Bnd0":   func(p *GreenLeftOneSided) { p.Bnd0 = p.Hi0 + 1 },
 	} {
 		p := good()

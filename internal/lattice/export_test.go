@@ -1,8 +1,9 @@
 package lattice
 
-// Swap and PutProblem expose the swapped model and the put's green-left
-// instance to the external tests.
+// Swap, ExerciseTable and PutProblem expose the swapped model, the put's
+// exercise table and its green-left instance to the external tests.
 var (
-	Swap       = (*Model).swap
-	PutProblem = (*Model).putProblem
+	Swap          = (*Model).swap
+	ExerciseTable = (*Model).exerciseTable
+	PutProblem    = (*Model).putProblem
 )

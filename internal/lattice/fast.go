@@ -78,32 +78,26 @@ func (m *Model) swap() (*Model, error) {
 	return &sw, nil
 }
 
-// putProblem builds the green-left instance for the American put with the
-// given exercise value.
-func (m *Model) putProblem(green fbstencil.GreenFunc) *fbstencil.GreenLeftOneSided {
+// putProblem builds the green-left instance for the American put on tab,
+// the put's exercise table (from exerciseTable). A leaf, cell (0, col), is
+// tab[(2/r)*col].
+func (m *Model) putProblem(tab []float64) *fbstencil.GreenLeftOneSided {
 	r := m.r()
 	hi := r * m.T
-	// Largest leaf column with strictly positive put payoff.
-	guess := int(math.Ceil((float64(m.T) + math.Log(m.Prm.K/m.Prm.S)/m.logU) / float64(2/r)))
-	if guess > hi {
-		guess = hi
-	}
-	if guess < -1 {
-		guess = -1
-	}
-	for guess < hi && green(0, guess+1) > 0 {
-		guess++
-	}
-	for guess >= 0 && green(0, guess) <= 0 {
-		guess--
+	stride := 2 / r
+	// Largest leaf column with strictly positive put payoff; the payoff
+	// falls as the column rises.
+	bnd0 := -1
+	for bnd0 < hi && tab[stride*(bnd0+1)] > 0 {
+		bnd0++
 	}
 	return &fbstencil.GreenLeftOneSided{
 		Stencil:  m.Stencil(),
 		T:        m.T,
 		Hi0:      hi,
-		Init:     func(col int) float64 { return math.Max(0, green(0, col)) },
-		Green:    green,
-		Bnd0:     guess,
+		Init:     func(col int) float64 { return math.Max(0, tab[stride*col]) },
+		Fill:     m.putFill(tab),
+		Bnd0:     bnd0,
 		BaseCase: m.baseC,
 		MaxDrop:  r,
 	}
@@ -129,7 +123,7 @@ func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
 func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
 	tab := m.exerciseTable()
 	defer scratch.PutFloats(tab)
-	prob := m.putProblem(m.putGreen(tab))
+	prob := m.putProblem(tab)
 	prob.Cancel = cancel
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err
@@ -137,9 +131,17 @@ func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64,
 
 // ValidatePutStructure runs the O(T^2) structural validator for the put's
 // free boundary on this instance (contiguity, monotonicity, drops of at most
-// r columns per step) and returns the first violation, if any.
+// r columns per step) and returns the first violation, if any. Its obstacle
+// rows come from the closed form, cell by cell.
 func (m *Model) ValidatePutStructure() error {
-	green := func(depth, col int) float64 { return m.Exercise(option.Put, depth, col) }
-	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(m.putProblem(green))
+	tab := m.exerciseTable()
+	defer scratch.PutFloats(tab)
+	p := m.putProblem(tab)
+	p.Fill = func(depth, lo, _ int, out []float64) {
+		for i := range out {
+			out[i] = m.Exercise(option.Put, depth, lo+i)
+		}
+	}
+	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(p)
 	return err
 }

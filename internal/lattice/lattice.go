@@ -101,16 +101,17 @@ func (m *Model) exerciseTable() []float64 {
 	return tab
 }
 
-// putGreen returns the put's exercise value as a lookup into tab (from
-// exerciseTable), bitwise equal to the closed form. Cells outside the table —
-// the put solver's virtual columns left of 0 — fall back to the closed form.
-func (m *Model) putGreen(tab []float64) fbstencil.GreenFunc {
-	stride := 2 / m.r()
-	return func(depth, col int) float64 {
-		if k := stride*col + depth; uint(k) < uint(len(tab)) {
-			return tab[k]
+// putFill returns the put's exercise row fill: cell (depth, col) is tab
+// (from exerciseTable) at index (2/r)*col+depth, bitwise equal to the closed
+// form.
+func (m *Model) putFill(tab []float64) fbstencil.FillFunc {
+	if m.r() == 2 {
+		return fbstencil.TableFill(tab)
+	}
+	return func(depth, lo, _ int, out []float64) {
+		for i := range out {
+			out[i] = tab[2*(lo+i)+depth]
 		}
-		return m.Exercise(option.Put, depth, col)
 	}
 }
 

@@ -37,7 +37,7 @@ type Problem struct {
 	// FillExercise writes the exercise (obstacle) values of cells
 	// (depth, lo..hi) into out[0..hi-lo]. A nil FillExercise selects the
 	// purely linear (European) sweep with no max.
-	FillExercise func(depth, lo, hi int, out []float64)
+	FillExercise fbstencil.FillFunc
 	// Record, when non-nil, receives the sweep's steps in order: the
 	// initial row as an EventFill, each further buffer the sweep takes as an
 	// EventAlloc, and then, written in place, each row update of up to

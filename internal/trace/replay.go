@@ -19,11 +19,10 @@ import (
 // solver allocates per buffer, or, for a step that rewrites its buffer in
 // place, at the address the cell already has. Every cell a step reads is one
 // access at the address of the step that last wrote that cell of that
-// buffer; a column the step takes from the closed form instead is an
-// evaluation, not an access. The FFT runs traced (evolveCone) on its input
-// strip. A read of a cell no recorded step wrote, or whose value differs
-// from the one recorded there, means the schedule missed a write; the
-// replay then returns an error.
+// buffer. The FFT runs traced (evolveCone) on its input strip. A read of a
+// cell no recorded step wrote, or whose value differs from the one recorded
+// there, means the schedule missed a write; the replay then returns an
+// error.
 func Replay(h *cachesim.Hierarchy, solve func(*fbstencil.Stats) (float64, error)) (*fbstencil.Stats, error) {
 	_, st, err := newReplayer(h).replay(solve)
 	return st, err
@@ -46,7 +45,6 @@ type replayer struct {
 	plans planCache
 	cells cellIndex // solver cell -> where and what it was last written
 
-	closedForm int // closed-form reads
 	unresolved int // reads of cells no recorded step wrote
 	stale      int // reads of cells rewritten since their recorded write
 }
@@ -118,32 +116,12 @@ func (r *replayer) apply(ev fbstencil.Event) {
 		r.write(ev.Dst, ev.InPlace, func(int) { r.h.AddFlops(flopsPerExp) })
 	case fbstencil.EventCopy:
 		r.write(ev.Dst, ev.InPlace, func(i int) { r.read(ev.Src, i, true) })
-	case fbstencil.EventDirect:
-		// Cell j reads columns Lo+j+i; the stencil lands on Src past Bnd.
-		cellAt := func(j int) {
-			for i := range ev.W {
-				if c := ev.Lo + j + i; c <= ev.Bnd {
-					r.closedForm++
-					r.h.AddFlops(flopsPerExp)
-				} else {
-					// An in-place step has overwritten its inputs by the
-					// time it is reported, so their values cannot be checked.
-					r.read(ev.Src, c-ev.Bnd-1, !ev.InPlace)
-				}
-			}
-			r.h.AddFlops(flopsPerCell + flopsPerExp)
-		}
-		if ev.Dst == nil {
-			for j := 0; j < ev.N; j++ {
-				cellAt(j)
-			}
-			return
-		}
-		r.write(ev.Dst, ev.InPlace, cellAt)
 	case fbstencil.EventSweep:
 		// Cell j reads Src[j+i]. A step whose Dst starts at Src[0] has
 		// overwritten the inputs it shares with Dst; those past Dst's end
-		// are checked.
+		// are checked. The obstacle row was written before the step: the
+		// fast solver reports it as an EventFill, a sweep fills its chunk
+		// unreported.
 		n := len(ev.Dst)
 		shared := n > 0 && &ev.Dst[0] == &ev.Src[0]
 		r.write(ev.Dst, ev.InPlace, func(j int) {

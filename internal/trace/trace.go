@@ -4,13 +4,14 @@
 // flop counts for the energy model.
 //
 // Every column replays the recorded schedule of code that ships. The fast
-// column (Replay): fbstencil.SolveGreenLeftOneSided reports its closed-form
+// column (Replay): fbstencil.SolveGreenLeftOneSided reports its obstacle
 // fills, copies, direct steps and FFT evolutions together with the buffers
 // they read and write, and each is replayed on simulated memory that follows
-// those buffers, with a traced FFT. The direct baselines (ReplaySweep):
-// internal/sweep's Naive, Tiled and Recursive report their buffers, copies
-// and row updates in the same event vocabulary, and the same replayer
-// follows them. There is no traced copy of any loop here.
+// those buffers, with a traced FFT. Its direct steps are in-place sweeps,
+// each after the EventFill of its obstacle row. The direct baselines
+// (ReplaySweep): internal/sweep's Naive, Tiled and Recursive report their
+// buffers, copies and row updates in the same event vocabulary, and the
+// same replayer follows them. There is no traced copy of any loop here.
 //
 // Everything here runs serially, the recorded solve included: hardware-
 // counter runs in the paper measure total traffic, which is

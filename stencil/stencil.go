@@ -68,7 +68,8 @@ func (s Linear) EvolvePeriodic(row []float64, steps int) ([]float64, error) {
 }
 
 // Obstacle is the closed-form lower bound ("green" value) of cell
-// (depth, col) in a free-boundary problem.
+// (depth, col) in a free-boundary problem. The solvers evaluate it only on
+// the problem's grid.
 type Obstacle func(depth, col int) float64
 
 // Stats aliases the engine's work counters.
@@ -141,7 +142,9 @@ func (p *ObstacleRight) problem() *fbstencil.GreenRight {
 // region must equal the obstacle exactly.
 //
 // Depth 0 holds the initial row on columns [Lo0, Hi0] with Hi0-Lo0 = 2*Steps;
-// Solve returns the apex value (Steps, Lo0+Steps).
+// at depth d the valid columns are [Lo0+d, Hi0-d]; Solve returns the apex
+// value (Steps, Lo0+Steps). Init and Obstacle are only evaluated on that
+// grid.
 type ObstacleLeft struct {
 	Stencil  Linear
 	Steps    int
@@ -190,9 +193,10 @@ func (p *ObstacleLeft) problem() *fbstencil.GreenLeft {
 // Run BoundaryTrace to check the structure on new problem classes.
 //
 // Geometry matches ObstacleRight (columns [0, Hi0-d*r] at depth d; Solve
-// returns the apex (Steps, 0)). Obstacle-active cells must equal Obstacle
-// exactly. MaxDrop bounds how far the boundary may move left per interior
-// step (0 means 1; trinomial-like grids need 2).
+// returns the apex (Steps, 0); Init and Obstacle are only evaluated on that
+// grid). Obstacle-active cells must equal Obstacle exactly. MaxDrop bounds
+// how far the boundary may move left per interior step (0 means 1;
+// trinomial-like grids need 2).
 type ObstacleLeftOneSided struct {
 	Stencil  Linear
 	Steps    int
@@ -224,14 +228,21 @@ func (p *ObstacleLeftOneSided) BoundaryTrace() ([]int, error) {
 }
 
 func (p *ObstacleLeftOneSided) problem() *fbstencil.GreenLeftOneSided {
-	return &fbstencil.GreenLeftOneSided{
+	q := &fbstencil.GreenLeftOneSided{
 		Stencil:  p.Stencil.internal(),
 		T:        p.Steps,
 		Hi0:      p.Hi0,
 		Init:     p.Init,
-		Green:    fbstencil.GreenFunc(p.Obstacle),
 		Bnd0:     p.Bnd0,
 		BaseCase: p.BaseCase,
 		MaxDrop:  p.MaxDrop,
 	}
+	if obstacle := p.Obstacle; obstacle != nil {
+		q.Fill = func(depth, lo, _ int, out []float64) {
+			for i := range out {
+				out[i] = obstacle(depth, lo+i)
+			}
+		}
+	}
+	return q
 }

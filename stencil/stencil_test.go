@@ -1,8 +1,10 @@
 package stencil
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -131,9 +133,9 @@ func TestObstacleLeftBoundaryTrace(t *testing.T) {
 	}
 }
 
-func TestObstacleRight(t *testing.T) {
-	// A binomial-call-like instance expressed through the public API.
-	T := 300
+// binomialCall is a binomial-call-like instance expressed through the
+// public API.
+func binomialCall(T int) *ObstacleRight {
 	u := math.Exp(0.2 * math.Sqrt(1.0/float64(T)))
 	d := 1 / u
 	q := (math.Exp((0.02-0.04)/float64(T)) - d) / (u - d)
@@ -148,7 +150,7 @@ func TestObstacleRight(t *testing.T) {
 	for bnd0 >= 0 && green(0, bnd0) > 0 {
 		bnd0--
 	}
-	p := &ObstacleRight{
+	return &ObstacleRight{
 		Stencil:  Linear{MinOffset: 0, Weights: []float64{disc * (1 - q), disc * q}},
 		Steps:    T,
 		Hi0:      T,
@@ -156,6 +158,10 @@ func TestObstacleRight(t *testing.T) {
 		Obstacle: green,
 		Bnd0:     bnd0,
 	}
+}
+
+func TestObstacleRight(t *testing.T) {
+	p := binomialCall(300)
 	fast, err := p.Solve(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,10 +192,9 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-// TestObstacleLeftOneSided exercises the put-like one-sided engine through
-// the public API.
-func TestObstacleLeftOneSided(t *testing.T) {
-	T := 300
+// binomialPut is a binomial-put-like instance of the one-sided engine,
+// expressed through the public API.
+func binomialPut(T int) *ObstacleLeftOneSided {
 	u := math.Exp(0.25 * math.Sqrt(1.0/float64(T)))
 	d := 1 / u
 	q := (math.Exp(0.02/float64(T)) - d) / (u - d)
@@ -203,7 +208,7 @@ func TestObstacleLeftOneSided(t *testing.T) {
 			bnd0 = j
 		}
 	}
-	p := &ObstacleLeftOneSided{
+	return &ObstacleLeftOneSided{
 		Stencil:  Linear{MinOffset: 0, Weights: []float64{disc * (1 - q), disc * q}},
 		Steps:    T,
 		Hi0:      T,
@@ -211,6 +216,12 @@ func TestObstacleLeftOneSided(t *testing.T) {
 		Obstacle: obstacle,
 		Bnd0:     bnd0,
 	}
+}
+
+// TestObstacleLeftOneSided exercises the put-like one-sided engine through
+// the public API.
+func TestObstacleLeftOneSided(t *testing.T) {
+	p := binomialPut(300)
 	if _, err := p.BoundaryTrace(); err != nil {
 		t.Fatalf("structure: %v", err)
 	}
@@ -224,5 +235,86 @@ func TestObstacleLeftOneSided(t *testing.T) {
 	}
 	if math.Abs(fast-naive) > 1e-9 {
 		t.Errorf("fast %.12g naive %.12g", fast, naive)
+	}
+}
+
+// gridCheck wraps Init and Obstacle to count the calls off a grid whose row
+// at depth d spans columns [lo(d), hi(d)], d in [0, steps]. The solvers
+// call them from forked goroutines, so the count is atomic.
+type gridCheck struct {
+	steps  int
+	lo, hi func(d int) int
+	off    atomic.Int64
+	first  atomic.Pointer[string]
+}
+
+func (g *gridCheck) at(d, col int) {
+	if d < 0 || d > g.steps || col < g.lo(d) || col > g.hi(d) {
+		if g.off.Add(1) == 1 {
+			msg := fmt.Sprintf("(%d, %d)", d, col)
+			g.first.Store(&msg)
+		}
+	}
+}
+
+func (g *gridCheck) init(f func(int) float64) func(int) float64 {
+	return func(col int) float64 { g.at(0, col); return f(col) }
+}
+
+func (g *gridCheck) obstacle(f Obstacle) Obstacle {
+	return func(d, col int) float64 { g.at(d, col); return f(d, col) }
+}
+
+// report fails t if any call left the grid.
+func (g *gridCheck) report(t *testing.T, name string) {
+	t.Helper()
+	if n := g.off.Load(); n > 0 {
+		t.Errorf("%s: %d calls off the grid, the first at %s", name, n, *g.first.Load())
+	}
+}
+
+// TestObstacleOnGrid: the three public types evaluate Init and Obstacle only
+// on the grid their docs promise, through Solve, SolveNaive and
+// BoundaryTrace.
+func TestObstacleOnGrid(t *testing.T) {
+	const T = 2000
+	zero := func(int) int { return 0 }
+
+	right := binomialCall(T)
+	g := &gridCheck{steps: T, lo: zero, hi: func(d int) int { return right.Hi0 - d }}
+	right.Init, right.Obstacle = g.init(right.Init), g.obstacle(right.Obstacle)
+	runAll(t, "ObstacleRight", right.Solve, right.SolveNaive, right.BoundaryTrace)
+	g.report(t, "ObstacleRight")
+
+	left := heatObstacle(T, 0.05, 0.5)
+	g = &gridCheck{steps: T, lo: func(d int) int { return left.Lo0 + d }, hi: func(d int) int { return left.Hi0 - d }}
+	left.Init, left.Obstacle = g.init(left.Init), g.obstacle(left.Obstacle)
+	runAll(t, "ObstacleLeft", left.Solve, left.SolveNaive, left.BoundaryTrace)
+	g.report(t, "ObstacleLeft")
+
+	put := binomialPut(T)
+	g = &gridCheck{steps: T, lo: zero, hi: func(d int) int { return put.Hi0 - d }}
+	put.Init, put.Obstacle = g.init(put.Init), g.obstacle(put.Obstacle)
+	runAll(t, "ObstacleLeftOneSided", put.Solve, put.SolveNaive, put.BoundaryTrace)
+	g.report(t, "ObstacleLeftOneSided")
+}
+
+// runAll runs a problem's three solvers and checks the fast one against the
+// direct sweep.
+func runAll(t *testing.T, name string, solve func(*Stats) (float64, error), naive func() (float64, error), trace func() ([]int, error)) {
+	t.Helper()
+	fast, err := solve(nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want, err := naive()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if math.Abs(fast-want) > 1e-9*(1+math.Abs(want)) {
+		t.Errorf("%s: fast %.12g naive %.12g", name, fast, want)
+	}
+	if _, err := trace(); err != nil {
+		t.Errorf("%s: %v", name, err)
 	}
 }
