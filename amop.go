@@ -169,7 +169,7 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return priceModel(o, m, cfg, nil, ctx.Err)
+	return priceModel(o, m, cfg, nil, ctxCancel(ctx))
 }
 
 // priceModel is Price with an optional cache of constructed lattice models

@@ -3,8 +3,8 @@
 // (contract, scenario) cell as it completes. It is the risk-ladder entry
 // point: feed it the desk's book and bump grid and it amortizes the shared
 // structure — deduplicated repricing points, reduced-resolution scenario
-// lattices control-variated against the full-resolution base, and
-// cross-resolution sharing of the FFT kernel spectra underneath.
+// lattices control-variated against the full-resolution base, and the
+// shared FFT kernel-spectrum cache underneath.
 //
 // Usage:
 //
@@ -43,8 +43,8 @@
 //
 // followed by one {"base":...} line per contract. price/pnl are meaningful
 // only on lines without "error"; "ms" is the spacing since the previous
-// streamed line. A summary with the dedup and cross-resolution amortization
-// counters goes to stderr.
+// streamed line. A summary with the dedup factor and the number of
+// kernel spectra the sweep built goes to stderr.
 package main
 
 import (
@@ -227,11 +227,11 @@ func main() {
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr,
-			"amop-sweep: %d contracts x %d scenarios = %d cells in %v (%d failed); %d unique repricings (%.1fx dedup), %d cross-resolution spectrum transfers\n",
+			"amop-sweep: %d contracts x %d scenarios = %d cells in %v (%d failed); %d unique repricings (%.1fx dedup), %d kernel spectra built\n",
 			len(reqs), len(scenarios), sw.Stats.Cells, elapsed.Round(time.Millisecond), failed,
 			sw.Stats.UniqueRepricings,
 			float64(sw.Stats.Cells+len(reqs))/float64(max(sw.Stats.UniqueRepricings, 1)),
-			after.SpectrumCrossResHits-before.SpectrumCrossResHits)
+			after.SpectrumCacheMisses-before.SpectrumCacheMisses)
 	}
 	if failed > 0 {
 		os.Exit(1)

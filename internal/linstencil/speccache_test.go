@@ -79,6 +79,7 @@ func TestSpectrumCacheHitsAndBounds(t *testing.T) {
 		t.Errorf("repeat evolution recomputed the spectrum (misses %d -> %d)", m1, m2)
 	}
 	_ = h0
+	checkCacheBytes(t, "after inserts")
 
 	// Shrinking the limit must evict down to the bound; restoring must leave
 	// a working cache.
@@ -87,11 +88,27 @@ func TestSpectrumCacheHitsAndBounds(t *testing.T) {
 	if bytes > 1 {
 		t.Errorf("cache holds %d bytes after limit 1", bytes)
 	}
+	checkCacheBytes(t, "after eviction")
 	SetSpectrumCacheLimit(DefaultSpectrumCacheLimit)
 	out, _ := EvolveCone(row, s, 1024)
 	naive, _ := EvolveConeNaive(row, s, 1024)
 	if d := maxDiff(out, naive); d > 1e-9 {
 		t.Fatalf("post-eviction evolution off naive by %g", d)
+	}
+}
+
+// checkCacheBytes asserts that the cache's byte count is exactly the size of
+// the multipliers it holds.
+func checkCacheBytes(t *testing.T, when string) {
+	t.Helper()
+	specCache.mu.Lock()
+	defer specCache.mu.Unlock()
+	var want int64
+	for _, m := range specCache.entries {
+		want += int64(16 * len(m))
+	}
+	if specCache.bytes != want {
+		t.Errorf("%s: cache counts %d bytes, its entries hold %d", when, specCache.bytes, want)
 	}
 }
 
@@ -139,14 +156,14 @@ func TestMakeKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestComputeSpectrumUsesTwiddles cross-checks the table-driven symbol
-// evaluation against a directly computed spectrum on a spilled (5-weight)
-// stencil, covering the long-stencil key path too.
+// TestComputeSpectrumUsesTwiddles cross-checks the twiddle-table spectrum
+// build against the direct ring evolution on a spilled (5-weight) stencil,
+// covering the long-stencil key path too.
 func TestComputeSpectrumUsesTwiddles(t *testing.T) {
 	s := Stencil{MinOff: -2, W: []float64{0.1, 0.2, 0.3, 0.2, 0.15}}
 	n := 64
 	rp := fft.RPlanFor(n)
-	got := computeSpectrum(s, s.MinOff, n, 3, rp)
+	got := buildSpectrum(s, s.MinOff, n, 3, rp)
 	row := make([]float64, n)
 	row[5] = 1
 	fast := EvolvePeriodic(row, s, 3)
@@ -159,115 +176,54 @@ func TestComputeSpectrumUsesTwiddles(t *testing.T) {
 	}
 }
 
-// resetSpecCache flushes both cache layers so a test observes its own
-// hits/misses/transfers regardless of what ran before it.
-func resetSpecCache() {
+// TestSymbolCachePoweredParity checks that a cached multiplier matches a
+// fresh buildSpectrum bit for bit: on a spilled (5-weight) key, on the
+// unshifted cone geometry, and for a multiplier rebuilt after
+// SetSpectrumCacheLimit(1) evicted it.
+func TestSymbolCachePoweredParity(t *testing.T) {
 	SetSpectrumCacheLimit(0)
 	SetSpectrumCacheLimit(DefaultSpectrumCacheLimit)
-	specCache.mu.Lock()
-	specCache.maxSymN = 0
-	specCache.mu.Unlock()
-}
-
-// TestSymbolSubsampleBitwise pins the invariant the cross-resolution
-// transfer rests on: the half-spectrum frequencies of size n are exactly the
-// even frequencies of size 2n, bitwise — so a table subsampled from a larger
-// donor is indistinguishable from one evaluated fresh.
-func TestSymbolSubsampleBitwise(t *testing.T) {
-	s := Stencil{MinOff: -1, W: []float64{0.27, 0.5, 0.22}}
-	for _, n := range []int{4, 64, 1024} {
-		big := computeSymbol(s, s.MinOff, 4*n, fft.RPlanFor(4*n))
-		fresh := computeSymbol(s, s.MinOff, n, fft.RPlanFor(n))
-		sub := subsampleSymbol(big, 4*n, n)
-		for f := range fresh {
-			if sub[f] != fresh[f] {
-				t.Fatalf("n=%d f=%d: subsampled %v != fresh %v", n, f, sub[f], fresh[f])
-			}
-		}
-		seeded := seedSymbol(fresh, n, s, s.MinOff, 4*n, fft.RPlanFor(4*n))
-		for f := range big {
-			if seeded[f] != big[f] {
-				t.Fatalf("n=%d f=%d: seeded %v != fresh %v", 4*n, f, seeded[f], big[f])
-			}
-		}
-	}
-}
-
-// TestSymbolCacheCrossResolution drives the cache through both transfer
-// directions end to end: an evolution at one padded size must derive its
-// symbol tables from tables cached at other sizes rather than re-evaluating,
-// and the results must stay on the naive oracle.
-func TestSymbolCacheCrossResolution(t *testing.T) {
-	resetSpecCache()
-	rng := rand.New(rand.NewSource(35))
-	s := Stencil{MinOff: 0, W: []float64{0.46, 0.53}}
-
-	h0, m0, x0 := SymbolCacheStats()
-	bigRow := randRow(rng, 8192)
-	want, _ := EvolveConeNaive(bigRow, s, 512)
-	got, _ := EvolveCone(bigRow, s, 512)
-	if d := maxDiff(got, want); d > 1e-9 {
-		t.Fatalf("big evolution off naive by %g", d)
-	}
-	_, m1, _ := SymbolCacheStats()
-	if m1 == m0 {
-		t.Fatal("big evolution built no symbol tables")
-	}
-
-	// A smaller padded size of the same stencil must subsample the cached
-	// table (cross-res), not evaluate from scratch.
-	smallRow := randRow(rng, 4096)
-	want, _ = EvolveConeNaive(smallRow, s, 256)
-	got, _ = EvolveCone(smallRow, s, 256)
-	if d := maxDiff(got, want); d > 1e-9 {
-		t.Fatalf("small evolution off naive by %g", d)
-	}
-	_, _, x1 := SymbolCacheStats()
-	if x1 == x0 {
-		t.Error("smaller-size evolution did not subsample from the cached larger table")
-	}
-
-	// And a larger padded size must seed from below.
-	hugeRow := randRow(rng, 16384)
-	want, _ = EvolveConeNaive(hugeRow, s, 128)
-	got, _ = EvolveCone(hugeRow, s, 128)
-	if d := maxDiff(got, want); d > 1e-9 {
-		t.Fatalf("huge evolution off naive by %g", d)
-	}
-	_, _, x2 := SymbolCacheStats()
-	if x2 == x1 {
-		t.Error("larger-size evolution did not seed from the cached smaller table")
-	}
-
-	// Repeating a size is an exact-table hit, not another transfer.
-	h1, m2, _ := SymbolCacheStats()
-	EvolveCone(smallRow, s, 256)
-	h2, m3, x3 := SymbolCacheStats()
-	if m3 != m2 || x3 != x2 {
-		t.Errorf("repeat evolution rebuilt symbol tables (misses %d->%d, crossRes %d->%d)", m2, m3, x2, x3)
-	}
-	_, _ = h0, h1
-	if h2 < h1 {
-		t.Errorf("symbol hits went backwards: %d -> %d", h1, h2)
-	}
-}
-
-// TestSymbolCachePoweredParity checks that a multiplier derived through the
-// symbol layer (possibly via a cross-resolution transfer) matches the
-// from-scratch computeSpectrum reference bitwise.
-func TestSymbolCachePoweredParity(t *testing.T) {
-	resetSpecCache()
-	s := Stencil{MinOff: -2, W: []float64{0.1, 0.2, 0.3, 0.2, 0.15}}
-	// Populate a large table first so the small size below transfers.
-	kernelSpectrum(s, s.MinOff, 512, 3, fft.RPlanFor(512))
-	for _, nk := range [][2]int{{64, 3}, {64, 17}, {2048, 9}} {
-		n, k := nk[0], nk[1]
-		got := kernelSpectrum(s, s.MinOff, n, k, fft.RPlanFor(n))
-		want := computeSpectrum(s, s.MinOff, n, k, fft.RPlanFor(n))
+	spilled := Stencil{MinOff: -2, W: []float64{0.1, 0.2, 0.3, 0.2, 0.15}}
+	binomial := Stencil{MinOff: 0, W: []float64{0.46, 0.53}}
+	check := func(when string, s Stencil, shift, n, k int) {
+		t.Helper()
+		rp := fft.RPlanFor(n)
+		got := kernelSpectrum(s, shift, n, k, rp)
+		want := buildSpectrum(s, shift, n, k, rp)
 		for f := range want {
 			if got[f] != want[f] {
-				t.Fatalf("n=%d k=%d f=%d: cached %v != reference %v", n, k, f, got[f], want[f])
+				t.Fatalf("%s: n=%d k=%d f=%d: cached %v != fresh %v", when, n, k, f, got[f], want[f])
 			}
 		}
+	}
+	cases := []struct {
+		s     Stencil
+		shift int
+		n, k  int
+	}{
+		{spilled, spilled.MinOff, 64, 3},
+		{spilled, spilled.MinOff, 64, 16},
+		{spilled, spilled.MinOff, 64, 17},
+		{spilled, spilled.MinOff, 2048, 9},
+		{binomial, 0, 4096, 1024},
+	}
+	for _, c := range cases {
+		check("first build", c.s, c.shift, c.n, c.k)
+		check("cached", c.s, c.shift, c.n, c.k)
+	}
+	if _, _, _, entries := SpectrumCacheStats(); entries != len(cases) {
+		t.Errorf("cache holds %d entries, want %d", entries, len(cases))
+	}
+	SetSpectrumCacheLimit(1)
+	_, m0, _, _ := SpectrumCacheStats()
+	SetSpectrumCacheLimit(DefaultSpectrumCacheLimit)
+	for _, c := range cases {
+		check("rebuilt", c.s, c.shift, c.n, c.k)
+	}
+	if _, m1, _, _ := SpectrumCacheStats(); m1-m0 != int64(len(cases)) {
+		t.Errorf("%d rebuilds after eviction, want one per key (%d)", m1-m0, len(cases))
+	}
+	if h, m, x := SymbolCacheStats(); h != 0 || m != specMisses.Load() || x != 0 {
+		t.Errorf("SymbolCacheStats = (%d, %d, %d), want (0, %d, 0)", h, m, x, specMisses.Load())
 	}
 }

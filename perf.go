@@ -37,19 +37,6 @@ type PerfCounters struct {
 	// default).
 	SpectrumCacheBytes   int64 `prom:"amop_spectrum_cache_bytes"`
 	SpectrumCacheEntries int   `prom:"amop_spectrum_cache_entries"`
-	// SpectrumSymbolHits / SpectrumSymbolMisses count lookups in the cache's
-	// symbol-table layer: the modulated stencil symbol evaluated once per
-	// transform size and shared by every step-count power derived at that
-	// size.
-	SpectrumSymbolHits   int64 `prom:"amop_spectrum_symbol_hits_total"`
-	SpectrumSymbolMisses int64 `prom:"amop_spectrum_symbol_misses_total"`
-	// SpectrumCrossResHits counts symbol tables derived from a table cached
-	// at a different transform size — subsampled exactly from a larger one,
-	// or seeded with the even frequencies of a smaller one — instead of
-	// evaluated from scratch. A scenario sweep that prices its base book at
-	// full resolution and its bump grid at reduced resolution shares symbol
-	// work across the two step counts through exactly this path.
-	SpectrumCrossResHits int64 `prom:"amop_spectrum_cross_res_hits_total"`
 	// FFTBytesTransformed counts sample bytes pushed through FFT butterfly
 	// stages (8 per real sample, per direction).
 	FFTBytesTransformed int64 `prom:"amop_fft_bytes_transformed_total"`
@@ -141,7 +128,6 @@ type PerfCounters struct {
 // ReadPerfCounters returns the current counter snapshot.
 func ReadPerfCounters() PerfCounters {
 	hits, misses, bytes, entries := linstencil.SpectrumCacheStats()
-	symHits, symMisses, crossRes := linstencil.SymbolCacheStats()
 	forks, inlined := par.Forks()
 	memoHits, memoMisses := RepricingMemoStats()
 	tierAnalytic, tierFall, tierXval := TierStats()
@@ -153,9 +139,6 @@ func ReadPerfCounters() PerfCounters {
 		SpectrumCacheMisses:          misses,
 		SpectrumCacheBytes:           bytes,
 		SpectrumCacheEntries:         entries,
-		SpectrumSymbolHits:           symHits,
-		SpectrumSymbolMisses:         symMisses,
-		SpectrumCrossResHits:         crossRes,
 		FFTBytesTransformed:          fft.TransformedBytes(),
 		FFTSoATransforms:             fft.SoATransforms(),
 		ScratchMisses:                scratch.Misses(),

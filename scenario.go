@@ -14,10 +14,9 @@
 //     (price = base_full + scenario_low - base_low): the O(1/T) lattice bias
 //     largely cancels in the scenario-minus-base difference, so P&L keeps
 //     full-resolution accuracy at a fraction of the work;
-//   - below the engine, the kernel-spectrum cache's cross-resolution symbol
-//     sharing (internal/linstencil) lets the full-resolution base solves and
-//     the reduced-resolution scenario solves derive their stencil symbols
-//     from one another instead of evaluating them twice.
+//   - below the engine, the process-wide kernel-spectrum cache
+//     (internal/linstencil) builds each lattice's FFT multipliers once, so
+//     solves that differ only in spot or strike share them.
 package amop
 
 import (

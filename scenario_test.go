@@ -273,9 +273,8 @@ func TestScenarioSweepEmptyInputs(t *testing.T) {
 	}
 }
 
-// Concurrent sweeps share the process-wide spectrum and symbol caches (and
-// their cross-resolution transfer path); run under -race they must still
-// produce results identical to a serial sweep.
+// Concurrent sweeps share the process-wide spectrum cache; run under -race
+// they must still produce results identical to a serial sweep.
 func TestScenarioSweepConcurrentSharedCache(t *testing.T) {
 	reqs := sweepBook(400)
 	scenarios := ScenarioGrid{SpotBumps: []float64{-0.03, 0.03}, VolBumps: []float64{-0.01, 0.01}}.Scenarios()
@@ -300,11 +299,11 @@ func TestScenarioSweepConcurrentSharedCache(t *testing.T) {
 }
 
 // Perf counters must be monotone across a sweep, and a default sweep (base
-// at full resolution, scenarios at half) must exercise the cross-resolution
-// symbol transfer.
-func TestSweepPerfCountersMonotoneAndCrossRes(t *testing.T) {
-	// Flush the spectrum cache so the sweep below rebuilds its symbol tables
-	// even if an earlier test priced the same book.
+// at full resolution, scenarios at half) on a flushed cache must build
+// kernel spectra.
+func TestSweepPerfCountersMonotone(t *testing.T) {
+	// Flush the spectrum cache so the sweep below rebuilds its spectra even
+	// if an earlier test priced the same book.
 	linstencil.SetSpectrumCacheLimit(0)
 	linstencil.SetSpectrumCacheLimit(linstencil.DefaultSpectrumCacheLimit)
 	before := ReadPerfCounters()
@@ -325,9 +324,6 @@ func TestSweepPerfCountersMonotoneAndCrossRes(t *testing.T) {
 	for _, p := range []pair{
 		{"SpectrumCacheHits", before.SpectrumCacheHits, after.SpectrumCacheHits},
 		{"SpectrumCacheMisses", before.SpectrumCacheMisses, after.SpectrumCacheMisses},
-		{"SpectrumSymbolHits", before.SpectrumSymbolHits, after.SpectrumSymbolHits},
-		{"SpectrumSymbolMisses", before.SpectrumSymbolMisses, after.SpectrumSymbolMisses},
-		{"SpectrumCrossResHits", before.SpectrumCrossResHits, after.SpectrumCrossResHits},
 		{"FFTBytesTransformed", before.FFTBytesTransformed, after.FFTBytesTransformed},
 		{"RepricingMemoHits", before.RepricingMemoHits, after.RepricingMemoHits},
 		{"RepricingMemoMisses", before.RepricingMemoMisses, after.RepricingMemoMisses},
@@ -336,10 +332,7 @@ func TestSweepPerfCountersMonotoneAndCrossRes(t *testing.T) {
 			t.Errorf("%s went backwards: %d -> %d", p.name, p.before, p.after)
 		}
 	}
-	if after.SpectrumCrossResHits == before.SpectrumCrossResHits {
-		t.Error("sweep recorded no cross-resolution symbol transfers")
-	}
-	if after.SpectrumSymbolMisses == before.SpectrumSymbolMisses {
-		t.Error("sweep built no symbol tables (cache flush did not take?)")
+	if after.SpectrumCacheMisses == before.SpectrumCacheMisses {
+		t.Error("sweep built no kernel spectra (cache flush did not take?)")
 	}
 }
