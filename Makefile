@@ -1,9 +1,8 @@
 GO ?= go
 
-# RACE_PKGS is the CI race job's package list. Everything: the hand-picked
+# RACE_PKGS is the race target's package list. Everything: the hand-picked
 # fast-path list it used to be kept missing new packages by default, and the
-# detector's cost on the non-concurrent remainder is noise. Keep in sync
-# with .github/workflows/ci.yml.
+# detector's cost on the non-concurrent remainder is noise.
 RACE_PKGS = ./...
 
 .PHONY: ci fmt vet build test purego race smoke chaos bench bench-check bench-compare fuzz-smoke xval loc
@@ -22,9 +21,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) run ./cmd/amop-vet ./...
 
-# fuzz-smoke gives every fuzz target a short fixed budget — enough to shake
-# out parser/merge and fast-vs-naive pricer regressions on every CI run
-# without turning the job into a fuzzing campaign.
+# fuzz-smoke is the CI fuzz-smoke job: every fuzz target gets a short fixed
+# budget — enough to shake out parser/merge and fast-vs-naive pricer
+# regressions on every CI run without turning the job into a fuzzing
+# campaign.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseContractRow -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run='^$$' -fuzz=FuzzTickMerge -fuzztime=10s ./cmd/amop-serve/
@@ -46,14 +46,13 @@ loc:
 test:
 	$(GO) test ./...
 
-# purego matches the CI cross-compile job's test step: the whole suite with
+# purego is the CI cross-compile job's test step: the whole suite with
 # the AVX2 assembly compiled out, so the generic split-plane butterflies (the
 # kernel on every non-AVX2 target) carry every FFT.
 purego:
 	$(GO) test -tags amop_purego ./...
 
-# race matches the CI race job exactly, so a clean local run means a clean
-# CI run. The scratch pools repeat 20 times: under -race sync.Pool drops
+# race is the CI race job. The scratch pools repeat 20 times: under -race sync.Pool drops
 # Puts at random, so a pool test that leans on retention fails here instead
 # of flaking later. The spawn budget repeats 20 times too: its token
 # hand-offs between exiting workers and blocked joiners race by design.
@@ -68,7 +67,7 @@ race:
 smoke: vet
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# xval mirrors the CI xval job: the pinned-seed cross-validation soak of the
+# xval is the CI xval job: the pinned-seed cross-validation soak of the
 # fast lattice pricers against their quadratic baselines and the analytic
 # tier against the Richardson-extrapolated lattice, streaming NDJSON
 # worst-offender lines to xval-report.ndjson.

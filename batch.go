@@ -119,7 +119,8 @@ func newSolvePanicError(r any) *SolvePanicError {
 // kernel-spectrum cache of the FFT fast path: requests that agree on lattice
 // parameters and step count (a chain's strikes on one expiry, a surface
 // repriced every tick) derive each stencil-symbol power spectrum once and
-// amortize it across the whole pool. ReadPerfCounters exposes the hit rate.
+// amortize it across the whole pool. /metrics (WriteMetrics) exposes the hit
+// rate.
 func PriceBatch(reqs []Request, opts BatchOptions) []Result {
 	return PriceBatchCtx(context.Background(), reqs, opts)
 }
@@ -259,10 +260,12 @@ func newEngine() *engine {
 // a repricing from its memo versus priced it fresh. A chain computing Greeks
 // and implied vols reprices shared points constantly (the IV solver's seed
 // and first slope reuse the vega bumps); these counters make that
-// amortization observable through ReadPerfCounters.
+// amortization observable on /metrics.
 var (
-	repricingMemoHits   atomic.Int64
-	repricingMemoMisses atomic.Int64
+	repricingMemoHits = obs.NewCounter("amop_repricing_memo_hits_total",
+		"batch repricings served from the engine's per-batch memo")
+	repricingMemoMisses = obs.NewCounter("amop_repricing_memo_misses_total",
+		"batch repricings priced fresh")
 )
 
 // RepricingMemoStats returns the cumulative process-wide repricing-memo hit
@@ -297,7 +300,7 @@ type priceEntry struct {
 func (e *engine) run(req Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			serve.AddPanicRecovered()
+			serve.PanicsRecovered.Add(1)
 			res = Result{Err: newSolvePanicError(r)}
 		}
 	}()
@@ -306,7 +309,7 @@ func (e *engine) run(req Request) (res Result) {
 	// shed a half-finished sweep in microseconds.
 	if e.cancel != nil {
 		if err := e.cancel(); err != nil {
-			serve.AddCtxCancel()
+			serve.CtxCancels.Add(1)
 			return Result{Err: err}
 		}
 	}
@@ -328,7 +331,7 @@ func (e *engine) run(req Request) (res Result) {
 	}
 	p, err := e.price(req.Option, resolveModel(req.Option, req.Model, req.Config), req.Config)
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		serve.AddCtxCancel()
+		serve.CtxCancels.Add(1)
 	}
 	return Result{Price: p, Err: err}
 }
@@ -414,7 +417,7 @@ func (e *engine) price(o Option, m Model, cfg Config) (float64, error) {
 		// would otherwise read a silent (0, nil) from the poisoned entry.
 		defer func() {
 			if r := recover(); r != nil {
-				serve.AddPanicRecovered()
+				serve.PanicsRecovered.Add(1)
 				ent.err = newSolvePanicError(r)
 			}
 		}()
@@ -597,13 +600,13 @@ func (e *engine) quote(underlying Option, strike, expiry float64, opts ChainOpti
 	q = Quote{Strike: strike, Expiry: expiry}
 	defer func() {
 		if r := recover(); r != nil {
-			serve.AddPanicRecovered()
+			serve.PanicsRecovered.Add(1)
 			q.Err = fmt.Errorf("amop: panic while quoting K=%v E=%v: %w", strike, expiry, newSolvePanicError(r))
 		}
 	}()
 	if e.cancel != nil {
 		if err := e.cancel(); err != nil {
-			serve.AddCtxCancel()
+			serve.CtxCancels.Add(1)
 			q.Err = err
 			return q
 		}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/par"
 )
 
@@ -323,9 +325,9 @@ func TestImpliedVolRecoversVol(t *testing.T) {
 // Greeks' base price and vega bumps, so every cell must produce memo hits.
 func TestChainRepricingMemoHits(t *testing.T) {
 	underlying := Option{Type: Call, S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
-	before := ReadPerfCounters()
+	hits0, misses0 := RepricingMemoStats()
 	quotes := Chain(underlying, []float64{120, 130}, []float64{1.0}, ChainOptions{Steps: 800})
-	after := ReadPerfCounters()
+	hits1, misses1 := RepricingMemoStats()
 	for i, q := range quotes {
 		if q.Err != nil {
 			t.Fatalf("quote %d: %v", i, q.Err)
@@ -334,14 +336,11 @@ func TestChainRepricingMemoHits(t *testing.T) {
 			t.Fatalf("quote %d: Greeks+IV not computed (vega=%v, iv=%v)", i, q.Greeks.Vega, q.ImpliedVol)
 		}
 	}
-	hits := after.RepricingMemoHits - before.RepricingMemoHits
-	if hits <= 0 {
-		t.Errorf("repricing memo hits did not advance on a Greeks+IV chain: %d -> %d",
-			before.RepricingMemoHits, after.RepricingMemoHits)
+	if hits1 <= hits0 {
+		t.Errorf("repricing memo hits did not advance on a Greeks+IV chain: %d -> %d", hits0, hits1)
 	}
-	if misses := after.RepricingMemoMisses - before.RepricingMemoMisses; misses <= 0 {
-		t.Errorf("repricing memo misses did not advance: %d -> %d",
-			before.RepricingMemoMisses, after.RepricingMemoMisses)
+	if misses1 <= misses0 {
+		t.Errorf("repricing memo misses did not advance: %d -> %d", misses0, misses1)
 	}
 }
 
@@ -379,9 +378,11 @@ func TestPriceBatchSharesSpectrumCache(t *testing.T) {
 		o.K = 100 + float64(i%6) // repeated strikes: same lattices, shared spectra
 		reqs = append(reqs, Request{Option: o, Model: Binomial, Config: Config{Steps: 3000}})
 	}
-	before := ReadPerfCounters()
+	hits0, _, _, _ := linstencil.SpectrumCacheStats()
+	bytes0 := fft.TransformedBytes()
 	res := PriceBatch(reqs, BatchOptions{Workers: 8})
-	after := ReadPerfCounters()
+	hits1, _, _, _ := linstencil.SpectrumCacheStats()
+	bytes1 := fft.TransformedBytes()
 
 	for i, r := range res {
 		if r.Err != nil {
@@ -395,31 +396,28 @@ func TestPriceBatchSharesSpectrumCache(t *testing.T) {
 			t.Errorf("request %d: batch price %v != sequential %v", i, r.Price, want)
 		}
 	}
-	if after.SpectrumCacheHits <= before.SpectrumCacheHits {
-		t.Errorf("spectrum cache hits did not advance: %d -> %d",
-			before.SpectrumCacheHits, after.SpectrumCacheHits)
+	if hits1 <= hits0 {
+		t.Errorf("spectrum cache hits did not advance: %d -> %d", hits0, hits1)
 	}
-	if after.FFTBytesTransformed <= before.FFTBytesTransformed {
+	if bytes1 <= bytes0 {
 		t.Error("FFT transform traffic counter did not advance")
 	}
 }
 
 // TestPerfCountersSoATransforms pins the SoA transform counter's plumbing
-// through the public snapshot: a lattice solve large enough for the FFT path
-// must advance FFTSoATransforms, and the counter never goes backwards.
+// from a public Price call: a lattice solve large enough for the FFT path
+// must advance fft.SoATransforms, and the counter never goes backwards.
 func TestPerfCountersSoATransforms(t *testing.T) {
 	o := defaultCall()
-	before := ReadPerfCounters()
+	before := fft.SoATransforms()
 	if _, err := Price(o, Binomial, Config{Steps: 3000}); err != nil {
 		t.Fatal(err)
 	}
-	after := ReadPerfCounters()
-	if after.FFTSoATransforms <= before.FFTSoATransforms {
-		t.Errorf("FFTSoATransforms did not advance across an FFT-path solve: %d -> %d",
-			before.FFTSoATransforms, after.FFTSoATransforms)
+	after := fft.SoATransforms()
+	if after <= before {
+		t.Errorf("SoA transforms did not advance across an FFT-path solve: %d -> %d", before, after)
 	}
-	if again := ReadPerfCounters(); again.FFTSoATransforms < after.FFTSoATransforms {
-		t.Errorf("FFTSoATransforms went backwards: %d -> %d",
-			after.FFTSoATransforms, again.FFTSoATransforms)
+	if again := fft.SoATransforms(); again < after {
+		t.Errorf("SoA transforms went backwards: %d -> %d", after, again)
 	}
 }

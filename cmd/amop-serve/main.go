@@ -33,11 +33,13 @@
 //	                        point it was solved at, its age, staleness and
 //	                        degradation flags
 //	GET  /quotes            the whole surface
-//	GET  /metrics           Prometheus text: every PerfCounters field (via
-//	                        its prom struct tags) plus the telemetry layer's
+//	GET  /metrics           Prometheus text (amop.WriteMetrics): every
+//	                        process-wide counter and gauge — spectrum cache,
+//	                        FFT traffic, scratch pools, spawn budget, memo,
+//	                        tiers, analytic caches, serving — plus the
 //	                        latency histograms — quote latency per symbol,
-//	                        solve latency per tier, coalescer and budget
-//	                        waits, staleness age — as quantile summaries
+//	                        solve latency per tier, coalescer wait,
+//	                        staleness age — as quantile summaries
 //	GET  /debug/slow        slow-solve traces (NDJSON): per-stage timings of
 //	                        every repricing flight over -slow-threshold
 //	GET  /debug/traces      the bounded ring of recent flight traces (NDJSON)
@@ -50,7 +52,7 @@
 // with quote traffic. -access-log writes one NDJSON line per request, with
 // request ids minted (or propagated) and echoed as X-Amop-Request-Id.
 // SIGQUIT dumps the flight recorder to stderr without stopping the daemon;
-// shutdown dumps it alongside the full counter snapshot.
+// shutdown dumps it alongside the /metrics text.
 //
 // Quotes for contracts whose market moved block on a coalesced re-solve
 // unless the surface entry is younger than -max-staleness, in which case the
@@ -65,7 +67,7 @@
 // On SIGINT/SIGTERM the daemon shuts down gracefully: it stops accepting
 // connections, lets in-flight requests finish (http.Server.Shutdown), drains
 // the in-flight repricing flight so its surface write-back completes, and
-// logs a final counter snapshot.
+// writes the final /metrics text to stderr.
 package main
 
 import (
@@ -209,13 +211,9 @@ func main() {
 		log.Printf("amop-serve: flight drain: %v", err)
 	}
 	obs.RecordEvent(obs.EvServerStop, "", 0, "")
-	// The final snapshot is the same tagged PerfCounters struct /metrics
-	// serves — JSON here, Prometheus text there, one field set by
-	// construction (TestMetricsExportAllPerfCounters pins the tags).
-	c := amop.ReadPerfCounters()
-	if blob, err := json.Marshal(c); err == nil {
-		log.Printf("amop-serve: final counters: %s", blob)
-	}
+	// The final snapshot is the /metrics text itself, from the same writer.
+	log.Printf("amop-serve: final metrics:")
+	amop.WriteMetrics(os.Stderr)
 	log.Printf("amop-serve: flight recorder at shutdown:")
 	obs.WriteEventsNDJSON(os.Stderr)
 }
@@ -394,12 +392,7 @@ func newMux(s *amop.Server, rows []cliutil.Contract) *http.ServeMux {
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		// Every PerfCounters field, by reflection over the prom tags, then
-		// the telemetry layer's latency histograms (quote latency per
-		// symbol, solve latency per tier, waits, staleness) as quantile
-		// summaries.
-		amop.ReadPerfCounters().WriteProm(w)
-		obs.WriteProm(w)
+		amop.WriteMetrics(w)
 	})
 
 	return mux

@@ -6,7 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,9 +14,42 @@ import (
 	"github.com/nlstencil/amop/internal/obs"
 )
 
-// Every PerfCounters field must carry a prom tag and show up on /metrics:
-// this is the reflection gate that keeps the exporter exhaustive when a
-// counter is added.
+// metricsContract is the compatibility contract of /metrics: the counter and
+// gauge series operators and dashboards already scrape, by name and type.
+// A rename or a dropped registration fails here, not in someone's alerting.
+var metricsContract = map[string]string{
+	"amop_spectrum_cache_hits_total":           "counter",
+	"amop_spectrum_cache_misses_total":         "counter",
+	"amop_spectrum_cache_bytes":                "gauge",
+	"amop_spectrum_cache_entries":              "gauge",
+	"amop_fft_bytes_transformed_total":         "counter",
+	"amop_fft_soa_transforms_total":            "counter",
+	"amop_scratch_misses_total":                "counter",
+	"amop_par_forks_total":                     "counter",
+	"amop_par_forks_inlined_total":             "counter",
+	"amop_par_budget_in_use":                   "gauge",
+	"amop_repricing_memo_hits_total":           "counter",
+	"amop_repricing_memo_misses_total":         "counter",
+	"amop_serve_tick_reprices_total":           "counter",
+	"amop_serve_tick_skips_total":              "counter",
+	"amop_serve_coalesced_requests_total":      "counter",
+	"amop_serve_stale_serves_total":            "counter",
+	"amop_serve_cache_hits_total":              "counter",
+	"amop_tier_analytic_serves_total":          "counter",
+	"amop_tier_fallbacks_total":                "counter",
+	"amop_tier_xval_checks_total":              "counter",
+	"amop_analytic_boundary_hits_total":        "counter",
+	"amop_analytic_boundary_misses_total":      "counter",
+	"amop_analytic_boundary_warm_starts_total": "counter",
+	"amop_analytic_boundary_cache_entries":     "gauge",
+	"amop_serve_panics_recovered_total":        "counter",
+	"amop_serve_degraded_serves_total":         "counter",
+	"amop_serve_circuit_opens_total":           "counter",
+	"amop_serve_ctx_cancels_total":             "counter",
+}
+
+// Every contract series must appear on /metrics exactly once, as a sample
+// line under its own TYPE line of the contracted type.
 func TestMetricsExportAllPerfCounters(t *testing.T) {
 	ts := startTestServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -28,18 +61,37 @@ func TestMetricsExportAllPerfCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	metrics := string(body)
 
-	typ := reflect.TypeOf(amop.PerfCounters{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		name := f.Tag.Get("prom")
-		if name == "" {
-			t.Errorf("PerfCounters.%s has no prom tag — it would silently vanish from /metrics", f.Name)
+	typeOf := map[string]string{} // series name -> type of the family it sits under
+	samples := map[string]int{}
+	family, familyType := "", ""
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, familyType, _ = strings.Cut(rest, " ")
 			continue
 		}
-		if !strings.Contains(metrics, name+" ") {
-			t.Errorf("/metrics missing %s (PerfCounters.%s)", name, f.Name)
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if _, contracted := metricsContract[name]; !contracted {
+			continue
+		}
+		if _, err := strconv.ParseInt(value, 10, 64); err != nil {
+			t.Errorf("%s: sample value %q is not an integer", name, value)
+		}
+		samples[name]++
+		if name == family {
+			typeOf[name] = familyType
+		}
+	}
+	for name, want := range metricsContract {
+		if n := samples[name]; n != 1 {
+			t.Errorf("/metrics has %d sample lines for %s, want 1", n, name)
+			continue
+		}
+		if got := typeOf[name]; got != want {
+			t.Errorf("%s sits under TYPE %q, want %q", name, got, want)
 		}
 	}
 }

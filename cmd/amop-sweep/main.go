@@ -61,6 +61,7 @@ import (
 
 	"github.com/nlstencil/amop"
 	"github.com/nlstencil/amop/internal/cliutil"
+	"github.com/nlstencil/amop/internal/linstencil"
 )
 
 // out buffers the NDJSON stream. Buffering makes the per-cell Encode calls
@@ -169,7 +170,7 @@ func main() {
 			encErr = enc.Encode(v)
 		}
 	}
-	before := amop.ReadPerfCounters()
+	_, specMisses0, _, _ := linstencil.SpectrumCacheStats()
 	start := time.Now()
 	last := start
 	opts.OnResult = func(c, s int, r amop.ScenarioResult) {
@@ -197,7 +198,7 @@ func main() {
 	defer stop()
 	sw := amop.ScenarioSweepCtx(ctx, reqs, scenarios, opts)
 	elapsed := time.Since(start)
-	after := amop.ReadPerfCounters()
+	_, specMisses, _, _ := linstencil.SpectrumCacheStats()
 
 	failed := 0
 	for c, b := range sw.Base {
@@ -231,7 +232,7 @@ func main() {
 			len(reqs), len(scenarios), sw.Stats.Cells, elapsed.Round(time.Millisecond), failed,
 			sw.Stats.UniqueRepricings,
 			float64(sw.Stats.Cells+len(reqs))/float64(max(sw.Stats.UniqueRepricings, 1)),
-			after.SpectrumCacheMisses-before.SpectrumCacheMisses)
+			specMisses-specMisses0)
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -1,10 +1,21 @@
 package amop
 
 import (
+	"io"
 	"sort"
 
+	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/serve"
 )
+
+// WriteMetrics writes every process-wide metric in Prometheus text
+// exposition format: the counters and gauges of the spectrum cache, the FFT
+// substrate, the scratch pools, the spawn budget, the batch memo, the
+// pricing tiers, the analytic caches and the serving path, then the latency
+// histograms as quantile summaries. Each package registers its own
+// instruments in the one obs registry, so this is the whole set.
+// cmd/amop-serve serves it on /metrics and logs it at shutdown.
+func WriteMetrics(w io.Writer) { obs.WriteProm(w) }
 
 // SymbolHealth is one symbol's serving health, as reported by Server.Health:
 // the breaker state plus the counts of contracts currently quarantined or

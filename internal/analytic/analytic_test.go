@@ -308,7 +308,7 @@ func BenchmarkBoundaryWarmStart(b *testing.B) {
 	defer clearBoundaryCache()
 	p := option.Params{S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.02, E: 0.75}
 	steps := []float64{1e-2, -1e-2, 1e-4, -1e-4, 1e-8, -1e-8}
-	warm0, _ := BoundaryCacheUsage()
+	warm0 := BoundaryWarmStarts.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -327,7 +327,7 @@ func BenchmarkBoundaryWarmStart(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if warm, _ := BoundaryCacheUsage(); warm-warm0 < int64(len(steps)*b.N) {
+	if warm := BoundaryWarmStarts.Load(); warm-warm0 < int64(len(steps)*b.N) {
 		b.Fatalf("%d warm starts over %d iterations, want %d each", warm-warm0, b.N, len(steps))
 	}
 }

@@ -3,8 +3,8 @@ package analytic
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
+	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
@@ -315,9 +315,26 @@ var (
 	bMu    sync.RWMutex
 	bCache = make(map[boundaryKey]*Boundary)
 	bNear  = make(map[sigmaGroup][]sigmaEntry)
-	bHits  atomic.Int64
-	bMiss  atomic.Int64
-	bWarm  atomic.Int64
+	bHits  = obs.NewCounter("amop_analytic_boundary_hits_total",
+		"analytic-tier boundary-cache lookups answered from the cache")
+	bMiss = obs.NewCounter("amop_analytic_boundary_misses_total",
+		"analytic-tier boundary-cache lookups that solved the boundary")
+)
+
+// BoundaryWarmStarts counts the boundary-cache misses whose solve started
+// from a cached boundary at a nearby vol instead of from QD+ (a subset of
+// BoundaryCacheStats' misses). BoundaryCacheEntries is the number of
+// boundaries the cache holds now.
+var (
+	BoundaryWarmStarts = obs.NewCounter("amop_analytic_boundary_warm_starts_total",
+		"analytic-tier boundary solves warm-started from a cached neighbour vol")
+	BoundaryCacheEntries = obs.NewGauge("amop_analytic_boundary_cache_entries",
+		"early-exercise boundaries the analytic tier's cache holds",
+		func() int64 {
+			bMu.RLock()
+			defer bMu.RUnlock()
+			return int64(len(bCache))
+		})
 )
 
 // boundaryFor returns the shared boundary for the normalized contract,
@@ -344,7 +361,7 @@ func boundaryFor(c *contract) (b *Boundary, cold bool) {
 	}
 	bMiss.Add(1)
 	if seed != nil {
-		bWarm.Add(1)
+		BoundaryWarmStarts.Add(1)
 	}
 	fresh := solveBoundary(c, nodesFor(c), seed)
 	bMu.Lock()
@@ -379,14 +396,4 @@ func nearestSigma(group []sigmaEntry, sigma float64) *Boundary {
 // counts (concurrency tests pin cross-contract sharing through these).
 func BoundaryCacheStats() (hits, misses int64) {
 	return bHits.Load(), bMiss.Load()
-}
-
-// BoundaryCacheUsage reports how many misses were warm-started from a
-// cached neighbour (cumulative; a subset of BoundaryCacheStats' misses) and
-// how many boundaries the cache holds now.
-func BoundaryCacheUsage() (warmStarts int64, entries int) {
-	bMu.RLock()
-	entries = len(bCache)
-	bMu.RUnlock()
-	return bWarm.Load(), entries
 }

@@ -3,7 +3,8 @@ package analytic
 import (
 	"math"
 	"sync"
-	"sync/atomic"
+
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 // chebTable holds the size-n collocation tables shared by every boundary
@@ -21,8 +22,10 @@ type chebTable struct {
 var (
 	chebMu     sync.RWMutex
 	chebTables = make(map[int]*chebTable)
-	chebHits   atomic.Int64
-	chebMiss   atomic.Int64
+	chebHits   = obs.NewCounter("amop_analytic_cheb_hits_total",
+		"analytic-tier Chebyshev collocation-table lookups answered from the cache")
+	chebMiss = obs.NewCounter("amop_analytic_cheb_misses_total",
+		"analytic-tier Chebyshev collocation-table lookups that built the table")
 )
 
 // chebFor returns the shared collocation table for n+1 nodes.

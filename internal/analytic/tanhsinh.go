@@ -3,7 +3,6 @@ package analytic
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // tsRule is a tanh-sinh (double-exponential) quadrature rule on (-1, 1):
@@ -69,8 +68,6 @@ func newTSRule(h float64) *tsRule {
 var (
 	tsMu    sync.RWMutex
 	tsRules = make(map[float64]*tsRule)
-	tsHits  atomic.Int64
-	tsMiss  atomic.Int64
 )
 
 // tanhSinh returns the shared rule for step size h.
@@ -79,10 +76,8 @@ func tanhSinh(h float64) *tsRule {
 	r := tsRules[h]
 	tsMu.RUnlock()
 	if r != nil {
-		tsHits.Add(1)
 		return r
 	}
-	tsMiss.Add(1)
 	fresh := newTSRule(h)
 	tsMu.Lock()
 	if prior, ok := tsRules[h]; ok {

@@ -103,7 +103,7 @@ func TestPriceIndependentOfCacheHistory(t *testing.T) {
 			}
 
 			clearBoundaryCache()
-			warm0, _ := BoundaryCacheUsage()
+			warm0 := BoundaryWarmStarts.Load()
 			for _, v := range []float64{p.V + 1e-2, p.V - 1e-3, p.V + 1e-5} {
 				q := p
 				q.V = v
@@ -115,7 +115,7 @@ func TestPriceIndependentOfCacheHistory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w, _ := BoundaryCacheUsage(); w == warm0 {
+			if w := BoundaryWarmStarts.Load(); w == warm0 {
 				t.Errorf("%v %+v: the walk never warm-started a solve", kind, p)
 			}
 			if relErr(cold, warm) > 1e-10 {
@@ -149,7 +149,7 @@ func TestConcurrentWarmStarts(t *testing.T) {
 		return v
 	}
 
-	warm0, _ := BoundaryCacheUsage()
+	warm0 := BoundaryWarmStarts.Load()
 	got := make([][]float64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -165,7 +165,7 @@ func TestConcurrentWarmStarts(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if warm, _ := BoundaryCacheUsage(); warm == warm0 {
+	if warm := BoundaryWarmStarts.Load(); warm == warm0 {
 		t.Error("no solve warm-started")
 	}
 	for k := 0; k < rungs; k++ {

@@ -1,10 +1,13 @@
-// Package atomiccounter defines an analyzer guarding the process-wide
-// performance counters surfaced by amop.ReadPerfCounters.
+// Package atomiccounter defines an analyzer guarding process-wide shared
+// integers: the spawn budget's token count, the telemetry gate, and any
+// counter kept outside the obs registry.
 //
-// Those counters (spectrum-cache hits, FFT byte traffic, repricing-memo
-// and serving counters) are written from every solver goroutine at once;
-// they stay trustworthy only if every access goes through sync/atomic. The
-// analyzer enforces that mechanically for two counter shapes:
+// The registry's own counters (obs.Counter: spectrum-cache hits, FFT byte
+// traffic, repricing-memo and serving counters) keep their value unexported
+// behind Add and Load, so they are atomic by construction. Any other
+// package-level value written from every solver goroutine at once stays
+// trustworthy only if every access goes through sync/atomic. The analyzer
+// enforces that mechanically for two shapes:
 //
 //   - atomic-typed counters (package-level sync/atomic.Int64 & friends):
 //     every use must be a direct method call (Load, Add, Store, Swap,
@@ -32,8 +35,8 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "atomiccounter",
 	Doc: "check that process-wide counters are only touched via sync/atomic\n\n" +
-		"Counters behind ReadPerfCounters are written from every solver\n" +
-		"goroutine; a plain load/store or a value copy breaks them.",
+		"Process-wide atomics are written from every solver goroutine;\n" +
+		"a plain load/store or a value copy breaks them.",
 	Run: run,
 }
 

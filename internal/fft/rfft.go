@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
+
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 // The stencil machinery transforms purely real rows; a full complex FFT of
@@ -88,7 +89,8 @@ func RPlanFor(n int) *RPlan {
 // transformedBytes counts the real input bytes moved through every RPlan
 // transform (8 per real sample, one count per direction). The harness reads
 // deltas around a solve to report transform traffic.
-var transformedBytes atomic.Int64
+var transformedBytes = obs.NewCounter("amop_fft_bytes_transformed_total",
+	"real sample bytes pushed through FFT transforms, per direction")
 
 func addTransformed(n int) { transformedBytes.Add(int64(n)) }
 

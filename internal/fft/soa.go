@@ -35,8 +35,8 @@ package fft
 
 import (
 	"math/bits"
-	"sync/atomic"
 
+	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/par"
 )
 
@@ -52,7 +52,8 @@ func KernelName() string {
 // soaTransforms counts split-plane kernel transforms: RPlan calls of size
 // n >= 8, one count per direction. The bytes those transforms move are
 // counted in transformedBytes by the public entry points.
-var soaTransforms atomic.Int64
+var soaTransforms = obs.NewCounter("amop_fft_soa_transforms_total",
+	"transforms run by the split-plane FFT kernel, per direction")
 
 // SoATransforms returns the cumulative number of split-plane transforms.
 func SoATransforms() int64 { return soaTransforms.Load() }

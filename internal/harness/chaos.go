@@ -12,6 +12,7 @@ import (
 	"github.com/nlstencil/amop/internal/faultinject"
 	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/par"
+	"github.com/nlstencil/amop/internal/serve"
 )
 
 // The serve-chaos experiment drives the live pricing server through a
@@ -136,7 +137,7 @@ func serveChaos(cfg Config) ([]*Table, error) {
 	for _, s := range syms {
 		stats[s] = &symStats{}
 	}
-	before := amop.ReadPerfCounters()
+	before := serve.ReadStats()
 
 	rng := rand.New(rand.NewSource(7))
 	base := amop.Market{Spot: book[0].Option.S, Vol: book[0].Option.V, Rate: book[0].Option.R}
@@ -209,7 +210,7 @@ func serveChaos(cfg Config) ([]*Table, error) {
 	}
 
 	faultinject.Reset()
-	after := amop.ReadPerfCounters()
+	after := serve.ReadStats()
 	quarantined := len(srv.Quarantined())
 	if leaked := par.InUse(); leaked != 0 {
 		return nil, fmt.Errorf("spawn budget leak: %d tokens still held after the replay", leaked)

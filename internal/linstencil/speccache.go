@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/par"
 )
 
@@ -89,16 +89,29 @@ var specCache = struct {
 }
 
 var (
-	specHits   atomic.Int64
-	specMisses atomic.Int64
+	specHits = obs.NewCounter("amop_spectrum_cache_hits_total",
+		"kernel-spectrum cache lookups answered from the cache")
+	specMisses = obs.NewCounter("amop_spectrum_cache_misses_total",
+		"kernel-spectrum cache lookups that built the multiplier")
+	_ = obs.NewGauge("amop_spectrum_cache_bytes",
+		"bytes of multiplier spectra the kernel-spectrum cache holds",
+		func() int64 { b, _ := specFootprint(); return b })
+	_ = obs.NewGauge("amop_spectrum_cache_entries",
+		"multiplier spectra the kernel-spectrum cache holds",
+		func() int64 { _, n := specFootprint(); return int64(n) })
 )
+
+// specFootprint reports the cache's current size.
+func specFootprint() (bytes int64, entries int) {
+	specCache.mu.Lock()
+	defer specCache.mu.Unlock()
+	return specCache.bytes, len(specCache.entries)
+}
 
 // SpectrumCacheStats reports the cumulative hit/miss counters and the current
 // footprint of the kernel-spectrum cache.
 func SpectrumCacheStats() (hits, misses, bytes int64, entries int) {
-	specCache.mu.Lock()
-	bytes, entries = specCache.bytes, len(specCache.entries)
-	specCache.mu.Unlock()
+	bytes, entries = specFootprint()
 	return specHits.Load(), specMisses.Load(), bytes, entries
 }
 

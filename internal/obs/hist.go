@@ -167,7 +167,7 @@ func (h *Histogram) writeProm(w io.Writer) {
 	if s.Count == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", h.name, h.help, h.name)
+	writeHeader(w, h.name, h.help, "summary")
 	writePromSeries(w, h.name, "", s)
 }
 
@@ -287,7 +287,7 @@ func (v *HistVec) writeProm(w io.Writer) {
 			continue
 		}
 		if !wroteHeader {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", v.name, v.help, v.name)
+			writeHeader(w, v.name, v.help, "summary")
 			wroteHeader = true
 		}
 		writePromSeries(w, v.name, fmt.Sprintf("%s=%q", v.labelName, c.label), s)

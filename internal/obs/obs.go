@@ -1,22 +1,24 @@
-// Package obs is the telemetry layer of the pricing stack: lock-free
-// log-bucketed latency histograms, lightweight span traces of the pricing
-// path, and a fixed-size flight recorder of serving events. It is the
-// production equivalent of the paper's per-stage cost breakdowns — where the
-// paper instruments the stencil pipeline to explain where a solve spends its
-// time, obs instruments the serving pipeline so a live deployment can answer
-// "what is quote p99, where does a slow solve spend its time, and which
-// tier or symbol is degrading it".
+// Package obs is the telemetry layer of the pricing stack: one registry of
+// process-wide counters, gauges and lock-free log-bucketed latency
+// histograms, lightweight span traces of the pricing path, and a fixed-size
+// flight recorder of serving events. It is the production equivalent of the
+// paper's per-stage cost breakdowns — where the paper instruments the
+// stencil pipeline to explain where a solve spends its time, obs instruments
+// the serving pipeline so a live deployment can answer "what is quote p99,
+// where does a slow solve spend its time, and which tier or symbol is
+// degrading it".
 //
 // The layer is built to be near-free on the paths that matter:
 //
 //   - the disabled path costs one atomic load (Enabled) per instrumentation
-//     point and nothing else;
-//   - recording is zero-alloc: histograms bump a fixed atomic bucket, spans
-//     accumulate into fixed atomic stage slots, and the cached-quote serving
-//     path stays at 0 allocs/op with telemetry enabled (pinned by
-//     TestCachedQuoteZeroAllocs);
-//   - snapshots (Prometheus quantiles, NDJSON trace export) do the work, on
-//     the monitoring path, never the serving path.
+//     point and nothing else; counters are not gated, since counting is
+//     itself one atomic add;
+//   - recording is zero-alloc: counters add to one atomic, histograms bump a
+//     fixed atomic bucket, spans accumulate into fixed atomic stage slots,
+//     and the cached-quote serving path stays at 0 allocs/op with telemetry
+//     enabled (pinned by TestCachedQuoteZeroAllocs);
+//   - snapshots (Prometheus text, NDJSON trace export) do the work, on the
+//     monitoring path, never the serving path.
 //
 // Telemetry is ON by default; SetEnabled(false) reduces every
 // instrumentation point to the single gate load.
@@ -94,7 +96,9 @@ var (
 )
 
 // instrument is anything the registry can render to Prometheus text and
-// reset; Histogram and HistVec implement it.
+// reset; Counter, Gauge, Histogram and HistVec implement it. Every package
+// registers its own instruments at init, so the registry is the whole
+// process's metric set.
 type instrument interface {
 	writeProm(w io.Writer)
 	reset()
@@ -117,10 +121,10 @@ func instruments() []instrument {
 	return append([]instrument(nil), registry...)
 }
 
-// WriteProm renders every registered histogram as a Prometheus summary:
-// per-label p50/p90/p99 quantile series plus _sum, _count and _max. Series
-// with zero observations are omitted, so an idle instrument costs nothing on
-// the scrape.
+// WriteProm renders the registry in Prometheus text exposition format, in
+// registration order: counters and gauges as one sample each (zeros
+// included), histograms as summaries — per-label p50/p90/p99 quantile series
+// plus _sum, _count and _max, omitted while they have no observations.
 func WriteProm(w io.Writer) {
 	for _, in := range instruments() {
 		in.writeProm(w)
@@ -129,8 +133,9 @@ func WriteProm(w io.Writer) {
 
 // Reset zeroes every registered histogram, the trace rings and the flight
 // recorder. It exists for tests and A/B harness experiments that need a
-// clean slate inside one process; production monitoring wants the cumulative
-// counters and never calls it.
+// clean slate inside one process. Counters are left alone: they stay
+// cumulative since process start, so before/after deltas taken across a
+// Reset keep their meaning.
 func Reset() {
 	for _, in := range instruments() {
 		in.reset()

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"github.com/nlstencil/amop/internal/faultinject"
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 // PanicError is a panic captured in a worker goroutine and re-raised on the
@@ -94,7 +95,15 @@ var spawned atomic.Int64
 // forks and forksInlined count the For and Do calls that asked the budget for
 // workers and ran part of their work on another goroutine, or ran it all on
 // the calling one.
-var forks, forksInlined atomic.Int64
+var (
+	forks = obs.NewCounter("amop_par_forks_total",
+		"par.For and par.Do calls that asked the spawn budget and forked")
+	forksInlined = obs.NewCounter("amop_par_forks_inlined_total",
+		"par.For and par.Do calls that asked the spawn budget and ran serially for want of a token")
+	_ = obs.NewGauge("amop_par_budget_in_use",
+		"spawn-budget tokens held right now (at most workers-1)",
+		func() int64 { return spawned.Load() })
+)
 
 // Forks reports, since process start, how many For and Do calls consulted
 // the spawn budget and forked (taken) or ran serially for want of a token

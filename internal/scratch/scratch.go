@@ -41,7 +41,8 @@ package scratch
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
+
+	"github.com/nlstencil/amop/internal/obs"
 )
 
 const (
@@ -69,7 +70,8 @@ const (
 )
 
 // misses counts poolable requests that found no idle buffer and allocated.
-var misses atomic.Int64
+var misses = obs.NewCounter("amop_scratch_misses_total",
+	"poolable scratch-buffer requests that found no idle buffer and allocated")
 
 // Misses reports how many poolable Floats requests had to allocate
 // since process start.

@@ -1,64 +1,32 @@
 package serve
 
-import "sync/atomic"
+import "github.com/nlstencil/amop/internal/obs"
 
-// The serving counters are process-wide and cumulative, like the fast-path
-// spectrum-cache counters they sit next to in amop.ReadPerfCounters: sample
-// before and after a workload and subtract to attribute activity to it.
+// The serving counters are process-wide and cumulative, registered with the
+// spectrum-cache and transform counters in the one obs registry: sample
+// before and after a workload and subtract to attribute activity to it. The
+// server adds to them directly; each Add is one atomic add. CacheServes also
+// serves as the free sampling tick of the quote-latency telemetry.
 var (
-	tickReprices      atomic.Int64
-	tickSkips         atomic.Int64
-	coalescedRequests atomic.Int64
-	staleServes       atomic.Int64
-	cacheServes       atomic.Int64
-	panicsRecovered   atomic.Int64
-	degradedServes    atomic.Int64
-	circuitOpens      atomic.Int64
-	ctxCancels        atomic.Int64
+	TickReprices = obs.NewCounter("amop_serve_tick_reprices_total",
+		"contracts a market tick moved to a new quantization cell")
+	TickSkips = obs.NewCounter("amop_serve_tick_skips_total",
+		"contracts a market tick left inside their quantization cell")
+	CoalescedRequests = obs.NewCounter("amop_serve_coalesced_requests_total",
+		"quote requests that joined an in-flight repricing batch")
+	StaleServes = obs.NewCounter("amop_serve_stale_serves_total",
+		"quotes answered stale under the server's staleness bound")
+	CacheServes = obs.NewCounter("amop_serve_cache_hits_total",
+		"quotes answered straight from a clean surface entry")
+	PanicsRecovered = obs.NewCounter("amop_serve_panics_recovered_total",
+		"pricer panics recovered and confined to one contract")
+	DegradedServes = obs.NewCounter("amop_serve_degraded_serves_total",
+		"quotes answered from a pinned last-good price (failed solve or open breaker)")
+	CircuitOpens = obs.NewCounter("amop_serve_circuit_opens_total",
+		"per-symbol circuit breakers tripped open")
+	CtxCancels = obs.NewCounter("amop_serve_ctx_cancels_total",
+		"solves and batch items abandoned on context cancellation or deadline")
 )
-
-// AddTickReprices records contracts a tick marked for repricing (their
-// quantized market inputs moved to a new cell).
-func AddTickReprices(n int64) { tickReprices.Add(n) }
-
-// AddTickSkips records contracts a tick left clean (inputs moved, but not
-// out of their quantization cell) — the incremental path's saved work.
-func AddTickSkips(n int64) { tickSkips.Add(n) }
-
-// AddCoalescedRequests records quote requests that joined an in-flight
-// repricing batch instead of starting their own.
-func AddCoalescedRequests(n int64) { coalescedRequests.Add(n) }
-
-// AddStaleServes records quotes answered from a dirty-but-fresh surface
-// entry under the server's staleness bound instead of blocking on a
-// re-solve.
-func AddStaleServes(n int64) { staleServes.Add(n) }
-
-// AddCacheServes records quotes answered directly from a clean surface
-// entry — the serving fast path.
-func AddCacheServes(n int64) { cacheServes.Add(n) }
-
-// CacheServes reads the cache-serve counter. The serving layer uses it as a
-// free sampling tick for quote-latency telemetry: the counter advances once
-// per cached serve anyway, so "every Nth serve" costs one atomic load.
-func CacheServes() int64 { return cacheServes.Load() }
-
-// AddPanicRecovered records a pricer panic captured and isolated to one
-// contract (by the batch engine's per-item recover or a coalesced flight).
-func AddPanicRecovered() { panicsRecovered.Add(1) }
-
-// AddDegradedServes records quotes answered in degraded mode: a pinned
-// last-good value served because the fresh solve failed the health gate,
-// errored, or its symbol's circuit breaker is open.
-func AddDegradedServes(n int64) { degradedServes.Add(n) }
-
-// AddCircuitOpen records a per-symbol circuit breaker tripping open after
-// consecutive solve failures.
-func AddCircuitOpen() { circuitOpens.Add(1) }
-
-// AddCtxCancel records a solve or batch item abandoned because its context
-// was canceled or its deadline expired.
-func AddCtxCancel() { ctxCancels.Add(1) }
 
 // Stats is a snapshot of the cumulative serving counters.
 type Stats struct {
@@ -76,14 +44,14 @@ type Stats struct {
 // ReadStats returns the current counter snapshot.
 func ReadStats() Stats {
 	return Stats{
-		TickReprices:      tickReprices.Load(),
-		TickSkips:         tickSkips.Load(),
-		CoalescedRequests: coalescedRequests.Load(),
-		StaleServes:       staleServes.Load(),
-		CacheServes:       cacheServes.Load(),
-		PanicsRecovered:   panicsRecovered.Load(),
-		DegradedServes:    degradedServes.Load(),
-		CircuitOpens:      circuitOpens.Load(),
-		CtxCancels:        ctxCancels.Load(),
+		TickReprices:      TickReprices.Load(),
+		TickSkips:         TickSkips.Load(),
+		CoalescedRequests: CoalescedRequests.Load(),
+		StaleServes:       StaleServes.Load(),
+		CacheServes:       CacheServes.Load(),
+		PanicsRecovered:   PanicsRecovered.Load(),
+		DegradedServes:    DegradedServes.Load(),
+		CircuitOpens:      CircuitOpens.Load(),
+		CtxCancels:        CtxCancels.Load(),
 	}
 }

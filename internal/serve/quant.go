@@ -1,7 +1,7 @@
 // Package serve holds the market-data side of the live pricing server: the
 // input quantizer that keys the server's dirty tracking, the singleflight
 // coalescer that folds concurrent repricing requests into one batch, and the
-// process-wide serving counters surfaced through amop.ReadPerfCounters.
+// process-wide serving counters, registered in the obs metrics registry.
 //
 // The package is deliberately free of pricing concerns — it never imports the
 // root amop package — so the server proper (amop.Server) can sit at the top

@@ -180,11 +180,11 @@ func TestCoalescerBackpressure(t *testing.T) {
 
 func TestCountersAccumulate(t *testing.T) {
 	before := ReadStats()
-	AddTickReprices(2)
-	AddTickSkips(3)
-	AddCoalescedRequests(5)
-	AddStaleServes(7)
-	AddCacheServes(11)
+	TickReprices.Add(2)
+	TickSkips.Add(3)
+	CoalescedRequests.Add(5)
+	StaleServes.Add(7)
+	CacheServes.Add(11)
 	after := ReadStats()
 	deltas := []struct {
 		name string

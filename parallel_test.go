@@ -2,7 +2,6 @@ package amop
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"github.com/nlstencil/amop/internal/par"
@@ -49,31 +48,5 @@ func TestFastSolversParallelMatchSerialBitwise(t *testing.T) {
 				t.Errorf("%s T=%d: 4 workers %.17g, 1 worker %.17g", s.name, steps, parallel, serial)
 			}
 		}
-	}
-}
-
-// At two workers a deep solve forks in a real share of the fork-join calls
-// that ask the spawn budget, because a forked branch returns its token as it
-// exits instead of holding it to the join, and a branch that finds no token
-// waits for the next one. When branches held their tokens to the join and
-// never waited, this solve forked in 6 of its 1276 calls.
-func TestDeepSolveTakesForks(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("a forked branch finishes before its sibling forks again only when two goroutines run at once")
-	}
-	o := parityOption
-	o.Type = Put
-	before := ReadPerfCounters()
-	priceWithWorkers(t, 2, o, BlackScholesFD, 1<<15)
-	after := ReadPerfCounters()
-	taken := after.ParForks - before.ParForks
-	inlined := after.ParForksInlined - before.ParForksInlined
-	share := float64(taken) / float64(taken+inlined)
-	t.Logf("solve forked in %d of %d calls (%.1f%%)", taken, taken+inlined, 100*share)
-	if share <= 0.10 {
-		t.Errorf("forked in %.1f%% of calls, want more than 10%%", 100*share)
-	}
-	if n := after.ParBudgetInUse; n != 0 {
-		t.Errorf("%d budget tokens in use after the solve", n)
 	}
 }

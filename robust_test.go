@@ -82,14 +82,14 @@ func TestPriceBatchCtxCancelMidBatch(t *testing.T) {
 func TestPriceBatchCtxExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel()
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	res := PriceBatchCtx(ctx, distinctCalls(4, 400, ""), BatchOptions{})
 	for i, r := range res {
 		if !errors.Is(r.Err, context.DeadlineExceeded) {
 			t.Fatalf("item %d: got %v, want context.DeadlineExceeded", i, r.Err)
 		}
 	}
-	after := ReadPerfCounters()
+	after := serve.ReadStats()
 	if d := after.CtxCancels - before.CtxCancels; d < int64(len(res)) {
 		t.Errorf("CtxCancels moved by %d, want >= %d", d, len(res))
 	}
@@ -105,7 +105,7 @@ func TestPriceBatchPanicIsolationRestoresBudget(t *testing.T) {
 	boom.K = 150
 	reqs = append(reqs, Request{Option: boom, Config: Config{Steps: 400}, Tag: "KABOOM"})
 
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	res := PriceBatch(reqs, BatchOptions{})
 	for i := 0; i < 4; i++ {
 		if res[i].Err != nil {
@@ -122,7 +122,7 @@ func TestPriceBatchPanicIsolationRestoresBudget(t *testing.T) {
 	if len(spe.Stack) == 0 {
 		t.Error("panic error carries no stack")
 	}
-	after := ReadPerfCounters()
+	after := serve.ReadStats()
 	if after.PanicsRecovered-before.PanicsRecovered < 1 {
 		t.Error("PanicsRecovered did not move")
 	}
@@ -217,7 +217,7 @@ func TestServerBreakerLifecycle(t *testing.T) {
 	// Poison every BAD solve with NaN: the health gate must reject it and
 	// trip the breaker on the first failed flight (threshold 1).
 	withFaults(t, faultinject.Rule{Kind: faultinject.SolveNaN, Match: "BAD"})
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	base := Market{Spot: defaultCall().S, Vol: defaultCall().V, Rate: defaultCall().R}
 	moved := base
 	moved.Spot += 0.30
@@ -237,7 +237,7 @@ func TestServerBreakerLifecycle(t *testing.T) {
 	if st, ok := s.BreakerState("BAD"); !ok || st != serve.BreakerOpen {
 		t.Fatalf("BAD breaker state %v, want open", st)
 	}
-	after := ReadPerfCounters()
+	after := serve.ReadStats()
 	if after.CircuitOpens-before.CircuitOpens < 1 {
 		t.Error("CircuitOpens did not move")
 	}
@@ -289,7 +289,7 @@ func TestServerQuarantineAndRecovery(t *testing.T) {
 	}
 
 	withFaults(t, faultinject.Rule{Kind: faultinject.SolvePanic, Match: "BAD"})
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	base := Market{Spot: defaultCall().S, Vol: defaultCall().V, Rate: defaultCall().R}
 	moved := base
 	moved.Spot += 0.30
@@ -326,7 +326,7 @@ func TestServerQuarantineAndRecovery(t *testing.T) {
 	if st, _ := s.BreakerState("BAD"); st != serve.BreakerClosed {
 		t.Fatalf("BAD breaker state %v after one panic, want closed", st)
 	}
-	if after := ReadPerfCounters(); after.PanicsRecovered-before.PanicsRecovered < 1 {
+	if after := serve.ReadStats(); after.PanicsRecovered-before.PanicsRecovered < 1 {
 		t.Error("PanicsRecovered did not move")
 	}
 
@@ -436,7 +436,7 @@ func TestServeChaosSmoke(t *testing.T) {
 		faultinject.Rule{Kind: faultinject.SolveDelay, Match: "CHAOS-SLOW", Delay: 5 * time.Millisecond},
 	)
 
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	base := Market{Spot: defaultCall().S, Vol: defaultCall().V, Rate: defaultCall().R}
 	degraded := map[string]int{}
 	sawQuarantine := false
@@ -473,7 +473,7 @@ func TestServeChaosSmoke(t *testing.T) {
 	if !sawQuarantine {
 		t.Error("no contract was ever quarantined under injected panics")
 	}
-	if after := ReadPerfCounters(); after.PanicsRecovered-before.PanicsRecovered < 1 {
+	if after := serve.ReadStats(); after.PanicsRecovered-before.PanicsRecovered < 1 {
 		t.Error("PanicsRecovered did not move")
 	}
 	if got := par.InUse(); got != 0 {

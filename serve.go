@@ -38,9 +38,9 @@
 //     persistently failing symbol costs a bounded number of doomed solves
 //     instead of one per quote.
 //
-// The serving counters are process-wide and surface through
-// ReadPerfCounters; cmd/amop-serve wraps the server in an HTTP daemon with a
-// /metrics endpoint.
+// The serving counters are process-wide and surface, with every other
+// counter, gauge and latency histogram, through WriteMetrics; cmd/amop-serve
+// wraps the server in an HTTP daemon that serves it on /metrics.
 package amop
 
 import (
@@ -127,7 +127,7 @@ type ServerOptions struct {
 	BreakerMaxBackoff time.Duration
 	// Tier selects the pricing tier for every repricing flight, as in
 	// BatchOptions: TierAuto serves in-envelope vanilla American contracts
-	// from the analytic fast path (ReadPerfCounters.AnalyticServes counts
+	// from the analytic fast path (amop_tier_analytic_serves_total counts
 	// them) and keeps the rest on the lattice.
 	Tier TierMode
 }
@@ -406,8 +406,8 @@ func (s *Server) tick(symbol string, update func(Market) Market) (TickResult, er
 		res.Moved++
 	}
 	s.mu.Unlock()
-	serve.AddTickReprices(int64(res.Moved))
-	serve.AddTickSkips(int64(res.Skipped))
+	serve.TickReprices.Add(int64(res.Moved))
+	serve.TickSkips.Add(int64(res.Skipped))
 	if res.Moved > 0 && obs.Enabled() {
 		// Only cell-crossing ticks reach the flight recorder: they are the
 		// state transitions worth replaying, and the within-bucket skip path
@@ -472,7 +472,7 @@ func (s *Server) QuoteCtx(ctx context.Context, id int) (ServedQuote, error) {
 	if !obs.Enabled() {
 		return s.quoteCtx(ctx, id)
 	}
-	if serve.CacheServes()&(quoteSampleEvery-1) != 0 {
+	if serve.CacheServes.Load()&(quoteSampleEvery-1) != 0 {
 		return s.quoteCtx(ctx, id)
 	}
 	start := time.Now()
@@ -496,18 +496,18 @@ func (s *Server) quoteCtx(ctx context.Context, id int) (ServedQuote, error) {
 	counted := false
 	for round := 0; ; round++ {
 		if err := ctx.Err(); err != nil {
-			serve.AddCtxCancel()
+			serve.CtxCancels.Add(1)
 			return ServedQuote{}, err
 		}
 		s.mu.Lock()
 		c := &s.book[id]
-		if c.valid && c.priced == c.cur && c.err == nil {
+		if c.clean() {
 			q := c.snapshot(false, false)
 			s.mu.Unlock()
 			// Only a first-round serve is the fast path; a quote that ran
 			// or waited on a flight must not inflate the cache-hit rate.
 			if round == 0 {
-				serve.AddCacheServes(1)
+				serve.CacheServes.Add(1)
 			}
 			return q, nil
 		}
@@ -516,42 +516,19 @@ func (s *Server) quoteCtx(ctx context.Context, id int) (ServedQuote, error) {
 		// due). Serve the pinned last-good price degraded instead of
 		// queueing on a flight that would skip it.
 		if c.quar != nil || s.breakers[c.entry.Symbol].Blocked(s.now()) {
-			if c.valid {
-				q := c.snapshot(true, true)
-				sym := c.entry.Symbol
-				s.mu.Unlock()
-				serve.AddDegradedServes(1)
-				obs.RecordEvent(obs.EvDegradedServe, sym, int64(id), "")
-				return q, nil
-			}
-			err := c.err
-			s.mu.Unlock()
-			if err == nil {
-				err = fmt.Errorf("amop: quote %d: circuit open for symbol %q and no last-good price", id, s.book[id].entry.Symbol)
-			}
-			return ServedQuote{}, err
+			return s.serveDegraded(id)
 		}
 		if c.valid && c.err == nil &&
 			(round >= quoteRounds || (s.maxStaleness > 0 && s.now().Sub(c.at) <= s.maxStaleness)) {
 			q := c.snapshot(true, false)
 			s.mu.Unlock()
-			serve.AddStaleServes(1)
+			serve.StaleServes.Add(1)
 			return q, nil
 		}
 		if round >= quoteRounds && c.err != nil {
 			// The retries are spent and the latest solve attempt failed:
 			// degrade onto the last-good price, or surface the failure.
-			if c.valid {
-				q := c.snapshot(true, true)
-				sym := c.entry.Symbol
-				s.mu.Unlock()
-				serve.AddDegradedServes(1)
-				obs.RecordEvent(obs.EvDegradedServe, sym, int64(id), "")
-				return q, nil
-			}
-			err := c.err
-			s.mu.Unlock()
-			return ServedQuote{}, err
+			return s.serveDegraded(id)
 		}
 		s.mu.Unlock()
 		var waitStart time.Time
@@ -566,23 +543,52 @@ func (s *Server) quoteCtx(ctx context.Context, id int) (ServedQuote, error) {
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				serve.AddCtxCancel()
+				serve.CtxCancels.Add(1)
 			}
 			var pe *serve.PanicError
 			if !joined && errors.As(err, &pe) {
 				// A panic escaped the flight body itself (not a per-item
 				// solver panic — the batch engine confines those); it was
 				// recovered by the coalescer, stack attached.
-				serve.AddPanicRecovered()
+				serve.PanicsRecovered.Add(1)
 			}
 			return ServedQuote{}, err
 		}
 		if joined && !counted {
 			// Once per request, however many flights the retries span.
 			counted = true
-			serve.AddCoalescedRequests(1)
+			serve.CoalescedRequests.Add(1)
 		}
 	}
+}
+
+// serveDegraded answers a quote no fresh solve will serve: the contract's
+// pinned last-good price, flagged stale and degraded, or — when no good
+// price was ever solved — its latest failure, or the open circuit if no
+// solve has failed. The caller holds s.mu; serveDegraded releases it.
+func (s *Server) serveDegraded(id int) (ServedQuote, error) {
+	c := &s.book[id]
+	sym := c.entry.Symbol
+	if c.valid {
+		q := c.snapshot(true, true)
+		s.mu.Unlock()
+		serve.DegradedServes.Add(1)
+		obs.RecordEvent(obs.EvDegradedServe, sym, int64(id), "")
+		return q, nil
+	}
+	err := c.err
+	s.mu.Unlock()
+	if err == nil {
+		err = fmt.Errorf("amop: quote %d: circuit open for symbol %q and no last-good price", id, sym)
+	}
+	return ServedQuote{}, err
+}
+
+// clean reports whether the contract's surface entry is its current,
+// successfully solved price — the state the fast path serves and flights
+// skip. The caller holds s.mu.
+func (c *bookContract) clean() bool {
+	return c.valid && c.priced == c.cur && c.err == nil
 }
 
 // snapshot copies the contract's pinned surface entry; the caller holds
@@ -634,7 +640,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // s.mu. Flight snapshotting uses Breaker.Allow, never this — Allow is the
 // one that consumes the half-open probe slot.
 func (c *bookContract) actionable(s *Server, now time.Time) bool {
-	if c.valid && c.priced == c.cur && c.err == nil {
+	if c.clean() {
 		return false
 	}
 	if c.quar != nil {
@@ -683,7 +689,7 @@ func (s *Server) repriceDirty() error {
 	allowed := make(map[string]bool)
 	for i := range s.book {
 		c := &s.book[i]
-		if c.valid && c.priced == c.cur && c.err == nil {
+		if c.clean() {
 			continue
 		}
 		if c.quar != nil {
@@ -779,7 +785,7 @@ func (s *Server) repriceDirty() error {
 			continue
 		}
 		if b.Failure(at) {
-			serve.AddCircuitOpen()
+			serve.CircuitOpens.Add(1)
 			obs.RecordEvent(obs.EvBreakerOpen, sym, 0, "")
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/nlstencil/amop/internal/serve"
 )
 
 // serveTestBook builds a small two-symbol book: calls and a put on "AAA",
@@ -41,7 +43,7 @@ func priceEntryAt(t *testing.T, e BookEntry, m Market) float64 {
 
 func TestServerQuotesMatchDirectPricing(t *testing.T) {
 	book := serveTestBook(512)
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	s, err := NewServer(book, ServerOptions{SpotBucket: 0.25, VolBucket: 0.01, RateBucket: 0.0005})
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +60,8 @@ func TestServerQuotesMatchDirectPricing(t *testing.T) {
 			t.Errorf("quote %d: price %v, want %v (solved at %+v)", id, q.Price, want, q.Market)
 		}
 	}
-	after := ReadPerfCounters()
-	if got := after.ServeCacheHits - before.ServeCacheHits; got < int64(s.Contracts()) {
+	after := serve.ReadStats()
+	if got := after.CacheServes - before.CacheServes; got < int64(s.Contracts()) {
 		t.Errorf("cache serves advanced by %d, want >= %d", got, s.Contracts())
 	}
 }
@@ -77,7 +79,7 @@ func TestServerTickSkipsInsideBucketRepricesAcross(t *testing.T) {
 
 	// Within-bucket wander: 127.62 -> 127.70 stays in the [127.50, 127.75)
 	// spot cell, and vol/rate are untouched — nothing moves, nothing dirties.
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	res, err := s.Tick("AAA", Market{Spot: 127.70, Vol: 0.21, Rate: 0.00163})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestServerTickSkipsInsideBucketRepricesAcross(t *testing.T) {
 	if q1.Price != q0.Price || q1.Market != q0.Market || q1.At != q0.At {
 		t.Errorf("within-bucket tick disturbed the surface: %+v vs %+v", q1, q0)
 	}
-	after := ReadPerfCounters()
+	after := serve.ReadStats()
 	if d := after.TickSkips - before.TickSkips; d != 3 {
 		t.Errorf("TickSkips advanced by %d, want 3", d)
 	}
@@ -179,7 +181,7 @@ func TestServerMaxStalenessZeroAlwaysResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	if _, err := s.Tick("AAA", Market{Spot: 133.00, Vol: 0.21, Rate: 0.00163}); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +195,7 @@ func TestServerMaxStalenessZeroAlwaysResolves(t *testing.T) {
 	if q.Market.Spot != 133.125 {
 		t.Errorf("served spot %v, want the fresh cell center 133.125", q.Market.Spot)
 	}
-	after := ReadPerfCounters()
+	after := serve.ReadStats()
 	if d := after.StaleServes - before.StaleServes; d != 0 {
 		t.Errorf("StaleServes advanced by %d under MaxStaleness=0", d)
 	}
@@ -217,7 +219,7 @@ func TestServerStalenessBound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := ReadPerfCounters()
+	before := serve.ReadStats()
 	if _, err := s.Tick("AAA", Market{Spot: 133.00, Vol: 0.21, Rate: 0.00163}); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestServerStalenessBound(t *testing.T) {
 	if !q.Stale || q.Price != old.Price || q.Market != old.Market {
 		t.Errorf("want the old surface served stale, got %+v (old %+v)", q, old)
 	}
-	if d := ReadPerfCounters().StaleServes - before.StaleServes; d != 1 {
+	if d := serve.ReadStats().StaleServes - before.StaleServes; d != 1 {
 		t.Errorf("StaleServes advanced by %d, want 1", d)
 	}
 

@@ -8,7 +8,7 @@
 // thousands of steps to match. This file is the seam between the two: an
 // Algorithm value that forces the analytic pricer, a TierMode that lets the
 // batch engine and the live server promote eligible contracts to it
-// automatically, per-tier counters surfaced through ReadPerfCounters, and
+// automatically, per-tier counters registered for /metrics, and
 // the XvalCheck primitive cmd/amop-xval builds its analytic-vs-lattice
 // cross-validation on.
 //
@@ -24,9 +24,9 @@ package amop
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/nlstencil/amop/internal/analytic"
+	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/option"
 )
 
@@ -62,11 +62,14 @@ func (m TierMode) String() string {
 	return fmt.Sprintf("tier(%d)", int(m))
 }
 
-// Per-tier serving counters, surfaced through ReadPerfCounters.
+// Per-tier serving counters, registered for /metrics.
 var (
-	analyticServes atomic.Int64
-	tierFallbacks  atomic.Int64
-	xvalChecks     atomic.Int64
+	analyticServes = obs.NewCounter("amop_tier_analytic_serves_total",
+		"prices served by the analytic tier, forced or promoted by TierAuto")
+	tierFallbacks = obs.NewCounter("amop_tier_fallbacks_total",
+		"TierAuto candidates that fell back to the lattice")
+	xvalChecks = obs.NewCounter("amop_tier_xval_checks_total",
+		"analytic-vs-lattice cross-validation pairs priced through XvalCheck")
 )
 
 // TierStats returns the cumulative process-wide tier counters: analytic
@@ -136,7 +139,8 @@ type XvalPair struct {
 // XvalCheck prices the contract through both tiers — the analytic pricer and
 // the fast lattice under the natural model at the given step count — and
 // returns the pair. It is the primitive cmd/amop-xval's analytic gate and
-// the CI xval job drive; every call counts in ReadPerfCounters.XvalChecks.
+// the CI xval job drive; every call counts in
+// amop_tier_xval_checks_total.
 // The error is the analytic tier's (envelope refusals included) or the
 // lattice's, whichever failed.
 func XvalCheck(o Option, steps int) (XvalPair, error) {

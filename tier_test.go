@@ -93,9 +93,9 @@ func TestTierAutoPromotesAndFallsBack(t *testing.T) {
 	out.Option.V = 0.05
 	out.Option.R = 0.4 // stiffness 320: outside the envelope
 
-	before := ReadPerfCounters()
+	serves0, fallbacks0, _ := TierStats()
 	res := PriceBatch([]Request{in, out}, BatchOptions{Tier: TierAuto})
-	after := ReadPerfCounters()
+	serves1, fallbacks1, _ := TierStats()
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("request %d: %v", i, r.Err)
@@ -117,11 +117,11 @@ func TestTierAutoPromotesAndFallsBack(t *testing.T) {
 		t.Errorf("fallback price %.17g != lattice price %.17g", res[1].Price, lattice.Price)
 	}
 
-	if after.AnalyticServes <= before.AnalyticServes {
-		t.Error("TierAuto promotion did not count in AnalyticServes")
+	if serves1 <= serves0 {
+		t.Error("TierAuto promotion did not count as an analytic serve")
 	}
-	if after.TierFallbacks <= before.TierFallbacks {
-		t.Error("TierAuto fallback did not count in TierFallbacks")
+	if fallbacks1 <= fallbacks0 {
+		t.Error("TierAuto fallback did not count as a tier fallback")
 	}
 }
 
@@ -135,29 +135,34 @@ func TestPerfCountersAnalyticBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := ReadPerfCounters()
+	type counts struct{ hits, misses, warm, entries int64 }
+	read := func() counts {
+		hits, misses := analytic.BoundaryCacheStats()
+		return counts{hits, misses, analytic.BoundaryWarmStarts.Load(), analytic.BoundaryCacheEntries.Load()}
+	}
+	before := read()
 	// The miss count only grows, so the expiry is new on every run of the
 	// test in one process (-count).
 	o := Option{Type: Put, S: 100, K: 100, R: 0.045, V: 0.23, Y: 0.012,
-		E: 1.3125 + 1e-9*float64(before.AnalyticBoundaryMisses)}
+		E: 1.3125 + 1e-9*float64(before.misses)}
 	price(o)
-	cold := ReadPerfCounters()
+	cold := read()
 	price(o)
-	hit := ReadPerfCounters()
+	hit := read()
 	o.V += 1e-3
 	price(o)
-	warm := ReadPerfCounters()
+	warm := read()
 
-	if cold.AnalyticBoundaryMisses <= before.AnalyticBoundaryMisses {
+	if cold.misses <= before.misses {
 		t.Error("a fresh expiry did not count a boundary miss")
 	}
-	if cold.AnalyticBoundaryCacheEntries == 0 {
+	if cold.entries == 0 {
 		t.Error("a solved boundary left the cache empty")
 	}
-	if hit.AnalyticBoundaryHits <= cold.AnalyticBoundaryHits {
+	if hit.hits <= cold.hits {
 		t.Error("a repeated contract did not count a boundary hit")
 	}
-	if warm.AnalyticBoundaryWarmStarts <= hit.AnalyticBoundaryWarmStarts {
+	if warm.warm <= hit.warm {
 		t.Error("a nearby vol did not count a warm start")
 	}
 }
@@ -282,7 +287,7 @@ func TestServerAnalyticTier(t *testing.T) {
 		{Symbol: "A", Option: Option{Type: Put, S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.01, E: 1}, Model: AutoModel, Config: Config{Steps: 512}},
 		{Symbol: "A", Option: Option{Type: Call, S: 100, K: 110, R: 0.05, V: 0.2, Y: 0.01, E: 0.5}, Model: AutoModel, Config: Config{Algorithm: Analytic}},
 	}
-	before := ReadPerfCounters()
+	serves0, _, _ := TierStats()
 	s, err := NewServer(book, ServerOptions{Tier: TierAuto})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +301,7 @@ func TestServerAnalyticTier(t *testing.T) {
 			t.Fatalf("quote %d: price %v", id, q.Price)
 		}
 	}
-	if after := ReadPerfCounters(); after.AnalyticServes <= before.AnalyticServes {
+	if serves, _, _ := TierStats(); serves <= serves0 {
 		t.Error("server flight under TierAuto recorded no analytic serves")
 	}
 }
@@ -304,7 +309,7 @@ func TestServerAnalyticTier(t *testing.T) {
 // TestXvalCheck: the cross-validation primitive produces a tight pair for an
 // in-envelope contract and counts in XvalChecks.
 func TestXvalCheck(t *testing.T) {
-	before := ReadPerfCounters()
+	_, _, checks0 := TierStats()
 	pair, err := XvalCheck(Option{Type: Put, S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.01, E: 1}, 8000)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +319,7 @@ func TestXvalCheck(t *testing.T) {
 	if pair.RelErr > 1e-4 {
 		t.Errorf("analytic %.8f vs lattice %.8f: rel %.3g implausibly large", pair.Analytic, pair.Lattice, pair.RelErr)
 	}
-	if after := ReadPerfCounters(); after.XvalChecks <= before.XvalChecks {
+	if _, _, checks := TierStats(); checks <= checks0 {
 		t.Error("XvalCheck did not count")
 	}
 }
