@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseContractRow -fuzztime=10s ./internal/cliutil/
 	$(GO) test -run='^$$' -fuzz=FuzzTickMerge -fuzztime=10s ./cmd/amop-serve/
 	$(GO) test -run='^$$' -fuzz=FuzzForwardInverseRoundTrip -fuzztime=10s ./internal/fft/
+	$(GO) test -run='^$$' -fuzz=FuzzEvolveCone -fuzztime=10s ./internal/linstencil/
 	$(GO) test -run='^$$' -fuzz=FuzzBSMPutFast -fuzztime=10s ./internal/bsm/
 	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/bopm/
 	$(GO) test -run='^$$' -fuzz=FuzzFast -fuzztime=10s ./internal/topm/

@@ -1,14 +1,19 @@
 // Package fft implements the fast Fourier transform substrate used by the
 // linear-stencil machinery (Ahmad et al., SPAA 2021 — reference [1] of the
-// paper). It offers one transform, the real-input RPlan, whose forward and
-// inverse carry the half spectrum as split re/im float64 planes
-// (ForwardSoA/InverseSoA):
+// paper). Its one transform is the real-input RPlan, over split re/im
+// float64 planes:
 //
-//   - one kernel: the n real samples are packed into n/2 complex samples
-//     and run through an iterative radix-4 Cooley-Tukey ladder (plus one
-//     trailing radix-2 stage for odd log2 sizes) over split re/im planes,
-//     with two butterfly implementations behind a build-tag seam — AVX2+FMA
-//     assembly and portable Go loops (see soa.go);
+//   - one butterfly family: the n real samples are packed into n/2 complex
+//     samples and run through an iterative radix-4 ladder (plus one radix-2
+//     stage for odd log2 sizes), decimation in time (DIT: bit-reversed in,
+//     natural out) or its transpose, decimation in frequency (DIF: natural
+//     in, bit-reversed out), with two implementations of each butterfly
+//     behind a build-tag seam — AVX2+FMA assembly and portable Go loops
+//     (see soa.go);
+//   - RPlan.Convolve, the stencil evolution's one path: a DIF forward, one
+//     fused spectral pass that multiplies in bit-reversed order, and the
+//     DIT inverse, so the spectrum is never reordered (see convolve.go);
+//     ForwardSoA/InverseSoA give the natural-order half spectrum;
 //   - stage-level parallelism via internal/par for large transforms;
 //   - exact complex integer powers by binary exponentiation (used to raise a
 //     stencil's symbol to the k-th power with ~log2(k)-ulp error growth);
@@ -35,10 +40,9 @@ const ParThreshold = 1 << 13
 // safe for concurrent use: its tables are read-only after creation.
 type plan struct {
 	n          int
-	rev        []int32    // bit-reversal permutation
 	twRe, twIm []float64  // exp(-2*pi*i*k/n) split into planes, k in [0, n/2)
 	stages     []soaStage // packed radix-4 twiddles, h = 4, 16, 64, ...
-	finalR2    bool       // odd log2: one radix-2 stage of span n closes the ladder
+	finalR2    bool       // odd log2: one radix-2 stage of span n closes the DIT ladder and opens the DIF
 }
 
 // newPlan creates a plan for transforms of size n. n must be a power of two
@@ -48,11 +52,6 @@ func newPlan(n int) *plan {
 		panic(fmt.Sprintf("fft: size %d is not a positive power of two", n))
 	}
 	p := &plan{n: n}
-	p.rev = make([]int32, n)
-	shift := bits.UintSize - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
-	}
 	p.twRe = make([]float64, n/2)
 	p.twIm = make([]float64, n/2)
 	for k := range p.twRe {

@@ -293,7 +293,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		prev := par.SetWorkers(workers)
 		defer par.SetWorkers(prev)
 		r, i = append([]float64(nil), re...), append([]float64(nil), im...)
-		p.soaStages(r, i)
+		p.ditStages(r, i)
 		return r, i
 	}
 	sr, si := run(1)

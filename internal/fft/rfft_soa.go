@@ -1,18 +1,23 @@
 package fft
 
-// Plane-native real-input transforms. The stencil evolution hot path
-// multiplies spectra element-wise between a forward and an inverse, so it
-// never needs a complex128 view of the data: ForwardSoA and InverseSoA carry
-// the spectrum as split re/im planes end to end — the pack fuses directly
-// with the inner plan's bit-reversal gather and first butterfly, the
-// unpack/repack recombination runs over float64 lanes, and the only
-// complex128 left in the pipeline is the caller's multiplier table.
+// Natural-order real-input transforms. ForwardSoA and InverseSoA carry the
+// half spectrum as split re/im planes in natural order, for callers that
+// read or write individual bins. Each is one of Convolve's cores plus one
+// reorder pass over the same mirrored quad pairs as the spectral pass:
+//
+//   - ForwardSoA: the pack and DIF ladder, then a pass that gathers each
+//     pair of mirrored quads, applies the DIF's trivial last stage and
+//     unpacks their bins into natural order;
+//   - InverseSoA: a pass that repacks the bins of each pair of mirrored
+//     quads from natural order, applies the DIT's trivial first stage and
+//     scatters the quads, then the DIT ladder and the exit pass.
 //
 // Layout: sr/si hold the half spectrum, length n/2+1, with the conjugate
 // symmetry X[n-k] = conj(X[k]) of real input implied.
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
@@ -36,81 +41,76 @@ func (p *RPlan) ForwardSoA(x, sr, si []float64) {
 	}
 	soaTransforms.Add(1)
 
-	// Fused entry: view x as m packed complex samples (even samples real,
-	// odd samples imaginary), gather them in the inner plan's bit-reversed
-	// order, and apply the trivial first radix-4 butterfly — pack, permute,
-	// and two butterfly stages in x's single read pass.
-	re := scratch.Floats(m)
-	im := scratch.Floats(m)
-	inner := p.inner
+	buf := scratch.Floats(2 * m)
+	re, im := buf[:m:m], buf[m:2*m]
 	parallel := m >= ParThreshold && par.Workers() > 1
-	if parallel {
-		par.For(m/4, 1024, func(qLo, qHi int) { packGatherQuads(x, inner.rev, re, im, qLo, qHi) })
-	} else {
-		packGatherQuads(x, inner.rev, re, im, 0, m/4)
-	}
-	inner.soaStages(re, im)
+	pack(x, re, im, parallel)
+	p.inner.difStages(re, im)
 
-	// Unpack: split each Z[k] into the even/odd sample spectra and recombine
-	// on the size-n circle. k = 0 (and the Nyquist bin m) read only Z[0].
-	z0r, z0i := re[0], im[0]
-	if parallel {
-		par.For(m/2-1, 2048, func(a, b int) { p.unpackSoARange(sr, si, re, im, 1+a, 1+b) })
-	} else {
-		p.unpackSoARange(sr, si, re, im, 1, m/2)
-	}
-	// Self-paired bin: Z[m/2] has E = (Re Z, 0) and O = (Im Z, 0).
-	k := m / 2
-	sr[k] = re[k] + p.rtwRe[k]*im[k]
-	si[k] = p.rtwIm[k] * im[k]
+	// Positions 0..3 hold Z[0], Z[m/2], Z[m/4] and Z[3m/4]: the DC and
+	// Nyquist bins come from Z[0], the self-paired bin is conj(Z[m/2]).
+	z0r, z0i, z1r, z1i, z2r, z2i, z3r, z3i := quadDIF(re[0], im[0], re[1], im[1], re[2], im[2], re[3], im[3])
 	sr[0], si[0] = z0r+z0i, 0
 	sr[m], si[m] = z0r-z0i, 0
-	scratch.PutFloats(re)
-	scratch.PutFloats(im)
-}
-
-// packGatherQuads is the real-input entry pass: gather four packed samples
-// z[rev[i]] = (x[2*rev[i]], x[2*rev[i]+1]) per quad and butterfly them with
-// the trivial twiddles via quadStore.
-func packGatherQuads(x []float64, rev []int32, re, im []float64, qLo, qHi int) {
-	for q := qLo; q < qHi; q++ {
-		i := 4 * q
-		r0, r1, r2, r3 := rev[i], rev[i+1], rev[i+2], rev[i+3]
-		quadStore(re, im, i,
-			x[2*r0], x[2*r0+1], x[2*r1], x[2*r1+1],
-			x[2*r2], x[2*r2+1], x[2*r3], x[2*r3+1])
+	sr[m/2], si[m/2] = z1r, -z1i
+	p.unpackStore(sr, si, m/4, z2r, z2i, z3r, z3i)
+	if m >= 8 {
+		z4r, z4i, z5r, z5i, z6r, z6i, z7r, z7i := quadDIF(re[4], im[4], re[5], im[5], re[6], im[6], re[7], im[7])
+		p.unpackStore(sr, si, m/8, z4r, z4i, z7r, z7i)
+		p.unpackStore(sr, si, 5*m/8, z5r, z5i, z6r, z6i)
 	}
+	if parallel {
+		par.For(m/8-1, 256, func(lo, hi int) { p.unpackBins(re, im, sr, si, 1+lo, 1+hi) })
+	} else {
+		p.unpackBins(re, im, sr, si, 1, m/8)
+	}
+	scratch.PutFloats(buf)
 }
 
-// unpackSoARange recombines spectrum pairs (k, m-k) for k in [lo, hi),
-// reading the transformed planes and writing the caller's spectrum planes.
-// X[k] = E[k] + w^k O[k]; X[m-k] = E[m-k] - conj(w^k) O[m-k] with
-// E[m-k] = conj(E[k]) and O[m-k] = conj(O[k]) (w^(m-k) = -conj(w^k)), which
-// folds to one conjugation of the already-computed product:
-// X[m-k] = conj(E[k] - w^k O[k]).
-func (p *RPlan) unpackSoARange(sr, si, re, im []float64, lo, hi int) {
+// unpackStore writes the bins k and m-k of the half spectrum from the
+// packed values a = Z[k] and b = Z[m-k].
+func (p *RPlan) unpackStore(sr, si []float64, k int, ar, ai, br, bi float64) {
+	xr, xi, yr, yi := unpackPair(ar, ai, br, bi, p.rtwRe[k], p.rtwIm[k])
+	sr[k], si[k] = 0.5*xr, 0.5*xi
+	sr[p.half-k], si[p.half-k] = 0.5*yr, -0.5*yi
+}
+
+// unpackBins is ForwardSoA's reorder pass for the bins k in [kLo, kHi),
+// 0 < k < m/8: the DIF's trivial last stage on the quad holding bin k and
+// on its mirror quad, then their eight bins unpacked. Each pair of mirrored
+// quads holds exactly one bin below m/8, so the pass reads the quads in
+// bit-reversed order and writes the half spectrum in eight sequential
+// streams.
+func (p *RPlan) unpackBins(re, im, sr, si []float64, kLo, kHi int) {
 	m := p.half
-	rtwRe, rtwIm := p.rtwRe, p.rtwIm
-	_, _, _, _ = re[m-lo], im[m-lo], sr[m-lo], si[m-lo]
-	_, _ = rtwRe[hi-1], rtwIm[hi-1]
-	for k := lo; k < hi; k++ {
-		zkr, zki := re[k], im[k]
-		zmr, zmi := re[m-k], im[m-k]
-		ekr, eki := (zkr+zmr)*0.5, (zki-zmi)*0.5 // E[k] = (Z[k] + conj(Z[m-k]))/2
-		dr, di := (zkr-zmr)*0.5, (zki+zmi)*0.5
-		okr, oki := di, -dr // O[k] = -i * (Z[k] - conj(Z[m-k]))/2
-		wr, wi := rtwRe[k], rtwIm[k]
-		tr := wr*okr - wi*oki
-		ti := wr*oki + wi*okr
-		sr[k], si[k] = ekr+tr, eki+ti
-		sr[m-k], si[m-k] = ekr-tr, ti-eki
+	off := [4]int{0, m / 2, m / 4, 3 * m / 4}
+	for k := kLo; k < kHi; k++ {
+		q, qm := p.binQuads(k)
+		a, b := 4*q, 4*qm
+		var za, zb [8]float64
+		za[0], za[1], za[2], za[3], za[4], za[5], za[6], za[7] = quadDIF(re[a], im[a], re[a+1], im[a+1], re[a+2], im[a+2], re[a+3], im[a+3])
+		zb[0], zb[1], zb[2], zb[3], zb[4], zb[5], zb[6], zb[7] = quadDIF(re[b], im[b], re[b+1], im[b+1], re[b+2], im[b+2], re[b+3], im[b+3])
+		for r := 0; r < 4; r++ {
+			p.unpackStore(sr, si, k+off[r], za[2*r], za[2*r+1], zb[6-2*r], zb[7-2*r])
+		}
 	}
+}
+
+// binQuads returns the quad q whose slot 0 holds the bin k, 0 < k < m/4,
+// in the spectral order, and its mirror quad qm. The bins of q are
+// k + {0, m/2, m/4, 3m/4} by slot; slot 3-r of qm holds m minus the bin of
+// slot r of q.
+func (p *RPlan) binQuads(k int) (q, qm int) {
+	q = p.Bin(k) / 4
+	top := 1 << (bits.Len(uint(q)) - 1)
+	return q, 3*top - 1 - q
 }
 
 // InverseSoA recovers the real signal from its half spectrum held as split
 // planes, including the 1/n scaling, so that InverseSoA(ForwardSoA(x)) == x
 // up to rounding. len(sr) and len(si) must be n/2 + 1 and len(x) must be n.
-// The spectrum planes are destroyed in the process.
+// The imaginary parts of the DC and Nyquist bins are ignored (they are zero
+// for the spectrum of a real row); sr and si are only read.
 func (p *RPlan) InverseSoA(sr, si, x []float64) {
 	if len(x) != p.n || len(sr) != p.half+1 || len(si) != p.half+1 {
 		panic(fmt.Sprintf("fft: RPlan size %d: got input %d, spectrum planes %d/%d",
@@ -124,89 +124,53 @@ func (p *RPlan) InverseSoA(sr, si, x []float64) {
 	}
 	soaTransforms.Add(1)
 
-	// Repack in place: rebuild the packed spectrum Z[k] = E[k] + i*O[k] with
-	// the 1/m normalization folded into the scale — except that what we store
-	// is conj(Z), because the inverse inner transform runs the forward-only
-	// kernel under IDFT(Z) = conj(DFT(conj(Z))): the entry conjugation folds
-	// into the repack and the exit conjugation into the unzip.
-	invm := 1 / float64(m)
-	scale := 0.5 * invm
-	s0, sm := sr[0], sr[m]
+	buf := scratch.Floats(2 * m)
+	re, im := buf[:m:m], buf[m:2*m]
+	// Positions 0..3 take conj(Z') for Z'[0] (from the DC and Nyquist
+	// bins), Z'[m/2] (self-paired: conj(Z'[m/2]) = X[m/2]/m) and the pair
+	// m/4, 3m/4; positions 4..7 the pairs (m/8, 7m/8) and (5m/8, 3m/8).
+	s := 0.5 / float64(m)
+	c2r, c2i, c3r, c3i := p.repackLoad(sr, si, m/4, s)
+	quadStore(re, im, 0, (sr[0]+sr[m])*s, (sr[m]-sr[0])*s, sr[m/2]*(2*s), si[m/2]*(2*s), c2r, c2i, c3r, c3i)
+	if m >= 8 {
+		c4r, c4i, c7r, c7i := p.repackLoad(sr, si, m/8, s)
+		c5r, c5i, c6r, c6i := p.repackLoad(sr, si, 5*m/8, s)
+		quadStore(re, im, 4, c4r, c4i, c5r, c5i, c6r, c6i, c7r, c7i)
+	}
 	parallel := m >= ParThreshold && par.Workers() > 1
 	if parallel {
-		par.For(m/2-1, 2048, func(a, b int) { p.repackSoARange(sr, si, scale, 1+a, 1+b) })
+		par.For(m/8-1, 256, func(lo, hi int) { p.repackBins(sr, si, re, im, 1+lo, 1+hi) })
 	} else {
-		p.repackSoARange(sr, si, scale, 1, m/2)
+		p.repackBins(sr, si, re, im, 1, m/8)
 	}
-	// Self-paired bin, conjugated: Z[m/2] = E + i*conj(w)*O with
-	// E = (sr[k]/m, 0) and (X[k] - conj(X[k]))/2m = (0, si[k]/m).
-	k := m / 2
-	d := si[k] * invm
-	sr[k], si[k] = sr[k]*invm-p.rtwRe[k]*d, -p.rtwIm[k]*d
-	sr[0], si[0] = (s0+sm)*scale, -(s0-sm)*scale
-
-	// Gather conj(Z) in bit-reversed order with the fused first butterfly,
-	// run the forward stage ladder, and unzip with the exit conjugation:
-	// even output samples from the real plane, odd from the negated
-	// imaginary plane.
-	re := scratch.Floats(m)
-	im := scratch.Floats(m)
-	inner := p.inner
-	if parallel {
-		par.For(m/4, 1024, func(qLo, qHi int) { specGatherQuads(sr, si, inner.rev, re, im, qLo, qHi) })
-	} else {
-		specGatherQuads(sr, si, inner.rev, re, im, 0, m/4)
-	}
-	inner.soaStages(re, im)
-	if parallel {
-		par.For(m, 2048, func(lo, hi int) { unzipSoARange(re, im, x, lo, hi) })
-	} else {
-		unzipSoARange(re, im, x, 0, m)
-	}
-	scratch.PutFloats(re)
-	scratch.PutFloats(im)
+	p.inner.ditStages(re, im)
+	unzip(re, im, x, parallel)
+	scratch.PutFloats(buf)
 }
 
-// repackSoARange rebuilds conj(Z) for pairs (k, m-k), k in [lo, hi), in
-// place in the spectrum planes, with the inverse normalization folded into
-// scale: Z[k] = E[k] + i*O[k], Z[m-k] = conj(E[k] - i*O[k]), with
-// E[k] = (X[k] + conj(X[m-k]))/2m and O[k] = conj(w^k)(X[k] - conj(X[m-k]))/2m.
-func (p *RPlan) repackSoARange(sr, si []float64, scale float64, lo, hi int) {
+// repackLoad reads the bins k and m-k of the half spectrum and returns
+// conj(Z'[k]) and conj(Z'[m-k]) of the packed spectrum, scaled by s.
+func (p *RPlan) repackLoad(sr, si []float64, k int, s float64) (ckr, cki, cmr, cmi float64) {
+	mk := p.half - k
+	return repackPair(sr[k], si[k], sr[mk], -si[mk], p.rtwRe[k], p.rtwIm[k], s)
+}
+
+// repackBins is InverseSoA's reorder pass for the bins k in [kLo, kHi),
+// 0 < k < m/8, the transpose of unpackBins: the eight bins of a pair of
+// mirrored quads read in sequential streams and repacked, then the DIT's
+// trivial first stage on both quads.
+func (p *RPlan) repackBins(sr, si, re, im []float64, kLo, kHi int) {
 	m := p.half
-	rtwRe, rtwIm := p.rtwRe, p.rtwIm
-	_, _ = sr[m-lo], si[m-lo]
-	_, _ = rtwRe[hi-1], rtwIm[hi-1]
-	for k := lo; k < hi; k++ {
-		xkr, xki := sr[k], si[k]
-		xmr, xmi := sr[m-k], si[m-k]
-		ekr, eki := (xkr+xmr)*scale, (xki-xmi)*scale
-		dr, di := (xkr-xmr)*scale, (xki+xmi)*scale
-		wr, wi := rtwRe[k], rtwIm[k]
-		okr := wr*dr + wi*di
-		oki := wr*di - wi*dr
-		sr[k], si[k] = ekr-oki, -(eki + okr)
-		sr[m-k], si[m-k] = ekr+oki, eki-okr
-	}
-}
-
-// specGatherQuads gathers four already-conjugated packed spectrum samples
-// per quad in bit-reversed order and applies the trivial first butterfly.
-func specGatherQuads(sr, si []float64, rev []int32, re, im []float64, qLo, qHi int) {
-	for q := qLo; q < qHi; q++ {
-		i := 4 * q
-		r0, r1, r2, r3 := rev[i], rev[i+1], rev[i+2], rev[i+3]
-		quadStore(re, im, i,
-			sr[r0], si[r0], sr[r1], si[r1],
-			sr[r2], si[r2], sr[r3], si[r3])
-	}
-}
-
-// unzipSoARange writes packed time samples j in [lo, hi) to the real output:
-// the conjugation of the inverse identity negates the imaginary plane.
-func unzipSoARange(re, im, x []float64, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		x[2*j] = re[j]
-		x[2*j+1] = -im[j]
+	s := 0.5 / float64(m)
+	off := [4]int{0, m / 2, m / 4, 3 * m / 4}
+	for k := kLo; k < kHi; k++ {
+		q, qm := p.binQuads(k)
+		var ca, cb [8]float64
+		for r := 0; r < 4; r++ {
+			ca[2*r], ca[2*r+1], cb[6-2*r], cb[7-2*r] = p.repackLoad(sr, si, k+off[r], s)
+		}
+		quadStore(re, im, 4*q, ca[0], ca[1], ca[2], ca[3], ca[4], ca[5], ca[6], ca[7])
+		quadStore(re, im, 4*qm, cb[0], cb[1], cb[2], cb[3], cb[4], cb[5], cb[6], cb[7])
 	}
 }
 

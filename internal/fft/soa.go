@@ -13,23 +13,24 @@ package fft
 //
 // The stage ladder is built around the layout:
 //
-//   - the RPlan entry passes (rfft_soa.go) fuse three passes into one: the
-//     real-row pack (or the spectrum repack), the bit-reversal permutation
-//     (a gather x[rev[i]] with sequential writes, which beats an in-place
-//     swap walk), and the trivial-twiddle first radix-4 butterfly (twiddles
-//     {1, -i}, quadStore), so the data's first trip through memory already
-//     completes two butterfly stages;
+//   - the trivial-twiddle radix-4 stage (twiddles {1, -i}) is never a pass
+//     of its own: the DIT ladder's first and the DIF ladder's last run
+//     inside the passes that read or write each quad anyway (quadStore,
+//     quadDIF; the convolution's spectral pass, the ForwardSoA/InverseSoA
+//     reorder passes);
 //   - the remaining radix-4 stages read their twiddles from per-stage
 //     *packed* split tables (w^j and w^2j stored contiguously per j), so
 //     the vector kernel issues unit-stride loads instead of a strided
 //     tw[j*step] walk; the outer pair's w^(j+h) folds to -i*w^j via w^h = -i;
-//   - odd-log2 sizes finish with one radix-2 stage at span n (step-1
-//     twiddles straight off the split base table) instead of leading with a
-//     pairwise pass, keeping every vectorizable stage unit-stride;
-//   - the inverse runs the same forward-only stages under the conjugation
-//     identity IDFT(Z) = conj(DFT(conj(Z)))/n, with both conjugations folded
-//     into the RPlan repack and unzip passes, so only one assembly direction
-//     exists;
+//   - odd-log2 sizes have one radix-2 stage at span n (step-1 twiddles
+//     straight off the split base table): last in the DIT ladder, first in
+//     the DIF ladder, keeping every vectorizable stage unit-stride;
+//   - the DIF ladder is the DIT ladder transposed: the same tables in
+//     reverse stage order, each butterfly transposed (bfly4DIFRange,
+//     bfly2DIFRange), so one butterfly family serves both directions;
+//   - the inverse runs the forward stages under the conjugation identity
+//     IDFT(Z) = conj(DFT(conj(Z)))/n, with both conjugations folded into
+//     the passes around the ladder, so no inverse butterflies exist;
 //   - stages parallelize via internal/par: block-parallel when blocks are
 //     plentiful, lane-range-parallel within each block when they are few.
 
@@ -101,9 +102,10 @@ func (p *plan) buildStages() {
 	}
 }
 
-// quadStore applies the trivial first radix-4 butterfly to one gathered
-// quad and writes the results at planes[i..i+3]. Shared by the forward pack
-// and the inverse repack gathers so the butterfly algebra exists once.
+// quadStore applies the trivial first radix-4 butterfly of the DIT ladder
+// (twiddles {1, -i}) to one quad and writes the results at planes[i..i+3].
+// Shared by InverseSoA's reorder pass and the convolution's spectral pass so
+// the butterfly algebra exists once.
 func quadStore(re, im []float64, i int, x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i float64) {
 	u0r, u1r := x0r+x1r, x0r-x1r
 	u0i, u1i := x0i+x1i, x0i-x1i
@@ -117,58 +119,81 @@ func quadStore(re, im []float64, i int, x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i f
 	im[i+1], im[i+3] = u1i+t3i, u1i-t3i
 }
 
-// soaStages runs the split-plane butterfly ladder over planes that already
-// hold the output of the fused entry pass (bit-reversed order, first
-// radix-4 butterfly applied). It is the shared engine of ForwardSoA and
-// InverseSoA.
-func (p *plan) soaStages(re, im []float64) {
-	n := p.n
-	if n >= ParThreshold && par.Workers() > 1 {
-		p.soaStagesPar(re, im)
-		return
-	}
+// bfly4Func and bfly2Func are the dispatched butterfly ranges of one
+// direction: bfly4Range/bfly2Range (DIT) or their transposes
+// bfly4DIFRange/bfly2DIFRange (DIF).
+type (
+	bfly4Func func(re, im []float64, base int, st *soaStage, jLo, jHi int)
+	bfly2Func func(re, im, twRe, twIm []float64, half, jLo, jHi int)
+)
+
+// ditStages runs the decimation-in-time ladder over planes that hold
+// bit-reversed input with the trivial first radix-4 butterfly already
+// applied (quadStore), leaving the transform in natural order.
+func (p *plan) ditStages(re, im []float64) {
+	parallel := p.n >= ParThreshold && par.Workers() > 1
 	for si := range p.stages {
-		st := &p.stages[si]
-		h := st.h
-		for b := 0; b < n/(4*h); b++ {
-			bfly4Range(re, im, b*4*h, st, 0, h)
-		}
+		p.radix4Stage(re, im, &p.stages[si], bfly4Range, parallel)
 	}
 	if p.finalR2 {
-		bfly2Range(re, im, p.twRe, p.twIm, n/2, 0, n/2)
+		p.radix2Stage(re, im, bfly2Range, parallel)
 	}
 }
 
-// soaStagesPar splits each stage by shape: many small blocks parallelize
-// across blocks, few large blocks split each block's lane range instead.
-// Lane chunks are quad-granular so the vector kernel always sees multiples
-// of four.
-func (p *plan) soaStagesPar(re, im []float64) {
-	n := p.n
-	for si := range p.stages {
-		st := &p.stages[si]
-		h := st.h
-		blocks := n / (4 * h)
-		switch {
-		case blocks >= 2*par.Workers():
-			par.For(blocks, 1, func(lo, hi int) {
-				for b := lo; b < hi; b++ {
-					bfly4Range(re, im, b*4*h, st, 0, h)
-				}
-			})
-		default:
-			for b := 0; b < blocks; b++ {
-				base := b * 4 * h
-				par.For(h/4, 512, func(qLo, qHi int) {
-					bfly4Range(re, im, base, st, 4*qLo, 4*qHi)
-				})
+// difStages runs the decimation-in-frequency ladder, the transpose of
+// ditStages: the same tables in reverse stage order with each butterfly
+// transposed, so natural-order input leaves in bit-reversed order. Since
+// the DFT matrix is symmetric, F = (D_L ... D_1 P)^T = P D_1^T ... D_L^T
+// for the DIT stages D_i and the bit reversal P. The trivial last radix-4
+// stage is left to the caller (the convolution's spectral pass, or
+// ForwardSoA's quadDIF pass).
+func (p *plan) difStages(re, im []float64) {
+	parallel := p.n >= ParThreshold && par.Workers() > 1
+	if p.finalR2 {
+		p.radix2Stage(re, im, bfly2DIFRange, parallel)
+	}
+	for si := len(p.stages) - 1; si >= 0; si-- {
+		p.radix4Stage(re, im, &p.stages[si], bfly4DIFRange, parallel)
+	}
+}
+
+// radix4Stage runs one radix-4 stage. In parallel it splits by shape: many
+// small blocks parallelize across blocks, few large blocks split each
+// block's lane range instead. Lane chunks are quad-granular so the vector
+// kernel always sees multiples of four.
+func (p *plan) radix4Stage(re, im []float64, st *soaStage, bfly bfly4Func, parallel bool) {
+	h := st.h
+	blocks := p.n / (4 * h)
+	switch {
+	case !parallel:
+		for b := 0; b < blocks; b++ {
+			bfly(re, im, b*4*h, st, 0, h)
+		}
+	case blocks >= 2*par.Workers():
+		par.For(blocks, 1, func(lo, hi int) {
+			for b := lo; b < hi; b++ {
+				bfly(re, im, b*4*h, st, 0, h)
 			}
+		})
+	default:
+		for b := 0; b < blocks; b++ {
+			base := b * 4 * h
+			par.For(h/4, 512, func(qLo, qHi int) {
+				bfly(re, im, base, st, 4*qLo, 4*qHi)
+			})
 		}
 	}
-	if p.finalR2 {
-		half := n / 2
-		par.For(half/4, 512, func(qLo, qHi int) {
-			bfly2Range(re, im, p.twRe, p.twIm, half, 4*qLo, 4*qHi)
-		})
+}
+
+// radix2Stage runs the span-n radix-2 stage of an odd-log2 plan, with
+// step-1 twiddles straight off the split base table.
+func (p *plan) radix2Stage(re, im []float64, bfly bfly2Func, parallel bool) {
+	half := p.n / 2
+	if !parallel {
+		bfly(re, im, p.twRe, p.twIm, half, 0, half)
+		return
 	}
+	par.For(half/4, 512, func(qLo, qHi int) {
+		bfly(re, im, p.twRe, p.twIm, half, 4*qLo, 4*qHi)
+	})
 }

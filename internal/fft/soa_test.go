@@ -33,7 +33,8 @@ func planeRelDiff(ar, ai, br, bi []float64) float64 {
 // TestButterflyKernelParity runs every stage of the plans from 2^2 to 2^17
 // (odd log2 sizes included, so the trailing radix-2 stage is covered)
 // through the dispatched butterflies and through the generic loops on
-// identical random planes; the two must agree within 1e-12 relative. Where
+// identical random planes, in both directions (the DIT butterflies and
+// their DIF transposes); the two must agree within 1e-12 relative. Where
 // the CPU has AVX2+FMA the dispatched side is the assembly; the dispatched
 // ranges are split quad-granularly, as the parallel stages split them.
 // Under -tags amop_purego both sides are the generic loops.
@@ -51,30 +52,39 @@ func TestButterflyKernelParity(t *testing.T) {
 				t.Errorf("n=%d %s: %s butterflies differ from generic by %g relative", n, stage, KernelName(), d)
 			}
 		}
-		for si := range p.stages {
-			st := &p.stages[si]
-			h := st.h
-			mid := (h / 2) &^ 3
-			check(fmt.Sprintf("radix-4 h=%d", h), func(re, im []float64) {
-				for b := 0; b < n/(4*h); b++ {
-					bfly4Range(re, im, b*4*h, st, 0, mid)
-					bfly4Range(re, im, b*4*h, st, mid, h)
-				}
-			}, func(re, im []float64) {
-				for b := 0; b < n/(4*h); b++ {
-					bfly4RangeGeneric(re, im, b*4*h, st, 0, h)
-				}
-			})
-		}
-		if p.finalR2 {
-			half := n / 2
-			mid := (half / 2) &^ 3
-			check("radix-2", func(re, im []float64) {
-				bfly2Range(re, im, p.twRe, p.twIm, half, 0, mid)
-				bfly2Range(re, im, p.twRe, p.twIm, half, mid, half)
-			}, func(re, im []float64) {
-				bfly2RangeGeneric(re, im, p.twRe, p.twIm, half, 0, half)
-			})
+		for _, dir := range []struct {
+			name                string
+			bfly4, bfly4Generic bfly4Func
+			bfly2, bfly2Generic bfly2Func
+		}{
+			{"DIT", bfly4Range, bfly4RangeGeneric, bfly2Range, bfly2RangeGeneric},
+			{"DIF", bfly4DIFRange, bfly4DIFRangeGeneric, bfly2DIFRange, bfly2DIFRangeGeneric},
+		} {
+			for si := range p.stages {
+				st := &p.stages[si]
+				h := st.h
+				mid := (h / 2) &^ 3
+				check(fmt.Sprintf("%s radix-4 h=%d", dir.name, h), func(re, im []float64) {
+					for b := 0; b < n/(4*h); b++ {
+						dir.bfly4(re, im, b*4*h, st, 0, mid)
+						dir.bfly4(re, im, b*4*h, st, mid, h)
+					}
+				}, func(re, im []float64) {
+					for b := 0; b < n/(4*h); b++ {
+						dir.bfly4Generic(re, im, b*4*h, st, 0, h)
+					}
+				})
+			}
+			if p.finalR2 {
+				half := n / 2
+				mid := (half / 2) &^ 3
+				check(dir.name+" radix-2", func(re, im []float64) {
+					dir.bfly2(re, im, p.twRe, p.twIm, half, 0, mid)
+					dir.bfly2(re, im, p.twRe, p.twIm, half, mid, half)
+				}, func(re, im []float64) {
+					dir.bfly2Generic(re, im, p.twRe, p.twIm, half, 0, half)
+				})
+			}
 		}
 	}
 }
@@ -379,7 +389,8 @@ func TestKernelName(t *testing.T) {
 // TestSoATransformsCounter checks the split-plane transform counter
 // advances once per direction exactly when the kernel runs (not on the
 // closed-form sizes), and that transformed-bytes accounting ticks with it
-// at 8 bytes per real sample.
+// at 8 bytes per real sample. A Convolve counts as the forward and inverse
+// it replaces: two transforms and 2*8n bytes.
 func TestSoATransformsCounter(t *testing.T) {
 	rp := RPlanFor(64)
 	x := randReal(rand.New(rand.NewSource(67)), 64)
@@ -404,6 +415,22 @@ func TestSoATransformsCounter(t *testing.T) {
 	}
 	if db := TransformedBytes() - b1; db != 8*4 {
 		t.Errorf("TransformedBytes advanced %d across a size-4 transform, want %d", db, 8*4)
+	}
+
+	for _, n := range []int{4, 64} {
+		rp := RPlanFor(n)
+		c0, b0 := SoATransforms(), TransformedBytes()
+		rp.Convolve(x[:n-1], make([]float64, 2*rp.HalfLen()), make([]float64, n/2))
+		wantC := int64(2)
+		if n < 8 {
+			wantC = 0
+		}
+		if c := SoATransforms() - c0; c != wantC {
+			t.Errorf("n=%d: SoATransforms advanced %d across a Convolve, want %d", n, c, wantC)
+		}
+		if db := TransformedBytes() - b0; db != int64(2*8*n) {
+			t.Errorf("n=%d: TransformedBytes advanced %d across a Convolve, want %d", n, db, 2*8*n)
+		}
 	}
 }
 

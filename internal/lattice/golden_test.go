@@ -67,10 +67,10 @@ func fastBits() string {
 //	go test ./internal/lattice -run TestFastPriceGolden -update
 //	go test -tags amop_purego ./internal/lattice -run TestFastPriceGolden -update
 //
-// on an amd64 machine with AVX2 and FMA (GOAMD64=v1), at the last commit
-// whose engine evaluated the exercise value cell by cell in its direct
-// steps. Rerun -update only for a change that is meant to move prices, and
-// say so where it is reviewed.
+// on an amd64 machine with AVX2 and FMA (GOAMD64=v1), when the FFT
+// evolution moved to the DIF forward, fused spectral pass and DIT inverse
+// (which moved the last bits of prices). Rerun -update only for a change
+// that is meant to move prices, and say so where it is reviewed.
 func TestFastPriceGolden(t *testing.T) {
 	path := filepath.Join("testdata", "fast_bits_"+fft.KernelName()+".golden")
 	got := fastBits()

@@ -27,7 +27,6 @@ import (
 
 	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/obs"
-	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
@@ -106,65 +105,18 @@ func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) 
 		defer obsEvolveDone(obs.Mono())
 	}
 
-	// Pad into pooled scratch, transform the real row to its half spectrum,
-	// multiply by the cached kernel spectrum, and transform back — zero
-	// steady-state allocations beyond the result row.
+	// Convolve the row, zero-padded to N, with the cached kernel spectrum,
+	// keeping only the outN samples whose cone lies inside the row. The
+	// padding is implicit and the convolution writes straight into the
+	// pooled result row, so a warm call allocates nothing. vals[t] holds
+	// corr[t] = sum_m C[m] cur[t+m] for the kernel C of P(x)^k; position j
+	// at time t+k corresponds to t = j + k*MinOff, and valid t runs over
+	// [0, outN).
 	N := fft.NextPow2(n)
 	rp := fft.RPlanFor(N)
-	x := scratch.Floats(N)
-	copy(x, cur)
-	clear(x[n:])
-	evolveSpectrumSoA(rp, x, kernelSpectrum(s, 0, N, k, rp))
-
-	// x[t] now holds corr[t] = sum_m C[m] cur[t+m] for the kernel C of
-	// P(x)^k; position j at time t+k corresponds to t = j + k*MinOff, and
-	// valid t runs over [0, outN).
 	vals = scratch.Floats(outN)
-	copy(vals, x[:outN])
-	scratch.PutFloats(x)
+	rp.Convolve(cur, kernelSpectrum(s, 0, N, k, rp), vals)
 	return vals, firstPos
-}
-
-// evolveSpectrumSoA runs forward transform, kernel multiply, and inverse
-// transform of x in place over split spectrum planes: the spectrum never
-// materializes as complex128. The multiplier stays complex128 (it comes from
-// the kernel-spectrum cache); only the per-solve spectrum data is carried as
-// planes.
-func evolveSpectrumSoA(rp *fft.RPlan, x []float64, mult []complex128) {
-	hl := rp.HalfLen()
-	sr := scratch.Floats(hl)
-	si := scratch.Floats(hl)
-	rp.ForwardSoA(x, sr, si)
-	mulSpectrum(sr, si, mult)
-	rp.InverseSoA(sr, si, x)
-	scratch.PutFloats(sr)
-	scratch.PutFloats(si)
-}
-
-// mulSpectrum multiplies the half spectrum, held as split planes, pointwise
-// by the cached kernel multiplier: one complex multiply per bin, expanded
-// into float64 lane arithmetic. Half spectra of at least fft.ParThreshold
-// bins split across workers; smaller ones run a plain loop so the call
-// allocates nothing (the parallel variant's closure would box the slice
-// headers per call).
-func mulSpectrum(sr, si []float64, mult []complex128) {
-	if len(sr) >= fft.ParThreshold {
-		mulSpectrumPar(sr, si, mult)
-		return
-	}
-	mulSpectrumRange(sr, si, mult, 0, len(sr))
-}
-
-func mulSpectrumRange(sr, si []float64, mult []complex128, lo, hi int) {
-	for f := lo; f < hi; f++ {
-		mr, mi := real(mult[f]), imag(mult[f])
-		r, i := sr[f], si[f]
-		sr[f], si[f] = r*mr-i*mi, r*mi+i*mr
-	}
-}
-
-func mulSpectrumPar(sr, si []float64, mult []complex128) {
-	par.For(len(sr), 4096, func(lo, hi int) { mulSpectrumRange(sr, si, mult, lo, hi) })
 }
 
 // EvolvePeriodic advances cur, interpreted as a ring of power-of-two size, by
@@ -187,10 +139,9 @@ func EvolvePeriodic(cur []float64, s Stencil, k int) []float64 {
 		defer obsEvolveDone(obs.Mono())
 	}
 	rp := fft.RPlanFor(n)
-	x := scratch.Floats(n)
-	copy(x, cur)
-	evolveSpectrumSoA(rp, x, kernelSpectrum(s, s.MinOff, n, k, rp))
-	return x
+	out := scratch.Floats(n)
+	rp.Convolve(cur, kernelSpectrum(s, s.MinOff, n, k, rp), out)
+	return out
 }
 
 // evolveConeNaive is the direct O(n*k*span) evolution used both as the small

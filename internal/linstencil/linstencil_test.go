@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/obs"
 )
 
@@ -330,7 +331,9 @@ func BenchmarkEvolveCone64K(b *testing.B) {
 
 // Only FFT-path evolutions are timed: the k=0 copy and the direct loop
 // record nothing, and each FFT-path call adds exactly one FFTEvolve record
-// and one fft_evolve stage entry to the installed trace.
+// and one fft_evolve stage entry to the installed trace. An FFT-path call
+// counts one forward and one inverse transform of the padded size, as the
+// transform counters have always counted it.
 func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	tr := obs.StartTrace("test", "")
@@ -344,9 +347,16 @@ func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
 	if got := count(); got != before {
 		t.Fatalf("direct-path evolutions added %d FFTEvolve records, want 0", got-before)
 	}
-	EvolveCone(make([]float64, 4096), s, 512)
+	c0, b0 := fft.SoATransforms(), fft.TransformedBytes()
+	EvolveCone(make([]float64, 4000), s, 512)
 	if got := count(); got != before+1 {
 		t.Fatalf("FFT-path EvolveCone added %d FFTEvolve records, want 1", got-before)
+	}
+	if c := fft.SoATransforms() - c0; c != 2 {
+		t.Errorf("FFT-path EvolveCone counted %d transforms, want 2", c)
+	}
+	if b := fft.TransformedBytes() - b0; b != 2*8*4096 {
+		t.Errorf("FFT-path EvolveCone counted %d transform bytes, want %d", b, 2*8*4096)
 	}
 	EvolvePeriodic(make([]float64, 64), s, 5)
 	if got := count(); got != before+2 {

@@ -22,6 +22,11 @@ import (
 //
 // on the half spectrum f in [0, N/2], with symbol evaluation done once per
 // key from the real plan's twiddle table instead of per-call math.Sincos.
+// It is stored the way fft.RPlan.Convolve reads it, so the evolution never
+// reorders a spectrum: two float64 planes (real parts, then imaginary
+// parts) of N/2+1 entries each, 16 B per bin, in the plan's spectral order
+// — entry pos holds mult[f] for f = rp.Bin(pos), the bit-reversed order the
+// DIF forward leaves the row's spectrum in.
 // The cache is process-wide and safe for concurrent use, so every worker of
 // a PriceBatch pool shares one copy of each spectrum.
 
@@ -80,11 +85,11 @@ func weightsString(w []float64) string {
 
 var specCache = struct {
 	mu      sync.Mutex
-	entries map[symKey][]complex128
+	entries map[symKey][]float64
 	bytes   int64
 	limit   int64
 }{
-	entries: make(map[symKey][]complex128),
+	entries: make(map[symKey][]float64),
 	limit:   DefaultSpectrumCacheLimit,
 }
 
@@ -141,16 +146,16 @@ func evictLocked() {
 		if specCache.bytes <= specCache.limit {
 			return
 		}
-		specCache.bytes -= int64(16 * len(v))
+		specCache.bytes -= int64(8 * len(v))
 		delete(specCache.entries, k)
 	}
 }
 
 // kernelSpectrum returns the half-spectrum multiplier for k steps of s on a
-// size-n ring, with the symbol additionally modulated by w_f^shift (shift 0
-// for the cone geometry, MinOff for the periodic one). The returned slice is
-// shared and must not be written.
-func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []complex128 {
+// size-n ring, laid out for fft.RPlan.Convolve, with the symbol additionally
+// modulated by w_f^shift (shift 0 for the cone geometry, MinOff for the
+// periodic one). The returned slice is shared and must not be written.
+func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
 	key := makeKey(s, shift, n, k)
 	specCache.mu.Lock()
 	if m, ok := specCache.entries[key]; ok {
@@ -170,7 +175,7 @@ func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []complex128 {
 			m = prior // concurrent computation won; share one copy
 		} else {
 			specCache.entries[key] = m
-			specCache.bytes += int64(16 * len(m))
+			specCache.bytes += int64(8 * len(m))
 			evictLocked()
 		}
 	}
@@ -181,16 +186,36 @@ func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []complex128 {
 // buildSpectrum evaluates the multiplier conj(sym[f]^k) on the half
 // spectrum in one pass, the modulated symbol sym[f] = P(w_f) * w_f^shift
 // taken from the real plan's twiddle table and raised by binary
-// exponentiation (fft.Pow). kernelSpectrum calls it on a miss; tests use it
-// as the fresh reference a cached multiplier must match bit for bit.
-func buildSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []complex128 {
-	m := make([]complex128, n/2+1)
-	par.For(len(m), 1024, func(lo, hi int) {
-		for f := lo; f < hi; f++ {
-			kp := fft.Pow(symbolAt(s, shift, rp.Twiddle(f)), k)
-			m[f] = complex(real(kp), -imag(kp))
+// exponentiation (fft.Pow). The multiplier is laid out as fft.Convolve
+// reads it: split planes in the plan's spectral order (fft.RPlan.Bin).
+// kernelSpectrum calls it on a miss; tests use it as the fresh reference a
+// cached multiplier must match bit for bit.
+//
+// Components below 2^-600 of the largest are flushed to zero. Their
+// contribution to any output is far below the transform's rounding, but
+// with them in place the products of the spectral pass run through
+// subnormal numbers, which the CPU handles in microcode at a hundred-fold
+// cost: at T = 65536 the powered symbol of the high frequencies sweeps
+// through the subnormal range.
+func buildSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
+	h := n/2 + 1
+	m := make([]float64, 2*h)
+	par.For(h, 1024, func(lo, hi int) {
+		for pos := lo; pos < hi; pos++ {
+			kp := fft.Pow(symbolAt(s, shift, rp.Twiddle(rp.Bin(pos))), k)
+			m[pos], m[h+pos] = real(kp), -imag(kp)
 		}
 	})
+	var top float64
+	for _, v := range m {
+		top = max(top, math.Abs(v))
+	}
+	floor := math.Ldexp(top, -600)
+	for i, v := range m {
+		if math.Abs(v) < floor {
+			m[i] = 0
+		}
+	}
 	return m
 }
 
@@ -219,11 +244,10 @@ func symbolAt(s Stencil, shift int, omega complex128) complex128 {
 // requesting solve — the batch engine's per-item recover turns it into one
 // contract's error — and leaves the cache clean. Cost: one O(n) scan per
 // cache build; the hit path is untouched.
-func checkSpectrumHealth(m []complex128, s Stencil, n, k int) {
-	for f, v := range m {
-		re, im := real(v), imag(v)
-		if math.IsNaN(re) || math.IsInf(re, 0) || math.IsNaN(im) || math.IsInf(im, 0) {
-			panic(fmt.Sprintf("linstencil: non-finite kernel spectrum at f=%d (n=%d, k=%d, weights=%v): %v", f, n, k, s.W, v))
+func checkSpectrumHealth(m []float64, s Stencil, n, k int) {
+	for i, v := range m {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("linstencil: non-finite kernel spectrum at %d (n=%d, k=%d, weights=%v): %v", i, n, k, s.W, v))
 		}
 	}
 }

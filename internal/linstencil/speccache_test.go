@@ -105,7 +105,7 @@ func checkCacheBytes(t *testing.T, when string) {
 	defer specCache.mu.Unlock()
 	var want int64
 	for _, m := range specCache.entries {
-		want += int64(16 * len(m))
+		want += int64(8 * len(m))
 	}
 	if specCache.bytes != want {
 		t.Errorf("%s: cache counts %d bytes, its entries hold %d", when, specCache.bytes, want)
@@ -171,7 +171,7 @@ func TestComputeSpectrumUsesTwiddles(t *testing.T) {
 	if d := maxDiff(fast, naive); d > 1e-12 {
 		t.Fatalf("5-weight ring evolution off naive by %g", d)
 	}
-	if len(got) != n/2+1 {
+	if len(got) != 2*(n/2+1) {
 		t.Fatalf("spectrum length %d", len(got))
 	}
 }
