@@ -5,7 +5,7 @@ GO ?= go
 # detector's cost on the non-concurrent remainder is noise.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test purego race smoke chaos bench bench-check bench-compare fuzz-smoke xval loc
+.PHONY: ci fmt vet build test purego race smoke chaos paper bench-check bench-compare fuzz-smoke xval loc
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -77,14 +77,32 @@ xval:
 		-analytic-trials 30 -analytic-tol 1e-6 -budget 0 \
 		-report xval-report.ndjson
 
-# chaos mirrors the CI chaos-smoke job: the fault-injected robustness tests
+# AMOP_BENCH is cmd/amop-bench made by go build, not go run: only a built
+# binary's build info carries vcs.revision, the commit its records name.
+AMOP_BENCH = .paper/amop-bench
+.PHONY: $(AMOP_BENCH)
+$(AMOP_BENCH):
+	$(GO) build -o $@ ./cmd/amop-bench
+
+# chaos is the CI chaos-smoke job: the fault-injected robustness tests
 # (breaker lifecycle, quarantine, canceled flights, the chaos replay) under
 # the race detector, and the serve-chaos harness experiment (availability +
 # degraded-mode accounting under injected solver panics and slowdowns,
 # recorded to BENCH_chaos.json).
-chaos:
+CHAOS_RECORD = $(AMOP_BENCH) -experiment serve-chaos -maxT 1024 -json BENCH_chaos.json
+chaos: $(AMOP_BENCH)
 	$(GO) test -race -count=1 -run 'TestServerBreakerLifecycle|TestServerQuarantineAndRecovery|TestServerQuoteCtxCanceledMidFlight|TestPriceBatchPanicIsolationRestoresBudget|TestScenarioSweepCtxCancelMidRun|TestServeChaosSmoke' .
-	$(GO) run ./cmd/amop-bench -experiment serve-chaos -maxT 1024 -json BENCH_chaos.json
+	$(CHAOS_RECORD)
+
+# paper regenerates the two committed records: BENCH_chaos.json and
+# BENCH_paper.json, the paper's performance claims at bounded sizes (Figure
+# 5, Tables 2 and 5, and the base-case and tile ablation). Each timed cell
+# is the median of five half-second testing.Benchmark runs, with its IQR;
+# each record names the machine and the commit, so run it on a clean tree.
+# About three minutes on 2 CPUs. Not a perf gate: that is bench-compare.
+paper: $(AMOP_BENCH)
+	$(CHAOS_RECORD)
+	$(AMOP_BENCH) -experiment fig5a,fig5b,fig5c,table2,table5,ablation -maxT 16384 -maxQuadT 8192 -json BENCH_paper.json
 
 # bench-check covers the seeded benchmark in bench/, a module of its own
 # that `go test ./...` and `vet` at the root do not reach: its tests, go vet
@@ -99,7 +117,3 @@ bench-check:
 BASE ?= $(shell git merge-base HEAD origin/main 2>/dev/null || echo HEAD~1)
 bench-compare:
 	bash scripts/bench-compare.sh $(BASE) HEAD
-
-# bench regenerates every paper-figure experiment (cmd/amop-bench).
-bench:
-	$(GO) run ./cmd/amop-bench -experiment all

@@ -22,7 +22,6 @@ import (
 	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/faultinject"
-	"github.com/nlstencil/amop/internal/fft"
 	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/option"
@@ -140,11 +139,6 @@ func PriceBatchCtx(ctx context.Context, reqs []Request, opts BatchOptions) []Res
 	eng.cancel = ctxCancel(ctx)
 	eng.tier = opts.Tier
 	eng.trace = obs.FromContext(ctx)
-	maxSteps := 0
-	for i := range reqs {
-		maxSteps = max(maxSteps, reqs[i].Config.Steps)
-	}
-	eng.prewarm(maxSteps)
 	var deliverMu sync.Mutex
 	runPool(len(reqs), opts.Workers, !opts.Interactive, eng.trace, func(i int) {
 		r := eng.run(reqs[i])
@@ -272,16 +266,6 @@ var (
 // and miss counts.
 func RepricingMemoStats() (hits, misses int64) {
 	return repricingMemoHits.Load(), repricingMemoMisses.Load()
-}
-
-// prewarm builds the FFT plan ladder every solve in the batch can request —
-// a T-step lattice transforms rows of up to ~2T+1 samples, padded to the next
-// power of two — so twiddle-table construction happens once, up front,
-// instead of redundantly across the first wave of workers.
-func (e *engine) prewarm(maxSteps int) {
-	if maxSteps > 0 {
-		fft.Prewarm(2*maxSteps + 2)
-	}
 }
 
 type priceKey struct {
@@ -587,7 +571,6 @@ func ChainCtx(ctx context.Context, underlying Option, strikes, expiries []float6
 	eng.cancel = ctxCancel(ctx)
 	eng.tier = o.Tier
 	eng.trace = obs.FromContext(ctx)
-	eng.prewarm(max(o.Steps, max(o.GreeksSteps, o.IVSteps)))
 	runPool(len(quotes), o.Workers, true, eng.trace, func(idx int) {
 		i, j := idx/len(expiries), idx%len(expiries)
 		quotes[idx] = eng.quote(underlying, strikes[i], expiries[j], o)

@@ -16,19 +16,16 @@ import (
 
 	"github.com/nlstencil/amop"
 	"github.com/nlstencil/amop/internal/bopm"
-	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/energy"
-	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/harness"
 	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/scratch"
-	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/topm"
-	"github.com/nlstencil/amop/internal/trace"
 )
 
 const (
@@ -37,110 +34,72 @@ const (
 	benchSimT  = 1 << 11 // simulated-counter series (Figures 6, 7, 10)
 )
 
-// --- Figure 5(a): BOPM running time -----------------------------------------
+// The paper's cases (model x algorithm) are defined once, in
+// internal/harness; these benchmarks time them at one size each.
+var (
+	fftBopm     = harness.Case{Model: "bopm", Alg: "fft"}
+	qlBopm      = harness.Case{Model: "bopm", Alg: "ql"}
+	zbBopm      = harness.Case{Model: "bopm", Alg: "zb"}
+	recBopm     = harness.Case{Model: "bopm", Alg: "rec"}
+	naiveBopm   = harness.Case{Model: "bopm", Alg: "naive"}
+	fftTopm     = harness.Case{Model: "topm", Alg: "fft"}
+	vanillaTopm = harness.Case{Model: "topm", Alg: "vanilla"}
+	fftBsm      = harness.Case{Model: "bsm", Alg: "fft"}
+	vanillaBsm  = harness.Case{Model: "bsm", Alg: "vanilla"}
+)
 
-func BenchmarkFig5aFFTBopm(b *testing.B) {
-	m := mustBOPM(b, benchT)
+func mustBuild(b *testing.B, c harness.Case, T int) harness.Solver {
+	b.Helper()
+	s, err := c.Build(T)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return s
+}
+
+// benchCase times c's solve at T steps.
+func benchCase(b *testing.B, c harness.Case, T int) {
+	s := mustBuild(b, c, T)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.PriceFast(); err != nil {
+		if _, err := s.Solve(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkFig5aQlBopm(b *testing.B) {
-	m := mustBOPM(b, benchT)
+// benchReplay replays c at T steps on a fresh simulated SKX hierarchy per
+// iteration and reports the simulated L1 and L2 misses and the modelled
+// dynamic energy.
+func benchReplay(b *testing.B, c harness.Case, T int) {
+	s := mustBuild(b, c, T)
+	em := energy.Skylake()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PriceNaiveParallel(option.Call)
-	}
-}
-
-func BenchmarkFig5aZbBopm(b *testing.B) {
-	m := mustBOPM(b, benchT)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceTiled(option.Call, 0, 0)
-	}
-}
-
-func BenchmarkTable2RecursiveBopm(b *testing.B) {
-	m := mustBOPM(b, benchT)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceRecursive(option.Call)
-	}
-}
-
-func BenchmarkTable2SerialNaiveBopm(b *testing.B) {
-	m := mustBOPM(b, benchT)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceNaive(option.Call)
-	}
-}
-
-// --- Figure 5(b): TOPM -------------------------------------------------------
-
-func BenchmarkFig5bFFTTopm(b *testing.B) {
-	m, err := topm.New(option.Default(), benchT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.PriceFast(); err != nil {
+		h := cachesim.NewSKX()
+		if err := s.Replay(h); err != nil {
 			b.Fatal(err)
 		}
+		ctr := h.Snapshot()
+		b.ReportMetric(float64(ctr.L1Misses), "L1miss")
+		b.ReportMetric(float64(ctr.L2Misses), "L2miss")
+		b.ReportMetric(em.Energy(ctr, 0).Total*1e3, "mJ(dyn)")
 	}
 }
 
-func BenchmarkFig5bVanillaTopm(b *testing.B) {
-	m, err := topm.New(option.Default(), benchT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceNaiveParallel(option.Call)
-	}
-}
+// --- Figure 5: running time, and the serial work classes of Table 2 ----------
 
-// --- Figure 5(c): BSM --------------------------------------------------------
-
-func BenchmarkFig5cFFTBsm(b *testing.B) {
-	m, err := bsm.New(option.Default(), benchT, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.PriceFast(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5cVanillaBsm(b *testing.B) {
-	m, err := bsm.New(option.Default(), benchT, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceNaiveParallel()
-	}
-}
+func BenchmarkFig5aFFTBopm(b *testing.B)          { benchCase(b, fftBopm, benchT) }
+func BenchmarkFig5aQlBopm(b *testing.B)           { benchCase(b, qlBopm, benchT) }
+func BenchmarkFig5aZbBopm(b *testing.B)           { benchCase(b, zbBopm, benchT) }
+func BenchmarkFig5bFFTTopm(b *testing.B)          { benchCase(b, fftTopm, benchT) }
+func BenchmarkFig5bVanillaTopm(b *testing.B)      { benchCase(b, vanillaTopm, benchT) }
+func BenchmarkFig5cFFTBsm(b *testing.B)           { benchCase(b, fftBsm, benchT) }
+func BenchmarkFig5cVanillaBsm(b *testing.B)       { benchCase(b, vanillaBsm, benchT) }
+func BenchmarkTable2RecursiveBopm(b *testing.B)   { benchCase(b, recBopm, benchT) }
+func BenchmarkTable2SerialNaiveBopm(b *testing.B) { benchCase(b, naiveBopm, benchT) }
 
 // --- Lattice fast calls and puts --------------------------------------------
 
@@ -182,113 +141,27 @@ func BenchmarkPriceFastPut(b *testing.B) {
 
 // --- Table 5: scaling with worker count p ------------------------------------
 
-func benchWorkers(b *testing.B, p int) {
-	m := mustBOPM(b, benchScalT)
+func benchWorkers(b *testing.B, c harness.Case, p int) {
 	prev := par.SetWorkers(p)
 	defer par.SetWorkers(prev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.PriceFast(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCase(b, c, benchScalT)
 }
 
-func BenchmarkTable5FFTBopmP1(b *testing.B) { benchWorkers(b, 1) }
-func BenchmarkTable5FFTBopmP2(b *testing.B) { benchWorkers(b, 2) }
-func BenchmarkTable5FFTBopmP4(b *testing.B) { benchWorkers(b, 4) }
-func BenchmarkTable5FFTBopmP8(b *testing.B) { benchWorkers(b, 8) }
-
-func BenchmarkTable5QlBopmP1(b *testing.B) {
-	m := mustBOPM(b, benchScalT)
-	prev := par.SetWorkers(1)
-	defer par.SetWorkers(prev)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PriceNaiveParallel(option.Call)
-	}
-}
+func BenchmarkTable5FFTBopmP1(b *testing.B) { benchWorkers(b, fftBopm, 1) }
+func BenchmarkTable5FFTBopmP2(b *testing.B) { benchWorkers(b, fftBopm, 2) }
+func BenchmarkTable5FFTBopmP4(b *testing.B) { benchWorkers(b, fftBopm, 4) }
+func BenchmarkTable5FFTBopmP8(b *testing.B) { benchWorkers(b, fftBopm, 8) }
+func BenchmarkTable5QlBopmP1(b *testing.B)  { benchWorkers(b, qlBopm, 1) }
 
 // --- Figures 6, 7, 10: simulated counters + energy model ---------------------
 
-func benchTraced(b *testing.B, run func(h *cachesim.Hierarchy)) {
-	em := energy.Skylake()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h := cachesim.NewSKX()
-		run(h)
-		c := h.Snapshot()
-		br := em.Energy(c, 0)
-		b.ReportMetric(float64(c.L1Misses), "L1miss")
-		b.ReportMetric(float64(c.L2Misses), "L2miss")
-		b.ReportMetric(br.Total*1e3, "mJ(dyn)")
-	}
-}
-
-// benchReplay runs benchTraced on the replay of a production fast solve.
-func benchReplay(b *testing.B, solve func(*fbstencil.Stats) (float64, error)) {
-	benchTraced(b, func(h *cachesim.Hierarchy) {
-		if _, err := trace.Replay(h, solve); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// benchReplaySweep runs benchTraced on the replay of a baseline sweep.
-func benchReplaySweep(b *testing.B, p *sweep.Problem, run func(*sweep.Problem) float64) {
-	benchTraced(b, func(h *cachesim.Hierarchy) {
-		if _, err := trace.ReplaySweep(h, p, run); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-func BenchmarkFig67TracedFFTBopm(b *testing.B) {
-	benchReplay(b, mustBOPM(b, benchSimT).PriceFastStats)
-}
-
-func BenchmarkFig67TracedQlBopm(b *testing.B) {
-	benchReplaySweep(b, mustBOPM(b, benchSimT).SweepProblem(option.Call), sweep.Naive)
-}
-
-func BenchmarkFig67TracedZbBopm(b *testing.B) {
-	benchReplaySweep(b, mustBOPM(b, benchSimT).SweepProblem(option.Call), func(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) })
-}
-
-func BenchmarkFig67TracedFFTTopm(b *testing.B) {
-	m, err := topm.New(option.Default(), benchSimT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchReplay(b, m.PriceFastStats)
-}
-
-func BenchmarkFig67TracedVanillaTopm(b *testing.B) {
-	m, err := topm.New(option.Default(), benchSimT)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchReplaySweep(b, m.SweepProblem(option.Call), sweep.Naive)
-}
-
-func BenchmarkFig67TracedFFTBsm(b *testing.B) {
-	m, err := bsm.New(option.Default(), benchSimT, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchReplay(b, m.PriceFastStats)
-}
-
-func BenchmarkFig67TracedVanillaBsm(b *testing.B) {
-	m, err := bsm.New(option.Default(), benchSimT, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchReplaySweep(b, m.SweepProblem(), sweep.Naive)
-}
+func BenchmarkFig67TracedFFTBopm(b *testing.B)     { benchReplay(b, fftBopm, benchSimT) }
+func BenchmarkFig67TracedQlBopm(b *testing.B)      { benchReplay(b, qlBopm, benchSimT) }
+func BenchmarkFig67TracedZbBopm(b *testing.B)      { benchReplay(b, zbBopm, benchSimT) }
+func BenchmarkFig67TracedFFTTopm(b *testing.B)     { benchReplay(b, fftTopm, benchSimT) }
+func BenchmarkFig67TracedVanillaTopm(b *testing.B) { benchReplay(b, vanillaTopm, benchSimT) }
+func BenchmarkFig67TracedFFTBsm(b *testing.B)      { benchReplay(b, fftBsm, benchSimT) }
+func BenchmarkFig67TracedVanillaBsm(b *testing.B)  { benchReplay(b, vanillaBsm, benchSimT) }
 
 // --- Extensions --------------------------------------------------------------
 
@@ -304,7 +177,10 @@ func BenchmarkBermudanQuarterly(b *testing.B) {
 }
 
 func BenchmarkEuropeanFFT(b *testing.B) {
-	m := mustBOPM(b, benchT)
+	m, err := bopm.New(option.Default(), benchT)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -505,15 +381,6 @@ func BenchmarkScenarioNaiveFanout(b *testing.B) {
 			}
 		}
 	}
-}
-
-func mustBOPM(b *testing.B, T int) *lattice.Model {
-	b.Helper()
-	m, err := bopm.New(option.Default(), T)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
 }
 
 // --- live pricing server ----------------------------------------------------

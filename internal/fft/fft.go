@@ -74,10 +74,9 @@ func planFor(n int) *plan {
 }
 
 // Prewarm builds and caches the real-input plans for every power-of-two
-// size up to NextPow2(n). The batch engine calls it once per batch at the
-// largest transform size its solves can request, so twiddle tables are
-// constructed once, up front, instead of racing across the first wave of
-// workers (plan-cache losers discard their construction work).
+// size up to NextPow2(n), so a caller that times its solves can build the
+// twiddle tables before the clock starts. Without it, RPlanFor builds each
+// plan on its first use.
 func Prewarm(n int) {
 	N := NextPow2(n)
 	for s := 1; s <= N; s <<= 1 {

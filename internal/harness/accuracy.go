@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/nlstencil/amop/internal/bopm"
-	"github.com/nlstencil/amop/internal/bsm"
-	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
-	"github.com/nlstencil/amop/internal/topm"
 )
 
 // Accuracy experiment: the paper's implicit claim that all algorithms price
@@ -18,38 +14,29 @@ func init() {
 	register(Experiment{"accuracy", "fast-vs-naive agreement and convergence to Black-Scholes", accuracy})
 }
 
+var accuracyModels = []string{"bopm", "topm", "bsm"}
+
 func accuracy(cfg Config) ([]*Table, error) {
-	prm := option.Default()
 	agree := &Table{
 		ID:     "accuracy-agreement",
 		Title:  "relative |fast - naive| per model",
-		Header: []string{"T", "bopm", "topm", "bsm"},
+		Header: append([]string{"T"}, accuracyModels...),
 	}
 	for _, T := range powersOf2(1<<10, min(cfg.MaxQuadT, 1<<14)) {
 		row := []string{fmt.Sprint(T)}
-
-		for _, newTree := range []func(option.Params, int) (*lattice.Model, error){bopm.New, topm.New} {
-			m, err := newTree(prm, T)
-			if err != nil {
-				return nil, err
+		for _, name := range accuracyModels {
+			var prices [2]float64
+			for i, alg := range []string{"fft", "naive"} {
+				s, err := Case{name, alg}.Build(T)
+				if err != nil {
+					return nil, err
+				}
+				if prices[i], err = s.Solve(); err != nil {
+					return nil, err
+				}
 			}
-			f, err := m.PriceFast()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.2e", relErr(f, m.PriceNaive(option.Call))))
+			row = append(row, fmt.Sprintf("%.2e", relErr(prices[0], prices[1])))
 		}
-
-		ms, err := bsm.New(prm, T, 0)
-		if err != nil {
-			return nil, err
-		}
-		fs, err := ms.PriceFast()
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, fmt.Sprintf("%.2e", relErr(fs, ms.PriceNaive())))
-
 		agree.Rows = append(agree.Rows, row)
 	}
 
@@ -58,27 +45,16 @@ func accuracy(cfg Config) ([]*Table, error) {
 		Title:  "European lattice/FD price vs Black-Scholes closed form (call for lattices, put for BSM)",
 		Header: []string{"T", "bopm-err", "topm-err", "bsm-err"},
 	}
-	bsCall := option.BlackScholes(prm, option.Call)
-	bsPut := option.BlackScholes(prm, option.Put)
 	for _, T := range powersOf2(1<<8, min(cfg.MaxT, 1<<14)) {
-		mb, err := bopm.New(prm, T)
-		if err != nil {
-			return nil, err
+		row := []string{fmt.Sprint(T)}
+		for _, name := range accuracyModels {
+			m, err := newModel(name, T)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, fmt.Sprintf("%.2e", math.Abs(m.european()-option.BlackScholes(option.Default(), m.kind))))
 		}
-		mt, err := topm.New(prm, T)
-		if err != nil {
-			return nil, err
-		}
-		ms, err := bsm.New(prm, T, 0)
-		if err != nil {
-			return nil, err
-		}
-		conv.Rows = append(conv.Rows, []string{
-			fmt.Sprint(T),
-			fmt.Sprintf("%.2e", math.Abs(mb.PriceEuropean(option.Call)-bsCall)),
-			fmt.Sprintf("%.2e", math.Abs(mt.PriceEuropean(option.Call)-bsCall)),
-			fmt.Sprintf("%.2e", math.Abs(ms.PriceEuropean()-bsPut)),
-		})
+		conv.Rows = append(conv.Rows, row)
 	}
 	return []*Table{agree, conv}, nil
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -59,17 +58,6 @@ func chaosBook(steps int) []amop.Request {
 		}
 	}
 	return reqs
-}
-
-// percentile returns the p-quantile of lat in milliseconds.
-func percentile(lat []time.Duration, p float64) float64 {
-	if len(lat) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), lat...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return float64(sorted[idx].Nanoseconds()) / 1e6
 }
 
 func serveChaos(cfg Config) ([]*Table, error) {
@@ -131,7 +119,7 @@ func serveChaos(cfg Config) ([]*Table, error) {
 
 	type symStats struct {
 		quotes, degraded, stale int
-		lat                     []time.Duration
+		lat                     []float64 // ms
 	}
 	stats := map[string]*symStats{}
 	for _, s := range syms {
@@ -189,7 +177,7 @@ func serveChaos(cfg Config) ([]*Table, error) {
 					mu.Lock()
 					st := stats[sym]
 					st.quotes++
-					st.lat = append(st.lat, time.Since(start))
+					st.lat = append(st.lat, float64(time.Since(start).Nanoseconds())/1e6)
 					if q.Degraded {
 						st.degraded++
 					} else if q.Stale {

@@ -1,6 +1,6 @@
 // Package harness runs the reproduction experiments: one entry per table and
 // figure of the paper's evaluation (Section 5 and the appendix), producing
-// aligned-text tables and optional CSV files.
+// aligned-text tables and an optional JSON record.
 //
 // Wall-clock experiments (Figure 5, Table 5) run the production pricers on
 // the host's cores. Counter experiments (Figures 6, 7, 10) replay traced
@@ -13,39 +13,25 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
+
+	"github.com/nlstencil/amop/internal/fft"
 )
 
 // Config controls experiment sweeps.
 type Config struct {
-	MaxT      int    // cap for fast-algorithm sweep sizes (default 1<<17)
-	MaxQuadT  int    // cap for quadratic baselines' wall-clock runs (default 1<<15)
-	MaxTraceT int    // cap for traced (simulated) runs (default 1<<13)
-	OutDir    string // when non-empty, write <id>.csv files here
-	JSONPath  string // when non-empty, write all tables as one JSON document here
-	Out       io.Writer
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxT == 0 {
-		c.MaxT = 1 << 17
-	}
-	if c.MaxQuadT == 0 {
-		c.MaxQuadT = 1 << 15
-	}
-	if c.MaxTraceT == 0 {
-		c.MaxTraceT = 1 << 13
-	}
-	if c.Out == nil {
-		c.Out = os.Stdout
-	}
-	return c
+	MaxT      int       // cap for fast-algorithm sweep sizes
+	MaxQuadT  int       // cap for quadratic baselines' wall-clock runs
+	MaxTraceT int       // cap for traced (simulated) runs
+	JSONPath  string    // when non-empty, write all tables as one JSON document here
+	Out       io.Writer // rendered tables; nil means standard output
 }
 
 // Table is one experiment's output.
@@ -55,6 +41,15 @@ type Table struct {
 	Note   string
 	Header []string
 	Rows   [][]string
+	Timed  []TimedCell `json:",omitempty"` // the timing behind each timed cell of Rows
+}
+
+// TimedCell is the timing behind the cell of a table's Rows in the row
+// labelled Row (its first cell) and the column headed Col.
+type TimedCell struct {
+	Row string `json:"row"`
+	Col string `json:"col"`
+	Timing
 }
 
 // Render writes the table as aligned text.
@@ -87,31 +82,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// WriteCSV writes the table to dir/<id>.csv.
-func (t *Table) WriteCSV(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, t.ID+".csv"))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	write := func(cells []string) error {
-		_, err := fmt.Fprintln(f, strings.Join(cells, ","))
-		return err
-	}
-	if err := write(t.Header); err != nil {
-		return err
-	}
-	for _, r := range t.Rows {
-		if err := write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Experiment is one reproducible table/figure.
 type Experiment struct {
 	ID    string
@@ -119,53 +89,46 @@ type Experiment struct {
 	Run   func(cfg Config) ([]*Table, error)
 }
 
-var (
-	registry   []Experiment
-	registryMu sync.Mutex
-)
+// registry is filled by the init functions of the experiments' files.
+var registry []Experiment
 
-func register(e Experiment) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry = append(registry, e)
-}
+func register(e Experiment) { registry = append(registry, e) }
 
 // Experiments lists all registered experiments in a stable order.
 func Experiments() []Experiment {
-	registryMu.Lock()
-	defer registryMu.Unlock()
 	out := append([]Experiment(nil), registry...)
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// RunByID runs one experiment (or all when id == "all"), rendering tables
-// and writing CSVs per the config.
+// RunByID runs the experiments id names (one ID, a comma-separated list,
+// or "all"), rendering tables and writing the JSON record per the config.
 func RunByID(id string, cfg Config) error {
-	cfg = cfg.withDefaults()
-	any := false
-	var all []*Table
-	for _, e := range Experiments() {
-		if id != "all" && e.ID != id {
-			continue
+	if cfg.Out == nil {
+		cfg.Out = os.Stdout
+	}
+	var run []Experiment
+	for _, one := range strings.Split(id, ",") {
+		n := len(run)
+		for _, e := range Experiments() {
+			if one == "all" || e.ID == one {
+				run = append(run, e)
+			}
 		}
-		any = true
+		if len(run) == n {
+			return fmt.Errorf("harness: unknown experiment %q (amop-bench -list prints the IDs)", one)
+		}
+	}
+	var all []*Table
+	for _, e := range run {
 		tables, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("harness: %s: %w", e.ID, err)
 		}
 		for _, t := range tables {
 			t.Render(cfg.Out)
-			if cfg.OutDir != "" {
-				if err := t.WriteCSV(cfg.OutDir); err != nil {
-					return err
-				}
-			}
 		}
 		all = append(all, tables...)
-	}
-	if !any {
-		return fmt.Errorf("harness: unknown experiment %q (use 'all' or one of %s)", id, idList())
 	}
 	if cfg.JSONPath != "" {
 		if err := WriteJSON(cfg.JSONPath, id, all); err != nil {
@@ -176,7 +139,7 @@ func RunByID(id string, cfg Config) error {
 }
 
 // benchDoc is the machine-readable experiment record written by WriteJSON:
-// the run's tables plus the machine they were measured on.
+// the run's tables plus the machine and the build they were measured on.
 type benchDoc struct {
 	Experiment  string   `json:"experiment"`
 	GeneratedAt string   `json:"generated_at"`
@@ -184,11 +147,18 @@ type benchDoc struct {
 	GOOS        string   `json:"goos"`
 	GOARCH      string   `json:"goarch"`
 	NumCPU      int      `json:"num_cpu"`
+	Kernel      string   `json:"kernel"`
+	GOAMD64     string   `json:"goamd64"`
+	FFTKernel   string   `json:"fft_kernel"`
+	Commit      string   `json:"commit"`
 	Tables      []*Table `json:"tables"`
 }
 
 // WriteJSON writes the tables of one harness run as a single JSON document
-// with enough machine context to compare runs over time.
+// with enough machine context to compare runs over time. The commit and
+// GOAMD64 come from the binary's build info: a binary made by go build
+// inside the repository carries them, one made by go run or go test records
+// the commit as "unknown".
 func WriteJSON(path, experiment string, tables []*Table) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -202,38 +172,36 @@ func WriteJSON(path, experiment string, tables []*Table) error {
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
 		NumCPU:      runtime.NumCPU(),
+		Kernel:      "unknown",
+		FFTKernel:   fft.KernelName(),
+		Commit:      "unknown",
 		Tables:      tables,
+	}
+	// Linux names its release here; elsewhere the kernel stays unknown.
+	if b, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		doc.Kernel = strings.TrimSpace(string(b))
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		dirty := false
+		for _, st := range bi.Settings {
+			switch st.Key {
+			case "GOAMD64":
+				doc.GOAMD64 = st.Value
+			case "vcs.revision":
+				doc.Commit = st.Value
+			case "vcs.modified":
+				dirty = st.Value == "true"
+			}
+		}
+		if dirty {
+			doc.Commit += "-dirty"
+		}
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func idList() string {
-	var ids []string
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
-	return strings.Join(ids, ", ")
-}
-
-// timeIt measures fn's wall time, repeating short runs until the total
-// exceeds ~50 ms so fast points are not pure noise.
-func timeIt(fn func()) float64 {
-	start := time.Now()
-	fn()
-	elapsed := time.Since(start)
-	if elapsed >= 50*time.Millisecond {
-		return elapsed.Seconds()
-	}
-	reps := int(50*time.Millisecond/(elapsed+time.Nanosecond)) + 1
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		fn()
-	}
-	return time.Since(start).Seconds() / float64(reps)
 }
 
 // powersOf2 returns powers of two from lo to hi inclusive.
@@ -244,6 +212,19 @@ func powersOf2(lo, hi int) []int {
 	}
 	return ts
 }
+
+// percentile returns the nearest-rank p-quantile of xs (0 for none).
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return sorted[int(p*float64(len(sorted)-1))]
+}
+
+// pow2 writes a power of two T as 2^k.
+func pow2(T int) string { return fmt.Sprintf("2^%d", bits.TrailingZeros(uint(T))) }
 
 func secs(s float64) string { return fmt.Sprintf("%.4g", s) }
 func num(v float64) string  { return fmt.Sprintf("%.6g", v) }

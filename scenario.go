@@ -253,12 +253,10 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 	type cellPlan struct{ hi, lo, scen *sweepTask }
 	cells := make([]cellPlan, len(sw.Results))
 	pending := make([]atomic.Int32, len(sw.Results))
-	maxSteps := 0
 	for c := range reqs {
 		req := reqs[c]
 		hi := taskFor(req.Option, req.Model, req.Config)
 		hi.bases = append(hi.bases, int32(c))
-		maxSteps = max(maxSteps, req.Config.Steps)
 		if len(scenarios) == 0 {
 			continue
 		}
@@ -269,7 +267,6 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 		case scenSteps < 0:
 			scenSteps = req.Config.Steps
 		}
-		maxSteps = max(maxSteps, scenSteps)
 		loCfg := req.Config
 		loCfg.Steps = scenSteps
 		lo := taskFor(req.Option, req.Model, loCfg)
@@ -287,10 +284,6 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 		}
 	}
 	sw.Stats.UniqueRepricings = len(tasks)
-	if opts.Greeks {
-		maxSteps = max(maxSteps, opts.GreeksSteps)
-	}
-	eng.prewarm(maxSteps)
 
 	var deliverMu sync.Mutex
 	finalize := func(idx int) {
