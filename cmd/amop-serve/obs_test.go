@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/nlstencil/amop"
+	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/obs"
 )
 
@@ -106,6 +107,12 @@ func TestMetricsLatencyHistograms(t *testing.T) {
 	// must cross a sampling tick no matter where it started.
 	for i := 0; i < 1030; i++ {
 		getJSON(t, ts.URL+"/quote?id=0", http.StatusOK, nil)
+	}
+	// FFT evolutions are sampled one in 512 too (keyed off the spectrum
+	// cache's lookup count), so run enough of them to cross a tick.
+	s := linstencil.Stencil{W: []float64{0.5, 0.49}}
+	for i := 0; i < 512; i++ {
+		linstencil.EvolveCone(make([]float64, 4000), s, 512)
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

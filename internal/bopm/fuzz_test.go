@@ -11,24 +11,25 @@ import (
 
 // FuzzFast drives the fast American call (the fast put of the swapped
 // contract) and the fast American put with arbitrary contracts and step
-// counts up to 300, and requires each to agree with the direct sweep to
-// 1e-9 relative. Contracts New rejects are skipped. Where the lattice
+// counts up to 300, at any base case up to 32 (0 is the default), and
+// requires each to agree with the direct sweep to 1e-9 relative. Contracts New rejects are skipped. Where the lattice
 // overflows float64 the sweep's price is not finite and there is nothing to
 // compare: the fast solve may then fail, but only with ErrNonFinite.
 func FuzzFast(f *testing.F) {
-	f.Add(127.62, 130.0, 0.00163, 0.2, 0.0163, 1.0, uint16(300))
-	f.Add(100.0, 100.0, 0.05, 0.3, 0.02, 1.0, uint16(64))
-	f.Add(400.0, 50.0, 0.03, 0.2, 0.01, 1.0, uint16(257))
-	f.Add(10.0, 300.0, 0.05, 0.2, 0.0, 0.5, uint16(17))
-	f.Add(100.0, 95.0, 0.01, 0.25, 0.08, 2.0, uint16(1))
-	f.Add(100.0, 110.0, 0.05, 2.0, 0.03, 1.0, uint16(299))
-	f.Add(8.1333, 1225.0, 29.004, 135.25, 18.556, 42.0, uint16(1)) // New would round the swapped up-probability to 0
-	f.Fuzz(func(t *testing.T, s, k, r, v, y, e float64, steps uint16) {
+	f.Add(127.62, 130.0, 0.00163, 0.2, 0.0163, 1.0, uint16(300), uint8(0))
+	f.Add(100.0, 100.0, 0.05, 0.3, 0.02, 1.0, uint16(64), uint8(1))
+	f.Add(400.0, 50.0, 0.03, 0.2, 0.01, 1.0, uint16(257), uint8(8))
+	f.Add(10.0, 300.0, 0.05, 0.2, 0.0, 0.5, uint16(17), uint8(0))
+	f.Add(100.0, 95.0, 0.01, 0.25, 0.08, 2.0, uint16(1), uint8(2))
+	f.Add(100.0, 110.0, 0.05, 2.0, 0.03, 1.0, uint16(299), uint8(16))
+	f.Add(8.1333, 1225.0, 29.004, 135.25, 18.556, 42.0, uint16(1), uint8(0)) // New would round the swapped up-probability to 0
+	f.Fuzz(func(t *testing.T, s, k, r, v, y, e float64, steps uint16, base uint8) {
 		p := option.Params{S: s, K: k, R: r, V: v, Y: y, E: e}
 		m, err := New(p, 1+int(steps)%300)
 		if err != nil {
 			t.Skip()
 		}
+		m.SetBaseCase(int(base % 33))
 		for _, c := range []struct {
 			kind option.Kind
 			fast func() (float64, error)
@@ -46,7 +47,7 @@ func FuzzFast(f *testing.F) {
 			}
 			tol := 1e-9 * math.Max(1, math.Abs(naive))
 			if d := math.Abs(fast - naive); !(d <= tol) {
-				t.Fatalf("%v %+v T=%d: fast %.17g, naive %.17g", c.kind, p, m.T, fast, naive)
+				t.Fatalf("%v %+v T=%d base=%d: fast %.17g, naive %.17g", c.kind, p, m.T, base%33, fast, naive)
 			}
 		}
 	})

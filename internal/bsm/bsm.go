@@ -169,8 +169,8 @@ func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, er
 }
 
 // problem builds the American put on depth-shifted columns c' = c-d, with
-// its exercise value from tab (from greenTable): cell (depth, col) is grid
-// column col+depth. The centered stencil is
+// its exercise rows read in place from tab (from greenTable): cell (depth,
+// col) is grid column col+depth. The centered stencil is
 // one-sided there (offsets 0..2 on columns [0, 2T-2d]), and Theorem 4.3's
 // leftward boundary move of at most one grid column becomes a drop of at
 // most two.
@@ -190,7 +190,7 @@ func (m *Model) problem(tab []float64) *fbstencil.GreenLeftOneSided {
 // SweepProblem is the American put as a baseline sweep (package sweep) on
 // the fast solver's depth-shifted columns: weights {B, C, A} on offsets 0..2,
 // the initial row on columns [0, 2T], and the exercise value of cell
-// (depth, col) copied from a table of green over the grid's columns. Its
+// (depth, col) read from a table of green over the grid's columns. Its
 // apex, column 0 at depth T, is grid column T. The sweep's result is
 // dimensionless; multiply by K for the price.
 func (m *Model) SweepProblem() *sweep.Problem {

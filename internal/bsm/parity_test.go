@@ -60,14 +60,14 @@ func TestGreenTableFallback(t *testing.T) {
 	prob := m.problem(tab)
 	fill := prob.Fill
 	var off, edge atomic.Int64
-	prob.Fill = func(d, lo, hi int, out []float64) {
+	prob.Fill = func(d, lo, hi int, buf []float64) []float64 {
 		if lo < 0 || hi > prob.Hi0-2*d {
 			off.Add(1)
 		}
 		if lo == 0 && d > 1 {
 			edge.Add(1)
 		}
-		fill(d, lo, hi, out)
+		return fill(d, lo, hi, buf)
 	}
 	got, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 	if err != nil {
@@ -94,10 +94,12 @@ func (m *Model) closedFormSolve() (float64, error) {
 	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
 	prob := m.problem(tab)
-	prob.Fill = func(d, lo, _ int, out []float64) {
+	prob.Fill = func(d, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
 		for i := range out {
 			out[i] = m.green(lo + i + d)
 		}
+		return out
 	}
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 	return m.Prm.K * v, err

@@ -7,8 +7,8 @@
 //
 // where Green is a closed-form function of the cell coordinates (the exercise
 // value in option pricing). The engine reads it a row at a time, through a
-// FillFunc; the pricing models read it out of a table computed once per
-// solve. Every row then splits into a contiguous *red* region, where the
+// FillFunc; the pricing models hand out rows of a table computed once per
+// solve, in place. Every row then splits into a contiguous *red* region, where the
 // linear combination wins, and a contiguous *green* region, where the closed
 // form wins; the red/green boundary column moves by at most one cell per
 // step and only in one direction (the paper's Corollary 2.7 for BOPM,
@@ -19,9 +19,9 @@
 // (linstencil.EvolveCone), while a geometrically shrinking band around the
 // unknown boundary is resolved recursively, giving O(T log^2 T) work and O(T)
 // span on a grid of size Theta(T) evolved for T steps. The recursion ends in
-// one direct step, used wherever a band is too thin to split: linstencil.Step
-// on the window, one obstacle-row fill, an elementwise max and a boundary
-// scan.
+// one direct step, used wherever a band is too thin to split: StepObstacle,
+// one pass over the window that takes each cell's max with the obstacle row
+// and finds the new boundary.
 //
 // There is one engine, SolveGreenLeftOneSided: a one-sided stencil (offsets
 // 0..r) whose green region lies on the left. The pricing models build its
@@ -31,8 +31,8 @@
 // centered 3-point stencil) becomes one in depth-shifted columns c' = c - d,
 // with offsets 0..2.
 //
-// Two adapters serve the stencil package and the tests; each wraps its
-// per-cell obstacle in a row fill:
+// Two adapters serve the stencil package and the tests; each fills its
+// obstacle rows cell by cell:
 //
 //   - SolveGreenRight (behind stencil.ObstacleRight): offsets 0..r with the
 //     green region on the right. In mirrored columns c' = (T-d)*r - c the
@@ -119,9 +119,10 @@ func checkFinite(v float64) error {
 //   - EvolveCone results, zone outputs, and the red cells a direct step
 //     copies out are owned by their caller, which recycles them after
 //     merging them into the next segment;
-//   - a direct step runs in place on one buffer of its own that also holds
-//     its obstacle row, so a base-case zone takes one buffer for all its
-//     steps;
+//   - a direct step runs in place on one buffer of its own, which also has
+//     room for its obstacle row when the problem fills rows instead of
+//     handing out views of a table, so a base-case zone takes one buffer for
+//     all its steps;
 //   - functions never recycle or write their *input* window — inputs may be
 //     subslices of a buffer another parallel branch is still reading (see
 //     zoneSplit) — except for direct, which by contract consumes its
@@ -131,9 +132,11 @@ func checkFinite(v float64) error {
 //     automatically; correctness never depends on a Put succeeding.
 
 // DefaultBaseCase is the recursion cutoff height below which trapezoids are
-// solved by direct steps. The paper reports a base case of 8 steps
-// performing best; our default is close and can be overridden per problem.
-const DefaultBaseCase = 8
+// solved by direct steps; a problem can override it. The paper's best was 8.
+// Ours is the fastest of the ablation-basecase sweep in BENCH_paper.json
+// (amop-bench -experiment ablation) at T=4096 and T=16384, where a direct
+// step is one StepObstacle pass that reads the obstacle in place.
+const DefaultBaseCase = 32
 
 // parCutoff is the zone height at or below which the FFT strip and the
 // boundary subzone run sequentially instead of through par.Do: under
@@ -163,8 +166,8 @@ type EventKind uint8
 const (
 	// EventFill writes Dst from the problem's initial row or its obstacle
 	// row fill: the initial row, the green cells at or left of a boundary,
-	// or a direct step's obstacle row. Virtual columns left of 0 are filled
-	// with zeros.
+	// or a direct step's obstacle row filled into a buffer of the solver's.
+	// Virtual columns left of 0 are filled with zeros.
 	EventFill EventKind = iota
 	// EventCopy copies Src into Dst.
 	EventCopy
@@ -174,21 +177,29 @@ const (
 	// EventSweep is a direct step's update of len(Dst) cells: a baseline
 	// sweep's (package sweep) or one of the fast solver's. Cell j reads
 	// Src[j .. j+len(W)-1] and stores Dst[j], the max of that sum and the
-	// cell's obstacle. The obstacle comes from a row filled beforehand: the
-	// sweep's exercise chunk, or the EventFill the fast solver reports just
-	// before the step. Dst may start at Src[0].
+	// cell's obstacle. Dst may start at Src[0]. The fast solver's step reads
+	// the obstacle from Ex, which covers the last len(Ex) cells of Dst (the
+	// ones left of column 0 have none) and was reported just before the
+	// step, as an EventFill or an EventSource. A sweep reports no Ex: it
+	// reads the obstacle from its exercise chunk, unreported.
 	EventSweep
 	// EventAlloc gives Dst fresh memory without touching it; later steps
 	// write its cells in place.
 	EventAlloc
+	// EventSource reports Dst, a row view of memory the problem computed
+	// before the solve (its obstacle table), which the next step reads in
+	// place. The solve never writes it.
+	EventSource
 )
 
-// Event is one step of a solve's schedule. Src and Dst are the solver's own
-// buffers: a replay can follow every value from the step that wrote it to
-// the steps that read it. They are valid only during the callback.
+// Event is one step of a solve's schedule. Src, Dst and Ex are the solver's
+// own buffers, or views of the problem's tables: a replay can follow every
+// value from the step that wrote it to the steps that read it. They are
+// valid only during the callback.
 type Event struct {
 	Kind     EventKind
 	Src, Dst []float64
+	Ex       []float64 // EventSweep: the obstacle the fast solver's step read
 	Steps    int       // EventFFT: steps evolved
 	W        []float64 // stencil weights of EventFFT and EventSweep
 	// InPlace marks a step that writes cells of a buffer earlier steps
@@ -242,15 +253,16 @@ func (s *Stats) addTrap() {
 // is the initial row; the solve advances to depth T.
 type GreenFunc func(depth, col int) float64
 
-// FillFunc writes the obstacle values of cells (depth, lo..hi) into
-// out[0..hi-lo]: one row of a GreenFunc at a time. The engine and the
-// baseline sweeps (package sweep) read the obstacle through it.
-type FillFunc func(depth, lo, hi int, out []float64)
+// FillFunc returns the obstacle values of cells (depth, lo..hi), hi-lo+1 of
+// them: either a read-only view of a table the problem computed before the
+// solve, or buf, which holds at least that many cells, filled. The engine
+// and the baseline sweeps (package sweep) read the obstacle through it.
+type FillFunc func(depth, lo, hi int, buf []float64) []float64
 
-// TableFill returns the fill that copies cell (depth, col) from
-// tab[col+depth].
+// TableFill returns the fill whose row of cells (depth, lo..hi) is the view
+// tab[lo+depth : hi+depth+1].
 func TableFill(tab []float64) FillFunc {
-	return func(depth, lo, hi int, out []float64) { copy(out, tab[lo+depth:hi+depth+1]) }
+	return func(depth, lo, hi int, _ []float64) []float64 { return tab[lo+depth : hi+depth+1] }
 }
 
 // ---------------------------------------------------------------------------
@@ -332,10 +344,12 @@ func SolveGreenRight(p *GreenRight, st *Stats) (float64, int, error) {
 		T:       T,
 		Hi0:     hi,
 		Init:    func(c int) float64 { return init(hi - c) },
-		Fill: func(d, c, _ int, out []float64) {
+		Fill: func(d, c, h int, buf []float64) []float64 {
+			out := buf[:h-c+1]
 			for i := range out {
 				out[i] = green(d, (T-d)*r-c-i)
 			}
+			return out
 		},
 		Bnd0:     hi - min(p.Bnd0, hi) - 1,
 		BaseCase: p.BaseCase,
@@ -411,10 +425,12 @@ func SolveGreenLeft(p *GreenLeft, st *Stats) (float64, int, error) {
 		T:       p.T,
 		Hi0:     p.Hi0 - lo,
 		Init:    func(c int) float64 { return init(c + lo) },
-		Fill: func(d, c, _ int, out []float64) {
+		Fill: func(d, c, h int, buf []float64) []float64 {
+			out := buf[:h-c+1]
 			for i := range out {
 				out[i] = green(d, c+lo+d+i)
 			}
+			return out
 		},
 		// An all-green row may carry any Bnd0 >= Hi0; the one-sided
 		// problem only accepts up to its row end.

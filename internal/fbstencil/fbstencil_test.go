@@ -540,13 +540,14 @@ func TestTinyT(t *testing.T) {
 	}
 }
 
-// TestBaseCaseInvariance: the answer must not depend on the recursion cutoff.
+// TestBaseCaseInvariance: the answer must not depend on the recursion cutoff,
+// from all direct steps (base 1) through the default.
 func TestBaseCaseInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	p := randOptParams(rng)
 	T := 333
 	var ref float64
-	for i, base := range []int{1, 4, 8, 23, 64, 1000} {
+	for i, base := range []int{1, 4, 8, 23, DefaultBaseCase, 64, 1000} {
 		prob := bopmProblem(p, T)
 		prob.BaseCase = base
 		v, _, err := SolveGreenRight(prob, nil)
@@ -561,7 +562,7 @@ func TestBaseCaseInvariance(t *testing.T) {
 			t.Errorf("base=%d: %.12g differs from ref %.12g", base, v, ref)
 		}
 	}
-	for i, base := range []int{1, 4, 8, 23, 64, 1000} {
+	for i, base := range []int{1, 4, 8, 23, DefaultBaseCase, 64, 1000} {
 		prob := bsmProblem(p, T)
 		prob.BaseCase = base
 		v, _, err := SolveGreenLeft(prob, nil)

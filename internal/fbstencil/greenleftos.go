@@ -32,10 +32,11 @@ import (
 //
 // The solver works on contiguous slices: a zone receives its window of the
 // row as one slice and hands subslices of it straight to the FFT. The
-// obstacle is read a row at a time, through Fill: each direct step fills the
-// obstacle row of the cells it computes, and a window that extends left of a
-// boundary fills its green cells. Columns left of 0 are virtual: a window
-// near the grid's left edge reaches them, but no real cell reads them, since
+// obstacle is read a row at a time, through Fill: each direct step reads the
+// obstacle row of the cells it computes, in place when Fill hands out a view
+// of the problem's table, and a window that extends left of a boundary
+// copies in its green cells. Columns left of 0 are virtual: a window near the
+// grid's left edge reaches them, but no real cell reads them, since
 // dependencies point right. The engine fills them with zeros, never tests
 // them against the obstacle, and never asks Fill for them.
 
@@ -49,7 +50,7 @@ type GreenLeftOneSided struct {
 	T       int
 	Hi0     int
 	Init    func(col int) float64
-	// Fill writes the obstacle row. The solver asks it only for cells on
+	// Fill returns the obstacle row. The solver asks it only for cells on
 	// the grid: 0 <= lo <= hi <= Hi0-depth*r.
 	Fill FillFunc
 	// Bnd0 is the largest green column of the initial row (-1 if none).
@@ -112,11 +113,28 @@ func (e *glosEngine) fillGreen(dst []float64, depth, lo int, inPlace bool) {
 	v := min(max(-lo, 0), len(dst))
 	clear(dst[:v])
 	if v < len(dst) {
-		e.fill(depth, lo+v, lo+len(dst)-1, dst[v:])
+		if g := e.fill(depth, lo+v, lo+len(dst)-1, dst[v:]); &g[0] != &dst[v] {
+			copy(dst[v:], g)
+		}
 	}
 	if e.stats.recording() {
 		e.stats.record(Event{Kind: EventFill, Dst: dst, InPlace: inPlace})
 	}
+}
+
+// obstacle returns the obstacle row at depth on columns [lo, lo+len(buf)),
+// all on the grid: a view of the problem's table, or buf filled. It reports
+// the row as the source it is.
+func (e *glosEngine) obstacle(buf []float64, depth, lo int) []float64 {
+	g := e.fill(depth, lo, lo+len(buf)-1, buf)
+	if e.stats.recording() {
+		if &g[0] != &buf[0] {
+			e.stats.record(Event{Kind: EventSource, Dst: g})
+		} else {
+			e.stats.record(Event{Kind: EventFill, Dst: g, InPlace: true})
+		}
+	}
+	return g
 }
 
 // copyRow is copy(dst, src), recorded.
@@ -211,8 +229,7 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		// turned entirely green, and so is every later row, since the
 		// boundary never rises while the right edge shrinks.
 		g := scratch.Floats(1)
-		e.fill(p.T, 0, 0, g)
-		v := g[0]
+		v := e.fill(p.T, 0, 0, g)[0]
 		scratch.PutFloats(g)
 		scratch.PutFloats(seg)
 		return v, bnd, checkFinite(v)
@@ -223,8 +240,8 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 }
 
 // stepBuf takes one pooled buffer for direct steps on a row of n cells: the
-// row, and after it the obstacle row of a step, which it reports as
-// allocated (each step fills it in place).
+// row, and after it room for the obstacle row of a step, which it reports as
+// allocated (a step that fills it does so in place).
 func (e *glosEngine) stepBuf(n int) (buf, row, ex []float64) {
 	buf = scratch.Floats(2*n - e.r)
 	row, ex = buf[:n], buf[n:]
@@ -237,26 +254,28 @@ func (e *glosEngine) stepBuf(n int) (buf, row, ex []float64) {
 // step is the direct step. row holds the cells of depth d on columns
 // [from, from+len(row)); step advances it one step in place and returns the
 // cells of depth d+1 on [from, from+len(row)-r), each the max of its linear
-// update and the obstacle, which it fills into ex. It also returns the new
-// boundary: the largest column at most b where the obstacle won, or floor if
-// there is none. A cell right of b that the obstacle wins only by roundoff
-// keeps the max but does not move the boundary, which never rises. The
-// virtual cells left of column 0 keep their linear update.
+// update and the obstacle, which it reads through obstacle into ex or from
+// the problem's table. It also returns the new boundary: the largest column
+// at most b where the obstacle won, or floor if there is none (see
+// StepObstacle). The virtual cells left of column 0 keep their linear
+// update.
 func (e *glosEngine) step(row, ex []float64, d, from, b, floor int) ([]float64, int) {
-	next := linstencil.Step(row, e.s)
-	e.fillGreen(ex[:len(next)], d+1, from, true)
-	v := min(max(-from, 0), len(next))
-	cells, newB := next[v:], floor
-	for i, g := range ex[v:len(next)] {
-		if g > cells[i] {
-			cells[i] = g
-			if j := from + v + i; j <= b {
-				newB = j
-			}
+	n := len(row) - e.r
+	v := min(max(-from, 0), n)
+	if v > 0 {
+		// The virtual cells read row[:v+r], which the pass below overwrites.
+		linstencil.Step(row[:v+e.r], e.s)
+	}
+	var g []float64
+	newB := floor
+	if v < n {
+		g = e.obstacle(ex[:n-v], d+1, from+v)
+		if j := StepObstacle(row[v:n], row[v:], g, e.s.W, b-from-v); j >= 0 {
+			newB = from + v + j
 		}
 	}
-	e.stats.addDirect(Event{Kind: EventSweep, Src: row, Dst: next, W: e.s.W, InPlace: true})
-	return next, newB
+	e.stats.addDirect(Event{Kind: EventSweep, Src: row, Dst: row[:n], Ex: g, W: e.s.W, InPlace: true})
+	return row[:n], newB
 }
 
 // direct runs step, with b and floor, from depth d on the window
@@ -405,12 +424,12 @@ func sweepNaive(p *GreenLeftOneSided, visit func(d, lastGreen, firstRed int) err
 	for j := range row {
 		row[j] = p.Init(j)
 	}
-	ex := make([]float64, p.Hi0+1)
+	buf := make([]float64, p.Hi0+1)
 	r := p.Stencil.Span()
 	w := p.Stencil.W
 	for d := 1; d <= p.T; d++ {
 		hi := p.Hi0 - d*r
-		p.Fill(d, 0, hi, ex[:hi+1])
+		ex := p.Fill(d, 0, hi, buf)
 		lastGreen, firstRed := -1, hi+1
 		for j := 0; j <= hi; j++ {
 			var lin float64

@@ -12,10 +12,12 @@ import (
 
 // rowFill fills an obstacle row cell by cell from green.
 func rowFill(green GreenFunc) FillFunc {
-	return func(depth, lo, _ int, out []float64) {
+	return func(depth, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
 		for i := range out {
 			out[i] = green(depth, lo+i)
 		}
+		return out
 	}
 }
 
@@ -234,11 +236,13 @@ func TestGreenLeftOneSidedDeepCases(t *testing.T) {
 	}
 }
 
+// TestGreenLeftOneSidedBaseCaseInvariance: the answer must not depend on
+// the recursion cutoff, base 1 and the default included.
 func TestGreenLeftOneSidedBaseCaseInvariance(t *testing.T) {
 	p := optParams{S: 127.62, K: 130, R: 0.00163, V: 0.2, Y: 0.0163, E: 1}
 	prob := putProblemBOPM(p, 700)
 	var ref float64
-	for i, base := range []int{1, 4, 8, 32, 128, 10000} {
+	for i, base := range []int{1, 4, 8, DefaultBaseCase, 128, 10000} {
 		prob.BaseCase = base
 		v, _, err := SolveGreenLeftOneSided(prob, nil)
 		if err != nil {

@@ -159,24 +159,38 @@ func table2(cfg Config) ([]*Table, error) {
 }
 
 func ablation(cfg Config) ([]*Table, error) {
-	T := min(1<<15, cfg.MaxT)
-	m, err := newModel("bopm", T)
-	if err != nil {
-		return nil, err
+	// T=4096 is the size of the chain workloads' solves; the largest T the
+	// run allows (up to 2^16, the deep solves') is the other column.
+	Ts := []int{min(1<<12, cfg.MaxT)}
+	if T := min(1<<16, cfg.MaxT); T > Ts[0] {
+		Ts = append(Ts, T)
 	}
 	base := &Table{
 		ID:     "ablation-basecase",
-		Title:  fmt.Sprintf("fast-solver recursion cutoff sweep at T=%d (paper: 8 is best)", T),
-		Header: []string{"base case", "fft-bopm seconds"},
+		Title:  "fast-solver recursion cutoff sweep (paper: 8 is best)",
+		Header: []string{"base case"},
 	}
-	for _, b := range []int{2, 4, 8, 16, 32, 64, 128} {
-		m.setBaseCase(b)
-		tm, err := sample(func() (float64, error) { return m.fast(nil) })
+	bases := []int{2, 4, 8, 16, 32, 64, 128}
+	base.Rows = make([][]string, len(bases))
+	for i, b := range bases {
+		base.Rows[i] = []string{fmt.Sprint(b)}
+	}
+	for _, T := range Ts {
+		m, err := newModel("bopm", T)
 		if err != nil {
 			return nil, err
 		}
-		base.Timed = append(base.Timed, TimedCell{fmt.Sprint(b), "fft-bopm", tm})
-		base.Rows = append(base.Rows, []string{fmt.Sprint(b), secs(tm.Median)})
+		col := fmt.Sprintf("fft-bopm seconds T=%d", T)
+		base.Header = append(base.Header, col)
+		for i, b := range bases {
+			m.setBaseCase(b)
+			tm, err := sample(func() (float64, error) { return m.fast(nil) })
+			if err != nil {
+				return nil, err
+			}
+			base.Timed = append(base.Timed, TimedCell{fmt.Sprint(b), col, tm})
+			base.Rows[i] = append(base.Rows[i], secs(tm.Median))
+		}
 	}
 	base.Note = fmt.Sprintf("the solvers' default is %d; median of %d samples", fbstencil.DefaultBaseCase, samples)
 

@@ -45,10 +45,9 @@ func (m *Model) PriceBermudan(kind option.Kind, every int) (float64, error) {
 				var ex [chunk]float64
 				for c := lo; c < hiC; c += chunk {
 					ce := min(c+chunk, hiC) - 1
-					fillEx(depth, c, ce, ex[:ce-c+1])
-					for j := c; j <= ce; j++ {
-						if e := ex[j-c]; e > row[j] {
-							row[j] = e
+					for j, e := range fillEx(depth, c, ce, ex[:]) {
+						if e > row[c+j] {
+							row[c+j] = e
 						}
 					}
 				}

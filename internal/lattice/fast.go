@@ -79,27 +79,26 @@ func (m *Model) swap() (*Model, error) {
 }
 
 // putProblem builds the green-left instance for the American put on tab,
-// the put's exercise table (from exerciseTable). A leaf, cell (0, col), is
-// tab[(2/r)*col].
+// the put's exercise table (from exerciseTable).
 func (m *Model) putProblem(tab []float64) *fbstencil.GreenLeftOneSided {
-	r := m.r()
-	hi := r * m.T
-	stride := 2 / r
+	hi := m.r() * m.T
+	fill := m.putFill(tab)
+	leaves := fill(0, 0, hi, nil)
 	// Largest leaf column with strictly positive put payoff; the payoff
 	// falls as the column rises.
 	bnd0 := -1
-	for bnd0 < hi && tab[stride*(bnd0+1)] > 0 {
+	for bnd0 < hi && leaves[bnd0+1] > 0 {
 		bnd0++
 	}
 	return &fbstencil.GreenLeftOneSided{
 		Stencil:  m.Stencil(),
 		T:        m.T,
 		Hi0:      hi,
-		Init:     func(col int) float64 { return math.Max(0, tab[stride*col]) },
-		Fill:     m.putFill(tab),
+		Init:     func(col int) float64 { return math.Max(0, leaves[col]) },
+		Fill:     fill,
 		Bnd0:     bnd0,
 		BaseCase: m.baseC,
-		MaxDrop:  r,
+		MaxDrop:  m.r(),
 	}
 }
 
@@ -137,10 +136,12 @@ func (m *Model) ValidatePutStructure() error {
 	tab := m.exerciseTable()
 	defer scratch.PutFloats(tab)
 	p := m.putProblem(tab)
-	p.Fill = func(depth, lo, _ int, out []float64) {
+	p.Fill = func(depth, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
 		for i := range out {
 			out[i] = m.Exercise(option.Put, depth, lo+i)
 		}
+		return out
 	}
 	_, err := fbstencil.GreenLeftOneSidedBoundaryTrace(p)
 	return err

@@ -91,27 +91,37 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 }
 
 // exerciseTable returns the put's exercise value for every net move i in
-// [-T, T] a fast solve reaches, at index i+T. The caller owns the pooled
-// table and returns it with scratch.PutFloats.
+// [-T, T] a fast solve reaches, laid out so that every obstacle row is a
+// contiguous run of it (see tabIndex). The caller owns the pooled table and
+// returns it with scratch.PutFloats.
 func (m *Model) exerciseTable() []float64 {
 	tab := scratch.Floats(2*m.T + 1)
 	for k := range tab {
-		tab[k] = m.exercise(option.Put, k-m.T)
+		tab[m.tabIndex(k)] = m.exercise(option.Put, k-m.T)
 	}
 	return tab
 }
 
-// putFill returns the put's exercise row fill: cell (depth, col) is tab
-// (from exerciseTable) at index (2/r)*col+depth, bitwise equal to the closed
+// tabIndex returns where exerciseTable stores net move k-T. Cell (depth,
+// col) is net move (2/r)*col+depth-T. On the trinomial tree that is index k
+// itself. On the binomial tree a row's moves step by two, so the table is
+// split by parity: the even k first, at k/2, then the odd ones, at
+// T+1+k/2.
+func (m *Model) tabIndex(k int) int {
+	if m.r() == 2 {
+		return k
+	}
+	return k&1*(m.T+1) + k>>1
+}
+
+// putFill returns the put's exercise row fill: the row of cells (depth,
+// lo..hi) is a view of tab (from exerciseTable), bitwise equal to the closed
 // form.
 func (m *Model) putFill(tab []float64) fbstencil.FillFunc {
-	if m.r() == 2 {
-		return fbstencil.TableFill(tab)
-	}
-	return func(depth, lo, _ int, out []float64) {
-		for i := range out {
-			out[i] = tab[2*(lo+i)+depth]
-		}
+	stride := 2 / m.r()
+	return func(depth, lo, hi int, _ []float64) []float64 {
+		i := m.tabIndex(stride*lo + depth)
+		return tab[i : i+hi-lo+1]
 	}
 }
 
@@ -137,20 +147,24 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 	}
 	K := m.Prm.K
 	if kind == option.Call {
-		p.FillExercise = func(depth, lo, hi int, out []float64) {
+		p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
+			out := buf[:hi-lo+1]
 			a := m.Asset(depth, lo)
 			for i := range out {
 				out[i] = a - K
 				a *= f
 			}
+			return out
 		}
 	} else {
-		p.FillExercise = func(depth, lo, hi int, out []float64) {
+		p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
+			out := buf[:hi-lo+1]
 			a := m.Asset(depth, lo)
 			for i := range out {
 				out[i] = K - a
 				a *= f
 			}
+			return out
 		}
 	}
 	return p

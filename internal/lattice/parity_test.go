@@ -75,10 +75,12 @@ func closedFormPut(m *lattice.Model) (float64, error) {
 	tab := lattice.ExerciseTable(m)
 	defer scratch.PutFloats(tab)
 	prob := lattice.PutProblem(m, tab)
-	prob.Fill = func(d, lo, _ int, out []float64) {
+	prob.Fill = func(d, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
 		for i := range out {
 			out[i] = m.Exercise(option.Put, d, lo+i)
 		}
+		return out
 	}
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 	return v, err
@@ -100,14 +102,14 @@ func TestPutFillOnGrid(t *testing.T) {
 		r := prob.Stencil.Span()
 		fill := prob.Fill
 		var off, edge atomic.Int64
-		prob.Fill = func(d, lo, hi int, out []float64) {
+		prob.Fill = func(d, lo, hi int, buf []float64) []float64 {
 			if lo < 0 || hi > prob.Hi0-r*d {
 				off.Add(1)
 			}
 			if lo == 0 && d > 1 {
 				edge.Add(1)
 			}
-			fill(d, lo, hi, out)
+			return fill(d, lo, hi, buf)
 		}
 		got, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil)
 		scratch.PutFloats(tab)
@@ -134,5 +136,40 @@ func checkParity(t *testing.T, kind string, p option.Params, T int, got, want fl
 	t.Helper()
 	if (gotErr == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("%s T=%d %+v: table %v (err %v), closed form %v (err %v)", kind, T, p, got, gotErr, want, wantErr)
+	}
+}
+
+// TestBinomialRowViewMatchesStrideFill: the binomial exercise table is
+// stored split by parity, so each obstacle row is a contiguous view of it.
+// At every depth, of both parities, the view equals the stride-2 fill of a
+// table in net-move order, cell (depth, col) at 2*col+depth, bitwise.
+func TestBinomialRowViewMatchesStrideFill(t *testing.T) {
+	for _, T := range []int{1, 2, 7, 64, 333} {
+		m, err := bopm.New(parityParams[0], T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := make([]float64, 2*T+1)
+		for k := range flat {
+			flat[k] = m.Exercise(option.Put, k, 0) // net move k-T
+		}
+		tab := lattice.ExerciseTable(m)
+		fill := lattice.PutProblem(m, tab).Fill
+		for d := 0; d <= T; d++ {
+			for lo := 0; lo <= T-d; lo++ {
+				for _, hi := range []int{lo, (lo + T - d + 1) / 2, T - d} {
+					row := fill(d, lo, hi, nil)
+					if len(row) != hi-lo+1 {
+						t.Fatalf("T=%d depth %d [%d, %d]: view of %d cells", T, d, lo, hi, len(row))
+					}
+					for i, got := range row {
+						if want := flat[2*(lo+i)+d]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("T=%d depth %d col %d: view %v, stride fill %v", T, d, lo+i, got, want)
+						}
+					}
+				}
+			}
+		}
+		scratch.PutFloats(tab)
 	}
 }

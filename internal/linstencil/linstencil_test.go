@@ -330,14 +330,13 @@ func BenchmarkEvolveCone64K(b *testing.B) {
 }
 
 // Only FFT-path evolutions are timed: the k=0 copy and the direct loop
-// record nothing, and each FFT-path call adds exactly one FFTEvolve record
-// and one fft_evolve stage entry to the installed trace. An FFT-path call
-// counts one forward and one inverse transform of the padded size, as the
-// transform counters have always counted it.
+// record nothing. An installed trace gets one fft_evolve stage entry per
+// FFT-path call, and the FFTEvolve histogram one record per
+// evolveSampleEvery of them, traced or not. An FFT-path call counts one
+// forward and one inverse transform of the padded size, as the transform
+// counters have always counted it.
 func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
-	tr := obs.StartTrace("test", "")
-	defer obs.SetActive(obs.SetActive(tr))
 	s := Stencil{W: []float64{0.5, 0.49}}
 	count := func() int64 { return obs.FFTEvolve.Snapshot().Count }
 
@@ -349,18 +348,31 @@ func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
 	}
 	c0, b0 := fft.SoATransforms(), fft.TransformedBytes()
 	EvolveCone(make([]float64, 4000), s, 512)
-	if got := count(); got != before+1 {
-		t.Fatalf("FFT-path EvolveCone added %d FFTEvolve records, want 1", got-before)
-	}
 	if c := fft.SoATransforms() - c0; c != 2 {
 		t.Errorf("FFT-path EvolveCone counted %d transforms, want 2", c)
 	}
 	if b := fft.TransformedBytes() - b0; b != 2*8*4096 {
 		t.Errorf("FFT-path EvolveCone counted %d transform bytes, want %d", b, 2*8*4096)
 	}
-	EvolvePeriodic(make([]float64, 64), s, 5)
-	if got := count(); got != before+2 {
-		t.Fatalf("EvolvePeriodic added %d FFTEvolve records, want 1", got-before-1)
+
+	// Untraced, then traced: evolveSampleEvery FFT-path calls each, half of
+	// them periodic, sample exactly one record each time.
+	tr := obs.StartTrace("test", "")
+	for _, traced := range []bool{false, true} {
+		if traced {
+			defer obs.SetActive(obs.SetActive(tr))
+		}
+		before = count()
+		for i := 0; i < evolveSampleEvery; i++ {
+			if i%2 == 0 {
+				EvolveCone(make([]float64, 4000), s, 512)
+			} else {
+				EvolvePeriodic(make([]float64, 64), s, 5)
+			}
+		}
+		if got := count() - before; got != 1 {
+			t.Errorf("traced=%v: %d FFT-path evolutions added %d FFTEvolve records, want 1", traced, evolveSampleEvery, got)
+		}
 	}
 	stages := 0
 	for _, st := range tr.Finish().Stages {
@@ -368,7 +380,7 @@ func TestEvolveTelemetryFFTPathOnly(t *testing.T) {
 			stages += int(st.Count)
 		}
 	}
-	if stages != 2 {
-		t.Errorf("trace holds %d fft_evolve entries, want 2", stages)
+	if stages != evolveSampleEvery {
+		t.Errorf("trace holds %d fft_evolve entries, want %d", stages, evolveSampleEvery)
 	}
 }

@@ -90,9 +90,10 @@ var (
 	StalenessAge = NewHistogram("amop_staleness_age_seconds",
 		"age of the served surface price at serve time")
 	// FFTEvolve is the latency of one linstencil FFT evolution (the
-	// EvolveCone/EvolvePeriodic hot kernel of every lattice solve).
+	// EvolveCone/EvolvePeriodic hot kernel of every lattice solve), sampled:
+	// one evolution in 512 is timed, so the rest read no clock.
 	FFTEvolve = NewHistogram("amop_fft_evolve_seconds",
-		"latency of one FFT stencil evolution (forward transform, kernel multiply, inverse)")
+		"latency of one FFT stencil evolution (forward transform, kernel multiply, inverse), sampled 1 in 512")
 )
 
 // instrument is anything the registry can render to Prometheus text and

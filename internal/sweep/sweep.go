@@ -34,9 +34,9 @@ type Problem struct {
 	Hi0 int       // last column of the initial row (Hi0 >= T*r)
 	// Leaf returns the initial row value at the given column.
 	Leaf func(col int) float64
-	// FillExercise writes the exercise (obstacle) values of cells
-	// (depth, lo..hi) into out[0..hi-lo]. A nil FillExercise selects the
-	// purely linear (European) sweep with no max.
+	// FillExercise returns the exercise (obstacle) values of cells
+	// (depth, lo..hi): a view of a table, or its buf argument filled. A nil
+	// FillExercise selects the purely linear (European) sweep with no max.
 	FillExercise fbstencil.FillFunc
 	// Record, when non-nil, receives the sweep's steps in order: the
 	// initial row as an EventFill, each further buffer the sweep takes as an
@@ -48,9 +48,9 @@ type Problem struct {
 }
 
 // exChunk is the column-chunk granularity used to amortize FillExercise
-// calls. The chunk buffer comes from the scratch pools, not the stack:
-// FillExercise is a func value, so a stack array passed to it escapes, one
-// allocation per call.
+// calls. The chunk buffer a filling FillExercise writes comes from the
+// scratch pools, not the stack: FillExercise is a func value, so a stack
+// array passed to it escapes, one allocation per call.
 const exChunk = 512
 
 // leafRow materializes the initial row into a pooled buffer; callers recycle
@@ -84,8 +84,7 @@ func (p *Problem) advance(dst, src, ex []float64, depth, lo int) {
 		ce := min(c+exChunk, len(dst))
 		var e []float64
 		if p.FillExercise != nil {
-			e = ex[:ce-c]
-			p.FillExercise(depth, lo+c, lo+ce-1, e)
+			e = p.FillExercise(depth, lo+c, lo+ce-1, ex[:ce-c])
 		}
 		stepRow(dst[c:ce], src[c:], e, p.W)
 		if p.Record != nil {
@@ -105,47 +104,29 @@ func (p *Problem) copyCells(dst, src []float64) {
 // stepRow is the row kernel of every sweep: dst[j] = max(sum_o w[o]*src[j+o],
 // ex[j]) for j in [0, len(dst)), or the sum alone if ex is nil, for spans
 // 1 and 2. dst may start at src[0]: cell j reads src[j..j+r], none of which
-// an ascending pass has overwritten yet. The sum adds the terms in offset
-// order.
+// an ascending pass has overwritten yet. The max is fbstencil.StepObstacle,
+// the fast solver's direct step; the sum adds the terms in offset order.
 func stepRow(dst, src, ex, w []float64) {
+	if len(w) != 2 && len(w) != 3 {
+		panic("sweep: the stencil spans 1 or 2 columns")
+	}
+	if ex != nil {
+		fbstencil.StepObstacle(dst, src, ex, w, -1)
+		return
+	}
 	n := len(dst)
-	switch len(w) {
-	case 2:
+	if len(w) == 2 {
 		w0, w1 := w[0], w[1]
 		s0, s1 := src[:n], src[1:n+1]
-		if ex == nil {
-			for j := range dst {
-				dst[j] = w0*s0[j] + w1*s1[j]
-			}
-			return
-		}
-		ex = ex[:n]
 		for j := range dst {
-			v := w0*s0[j] + w1*s1[j]
-			if e := ex[j]; e > v {
-				v = e
-			}
-			dst[j] = v
+			dst[j] = w0*s0[j] + w1*s1[j]
 		}
-	case 3:
-		w0, w1, w2 := w[0], w[1], w[2]
-		s0, s1, s2 := src[:n], src[1:n+1], src[2:n+2]
-		if ex == nil {
-			for j := range dst {
-				dst[j] = w0*s0[j] + w1*s1[j] + w2*s2[j]
-			}
-			return
-		}
-		ex = ex[:n]
-		for j := range dst {
-			v := w0*s0[j] + w1*s1[j] + w2*s2[j]
-			if e := ex[j]; e > v {
-				v = e
-			}
-			dst[j] = v
-		}
-	default:
-		panic("sweep: the stencil spans 1 or 2 columns")
+		return
+	}
+	w0, w1, w2 := w[0], w[1], w[2]
+	s0, s1, s2 := src[:n], src[1:n+1], src[2:n+2]
+	for j := range dst {
+		dst[j] = w0*s0[j] + w1*s1[j] + w2*s2[j]
 	}
 }
 

@@ -26,11 +26,13 @@ func randProblem(rng *rand.Rand, r, T int) *Problem {
 		T:    T,
 		Hi0:  T * r,
 		Leaf: func(col int) float64 { return math.Abs(math.Sin(float64(col)*0.01)) * scale },
-		FillExercise: func(depth, lo, hi int, out []float64) {
+		FillExercise: func(depth, lo, hi int, buf []float64) []float64 {
+			out := buf[:hi-lo+1]
 			for i := range out {
 				x := float64(lo+i)*0.004 - float64(depth)*0.002 + off
 				out[i] = scale * math.Exp(-x*x)
 			}
+			return out
 		},
 	}
 }

@@ -19,10 +19,12 @@ import (
 // solver allocates per buffer, or, for a step that rewrites its buffer in
 // place, at the address the cell already has. Every cell a step reads is one
 // access at the address of the step that last wrote that cell of that
-// buffer. The FFT runs traced (evolveCone) on its input strip. A read of a
-// cell no recorded step wrote, or whose value differs from the one recorded
-// there, means the schedule missed a write; the replay then returns an
-// error.
+// buffer. The FFT runs traced (evolveCone) on its input strip. A direct
+// step reads its obstacle where the solver does: in the row it filled, or in
+// the problem's table, whose cells get their simulated addresses, page by
+// page, when a step first reports them (EventSource). A read of a cell no
+// recorded step wrote, or whose value differs from the one recorded there,
+// means the schedule missed a write; the replay then returns an error.
 func Replay(h *cachesim.Hierarchy, solve func(*fbstencil.Stats) (float64, error)) (*fbstencil.Stats, error) {
 	_, st, err := newReplayer(h).replay(solve)
 	return st, err
@@ -44,6 +46,9 @@ type replayer struct {
 	h     *cachesim.Hierarchy
 	plans planCache
 	cells cellIndex // solver cell -> where and what it was last written
+	// sources maps a page of a problem's table (cellIndex's page key) to
+	// its simulated memory.
+	sources map[uintptr]uint64
 
 	unresolved int // reads of cells no recorded step wrote
 	stale      int // reads of cells rewritten since their recorded write
@@ -88,7 +93,7 @@ func (x *cellIndex) at(p *float64) *cell {
 }
 
 func newReplayer(h *cachesim.Hierarchy) *replayer {
-	return &replayer{h: h, plans: planCache{}, cells: cellIndex{pages: map[uintptr]*cellPage{}}}
+	return &replayer{h: h, plans: planCache{}, cells: cellIndex{pages: map[uintptr]*cellPage{}}, sources: map[uintptr]uint64{}}
 }
 
 // replay runs the recorded solve and returns its price and Stats.
@@ -119,17 +124,26 @@ func (r *replayer) apply(ev fbstencil.Event) {
 	case fbstencil.EventSweep:
 		// Cell j reads Src[j+i]. A step whose Dst starts at Src[0] has
 		// overwritten the inputs it shares with Dst; those past Dst's end
-		// are checked. The obstacle row was written before the step: the
-		// fast solver reports it as an EventFill, a sweep fills its chunk
+		// are checked. The fast solver's step then reads its obstacle from
+		// Ex, reported before the step; a sweep fills its exercise chunk
 		// unreported.
 		n := len(ev.Dst)
 		shared := n > 0 && &ev.Dst[0] == &ev.Src[0]
+		off, flops := n-len(ev.Ex), uint64(flopsPerCell)
+		if ev.Ex == nil {
+			flops += 2 // the exercise chunk: one multiply
+		}
 		r.write(ev.Dst, ev.InPlace, func(j int) {
 			for i := range ev.W {
 				r.read(ev.Src, j+i, !shared || j+i >= n)
 			}
-			r.h.AddFlops(flopsPerCell + 2) // the exercise chunk: one multiply
+			if j >= off {
+				r.read(ev.Ex, j-off, true)
+			}
+			r.h.AddFlops(flops)
 		})
+	case fbstencil.EventSource:
+		r.source(ev.Dst)
 	case fbstencil.EventAlloc:
 		base := r.h.Alloc(8 * len(ev.Dst))
 		for i := range ev.Dst {
@@ -140,6 +154,32 @@ func (r *replayer) apply(ev fbstencil.Event) {
 		for i := range ev.Dst {
 			*r.cells.at(&ev.Dst[i]) = cell{p: &ev.Dst[i], addr: out.Addr(i), v: math.Float64bits(ev.Dst[i])}
 		}
+	}
+}
+
+// source places the cells of src, a row view of a problem's table, that no
+// step reported before: at their offset in simulated memory of their own page
+// of the table, computed once (one exp each). A reported cell must still
+// hold the value recorded there.
+func (r *replayer) source(src []float64) {
+	for i := range src {
+		c := r.cells.at(&src[i])
+		if c.p != nil {
+			if c.unwritten {
+				r.unresolved++
+			} else if c.v != math.Float64bits(src[i]) {
+				r.stale++
+			}
+			continue
+		}
+		a := uintptr(unsafe.Pointer(&src[i])) / 8
+		base, ok := r.sources[a>>pageBits]
+		if !ok {
+			base = r.h.Alloc(8 << pageBits)
+			r.sources[a>>pageBits] = base
+		}
+		*c = cell{p: &src[i], addr: base + 8*uint64(a&(1<<pageBits-1)), v: math.Float64bits(src[i])}
+		r.h.AddFlops(flopsPerExp)
 	}
 }
 

@@ -238,10 +238,12 @@ func (p *ObstacleLeftOneSided) problem() *fbstencil.GreenLeftOneSided {
 		MaxDrop:  p.MaxDrop,
 	}
 	if obstacle := p.Obstacle; obstacle != nil {
-		q.Fill = func(depth, lo, _ int, out []float64) {
+		q.Fill = func(depth, lo, hi int, buf []float64) []float64 {
+			out := buf[:hi-lo+1]
 			for i := range out {
 				out[i] = obstacle(depth, lo+i)
 			}
+			return out
 		}
 	}
 	return q
