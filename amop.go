@@ -157,7 +157,7 @@ type Config struct {
 
 // Price prices the option under the given model and configuration.
 func Price(o Option, m Model, cfg Config) (float64, error) {
-	return priceModel(o, m, cfg, nil, nil)
+	return priceModel(o, m, cfg, nil, nil, nil)
 }
 
 // PriceCtx is Price with a context: the Fast solvers poll ctx at trapezoid
@@ -169,14 +169,16 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return priceModel(o, m, cfg, nil, ctxCancel(ctx))
+	return priceModel(o, m, cfg, nil, ctxCancel(ctx), nil)
 }
 
-// priceModel is Price with an optional cache of constructed lattice models
-// and an optional cancellation hook polled by the Fast solvers; the batch
-// engine passes both so that requests sharing lattice parameters reuse a
-// single model instance and in-flight solves observe cancellation. A nil
-// cache constructs models directly; a nil cancel never cancels.
+// priceModel is Price with an optional cache of constructed lattice models,
+// an optional cancellation hook polled by the Fast solvers, and an optional
+// place for the Greeks a Fast solve reads off its top row; the batch engine
+// passes all three so that requests sharing lattice parameters reuse a
+// single model instance, in-flight solves observe cancellation, and a
+// memoized point carries its delta, gamma and theta. A nil cache constructs
+// models directly; a nil cancel never cancels; a nil ts reads no Greeks.
 //
 // Every price is floored at 0. The exact discrete value is a non-negative
 // combination of non-negative payoffs, but far out of the money FFT
@@ -185,8 +187,8 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 // volatility overflows the top leaves to +Inf, and the linear step carries
 // them down to the apex — fails with an error wrapping
 // fbstencil.ErrNonFinite, whatever the algorithm.
-func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error) (float64, error) {
-	v, err := solveModel(o, m, cfg, cache, cancel)
+func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error, ts *topSens) (float64, error) {
+	v, err := solveModel(o, m, cfg, cache, cancel, ts)
 	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 		return v, fmt.Errorf("amop: %v %v under %v: %w (price=%v)", cfg.Algorithm, o.Type, m, fbstencil.ErrNonFinite, v)
 	}
@@ -196,8 +198,30 @@ func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 	return v, err
 }
 
-// solveModel routes one request to its model's solver.
-func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error) (float64, error) {
+// topSens is where a Fast solve leaves the delta, gamma and theta it reads
+// off its top row; ok reports that it did.
+type topSens struct {
+	option.Sens
+	ok bool
+}
+
+// solveTop runs solve, with a top row when ts asks for one and the model
+// has it (hasTop), and reads ts's Greeks off that row with sens.
+func solveTop(ts *topSens, hasTop bool, sens func([]float64, float64) option.Sens, solve func(top []float64) (float64, error)) (float64, error) {
+	if ts == nil || !hasTop {
+		return solve(nil)
+	}
+	var top [3]float64
+	v, err := solve(top[:])
+	if err == nil {
+		ts.Sens, ts.ok = sens(top[:], v), true
+	}
+	return v, err
+}
+
+// solveModel routes one request to its model's solver; the Fast solvers
+// also fill ts (see solveTop).
+func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error, ts *topSens) (float64, error) {
 	if cfg.Algorithm == Analytic {
 		// The analytic tier has no lattice: Model and Steps are irrelevant,
 		// so the Steps >= 1 rule does not apply.
@@ -216,7 +240,9 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		if cfg.European {
 			switch cfg.Algorithm {
 			case Fast:
-				return mdl.PriceEuropean(kind), nil
+				return solveTop(ts, mdl.HasTop(), mdl.Sens, func(top []float64) (float64, error) {
+					return mdl.EuropeanTop(kind, top), nil
+				})
 			case Naive, NaiveParallel:
 				return mdl.PriceEuropeanNaive(kind), nil
 			default:
@@ -227,10 +253,9 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		// the paper's BSM put: a call as the put of its swapped contract.
 		switch cfg.Algorithm {
 		case Fast:
-			if kind == option.Put {
-				return mdl.PriceFastPutCancel(cancel)
-			}
-			return mdl.PriceFastCancel(cancel)
+			return solveTop(ts, mdl.HasTop(), mdl.Sens, func(top []float64) (float64, error) {
+				return mdl.FastTop(kind, cancel, top)
+			})
 		case Naive:
 			return mdl.PriceNaive(kind), nil
 		case NaiveParallel:
@@ -253,7 +278,9 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 			}
 			switch cfg.Algorithm {
 			case Fast:
-				return mdl.PriceEuropean(), nil
+				return solveTop(ts, true, mdl.Sens, func(top []float64) (float64, error) {
+					return mdl.EuropeanTop(top), nil
+				})
 			case Naive, NaiveParallel:
 				return mdl.PriceEuropeanNaive(), nil
 			default:
@@ -265,7 +292,9 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		}
 		switch cfg.Algorithm {
 		case Fast:
-			return mdl.PriceFastCancel(cancel)
+			return solveTop(ts, true, mdl.Sens, func(top []float64) (float64, error) {
+				return mdl.FastTop(cancel, top)
+			})
 		case Naive:
 			return mdl.PriceNaive(), nil
 		case NaiveParallel:

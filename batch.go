@@ -232,10 +232,10 @@ func resolveModel(o Option, m Model, cfg Config) Model {
 
 // engine is the per-batch reuse context threaded through PriceBatch and
 // Chain: the lattice-model cache and the per-contract repricing memo that
-// every worker of one batch shares. One quote's Greeks bumps, implied-vol
-// iterations, and headline price all route through it, so no (option, model,
-// config) point is ever priced twice within a batch. It is safe for
-// concurrent use.
+// every worker of one batch shares. One quote's Greeks base and bumps,
+// implied-vol iterations, and headline price all route through it, so no
+// (option, model, config) point is ever priced twice within a batch. It is
+// safe for concurrent use.
 type engine struct {
 	models modelCache
 	cancel func() error // batch-wide cancellation hook; nil means never
@@ -275,9 +275,13 @@ type priceKey struct {
 }
 
 type priceEntry struct {
-	once  sync.Once
-	price float64
-	err   error
+	once     sync.Once
+	price    float64
+	err      error
+	analytic bool // priced by the analytic tier
+	// ts holds the point's delta, gamma and theta when its solve read them
+	// off a top row, as every Fast lattice solve does.
+	ts topSens
 }
 
 // run prices one request with panic isolation.
@@ -320,44 +324,50 @@ func (e *engine) run(req Request) (res Result) {
 	return Result{Price: p, Err: err}
 }
 
-// dispatch routes one priced point through the engine's tier policy:
+// dispatch solves one memo entry's point through the engine's tier policy:
 // TierAnalytic forces the analytic tier (envelope refusals surface as
 // errors), TierAuto promotes eligible vanilla American contracts and counts
 // the lattice fallbacks, TierLattice — the zero value — is a straight pass
-// to the lattice solvers. The routing is a pure function of (option, config,
-// tier), so it composes with the engine's memo: one key always takes one
-// route.
-func (e *engine) dispatch(o Option, m Model, cfg Config) (float64, error) {
+// to the lattice solvers, whose Fast solves also leave the point's Greeks in
+// ent.ts. The routing is a pure function of (option, config, tier), so it
+// composes with the engine's memo: one key always takes one route.
+func (e *engine) dispatch(ent *priceEntry, o Option, m Model, cfg Config) {
 	switch e.tier {
 	case TierAnalytic:
-		return e.analytic(o, cfg)
+		ent.analytic = true
 	case TierAuto:
 		if cfg.Algorithm == Fast && !cfg.European {
 			var tierStart time.Time
 			if e.trace != nil {
 				tierStart = time.Now()
 			}
-			eligible := analyticEligible(o, cfg)
+			ent.analytic = analyticEligible(o, cfg)
 			if e.trace != nil {
 				e.trace.AddSince(obs.StageTier, tierStart)
 			}
-			if eligible {
-				return e.analytic(o, cfg)
-			}
-			tierFallbacks.Add(1)
-			if obs.Enabled() {
-				obs.RecordEvent(obs.EvTierFallback, "", 0, "auto tier fell back to lattice")
+			if !ent.analytic {
+				tierFallbacks.Add(1)
+				if obs.Enabled() {
+					obs.RecordEvent(obs.EvTierFallback, "", 0, "auto tier fell back to lattice")
+				}
 			}
 		}
 	}
+	if ent.analytic {
+		ent.price, ent.err = e.analytic(o, cfg)
+		return
+	}
+	// A request that forces Analytic reaches the analytic tier through
+	// priceModel.
+	ent.analytic = cfg.Algorithm == Analytic
 	if !obs.Enabled() {
-		return priceModel(o, m, cfg, &e.models, e.cancel)
+		ent.price, ent.err = priceModel(o, m, cfg, &e.models, e.cancel, &ent.ts)
+		return
 	}
 	start := time.Now()
-	p, err := priceModel(o, m, cfg, &e.models, e.cancel)
+	ent.price, ent.err = priceModel(o, m, cfg, &e.models, e.cancel, &ent.ts)
 	obs.SolveLatency.With("lattice").RecordSince(start)
 	e.trace.AddSince(obs.StageSolveLattice, start)
-	return p, err
 }
 
 // analytic routes one request to the analytic tier, timing the solve into the
@@ -377,6 +387,12 @@ func (e *engine) analytic(o Option, cfg Config) (float64, error) {
 // price is the memoized pricer: identical (option, model, config) requests
 // are priced exactly once; concurrent duplicates wait for the first.
 func (e *engine) price(o Option, m Model, cfg Config) (float64, error) {
+	ent := e.solve(o, m, cfg)
+	return ent.price, ent.err
+}
+
+// solve returns the memo's entry for the point, solved.
+func (e *engine) solve(o Option, m Model, cfg Config) *priceEntry {
 	var memoStart time.Time
 	if e.trace != nil {
 		memoStart = time.Now()
@@ -405,9 +421,43 @@ func (e *engine) price(o Option, m Model, cfg Config) (float64, error) {
 				ent.err = newSolvePanicError(r)
 			}
 		}()
-		ent.price, ent.err = e.dispatch(o, m, cfg)
+		e.dispatch(ent, o, m, cfg)
 	})
-	return ent.price, ent.err
+	return ent
+}
+
+// sens returns the delta, gamma and theta of o under model m (resolved) at
+// cfg's resolution, read off the top row of the point's own solve (see
+// sensConfig). That solve is the memo's entry for the point, so a quote's
+// implied-vol search, which prices the same point, shares it. An
+// analytic-tier point computes them from its cached boundary instead: they
+// cost it a quadrature its price does not, so only the Greeks pay it.
+func (e *engine) sens(o Option, m Model, cfg Config) (option.Sens, error) {
+	cfg = sensConfig(m, cfg)
+	ent := e.solve(o, m, cfg)
+	switch {
+	case ent.err != nil:
+		return option.Sens{}, ent.err
+	case ent.ts.ok:
+		return ent.ts.Sens, nil
+	case ent.analytic:
+		return analyticSens(o, cfg)
+	}
+	return option.Sens{}, fmt.Errorf("amop: the %v %v solve read no top row", m, o.Type)
+}
+
+// sensConfig is the configuration of the solve that supplies a point's
+// Greeks: Fast on the request's model whatever lattice algorithm the
+// request runs, at two steps or more on the binomial tree, whose top row
+// lies two steps above the apex.
+func sensConfig(m Model, cfg Config) Config {
+	if cfg.Algorithm != Analytic {
+		cfg.Algorithm = Fast
+	}
+	if m == Binomial {
+		cfg.Steps = max(cfg.Steps, 2)
+	}
+	return cfg
 }
 
 // priceAmerican mirrors PriceAmerican through the engine's caches.
@@ -517,19 +567,21 @@ type Quote struct {
 type ChainOptions struct {
 	// Steps is the lattice resolution for the headline price (default 10000).
 	Steps int
-	// GreeksSteps and IVSteps are the resolutions for the bump-and-reprice
-	// Greeks and the implied-vol round trip; zero selects Steps/4 — the
-	// bisection and the five Greek bumps reprice the contract dozens of
-	// times, and O(1/T) lattice bias cancels in the differences.
+	// GreeksSteps and IVSteps are the resolutions for the Greeks and the
+	// implied-vol round trip; zero selects Steps/4. The Greeks price five
+	// points there: the base solve, whose top rows give delta, gamma and
+	// theta, and central vol and rate bumps for vega and rho. The
+	// implied-vol Newton search starts on the base and the vol bumps, so at
+	// equal steps it shares them through the batch memo.
 	GreeksSteps, IVSteps int
 	// SkipGreeks / SkipImpliedVol drop those columns for a price-only chain.
 	SkipGreeks, SkipImpliedVol bool
 	// Workers bounds the pool as in BatchOptions.
 	Workers int
 	// Tier selects the pricing tier, as in BatchOptions: under TierAuto the
-	// headline prices, the Greeks bumps and the implied-vol iterations of
-	// every in-envelope cell all run on the analytic fast path, which turns
-	// a full chain from seconds of lattice work into microseconds per cell.
+	// headline prices, the Greeks and the implied-vol iterations of every
+	// in-envelope cell all run on the analytic fast path, which turns a full
+	// chain from seconds of lattice work into microseconds per cell.
 	Tier TierMode
 }
 
@@ -605,9 +657,7 @@ func (e *engine) quote(underlying Option, strike, expiry float64, opts ChainOpti
 	q.Price = price
 
 	if !opts.SkipGreeks {
-		g, err := greeks(o, func(oo Option) (float64, error) {
-			return e.priceAmerican(oo, opts.GreeksSteps)
-		})
+		g, err := e.greeks(o, AutoModel, Config{Steps: opts.GreeksSteps})
 		if err != nil {
 			q.Err = err
 			return q

@@ -309,13 +309,15 @@ func BenchmarkBatchNaiveFanout(b *testing.B) {
 
 // BenchmarkChainGreeksIV prices a 12-quote chain with Greeks and round-trip
 // implied vols — the workload the repricing memo and the Newton-seeded IV
-// solver amortize.
+// solver amortize. It reports solves/quote: the repricing memo's misses per
+// quote, every solve the chain ran.
 func BenchmarkChainGreeksIV(b *testing.B) {
 	underlying := amop.Option{Type: amop.Call, S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
 	strikes := []float64{110, 120, 125, 130, 135, 140}
 	expiries := []float64{0.5, 1.0}
 	opts := amop.ChainOptions{Steps: 4000}
 	b.ReportAllocs()
+	_, misses0 := amop.RepricingMemoStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, q := range amop.Chain(underlying, strikes, expiries, opts) {
@@ -324,6 +326,9 @@ func BenchmarkChainGreeksIV(b *testing.B) {
 			}
 		}
 	}
+	b.StopTimer()
+	_, misses1 := amop.RepricingMemoStats()
+	b.ReportMetric(float64(misses1-misses0)/float64(b.N*len(strikes)*len(expiries)), "solves/quote")
 }
 
 // BenchmarkScenarioSweep and BenchmarkScenarioNaiveFanout track the

@@ -14,35 +14,39 @@ type Greeks struct {
 	Rho   float64 // dV/dR (per 1.0 of rate)
 }
 
-// GreeksAmerican computes the Greeks of an American option by central finite
-// differences around the fast pricer. Bump sizes are relative and chosen
-// large enough to dominate the O(1/T) lattice discretization noise at
-// moderate step counts; results carry the usual bump-and-reprice error.
+// GreeksAmerican computes the Greeks of an American option on the natural
+// model of PriceAmerican at the given steps: delta, gamma and theta from the
+// fast solve's own rows next to the apex (Hull's tree Greeks; on the binomial
+// tree at two steps or more), vega and rho by central differences of the
+// fast price.
 func GreeksAmerican(o Option, steps int) (Greeks, error) {
-	price := func(o Option) (float64, error) { return PriceAmerican(o, steps) }
-	return greeks(o, price)
+	return newEngine().greeks(o, AutoModel, Config{Steps: steps})
 }
 
-// GreeksEuropean computes the Greeks of a European option the same way but
-// around the lattice European pricer.
+// GreeksEuropean computes the Greeks of a European option the same way
+// around the binomial European pricer.
 func GreeksEuropean(o Option, steps int) (Greeks, error) {
-	price := func(o Option) (float64, error) { return PriceEuropean(o, steps) }
-	return greeks(o, price)
+	return newEngine().greeks(o, Binomial, Config{Steps: steps, European: true})
 }
 
-func greeks(o Option, price func(Option) (float64, error)) (Greeks, error) {
-	var g Greeks
-
-	base, err := price(o)
+// greeks returns the Greeks of o under model m at cfg through the engine's
+// memo: delta, gamma and theta from the point's own solve (see sens), vega
+// and rho as central differences of the price.
+func (e *engine) greeks(o Option, m Model, cfg Config) (Greeks, error) {
+	m = resolveModel(o, m, cfg)
+	s, err := e.sens(o, m, cfg)
 	if err != nil {
-		return g, fmt.Errorf("amop: greeks base price: %w", err)
+		return Greeks{}, fmt.Errorf("amop: greeks base: %w", err)
 	}
+	g := Greeks{Delta: s.Delta, Gamma: s.Gamma, Theta: s.Theta}
+	price := func(o Option) (float64, error) { return e.price(o, m, cfg) }
 
-	// Delta and gamma share one pair of spot bumps.
-	dS := 0.01 * o.S
+	// Vega. The bump points are shared with impliedVolNewton's first slope
+	// estimate, so a quote computing both Greeks and implied vol through the
+	// batch engine prices them once.
 	up, dn := o, o
-	up.S += dS
-	dn.S -= dS
+	up.V += vegaBump
+	dn.V = math.Max(dn.V-vegaBump, volBracketLo)
 	vUp, err := price(up)
 	if err != nil {
 		return g, err
@@ -51,28 +55,10 @@ func greeks(o Option, price func(Option) (float64, error)) (Greeks, error) {
 	if err != nil {
 		return g, err
 	}
-	g.Delta = (vUp - vDn) / (2 * dS)
-	g.Gamma = (vUp - 2*base + vDn) / (dS * dS)
-
-	// Vega. The bump points are shared with impliedVolNewton's first slope
-	// estimate, so a quote computing both Greeks and implied vol through the
-	// batch engine prices them once.
-	const dV = vegaBump
-	up, dn = o, o
-	up.V += dV
-	dn.V = math.Max(dn.V-dV, volBracketLo)
-	vUp, err = price(up)
-	if err != nil {
-		return g, err
-	}
-	vDn, err = price(dn)
-	if err != nil {
-		return g, err
-	}
 	g.Vega = (vUp - vDn) / (up.V - dn.V)
 
 	// Rho. Keep the rate non-negative (the models require R >= 0).
-	dR := 5e-4
+	const dR = 5e-4
 	up, dn = o, o
 	up.R += dR
 	dn.R = math.Max(dn.R-dR, 0)
@@ -85,22 +71,6 @@ func greeks(o Option, price func(Option) (float64, error)) (Greeks, error) {
 		return g, err
 	}
 	g.Rho = (vUp - vDn) / (up.R - dn.R)
-
-	// Theta: value decay as calendar time passes (expiry shrinks).
-	dE := math.Min(0.01, o.E/4)
-	up, dn = o, o
-	up.E += dE
-	dn.E -= dE
-	vUp, err = price(up)
-	if err != nil {
-		return g, err
-	}
-	vDn, err = price(dn)
-	if err != nil {
-		return g, err
-	}
-	g.Theta = -(vUp - vDn) / (2 * dE)
-
 	return g, nil
 }
 

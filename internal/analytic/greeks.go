@@ -36,8 +36,35 @@ func PriceGreeks(p option.Params, kind option.Kind) (float64, Greeks, error) {
 	c, scale := normalize(p, kind)
 	// For calls the normalized contract is the symmetric put, whose
 	// dividend yield is the call's rate: Rho must bump q, not r.
-	g := putGreeks(&c, kind == option.Call)
+	v, g := denormalize(p, kind, scale, putGreeks(&c, kind == option.Call, true))
+	return v, g, nil
+}
 
+// SpotGreeks returns delta, gamma and theta alone: PriceGreeks without the
+// vega and rho bumps, one premium quadrature on the cached boundary. With
+// european set it returns the closed-form Black-Scholes-Merton values
+// instead, for any valid contract.
+func SpotGreeks(p option.Params, kind option.Kind, european bool) (option.Sens, error) {
+	var g normGreeks
+	c, scale := normalize(p, kind)
+	if european {
+		if err := p.Validate(); err != nil {
+			return option.Sens{}, err
+		}
+		g = europeanPutGreeks(&c, false)
+	} else {
+		if err := Eligible(p, kind); err != nil {
+			return option.Sens{}, err
+		}
+		g = putGreeks(&c, false, false)
+	}
+	_, s := denormalize(p, kind, scale, g)
+	return option.Sens{Delta: s.Delta, Gamma: s.Gamma, Theta: s.Theta}, nil
+}
+
+// denormalize converts the normalized put's value and Greeks into the
+// contract's own.
+func denormalize(p option.Params, kind option.Kind, scale float64, g normGreeks) (float64, Greeks) {
 	if kind == option.Put {
 		return scale * g.v, Greeks{
 			Delta: g.delta,
@@ -45,7 +72,7 @@ func PriceGreeks(p option.Params, kind option.Kind) (float64, Greeks, error) {
 			Theta: scale * g.theta,
 			Vega:  scale * g.vega,
 			Rho:   scale * g.rate,
-		}, nil
+		}
 	}
 	// C(S, K) = P(K, S) is homogeneous of degree one in (spot, strike), so
 	// Euler's relation converts the symmetric put's spot-delta into the
@@ -61,7 +88,7 @@ func PriceGreeks(p option.Params, kind option.Kind) (float64, Greeks, error) {
 		Theta: scale * g.theta,
 		Vega:  scale * g.vega,
 		Rho:   scale * g.rate,
-	}, nil
+	}
 }
 
 // normGreeks are sensitivities of the normalized put; rate is dV/dr, or
@@ -75,11 +102,12 @@ type normGreeks struct {
 // does not depend on the spot, so these are full derivatives); theta then
 // follows from the Black-Scholes PDE identity dV/dt = rV - (r-q)S Delta -
 // sigma^2 S^2 Gamma / 2, which the American value satisfies in the
-// continuation region. Vega and the rate sensitivity are central
-// differences of putValue at sigma +- bumpVol and r (or q) +- bumpRate.
-// Each bumped price uses the bumped contract's own boundary, cached or
-// freshly solved; the vol bumps' solves warm-start from the unbumped one.
-func putGreeks(c *contract, bumpQ bool) normGreeks {
+// continuation region. With bumps set, vega and the rate sensitivity are
+// central differences of putValue at sigma +- bumpVol and r (or q) +-
+// bumpRate. Each bumped price uses the bumped contract's own boundary,
+// cached or freshly solved; the vol bumps' solves warm-start from the
+// unbumped one.
+func putGreeks(c *contract, bumpQ, bumps bool) normGreeks {
 	if c.r == 0 {
 		return europeanPutGreeks(c, bumpQ)
 	}
@@ -103,6 +131,9 @@ func putGreeks(c *contract, bumpQ bool) normGreeks {
 		g.v = intr
 	}
 	g.theta = c.r*g.v - (c.r-c.q)*c.s*g.delta - 0.5*c.sigma*c.sigma*c.s*c.s*g.gamma
+	if !bumps {
+		return g
+	}
 
 	up, dn := *c, *c
 	up.sigma += bumpVol

@@ -150,22 +150,45 @@ func (m *Model) PriceFast() (float64, error) {
 
 // PriceFastStats is PriceFast with work-counter collection.
 func (m *Model) PriceFastStats(st *fbstencil.Stats) (float64, error) {
-	return m.priceFast(st, nil)
+	return m.priceFast(st, nil, nil)
 }
 
-// PriceFastCancel is PriceFast with a cancellation hook, polled at trapezoid
-// granularity.
-func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
-	return m.priceFast(nil, cancel)
+// FastTop is PriceFast with a cancellation hook, polled at trapezoid
+// granularity, that also writes, when top is non-nil, the three cells of
+// the row one step above the apex, on log-prices s0-ds, s0 and s0+ds, in
+// price units (see Sens).
+func (m *Model) FastTop(cancel func() error, top []float64) (float64, error) {
+	return m.priceFast(nil, cancel, top)
 }
 
-func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
+// Sens returns the delta, gamma and theta at the apex value v from the top
+// row FastTop, EuropeanTop or NaiveTop wrote (see option.TopSens): the
+// row's asset values are K*e^s on its three log-prices, and it lies one
+// step, E/T of calendar time, after the apex.
+func (m *Model) Sens(top []float64, v float64) option.Sens {
+	var x [3]float64
+	for j := range x {
+		x[j] = m.Prm.K * math.Exp(m.logPrice(m.T-1+j))
+	}
+	return option.TopSens(x, [3]float64(top), v, m.Prm.E/float64(m.T))
+}
+
+func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error, top []float64) (float64, error) {
 	tab := m.greenTable(scratch.Floats(2*m.T + 1))
 	defer scratch.PutFloats(tab)
 	prob := m.problem(tab)
 	prob.Cancel = cancel
+	prob.Top = top
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
+	m.scale(top)
 	return m.Prm.K * v, err
+}
+
+// scale turns a dimensionless row into price units.
+func (m *Model) scale(row []float64) {
+	for j := range row {
+		row[j] *= m.Prm.K
+	}
 }
 
 // problem builds the American put on depth-shifted columns c' = c-d, with
@@ -209,7 +232,17 @@ func (m *Model) SweepProblem() *sweep.Problem {
 // depth-shifted columns, which is bitwise equal to the centered loop on the
 // unshifted grid (fbstencil.SolveGreenLeftNaive).
 func (m *Model) PriceNaive() float64 {
-	return m.Prm.K * sweep.Naive(m.SweepProblem())
+	return m.NaiveTop(nil)
+}
+
+// NaiveTop is PriceNaive that also writes, when top is non-nil, the row
+// FastTop writes: its oracle.
+func (m *Model) NaiveTop(top []float64) float64 {
+	p := m.SweepProblem()
+	p.Top = top
+	v := sweep.Naive(p)
+	m.scale(top)
+	return m.Prm.K * v
 }
 
 // PriceNaiveParallel is the row-parallel projected explicit sweep — the
@@ -218,16 +251,26 @@ func (m *Model) PriceNaiveParallel() float64 {
 	return m.Prm.K * sweep.NaiveParallel(m.SweepProblem())
 }
 
-// PriceEuropean prices the European put on the same grid with one T-step
-// FFT evolution (no obstacle).
+// PriceEuropean prices the European put on the same grid with one FFT
+// evolution (no obstacle) to the row one step above the apex and a direct
+// step from there.
 func (m *Model) PriceEuropean() float64 {
+	return m.EuropeanTop(nil)
+}
+
+// EuropeanTop is PriceEuropean that also writes, when top is non-nil, the
+// row FastTop writes.
+func (m *Model) EuropeanTop(top []float64) float64 {
 	row := make([]float64, 2*m.T+1)
 	for k := range row {
 		row[k] = math.Max(m.green(k), 0)
 	}
-	out, _ := linstencil.EvolveCone(row, m.Stencil(), m.T)
-	// out[0] is column T after T steps of a centered stencil.
-	return m.Prm.K * out[0]
+	// out holds columns T-1, T and T+1 after T-1 steps of a centered
+	// stencil.
+	out, _ := linstencil.EvolveCone(row, m.Stencil(), m.T-1)
+	copy(top, out)
+	m.scale(top)
+	return m.Prm.K * linstencil.Step(out, m.Stencil())[0]
 }
 
 // PriceEuropeanNaive is PriceNaive without the obstacle.

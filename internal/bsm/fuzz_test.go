@@ -9,7 +9,8 @@ import (
 
 // FuzzBSMPutFast drives the fast American put with arbitrary contracts,
 // step counts up to 300 and base cases up to 32 (0 is the default), and
-// requires it to agree with the direct sweep of Equation 5 to 1e-9 relative. Contracts New rejects (invalid parameters,
+// requires it and each cell of its top row (FastTop) to agree with the
+// direct sweep of Equation 5 to 1e-9 relative. Contracts New rejects (invalid parameters,
 // or scheme coefficients that break Theorem 4.3's positivity) are skipped.
 func FuzzBSMPutFast(f *testing.F) {
 	f.Add(127.62, 130.0, 0.00163, 0.2, 0.0163, 1.0, uint16(300), uint8(0))
@@ -24,13 +25,19 @@ func FuzzBSMPutFast(f *testing.F) {
 			t.Skip()
 		}
 		m.SetBaseCase(int(base % 33))
-		fast, err := m.PriceFast()
+		top, want := make([]float64, 3), make([]float64, 3)
+		fast, err := m.FastTop(nil, top)
 		if err != nil {
 			t.Fatalf("%+v T=%d: %v", p, m.T, err)
 		}
-		naive := m.PriceNaive()
+		naive := m.NaiveTop(want)
 		if d := math.Abs(fast - naive); !(d <= 1e-9*math.Max(1, math.Abs(naive))) {
 			t.Fatalf("%+v T=%d base=%d: fast %.17g, naive %.17g", p, m.T, base%33, fast, naive)
+		}
+		for j := range want {
+			if d := math.Abs(top[j] - want[j]); !(d <= 1e-9*math.Max(1, math.Abs(want[j]))) {
+				t.Fatalf("%+v T=%d base=%d: top[%d] fast %.17g, naive %.17g", p, m.T, base%33, j, top[j], want[j])
+			}
 		}
 	})
 }

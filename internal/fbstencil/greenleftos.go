@@ -66,6 +66,21 @@ type GreenLeftOneSided struct {
 	// non-nil error it returns unwinds the solve, and the solver returns
 	// that error. Typically ctx.Err of a request context.
 	Cancel func() error
+	// Top, when non-nil, receives columns [0, len(Top)) of the row at depth
+	// T-TopSteps(r), the first row above the apex with three cells: the
+	// rows a pricer reads its delta, gamma and theta from. It needs
+	// T >= TopSteps(r) and len(Top) <= Hi0-(T-TopSteps(r))*r+1.
+	Top []float64
+}
+
+// TopSteps returns how many steps above the apex GreenLeftOneSided.Top's
+// row lies on a stencil of span r: the fewest whose row holds at least three
+// cells, 2 at span 1 and 1 otherwise.
+func TopSteps(r int) int {
+	if r == 1 {
+		return 2
+	}
+	return 1
 }
 
 func (p *GreenLeftOneSided) validate() error {
@@ -89,6 +104,16 @@ func (p *GreenLeftOneSided) validate() error {
 	}
 	if p.Bnd0 > p.Hi0 {
 		return fmt.Errorf("fbstencil: Bnd0=%d beyond row end %d", p.Bnd0, p.Hi0)
+	}
+	if p.Top != nil {
+		r := p.Stencil.Span()
+		k := TopSteps(r)
+		if p.T < k {
+			return fmt.Errorf("fbstencil: T=%d has no row %d steps above the apex", p.T, k)
+		}
+		if n := p.Hi0 - (p.T-k)*r + 1; len(p.Top) > n {
+			return fmt.Errorf("fbstencil: Top holds %d cells, its row %d", len(p.Top), n)
+		}
 	}
 	return nil
 }
@@ -146,9 +171,9 @@ func (e *glosEngine) copyRow(dst, src []float64) {
 }
 
 // SolveGreenLeftOneSided runs the fast solver and returns the apex value
-// (depth T, column 0) and the final boundary. When p.Cancel reports an error
-// the solve stops within roughly one trapezoid of work and returns it; a
-// non-finite apex returns an ErrNonFinite-wrapped error.
+// (depth T, column 0) and the final boundary, and fills p.Top. When p.Cancel
+// reports an error the solve stops within roughly one trapezoid of work and
+// returns it; a non-finite apex returns an ErrNonFinite-wrapped error.
 func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, boundary int, err error) {
 	if err := p.validate(); err != nil {
 		return 0, 0, err
@@ -158,6 +183,10 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 	if e.base <= 0 {
 		e.base = DefaultBaseCase
 	}
+	// The row at depth topD is passed by every solve, whether or not p.Top
+	// asks for it: the loop never jumps over it, since a trapezoid covers at
+	// most half the remaining depth, and the all-red path stops on it.
+	topD := p.T - TopSteps(e.r)
 
 	bnd := max(p.Bnd0, -1)
 	// seg stores red values, columns [bnd+1, hi(d)].
@@ -172,6 +201,9 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 
 	d := 0
 	if p.T >= 1 {
+		if topD == 0 {
+			e.top(p.Top, 0, bnd, seg)
+		}
 		// The monotone-boundary structure only covers interior rows: the
 		// payoff-based leaf boundary can jump at the first step (for calls
 		// the red region widens once when R > Y; for puts the green one can
@@ -182,20 +214,23 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 	}
 	for d < p.T && bnd < e.hi(d) {
 		checkCancel(e.cancel)
-		remaining := p.T - d
-		if bnd < 0 {
-			// Entirely red: one FFT evolution reaches the apex.
-			out := e.evolve(seg, remaining)
-			v := out[0]
-			scratch.PutFloats(out)
-			scratch.PutFloats(seg)
-			return v, bnd, checkFinite(v)
+		if d == topD {
+			e.top(p.Top, d, bnd, seg)
 		}
+		if bnd < 0 && d < topD {
+			// Entirely red: one FFT evolution reaches the top row, and
+			// direct steps take it to the apex.
+			out := e.evolve(seg, topD-d)
+			scratch.PutFloats(seg)
+			seg, d = out, topD
+			continue
+		}
+		remaining := p.T - d
 		// Half the remaining depth at most: one trapezoid down to the apex
 		// makes the zone recursion cut ~25% more trapezoids (BSM put,
 		// T=65536) and costs more time than it saves in direct cells.
 		h := min(remaining/2, (e.hi(d)-bnd)/e.r)
-		if h < e.base {
+		if h < e.base || bnd < 0 {
 			// One direct step on the window [bnd-drop, hi(d)]: the green
 			// cells the step reads, then seg.
 			from := bnd - e.drop
@@ -228,6 +263,9 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		// The apex is green: it lies at or left of the boundary, or a row
 		// turned entirely green, and so is every later row, since the
 		// boundary never rises while the right edge shrinks.
+		if d <= topD {
+			e.top(p.Top, topD, e.hi(topD), nil)
+		}
 		g := scratch.Floats(1)
 		v := e.fill(p.T, 0, 0, g)[0]
 		scratch.PutFloats(g)
@@ -237,6 +275,16 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 	v := seg[0]
 	scratch.PutFloats(seg)
 	return v, bnd, checkFinite(v)
+}
+
+// top copies columns [0, len(dst)) of the row at depth d into dst: the
+// obstacle up to bnd, then seg, the red cells right of it.
+func (e *glosEngine) top(dst []float64, d, bnd int, seg []float64) {
+	g := min(bnd+1, len(dst))
+	if g > 0 {
+		copy(dst, e.fill(d, 0, g-1, dst[:g]))
+	}
+	copy(dst[g:], seg)
 }
 
 // stepBuf takes one pooled buffer for direct steps on a row of n cells: the
@@ -407,7 +455,8 @@ func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
 	return e.keep(buf, row[b+1-lo:end]), b
 }
 
-// SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle.
+// SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle; it fills
+// p.Top as SolveGreenLeftOneSided does.
 func SolveGreenLeftOneSidedNaive(p *GreenLeftOneSided) (float64, error) {
 	if err := p.validate(); err != nil {
 		return 0, err
@@ -416,9 +465,9 @@ func SolveGreenLeftOneSidedNaive(p *GreenLeftOneSided) (float64, error) {
 }
 
 // sweepNaive is the direct sweep of p, one obstacle fill per row, and
-// returns the apex value. After each depth d >= 1 it passes visit the row's
-// last green column and its first red one (-1 and Hi0-d*r+1 if none); an
-// error from visit stops the sweep.
+// returns the apex value and fills p.Top. After each depth d >= 1 it passes
+// visit the row's last green column and its first red one (-1 and
+// Hi0-d*r+1 if none); an error from visit stops the sweep.
 func sweepNaive(p *GreenLeftOneSided, visit func(d, lastGreen, firstRed int) error) (float64, error) {
 	row := make([]float64, p.Hi0+1)
 	for j := range row {
@@ -427,7 +476,11 @@ func sweepNaive(p *GreenLeftOneSided, visit func(d, lastGreen, firstRed int) err
 	buf := make([]float64, p.Hi0+1)
 	r := p.Stencil.Span()
 	w := p.Stencil.W
+	topD := p.T - TopSteps(r)
 	for d := 1; d <= p.T; d++ {
+		if d-1 == topD {
+			copy(p.Top, row)
+		}
 		hi := p.Hi0 - d*r
 		ex := p.Fill(d, 0, hi, buf)
 		lastGreen, firstRed := -1, hi+1

@@ -110,6 +110,74 @@ func spanPut(p optParams, T, r int) *GreenLeftOneSided {
 	}
 }
 
+// TestGreenLeftOneSidedTopRow checks the row the fast solver snapshots
+// TopSteps above the apex against the direct sweep's row at that depth, on
+// spans 1, 2 and 3, at base case 1 and the default, for T from 1 (where
+// span 1 has no such row and a Top must be refused) up. The contracts cover
+// the solver's three ways to the apex: all red from the first step (R = 0:
+// the put is never exercised early, so an FFT evolution runs straight to
+// the top row), a green apex (deep in the money at a high rate, where the
+// row is the obstacle), and a boundary that reaches the last rows.
+func TestGreenLeftOneSidedTopRow(t *testing.T) {
+	contracts := []struct {
+		name string
+		p    optParams
+		red  bool // the apex is red: the final boundary is -1
+	}{
+		{"all-red", optParams{S: 100, K: 100, R: 0, V: 0.3, Y: 0.02, E: 1}, true},
+		{"green-apex", optParams{S: 100, K: 300, R: 0.1, V: 0.2, Y: 0, E: 1}, false},
+		{"boundary", optParams{S: 100, K: 110, R: 0.06, V: 0.25, Y: 0.01, E: 1}, true},
+	}
+	builders := []struct {
+		name string
+		r    int
+		new  func(optParams, int) *GreenLeftOneSided
+	}{
+		{"span1", 1, putProblemBOPM},
+		{"span2", 2, putProblemTOPM},
+		{"span3", 3, func(p optParams, T int) *GreenLeftOneSided { return spanPut(p, T, 3) }},
+	}
+	for _, c := range contracts {
+		for _, b := range builders {
+			for _, T := range []int{1, 2, 3, 40, 500} {
+				prob := b.new(c.p, T)
+				n := b.r*TopSteps(b.r) + 1
+				prob.Top = make([]float64, n)
+				if T < TopSteps(b.r) {
+					if _, _, err := SolveGreenLeftOneSided(prob, nil); err == nil {
+						t.Errorf("%s %s T=%d: a Top above the leaves was accepted", c.name, b.name, T)
+					}
+					continue
+				}
+				naive, err := SolveGreenLeftOneSidedNaive(prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := append([]float64(nil), prob.Top...)
+				for _, base := range []int{1, DefaultBaseCase} {
+					prob.BaseCase = base
+					prob.Top = make([]float64, n)
+					fast, bnd, err := SolveGreenLeftOneSided(prob, nil)
+					if err != nil {
+						t.Fatalf("%s %s T=%d base=%d: %v", c.name, b.name, T, base, err)
+					}
+					if T >= 40 && (bnd < 0) != c.red {
+						t.Errorf("%s %s T=%d: final boundary %d", c.name, b.name, T, bnd)
+					}
+					if d := relDiff(fast, naive); d > 1e-12 {
+						t.Errorf("%s %s T=%d base=%d: apex fast %.15g naive %.15g", c.name, b.name, T, base, fast, naive)
+					}
+					for j := range want {
+						if d := relDiff(prob.Top[j], want[j]); d > 1e-12 {
+							t.Errorf("%s %s T=%d base=%d: top[%d] fast %.15g naive %.15g", c.name, b.name, T, base, j, prob.Top[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGreenLeftOneSidedSpan3 runs a four-branch put: span 3, so the direct
 // step takes linstencil.Step's generic loop, and drops of up to 3. The
 // structure must hold, and the solve must match the direct sweep at every

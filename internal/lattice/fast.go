@@ -34,22 +34,55 @@ func (m *Model) PriceFast() (float64, error) {
 
 // PriceFastStats is PriceFast with work-counter collection.
 func (m *Model) PriceFastStats(st *fbstencil.Stats) (float64, error) {
-	return m.priceFast(st, nil)
+	return m.priceFast(st, nil, nil)
 }
 
-// PriceFastCancel is PriceFast with a cancellation hook, polled at trapezoid
-// granularity (typically ctx.Err of a request context); the first non-nil
-// error it returns aborts the solve and is returned.
-func (m *Model) PriceFastCancel(cancel func() error) (float64, error) {
-	return m.priceFast(nil, cancel)
+// FastTop prices the American option of the given kind with the fast
+// solver, as PriceFast and PriceFastPut do, with a cancellation hook polled
+// at trapezoid granularity (typically ctx.Err of a request context; the
+// first non-nil error it returns aborts the solve and is returned). When
+// top is non-nil it also writes into it the three cells of the row
+// fbstencil.TopSteps above the apex (two steps up on the binomial tree, one
+// on the trinomial), in the contract's own values (see Sens). top needs
+// HasTop.
+func (m *Model) FastTop(kind option.Kind, cancel func() error, top []float64) (float64, error) {
+	if kind == option.Put {
+		return m.priceFastPut(nil, cancel, top)
+	}
+	return m.priceFast(nil, cancel, top)
 }
 
-func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error) (float64, error) {
+// topSteps returns how many steps above the apex FastTop's row lies: 2 on
+// the binomial tree, 1 on the trinomial.
+func (m *Model) topSteps() int { return fbstencil.TopSteps(m.r()) }
+
+// HasTop reports whether the tree has the row FastTop reads, topSteps above
+// the apex (not on a binomial tree of one step).
+func (m *Model) HasTop() bool { return m.T >= m.topSteps() }
+
+// Sens returns the delta, gamma and theta at the apex value v from the top
+// row FastTop, EuropeanTop or NaiveTop wrote (see option.TopSens).
+func (m *Model) Sens(top []float64, v float64) option.Sens {
+	k := m.topSteps()
+	d := m.T - k
+	x := [3]float64{m.Asset(d, 0), m.Asset(d, 1), m.Asset(d, 2)}
+	return option.TopSens(x, [3]float64(top), v, float64(k)*m.Dt)
+}
+
+func (m *Model) priceFast(st *fbstencil.Stats, cancel func() error, top []float64) (float64, error) {
 	sw, err := m.swap()
 	if err != nil {
 		return 0, err
 	}
-	return sw.priceFastPut(st, cancel)
+	v, err := sw.priceFastPut(st, cancel, top)
+	if err == nil && top != nil {
+		// The swapped put's row in mirrored columns: the call's cell at net
+		// move i is u^i times the put's at -i, and the row's outer cells lie
+		// topSteps moves out.
+		f := math.Exp(float64(m.topSteps()) * m.logU)
+		top[0], top[2] = top[2]/f, top[0]*f
+	}
+	return v, err
 }
 
 // swap returns the model of the swapped contract (S and K, R and Y
@@ -110,20 +143,15 @@ func (m *Model) PriceFastPut() (float64, error) {
 
 // PriceFastPutStats is PriceFastPut with work-counter collection.
 func (m *Model) PriceFastPutStats(st *fbstencil.Stats) (float64, error) {
-	return m.priceFastPut(st, nil)
+	return m.priceFastPut(st, nil, nil)
 }
 
-// PriceFastPutCancel is PriceFastPut with a cancellation hook, polled at
-// trapezoid granularity.
-func (m *Model) PriceFastPutCancel(cancel func() error) (float64, error) {
-	return m.priceFastPut(nil, cancel)
-}
-
-func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error) (float64, error) {
+func (m *Model) priceFastPut(st *fbstencil.Stats, cancel func() error, top []float64) (float64, error) {
 	tab := m.exerciseTable()
 	defer scratch.PutFloats(tab)
 	prob := m.putProblem(tab)
 	prob.Cancel = cancel
+	prob.Top = top
 	v, _, err := fbstencil.SolveGreenLeftOneSided(prob, st)
 	return v, err
 }

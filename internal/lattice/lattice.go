@@ -145,6 +145,10 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 	if m.r() == 1 {
 		f *= m.U
 	}
+	// The assets of a row follow by recurrence from a normal float whose
+	// step stays finite. Otherwise the next one comes from the closed form:
+	// a subnormal carries too few bits to scale up, and an overflow turns
+	// into Inf or NaN.
 	K := m.Prm.K
 	if kind == option.Call {
 		p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
@@ -152,7 +156,11 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 			a := m.Asset(depth, lo)
 			for i := range out {
 				out[i] = a - K
-				a *= f
+				if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
+					a = n
+				} else {
+					a = m.Asset(depth, lo+i+1)
+				}
 			}
 			return out
 		}
@@ -162,7 +170,11 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 			a := m.Asset(depth, lo)
 			for i := range out {
 				out[i] = K - a
-				a *= f
+				if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
+					a = n
+				} else {
+					a = m.Asset(depth, lo+i+1)
+				}
 			}
 			return out
 		}
@@ -172,7 +184,16 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 
 // PriceNaive is the serial nested loop of Figure 1 (American).
 func (m *Model) PriceNaive(kind option.Kind) float64 {
-	return sweep.Naive(m.SweepProblem(kind))
+	return m.NaiveTop(kind, nil)
+}
+
+// NaiveTop is PriceNaive that also writes, when top is non-nil, the three
+// cells of the row topSteps above the apex: the oracle of FastTop's row,
+// computed on the contract's own grid.
+func (m *Model) NaiveTop(kind option.Kind, top []float64) float64 {
+	p := m.SweepProblem(kind)
+	p.Top = top
+	return sweep.Naive(p)
 }
 
 // PriceNaiveParallel is the row-parallel nested loop — the structure of the
@@ -192,8 +213,9 @@ func (m *Model) PriceRecursive(kind option.Kind) float64 {
 	return sweep.Recursive(m.SweepProblem(kind))
 }
 
-// PriceEuropean prices the European option with a single T-step FFT
-// evolution of the payoff row — the linear special case, O(T log T).
+// PriceEuropean prices the European option with one FFT evolution of the
+// payoff row to the row topSteps above the apex and direct steps from there
+// — the linear special case, O(T log T).
 //
 // The transform is applied to the put payoff, which is bounded by K; calls
 // are recovered through put-call parity, which is exact on the lattice
@@ -202,14 +224,34 @@ func (m *Model) PriceRecursive(kind option.Kind) float64 {
 // FFT error scales with the largest row entry, and deep-ITM call leaves grow
 // like S*u^T.
 func (m *Model) PriceEuropean(kind option.Kind) float64 {
+	return m.EuropeanTop(kind, nil)
+}
+
+// EuropeanTop is PriceEuropean that also writes, when top is non-nil, the
+// three cells of the row topSteps above the apex (see FastTop). top needs
+// HasTop.
+func (m *Model) EuropeanTop(kind option.Kind, top []float64) float64 {
 	row := make([]float64, m.r()*m.T+1)
 	for j := range row {
 		row[j] = m.Prm.Payoff(option.Put, m.Asset(0, j))
 	}
-	out, _ := linstencil.EvolveCone(row, m.Stencil(), m.T)
+	k := min(m.topSteps(), m.T)
+	out, _ := linstencil.EvolveCone(row, m.Stencil(), m.T-k)
+	copy(top, out)
+	for range k {
+		out = linstencil.Step(out, m.Stencil())
+	}
 	put := out[0]
 	if kind == option.Put {
 		return put
+	}
+	// Parity node by node: a cell d steps before expiry carries S_j e^(-Y d dt)
+	// - K e^(-R d dt) on top of the put.
+	if top != nil {
+		tau := float64(m.T-k) * m.Dt
+		for j := range top {
+			top[j] += m.Asset(m.T-k, j)*math.Exp(-m.Prm.Y*tau) - m.Prm.K*math.Exp(-m.Prm.R*tau)
+		}
 	}
 	return put + m.Prm.S*math.Exp(-m.Prm.Y*m.Prm.E) - m.Prm.K*math.Exp(-m.Prm.R*m.Prm.E)
 }

@@ -110,3 +110,24 @@ func BlackScholes(p Params, kind Kind) float64 {
 	}
 	return discK*normCDF(-d2) - discS*normCDF(-d1)
 }
+
+// Sens holds the sensitivities a pricer reads off the rows next to its
+// apex: delta dV/dS, gamma d2V/dS2 and theta dV/dt (calendar time, per
+// year).
+type Sens struct {
+	Delta, Gamma, Theta float64
+}
+
+// TopSens returns Hull's tree Greeks from a row of three values f at assets
+// x (ascending, x[1] the spot) that lies dt after the apex value v: delta
+// and gamma from the row's differences in the asset, theta from its middle
+// cell against the apex.
+func TopSens(x, f [3]float64, v, dt float64) Sens {
+	lo := (f[1] - f[0]) / (x[1] - x[0])
+	hi := (f[2] - f[1]) / (x[2] - x[1])
+	return Sens{
+		Delta: (f[2] - f[0]) / (x[2] - x[0]),
+		Gamma: (hi - lo) / ((x[2] - x[0]) / 2),
+		Theta: (f[1] - v) / dt,
+	}
+}

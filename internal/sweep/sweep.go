@@ -45,6 +45,10 @@ type Problem struct {
 	// EventCopy. The events carry the sweep's own buffers. A recorded sweep
 	// runs serially.
 	Record func(fbstencil.Event)
+	// Top, when non-nil, receives from Naive columns [0, len(Top)) of the
+	// row at depth T-fbstencil.TopSteps(r): the oracle of the fast solver's
+	// own Top.
+	Top []float64
 }
 
 // exChunk is the column-chunk granularity used to amortize FillExercise
@@ -136,7 +140,11 @@ func Naive(p *Problem) float64 {
 	r := len(p.W) - 1
 	row := p.leafRow()
 	ex := scratch.Floats(exChunk)
+	topD := p.T - fbstencil.TopSteps(r)
 	for d := 1; d <= p.T; d++ {
+		if d-1 == topD {
+			copy(p.Top, row)
+		}
 		p.advance(row[:p.Hi0-d*r+1], row, ex, d, 0)
 	}
 	v := row[0]

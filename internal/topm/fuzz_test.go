@@ -12,7 +12,8 @@ import (
 // FuzzFast drives the fast American call (the fast put of the swapped
 // contract) and the fast American put with arbitrary contracts and step
 // counts up to 300, at any base case up to 32 (0 is the default), and
-// requires each to agree with the direct sweep to 1e-9 relative. Contracts New rejects are skipped. Where the lattice
+// requires each, and each cell of its top row (FastTop), to agree with the
+// direct sweep to 1e-9 relative. Contracts New rejects are skipped. Where the lattice
 // overflows float64 the sweep's price is not finite and there is nothing to
 // compare: the fast solve may then fail, but only with ErrNonFinite.
 func FuzzFast(f *testing.F) {
@@ -31,24 +32,30 @@ func FuzzFast(f *testing.F) {
 			t.Skip()
 		}
 		m.SetBaseCase(int(base % 33))
-		for _, c := range []struct {
-			kind option.Kind
-			fast func() (float64, error)
-		}{{option.Call, m.PriceFast}, {option.Put, m.PriceFastPut}} {
-			fast, err := c.fast()
-			naive := m.PriceNaive(c.kind)
+		var top, want []float64
+		if m.HasTop() {
+			top, want = make([]float64, 3), make([]float64, 3)
+		}
+		for _, kind := range []option.Kind{option.Call, option.Put} {
+			fast, err := m.FastTop(kind, nil, top)
+			naive := m.NaiveTop(kind, want)
 			if math.IsNaN(naive) || math.IsInf(naive, 0) {
 				if err != nil && !errors.Is(err, fbstencil.ErrNonFinite) {
-					t.Fatalf("%v %+v T=%d: %v", c.kind, p, m.T, err)
+					t.Fatalf("%v %+v T=%d: %v", kind, p, m.T, err)
 				}
 				continue
 			}
 			if err != nil {
-				t.Fatalf("%v %+v T=%d: %v (naive %.17g)", c.kind, p, m.T, err, naive)
+				t.Fatalf("%v %+v T=%d: %v (naive %.17g)", kind, p, m.T, err, naive)
 			}
 			tol := 1e-9 * math.Max(1, math.Abs(naive))
 			if d := math.Abs(fast - naive); !(d <= tol) {
-				t.Fatalf("%v %+v T=%d base=%d: fast %.17g, naive %.17g", c.kind, p, m.T, base%33, fast, naive)
+				t.Fatalf("%v %+v T=%d base=%d: fast %.17g, naive %.17g", kind, p, m.T, base%33, fast, naive)
+			}
+			for j := range want {
+				if d := math.Abs(top[j] - want[j]); !(d <= 1e-9*math.Max(1, math.Abs(want[j]))) {
+					t.Fatalf("%v %+v T=%d base=%d: top[%d] fast %.17g, naive %.17g", kind, p, m.T, base%33, j, top[j], want[j])
+				}
 			}
 		}
 	})

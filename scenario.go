@@ -127,11 +127,13 @@ type SweepOptions struct {
 	// request's own full resolution (the correction then degenerates to the
 	// plain scenario price).
 	ScenarioSteps int
-	// Greeks adds per-scenario bump-and-reprice Greeks around each scenario
-	// point. The repricings route through the sweep's shared memo, so
-	// neighboring bumps are priced once.
+	// Greeks adds per-scenario Greeks at each scenario point: delta, gamma
+	// and theta off the top rows of the point's own Fast solve (on the
+	// request's model, whatever its algorithm), vega and rho by central vol
+	// and rate bumps. The solves route through the sweep's shared memo, so
+	// a point the plan already priced is not solved again.
 	Greeks bool
-	// GreeksSteps is the resolution for the Greeks bumps; zero selects the
+	// GreeksSteps is the resolution for the Greeks; zero selects the
 	// scenario resolution.
 	GreeksSteps int
 	// OnResult, when non-nil, is invoked once per (contract, scenario) cell
@@ -162,7 +164,7 @@ type SweepStats struct {
 	// UniqueRepricings is the number of canonical repricing tasks the plan
 	// actually priced — base anchors plus deduplicated scenario points.
 	// Cells + Contracts repricings would be the naive cost; the gap is the
-	// plan-level dedup (Greeks bumps are memoized separately and not
+	// plan-level dedup (the Greeks' solves are memoized separately and not
 	// counted).
 	UniqueRepricings int
 }
@@ -305,10 +307,7 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 				if opts.GreeksSteps > 0 {
 					gcfg.Steps = opts.GreeksSteps
 				}
-				g, err := greeks(cp.scen.o, func(oo Option) (float64, error) {
-					res := eng.run(Request{Option: oo, Model: reqs[c].Model, Config: gcfg})
-					return res.Price, res.Err
-				})
+				g, err := eng.greeks(cp.scen.o, reqs[c].Model, gcfg)
 				if err != nil {
 					r.Err = err
 				} else {

@@ -99,6 +99,18 @@ func priceAnalytic(o Option, cfg Config) (float64, error) {
 	return v, nil
 }
 
+// analyticSens returns the analytic tier's delta, gamma and theta at o:
+// the spot derivatives of its premium on the cached boundary and the PDE
+// identity for theta (closed form for European requests), without the vega
+// and rho bumps GreeksAnalytic adds.
+func analyticSens(o Option, cfg Config) (option.Sens, error) {
+	s, err := analytic.SpotGreeks(o.params(), option.Kind(o.Type), cfg.European)
+	if err != nil {
+		return s, fmt.Errorf("amop: %w", err)
+	}
+	return s, nil
+}
+
 // analyticEligible reports whether TierAuto may promote this request: a
 // vanilla American contract, on the default algorithm (a request that forces
 // Naive, Tiled, etc. is asking to run that lattice code, not for a number),

@@ -250,7 +250,7 @@ func TestGreeksAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GreeksAnalytic(%v): %v", kind, err)
 		}
-		fd, err := greeks(o, func(oo Option) (float64, error) {
+		fd, err := bumpGreeks(o, func(oo Option) (float64, error) {
 			return Price(oo, AutoModel, Config{Algorithm: Analytic})
 		})
 		if err != nil {
