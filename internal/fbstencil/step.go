@@ -16,6 +16,9 @@ package fbstencil
 // none. A cell right of b that the obstacle wins keeps the max but is not
 // reported: the fast solver's boundary never rises, so such a win is
 // roundoff. b < 0 tracks nothing.
+//
+// Spans 1 and 2 run on the AVX2 kernel where the FFT's does (see
+// step_amd64.go), bitwise the generic loops below.
 func StepObstacle(dst, src, ex, w []float64, b int) int {
 	n := len(dst)
 	switch len(w) {
@@ -23,6 +26,19 @@ func StepObstacle(dst, src, ex, w []float64, b int) int {
 		return stepObstacle2(dst, src[:n+1], ex[:n], w[0], w[1], b)
 	case 3:
 		return stepObstacle3(dst, src[:n+2], ex[:n], w[0], w[1], w[2], b)
+	}
+	return stepObstacleGeneric(dst, src, ex, w, b)
+}
+
+// stepObstacleGeneric is StepObstacle on the portable loops alone: the
+// wider stencils' path, and the reference the kernel is tested against.
+func stepObstacleGeneric(dst, src, ex, w []float64, b int) int {
+	n := len(dst)
+	switch len(w) {
+	case 2:
+		return stepObstacle2Generic(dst, src[:n+1], ex[:n], w[0], w[1], b)
+	case 3:
+		return stepObstacle3Generic(dst, src[:n+2], ex[:n], w[0], w[1], w[2], b)
 	}
 	nb := -1
 	for j := range dst {
@@ -41,10 +57,11 @@ func StepObstacle(dst, src, ex, w []float64, b int) int {
 	return nb
 }
 
-// stepObstacle2 and stepObstacle3 are StepObstacle unrolled for spans 1 and
-// 2 in the same operation order. The shifted views have the length of dst,
-// which lets the compiler drop the per-cell bounds checks.
-func stepObstacle2(dst, src, ex []float64, w0, w1 float64, b int) int {
+// stepObstacle2Generic and stepObstacle3Generic are the generic loop
+// unrolled for spans 1 and 2 in the same operation order. The shifted views
+// have the length of dst, which lets the compiler drop the per-cell bounds
+// checks.
+func stepObstacle2Generic(dst, src, ex []float64, w0, w1 float64, b int) int {
 	n := len(dst)
 	s0, s1, ex := src[:n], src[1:n+1], ex[:n]
 	nb := -1
@@ -63,7 +80,7 @@ func stepObstacle2(dst, src, ex []float64, w0, w1 float64, b int) int {
 	return nb
 }
 
-func stepObstacle3(dst, src, ex []float64, w0, w1, w2 float64, b int) int {
+func stepObstacle3Generic(dst, src, ex []float64, w0, w1, w2 float64, b int) int {
 	n := len(dst)
 	s0, s1, s2, ex := src[:n], src[1:n+1], src[2:n+2], ex[:n]
 	nb := -1
