@@ -136,7 +136,7 @@ func checkFinite(v float64) error {
 // Ours is the fastest of the ablation-basecase sweep in BENCH_paper.json
 // (amop-bench -experiment ablation) at T=4096 and T=16384, where a direct
 // step is one StepObstacle pass that reads the obstacle in place.
-const DefaultBaseCase = 32
+const DefaultBaseCase = 64
 
 // parCutoff is the zone height at or below which the FFT strip and the
 // boundary subzone run sequentially instead of through par.Do: under

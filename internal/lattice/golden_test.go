@@ -67,10 +67,10 @@ func fastBits() string {
 //	go test ./internal/lattice -run TestFastPriceGolden -update
 //	go test -tags amop_purego ./internal/lattice -run TestFastPriceGolden -update
 //
-// on an amd64 machine with AVX2 and FMA (GOAMD64=v1), when the solver's
-// all-red path began stopping at the top row (fbstencil.TopSteps above the
-// apex) and stepping directly from there, which moved the last bits of
-// prices whose last rows are all red. Rerun -update only for a change that
+// on an amd64 machine with AVX2 and FMA (GOAMD64=v1), when
+// fbstencil.DefaultBaseCase went from 32 to 64: the recursion then splits
+// the grid into other trapezoids, whose FFT evolutions round differently.
+// Rerun -update only for a change that
 // is meant to move prices, and say so where it is reviewed.
 func TestFastPriceGolden(t *testing.T) {
 	path := filepath.Join("testdata", "fast_bits_"+fft.KernelName()+".golden")

@@ -11,11 +11,12 @@ import (
 
 // FuzzFast drives the fast American call (the fast put of the swapped
 // contract) and the fast American put with arbitrary contracts and step
-// counts up to 300, at any base case up to 32 (0 is the default), and
-// requires each, and each cell of its top row (FastTop), to agree with the
-// direct sweep to 1e-9 relative. Contracts New rejects are skipped. Where the lattice
-// overflows float64 the sweep's price is not finite and there is nothing to
-// compare: the fast solve may then fail, but only with ErrNonFinite.
+// counts up to 300, at any base case up to fbstencil.DefaultBaseCase (0 is
+// the default), and requires each, and each cell of its top row (FastTop),
+// to agree with the direct sweep to 1e-9 relative. Contracts New rejects are
+// skipped. Where the lattice overflows float64 the sweep's price is not
+// finite and there is nothing to compare: the fast solve may then fail, but
+// only with ErrNonFinite.
 func FuzzFast(f *testing.F) {
 	f.Add(127.62, 130.0, 0.00163, 0.2, 0.0163, 1.0, uint16(300), uint8(0))
 	f.Add(100.0, 100.0, 0.05, 0.3, 0.02, 1.0, uint16(64), uint8(1))
@@ -31,7 +32,8 @@ func FuzzFast(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		m.SetBaseCase(int(base % 33))
+		baseCase := int(base) % (fbstencil.DefaultBaseCase + 1)
+		m.SetBaseCase(baseCase)
 		var top, want []float64
 		if m.HasTop() {
 			top, want = make([]float64, 3), make([]float64, 3)
@@ -50,11 +52,11 @@ func FuzzFast(f *testing.F) {
 			}
 			tol := 1e-9 * math.Max(1, math.Abs(naive))
 			if d := math.Abs(fast - naive); !(d <= tol) {
-				t.Fatalf("%v %+v T=%d base=%d: fast %.17g, naive %.17g", kind, p, m.T, base%33, fast, naive)
+				t.Fatalf("%v %+v T=%d base=%d: fast %.17g, naive %.17g", kind, p, m.T, baseCase, fast, naive)
 			}
 			for j := range want {
 				if d := math.Abs(top[j] - want[j]); !(d <= 1e-9*math.Max(1, math.Abs(want[j]))) {
-					t.Fatalf("%v %+v T=%d base=%d: top[%d] fast %.17g, naive %.17g", kind, p, m.T, base%33, j, top[j], want[j])
+					t.Fatalf("%v %+v T=%d base=%d: top[%d] fast %.17g, naive %.17g", kind, p, m.T, baseCase, j, top[j], want[j])
 				}
 			}
 		}

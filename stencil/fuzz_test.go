@@ -3,6 +3,8 @@ package stencil
 import (
 	"math"
 	"testing"
+
+	"github.com/nlstencil/amop/internal/fbstencil"
 )
 
 // spanPut is the American put on a lattice of span r: each step compounds r
@@ -64,7 +66,7 @@ func FuzzObstacleOneSided(f *testing.F) {
 		if p == nil {
 			t.Skip()
 		}
-		p.BaseCase = int(base % 33)
+		p.BaseCase = int(base) % (fbstencil.DefaultBaseCase + 1)
 		g := &gridCheck{steps: T, lo: func(int) int { return 0 }, hi: func(d int) int { return p.Hi0 - d*r }}
 		p.Init, p.Obstacle = g.init(p.Init), g.obstacle(p.Obstacle)
 		if _, err := p.BoundaryTrace(); err != nil {
