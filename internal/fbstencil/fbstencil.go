@@ -133,9 +133,12 @@ func checkFinite(v float64) error {
 
 // DefaultBaseCase is the recursion cutoff height below which trapezoids are
 // solved by direct steps; a problem can override it. The paper's best was 8.
-// Ours is the fastest of the ablation-basecase sweep in BENCH_paper.json
-// (amop-bench -experiment ablation) at T=4096 and T=16384, where a direct
-// step is one StepObstacle pass that reads the obstacle in place.
+// Ours comes from the ablation-basecase sweep in BENCH_paper.json
+// (amop-bench -experiment ablation; BOPM on 2 CPUs), where a direct step is
+// one StepObstacle pass on the AVX2 kernel: 64 takes 0.86 ms at T=4096,
+// against 1.18 at 32 and 1.09 at 128, and 4.42 ms at T=16384, against 5.38
+// at 32 and 4.14 at 128, inside either's IQR (1.18 and 0.63 ms). Before the
+// kernel, 32 was the fastest at both sizes and 64 gained nothing.
 const DefaultBaseCase = 64
 
 // parCutoff is the zone height at or below which the FFT strip and the
