@@ -2,8 +2,10 @@
 // from internal/scratch's size-classed freelists are returned or
 // deliberately handed off.
 //
-// The invariant: scratch.Floats transfers buffer ownership to the caller;
-// the owner either returns the buffer with scratch.PutFloats or passes
+// The invariant: scratch.Floats, and a scratch.Workspace's Floats, transfer
+// buffer ownership to the caller; the owner either returns the buffer with
+// scratch.PutFloats or a workspace's Put (either pool takes either
+// buffer: the class comes from the capacity) or passes
 // ownership on (returns it, stores it, hands it to a goroutine). A locally-owned buffer that
 // reaches a return statement — or falls out of scope — without a Put is a
 // pool leak: correctness survives (the GC collects it) but the freelist
@@ -38,20 +40,28 @@ var Analyzer = &framework.Analyzer{
 
 var spec = &pairing.Spec{
 	IsAcquire: func(info *types.Info, call *ast.CallExpr) (string, bool) {
-		if framework.IsCallTo(info, call, scratchPath, "Floats") {
-			return "scratch.Floats", true
-		}
-		return "", false
+		return callTo(info, call, "Floats", "Workspace.Floats")
 	},
 	IsRelease: func(info *types.Info, call *ast.CallExpr) (string, bool) {
-		if framework.IsCallTo(info, call, scratchPath, "PutFloats") {
-			return "scratch.PutFloats", true
-		}
-		return "", false
+		return callTo(info, call, "PutFloats", "Workspace.Put")
 	},
 	ReleaseLabel:   "scratch.Put*",
 	CallArgEscapes: false,
 	ZeroExempt:     false,
+}
+
+// callTo reports which of the scratch functions or methods names call
+// invokes, as its diagnostic label.
+func callTo(info *types.Info, call *ast.CallExpr, names ...string) (string, bool) {
+	for _, name := range names {
+		if framework.IsCallTo(info, call, scratchPath, name) {
+			if name == "Workspace.Floats" || name == "Workspace.Put" {
+				return name, true
+			}
+			return "scratch." + name, true
+		}
+	}
+	return "", false
 }
 
 func run(pass *framework.Pass) error {

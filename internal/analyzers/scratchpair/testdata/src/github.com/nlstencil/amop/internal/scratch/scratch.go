@@ -7,3 +7,12 @@ func Floats(n int) []float64 { return make([]float64, n) }
 
 // PutFloats returns a buffer to the pool.
 func PutFloats(b []float64) { _ = b }
+
+// Workspace is one solve's buffer stack.
+type Workspace struct{}
+
+// Floats hands the caller a buffer from the workspace.
+func (w *Workspace) Floats(n int) []float64 { return make([]float64, n) }
+
+// Put returns a buffer to the workspace.
+func (w *Workspace) Put(b []float64) { _ = b }

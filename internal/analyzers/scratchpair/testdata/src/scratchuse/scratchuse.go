@@ -124,3 +124,29 @@ func okResliced(n int) {
 	fill(head)
 	scratch.PutFloats(buf)
 }
+
+// ---- the workspace's pair follows the same rule ----
+
+func leakWorkspace(ws *scratch.Workspace, n int) float64 {
+	buf := ws.Floats(n) // want `Workspace\.Floats result "buf" never reaches scratch\.Put\* on any path`
+	fill(buf)
+	total := sum(buf)
+	return total
+}
+
+func okWorkspace(ws *scratch.Workspace, n int) float64 {
+	buf := ws.Floats(n)
+	fill(buf)
+	total := sum(buf)
+	ws.Put(buf)
+	return total
+}
+
+// A workspace buffer may go back to the process-wide pools, and a pooled
+// one to a workspace: the class comes from the capacity.
+func okCrossPut(ws *scratch.Workspace, n int) {
+	a := ws.Floats(n)
+	b := scratch.Floats(n)
+	scratch.PutFloats(a)
+	ws.Put(b)
+}

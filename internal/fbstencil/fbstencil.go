@@ -61,9 +61,9 @@ var ErrNonFinite = errors.New("non-finite solve result")
 // solve. The recursion is deep and forks through par.Do, so unwinding by
 // panic — recovered at the Solve* entry point, never escaping the package —
 // is what keeps the cancellation checkpoints down to one branch instead of
-// threading an error return through every level. Scratch buffers in flight
-// are abandoned to the GC rather than returned to their pools; that is
-// explicitly safe (see the buffer-discipline note above: correctness never
+// threading an error return through every level. Buffers in flight are
+// abandoned to the GC rather than returned to the workspace; that is
+// explicitly safe (see the buffer-discipline note below: correctness never
 // depends on a Put succeeding), and par's joins keep the spawn budget paired
 // on the panic path.
 type canceled struct{ err error }
@@ -110,26 +110,25 @@ func checkFinite(v float64) error {
 	return nil
 }
 
-// Buffer discipline: every row segment, staging window, and zone buffer the
-// solvers churn through comes from internal/scratch's size-classed pools and
-// is returned there the moment its last reader is done — the recursion used
-// to make-and-drop a fresh slice at every level, which at T = 10^5+ made the
-// allocator and GC a measurable slice of the solve. The ownership rules are:
+// Buffer discipline: a solve takes its buffers from a workspace of its own
+// (scratch.Workspace, carried by the engine), a LIFO freelist per capacity
+// class with no synchronization, and hands them all to internal/scratch's
+// process-wide pools in one batch when it ends. The recursion's buffers
+// nest, so a warm solve allocates nothing and touches the process-wide pools
+// only for the first buffer of each nesting level. The rules are:
 //
-//   - EvolveCone results, zone outputs, and the red cells a direct step
-//     copies out are owned by their caller, which recycles them after
-//     merging them into the next segment;
-//   - a direct step runs in place on one buffer of its own, which also has
-//     room for its obstacle row when the problem fills rows instead of
-//     handing out views of a table, so a base-case zone takes one buffer for
-//     all its steps;
-//   - functions never recycle or write their *input* window — inputs may be
-//     subslices of a buffer another parallel branch is still reading (see
-//     zoneSplit) — except for direct, which by contract consumes its
-//     segment;
-//   - buffers whose front gets trimmed (the boundary ate a prefix) lose
-//     their power-of-two capacity and are dropped by scratch.PutFloats
-//     automatically; correctness never depends on a Put succeeding.
+//   - every row buffer is anchored by column: cell i of a buffer anchored
+//     at a holds column a+i, so each step, base case and FFT evolution
+//     writes its cells straight into the row that reads them next, and no
+//     result is copied between buffers;
+//   - a zone reads its input window and writes its result into the
+//     caller's row; it never writes its input, which a parallel FFT may be
+//     reading (see zoneSplit);
+//   - the zone recursion runs on the solve's goroutine and uses the
+//     engine's workspace; a forked strip evolution uses the workspace of
+//     its split frame;
+//   - correctness never depends on a Put: a buffer the pools cannot take
+//     is dropped to the GC.
 
 // DefaultBaseCase is the recursion cutoff height below which trapezoids are
 // solved by direct steps; a problem can override it. The paper's best was 8.
@@ -143,11 +142,10 @@ const DefaultBaseCase = 64
 
 // parCutoff is the zone height at or below which the FFT strip and the
 // boundary subzone run sequentially instead of through par.Do: under
-// ~this much work the fork-join costs more — goroutine spawn, plus the
-// closure and capture-box allocations the fork forces on every call — than
+// ~this much work the fork-join, with its goroutine spawn, costs more than
 // the parallelism returns. The deep, numerous small trapezoids all take the
-// allocation-free serial path; the few large ones near the top of the
-// recursion keep the paper's parallel span.
+// serial path; the few large ones near the top of the recursion keep the
+// paper's parallel span.
 const parCutoff = 64
 
 // Stats collects work counters from a solve. Counters are updated atomically
@@ -168,9 +166,9 @@ type EventKind uint8
 
 const (
 	// EventFill writes Dst from the problem's initial row or its obstacle
-	// row fill: the initial row, the green cells at or left of a boundary,
-	// or a direct step's obstacle row filled into a buffer of the solver's.
-	// Virtual columns left of 0 are filled with zeros.
+	// row fill: the initial row, or an obstacle row (a direct step's, or the
+	// green cells at or left of a boundary) filled into a buffer of the
+	// solver's.
 	EventFill EventKind = iota
 	// EventCopy copies Src into Dst.
 	EventCopy
@@ -181,10 +179,9 @@ const (
 	// sweep's (package sweep) or one of the fast solver's. Cell j reads
 	// Src[j .. j+len(W)-1] and stores Dst[j], the max of that sum and the
 	// cell's obstacle. Dst may start at Src[0]. The fast solver's step reads
-	// the obstacle from Ex, which covers the last len(Ex) cells of Dst (the
-	// ones left of column 0 have none) and was reported just before the
-	// step, as an EventFill or an EventSource. A sweep reports no Ex: it
-	// reads the obstacle from its exercise chunk, unreported.
+	// the obstacle of Dst[j] from Ex[j], reported before the step as an
+	// EventFill or an EventSource. A sweep reports no Ex: it reads the
+	// obstacle from its exercise chunk, unreported.
 	EventSweep
 	// EventAlloc gives Dst fresh memory without touching it; later steps
 	// write its cells in place.
@@ -206,7 +203,7 @@ type Event struct {
 	Steps    int       // EventFFT: steps evolved
 	W        []float64 // stencil weights of EventFFT and EventSweep
 	// InPlace marks a step that writes cells of a buffer earlier steps
-	// already wrote or allocated (a direct step's window and obstacle row, a
+	// already wrote or allocated (every buffer the fast solver takes, a
 	// sweep's row); otherwise Dst is memory the step writes fresh.
 	InPlace bool
 }
@@ -219,30 +216,27 @@ func Record(st *Stats, rec func(Event)) { st.rec = rec }
 
 func (s *Stats) recording() bool { return s != nil && s.rec != nil }
 
-// record reports ev to the recorder. It stays out of line so that
-// addDirect, called once per base-case step, inlines.
-//
-//go:noinline
+// record reports ev to the recorder.
 func (s *Stats) record(ev Event) {
 	if s.recording() {
 		s.rec(ev)
 	}
 }
 
+// addFFT counts one FFT evolution of src into out, a buffer the solve
+// took (see Event.InPlace), and records it.
 func (s *Stats) addFFT(src, out []float64, steps int, w []float64) {
 	if s != nil {
 		s.FFTCalls.Add(1)
 		s.FFTCells.Add(int64(len(out)))
-		s.record(Event{Kind: EventFFT, Src: src, Dst: out, Steps: steps, W: w})
+		s.record(Event{Kind: EventFFT, Src: src, Dst: out, Steps: steps, W: w, InPlace: true})
 	}
 }
 
-// addDirect counts the len(ev.Dst) cells of a direct step (an EventSweep)
-// and records it.
-func (s *Stats) addDirect(ev Event) {
+// addNaive counts n cells of direct steps.
+func (s *Stats) addNaive(n int) {
 	if s != nil {
-		s.NaiveCells.Add(int64(len(ev.Dst)))
-		s.record(ev)
+		s.NaiveCells.Add(int64(n))
 	}
 }
 

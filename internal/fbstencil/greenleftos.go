@@ -2,6 +2,7 @@ package fbstencil
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/par"
@@ -30,15 +31,17 @@ import (
 // GreenLeftOneSidedBoundaryTrace checks that structure on any instance and
 // stays as the tests' oracle.
 //
-// The solver works on contiguous slices: a zone receives its window of the
-// row as one slice and hands subslices of it straight to the FFT. The
-// obstacle is read a row at a time, through Fill: each direct step reads the
-// obstacle row of the cells it computes, in place when Fill hands out a view
-// of the problem's table, and a window that extends left of a boundary
-// copies in its green cells. Columns left of 0 are virtual: a window near the
-// grid's left edge reaches them, but no real cell reads them, since
-// dependencies point right. The engine fills them with zeros, never tests
-// them against the obstacle, and never asks Fill for them.
+// The solver works on contiguous slices, every row buffer anchored by
+// column: a zone reads its window of the row in place, hands the strip right
+// of the boundary straight to the FFT, and both write their cells into the
+// row that reads them next. The obstacle is read a row at a time, through
+// Fill: each direct step reads the obstacle row of the cells it computes, in
+// place when Fill hands out a view of the problem's table, and a window that
+// extends left of a boundary takes its green cells from the obstacle.
+// Columns left of 0 are virtual: a window near the grid's left edge reaches
+// them, but no real cell reads them, since dependencies point right. The
+// engine cuts every window at column 0, so it neither stores nor steps them
+// and never asks Fill for them.
 
 // GreenLeftOneSided describes a free-boundary problem with stencil offsets
 // 0..r and the green region on the left. Geometry matches GreenRight
@@ -118,145 +121,197 @@ func (p *GreenLeftOneSided) validate() error {
 	return nil
 }
 
+// glosEngine is one solve's state. Engines are pooled (engines) with their
+// workspaces and split frames, so a warm solve allocates nothing.
 type glosEngine struct {
 	s      linstencil.Stencil
+	w      []float64 // s.W
 	r      int
 	drop   int // max boundary drop per interior step
 	hi0    int
 	fill   FillFunc
 	base   int
 	stats  *Stats
+	rec    bool // stats.recording()
 	cancel func() error
+
+	// ws is the zone recursion's workspace. The recursion runs on the
+	// solve's goroutine: zoneSplitPar forks only the strip evolution, with a
+	// workspace of its own in its split frame, and runs the subzone inline.
+	ws *scratch.Workspace
+	// splits are zoneSplitPar's frames, one per nesting level in use.
+	splits []*split
+	nsplit int
+}
+
+var engines = sync.Pool{New: func() any { return &glosEngine{ws: new(scratch.Workspace)} }}
+
+// newEngine takes an engine from the pool for one solve of p.
+func newEngine(p *GreenLeftOneSided, st *Stats) *glosEngine {
+	e := engines.Get().(*glosEngine)
+	e.s, e.w, e.r = p.Stencil, p.Stencil.W, p.Stencil.Span()
+	e.drop, e.hi0, e.fill = max(p.MaxDrop, 1), p.Hi0, p.Fill
+	e.base = p.BaseCase
+	if e.base <= 0 {
+		e.base = DefaultBaseCase
+	}
+	e.stats, e.rec, e.cancel = st, st.recording(), p.Cancel
+	return e
+}
+
+// release hands the solve's buffers to the process-wide pools, one batch
+// per workspace and class, and returns e to the pool. A canceled solve
+// abandons the buffers it held to the GC.
+func (e *glosEngine) release() {
+	e.ws.Flush()
+	for _, s := range e.splits {
+		s.ws.Flush()
+		s.src, s.dst = nil, nil
+	}
+	e.nsplit = 0
+	e.s, e.w, e.fill, e.stats, e.cancel = linstencil.Stencil{}, nil, nil, nil, nil
+	engines.Put(e)
 }
 
 func (e *glosEngine) hi(depth int) int { return e.hi0 - depth*e.r }
 
-// fillGreen writes the obstacle row at depth on columns [lo, lo+len(dst))
-// into dst, zeros on the virtual columns left of 0; inPlace reports that dst
-// already holds cells of an earlier row (see Event.InPlace).
-func (e *glosEngine) fillGreen(dst []float64, depth, lo int, inPlace bool) {
-	v := min(max(-lo, 0), len(dst))
-	clear(dst[:v])
-	if v < len(dst) {
-		if g := e.fill(depth, lo+v, lo+len(dst)-1, dst[v:]); &g[0] != &dst[v] {
-			copy(dst[v:], g)
-		}
+// take returns a buffer of n cells from the workspace and reports it as
+// allocated: every step then writes its cells in place.
+func (e *glosEngine) take(n int) []float64 {
+	buf := e.ws.Floats(n)
+	if e.rec {
+		e.stats.record(Event{Kind: EventAlloc, Dst: buf})
 	}
-	if e.stats.recording() {
-		e.stats.record(Event{Kind: EventFill, Dst: dst, InPlace: inPlace})
-	}
+	return buf
 }
 
-// obstacle returns the obstacle row at depth on columns [lo, lo+len(buf)),
-// all on the grid: a view of the problem's table, or buf filled. It reports
-// the row as the source it is.
-func (e *glosEngine) obstacle(buf []float64, depth, lo int) []float64 {
-	g := e.fill(depth, lo, lo+len(buf)-1, buf)
-	if e.stats.recording() {
-		if &g[0] != &buf[0] {
-			e.stats.record(Event{Kind: EventSource, Dst: g})
-		} else {
-			e.stats.record(Event{Kind: EventFill, Dst: g, InPlace: true})
-		}
+// obstacle returns the obstacle row at depth on columns [lo, hi], all on
+// the grid: a view of the problem's table, or buf filled. It reports the
+// row as the source it is.
+func (e *glosEngine) obstacle(buf []float64, depth, lo, hi int) []float64 {
+	g := e.fill(depth, lo, hi, buf)
+	if e.rec {
+		e.recordObstacle(g, buf)
 	}
 	return g
 }
 
-// copyRow is copy(dst, src), recorded.
-func (e *glosEngine) copyRow(dst, src []float64) {
-	n := copy(dst, src)
-	if e.stats.recording() {
-		e.stats.record(Event{Kind: EventCopy, Src: src[:n], Dst: dst[:n]})
+func (e *glosEngine) recordObstacle(g, buf []float64) {
+	if &g[0] != &buf[0] {
+		e.stats.record(Event{Kind: EventSource, Dst: g})
+	} else {
+		e.stats.record(Event{Kind: EventFill, Dst: g, InPlace: true})
 	}
+}
+
+// green writes the obstacle of depth d on columns [lo, hi], lo >= 0, into
+// row, whose cell i is column a+i: the green cells a step reads left of the
+// boundary.
+func (e *glosEngine) green(row []float64, a, d, lo, hi int) {
+	if lo > hi {
+		return
+	}
+	dst := row[lo-a : hi+1-a]
+	if g := e.obstacle(dst, d, lo, hi); &g[0] != &dst[0] {
+		copy(dst, g)
+		if e.rec {
+			e.stats.record(Event{Kind: EventCopy, Src: g, Dst: dst, InPlace: true})
+		}
+	}
+}
+
+// sweep is the direct step of one row: out[j] = max(sum_i w[i]*in[j+i],
+// g[j]) for the len(out) cells (StepObstacle; out may start at in[0]). It
+// returns the largest j <= b at which the obstacle won, or -1.
+func (e *glosEngine) sweep(out, in, g []float64, b int) int {
+	j := StepObstacle(out, in, g, e.w, b)
+	if e.rec {
+		e.recordSweep(out, in, g)
+	}
+	return j
+}
+
+func (e *glosEngine) recordSweep(out, in, g []float64) {
+	n := len(out)
+	e.stats.record(Event{Kind: EventSweep, Src: in[:n+e.r], Dst: out, Ex: g[:n], W: e.w, InPlace: true})
 }
 
 // SolveGreenLeftOneSided runs the fast solver and returns the apex value
 // (depth T, column 0) and the final boundary, and fills p.Top. When p.Cancel
 // reports an error the solve stops within roughly one trapezoid of work and
 // returns it; a non-finite apex returns an ErrNonFinite-wrapped error.
+//
+// The solve keeps two rows of the grid, each cell at its column's index:
+// cur, the row at the current depth, and next, which a trapezoid writes the
+// row at its bottom into. Columns left of 0 are virtual: no real cell reads
+// them, since dependencies point right, so every window is cut at column 0.
 func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, boundary int, err error) {
 	if err := p.validate(); err != nil {
 		return 0, 0, err
 	}
 	defer recoverCancel(&err)
-	e := &glosEngine{s: p.Stencil, r: p.Stencil.Span(), drop: max(p.MaxDrop, 1), hi0: p.Hi0, fill: p.Fill, base: p.BaseCase, stats: st, cancel: p.Cancel}
-	if e.base <= 0 {
-		e.base = DefaultBaseCase
-	}
+	e := newEngine(p, st)
+	defer e.release()
 	// The row at depth topD is passed by every solve, whether or not p.Top
 	// asks for it: the loop never jumps over it, since a trapezoid covers at
 	// most half the remaining depth, and the all-red path stops on it.
 	topD := p.T - TopSteps(e.r)
 
 	bnd := max(p.Bnd0, -1)
-	// seg stores red values, columns [bnd+1, hi(d)].
-	var seg []float64
-	if bnd < p.Hi0 {
-		seg = scratch.Floats(p.Hi0 - bnd)
-		for j := range seg {
-			seg[j] = p.Init(bnd + 1 + j)
-		}
-		st.record(Event{Kind: EventFill, Dst: seg})
+	// cur holds the red values of depth d on columns [bnd+1, hi(d)].
+	cur, next := e.take(p.Hi0+1), e.take(p.Hi0+1)
+	for j := bnd + 1; j <= p.Hi0; j++ {
+		cur[j] = p.Init(j)
+	}
+	if e.rec && bnd < p.Hi0 {
+		st.record(Event{Kind: EventFill, Dst: cur[bnd+1:], InPlace: true})
 	}
 
 	d := 0
 	if p.T >= 1 {
 		if topD == 0 {
-			e.top(p.Top, 0, bnd, seg)
+			e.top(p.Top, 0, bnd, cur)
 		}
 		// The monotone-boundary structure only covers interior rows: the
 		// payoff-based leaf boundary can jump at the first step (for calls
 		// the red region widens once when R > Y; for puts the green one can
 		// fall to ~ln(R/Y) when Y > R). One direct step over the full row,
 		// with no floor on the new boundary, establishes the true boundary.
-		seg, bnd = e.direct(seg, 0, bnd, 0, e.hi(1), -1)
+		e.green(cur, 0, 0, 0, bnd)
+		bnd = e.direct(cur, next, 0, 0, e.hi(1), -1)
 		d = 1
 	}
 	for d < p.T && bnd < e.hi(d) {
 		checkCancel(e.cancel)
 		if d == topD {
-			e.top(p.Top, d, bnd, seg)
+			e.top(p.Top, d, bnd, cur)
 		}
 		if bnd < 0 && d < topD {
 			// Entirely red: one FFT evolution reaches the top row, and
 			// direct steps take it to the apex.
-			out := e.evolve(seg, topD-d)
-			scratch.PutFloats(seg)
-			seg, d = out, topD
+			e.evolve(next, cur[:e.hi(d)+1], topD-d, e.ws)
+			cur, next = next, cur
+			d = topD
 			continue
 		}
+		// The steps below read the green cells [bnd-drop, bnd].
+		e.green(cur, 0, d, max(bnd-e.drop, 0), bnd)
 		remaining := p.T - d
 		// Half the remaining depth at most: one trapezoid down to the apex
 		// makes the zone recursion cut ~25% more trapezoids (BSM put,
 		// T=65536) and costs more time than it saves in direct cells.
 		h := min(remaining/2, (e.hi(d)-bnd)/e.r)
 		if h < e.base || bnd < 0 {
-			// One direct step on the window [bnd-drop, hi(d)]: the green
-			// cells the step reads, then seg.
 			from := bnd - e.drop
-			seg, bnd = e.direct(seg, d, bnd, from, bnd, max(from, -1))
+			bnd = e.direct(cur, next, d, from, bnd, max(from, -1))
 			d++
 			continue
 		}
-		// The zone's window [bnd-drop*h, bnd+r*h]: obstacle fill up to the
-		// boundary, stored red values beyond it. Everything right of the
-		// old boundary comes from one FFT of seg: the one-sided cone never
-		// reaches left into the green.
-		dh := e.drop * h
-		win := scratch.Floats(dh + e.r*h + 1)
-		e.fillGreen(win[:dh+1], d, bnd-dh, false)
-		e.copyRow(win[dh+1:], seg)
-		red, newBnd, right := e.zoneSplit(win, d, bnd, h, h, seg)
-		scratch.PutFloats(win)
-		// red covers (newBnd, bnd] at depth d+h; right covers
-		// (bnd, hi(d)-r*h].
-		next := scratch.Floats(e.hi(d+h) - newBnd)
-		e.copyRow(next, red)
-		e.copyRow(next[len(red):], right)
-		scratch.PutFloats(red)
-		scratch.PutFloats(right)
-		scratch.PutFloats(seg)
-		seg, bnd = next, newBnd
+		// One trapezoid of height h: the zone resolves the band at the
+		// boundary, and one FFT evolves everything right of it, since the
+		// one-sided cone never reaches left into the green.
+		bnd = e.zoneSplit(cur[:e.hi(d)+1], 0, d, bnd, h, h, next, 0)
+		cur, next = next, cur
 		d += h
 	}
 	if bnd >= 0 {
@@ -266,193 +321,204 @@ func SolveGreenLeftOneSided(p *GreenLeftOneSided, st *Stats) (price float64, bou
 		if d <= topD {
 			e.top(p.Top, topD, e.hi(topD), nil)
 		}
-		g := scratch.Floats(1)
+		g := e.ws.Floats(1)
 		v := e.fill(p.T, 0, 0, g)[0]
-		scratch.PutFloats(g)
-		scratch.PutFloats(seg)
+		e.ws.Put(g)
+		e.ws.Put(next)
+		e.ws.Put(cur)
 		return v, bnd, checkFinite(v)
 	}
-	v := seg[0]
-	scratch.PutFloats(seg)
+	v := cur[0]
+	e.ws.Put(next)
+	e.ws.Put(cur)
 	return v, bnd, checkFinite(v)
 }
 
 // top copies columns [0, len(dst)) of the row at depth d into dst: the
-// obstacle up to bnd, then seg, the red cells right of it.
-func (e *glosEngine) top(dst []float64, d, bnd int, seg []float64) {
+// obstacle up to bnd, then row's red cells right of it.
+func (e *glosEngine) top(dst []float64, d, bnd int, row []float64) {
 	g := min(bnd+1, len(dst))
 	if g > 0 {
 		copy(dst, e.fill(d, 0, g-1, dst[:g]))
 	}
-	copy(dst[g:], seg)
-}
-
-// stepBuf takes one pooled buffer for direct steps on a row of n cells: the
-// row, and after it room for the obstacle row of a step, which it reports as
-// allocated (a step that fills it does so in place).
-func (e *glosEngine) stepBuf(n int) (buf, row, ex []float64) {
-	buf = scratch.Floats(2*n - e.r)
-	row, ex = buf[:n], buf[n:]
-	if e.stats.recording() {
-		e.stats.record(Event{Kind: EventAlloc, Dst: ex})
+	if g < len(dst) {
+		copy(dst[g:], row[g:])
 	}
-	return buf, row, ex
 }
 
-// step is the direct step. row holds the cells of depth d on columns
-// [from, from+len(row)); step advances it one step in place and returns the
-// cells of depth d+1 on [from, from+len(row)-r), each the max of its linear
-// update and the obstacle, which it reads through obstacle into ex or from
-// the problem's table. It also returns the new boundary: the largest column
-// at most b where the obstacle won, or floor if there is none (see
-// StepObstacle). The virtual cells left of column 0 keep their linear
-// update.
-func (e *glosEngine) step(row, ex []float64, d, from, b, floor int) ([]float64, int) {
-	n := len(row) - e.r
-	v := min(max(-from, 0), n)
-	if v > 0 {
-		// The virtual cells read row[:v+r], which the pass below overwrites.
-		linstencil.Step(row[:v+e.r], e.s)
+// direct is one direct step of row, which holds the cells of depth d at
+// their columns' indices, in place on the window [max(from, 0), hi(d)]. The
+// obstacle row is read into ex when the problem fills rows. It returns the
+// new boundary: the largest column at most b where the obstacle won, or
+// floor if there is none.
+func (e *glosEngine) direct(row, ex []float64, d, from, b, floor int) int {
+	lo, hi := max(from, 0), e.hi(d+1)
+	if lo > hi {
+		return floor
 	}
-	var g []float64
-	newB := floor
-	if v < n {
-		g = e.obstacle(ex[:n-v], d+1, from+v)
-		if j := StepObstacle(row[v:n], row[v:], g, e.s.W, b-from-v); j >= 0 {
-			newB = from + v + j
-		}
+	g := e.obstacle(ex[lo:hi+1], d+1, lo, hi)
+	if j := e.sweep(row[lo:hi+1], row[lo:], g, b-lo); j >= 0 {
+		floor = lo + j
 	}
-	e.stats.addDirect(Event{Kind: EventSweep, Src: row, Dst: row[:n], Ex: g, W: e.s.W, InPlace: true})
-	return row[:n], newB
+	e.stats.addNaive(hi + 1 - lo)
+	return floor
 }
 
-// direct runs step, with b and floor, from depth d on the window
-// [from, hi(d)]: the obstacle up to bnd, then seg, which it consumes
-// (recycles). It returns the red cells of depth d+1 right of the new
-// boundary, in a buffer of their own, and that boundary.
-func (e *glosEngine) direct(seg []float64, d, bnd, from, b, floor int) ([]float64, int) {
-	buf, win, ex := e.stepBuf(bnd - from + 1 + len(seg))
-	e.fillGreen(win[:bnd-from+1], d, from, false)
-	e.copyRow(win[bnd-from+1:], seg)
-	scratch.PutFloats(seg)
-	next, newBnd := e.step(win, ex, d, from, b, floor)
-	return e.keep(buf, next[newBnd-from+1:]), newBnd
-}
-
-// keep copies red, cells of a direct step's buffer buf, out into a pooled
-// buffer of their own and recycles buf: a front-trimmed buffer could not go
-// back to its pool.
-func (e *glosEngine) keep(buf, red []float64) []float64 {
-	out := scratch.Floats(len(red))
-	e.copyRow(out, red)
-	scratch.PutFloats(buf)
-	return out
-}
-
-// zone resolves the boundary band: given win, the row at depth d on columns
-// [bnd-drop*h, bnd+r*h], it returns the red cells (newBnd, bnd] at depth d+h
-// and the new boundary newBnd. Every cell at or left of newBnd is green, so
-// the caller rebuilds it from the obstacle.
-func (e *glosEngine) zone(win []float64, d, bnd, h int) ([]float64, int) {
+// zone resolves the boundary band of height h. src holds the row at depth
+// d, cell i at column sa+i, on columns [max(bnd-drop, 0), bnd+r*h]: the
+// green cells [bnd-drop, bnd] the caller filled and the red cells right of
+// bnd. zone writes the red cells (newBnd, bnd] of depth d+h into dst, cell
+// i at column da+i, da <= max(bnd-drop*h, 0), and returns newBnd. It may
+// also write cells of dst in [bnd-drop*h, newBnd]; the green ones the next
+// step reads, the caller refills from the obstacle.
+func (e *glosEngine) zone(src []float64, sa, d, bnd, h int, dst []float64, da int) int {
 	checkCancel(e.cancel)
 	e.stats.addTrap()
 	if bnd < 0 {
 		// No green cells remain and the band holds no red cell of its own.
-		return nil, -1
+		return -1
 	}
 	if h <= e.base {
-		return e.zoneNaive(win, d, bnd, h)
+		return e.zoneNaive(src, sa, d, bnd, h, dst, da)
 	}
 	h1 := (h + 1) / 2
 	h2 := h - h1
-	r, dh, dh1, dh2 := e.r, e.drop*h, e.drop*h1, e.drop*h2
+	r := e.r
+	src = src[:bnd+r*h+1-sa]
 
-	// First half: the boundary subzone on [bnd-drop*h1, bnd+r*h1], and the
-	// cells (bnd, bnd+r*h2] at depth d+h1 from base columns (bnd, bnd+r*h].
-	redA, midBnd, rightA := e.zoneSplit(win[dh-dh1:dh+r*h1+1], d, bnd, h, h1, win[dh+1:])
+	// First half: the boundary subzone, and the cells (bnd, bnd+r*h2] of
+	// depth d+h1 from the strip (bnd, bnd+r*h], both written into mid, the
+	// row at depth d+h1 on columns [ma, bnd+r*h2].
+	ma := max(bnd-e.drop*h, 0)
+	mid := e.take(bnd + r*h2 + 1 - ma)
+	midBnd := e.zoneSplit(src, sa, d, bnd, h, h1, mid, ma)
+	e.green(mid, ma, d+h1, max(midBnd-e.drop, 0), midBnd)
 
-	// The row at depth d+h1 on [midBnd-drop*h2, bnd+r*h2].
-	mid := scratch.Floats(dh2 + 1 + len(redA) + len(rightA))
-	e.fillGreen(mid[:dh2+1], d+h1, midBnd-dh2, false)
-	e.copyRow(mid[dh2+1:], redA)
-	e.copyRow(mid[dh2+1+len(redA):], rightA)
-	scratch.PutFloats(redA)
-	scratch.PutFloats(rightA)
-
-	// Second half: cells (midBnd, bnd] at depth d+h from mid columns
-	// (midBnd, bnd+r*h2]. That strip is empty when the boundary did not
-	// move in the first half (midBnd == bnd).
-	redB, newBnd, rightB := e.zoneSplit(mid[:dh2+r*h2+1], d+h1, midBnd, h, h2, mid[dh2+1:])
-	scratch.PutFloats(mid)
-
-	out := scratch.Floats(len(redB) + len(rightB))
-	e.copyRow(out, redB)
-	e.copyRow(out[len(redB):], rightB)
-	scratch.PutFloats(redB)
-	scratch.PutFloats(rightB)
-	return out, newBnd
+	// Second half: cells (midBnd, bnd] of depth d+h from the strip
+	// (midBnd, bnd+r*h2] of mid, beside the subzone. That strip leaves no
+	// cell when the boundary did not move in the first half.
+	newBnd := e.zoneSplit(mid, ma, d+h1, midBnd, h, h2, dst, da)
+	e.ws.Put(mid)
+	return newBnd
 }
 
-// evolve advances the all-red strip by steps with one FFT evolution; a
-// strip too short to leave any exact cell returns nil.
-func (e *glosEngine) evolve(strip []float64, steps int) []float64 {
-	if len(strip) <= e.r*steps {
-		return nil
+// evolve advances src, a red strip, by steps with one FFT evolution into
+// dst[:len(src)-r*steps]; a strip too short to leave any exact cell
+// evolves nothing.
+func (e *glosEngine) evolve(dst, src []float64, steps int, ws *scratch.Workspace) {
+	n := len(src) - e.r*steps
+	if n <= 0 {
+		return
 	}
-	out, _ := linstencil.EvolveCone(strip, e.s, steps)
-	e.stats.addFFT(strip, out, steps, e.s.W)
-	return out
+	linstencil.EvolveConeTo(dst[:n], src, e.s, steps, ws)
+	e.stats.addFFT(src, dst[:n], steps, e.s.W)
 }
 
-// zoneSplit runs the boundary subzone of height hh on win beside the FFT
-// evolution of strip, the columns right of bnd: sequentially when the
-// parent height h is at most parCutoff or the schedule is being recorded,
-// else with the strip forked and the subzone inline, so the FFT's token
-// returns for the subzone's own forks.
-func (e *glosEngine) zoneSplit(win []float64, d, bnd, h, hh int, strip []float64) ([]float64, int, []float64) {
-	if h <= parCutoff || e.stats.recording() {
-		red, nb := e.zone(win, d, bnd, hh)
-		return red, nb, e.evolve(strip, hh)
+// zoneSplit runs zone of height hh on src beside the FFT evolution of the
+// strip right of bnd, src's columns (bnd, end], by hh steps; both write
+// into dst. It runs them sequentially when the parent height h is at most
+// parCutoff or the schedule is being recorded, else with the strip forked
+// and the subzone inline, so the FFT's token returns for the subzone's own
+// forks.
+func (e *glosEngine) zoneSplit(src []float64, sa, d, bnd, h, hh int, dst []float64, da int) int {
+	if h <= parCutoff || e.rec {
+		nb := e.zone(src, sa, d, bnd, hh, dst, da)
+		e.evolve(dst[bnd+1-da:], src[bnd+1-sa:], hh, e.ws)
+		return nb
 	}
-	return e.zoneSplitPar(win, d, bnd, hh, strip)
+	return e.zoneSplitPar(src, sa, d, bnd, hh, dst, da)
 }
 
-// zoneSplitPar is zoneSplit's fork, in its own function so the serial path
-// never pays for the closures; the results share one capture box.
-func (e *glosEngine) zoneSplitPar(win []float64, d, bnd, hh int, strip []float64) ([]float64, int, []float64) {
-	var res struct {
-		red, right []float64
-		nb         int
+// split is zoneSplitPar's frame: the arguments and result of one fork, and
+// the strip branch's workspace. Its two functions are bound once, so a
+// fork allocates no closure.
+type split struct {
+	e                  *glosEngine
+	ws                 *scratch.Workspace
+	src, dst           []float64
+	sa, da, d, bnd, hh int
+	nb                 int
+	fns                [2]func()
+}
+
+func (s *split) strip() {
+	s.e.evolve(s.dst[s.bnd+1-s.da:], s.src[s.bnd+1-s.sa:], s.hh, s.ws)
+}
+
+func (s *split) zone() { s.nb = s.e.zone(s.src, s.sa, s.d, s.bnd, s.hh, s.dst, s.da) }
+
+// zoneSplitPar is zoneSplit's fork, on the engine's frame for this nesting
+// level.
+func (e *glosEngine) zoneSplitPar(src []float64, sa, d, bnd, hh int, dst []float64, da int) int {
+	if e.nsplit == len(e.splits) {
+		s := &split{e: e, ws: new(scratch.Workspace)}
+		s.fns = [2]func(){s.strip, s.zone}
+		e.splits = append(e.splits, s)
 	}
-	par.Do(
-		func() { res.right = e.evolve(strip, hh) },
-		func() { res.red, res.nb = e.zone(win, d, bnd, hh) },
-	)
-	return res.red, res.nb, res.right
+	s := e.splits[e.nsplit]
+	e.nsplit++
+	s.src, s.sa, s.d, s.bnd, s.hh, s.dst, s.da = src, sa, d, bnd, hh, dst, da
+	par.Do(s.fns[:]...)
+	s.src, s.dst = nil, nil
+	e.nsplit--
+	return s.nb
 }
 
-// zoneNaive steps the window [lo, bnd+r*h], lo = bnd-drop*h, h times in one
-// scratch buffer of its own. Each step computes only the columns from
-// b-drop on, b the boundary before it: everything left of that is green by
-// the structure. When the boundary drops, the columns the next step reads
-// left of this one's start are refilled from the obstacle (at most drop of
-// them).
-func (e *glosEngine) zoneNaive(win []float64, d, bnd, h int) ([]float64, int) {
-	lo := bnd - e.drop*h
-	buf, row, ex := e.stepBuf(len(win))
-	e.copyRow(row, win)
-	end := len(row) // row[:end] holds the current row
-	b := bnd
+// zoneNaive is zone's base case: h direct steps in one loop. The rows of
+// depth d+1..d+h-1 live in one workspace buffer, column lo0+i at index i,
+// the first step reads src and the last writes dst. Each step computes only
+// the columns from b-drop on, b the boundary before it: everything left of
+// that is green by the structure. It reads the obstacle row once, from
+// drop columns further left when the step is not the last: when the
+// boundary drops, the next step reads that many green cells left of this
+// one's start, which the loop copies in from the row it read.
+func (e *glosEngine) zoneNaive(src []float64, sa, d, bnd, h int, dst []float64, da int) int {
+	r, drop := e.r, e.drop
+	lo0 := max(bnd-drop*h, 0)
+	nw := 0
+	if h > 1 {
+		nw = bnd + r*(h-1) + 1 - lo0
+	}
+	buf := e.take(nw + bnd + r*(h-1) + 1 - lo0)
+	work, ex := buf[:nw], buf[nw:]
+	in, ia := src, sa
+	b, cells := bnd, 0
 	for t := 1; t <= h; t++ {
-		from := b - e.drop
-		// depth d+t on [from, bnd+r*(h-t)]
-		_, b = e.step(row[from-lo:end], ex, d+t-1, from, b, max(from, -1))
-		end -= e.r
-		if t < h && b < from+e.drop {
-			e.fillGreen(row[b-e.drop-lo:from-lo], d+t, b-e.drop, true)
+		out, oa := work, lo0
+		if t == h {
+			out, oa = dst, da
 		}
+		from := b - drop
+		lo, hi := max(from, 0), bnd+r*(h-t)
+		gl := lo
+		if t < h {
+			gl = max(from-drop, 0)
+		}
+		g := e.fill(d+t, gl, hi, ex)
+		o, x := out[lo-oa:hi+1-oa], g[lo-gl:]
+		nb := max(from, -1)
+		if j := StepObstacle(o, in[lo-ia:], x, e.w, b-lo); j >= 0 {
+			nb = lo + j
+		}
+		if e.rec {
+			e.recordObstacle(g, ex)
+			e.recordSweep(o, in[lo-ia:], x)
+		}
+		cells += hi + 1 - lo
+		b = nb
+		if c := max(b-drop, 0); t < h && c < lo {
+			for i := c; i < lo; i++ {
+				out[i-oa] = g[i-gl]
+			}
+			if e.rec {
+				e.stats.record(Event{Kind: EventCopy, Src: g[c-gl : lo-gl], Dst: out[c-oa : lo-oa], InPlace: true})
+			}
+		}
+		in, ia = out, oa
 	}
-	return e.keep(buf, row[b+1-lo:end]), b
+	e.stats.addNaive(cells)
+	e.ws.Put(buf)
+	return b
 }
 
 // SolveGreenLeftOneSidedNaive is the direct O(T * width) oracle; it fills

@@ -18,14 +18,12 @@ package fbstencil
 // roundoff. b < 0 tracks nothing.
 //
 // Spans 1 and 2 run on the AVX2 kernel where the FFT's does (see
-// step_amd64.go), bitwise the generic loops below.
+// step_amd64.go), bitwise the generic loops below. The dispatch is small
+// enough to inline, so a direct step costs one call.
 func StepObstacle(dst, src, ex, w []float64, b int) int {
-	n := len(dst)
-	switch len(w) {
-	case 2:
-		return stepObstacle2(dst, src[:n+1], ex[:n], w[0], w[1], b)
-	case 3:
-		return stepObstacle3(dst, src[:n+2], ex[:n], w[0], w[1], w[2], b)
+	if n := len(dst); n > 0 && kernelSpan(len(w)) {
+		_, _ = src[n+len(w)-2], ex[n-1] // the cells the kernel reads
+		return stepObstacleKernel(&dst[0], &src[0], &ex[0], &w[0], len(w)-1, b, n)
 	}
 	return stepObstacleGeneric(dst, src, ex, w, b)
 }

@@ -6,10 +6,8 @@ package fbstencil
 // kernel (or builds with -tags amop_purego) run spans 1 and 2 on the
 // portable loops.
 
-func stepObstacle2(dst, src, ex []float64, w0, w1 float64, b int) int {
-	return stepObstacle2Generic(dst, src, ex, w0, w1, b)
-}
+func kernelSpan(int) bool { return false }
 
-func stepObstacle3(dst, src, ex []float64, w0, w1, w2 float64, b int) int {
-	return stepObstacle3Generic(dst, src, ex, w0, w1, w2, b)
+func stepObstacleKernel(dst, src, ex, w *float64, span, b, n int) int {
+	panic("fbstencil: no step kernel on this build")
 }

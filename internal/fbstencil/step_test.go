@@ -37,9 +37,11 @@ func threePassStep(row []float64, s linstencil.Stencil, fill FillFunc, d, from, 
 
 // TestStepMatchesThreePasses pins the engine's direct step, one
 // StepObstacle pass over the obstacle read in place or filled, bitwise to
-// threePassStep: random rows whose obstacle wins at scattered cells, spans 1
-// to 3, windows that start left of column 0, floors, and a cell right of b
-// that the obstacle wins by one ulp, which must not move the boundary.
+// threePassStep on the grid's cells: random rows whose obstacle wins at
+// scattered cells, spans 1 to 3, windows that start left of column 0, whose
+// virtual cells the engine neither stores nor steps, floors, and a cell
+// right of b that the obstacle wins by one ulp, which must not move the
+// boundary.
 func TestStepMatchesThreePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 3000; trial++ {
@@ -76,16 +78,22 @@ func TestStepMatchesThreePasses(t *testing.T) {
 			return append(buf[:0], view(depth, lo, hi, nil)...)
 		}
 		for _, fill := range []FillFunc{view, filled} {
-			e := &glosEngine{s: s, r: r, fill: fill}
+			// The engine's row holds column c at index c: the window's
+			// cells on the grid, with the row's last column at hi(d).
+			e := &glosEngine{s: s, w: w, r: r, fill: fill, hi0: from + n - 1 + d*r}
 			want, wantB := threePassStep(row, s, fill, d, from, b, floor)
-			buf := append(slices.Clone(row), make([]float64, n)...)
-			got, gotB := e.step(buf[:n], buf[n:], d, from, b, floor)
+			lo := max(from, 0)
+			buf := make([]float64, max(from+n, lo))
+			if lo < from+n {
+				copy(buf[lo:], row[lo-from:])
+			}
+			gotB := e.direct(buf, make([]float64, len(buf)), d, from, b, floor)
 			if gotB != wantB {
 				t.Fatalf("trial %d (r=%d from=%d b=%d floor=%d): boundary %d, want %d", trial, r, from, b, floor, gotB, wantB)
 			}
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("trial %d (r=%d from=%d): cell %d = %v, want %v", trial, r, from, from+i, got[i], want[i])
+			for c := lo; c < from+len(want); c++ {
+				if math.Float64bits(buf[c]) != math.Float64bits(want[c-from]) {
+					t.Fatalf("trial %d (r=%d from=%d): cell %d = %v, want %v", trial, r, from, c, buf[c], want[c-from])
 				}
 			}
 		}

@@ -41,9 +41,10 @@ import (
 // symmetry. mult holds M as split planes in spectral order: with
 // h = n/2+1, mult[pos] + i*mult[h+pos] is the multiplier of bin Bin(pos),
 // so len(mult) must be 2h. len(x) and len(out) must be at most n. The
-// imaginary parts of the DC and Nyquist multipliers are ignored. One call
+// imaginary parts of the DC and Nyquist multipliers are ignored. The
+// transform's planes come from ws (nil: the process-wide pools). One call
 // counts as a forward and an inverse transform.
-func (p *RPlan) Convolve(x, mult, out []float64) {
+func (p *RPlan) Convolve(x, mult, out []float64, ws *scratch.Workspace) {
 	if len(x) > p.n || len(out) > p.n || len(mult) != 2*(p.half+1) {
 		panic(fmt.Sprintf("fft: RPlan size %d: got input %d, multiplier %d, output %d",
 			p.n, len(x), len(mult), len(out)))
@@ -56,7 +57,7 @@ func (p *RPlan) Convolve(x, mult, out []float64) {
 	}
 	soaTransforms.Add(2)
 
-	buf := scratch.Floats(2 * m)
+	buf := ws.Floats(2 * m)
 	re, im := buf[:m:m], buf[m:2*m]
 	parallel := m >= ParThreshold && par.Workers() > 1
 	pack(x, re, im, parallel)
@@ -69,7 +70,7 @@ func (p *RPlan) Convolve(x, mult, out []float64) {
 	}
 	p.inner.ditStages(re, im)
 	unzip(re, im, out, parallel)
-	scratch.PutFloats(buf)
+	ws.Put(buf)
 }
 
 // pack is the entry pass: the real row x, zero-padded to twice the plane

@@ -139,7 +139,7 @@ func TestConvolveMatchesComposition(t *testing.T) {
 		} {
 			x := randReal(rng, c.inN)
 			got := make([]float64, c.outN)
-			rp.Convolve(x, mult, got)
+			rp.Convolve(x, mult, got, nil)
 			want := convolveReference(rp, x, natural, c.outN)
 			if d := planeRelDiff(got, got, want, want); !(d <= 1e-12) {
 				t.Errorf("n=%d in=%d out=%d: Convolve differs from ForwardSoA*M*InverseSoA by %g relative",
@@ -163,7 +163,7 @@ func TestConvolveParallelMatchesSerial(t *testing.T) {
 			prev := par.SetWorkers(workers)
 			defer par.SetWorkers(prev)
 			out := make([]float64, n-7)
-			rp.Convolve(x, mult, out)
+			rp.Convolve(x, mult, out, nil)
 			return out
 		}
 		serial, parallel := run(1), run(4)
@@ -228,9 +228,9 @@ func TestConvolvePanics(t *testing.T) {
 	rp := RPlanFor(16)
 	mult := make([]float64, 2*rp.HalfLen())
 	for i, fn := range []func(){
-		func() { rp.Convolve(make([]float64, 17), mult, make([]float64, 16)) },
-		func() { rp.Convolve(make([]float64, 16), mult, make([]float64, 17)) },
-		func() { rp.Convolve(make([]float64, 16), mult[1:], make([]float64, 16)) },
+		func() { rp.Convolve(make([]float64, 17), mult, make([]float64, 16), nil) },
+		func() { rp.Convolve(make([]float64, 16), mult, make([]float64, 17), nil) },
+		func() { rp.Convolve(make([]float64, 16), mult[1:], make([]float64, 16), nil) },
 	} {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			defer func() {

@@ -420,7 +420,7 @@ func TestSoATransformsCounter(t *testing.T) {
 	for _, n := range []int{4, 64} {
 		rp := RPlanFor(n)
 		c0, b0 := SoATransforms(), TransformedBytes()
-		rp.Convolve(x[:n-1], make([]float64, 2*rp.HalfLen()), make([]float64, n/2))
+		rp.Convolve(x[:n-1], make([]float64, 2*rp.HalfLen()), make([]float64, n/2), nil)
 		wantC := int64(2)
 		if n < 8 {
 			wantC = 0

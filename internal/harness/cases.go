@@ -124,36 +124,84 @@ type Timing struct {
 	Samples int     `json:"samples"`
 }
 
-// sample times solve with testing.Benchmark, samples times over. A failed
-// solve ends the timing, and its error is returned.
-func sample(solve func() (float64, error)) (Timing, error) {
-	secs := make([]float64, samples)
-	for i := range secs {
-		var err error
-		r := testing.Benchmark(func(b *testing.B) {
-			for j := 0; j < b.N; j++ {
-				if _, err = solve(); err != nil {
-					b.FailNow()
-				}
-			}
-		})
-		if err != nil {
-			return Timing{}, err
-		}
-		secs[i] = r.T.Seconds() / float64(r.N)
-	}
-	return Timing{Median: percentile(secs, 0.5), IQR: percentile(secs, 0.75) - percentile(secs, 0.25), Samples: samples}, nil
+// timer samples the timed cells of a table round robin: each of samples
+// rounds makes one testing.Benchmark run of every cell, in the order they
+// were added, so a slow phase of the machine falls on all of the table's
+// cells alike instead of on the few it would cover in one cell's turn.
+type timer struct{ cells []timedCell }
+
+type timedCell struct {
+	row, col string
+	setup    func() // run before each of the cell's samples; nil: none
+	solve    func() (float64, error)
+	tm       *Timing
 }
 
-// timeCase builds c at T steps and times its solve.
-func timeCase(c Case, T int) (Timing, error) {
+// add queues the cell (row, col): solve, timed after setup. run fills the
+// Timing it returns.
+func (tr *timer) add(row, col string, setup func(), solve func() (float64, error)) *Timing {
+	tm := new(Timing)
+	tr.cells = append(tr.cells, timedCell{row, col, setup, solve, tm})
+	return tm
+}
+
+// addCase builds c at T steps and queues its solve as the cell (row, col).
+func (tr *timer) addCase(row, col string, setup func(), c Case, T int) (*Timing, error) {
 	s, err := c.Build(T)
+	if err != nil {
+		return nil, err
+	}
+	return tr.add(row, col, setup, func() (float64, error) {
+		v, err := s.Solve()
+		if err != nil {
+			err = fmt.Errorf("%s at T=%d: %w", c, T, err)
+		}
+		return v, err
+	}), nil
+}
+
+// run samples every queued cell and records each timing, in the order the
+// cells were added, as a timed cell of t (nil: nowhere). A failed solve ends
+// the timing, and its error is returned.
+func (tr *timer) run(t *Table) error {
+	secs := make([][]float64, len(tr.cells))
+	for range samples {
+		for j, c := range tr.cells {
+			if c.setup != nil {
+				c.setup()
+			}
+			var err error
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err = c.solve(); err != nil {
+						b.FailNow()
+					}
+				}
+			})
+			if err != nil {
+				return err
+			}
+			secs[j] = append(secs[j], r.T.Seconds()/float64(r.N))
+		}
+	}
+	for j, c := range tr.cells {
+		*c.tm = Timing{Median: percentile(secs[j], 0.5), IQR: percentile(secs[j], 0.75) - percentile(secs[j], 0.25), Samples: samples}
+		if t != nil {
+			t.Timed = append(t.Timed, TimedCell{c.row, c.col, *c.tm})
+		}
+	}
+	return nil
+}
+
+// timeCase builds c at T steps and times its solve alone.
+func timeCase(c Case, T int) (Timing, error) {
+	var tr timer
+	tm, err := tr.addCase("", "", nil, c, T)
+	if err == nil {
+		err = tr.run(nil)
+	}
 	if err != nil {
 		return Timing{}, err
 	}
-	tm, err := sample(s.Solve)
-	if err != nil {
-		return Timing{}, fmt.Errorf("%s at T=%d: %w", c, T, err)
-	}
-	return tm, nil
+	return *tm, nil
 }

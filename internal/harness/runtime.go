@@ -13,7 +13,8 @@ import (
 
 // Wall-clock experiments: Figure 5 (a,b,c), Table 5, and the empirical
 // work-scaling check of Table 2. Every timed cell is the median of samples
-// testing.Benchmark runs; the JSON record carries its IQR and sample count.
+// testing.Benchmark runs, taken round robin over the table's cells (timer);
+// the JSON record carries its IQR and sample count.
 
 func init() {
 	register(Experiment{"fig5a", "parallel running time, BOPM American call (fft-bopm vs ql-bopm vs zb-bopm)", fig5("fig5a", "bopm", "ql", "zb")})
@@ -22,16 +23,6 @@ func init() {
 	register(Experiment{"table5", "parallel run time vs worker count p at T=2^15 (fft-bopm vs ql-bopm)", table5})
 	register(Experiment{"table2", "empirical work-scaling exponents vs Table 2 asymptotics", table2})
 	register(Experiment{"ablation", "fast-solver base-case and tile-size sensitivity", ablation})
-}
-
-// time times c at T steps (timeCase) and records the timing as the cell
-// (row, col) of t.
-func (t *Table) time(row, col string, c Case, T int) (Timing, error) {
-	tm, err := timeCase(c, T)
-	if err == nil {
-		t.Timed = append(t.Timed, TimedCell{row, col, tm})
-	}
-	return tm, err
 }
 
 // fig5 times the fast solve of model against its quadratic baselines, the
@@ -49,33 +40,51 @@ func fig5(id, modelName string, baselines ...string) func(Config) ([]*Table, err
 			t.Header = append(t.Header, Case{modelName, alg}.String())
 		}
 		t.Header = append(t.Header, fmt.Sprintf("speedup(%s/fft)", baselines[0]))
-		for _, T := range powersOf2(1<<11, cfg.MaxT) {
-			row := []string{fmt.Sprint(T)}
-			tf, err := t.time(row[0], fast.String(), fast, T)
-			if err != nil {
-				return nil, err
+		// Per T, the fast timing and the baselines' (nil beyond MaxQuadT).
+		Ts := powersOf2(1<<11, cfg.MaxT)
+		tms := make([][]*Timing, len(Ts))
+		var tr timer
+		for i, T := range Ts {
+			for _, c := range append([]Case{fast}, casesOf(modelName, baselines)...) {
+				var tm *Timing
+				if c == fast || T <= cfg.MaxQuadT {
+					var err error
+					if tm, err = tr.addCase(fmt.Sprint(T), c.String(), nil, c, T); err != nil {
+						return nil, err
+					}
+				}
+				tms[i] = append(tms[i], tm)
 			}
-			row = append(row, secs(tf.Median))
-			spd := "-"
-			for i, alg := range baselines {
-				if T > cfg.MaxQuadT {
+		}
+		if err := tr.run(t); err != nil {
+			return nil, err
+		}
+		for i, T := range Ts {
+			row := []string{fmt.Sprint(T)}
+			for _, tm := range tms[i] {
+				if tm == nil {
 					row = append(row, "-")
-					continue
+				} else {
+					row = append(row, secs(tm.Median))
 				}
-				c := Case{modelName, alg}
-				tb, err := t.time(row[0], c.String(), c, T)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, secs(tb.Median))
-				if i == 0 {
-					spd = ratio(tb.Median, tf.Median)
-				}
+			}
+			spd := "-"
+			if tms[i][1] != nil {
+				spd = ratio(tms[i][1].Median, tms[i][0].Median)
 			}
 			t.Rows = append(t.Rows, append(row, spd))
 		}
 		return []*Table{t}, nil
 	}
+}
+
+// casesOf returns model's cases for the algorithms algs.
+func casesOf(model string, algs []string) []Case {
+	cs := make([]Case, len(algs))
+	for i, alg := range algs {
+		cs[i] = Case{model, alg}
+	}
+	return cs
 }
 
 func table5(cfg Config) ([]*Table, error) {
@@ -89,17 +98,30 @@ func table5(cfg Config) ([]*Table, error) {
 	}
 	prev := par.SetWorkers(0)
 	defer par.SetWorkers(prev)
+	var tr timer
+	var ps []int
+	var tms [][]*Timing
 	for _, p := range []int{1, 2, 4, 8, 16, 32, 48} {
 		if p > 2*runtime.NumCPU() {
 			break
 		}
-		par.SetWorkers(p)
-		row := []string{fmt.Sprint(p)}
+		ps = append(ps, p)
+		var row []*Timing
 		for _, c := range cases {
-			tm, err := t.time(row[0], c.String(), c, T)
+			tm, err := tr.addCase(fmt.Sprint(p), c.String(), func() { par.SetWorkers(p) }, c, T)
 			if err != nil {
 				return nil, err
 			}
+			row = append(row, tm)
+		}
+		tms = append(tms, row)
+	}
+	if err := tr.run(t); err != nil {
+		return nil, err
+	}
+	for i, p := range ps {
+		row := []string{fmt.Sprint(p)}
+		for _, tm := range tms[i] {
 			row = append(row, fmt.Sprintf("%.2f", tm.Median*1e3))
 		}
 		t.Rows = append(t.Rows, row)
@@ -131,18 +153,28 @@ func table2(cfg Config) ([]*Table, error) {
 	for _, T := range ts {
 		t.Header = append(t.Header, "T="+pow2(T))
 	}
-	var sublinear []string
-	for _, r := range table2Rows {
-		times := make([]float64, len(ts))
-		cells := make([]string, len(ts))
-		for i, T := range ts {
-			tm, err := t.time(r.name, "T="+pow2(T), r.c, T)
+	var tr timer
+	tms := make([][]*Timing, len(table2Rows))
+	for i, r := range table2Rows {
+		for _, T := range ts {
+			tm, err := tr.addCase(r.name, "T="+pow2(T), nil, r.c, T)
 			if err != nil {
 				return nil, err
 			}
-			times[i] = tm.Median
+			tms[i] = append(tms[i], tm)
+		}
+	}
+	if err := tr.run(t); err != nil {
+		return nil, err
+	}
+	var sublinear []string
+	for i, r := range table2Rows {
+		times := make([]float64, len(ts))
+		cells := make([]string, len(ts))
+		for j, T := range ts {
+			times[j] = tms[i][j].Median
 			lg := math.Log2(float64(T))
-			cells[i] = fmt.Sprintf("%.3g", tm.Median*1e9/(float64(T)*lg*lg))
+			cells[j] = fmt.Sprintf("%.3g", times[j]*1e9/(float64(T)*lg*lg))
 		}
 		e := fitExponent(ts, times)
 		if e < 1 {
@@ -171,10 +203,8 @@ func ablation(cfg Config) ([]*Table, error) {
 		Header: []string{"base case"},
 	}
 	bases := []int{2, 4, 8, 16, 32, 64, 128}
-	base.Rows = make([][]string, len(bases))
-	for i, b := range bases {
-		base.Rows[i] = []string{fmt.Sprint(b)}
-	}
+	var tr timer
+	tms := make([][]*Timing, len(bases))
 	for _, T := range Ts {
 		m, err := newModel("bopm", T)
 		if err != nil {
@@ -183,14 +213,19 @@ func ablation(cfg Config) ([]*Table, error) {
 		col := fmt.Sprintf("fft-bopm seconds T=%d", T)
 		base.Header = append(base.Header, col)
 		for i, b := range bases {
-			m.setBaseCase(b)
-			tm, err := sample(func() (float64, error) { return m.fast(nil) })
-			if err != nil {
-				return nil, err
-			}
-			base.Timed = append(base.Timed, TimedCell{fmt.Sprint(b), col, tm})
-			base.Rows[i] = append(base.Rows[i], secs(tm.Median))
+			tms[i] = append(tms[i], tr.add(fmt.Sprint(b), col, func() { m.setBaseCase(b) },
+				func() (float64, error) { return m.fast(nil) }))
 		}
+	}
+	if err := tr.run(base); err != nil {
+		return nil, err
+	}
+	for i, b := range bases {
+		row := []string{fmt.Sprint(b)}
+		for _, tm := range tms[i] {
+			row = append(row, secs(tm.Median))
+		}
+		base.Rows = append(base.Rows, row)
 	}
 	base.Note = fmt.Sprintf("the solvers' default is %d; median of %d samples", fbstencil.DefaultBaseCase, samples)
 
@@ -206,13 +241,18 @@ func ablation(cfg Config) ([]*Table, error) {
 		Note:   fmt.Sprintf("median of %d samples", samples),
 		Header: []string{"tileW", "tileH", "zb-bopm seconds"},
 	}
-	for _, wh := range [][2]int{{256, 32}, {1024, 128}, {2048, 256}, {2048, 512}, {4096, 512}, {8192, 1024}} {
-		tm, err := sample(func() (float64, error) { return sweep.Tiled(p, wh[0], wh[1]), nil })
-		if err != nil {
-			return nil, err
-		}
-		tiles.Timed = append(tiles.Timed, TimedCell{fmt.Sprintf("%dx%d", wh[0], wh[1]), "zb-bopm", tm})
-		tiles.Rows = append(tiles.Rows, []string{fmt.Sprint(wh[0]), fmt.Sprint(wh[1]), secs(tm.Median)})
+	var tt timer
+	var tiled []*Timing
+	sizes := [][2]int{{256, 32}, {1024, 128}, {2048, 256}, {2048, 512}, {4096, 512}, {8192, 1024}}
+	for _, wh := range sizes {
+		tiled = append(tiled, tt.add(fmt.Sprintf("%dx%d", wh[0], wh[1]), "zb-bopm", nil,
+			func() (float64, error) { return sweep.Tiled(p, wh[0], wh[1]), nil }))
+	}
+	if err := tt.run(tiles); err != nil {
+		return nil, err
+	}
+	for i, wh := range sizes {
+		tiles.Rows = append(tiles.Rows, []string{fmt.Sprint(wh[0]), fmt.Sprint(wh[1]), secs(tiled[i].Median)})
 	}
 	return []*Table{base, tiles}, nil
 }

@@ -107,40 +107,58 @@ const naiveCutoff = 1 << 11
 // The returned slice is freshly owned by the caller; callers that drop it on
 // a hot path may recycle it with scratch.PutFloats.
 func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) {
+	if k < 0 {
+		panic("linstencil: negative step count")
+	}
+	outN := len(cur) - k*s.Span()
+	if outN <= 0 {
+		panic(fmt.Sprintf("linstencil: cone empty: n=%d steps=%d span=%d", len(cur), k, s.Span()))
+	}
+	vals = scratch.Floats(outN)
+	EvolveConeTo(vals, cur, s, k, nil)
+	return vals, -k * s.MinOff
+}
+
+// EvolveConeTo is EvolveCone writing the computable positions into dst,
+// which must hold exactly n - k*Span() cells and not overlap cur; its
+// scratch comes from ws (nil: the process-wide pools).
+func EvolveConeTo(dst, cur []float64, s Stencil, k int, ws *scratch.Workspace) {
 	n := len(cur)
 	span := s.Span()
 	if k < 0 {
 		panic("linstencil: negative step count")
 	}
-	outN := n - k*span
-	if outN <= 0 {
-		panic(fmt.Sprintf("linstencil: cone empty: n=%d steps=%d span=%d", n, k, span))
+	if outN := n - k*span; outN <= 0 || len(dst) != outN {
+		panic(fmt.Sprintf("linstencil: cone of n=%d steps=%d span=%d into %d cells", n, k, span, len(dst)))
 	}
-	firstPos = -k * s.MinOff
 	if k == 0 {
-		vals = scratch.Floats(n)
-		copy(vals, cur)
-		return vals, 0
+		copy(dst, cur)
+		return
 	}
 	if n*k*(span+1) <= naiveCutoff {
-		return evolveConeNaive(cur, s, k), firstPos
+		row := ws.Floats(n)
+		copy(row, cur)
+		for step := 0; step < k; step++ {
+			row = Step(row, s)
+		}
+		copy(dst, row)
+		ws.Put(row)
+		return
 	}
 	if start, sampled, ok := obsEvolveStart(); ok {
 		defer obsEvolveDone(start, sampled)
 	}
 
 	// Convolve the row, zero-padded to N, with the cached kernel spectrum,
-	// keeping only the outN samples whose cone lies inside the row. The
-	// padding is implicit and the convolution writes straight into the
-	// pooled result row, so a warm call allocates nothing. vals[t] holds
+	// keeping only the len(dst) samples whose cone lies inside the row. The
+	// padding is implicit and the convolution writes straight into dst, so
+	// a warm call allocates nothing. dst[t] holds
 	// corr[t] = sum_m C[m] cur[t+m] for the kernel C of P(x)^k; position j
 	// at time t+k corresponds to t = j + k*MinOff, and valid t runs over
-	// [0, outN).
+	// [0, len(dst)).
 	N := fft.NextPow2(n)
 	rp := fft.RPlanFor(N)
-	vals = scratch.Floats(outN)
-	rp.Convolve(cur, kernelSpectrum(s, 0, N, k, rp), vals)
-	return vals, firstPos
+	rp.Convolve(cur, kernelSpectrum(s, 0, N, k, rp), dst, ws)
 }
 
 // EvolvePeriodic advances cur, interpreted as a ring of power-of-two size, by
@@ -164,12 +182,13 @@ func EvolvePeriodic(cur []float64, s Stencil, k int) []float64 {
 	}
 	rp := fft.RPlanFor(n)
 	out := scratch.Floats(n)
-	rp.Convolve(cur, kernelSpectrum(s, s.MinOff, n, k, rp), out)
+	rp.Convolve(cur, kernelSpectrum(s, s.MinOff, n, k, rp), out, nil)
 	return out
 }
 
-// evolveConeNaive is the direct O(n*k*span) evolution used both as the small
-// base case and as the testing reference (see EvolveConeNaive).
+// evolveConeNaive is the direct O(n*k*span) evolution, the testing
+// reference (see EvolveConeNaive); EvolveConeTo runs the same steps below
+// naiveCutoff.
 func evolveConeNaive(cur []float64, s Stencil, k int) []float64 {
 	row := scratch.Floats(len(cur))
 	copy(row, cur)

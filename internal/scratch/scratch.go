@@ -6,26 +6,34 @@
 // measurable fraction of the run. Pooling by power-of-two capacity class
 // turns the steady state into zero allocations per solve.
 //
-// Each capacity class keeps its idle buffers in one of two tiers, chosen by
+// Each capacity class keeps its idle buffers in up to two tiers, chosen by
 // the byte size of the class's buffers:
 //
 //   - Classes of at most magazineBytes (256 KiB) per buffer — the row
-//     buffers every trapezoid, base case and EvolveCone call cycles — keep
-//     them in per-P magazines: a sync.Pool of *magazine, where a magazine is
-//     a fixed array of up to magazineCap buffers plus a count. Get and Put
-//     touch only the current P's magazine, so the steady state takes no lock
-//     and parallel workers never queue behind one another. The sync.Pool
-//     stores a pointer, which fits in an interface without boxing; storing
-//     the slices themselves would allocate a header on every Put, one
-//     allocation back on the hot path per recycled buffer. Idle memory is at
-//     most about P × magazineCap × 256 KiB per class (a few more magazines
-//     exist while goroutines hold them), and sync.Pool releases magazines
-//     that sit idle through two GC cycles.
-//   - Larger classes keep a mutex-guarded LIFO freelist holding at most
-//     maxClassBytes of idle buffers per class (see retain), anything beyond
-//     dropped to the GC. They see few calls per solve (the top levels of the
-//     FFT recursion), so the lock is cold, and the process-wide bound keeps
-//     idle multi-MiB buffers reused instead of spread across magazines.
+//     buffers of the sweeps, the analytic tier and the first requests of a
+//     solve's workspace — keep them first in per-P magazines: a sync.Pool of
+//     *magazine, where a magazine is a fixed array of up to magazineCap
+//     buffers plus a count. Get and Put touch only the current P's magazine,
+//     so the steady state takes no lock and parallel workers never queue
+//     behind one another. The sync.Pool stores a pointer, which fits in an
+//     interface without boxing; storing the slices themselves would allocate
+//     a header on every Put, one allocation back on the hot path per
+//     recycled buffer. Idle memory is at most about P × magazineCap × 256 KiB
+//     per class (a few more magazines exist while goroutines hold them), and
+//     sync.Pool releases magazines that sit idle through two GC cycles. A Put
+//     that finds its magazine full spills into the class's freelist, and a
+//     get that finds its magazine empty tries the freelist before it
+//     allocates: a workspace returns a solve's buffers in one batch, often
+//     more than a magazine holds, and the next solve may run on another P.
+//   - Larger classes keep only a mutex-guarded LIFO freelist. They see few
+//     calls per solve (the top levels of the FFT recursion), so the lock is
+//     cold, and the process-wide bound keeps idle multi-MiB buffers reused
+//     instead of spread across magazines.
+//
+// Every freelist holds at most maxClassBytes of idle buffers (see retain),
+// anything beyond dropped to the GC. Workspace adds a per-solve tier on top:
+// unsynchronized LIFO freelists that a solve fills from these pools and
+// empties into them in one batch when it ends.
 //
 // Classes whose single buffer exceeds maxClassBytes are never pooled.
 //
@@ -54,11 +62,12 @@ const (
 	// Smaller slices cost less to allocate than to round-trip through a pool.
 	minClass = 5
 
-	// maxClassBytes bounds the idle buffers a freelist class retains;
+	// maxClassBytes bounds the idle buffers a class's freelist retains;
 	// buffers larger than this on their own are never retained at all. The
-	// freelist tier therefore holds at most maxClassBytes per retaining class
-	// (classes 2^16..2^22 elements) ≈ 224 MiB in the degenerate worst case
-	// and, in practice, a few dozen MiB shaped like the largest recent solve.
+	// freelists therefore hold at most maxClassBytes per retaining class
+	// (classes 2^5..2^22 elements) in the degenerate worst case and, in
+	// practice, a few dozen MiB shaped like the largest recent solves: a
+	// magazine class's freelist holds only what its magazines could not.
 	maxClassBytes = 32 << 20
 
 	// magazineBytes is the largest buffer the per-P magazine tier holds:
@@ -83,8 +92,8 @@ type magazine[T any] struct {
 	bufs [magazineCap][]T
 }
 
-// pool is one capacity class. Magazine-tier classes use mags only;
-// freelist-tier classes use mu and free only.
+// pool is one capacity class: magazines (magazine-tier classes only), and
+// the freelist under mu.
 type pool[T any] struct {
 	mags sync.Pool // of *magazine[T]
 	mu   sync.Mutex
@@ -141,19 +150,26 @@ func (ps *pools[T]) get(n int) []T {
 			}
 			p.mags.Put(m)
 		}
-	} else {
-		p.mu.Lock()
-		if last := len(p.free) - 1; last >= 0 {
-			b := p.free[last]
-			p.free[last] = nil
-			p.free = p.free[:last]
-			p.mu.Unlock()
-			return b[:n]
-		}
-		p.mu.Unlock()
+	}
+	if b := p.pop(); b != nil {
+		return b[:n]
 	}
 	misses.Add(1)
 	return make([]T, n, 1<<c)
+}
+
+// pop takes the last buffer of the class's freelist, or nil.
+func (p *pool[T]) pop() []T {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	last := len(p.free) - 1
+	if last < 0 {
+		return nil
+	}
+	b := p.free[last]
+	p.free[last] = nil
+	p.free = p.free[:last]
+	return b
 }
 
 func (ps *pools[T]) put(b []T) {
@@ -161,22 +177,34 @@ func (ps *pools[T]) put(b []T) {
 	if c < 1<<minClass || c > 1<<maxClass || c&(c-1) != 0 {
 		return
 	}
-	cls := bits.Len(uint(c)) - 1
-	p := &ps.class[cls]
-	if ps.magazined(cls) {
+	ps.putBatch(bits.Len(uint(c))-1, [][]T{b})
+}
+
+// putBatch returns bufs, all of class c, to the pools: the P's magazine
+// takes what it has room for, and the class's freelist, under one lock,
+// the rest, up to retain(c) idle buffers.
+func (ps *pools[T]) putBatch(c int, bufs [][]T) {
+	p := &ps.class[c]
+	if ps.magazined(c) {
 		m, _ := p.mags.Get().(*magazine[T])
 		if m == nil {
 			m = new(magazine[T])
 		}
-		if m.n < magazineCap {
-			m.bufs[m.n] = b[:0]
+		for len(bufs) > 0 && m.n < magazineCap {
+			m.bufs[m.n] = bufs[0][:0]
 			m.n++
+			bufs = bufs[1:]
 		}
 		p.mags.Put(m)
-		return
+		if len(bufs) == 0 {
+			return
+		}
 	}
 	p.mu.Lock()
-	if len(p.free) < retain(cls, ps.elemSize) {
+	for _, b := range bufs {
+		if len(p.free) >= retain(c, ps.elemSize) {
+			break
+		}
 		p.free = append(p.free, b[:0])
 	}
 	p.mu.Unlock()

@@ -19,7 +19,8 @@ import (
 // solver allocates per buffer, or, for a step that rewrites its buffer in
 // place, at the address the cell already has. Every cell a step reads is one
 // access at the address of the step that last wrote that cell of that
-// buffer. The FFT runs traced (evolveCone) on its input strip. A direct
+// buffer. The FFT runs traced (evolveCone) on its input strip, and its
+// exit pass stores each output where the solver does. A direct
 // step reads its obstacle where the solver does: in the row it filled, or in
 // the problem's table, whose cells get their simulated addresses, page by
 // page, when a step first reports them (EventSource). A read of a cell no
@@ -127,18 +128,17 @@ func (r *replayer) apply(ev fbstencil.Event) {
 		// are checked. The fast solver's step then reads its obstacle from
 		// Ex, reported before the step; a sweep fills its exercise chunk
 		// unreported.
-		n := len(ev.Dst)
-		shared := n > 0 && &ev.Dst[0] == &ev.Src[0]
-		off, flops := n-len(ev.Ex), uint64(flopsPerCell)
+		shared := len(ev.Dst) > 0 && &ev.Dst[0] == &ev.Src[0]
+		flops := uint64(flopsPerCell)
 		if ev.Ex == nil {
 			flops += 2 // the exercise chunk: one multiply
 		}
 		r.write(ev.Dst, ev.InPlace, func(j int) {
 			for i := range ev.W {
-				r.read(ev.Src, j+i, !shared || j+i >= n)
+				r.read(ev.Src, j+i, !shared || j+i >= len(ev.Dst))
 			}
-			if j >= off {
-				r.read(ev.Ex, j-off, true)
+			if ev.Ex != nil {
+				r.read(ev.Ex, j, true)
 			}
 			r.h.AddFlops(flops)
 		})
@@ -151,9 +151,7 @@ func (r *replayer) apply(ev fbstencil.Event) {
 		}
 	case fbstencil.EventFFT:
 		out := r.evolveCone(len(ev.Src), func(i int) float64 { r.read(ev.Src, i, true); return 0 }, ev.W, ev.Steps)
-		for i := range ev.Dst {
-			*r.cells.at(&ev.Dst[i]) = cell{p: &ev.Dst[i], addr: out.Addr(i), v: math.Float64bits(ev.Dst[i])}
-		}
+		r.write(ev.Dst, ev.InPlace, out)
 	}
 }
 

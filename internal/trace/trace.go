@@ -122,10 +122,12 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, a cachesim.C128, inverse b
 	}
 }
 
-// evolveCone mirrors linstencil.EvolveCone on traced memory: k steps of the
-// stencil with offsets 0..len(w)-1 applied to the n cells load reads in
-// order, returning the in-cone outputs (the first n-k*(len(w)-1) positions).
-func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k int) cachesim.F64 {
+// evolveCone mirrors linstencil.EvolveConeTo on traced memory: k steps of
+// the stencil with offsets 0..len(w)-1 applied to the n cells load reads in
+// order. It returns the exit pass's read of in-cone output i (of the first
+// n-k*(len(w)-1) positions), which the caller pairs with the store into
+// its destination.
+func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k int) func(i int) {
 	span := len(w) - 1
 	outN := n - k*span
 	if outN <= 0 {
@@ -149,7 +151,7 @@ func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k in
 				r.h.AddFlops(flopsPerCell)
 			}
 		}
-		return buf.Slice(0, outN)
+		return func(i int) { buf.Get(i) }
 	}
 
 	N := fft.NextPow2(n)
@@ -175,9 +177,5 @@ func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k in
 		r.h.AddFlops(flopsPerExp + 8*logK + 8)
 	}
 	p.transform(r.h, a, true)
-	out := r.h.NewF64(outN)
-	for i := 0; i < outN; i++ {
-		out.Set(i, real(a.Get(i)))
-	}
-	return out
+	return func(i int) { a.Get(i) }
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
@@ -125,6 +126,62 @@ func TestReplayMatchesProductionStats(t *testing.T) {
 	}
 }
 
+// TestRecordingParity: recording is a branch inside the engine's one path,
+// not a second engine. At base case 1, where every zone bottoms out in
+// one-row base cases, and at the default base case, a solve recorded into
+// the replay and an unrecorded one at the default worker count return the
+// same price bits and the same trapezoid, direct-cell and FFT counts, and
+// every read the replay makes finds the step that wrote its cell.
+func TestRecordingParity(t *testing.T) {
+	type model interface {
+		PriceFastStats(*fbstencil.Stats) (float64, error)
+		SetBaseCase(int)
+	}
+	const T = 1024
+	b, err := bopm.New(option.Default(), T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := topm.New(option.Default(), T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm, err := bsm.New(option.Default(), T, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func(st *fbstencil.Stats) [4]int64 {
+		return [4]int64{st.Trapezoids.Load(), st.NaiveCells.Load(), st.FFTCalls.Load(), st.FFTCells.Load()}
+	}
+	for _, mm := range []struct {
+		name string
+		m    model
+	}{{"bopm-call", b}, {"topm-call", tm}, {"bsm-put", bm}} {
+		for _, base := range []int{1, fbstencil.DefaultBaseCase} {
+			mm.m.SetBaseCase(base)
+			var st fbstencil.Stats
+			want, err := mm.m.PriceFastStats(&st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newReplayer(cachesim.NewSKX())
+			got, rec, err := r.replay(mm.m.PriceFastStats)
+			if err != nil {
+				t.Fatalf("%s base %d: %v", mm.name, base, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s base %d: recorded price %v, unrecorded %v", mm.name, base, got, want)
+			}
+			if counts(rec) != counts(&st) {
+				t.Errorf("%s base %d: recorded [trapezoids direct fftCalls fftCells] %v, unrecorded %v", mm.name, base, counts(rec), counts(&st))
+			}
+			if r.unresolved != 0 || r.stale != 0 {
+				t.Errorf("%s base %d: %d unwritten and %d rewritten reads", mm.name, base, r.unresolved, r.stale)
+			}
+		}
+	}
+}
+
 // TestReplayCatchesMissedWrites: a schedule that leaves out a step's write
 // makes the replay fail instead of reading the cell from somewhere else.
 func TestReplayCatchesMissedWrites(t *testing.T) {
@@ -177,7 +234,7 @@ func TestReplayCatchesMissedWrites(t *testing.T) {
 // the naive sweep's whole working set is L1-resident and the relation flips
 // — the same crossover visible at the left edge of the paper's plots.
 func TestMissShape(t *testing.T) {
-	T := 1 << 14
+	T := missShapeT
 	m, err := bopm.New(option.Default(), T)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +271,7 @@ func TestMissShape(t *testing.T) {
 // TestTiledImprovesOnNaiveL2: the cache-aware tiling's point is fewer deep
 // misses than the row-streaming loop once the grid exceeds L1.
 func TestTiledImprovesOnNaiveL2(t *testing.T) {
-	T := 1 << 13 // row = 64 KB > L1
+	T := tiledL2T // row > L1
 	m, err := bopm.New(option.Default(), T)
 	if err != nil {
 		t.Fatal(err)
