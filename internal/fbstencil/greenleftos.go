@@ -186,8 +186,7 @@ func (e *glosEngine) take(n int) []float64 {
 }
 
 // obstacle returns the obstacle row at depth on columns [lo, hi], all on
-// the grid: a view of the problem's table, or buf filled. It reports the
-// row as the source it is.
+// the grid: a view of the problem's table, or buf filled.
 func (e *glosEngine) obstacle(buf []float64, depth, lo, hi int) []float64 {
 	g := e.fill(depth, lo, hi, buf)
 	if e.rec {
@@ -196,6 +195,8 @@ func (e *glosEngine) obstacle(buf []float64, depth, lo, hi int) []float64 {
 	return g
 }
 
+// recordObstacle reports g, the obstacle row a fill into buf returned, as
+// the source or the fill it is.
 func (e *glosEngine) recordObstacle(g, buf []float64) {
 	if &g[0] != &buf[0] {
 		e.stats.record(Event{Kind: EventSource, Dst: g})
@@ -220,17 +221,8 @@ func (e *glosEngine) green(row []float64, a, d, lo, hi int) {
 	}
 }
 
-// sweep is the direct step of one row: out[j] = max(sum_i w[i]*in[j+i],
-// g[j]) for the len(out) cells (StepObstacle; out may start at in[0]). It
-// returns the largest j <= b at which the obstacle won, or -1.
-func (e *glosEngine) sweep(out, in, g []float64, b int) int {
-	j := StepObstacle(out, in, g, e.w, b)
-	if e.rec {
-		e.recordSweep(out, in, g)
-	}
-	return j
-}
-
+// recordSweep reports the direct step of out from in, with g the obstacle
+// (StepObstacle's dst, src and ex).
 func (e *glosEngine) recordSweep(out, in, g []float64) {
 	n := len(out)
 	e.stats.record(Event{Kind: EventSweep, Src: in[:n+e.r], Dst: out, Ex: g[:n], W: e.w, InPlace: true})
@@ -357,8 +349,11 @@ func (e *glosEngine) direct(row, ex []float64, d, from, b, floor int) int {
 		return floor
 	}
 	g := e.obstacle(ex[lo:hi+1], d+1, lo, hi)
-	if j := e.sweep(row[lo:hi+1], row[lo:], g, b-lo); j >= 0 {
+	if j := StepObstacle(row[lo:hi+1], row[lo:], g, e.w, b-lo); j >= 0 {
 		floor = lo + j
+	}
+	if e.rec {
+		e.recordSweep(row[lo:hi+1], row[lo:], g)
 	}
 	e.stats.addNaive(hi + 1 - lo)
 	return floor

@@ -41,11 +41,15 @@ func fig5(id, modelName string, baselines ...string) func(Config) ([]*Table, err
 		}
 		t.Header = append(t.Header, fmt.Sprintf("speedup(%s/fft)", baselines[0]))
 		// Per T, the fast timing and the baselines' (nil beyond MaxQuadT).
+		cases := []Case{fast}
+		for _, alg := range baselines {
+			cases = append(cases, Case{modelName, alg})
+		}
 		Ts := powersOf2(1<<11, cfg.MaxT)
 		tms := make([][]*Timing, len(Ts))
 		var tr timer
 		for i, T := range Ts {
-			for _, c := range append([]Case{fast}, casesOf(modelName, baselines)...) {
+			for _, c := range cases {
 				var tm *Timing
 				if c == fast || T <= cfg.MaxQuadT {
 					var err error
@@ -76,15 +80,6 @@ func fig5(id, modelName string, baselines ...string) func(Config) ([]*Table, err
 		}
 		return []*Table{t}, nil
 	}
-}
-
-// casesOf returns model's cases for the algorithms algs.
-func casesOf(model string, algs []string) []Case {
-	cs := make([]Case, len(algs))
-	for i, alg := range algs {
-		cs[i] = Case{model, alg}
-	}
-	return cs
 }
 
 func table5(cfg Config) ([]*Table, error) {

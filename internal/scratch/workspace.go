@@ -1,15 +1,12 @@
 package scratch
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // Workspace is one goroutine's scratch buffers for the span of a solve: a
 // LIFO freelist per capacity class, with no synchronization. A solve's
 // buffers nest, so most of its requests are served by the buffer its last
 // Put returned, and only the first request of each nesting level reaches
-// the process-wide pools. Release hands every buffer back to them at the
+// the process-wide pools. Flush hands every buffer back to them at the
 // end, one batch per class.
 //
 // A Workspace serves one goroutine at a time. The ownership protocol is the
@@ -21,11 +18,6 @@ import (
 type Workspace struct {
 	free [maxClass + 1][][]float64
 }
-
-var workspaces = sync.Pool{New: func() any { return new(Workspace) }}
-
-// GetWorkspace returns an empty workspace. Release returns it.
-func GetWorkspace() *Workspace { return workspaces.Get().(*Workspace) }
 
 // Floats returns a []float64 of length n with undefined contents: the
 // buffer of n's class that w received last, or one from the process-wide
@@ -67,13 +59,5 @@ func (w *Workspace) Flush() {
 			clear(l)
 			w.free[c] = l[:0]
 		}
-	}
-}
-
-// Release flushes w and returns it for reuse; w must not be used after.
-func (w *Workspace) Release() {
-	if w != nil {
-		w.Flush()
-		workspaces.Put(w)
 	}
 }
