@@ -145,8 +145,11 @@ const DefaultBaseCase = 64
 // ~this much work the fork-join, with its goroutine spawn, costs more than
 // the parallelism returns. The deep, numerous small trapezoids all take the
 // serial path; the few large ones near the top of the recursion keep the
-// paper's parallel span.
-const parCutoff = 64
+// paper's parallel span. With one-loop base cases a zone this low finishes
+// before the strip's offer finds a free worker: at 64, a T=2^15 BSM put at
+// two workers forked in 7–8% of its 1,134 par calls, at 256 in 18–20% of
+// 404, in the same time per solve.
+const parCutoff = 256
 
 // Stats collects work counters from a solve. Counters are updated atomically
 // and may be shared between concurrent solves. A nil *Stats disables
