@@ -134,10 +134,11 @@ func checkFinite(v float64) error {
 // solved by direct steps; a problem can override it. The paper's best was 8.
 // Ours comes from the ablation-basecase sweep in BENCH_paper.json
 // (amop-bench -experiment ablation; BOPM on 2 CPUs), where a direct step is
-// one StepObstacle pass on the AVX2 kernel: 64 takes 0.86 ms at T=4096,
-// against 1.18 at 32 and 1.09 at 128, and 4.42 ms at T=16384, against 5.38
-// at 32 and 4.14 at 128, inside either's IQR (1.18 and 0.63 ms). Before the
-// kernel, 32 was the fastest at both sizes and 64 gained nothing.
+// one StepObstacle pass on the AVX2 kernel, in one loop per base case: 64
+// takes 0.50 ms at T=4096, against 0.61 at 32 and 0.54 at 128, and 2.29 ms
+// at T=16384, against 2.65 at 32 and 2.21 at 128, inside 128's IQR (0.20
+// ms). Before the kernel, 32 was the fastest at both sizes and 64 gained
+// nothing.
 const DefaultBaseCase = 64
 
 // parCutoff is the zone height at or below which the FFT strip and the
