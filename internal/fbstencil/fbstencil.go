@@ -16,7 +16,7 @@
 //
 // The solver exploits that structure: large all-red trapezoids are advanced
 // many steps at once with one FFT-accelerated linear evolution
-// (linstencil.EvolveCone), while a geometrically shrinking band around the
+// (linstencil.EvolveConeTo), while a geometrically shrinking band around the
 // unknown boundary is resolved recursively, giving O(T log^2 T) work and O(T)
 // span on a grid of size Theta(T) evolved for T steps. The recursion ends in
 // one direct step, used wherever a band is too thin to split: StepObstacle,
@@ -156,7 +156,7 @@ const parCutoff = 256
 // and may be shared between concurrent solves. A nil *Stats disables
 // collection.
 type Stats struct {
-	FFTCalls   atomic.Int64 // linstencil.EvolveCone invocations
+	FFTCalls   atomic.Int64 // FFT evolutions (linstencil.EvolveConeTo)
 	FFTCells   atomic.Int64 // cells produced by FFT evolutions
 	NaiveCells atomic.Int64 // cells computed by direct steps
 	Trapezoids atomic.Int64 // recursive trapezoid solves (including base cases)
