@@ -125,7 +125,8 @@ func (p *GreenLeftOneSided) validate() error {
 // workspaces and split frames, so a warm solve allocates nothing.
 type glosEngine struct {
 	s      linstencil.Stencil
-	w      []float64 // s.W
+	sp     *linstencil.Spectra // s's multipliers, taken once per solve
+	w      []float64           // s.W
 	r      int
 	drop   int // max boundary drop per interior step
 	hi0    int
@@ -150,6 +151,7 @@ var engines = sync.Pool{New: func() any { return &glosEngine{ws: new(scratch.Wor
 func newEngine(p *GreenLeftOneSided, st *Stats) *glosEngine {
 	e := engines.Get().(*glosEngine)
 	e.s, e.w, e.r = p.Stencil, p.Stencil.W, p.Stencil.Span()
+	e.sp = linstencil.SpectraOf(p.Stencil)
 	e.drop, e.hi0, e.fill = max(p.MaxDrop, 1), p.Hi0, p.Fill
 	e.base = p.BaseCase
 	if e.base <= 0 {
@@ -169,7 +171,7 @@ func (e *glosEngine) release() {
 		s.src, s.dst = nil, nil
 	}
 	e.nsplit = 0
-	e.s, e.w, e.fill, e.stats, e.cancel = linstencil.Stencil{}, nil, nil, nil, nil
+	e.s, e.sp, e.w, e.fill, e.stats, e.cancel = linstencil.Stencil{}, nil, nil, nil, nil, nil
 	engines.Put(e)
 }
 
@@ -405,7 +407,7 @@ func (e *glosEngine) evolve(dst, src []float64, steps int, ws *scratch.Workspace
 	if n <= 0 {
 		return
 	}
-	linstencil.EvolveConeTo(dst[:n], src, e.s, steps, ws)
+	linstencil.EvolveConeTo(dst[:n], src, e.sp, steps, ws)
 	e.stats.addFFT(src, dst[:n], steps, e.s.W)
 }
 

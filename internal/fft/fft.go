@@ -105,8 +105,9 @@ func Pow(z complex128, k int) complex128 {
 		if k&1 == 1 {
 			result *= z
 		}
-		z *= z
-		k >>= 1
+		if k >>= 1; k > 0 {
+			z *= z // no square past the top bit: nothing would read it
+		}
 	}
 	return result
 }

@@ -192,16 +192,3 @@ func (tr *timer) run(t *Table) error {
 	}
 	return nil
 }
-
-// timeCase builds c at T steps and times its solve alone.
-func timeCase(c Case, T int) (Timing, error) {
-	var tr timer
-	tm, err := tr.addCase("", "", nil, c, T)
-	if err == nil {
-		err = tr.run(nil)
-	}
-	if err != nil {
-		return Timing{}, err
-	}
-	return *tm, nil
-}

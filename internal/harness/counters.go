@@ -59,9 +59,10 @@ var counterModels = []struct {
 // counterTables builds one table per counterModels entry, id plus the
 // entry's letter in subs: a row per traced T and, per algorithm, one column
 // for each of cols (a suffix to the algorithm's name) filled by cells from
-// the case's simulated counters.
-func counterTables(cfg Config, id, subs, title, note string, cols []string,
-	cells func(c Case, T int, ctr cachesim.Counters) ([]string, error)) ([]*Table, error) {
+// the case's simulated counters and, when timed, its solve's timing. The
+// timed solves of a table are sampled round robin (timer).
+func counterTables(cfg Config, id, subs, title, note string, cols []string, timed bool,
+	cells func(ctr cachesim.Counters, tm Timing) []string) ([]*Table, error) {
 	var tables []*Table
 	for i, mm := range counterModels {
 		t := &Table{ID: id + subs[i:i+1], Title: fmt.Sprintf(title, mm.model), Note: note, Header: []string{"T"}}
@@ -70,21 +71,34 @@ func counterTables(cfg Config, id, subs, title, note string, cols []string,
 				t.Header = append(t.Header, alg+col)
 			}
 		}
+		var tr timer
+		var fills []func()
 		for _, T := range powersOf2(1<<10, cfg.MaxTraceT) {
-			row := []string{fmt.Sprint(T)}
+			row := make([]string, 1, 1+len(mm.algs)*len(cols))
+			row[0] = fmt.Sprint(T)
 			for _, alg := range mm.algs {
 				c := Case{mm.model, alg}
 				ctr, err := tracedRun(c, T)
 				if err != nil {
 					return nil, err
 				}
-				cs, err := cells(c, T, ctr)
-				if err != nil {
-					return nil, err
+				tm := new(Timing)
+				if timed {
+					if tm, err = tr.addCase(row[0], alg, nil, c, T); err != nil {
+						return nil, err
+					}
 				}
-				row = append(row, cs...)
+				cell := row[len(row) : len(row)+len(cols)]
+				row = row[:len(row)+len(cols)]
+				fills = append(fills, func() { copy(cell, cells(ctr, *tm)) })
 			}
 			t.Rows = append(t.Rows, row)
+		}
+		if err := tr.run(nil); err != nil {
+			return nil, err
+		}
+		for _, fill := range fills {
+			fill()
 		}
 		tables = append(tables, t)
 	}
@@ -95,24 +109,23 @@ func fig6(cfg Config) ([]*Table, error) {
 	em := energy.Skylake()
 	return counterTables(cfg, "fig6", "abc", "%s total energy (modeled Joules)",
 		"linear event-cost model over simulated counters + static power x measured wall time; see internal/energy",
-		[]string{""}, func(c Case, T int, ctr cachesim.Counters) ([]string, error) {
-			tm, err := timeCase(c, T)
-			return []string{num(em.Energy(ctr, tm.Median).Total)}, err
+		[]string{""}, true, func(ctr cachesim.Counters, tm Timing) []string {
+			return []string{num(em.Energy(ctr, tm.Median).Total)}
 		})
 }
 
 func fig7(cfg Config) ([]*Table, error) {
 	const note = "set-associative LRU simulation of the SKX geometry; no prefetchers — see the internal/cachesim package doc"
 	l1, err := counterTables(cfg, "fig7", "abc", "%s L1 cache misses (simulated SKX hierarchy)", note,
-		[]string{""}, func(_ Case, _ int, ctr cachesim.Counters) ([]string, error) {
-			return []string{count(ctr.L1Misses)}, nil
+		[]string{""}, false, func(ctr cachesim.Counters, _ Timing) []string {
+			return []string{count(ctr.L1Misses)}
 		})
 	if err != nil {
 		return nil, err
 	}
 	l2, err := counterTables(cfg, "fig7", "def", "%s L2 cache misses (simulated SKX hierarchy)", note,
-		[]string{""}, func(_ Case, _ int, ctr cachesim.Counters) ([]string, error) {
-			return []string{count(ctr.L2Misses)}, nil
+		[]string{""}, false, func(ctr cachesim.Counters, _ Timing) []string {
+			return []string{count(ctr.L2Misses)}
 		})
 	return append(l1, l2...), err
 }
@@ -120,9 +133,8 @@ func fig7(cfg Config) ([]*Table, error) {
 func fig10(cfg Config) ([]*Table, error) {
 	em := energy.Skylake()
 	return counterTables(cfg, "fig10", "abc", "%s energy by domain (modeled Joules)", "",
-		[]string{"-pkg", "-ram"}, func(c Case, T int, ctr cachesim.Counters) ([]string, error) {
-			tm, err := timeCase(c, T)
+		[]string{"-pkg", "-ram"}, true, func(ctr cachesim.Counters, tm Timing) []string {
 			b := em.Energy(ctr, tm.Median)
-			return []string{num(b.Pkg), num(b.RAM)}, err
+			return []string{num(b.Pkg), num(b.RAM)}
 		})
 }

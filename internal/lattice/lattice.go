@@ -26,8 +26,10 @@ package lattice
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/nlstencil/amop/internal/fbstencil"
+	"github.com/nlstencil/amop/internal/gencache"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/scratch"
@@ -92,14 +94,60 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 
 // exerciseTable returns the put's exercise value for every net move i in
 // [-T, T] a fast solve reaches, laid out so that every obstacle row is a
-// contiguous run of it (see tabIndex). The caller owns the pooled table and
-// returns it with scratch.PutFloats.
+// contiguous run of it (see tabIndex): K - S*e^(i*logU), the closed form's
+// operations on the tree's shared ladder. The caller owns the pooled table
+// and returns it with scratch.PutFloats.
 func (m *Model) exerciseTable() []float64 {
-	tab := scratch.Floats(2*m.T + 1)
-	for k := range tab {
-		tab[m.tabIndex(k)] = m.exercise(option.Put, k-m.T)
+	lad := m.ladder()
+	tab := scratch.Floats(len(lad))
+	k, s := m.Prm.K, m.Prm.S
+	for i, e := range lad {
+		tab[i] = k - s*e
 	}
 	return tab
+}
+
+// ladderLimit bounds the bytes of cached ladders. A generation holds one
+// T=65536 ladder (2^17+1 cells, 1 MiB), so two deep trees priced in turn
+// keep theirs, one in each generation, while the single-use trees of
+// implied-vol iterations retain at most 2 MiB.
+const ladderLimit = 2 * 8 * (1<<17 + 1)
+
+// ladderKey identifies a ladder: the tree's log up factor, steps and span.
+type ladderKey struct {
+	logU uint64
+	t, r int
+}
+
+// ladders caches the trees' ladders process-wide. Every strike and spot on
+// one tree, and the swapped contract that prices its call, share a ladder.
+var ladders = struct {
+	sync.Mutex
+	c *gencache.Cache[ladderKey, []float64]
+}{c: gencache.New[ladderKey, []float64](ladderLimit, nil)}
+
+// ladder returns e^(i*logU) for every net move i in [-T, T] in tabIndex
+// layout, shared and read-only.
+func (m *Model) ladder() []float64 {
+	key := ladderKey{math.Float64bits(m.logU), m.T, m.r()}
+	ladders.Lock()
+	lad, ok := ladders.c.Get(key)
+	ladders.Unlock()
+	if ok {
+		return lad
+	}
+	lad = make([]float64, 2*m.T+1)
+	for k := range lad {
+		lad[m.tabIndex(k)] = math.Exp(float64(k-m.T) * m.logU)
+	}
+	ladders.Lock()
+	if prior, ok := ladders.c.Get(key); ok {
+		lad = prior // a concurrent build won; share one copy
+	} else {
+		ladders.c.Put(key, lad, int64(8*len(lad)))
+	}
+	ladders.Unlock()
+	return lad
 }
 
 // tabIndex returns where exerciseTable stores net move k-T. Cell (depth,

@@ -115,16 +115,17 @@ func EvolveCone(cur []float64, s Stencil, k int) (vals []float64, firstPos int) 
 		panic(fmt.Sprintf("linstencil: cone empty: n=%d steps=%d span=%d", len(cur), k, s.Span()))
 	}
 	vals = scratch.Floats(outN)
-	EvolveConeTo(vals, cur, s, k, nil)
+	EvolveConeTo(vals, cur, SpectraOf(s), k, nil)
 	return vals, -k * s.MinOff
 }
 
-// EvolveConeTo is EvolveCone writing the computable positions into dst,
-// which must hold exactly n - k*Span() cells and not overlap cur; its
-// scratch comes from ws (nil: the process-wide pools).
-func EvolveConeTo(dst, cur []float64, s Stencil, k int, ws *scratch.Workspace) {
+// EvolveConeTo is EvolveCone of the stencil whose cache entry is sp,
+// writing the computable positions into dst, which must hold exactly
+// n - k*Span() cells and not overlap cur; its scratch comes from ws (nil:
+// the process-wide pools).
+func EvolveConeTo(dst, cur []float64, sp *Spectra, k int, ws *scratch.Workspace) {
 	n := len(cur)
-	span := s.Span()
+	span := len(sp.w) - 1
 	if k < 0 {
 		panic("linstencil: negative step count")
 	}
@@ -138,6 +139,7 @@ func EvolveConeTo(dst, cur []float64, s Stencil, k int, ws *scratch.Workspace) {
 	if n*k*(span+1) <= naiveCutoff {
 		row := ws.Floats(n)
 		copy(row, cur)
+		s := Stencil{W: sp.w}
 		for step := 0; step < k; step++ {
 			row = Step(row, s)
 		}
@@ -158,7 +160,7 @@ func EvolveConeTo(dst, cur []float64, s Stencil, k int, ws *scratch.Workspace) {
 	// [0, len(dst)).
 	N := fft.NextPow2(n)
 	rp := fft.RPlanFor(N)
-	rp.Convolve(cur, kernelSpectrum(s, 0, N, k, rp), dst, ws)
+	rp.Convolve(cur, sp.multiplier(0, N, k, rp), dst, ws)
 }
 
 // EvolvePeriodic advances cur, interpreted as a ring of power-of-two size, by
@@ -182,7 +184,7 @@ func EvolvePeriodic(cur []float64, s Stencil, k int) []float64 {
 	}
 	rp := fft.RPlanFor(n)
 	out := scratch.Floats(n)
-	rp.Convolve(cur, kernelSpectrum(s, s.MinOff, n, k, rp), out, nil)
+	rp.Convolve(cur, SpectraOf(s).multiplier(s.MinOff, n, k, rp), out, nil)
 	return out
 }
 

@@ -3,9 +3,13 @@ package linstencil
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/nlstencil/amop/internal/fft"
+	"github.com/nlstencil/amop/internal/gencache"
 	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/par"
 )
@@ -31,26 +35,25 @@ import (
 // a PriceBatch pool shares one copy of each spectrum.
 
 // DefaultSpectrumCacheLimit bounds the bytes of cached multiplier spectra
-// (64 MiB ~ enough for every level of a T=2^20 solve many times over). Use
-// SetSpectrumCacheLimit to resize; entries are evicted arbitrarily once the
-// bound is exceeded, which at worst costs a recompute.
+// (64 MiB: a T=65536 solve's multipliers take ~5 MiB per stencil). Use
+// SetSpectrumCacheLimit to resize. The cache keeps its multipliers in two
+// generations (package gencache): one no evolution asked for over two turns
+// is dropped, which at worst costs a recompute.
 const DefaultSpectrumCacheLimit = 64 << 20
 
-// symKey identifies one cached multiplier spectrum. The first four stencil
-// weights are inlined so key construction allocates nothing for the 2- and
-// 3-point stencils of the pricing models; longer stencils spill into a
-// string.
-type symKey struct {
+// stencilKey identifies a stencil's weights, the part of a stencil its
+// multipliers depend on (the ring's MinOff modulation is a specKey's
+// shift). The first four weights are inlined so key construction allocates
+// nothing for the 2- and 3-point stencils of the pricing models; longer
+// stencils spill into a string.
+type stencilKey struct {
 	w0, w1, w2, w3 float64
 	nw             int
 	spill          string
-	shift          int // w_f^shift modulation: 0 for cone, MinOff for ring
-	n, k           int
 }
 
-func makeKey(s Stencil, shift, n, k int) symKey {
-	key := symKey{nw: len(s.W), shift: shift, n: n, k: k}
-	w := s.W
+func makeKey(w []float64) stencilKey {
+	key := stencilKey{nw: len(w)}
 	switch {
 	case len(w) > 4:
 		key.spill = weightsString(w[4:])
@@ -83,15 +86,85 @@ func weightsString(w []float64) string {
 	return string(b)
 }
 
-var specCache = struct {
-	mu      sync.Mutex
-	entries map[symKey][]float64
-	bytes   int64
-	limit   int64
-}{
-	entries: make(map[symKey][]float64),
-	limit:   DefaultSpectrumCacheLimit,
+// specKey identifies one multiplier of a stencil: the w_f^shift modulation
+// (0 for the cone, MinOff for the ring), the transform size and the step
+// count. n = 0 names the stencil's own cache entry.
+type specKey struct{ shift, n, k int }
+
+// Spectra is one stencil's entry in the kernel-spectrum cache, which holds
+// its multipliers in a small map keyed by integers. A solve takes its
+// stencil's entry once (SpectraOf), and each evolution then looks its
+// multiplier up in that map under the entry's own lock; only a miss, or a
+// hit on a multiplier of the old generation, takes the cache's lock.
+type Spectra struct {
+	w   []float64
+	key stencilKey
+	mu  sync.Mutex
+	m   map[specKey]mult // the multipliers the cache holds for the stencil
 }
+
+// mult is one cached multiplier and the cache's turn count when it was put
+// or last promoted: it is young while the count has not moved.
+type mult struct {
+	v   []float64
+	gen uint64
+}
+
+// cacheKey names an entry of the cache: multiplier specKey of sp, or sp's
+// own entry when n is 0.
+type cacheKey struct {
+	sp *Spectra
+	specKey
+}
+
+// specCache charges every stencil's own entry (entryBytes each) and every
+// multiplier (its bytes) to one two-generation cache, so a stencil's
+// multipliers age one by one. The stencils map and the stencils' own maps
+// hold what the cache charges; its turns drop entries from them.
+var specCache struct {
+	mu       sync.Mutex
+	entries  *gencache.Cache[cacheKey, struct{}]
+	stencils map[stencilKey]*Spectra
+}
+
+// specTurns is specCache.entries.Turns(), which a hit reads without the
+// lock to tell a young multiplier. It is written only at a turn, and padded
+// to a cache line of its own, away from the lock.
+var specTurns struct {
+	_ [64]byte
+	atomic.Uint64
+	_ [56]byte
+}
+
+// syncTurns publishes the cache's turn count; the caller holds the lock.
+func syncTurns() {
+	if t := specCache.entries.Turns(); specTurns.Load() != t {
+		specTurns.Store(t)
+	}
+}
+
+func init() {
+	specCache.entries = gencache.New(DefaultSpectrumCacheLimit, dropEntry)
+	specCache.stencils = make(map[stencilKey]*Spectra)
+}
+
+// dropEntry forgets an entry the cache dropped. A solve that holds the
+// stencil's Spectra keeps using it; the multipliers it builds from then on
+// are its own.
+func dropEntry(k cacheKey, _ struct{}) {
+	if k.n == 0 {
+		delete(specCache.stencils, k.sp.key)
+		return
+	}
+	k.sp.mu.Lock()
+	delete(k.sp.m, k.specKey)
+	k.sp.mu.Unlock()
+}
+
+// entryBytes is what the cache charges a stencil's own entry (the struct,
+// its weights and its map), so that stencils whose solves never reach the
+// FFT still fill the young generation and age out.
+const entryBytes = 256
 
 var (
 	specHits = obs.NewCounter("amop_spectrum_cache_hits_total",
@@ -99,18 +172,19 @@ var (
 	specMisses = obs.NewCounter("amop_spectrum_cache_misses_total",
 		"kernel-spectrum cache lookups that built the multiplier")
 	_ = obs.NewGauge("amop_spectrum_cache_bytes",
-		"bytes of multiplier spectra the kernel-spectrum cache holds",
+		"bytes the kernel-spectrum cache holds: its multiplier spectra and a fixed charge per stencil",
 		func() int64 { b, _ := specFootprint(); return b })
 	_ = obs.NewGauge("amop_spectrum_cache_entries",
 		"multiplier spectra the kernel-spectrum cache holds",
 		func() int64 { _, n := specFootprint(); return int64(n) })
 )
 
-// specFootprint reports the cache's current size.
+// specFootprint reports the cache's current size: its bytes and the number
+// of its multipliers.
 func specFootprint() (bytes int64, entries int) {
 	specCache.mu.Lock()
 	defer specCache.mu.Unlock()
-	return specCache.bytes, len(specCache.entries)
+	return specCache.entries.Bytes(), specCache.entries.Len() - len(specCache.stencils)
 }
 
 // SpectrumCacheStats reports the cumulative hit/miss counters and the current
@@ -132,64 +206,93 @@ func SymbolCacheStats() (hits, misses, crossRes int64) {
 // A non-positive limit disables caching entirely.
 func SetSpectrumCacheLimit(bytes int64) {
 	specCache.mu.Lock()
-	specCache.limit = bytes
-	evictLocked()
+	specCache.entries.SetLimit(bytes)
+	syncTurns()
 	specCache.mu.Unlock()
 }
 
-// evictLocked drops arbitrary entries until the cache fits its limit. Map
-// iteration order is effectively random, which is eviction policy enough:
-// the working set of a solve is tiny compared to the default bound, and a
-// wrong eviction costs one recompute.
-func evictLocked() {
-	for k, v := range specCache.entries {
-		if specCache.bytes <= specCache.limit {
-			return
+// SpectraOf returns s's entry in the kernel-spectrum cache, creating it on
+// first use; the entry a disabled cache returns is the caller's alone and
+// keeps nothing.
+func SpectraOf(s Stencil) *Spectra {
+	key := makeKey(s.W)
+	specCache.mu.Lock()
+	defer specCache.mu.Unlock()
+	sp := specCache.stencils[key]
+	if sp != nil {
+		specCache.entries.Get(cacheKey{sp: sp}) // promote it
+	} else {
+		sp = &Spectra{w: slices.Clone(s.W), key: key, m: make(map[specKey]mult)}
+		if specCache.entries.Put(cacheKey{sp: sp}, struct{}{}, entryBytes) {
+			specCache.stencils[key] = sp
 		}
-		specCache.bytes -= int64(8 * len(v))
-		delete(specCache.entries, k)
 	}
+	syncTurns()
+	return sp
 }
 
-// kernelSpectrum returns the half-spectrum multiplier for k steps of s on a
-// size-n ring, laid out for fft.RPlan.Convolve, with the symbol additionally
-// modulated by w_f^shift (shift 0 for the cone geometry, MinOff for the
-// periodic one). The returned slice is shared and must not be written.
-func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
-	key := makeKey(s, shift, n, k)
-	specCache.mu.Lock()
-	if m, ok := specCache.entries[key]; ok {
-		specCache.mu.Unlock()
+// multiplier returns the half-spectrum multiplier for k steps of the
+// stencil on a size-n ring, laid out for fft.RPlan.Convolve, with the
+// symbol additionally modulated by w_f^shift (shift 0 for the cone
+// geometry, MinOff for the periodic one). The returned slice is shared and
+// must not be written.
+func (sp *Spectra) multiplier(shift, n, k int, rp *fft.RPlan) []float64 {
+	key := specKey{shift, n, k}
+	sp.mu.Lock()
+	m, ok := sp.m[key]
+	sp.mu.Unlock()
+	if ok {
 		specHits.Add(1)
-		return m
-	}
-	specCache.mu.Unlock()
-	specMisses.Add(1)
-
-	m := buildSpectrum(s, shift, n, k, rp)
-	checkSpectrumHealth(m, s, n, k)
-
-	specCache.mu.Lock()
-	if specCache.limit > 0 {
-		if prior, ok := specCache.entries[key]; ok {
-			m = prior // concurrent computation won; share one copy
-		} else {
-			specCache.entries[key] = m
-			specCache.bytes += int64(8 * len(m))
-			evictLocked()
+		if m.gen != specTurns.Load() {
+			sp.promote(key)
 		}
+		return m.v
 	}
+	specMisses.Add(1)
+	return sp.insert(key, buildSpectrum(sp.w, shift, n, k, rp))
+}
+
+// promote moves a multiplier the old generation holds to the young one.
+func (sp *Spectra) promote(key specKey) {
+	specCache.mu.Lock()
+	if _, ok := specCache.entries.Get(cacheKey{sp, key}); ok {
+		sp.mu.Lock()
+		m := sp.m[key]
+		m.gen = specCache.entries.Turns()
+		sp.m[key] = m
+		sp.mu.Unlock()
+	}
+	syncTurns()
 	specCache.mu.Unlock()
-	return m
+}
+
+// insert caches v, a multiplier just built, unless the stencil's own entry
+// is no longer cached, and returns the multiplier the stencil holds: v, or
+// the one a concurrent build put first.
+func (sp *Spectra) insert(key specKey, v []float64) []float64 {
+	specCache.mu.Lock()
+	defer specCache.mu.Unlock()
+	sp.mu.Lock()
+	prior, ok := sp.m[key]
+	sp.mu.Unlock()
+	if ok {
+		return prior.v
+	}
+	if _, ok := specCache.entries.Get(cacheKey{sp: sp}); ok &&
+		specCache.entries.Put(cacheKey{sp, key}, struct{}{}, int64(8*len(v))) {
+		sp.mu.Lock()
+		sp.m[key] = mult{v, specCache.entries.Turns()}
+		sp.mu.Unlock()
+	}
+	syncTurns()
+	return v
 }
 
 // buildSpectrum evaluates the multiplier conj(sym[f]^k) on the half
-// spectrum in one pass, the modulated symbol sym[f] = P(w_f) * w_f^shift
-// taken from the real plan's twiddle table and raised by binary
+// spectrum, the modulated symbol sym[f] = P(w_f) * w_f^shift of the weights
+// w taken from the real plan's twiddle table and raised by binary
 // exponentiation (fft.Pow). The multiplier is laid out as fft.Convolve
 // reads it: split planes in the plan's spectral order (fft.RPlan.Bin).
-// kernelSpectrum calls it on a miss; tests use it as the fresh reference a
-// cached multiplier must match bit for bit.
 //
 // Components below 2^-600 of the largest are flushed to zero. Their
 // contribution to any output is far below the transform's rounding, but
@@ -197,23 +300,59 @@ func kernelSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
 // subnormal numbers, which the CPU handles in microcode at a hundred-fold
 // cost: at T = 65536 the powered symbol of the high frequencies sweeps
 // through the subnormal range.
-func buildSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
+//
+// So the build skips the bins the flush would zero anyway. The DC bin is
+// built first; a bin with |sym|^2 < (2^-604*|DC|)^(2/k) has
+// |sym^k| < 2^-604*|DC|, which stays under the flush floor
+// 2^-600*|DC| <= 2^-600*largest with a 16-fold margin for Pow's rounding,
+// whatever the signs of the weights. Nothing is skipped when DC is 0, below
+// 2^-400 (the floor would leave the normal range), or not finite, or when k
+// is too large for the margin to hold. The result is bit for bit the full
+// build's.
+//
+// A multiplier with a NaN or Inf component panics instead of returning.
+// The cache is process-wide: a poisoned entry (a pathological stencil whose
+// symbol overflows under the k-th power, or corrupted weights) would
+// silently contaminate every future solve sharing the key, across all
+// contracts and requests. Panicking keeps the damage confined to the
+// requesting solve — the batch engine's per-item recover turns it into one
+// contract's error — and leaves the cache clean.
+func buildSpectrum(w []float64, shift, n, k int, rp *fft.RPlan) []float64 {
 	h := n/2 + 1
 	m := make([]float64, 2*h)
-	par.For(h, 1024, func(lo, hi int) {
-		for pos := lo; pos < hi; pos++ {
-			kp := fft.Pow(symbolAt(s, shift, rp.Twiddle(rp.Bin(pos))), k)
+	dc := fft.Pow(symbolAt(w, shift, rp.Twiddle(0)), k)
+	m[0], m[h] = real(dc), -imag(dc)
+	// Bins with |sym|^2 < skip2 are left at zero (none when skip2 is 0).
+	var skip2 float64
+	if a := cmplx.Abs(dc); k > 0 && k < 1<<40 && a >= 0x1p-400 && a <= math.MaxFloat64 {
+		skip2 = math.Pow(0x1p-604*a, 2/float64(k))
+	}
+	par.For(h-1, 1024, func(lo, hi int) {
+		// In frequency order, so the twiddle tables are read in order; the
+		// scattered accesses are the stores.
+		for f := lo + 1; f < hi+1; f++ {
+			sym := symbolAt(w, shift, rp.Twiddle(f))
+			if real(sym)*real(sym)+imag(sym)*imag(sym) < skip2 {
+				continue
+			}
+			kp := fft.Pow(sym, k)
+			pos := rp.Bin(f) // Bin is its own inverse
 			m[pos], m[h+pos] = real(kp), -imag(kp)
 		}
 	})
-	var top float64
+	// The largest magnitude, compared as bits: the magnitudes of finite
+	// floats order as their bit patterns, and a NaN or Inf panics below.
+	var top uint64
 	for _, v := range m {
-		top = max(top, math.Abs(v))
+		top = max(top, math.Float64bits(v)&^(1<<63))
 	}
-	floor := math.Ldexp(top, -600)
+	floor := math.Ldexp(math.Float64frombits(top), -600)
 	for i, v := range m {
-		if math.Abs(v) < floor {
+		a := math.Abs(v)
+		if a < floor {
 			m[i] = 0
+		} else if !(a <= math.MaxFloat64) {
+			panic(fmt.Sprintf("linstencil: non-finite kernel spectrum at %d (n=%d, k=%d, weights=%v): %v", i, n, k, w, v))
 		}
 	}
 	return m
@@ -221,10 +360,10 @@ func buildSpectrum(s Stencil, shift, n, k int, rp *fft.RPlan) []float64 {
 
 // symbolAt evaluates P at omega using Horner on the shifted polynomial and
 // applies the w^shift modulation.
-func symbolAt(s Stencil, shift int, omega complex128) complex128 {
-	sym := complex(s.W[len(s.W)-1], 0)
-	for i := len(s.W) - 2; i >= 0; i-- {
-		sym = sym*omega + complex(s.W[i], 0)
+func symbolAt(w []float64, shift int, omega complex128) complex128 {
+	sym := complex(w[len(w)-1], 0)
+	for i := len(w) - 2; i >= 0; i-- {
+		sym = sym*omega + complex(w[i], 0)
 	}
 	switch {
 	case shift > 0:
@@ -234,20 +373,4 @@ func symbolAt(s Stencil, shift int, omega complex128) complex128 {
 		sym *= complex(real(mod), -imag(mod))
 	}
 	return sym
-}
-
-// checkSpectrumHealth refuses to publish a multiplier spectrum containing
-// NaN or Inf. The cache is process-wide: a poisoned entry (a pathological
-// stencil whose symbol overflows under the k-th power, or corrupted weights)
-// would silently contaminate every future solve sharing the key, across all
-// contracts and requests. Panicking instead keeps the damage confined to the
-// requesting solve — the batch engine's per-item recover turns it into one
-// contract's error — and leaves the cache clean. Cost: one O(n) scan per
-// cache build; the hit path is untouched.
-func checkSpectrumHealth(m []float64, s Stencil, n, k int) {
-	for i, v := range m {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			panic(fmt.Sprintf("linstencil: non-finite kernel spectrum at %d (n=%d, k=%d, weights=%v): %v", i, n, k, s.W, v))
-		}
-	}
 }

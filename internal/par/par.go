@@ -315,9 +315,13 @@ var offers struct {
 	n atomic.Int64
 }
 
-// offer queues fns as offers of the region.
+// offer queues fns as offers of the region, in the join's own storage when
+// there is one.
 func (j *join) offer(fns []func()) []offer {
-	offs := make([]offer, len(fns))
+	offs := j.one[:]
+	if len(fns) != len(offs) {
+		offs = make([]offer, len(fns))
+	}
 	offers.Lock()
 	for i, f := range fns {
 		offs[i] = offer{f: f, j: j}
@@ -391,12 +395,18 @@ type join struct {
 	// its caller has run it inline.
 	done sync.WaitGroup
 	pe   atomic.Pointer[PanicError]
+	// one is the offer of a two-function Do, so that one allocates nothing.
+	one [1]offer
 }
+
+// joins recycles joins: wait returns its join here once every worker has
+// finished with it.
+var joins = sync.Pool{New: func() any { return new(join) }}
 
 // newJoin prepares a region of the given number of workers: For forks each on
 // a token the caller already holds, Do offers each.
 func newJoin(workers int) *join {
-	j := &join{}
+	j := joins.Get().(*join)
 	j.pending.Store(int64(workers) + 1)
 	j.done.Add(workers)
 	return j
@@ -422,11 +432,17 @@ func (j *join) exit() {
 
 // wait is the join. A joiner whose workers have all counted themselves out
 // waits only for their tokens to be back; otherwise it lends its slot to the
-// budget and blocks until the last worker hands it a token back.
+// budget and blocks until the last worker hands it a token back. No worker
+// touches j after that, so wait recycles it.
 func (j *join) wait() {
 	if j.pending.Add(-1) != 0 {
 		Release(1)
 	}
 	j.done.Wait()
-	rethrow(&j.pe)
+	p := j.pe.Swap(nil)
+	j.one = [1]offer{}
+	joins.Put(j)
+	if p != nil {
+		panic(p)
+	}
 }
