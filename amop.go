@@ -147,9 +147,6 @@ type Config struct {
 	// TileW and TileH configure the Tiled algorithm; zero selects
 	// L1-cache-sized defaults.
 	TileW, TileH int
-	// Lambda is the FD ratio dtau/ds^2 for BlackScholesFD; zero selects
-	// the default 1/3.
-	Lambda float64
 	// BaseCase overrides the fast solver's recursion cutoff (ablations);
 	// zero selects the paper's tuned default.
 	BaseCase int
@@ -232,10 +229,15 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 	}
 	kind := option.Kind(o.Type)
 	switch m {
-	case Binomial, Trinomial:
+	case Binomial, Trinomial, BlackScholesFD:
 		mdl, err := cache.lattice(m, o.params(), cfg)
 		if err != nil {
 			return 0, err
+		}
+		if m == BlackScholesFD {
+			if err := bsmSupports(kind, cfg); err != nil {
+				return 0, err
+			}
 		}
 		if cfg.European {
 			switch cfg.Algorithm {
@@ -267,44 +269,27 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		default:
 			return 0, fmt.Errorf("amop: unknown algorithm %v", cfg.Algorithm)
 		}
-	case BlackScholesFD:
-		mdl, err := cache.bsm(o.params(), cfg)
-		if err != nil {
-			return 0, err
-		}
-		if cfg.European {
-			if kind != option.Put {
-				return 0, fmt.Errorf("amop: the BlackScholesFD grid prices puts; use BlackScholes for European calls or a lattice model")
-			}
-			switch cfg.Algorithm {
-			case Fast:
-				return solveTop(ts, true, mdl.Sens, func(top []float64) (float64, error) {
-					return mdl.EuropeanTop(top), nil
-				})
-			case Naive, NaiveParallel:
-				return mdl.PriceEuropeanNaive(), nil
-			default:
-				return 0, fmt.Errorf("amop: algorithm %v not available for European %v", cfg.Algorithm, m)
-			}
-		}
-		if kind != option.Put {
-			return 0, fmt.Errorf("amop: American pricing under BlackScholesFD supports puts only (the paper's Section 4); use Binomial or Trinomial for calls")
-		}
-		switch cfg.Algorithm {
-		case Fast:
-			return solveTop(ts, true, mdl.Sens, func(top []float64) (float64, error) {
-				return mdl.FastTop(cancel, top)
-			})
-		case Naive:
-			return mdl.PriceNaive(), nil
-		case NaiveParallel:
-			return mdl.PriceNaiveParallel(), nil
-		default:
-			return 0, fmt.Errorf("amop: algorithm %v not available for model %v", cfg.Algorithm, m)
-		}
 	default:
 		return 0, fmt.Errorf("amop: unknown model %v", m)
 	}
+}
+
+// bsmSupports keeps the paper's Section 4 restrictions on the
+// BlackScholesFD grid: it prices puts, by Fast, Naive or NaiveParallel.
+// The grid's weights carry its discount, so the trees' call identities do
+// not hold on it.
+func bsmSupports(kind option.Kind, cfg Config) error {
+	switch {
+	case kind != option.Put && cfg.European:
+		return fmt.Errorf("amop: the BlackScholesFD grid prices puts; use BlackScholes for European calls or a lattice model")
+	case kind != option.Put:
+		return fmt.Errorf("amop: American pricing under BlackScholesFD supports puts only (the paper's Section 4); use Binomial or Trinomial for calls")
+	case cfg.Algorithm == Fast || cfg.Algorithm == Naive || cfg.Algorithm == NaiveParallel:
+		return nil
+	case cfg.European:
+		return fmt.Errorf("amop: algorithm %v not available for European %v", cfg.Algorithm, BlackScholesFD)
+	}
+	return fmt.Errorf("amop: algorithm %v not available for model %v", cfg.Algorithm, BlackScholesFD)
 }
 
 // PriceAmerican prices an American option with the fast algorithm under the

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/fbstencil"
 )
 
@@ -89,6 +90,29 @@ func TestPriceErrors(t *testing.T) {
 	for name, fn := range cases {
 		if _, err := fn(); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestBSMGridMatchesPrice pins the fast BSM put one layer down, as
+// bsm.New and PriceFastStats build and solve it, to Price's BlackScholesFD
+// path bit for bit, at deep-benchmark contracts up to T=65536.
+func TestBSMGridMatchesPrice(t *testing.T) {
+	for _, T := range []int{333, 4096, 1 << 16} {
+		for _, k := range []float64{115, 127.62, 140} {
+			o := Option{Type: Put, S: 127.62, K: k, R: 0.00163, V: 0.2, Y: 0.0163, E: 1}
+			m, err := bsm.New(o.params(), T, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.PriceFastStats(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Price(o, BlackScholesFD, Config{Steps: T})
+			if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("K=%v T=%d: Price %v (%v), grid %v", k, T, got, err, want)
+			}
 		}
 	}
 }

@@ -474,18 +474,18 @@ type latticeKey struct {
 	model    Model
 	prm      option.Params
 	steps    int
-	lambda   float64
 	baseCase int
 }
 
-// modelCache shares constructed lattice and bsm models between requests with
-// identical lattice parameters. Models are immutable once built (SetBaseCase
-// is applied before publication), so cached instances are safe to price from
-// concurrently. The zero value is ready to use; a nil *modelCache disables
-// caching (every lookup constructs).
+// modelCache shares constructed models (each one a lattice.Model: the trees
+// and the BlackScholesFD grid) between requests with identical parameters.
+// Models are immutable once built (SetBaseCase is applied before
+// publication), so cached instances are safe to price from concurrently.
+// The zero value is ready to use; a nil *modelCache disables caching (every
+// lookup constructs).
 type modelCache struct {
 	mu     sync.Mutex
-	models map[latticeKey]any // *lattice.Model or *bsm.Model, by key.model
+	models map[latticeKey]*lattice.Model
 	hits   int
 }
 
@@ -496,60 +496,56 @@ func (c *modelCache) Hits() int {
 	return c.hits
 }
 
-// lattice returns the Binomial or Trinomial model of p.
+// lattice returns model m of p at cfg, building it outside the lock on a
+// miss.
 func (c *modelCache) lattice(m Model, p option.Params, cfg Config) (*lattice.Model, error) {
-	newTree := bopm.New
-	if m == Trinomial {
-		newTree = topm.New
-	}
-	return cached(c, latticeKey{model: m, prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}, func() (*lattice.Model, error) {
-		mdl, err := newTree(p, cfg.Steps)
-		if err != nil {
-			return nil, err
-		}
-		mdl.SetBaseCase(cfg.BaseCase)
-		return mdl, nil
-	})
-}
-
-func (c *modelCache) bsm(p option.Params, cfg Config) (*bsm.Model, error) {
-	return cached(c, latticeKey{model: BlackScholesFD, prm: p, steps: cfg.Steps, lambda: cfg.Lambda, baseCase: cfg.BaseCase}, func() (*bsm.Model, error) {
-		mdl, err := bsm.New(p, cfg.Steps, cfg.Lambda)
-		if err != nil {
-			return nil, err
-		}
-		mdl.SetBaseCase(cfg.BaseCase)
-		return mdl, nil
-	})
-}
-
-// cached returns c's model for k, building it outside the lock on a miss.
-func cached[M any](c *modelCache, k latticeKey, build func() (M, error)) (M, error) {
 	if c == nil {
-		return build()
+		return newGrid(m, p, cfg)
 	}
+	k := latticeKey{model: m, prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}
 	c.mu.Lock()
-	if m, ok := c.models[k]; ok {
+	if mdl, ok := c.models[k]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return m.(M), nil
+		return mdl, nil
 	}
 	c.mu.Unlock()
-	m, err := build()
+	mdl, err := newGrid(m, p, cfg)
 	if err != nil {
-		return m, err
+		return nil, err
 	}
 	c.mu.Lock()
 	if c.models == nil {
-		c.models = make(map[latticeKey]any)
+		c.models = make(map[latticeKey]*lattice.Model)
 	}
 	if prior, ok := c.models[k]; ok {
-		m = prior.(M) // a concurrent builder won; share its instance
+		mdl = prior // a concurrent builder won; share its instance
 	} else {
-		c.models[k] = m
+		c.models[k] = mdl
 	}
 	c.mu.Unlock()
-	return m, nil
+	return mdl, nil
+}
+
+// newGrid builds model m of p at cfg's steps and base case: a tree, or the
+// BlackScholesFD put grid at bsm.DefaultLambda.
+func newGrid(m Model, p option.Params, cfg Config) (mdl *lattice.Model, err error) {
+	switch m {
+	case Trinomial:
+		mdl, err = topm.New(p, cfg.Steps)
+	case BlackScholesFD:
+		var g *bsm.Model
+		if g, err = bsm.New(p, cfg.Steps, bsm.DefaultLambda); err == nil {
+			mdl = g.Model
+		}
+	default:
+		mdl, err = bopm.New(p, cfg.Steps)
+	}
+	if err != nil {
+		return nil, err
+	}
+	mdl.SetBaseCase(cfg.BaseCase)
+	return mdl, nil
 }
 
 // --- chain ------------------------------------------------------------------

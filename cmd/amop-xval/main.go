@@ -157,7 +157,7 @@ func main() {
 		}
 		prm, T = randParams(), randT()
 		if m, err := bsm.New(prm, T, 0); err == nil {
-			lattice("bsm", T, prm, m.PriceFast, m.PriceNaive)
+			lattice("bsm", T, prm, m.PriceFast, func() float64 { return m.PriceNaive(option.Put) })
 		}
 	}
 

@@ -7,7 +7,9 @@ import (
 
 	"github.com/nlstencil/amop/internal/bopm"
 	"github.com/nlstencil/amop/internal/fbstencil"
+	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/sweep"
 )
 
 func randParams(rng *rand.Rand) option.Params {
@@ -55,10 +57,11 @@ func TestWeightsSubStochastic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.A < 0 || m.B < 0 || m.C < 0 {
-			t.Fatalf("negative weight: a=%v b=%v c=%v", m.A, m.B, m.C)
+		b, c, a := m.W[0], m.W[1], m.W[2]
+		if a < 0 || b < 0 || c < 0 {
+			t.Fatalf("negative weight: a=%v b=%v c=%v", a, b, c)
 		}
-		if s := m.A + m.B + m.C; s > 1+1e-12 {
+		if s := a + b + c; s > 1+1e-12 {
 			t.Errorf("weights sum %v > 1", s)
 		}
 	}
@@ -75,7 +78,7 @@ func TestFastMatchesNaiveRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive := m.PriceNaive()
+		naive := m.PriceNaive(option.Put)
 		if d := relDiff(fast, naive); d > 1e-10 {
 			t.Errorf("trial %d (T=%d): fast %.12g naive %.12g rel %g", trial, m.T, fast, naive, d)
 		}
@@ -95,7 +98,7 @@ func TestFastMatchesNaiveWithDividends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive := m.PriceNaive()
+		naive := m.PriceNaive(option.Put)
 		if d := relDiff(fast, naive); d > 1e-10 {
 			t.Errorf("trial %d: fast %.12g naive %.12g", trial, fast, naive)
 		}
@@ -116,7 +119,7 @@ func TestFastMatchesNaivePaperParams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive := m.PriceNaive()
+		naive := m.PriceNaive(option.Put)
 		if d := relDiff(fast, naive); d > 1e-10 {
 			t.Errorf("T=%d: fast %.12g naive %.12g rel %g", T, fast, naive, d)
 		}
@@ -130,31 +133,31 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := m.PriceNaive(), m.PriceNaiveParallel()
+		a, b := m.PriceNaive(option.Put), m.PriceNaiveParallel(option.Put)
 		if a != b {
 			t.Errorf("trial %d: serial %.17g parallel %.17g", trial, a, b)
 		}
 	}
 }
 
-// centered is the model's put as fbstencil's centered green-left problem on
-// the unshifted grid, with obstacle green; its naive solve is the loop of
-// Equation 5 as the paper writes it.
-func (m *Model) centered(green fbstencil.GreenFunc) *fbstencil.GreenLeft {
+// centered is the put on the unshifted grid as fbstencil's centered
+// green-left problem, with the leaves of sp and obstacle green; its naive
+// solve is the loop of Equation 5 as the paper writes it.
+func centered(m *Model, sp *sweep.Problem, green fbstencil.GreenFunc) *fbstencil.GreenLeft {
 	return &fbstencil.GreenLeft{
-		Stencil: m.Stencil(),
+		Stencil: linstencil.Stencil{MinOff: -1, W: m.W},
 		T:       m.T,
 		Lo0:     0,
 		Hi0:     2 * m.T,
-		Init:    func(col int) float64 { return math.Max(m.green(col), 0) },
+		Init:    sp.Leaf,
 		Green:   green,
-		Bnd0:    m.leafBoundary(),
 	}
 }
 
 // TestNaiveMatchesCenteredReference: the sweep on depth-shifted columns is
 // the centered Equation-5 loop, bitwise, with and without the obstacle (a
-// -Inf obstacle never binds).
+// -Inf obstacle never binds). The reference reads the obstacle values the
+// sweep reads, cell (depth, col) at grid column col+depth.
 func TestNaiveMatchesCenteredReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	noObstacle := func(int, int) float64 { return math.Inf(-1) }
@@ -167,19 +170,31 @@ func TestNaiveMatchesCenteredReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := fbstencil.SolveGreenLeftNaive(m.centered(func(_, col int) float64 { return m.green(col) }))
+		sp := m.SweepProblem(option.Put)
+		fill := sp.FillExercise
+		ex := make([][]float64, m.T+1)
+		sp.FillExercise = func(d, lo, hi int, buf []float64) []float64 {
+			out := fill(d, lo, hi, buf)
+			if ex[d] == nil {
+				ex[d] = make([]float64, 2*(m.T-d)+1)
+			}
+			copy(ex[d][lo:], out)
+			return out
+		}
+		sweep.Naive(sp)
+		ref, err := fbstencil.SolveGreenLeftNaive(centered(m, sp, func(d, col int) float64 { return ex[d][col-d] }))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.PriceNaive(), p.K*ref; got != want {
-			t.Errorf("trial %d (T=%d): PriceNaive %.17g, centered reference %.17g", trial, m.T, got, want)
+		if got := m.PriceNaive(option.Put); got != ref {
+			t.Errorf("trial %d (T=%d): PriceNaive %.17g, centered reference %.17g", trial, m.T, got, ref)
 		}
-		eur, err := fbstencil.SolveGreenLeftNaive(m.centered(noObstacle))
+		eur, err := fbstencil.SolveGreenLeftNaive(centered(m, sp, noObstacle))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := m.PriceEuropeanNaive(), p.K*eur; got != want {
-			t.Errorf("trial %d (T=%d): PriceEuropeanNaive %.17g, centered reference %.17g", trial, m.T, got, want)
+		if got := m.PriceEuropeanNaive(option.Put); got != eur {
+			t.Errorf("trial %d (T=%d): PriceEuropeanNaive %.17g, centered reference %.17g", trial, m.T, got, eur)
 		}
 	}
 }
@@ -193,10 +208,10 @@ func TestEuropeanMatchesBlackScholes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := math.Abs(m.PriceEuropean() - bs); e > 0.02 {
-		t.Errorf("FD European put %.6f vs Black-Scholes %.6f (err %g)", m.PriceEuropean(), bs, e)
+	if e := math.Abs(m.PriceEuropean(option.Put) - bs); e > 0.02 {
+		t.Errorf("FD European put %.6f vs Black-Scholes %.6f (err %g)", m.PriceEuropean(option.Put), bs, e)
 	}
-	if e := math.Abs(m.PriceEuropeanNaive() - bs); e > 0.02 {
+	if e := math.Abs(m.PriceEuropeanNaive(option.Put) - bs); e > 0.02 {
 		t.Errorf("naive FD European put off by %g", e)
 	}
 }
@@ -236,7 +251,7 @@ func TestAmericanDominates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if eu := m.PriceEuropean(); am < eu-1e-9 {
+		if eu := m.PriceEuropean(option.Put); am < eu-1e-9 {
 			t.Errorf("trial %d: American %.12g < European %.12g", trial, am, eu)
 		}
 		if intrinsic := math.Max(p.K-p.S, 0); am < intrinsic-1e-7*p.K {
@@ -285,23 +300,6 @@ func TestLambdaInsensitivity(t *testing.T) {
 	for i := 1; i < len(prices); i++ {
 		if math.Abs(prices[i]-prices[0]) > 0.05 {
 			t.Errorf("lambda sensitivity too high: %v", prices)
-		}
-	}
-}
-
-func TestLeafBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	for trial := 0; trial < 20; trial++ {
-		m, err := New(randParams(rng), 10+rng.Intn(300), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := m.leafBoundary()
-		if b >= 0 && b <= 2*m.T && m.logPrice(b) > 0 {
-			t.Errorf("trial %d: boundary col %d has s > 0", trial, b)
-		}
-		if b < 2*m.T && m.logPrice(b+1) <= 0 {
-			t.Errorf("trial %d: col %d right of boundary has s <= 0", trial, b+1)
 		}
 	}
 }

@@ -29,11 +29,11 @@ func FuzzBSMPutFast(f *testing.F) {
 		baseCase := int(base) % (fbstencil.DefaultBaseCase + 1)
 		m.SetBaseCase(baseCase)
 		top, want := make([]float64, 3), make([]float64, 3)
-		fast, err := m.FastTop(nil, top)
+		fast, err := m.FastTop(option.Put, nil, top)
 		if err != nil {
 			t.Fatalf("%+v T=%d: %v", p, m.T, err)
 		}
-		naive := m.NaiveTop(want)
+		naive := m.NaiveTop(option.Put, want)
 		if d := math.Abs(fast - naive); !(d <= 1e-9*math.Max(1, math.Abs(naive))) {
 			t.Fatalf("%+v T=%d base=%d: fast %.17g, naive %.17g", p, m.T, baseCase, fast, naive)
 		}

@@ -260,12 +260,6 @@ type GreenFunc func(depth, col int) float64
 // and the baseline sweeps (package sweep) read the obstacle through it.
 type FillFunc func(depth, lo, hi int, buf []float64) []float64
 
-// TableFill returns the fill whose row of cells (depth, lo..hi) is the view
-// tab[lo+depth : hi+depth+1].
-func TableFill(tab []float64) FillFunc {
-	return func(depth, lo, hi int, _ []float64) []float64 { return tab[lo+depth : hi+depth+1] }
-}
-
 // ---------------------------------------------------------------------------
 // Green-right, one-sided stencils (the stencil.ObstacleRight adapter).
 // ---------------------------------------------------------------------------

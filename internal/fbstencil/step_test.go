@@ -59,7 +59,7 @@ func TestStepMatchesThreePasses(t *testing.T) {
 			row[i] = rng.NormFloat64()
 		}
 		// The obstacle table covers the step's columns on the grid (>= 0),
-		// a depth-d+1 row at tab[col+d+1], as TableFill reads it.
+		// a depth-d+1 row at tab[col+d+1], as view reads it.
 		tab := make([]float64, max(from+n, 0)+d+2)
 		for i := range tab {
 			tab[i] = rng.NormFloat64() - 0.5
@@ -73,7 +73,7 @@ func TestStepMatchesThreePasses(t *testing.T) {
 		if trial%2 == 0 {
 			floor = max(from, -1)
 		}
-		view := TableFill(tab)
+		view := func(depth, lo, hi int, _ []float64) []float64 { return tab[lo+depth : hi+depth+1] }
 		filled := func(depth, lo, hi int, buf []float64) []float64 {
 			return append(buf[:0], view(depth, lo, hi, nil)...)
 		}

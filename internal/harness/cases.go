@@ -8,6 +8,7 @@ import (
 	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/cachesim"
 	"github.com/nlstencil/amop/internal/fbstencil"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/sweep"
 	"github.com/nlstencil/amop/internal/topm"
@@ -32,42 +33,45 @@ type Case struct {
 // String is the paper's label for the case, e.g. fft-bopm.
 func (c Case) String() string { return c.Alg + "-" + c.Model }
 
-// model is one of the paper's models built at T steps, pricing an option
-// of the given kind: its fast solve, its European price (one FFT
-// evolution), the problem its baseline sweeps solve with the factor that
-// turns a sweep's result into a price, and its recursion cutoff.
+// model is one of the paper's models built at T steps as a lattice, with
+// the kind of option it prices: a call on the trees, a put on the BSM grid.
 type model struct {
-	kind        option.Kind
-	fast        func(*fbstencil.Stats) (float64, error)
-	european    func() float64
-	problem     func() *sweep.Problem
-	scale       float64
-	setBaseCase func(int)
+	*lattice.Model
+	kind option.Kind
 }
 
 func newModel(name string, T int) (model, error) {
+	p := option.Default()
 	switch name {
-	case "bopm", "topm":
-		newTree := bopm.New
-		if name == "topm" {
-			newTree = topm.New
-		}
-		m, err := newTree(option.Default(), T)
-		if err != nil {
-			return model{}, err
-		}
-		return model{option.Call, m.PriceFastStats, func() float64 { return m.PriceEuropean(option.Call) },
-			func() *sweep.Problem { return m.SweepProblem(option.Call) }, 1, m.SetBaseCase}, nil
+	case "bopm":
+		m, err := bopm.New(p, T)
+		return model{m, option.Call}, err
+	case "topm":
+		m, err := topm.New(p, T)
+		return model{m, option.Call}, err
 	case "bsm":
-		m, err := bsm.New(option.Default(), T, 0)
+		m, err := bsm.New(p, T, 0)
 		if err != nil {
 			return model{}, err
 		}
-		// The grid is dimensionless: its sweeps price in units of the strike.
-		return model{option.Put, m.PriceFastStats, m.PriceEuropean, m.SweepProblem, m.Prm.K, m.SetBaseCase}, nil
+		return model{m.Model, option.Put}, nil
 	}
 	return model{}, fmt.Errorf("unknown model %q", name)
 }
+
+// fast is the model's fast solve.
+func (m model) fast(st *fbstencil.Stats) (float64, error) {
+	if m.kind == option.Put {
+		return m.PriceFastPutStats(st)
+	}
+	return m.PriceFastStats(st)
+}
+
+// european is the model's European price (one FFT evolution).
+func (m model) european() float64 { return m.PriceEuropean(m.kind) }
+
+// problem is the problem the model's baseline sweeps solve.
+func (m model) problem() *sweep.Problem { return m.SweepProblem(m.kind) }
 
 func tiled(p *sweep.Problem) float64 { return sweep.Tiled(p, 0, 0) }
 
@@ -108,7 +112,7 @@ func (c Case) Build(T int) (Solver, error) {
 	}
 	p := m.problem()
 	return Solver{
-		Solve:  func() (float64, error) { return m.scale * s.run(p), nil },
+		Solve:  func() (float64, error) { return s.run(p), nil },
 		Replay: func(h *cachesim.Hierarchy) error { _, err := trace.ReplaySweep(h, p, s.replay); return err },
 	}, nil
 }

@@ -208,7 +208,7 @@ func ablation(cfg Config) ([]*Table, error) {
 		col := fmt.Sprintf("fft-bopm seconds T=%d", T)
 		base.Header = append(base.Header, col)
 		for i, b := range bases {
-			tms[i] = append(tms[i], tr.add(fmt.Sprint(b), col, func() { m.setBaseCase(b) },
+			tms[i] = append(tms[i], tr.add(fmt.Sprint(b), col, func() { m.SetBaseCase(b) },
 				func() (float64, error) { return m.fast(nil) }))
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
+	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
@@ -17,10 +18,9 @@ import (
 
 // TestFastSolveSteadyStateAllocs pins the solve workspace's claim: after a
 // warm-up, a T=4096 fast solve of the binomial and trinomial American call
-// (the put of the swapped contract, as PriceFast solves it) at one worker
-// allocates nothing. The problem is built once, outside the measured
-// solves; internal/bsm pins the BSM put the same way. Excluded under the
-// race detector, whose sync.Pool drops Puts on purpose. GOMAXPROCS is
+// (the put of the swapped contract, as PriceFast solves it) and of the BSM
+// American put at one worker allocates nothing. The problem is built once,
+// outside the measured solves. Excluded under the race detector, whose sync.Pool drops Puts on purpose. GOMAXPROCS is
 // pinned to 1 before the warm-up, as AllocsPerRun pins it, so the pools'
 // per-P state survives into the measured runs.
 func TestFastSolveSteadyStateAllocs(t *testing.T) {
@@ -35,17 +35,24 @@ func TestFastSolveSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bs, err := bsm.New(option.Default(), T, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		m    *lattice.Model
-	}{{"bopm-call", b}, {"topm-call", tm}} {
-		sw, err := lattice.Swap(c.m)
-		if err != nil {
-			t.Fatal(err)
+		kind option.Kind
+	}{{"bopm-call", b, option.Call}, {"topm-call", tm, option.Call}, {"bsm-put", bs.Model, option.Put}} {
+		put := c.m
+		if c.kind == option.Call {
+			if put, err = lattice.Swap(c.m); err != nil {
+				t.Fatal(err)
+			}
 		}
-		tab := lattice.ExerciseTable(sw)
-		prob := lattice.PutProblem(sw, tab)
-		want, err := c.m.PriceFast()
+		tab := lattice.ExerciseTable(put)
+		prob := lattice.PutProblem(put, tab)
+		want, err := c.m.FastTop(c.kind, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

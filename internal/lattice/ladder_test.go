@@ -10,25 +10,29 @@ import (
 	"github.com/nlstencil/amop/internal/scratch"
 )
 
-// TestLadderSharedAcrossContracts prices strikes, spots and the swapped
-// call on one tree of each kind: every exercise table equals the closed
-// form bit for bit at every net move, and all of them read one ladder.
+// TestLadderSharedAcrossContracts prices strikes and spots on one grid of
+// each kind, and on the trees the swapped call: every exercise table equals
+// the closed form bit for bit at every net move, and all of them read one
+// ladder.
 func TestLadderSharedAcrossContracts(t *testing.T) {
-	for _, tree := range trees {
-		t.Run(tree.name, func(t *testing.T) {
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
 			const T = 333
 			var models []*lattice.Model
 			for _, sk := range [][2]float64{{100, 100}, {100, 80}, {100, 130}, {90, 100}, {120, 100}} {
 				p := option.Params{S: sk[0], K: sk[1], R: 0.04, V: 0.25, Y: 0.01, E: 1}
-				m, err := tree.new(p, T)
+				m, err := g.new(p, T)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sw, err := lattice.Swap(m)
-				if err != nil {
-					t.Fatal(err)
+				models = append(models, m)
+				if g.calls {
+					sw, err := lattice.Swap(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					models = append(models, sw)
 				}
-				models = append(models, m, sw)
 			}
 			lad := lattice.Ladder(models[0])
 			for _, m := range models {
@@ -91,24 +95,27 @@ func TestConcurrentSolvesShareLadderAndSpectra(t *testing.T) {
 	}
 }
 
-// TestDeepLaddersSurviveAlternation prices two T=65536 trees in turn, as
-// a deep benchmark cycles them: each keeps its ladder, one generation
-// each, instead of rebuilding it on every solve.
+// TestDeepLaddersSurviveAlternation prices the three T=65536 grids in turn,
+// as a deep benchmark cycles them: each keeps its ladder instead of
+// rebuilding it on every solve, which takes two of them per generation.
 func TestDeepLaddersSurviveAlternation(t *testing.T) {
 	const T = 1 << 16
 	var models []*lattice.Model
-	for _, tree := range trees {
-		m, err := tree.new(option.Params{S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.01, E: 1}, T)
+	for _, g := range grids {
+		m, err := g.new(option.Params{S: 100, K: 100, R: 0.05, V: 0.2, Y: 0.01, E: 1}, T)
 		if err != nil {
 			t.Fatal(err)
 		}
 		models = append(models, m)
 	}
-	first := [2]*float64{&lattice.Ladder(models[0])[0], &lattice.Ladder(models[1])[0]}
+	var first []*float64
+	for _, m := range models {
+		first = append(first, &lattice.Ladder(m)[0])
+	}
 	for round := range 4 {
 		for i, m := range models {
 			if got := &lattice.Ladder(m)[0]; got != first[i] {
-				t.Fatalf("round %d: the %s ladder was rebuilt", round, trees[i].name)
+				t.Fatalf("round %d: the %s ladder was rebuilt", round, grids[i].name)
 			}
 		}
 	}

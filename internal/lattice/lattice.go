@@ -1,20 +1,27 @@
 // Package lattice implements American and European option pricing on the
-// recombining trees of the paper: the Cox-Ross-Rubinstein binomial tree
-// (Section 2, built by package bopm) and Boyle's trinomial tree (Section 3 and
-// Appendix A, built by package topm). Both are one nonlinear stencil with
-// children at offsets 0..r of the previous depth, r = 1 or 2; a Model is that
-// stencil's weights plus the tree's up factor, and carries the full ladder of
-// algorithms the paper benchmarks:
+// grids of the paper: the Cox-Ross-Rubinstein binomial tree (Section 2, built
+// by package bopm), Boyle's trinomial tree (Section 3 and Appendix A, built by
+// package topm) and the Black-Scholes-Merton put grid (Section 4, built by
+// package bsm), whose centered stencil is one-sided in columns minus depth.
+// All three are one nonlinear stencil with children at offsets 0..r of the
+// previous depth, r = 1 or 2; a Model is that stencil's weights plus the
+// grid's up factor, and carries the full ladder of algorithms the paper
+// benchmarks:
 //
 //   - PriceFast / PriceFastPut: the paper's O(T log^2 T) FFT-based
-//     nonlinear-stencil algorithm ("fft-bopm", "fft-topm"), calls and puts;
+//     nonlinear-stencil algorithm ("fft-bopm", "fft-topm", "fft-bsm"), calls
+//     and puts;
 //   - PriceNaive / PriceNaiveParallel: the standard nested loop of Figure 1
-//     ("ql-bopm" and "vanilla-topm" are the parallel variant);
+//     ("ql-bopm", "vanilla-topm" and "vanilla-bsm" are the parallel variant);
 //   - PriceTiled: cache-aware split tiling ("zb-bopm");
 //   - PriceRecursive: cache-oblivious recursive tiling (Table 2);
 //   - PriceEuropean / PriceEuropeanNaive: European variants (the linear
 //     special case, priced with a single multi-step FFT evolution);
 //   - PriceBermudan: exercise on every k-th step only.
+//
+// The fast call (the put of the swapped contract) and the European call (by
+// put-call parity) rest on identities of the trees' weights that the BSM
+// grid's do not satisfy, so that grid prices puts only.
 //
 // Grid convention follows the paper: the tree of T steps is embedded in a
 // (T+1) x (r*T+1) grid with leaves (expiry) in the top row; rows are indexed
@@ -36,7 +43,7 @@ import (
 	"github.com/nlstencil/amop/internal/sweep"
 )
 
-// Model holds the precomputed per-step quantities of a tree.
+// Model holds the precomputed per-step quantities of a grid.
 type Model struct {
 	Prm  option.Params
 	T    int
@@ -95,7 +102,7 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 // exerciseTable returns the put's exercise value for every net move i in
 // [-T, T] a fast solve reaches, laid out so that every obstacle row is a
 // contiguous run of it (see tabIndex): K - S*e^(i*logU), the closed form's
-// operations on the tree's shared ladder. The caller owns the pooled table
+// operations on the grid's shared ladder. The caller owns the pooled table
 // and returns it with scratch.PutFloats.
 func (m *Model) exerciseTable() []float64 {
 	lad := m.ladder()
@@ -107,20 +114,21 @@ func (m *Model) exerciseTable() []float64 {
 	return tab
 }
 
-// ladderLimit bounds the bytes of cached ladders. A generation holds one
-// T=65536 ladder (2^17+1 cells, 1 MiB), so two deep trees priced in turn
-// keep theirs, one in each generation, while the single-use trees of
-// implied-vol iterations retain at most 2 MiB.
-const ladderLimit = 2 * 8 * (1<<17 + 1)
+// ladderLimit bounds the bytes of cached ladders. A generation holds two
+// T=65536 ladders (2^17+1 cells, 1 MiB each), so the three deep grids priced
+// in turn keep theirs, while the single-use grids of implied-vol iterations
+// retain at most 4 MiB.
+const ladderLimit = 4 * 8 * (1<<17 + 1)
 
-// ladderKey identifies a ladder: the tree's log up factor, steps and span.
+// ladderKey identifies a ladder: the grid's log up factor, steps and span.
 type ladderKey struct {
 	logU uint64
 	t, r int
 }
 
-// ladders caches the trees' ladders process-wide. Every strike and spot on
-// one tree, and the swapped contract that prices its call, share a ladder.
+// ladders caches the grids' ladders process-wide. Every strike and spot on
+// one grid, and the swapped contract that prices a tree's call, share a
+// ladder.
 var ladders = struct {
 	sync.Mutex
 	c *gencache.Cache[ladderKey, []float64]

@@ -2,10 +2,12 @@ package lattice_test
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
+	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
@@ -13,11 +15,27 @@ import (
 	"github.com/nlstencil/amop/internal/topm"
 )
 
-// trees are the two weight sets every test here runs on.
-var trees = []struct {
-	name string
-	new  func(option.Params, int) (*lattice.Model, error)
-}{{"bopm", bopm.New}, {"topm", topm.New}}
+// grid is one of the paper's models as a lattice: its name, its
+// constructor, and whether it prices calls (as the put of its swapped tree).
+type grid struct {
+	name  string
+	new   func(option.Params, int) (*lattice.Model, error)
+	calls bool
+}
+
+// trees are the two trees, the grids of the call-side tests.
+var trees = []grid{{"bopm", bopm.New, true}, {"topm", topm.New, true}}
+
+// grids adds the BSM put grid to the trees, for the put-side tests.
+var grids = append(slices.Clip(trees), grid{"bsm", newBSM, false})
+
+func newBSM(p option.Params, T int) (*lattice.Model, error) {
+	m, err := bsm.New(p, T, 0)
+	if err != nil {
+		return nil, err
+	}
+	return m.Model, nil
+}
 
 // parityParams covers the regimes the exercise table must reproduce: at the
 // money, deep in and out of the money both ways, dividend yield above the
@@ -33,37 +51,40 @@ var parityParams = []option.Params{
 
 var parityT = []int{1, 7, 64, 333, 2000, 4096}
 
-// TestExerciseTableParity pins the table-backed fast call and put to the
-// per-cell closed form: the same solve with its obstacle rows filled by
-// evaluating Exercise cell by cell must return the identical float64. The
-// call is checked on the production path, the put of the swapped model.
+// TestExerciseTableParity pins the table-backed fast put on every grid, and
+// the fast call on the trees, to the per-cell closed form: the same solve
+// with its obstacle rows filled by evaluating Exercise cell by cell must
+// return the identical float64. The call is checked on the production path,
+// the put of the swapped model.
 func TestExerciseTableParity(t *testing.T) {
-	for _, tree := range trees {
-		t.Run(tree.name, func(t *testing.T) {
+	for _, g := range grids {
+		t.Run(g.name, func(t *testing.T) {
 			ran := 0
 			for _, p := range parityParams {
 				for _, T := range parityT {
-					m, err := tree.new(p, T)
+					m, err := g.new(p, T)
 					if err != nil {
-						continue // the tree is degenerate at this resolution
+						continue // the grid is degenerate at this resolution
 					}
 					ran++
-					// The call runs as the put of the swapped contract; see swap.
-					var want float64
-					sw, wantErr := lattice.Swap(m)
-					if wantErr == nil {
-						want, wantErr = closedFormPut(sw)
+					if g.calls {
+						// The call runs as the put of the swapped contract; see swap.
+						var want float64
+						sw, wantErr := lattice.Swap(m)
+						if wantErr == nil {
+							want, wantErr = closedFormPut(sw)
+						}
+						got, gotErr := m.PriceFast()
+						checkParity(t, "call", p, T, got, want, gotErr, wantErr)
 					}
-					got, gotErr := m.PriceFast()
-					checkParity(t, "call", p, T, got, want, gotErr, wantErr)
 
-					want, wantErr = closedFormPut(m)
-					got, gotErr = m.PriceFastPut()
+					want, wantErr := closedFormPut(m)
+					got, gotErr := m.PriceFastPut()
 					checkParity(t, "put", p, T, got, want, gotErr, wantErr)
 				}
 			}
 			if ran < len(parityParams)*len(parityT)-6 {
-				t.Fatalf("only %d of %d cases built a tree", ran, len(parityParams)*len(parityT))
+				t.Fatalf("only %d of %d cases built a grid", ran, len(parityParams)*len(parityT))
 			}
 		})
 	}
@@ -86,14 +107,14 @@ func closedFormPut(m *lattice.Model) (float64, error) {
 	return v, err
 }
 
-// TestPutFillOnGrid runs a put far out of the money on both trees, whose
+// TestPutFillOnGrid runs a put far out of the money on every grid, whose
 // exercise boundary sits near the left edge of the grid, so the engine's
 // windows reach the virtual columns left of 0. The engine fills those
 // itself: it asks the table for no fill off the grid, and the price is
 // bitwise the closed form's.
 func TestPutFillOnGrid(t *testing.T) {
-	for _, tree := range trees {
-		m, err := tree.new(option.Params{S: 500, K: 100, R: 0.05, V: 0.1, Y: 0, E: 1}, 333)
+	for _, g := range grids {
+		m, err := g.new(option.Params{S: 500, K: 100, R: 0.05, V: 0.1, Y: 0, E: 1}, 333)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,17 +138,17 @@ func TestPutFillOnGrid(t *testing.T) {
 			t.Fatal(err)
 		}
 		if n := off.Load(); n != 0 {
-			t.Errorf("%s: %d fills asked off the grid", tree.name, n)
+			t.Errorf("%s: %d fills asked off the grid", g.name, n)
 		}
 		if edge.Load() == 0 {
-			t.Errorf("%s: no fill starts at column 0 below depth 1; pick a case whose boundary reaches the left edge", tree.name)
+			t.Errorf("%s: no fill starts at column 0 below depth 1; pick a case whose boundary reaches the left edge", g.name)
 		}
 		want, err := closedFormPut(m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: table %v, closed form %v", tree.name, got, want)
+			t.Errorf("%s: table %v, closed form %v", g.name, got, want)
 		}
 	}
 }

@@ -10,11 +10,15 @@ import (
 )
 
 // topParams adds to parityParams the two contracts whose fast solves are
-// all red from the first step: a call without dividends and a put at a zero
-// rate are never exercised early.
+// all red from the first step (a call without dividends and a put at a zero
+// rate are never exercised early), a put whose apex is green, one whose
+// boundary reaches the last rows, and the paper's default contract.
 var topParams = append([]option.Params{
 	{S: 100, K: 100, R: 0.05, V: 0.3, Y: 0, E: 1},
 	{S: 100, K: 100, R: 0, V: 0.3, Y: 0.02, E: 1},
+	{S: 100, K: 300, R: 0.1, V: 0.2, Y: 0, E: 1},
+	{S: 100, K: 110, R: 0.06, V: 0.25, Y: 0.01, E: 1},
+	option.Default(),
 }, parityParams...)
 
 // checkRow compares a row and its apex with the oracle's, to FFT roundoff.
@@ -33,19 +37,23 @@ func checkRow(t *testing.T, what string, got, want []float64, v, vWant float64) 
 
 // TestFastTopMatchesNaive checks FastTop's row, in the contract's own
 // values, against the direct sweep's row topSteps above the apex on the
-// contract's own grid, for calls (solved as the swapped put, and mapped back
-// through the node identity) and puts on both trees, at base case 1 and the
-// default; and EuropeanTop's row against the linear sweep's. A binomial tree
-// of one step has no such row, and FastTop must refuse one.
+// contract's own grid, for puts on every grid and calls on the trees (solved
+// as the swapped put, and mapped back through the node identity), at base
+// case 1 and the default; and EuropeanTop's row against the linear sweep's.
+// A binomial tree of one step has no such row, and FastTop must refuse one.
 func TestFastTopMatchesNaive(t *testing.T) {
-	for _, tree := range trees {
+	for _, tree := range grids {
+		kinds := []option.Kind{option.Put}
+		if tree.calls {
+			kinds = append(kinds, option.Call)
+		}
 		for i, p := range topParams {
 			for _, T := range []int{1, 2, 3, 7, 64, 333} {
 				m, err := tree.new(p, T)
 				if err != nil {
 					continue
 				}
-				for _, kind := range []option.Kind{option.Call, option.Put} {
+				for _, kind := range kinds {
 					top := make([]float64, 3)
 					if !m.HasTop() {
 						if _, err := m.FastTop(kind, nil, top); err == nil {
@@ -83,7 +91,7 @@ func TestFastTopMatchesNaive(t *testing.T) {
 // TestSensGreenApex: a put exercised at once reads delta -1, gamma 0 and
 // theta 0 off its top row, which is the obstacle.
 func TestSensGreenApex(t *testing.T) {
-	for _, tree := range trees {
+	for _, tree := range grids {
 		m, err := tree.new(option.Params{S: 100, K: 300, R: 0.1, V: 0.2, Y: 0, E: 1}, 500)
 		if err != nil {
 			t.Fatal(err)

@@ -15,9 +15,9 @@
 // depth 0 is the initial (expiry) row on columns [0, Hi0]; at depth d the
 // valid columns are [0, Hi0-d*r]; the answer is the apex cell (T, 0).
 //
-// The sweeps serve both lattices (internal/lattice) and the Black-Scholes
-// put (internal/bsm), whose centered stencil is one-sided in depth-shifted
-// columns. With Problem.Record set they report every step they take, which
+// The sweeps serve the lattices of internal/lattice: the two trees and the
+// Black-Scholes put grid (internal/bsm), whose centered stencil is one-sided
+// in depth-shifted columns. With Problem.Record set they report every step they take, which
 // is how internal/trace replays the baselines of Figures 6, 7 and 10.
 package sweep
 

@@ -48,7 +48,7 @@ func TestSweepReplayMatchesProduction(t *testing.T) {
 		}{
 			{"bopm-call", b.SweepProblem(option.Call)},
 			{"topm-call", tm.SweepProblem(option.Call)},
-			{"bsm-put", bm.SweepProblem()},
+			{"bsm-put", bm.SweepProblem(option.Put)},
 		}
 		for _, pp := range problems {
 			for _, rr := range runs {
@@ -65,8 +65,8 @@ func TestSweepReplayMatchesProduction(t *testing.T) {
 				}
 			}
 		}
-		if got := option.Default().K * sweep.Naive(bm.SweepProblem()); got != bm.PriceNaive() {
-			t.Errorf("bsm-put T=%d: K * Naive %v, PriceNaive %v", T, got, bm.PriceNaive())
+		if got, want := sweep.Naive(bm.SweepProblem(option.Put)), bm.PriceNaive(option.Put); got != want {
+			t.Errorf("bsm-put T=%d: Naive %v, PriceNaive %v", T, got, want)
 		}
 	}
 }
