@@ -9,7 +9,6 @@ import (
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
-	"github.com/nlstencil/amop/internal/sweep"
 )
 
 func randParams(rng *rand.Rand) option.Params {
@@ -141,23 +140,23 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 // centered is the put on the unshifted grid as fbstencil's centered
-// green-left problem, with the leaves of sp and obstacle green; its naive
-// solve is the loop of Equation 5 as the paper writes it.
-func centered(m *Model, sp *sweep.Problem, green fbstencil.GreenFunc) *fbstencil.GreenLeft {
+// green-left problem, with obstacle green; its naive solve is the loop of
+// Equation 5 as the paper writes it, in price units.
+func centered(m *Model, green fbstencil.GreenFunc) *fbstencil.GreenLeft {
 	return &fbstencil.GreenLeft{
 		Stencil: linstencil.Stencil{MinOff: -1, W: m.W},
 		T:       m.T,
 		Lo0:     0,
 		Hi0:     2 * m.T,
-		Init:    sp.Leaf,
+		Init:    func(col int) float64 { return math.Max(m.Exercise(option.Put, 0, col), 0) },
 		Green:   green,
 	}
 }
 
 // TestNaiveMatchesCenteredReference: the sweep on depth-shifted columns is
 // the centered Equation-5 loop, bitwise, with and without the obstacle (a
-// -Inf obstacle never binds). The reference reads the obstacle values the
-// sweep reads, cell (depth, col) at grid column col+depth.
+// -Inf obstacle never binds). Unshifted cell (depth, col) is shifted column
+// col-depth.
 func TestNaiveMatchesCenteredReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	noObstacle := func(int, int) float64 { return math.Inf(-1) }
@@ -170,26 +169,14 @@ func TestNaiveMatchesCenteredReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := m.SweepProblem(option.Put)
-		fill := sp.FillExercise
-		ex := make([][]float64, m.T+1)
-		sp.FillExercise = func(d, lo, hi int, buf []float64) []float64 {
-			out := fill(d, lo, hi, buf)
-			if ex[d] == nil {
-				ex[d] = make([]float64, 2*(m.T-d)+1)
-			}
-			copy(ex[d][lo:], out)
-			return out
-		}
-		sweep.Naive(sp)
-		ref, err := fbstencil.SolveGreenLeftNaive(centered(m, sp, func(d, col int) float64 { return ex[d][col-d] }))
+		ref, err := fbstencil.SolveGreenLeftNaive(centered(m, func(d, col int) float64 { return m.Exercise(option.Put, d, col-d) }))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := m.PriceNaive(option.Put); got != ref {
 			t.Errorf("trial %d (T=%d): PriceNaive %.17g, centered reference %.17g", trial, m.T, got, ref)
 		}
-		eur, err := fbstencil.SolveGreenLeftNaive(centered(m, sp, noObstacle))
+		eur, err := fbstencil.SolveGreenLeftNaive(centered(m, noObstacle))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,6 +70,8 @@ func fastBits() string {
 // on an amd64 machine with AVX2 and FMA (GOAMD64=v1), when
 // fbstencil.DefaultBaseCase went from 32 to 64: the recursion then splits
 // the grid into other trapezoids, whose FFT evolutions round differently.
+// The bsm lines were recorded again when the BSM put moved onto the trees'
+// exercise table, K - S*e^(i*ds), from K*(1 - e^(s0+i*ds)).
 // Rerun -update only for a change that
 // is meant to move prices, and say so where it is reviewed.
 func TestFastPriceGolden(t *testing.T) {

@@ -105,10 +105,14 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 // operations on the grid's shared ladder. The caller owns the pooled table
 // and returns it with scratch.PutFloats.
 func (m *Model) exerciseTable() []float64 {
-	lad := m.ladder()
-	tab := scratch.Floats(len(lad))
+	return m.putTable(scratch.Floats(2*m.T + 1))
+}
+
+// putTable fills tab, 2T+1 long, as exerciseTable lays it out and returns
+// it.
+func (m *Model) putTable(tab []float64) []float64 {
 	k, s := m.Prm.K, m.Prm.S
-	for i, e := range lad {
+	for i, e := range m.ladder() {
 		tab[i] = k - s*e
 	}
 	return tab
@@ -188,13 +192,18 @@ func (m *Model) Stencil() linstencil.Stencil {
 }
 
 // SweepProblem builds the American baseline-sweep description of the given
-// option kind, the problem the Price* sweeps below solve.
+// option kind, the problem the Price* sweeps below solve. The put reads its
+// exercise rows from a table, as the fast solve does.
 func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 	p := &sweep.Problem{
 		W:    m.W,
 		T:    m.T,
 		Hi0:  m.r() * m.T,
 		Leaf: func(col int) float64 { return m.Prm.Payoff(kind, m.Asset(0, col)) },
+	}
+	if kind == option.Put {
+		p.FillExercise = m.putFill(m.putTable(make([]float64, 2*m.T+1)))
+		return p
 	}
 	// One column is 2/r net up-moves.
 	f := m.U
@@ -206,34 +215,18 @@ func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
 	// a subnormal carries too few bits to scale up, and an overflow turns
 	// into Inf or NaN.
 	K := m.Prm.K
-	if kind == option.Call {
-		p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
-			out := buf[:hi-lo+1]
-			a := m.Asset(depth, lo)
-			for i := range out {
-				out[i] = a - K
-				if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
-					a = n
-				} else {
-					a = m.Asset(depth, lo+i+1)
-				}
+	p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
+		a := m.Asset(depth, lo)
+		for i := range out {
+			out[i] = a - K
+			if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
+				a = n
+			} else {
+				a = m.Asset(depth, lo+i+1)
 			}
-			return out
 		}
-	} else {
-		p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
-			out := buf[:hi-lo+1]
-			a := m.Asset(depth, lo)
-			for i := range out {
-				out[i] = K - a
-				if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
-					a = n
-				} else {
-					a = m.Asset(depth, lo+i+1)
-				}
-			}
-			return out
-		}
+		return out
 	}
 	return p
 }
