@@ -20,9 +20,10 @@ import (
 // warm-up, a T=4096 fast solve of the binomial and trinomial American call
 // (the put of the swapped contract, as PriceFast solves it) and of the BSM
 // American put at one worker allocates nothing. The problem is built once,
-// outside the measured solves. Excluded under the race detector, whose sync.Pool drops Puts on purpose. GOMAXPROCS is
-// pinned to 1 before the warm-up, as AllocsPerRun pins it, so the pools'
-// per-P state survives into the measured runs.
+// outside the measured solves. Excluded under the race detector, whose
+// sync.Pool drops Puts on purpose. GOMAXPROCS is pinned to 1 before the
+// warm-up, as AllocsPerRun pins it, so the pools' per-P state survives into
+// the measured runs.
 func TestFastSolveSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer par.SetWorkers(par.SetWorkers(1))

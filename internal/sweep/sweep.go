@@ -17,8 +17,9 @@
 //
 // The sweeps serve the lattices of internal/lattice: the two trees and the
 // Black-Scholes put grid (internal/bsm), whose centered stencil is one-sided
-// in depth-shifted columns. With Problem.Record set they report every step they take, which
-// is how internal/trace replays the baselines of Figures 6, 7 and 10.
+// in depth-shifted columns. With Problem.Record set they report every step
+// they take, which is how internal/trace replays the baselines of Figures 6,
+// 7 and 10.
 package sweep
 
 import (
