@@ -9,15 +9,14 @@ import (
 	"github.com/nlstencil/amop/internal/fbstencil"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
-	"github.com/nlstencil/amop/internal/scratch"
 )
 
 // TestFastSolveSteadyStateAllocs pins the solve workspace's claim for the
 // BSM American put, as internal/lattice's test of the same name does for
-// the lattice calls: after a warm-up, a T=4096 fast solve at one worker
-// allocates nothing. The problem is built once, outside the measured
-// solves. Excluded under the race detector, whose sync.Pool drops Puts on
-// purpose.
+// every grid: after a warm-up, a T=4096 fast solve at one worker allocates
+// nothing. The problem, on the put's exercise table, is built once, outside
+// the measured solves. Excluded under the race detector, whose sync.Pool
+// drops Puts on purpose.
 func TestFastSolveSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer par.SetWorkers(par.SetWorkers(1))
@@ -26,16 +25,14 @@ func TestFastSolveSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := m.greenTable(scratch.Floats(2*T + 1))
-	defer scratch.PutFloats(tab)
-	prob := m.problem(tab)
+	prob := putProblem(m, tableFill(m))
 	want, err := m.PriceFast()
 	if err != nil {
 		t.Fatal(err)
 	}
 	solve := func() {
-		if v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil); err != nil || m.Prm.K*v != want {
-			t.Fatalf("solve %v (%v), want %v", m.Prm.K*v, err, want)
+		if v, _, err := fbstencil.SolveGreenLeftOneSided(prob, nil); err != nil || v != want {
+			t.Fatalf("solve %v (%v), want %v", v, err, want)
 		}
 	}
 	solve()

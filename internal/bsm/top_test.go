@@ -28,11 +28,11 @@ func TestFastTopMatchesNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]float64, 3)
-			vWant := m.NaiveTop(want)
+			vWant := m.NaiveTop(option.Put, want)
 			top := make([]float64, 3)
 			for _, base := range []int{1, fbstencil.DefaultBaseCase} {
 				m.SetBaseCase(base)
-				v, err := m.FastTop(nil, top)
+				v, err := m.FastTop(option.Put, nil, top)
 				if err != nil {
 					t.Fatalf("%+v T=%d base=%d: %v", p, T, base, err)
 				}
@@ -40,12 +40,11 @@ func TestFastTopMatchesNaive(t *testing.T) {
 			}
 			m.SetBaseCase(0)
 
-			sp := m.SweepProblem()
+			sp := m.SweepProblem(option.Put)
 			sp.FillExercise = nil
 			sp.Top = want
-			vWant = m.Prm.K * sweep.Naive(sp)
-			m.scale(want)
-			v := m.EuropeanTop(top)
+			vWant = sweep.Naive(sp)
+			v := m.EuropeanTop(option.Put, top)
 			checkRow(t, p, T, "European put", top, want, v, vWant)
 		}
 	}
@@ -73,7 +72,7 @@ func TestSensGreenApex(t *testing.T) {
 		t.Fatal(err)
 	}
 	top := make([]float64, 3)
-	v, err := m.FastTop(nil, top)
+	v, err := m.FastTop(option.Put, nil, top)
 	if err != nil {
 		t.Fatal(err)
 	}
