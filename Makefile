@@ -5,7 +5,7 @@ GO ?= go
 # detector's cost on the non-concurrent remainder is noise.
 RACE_PKGS = ./...
 
-.PHONY: ci fmt vet build test purego race smoke chaos paper bench-check bench-compare fuzz-smoke xval loc
+.PHONY: ci fmt vet build test examples purego race smoke chaos paper bench-check bench-compare fuzz-smoke xval loc
 
 # ci is the tier-1 gate: formatting, vet, build, tests.
 ci: fmt vet build test
@@ -48,6 +48,14 @@ loc:
 
 test:
 	$(GO) test ./...
+
+# examples runs the examples that call the public API outside cmd/:
+# quickstart, chain and convergence (about 4 s on 2 CPUs), a CI test-job
+# step. examples/obstacle takes about 95 s, so it stays build-only (build).
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/chain
+	$(GO) run ./examples/convergence
 
 # purego is the CI cross-compile job's test step: the whole suite with
 # the AVX2 assembly compiled out, so the generic split-plane butterflies (the

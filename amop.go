@@ -29,8 +29,12 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/nlstencil/amop/internal/bopm"
+	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/fbstencil"
+	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/option"
+	"github.com/nlstencil/amop/internal/topm"
 )
 
 // OptionType distinguishes calls from puts.
@@ -144,17 +148,11 @@ type Config struct {
 	Steps     int
 	Algorithm Algorithm // defaults to Fast
 	European  bool      // drop the early-exercise right
-	// TileW and TileH configure the Tiled algorithm; zero selects
-	// L1-cache-sized defaults.
-	TileW, TileH int
-	// BaseCase overrides the fast solver's recursion cutoff (ablations);
-	// zero selects the paper's tuned default.
-	BaseCase int
 }
 
 // Price prices the option under the given model and configuration.
 func Price(o Option, m Model, cfg Config) (float64, error) {
-	return priceModel(o, m, cfg, nil, nil, nil)
+	return priceModel(o, m, cfg, nil, nil)
 }
 
 // PriceCtx is Price with a context: the Fast solvers poll ctx at trapezoid
@@ -166,16 +164,14 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return priceModel(o, m, cfg, nil, ctxCancel(ctx), nil)
+	return priceModel(o, m, cfg, ctxCancel(ctx), nil)
 }
 
-// priceModel is Price with an optional cache of constructed lattice models,
-// an optional cancellation hook polled by the Fast solvers, and an optional
-// place for the Greeks a Fast solve reads off its top row; the batch engine
-// passes all three so that requests sharing lattice parameters reuse a
-// single model instance, in-flight solves observe cancellation, and a
-// memoized point carries its delta, gamma and theta. A nil cache constructs
-// models directly; a nil cancel never cancels; a nil ts reads no Greeks.
+// priceModel is Price with an optional cancellation hook polled by the Fast
+// solvers and an optional place for the Greeks a Fast solve reads off its top
+// row; the batch engine passes both so that in-flight solves observe
+// cancellation and a memoized point carries its delta, gamma and theta. A
+// nil cancel never cancels; a nil ts reads no Greeks.
 //
 // Every price is floored at 0. The exact discrete value is a non-negative
 // combination of non-negative payoffs, but far out of the money FFT
@@ -184,8 +180,8 @@ func PriceCtx(ctx context.Context, o Option, m Model, cfg Config) (float64, erro
 // volatility overflows the top leaves to +Inf, and the linear step carries
 // them down to the apex — fails with an error wrapping
 // fbstencil.ErrNonFinite, whatever the algorithm.
-func priceModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error, ts *topSens) (float64, error) {
-	v, err := solveModel(o, m, cfg, cache, cancel, ts)
+func priceModel(o Option, m Model, cfg Config, cancel func() error, ts *topSens) (float64, error) {
+	v, err := solveModel(o, m, cfg, cancel, ts)
 	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
 		return v, fmt.Errorf("amop: %v %v under %v: %w (price=%v)", cfg.Algorithm, o.Type, m, fbstencil.ErrNonFinite, v)
 	}
@@ -218,7 +214,7 @@ func solveTop(ts *topSens, hasTop bool, sens func([]float64, float64) option.Sen
 
 // solveModel routes one request to its model's solver; the Fast solvers
 // also fill ts (see solveTop).
-func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() error, ts *topSens) (float64, error) {
+func solveModel(o Option, m Model, cfg Config, cancel func() error, ts *topSens) (float64, error) {
 	if cfg.Algorithm == Analytic {
 		// The analytic tier has no lattice: Model and Steps are irrelevant,
 		// so the Steps >= 1 rule does not apply.
@@ -230,7 +226,7 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 	kind := option.Kind(o.Type)
 	switch m {
 	case Binomial, Trinomial, BlackScholesFD:
-		mdl, err := cache.lattice(m, o.params(), cfg)
+		mdl, err := newGrid(m, o.params(), cfg.Steps)
 		if err != nil {
 			return 0, err
 		}
@@ -263,7 +259,7 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 		case NaiveParallel:
 			return mdl.PriceNaiveParallel(kind), nil
 		case Tiled:
-			return mdl.PriceTiled(kind, cfg.TileW, cfg.TileH), nil
+			return mdl.PriceTiled(kind, 0, 0), nil
 		case Recursive:
 			return mdl.PriceRecursive(kind), nil
 		default:
@@ -272,6 +268,22 @@ func solveModel(o Option, m Model, cfg Config, cache *modelCache, cancel func() 
 	default:
 		return 0, fmt.Errorf("amop: unknown model %v", m)
 	}
+}
+
+// newGrid builds model m of p at steps: a tree, or the BlackScholesFD put
+// grid at bsm.DefaultLambda.
+func newGrid(m Model, p option.Params, steps int) (*lattice.Model, error) {
+	switch m {
+	case Trinomial:
+		return topm.New(p, steps)
+	case BlackScholesFD:
+		g, err := bsm.New(p, steps, bsm.DefaultLambda)
+		if err != nil {
+			return nil, err
+		}
+		return g.Model, nil
+	}
+	return bopm.New(p, steps)
 }
 
 // bsmSupports keeps the paper's Section 4 restrictions on the

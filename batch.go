@@ -1,7 +1,6 @@
 // Batch pricing engine: prices many option contracts concurrently over a
-// bounded worker pool, with per-item error isolation, memoization of
-// repeated contracts, and reuse of constructed lattice models across
-// requests that share lattice parameters.
+// bounded worker pool, with per-item error isolation and memoization of
+// repeated contracts.
 //
 // This is the workload the paper's introduction motivates — a desk
 // repricing a whole option surface fast enough to follow the market — made
@@ -19,15 +18,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/nlstencil/amop/internal/bopm"
-	"github.com/nlstencil/amop/internal/bsm"
 	"github.com/nlstencil/amop/internal/faultinject"
-	"github.com/nlstencil/amop/internal/lattice"
 	"github.com/nlstencil/amop/internal/obs"
 	"github.com/nlstencil/amop/internal/option"
 	"github.com/nlstencil/amop/internal/par"
 	"github.com/nlstencil/amop/internal/serve"
-	"github.com/nlstencil/amop/internal/topm"
 )
 
 // AutoModel selects the natural model for the option type, as PriceAmerican
@@ -110,16 +105,13 @@ func newSolvePanicError(r any) *SolvePanicError {
 // PriceBatch prices every request over a bounded worker pool and returns one
 // Result per request, in request order. Errors are reported per item;
 // panics in a pricer are captured into that item's Err. Requests that repeat
-// a contract (same option, model and config) are priced once and shared, and
-// constructed lattice models are reused across requests with identical
-// lattice parameters.
+// a contract (same option, model and config) are priced once and shared.
 //
-// Below the engine's own caches, all workers share the process-wide
-// kernel-spectrum cache of the FFT fast path: requests that agree on lattice
-// parameters and step count (a chain's strikes on one expiry, a surface
-// repriced every tick) derive each stencil-symbol power spectrum once and
-// amortize it across the whole pool. /metrics (WriteMetrics) exposes the hit
-// rate.
+// Below the engine's memo, all workers share the process-wide kernel-spectrum
+// cache of the FFT fast path: requests that agree on lattice parameters and
+// step count (a chain's strikes on one expiry, a surface repriced every
+// tick) derive each stencil-symbol power spectrum once and amortize it
+// across the whole pool. /metrics (WriteMetrics) exposes the hit rate.
 func PriceBatch(reqs []Request, opts BatchOptions) []Result {
 	return PriceBatchCtx(context.Background(), reqs, opts)
 }
@@ -231,13 +223,11 @@ func resolveModel(o Option, m Model, cfg Config) Model {
 // --- engine -----------------------------------------------------------------
 
 // engine is the per-batch reuse context threaded through PriceBatch and
-// Chain: the lattice-model cache and the per-contract repricing memo that
-// every worker of one batch shares. One quote's Greeks base and bumps,
-// implied-vol iterations, and headline price all route through it, so no
-// (option, model, config) point is ever priced twice within a batch. It is
-// safe for concurrent use.
+// Chain: the per-contract repricing memo that every worker of one batch
+// shares. One quote's Greeks base and bumps, implied-vol iterations, and
+// headline price all route through it, so no (option, model, config) point
+// is ever priced twice within a batch. It is safe for concurrent use.
 type engine struct {
-	models modelCache
 	cancel func() error // batch-wide cancellation hook; nil means never
 	tier   TierMode     // tier routing policy; set before the pool starts
 	trace  *obs.Trace   // span trace from the batch context; nil when untraced
@@ -361,11 +351,11 @@ func (e *engine) dispatch(ent *priceEntry, o Option, m Model, cfg Config) {
 	// priceModel.
 	ent.analytic = cfg.Algorithm == Analytic
 	if !obs.Enabled() {
-		ent.price, ent.err = priceModel(o, m, cfg, &e.models, e.cancel, &ent.ts)
+		ent.price, ent.err = priceModel(o, m, cfg, e.cancel, &ent.ts)
 		return
 	}
 	start := time.Now()
-	ent.price, ent.err = priceModel(o, m, cfg, &e.models, e.cancel, &ent.ts)
+	ent.price, ent.err = priceModel(o, m, cfg, e.cancel, &ent.ts)
 	obs.SolveLatency.With("lattice").RecordSince(start)
 	e.trace.AddSince(obs.StageSolveLattice, start)
 }
@@ -460,92 +450,10 @@ func sensConfig(m Model, cfg Config) Config {
 	return cfg
 }
 
-// priceAmerican mirrors PriceAmerican through the engine's caches.
+// priceAmerican mirrors PriceAmerican through the engine's memo.
 func (e *engine) priceAmerican(o Option, steps int) (float64, error) {
 	cfg := Config{Steps: steps}
 	return e.price(o, resolveModel(o, AutoModel, cfg), cfg)
-}
-
-// --- model cache ------------------------------------------------------------
-
-// latticeKey identifies a constructed model: the model and every input its
-// constructor consumes.
-type latticeKey struct {
-	model    Model
-	prm      option.Params
-	steps    int
-	baseCase int
-}
-
-// modelCache shares constructed models (each one a lattice.Model: the trees
-// and the BlackScholesFD grid) between requests with identical parameters.
-// Models are immutable once built (SetBaseCase is applied before
-// publication), so cached instances are safe to price from concurrently.
-// The zero value is ready to use; a nil *modelCache disables caching (every
-// lookup constructs).
-type modelCache struct {
-	mu     sync.Mutex
-	models map[latticeKey]*lattice.Model
-	hits   int
-}
-
-// Hits reports how many lookups were served from the cache (for tests).
-func (c *modelCache) Hits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-// lattice returns model m of p at cfg, building it outside the lock on a
-// miss.
-func (c *modelCache) lattice(m Model, p option.Params, cfg Config) (*lattice.Model, error) {
-	if c == nil {
-		return newGrid(m, p, cfg)
-	}
-	k := latticeKey{model: m, prm: p, steps: cfg.Steps, baseCase: cfg.BaseCase}
-	c.mu.Lock()
-	if mdl, ok := c.models[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return mdl, nil
-	}
-	c.mu.Unlock()
-	mdl, err := newGrid(m, p, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.models == nil {
-		c.models = make(map[latticeKey]*lattice.Model)
-	}
-	if prior, ok := c.models[k]; ok {
-		mdl = prior // a concurrent builder won; share its instance
-	} else {
-		c.models[k] = mdl
-	}
-	c.mu.Unlock()
-	return mdl, nil
-}
-
-// newGrid builds model m of p at cfg's steps and base case: a tree, or the
-// BlackScholesFD put grid at bsm.DefaultLambda.
-func newGrid(m Model, p option.Params, cfg Config) (mdl *lattice.Model, err error) {
-	switch m {
-	case Trinomial:
-		mdl, err = topm.New(p, cfg.Steps)
-	case BlackScholesFD:
-		var g *bsm.Model
-		if g, err = bsm.New(p, cfg.Steps, bsm.DefaultLambda); err == nil {
-			mdl = g.Model
-		}
-	default:
-		mdl, err = bopm.New(p, cfg.Steps)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mdl.SetBaseCase(cfg.BaseCase)
-	return mdl, nil
 }
 
 // --- chain ------------------------------------------------------------------
@@ -554,26 +462,20 @@ func newGrid(m Model, p option.Params, cfg Config) (mdl *lattice.Model, err erro
 type Quote struct {
 	Strike, Expiry float64
 	Price          float64
-	Greeks         Greeks  // zero when ChainOptions.SkipGreeks
-	ImpliedVol     float64 // zero when ChainOptions.SkipImpliedVol
-	Err            error   // per-cell; other cells are unaffected
+	Greeks         Greeks
+	ImpliedVol     float64
+	Err            error // per-cell; other cells are unaffected
 }
 
 // ChainOptions controls Chain.
 type ChainOptions struct {
-	// Steps is the lattice resolution for the headline price (default 10000).
+	// Steps is the lattice resolution for the headline price (default
+	// 10000). The Greeks and the implied-vol round trip run at a quarter of
+	// it (at least 1). The Greeks price five points there: the base solve,
+	// whose top rows give delta, gamma and theta, and central vol and rate
+	// bumps for vega and rho. The implied-vol Newton search starts on the
+	// base and the vol bumps, so it shares them through the batch memo.
 	Steps int
-	// GreeksSteps and IVSteps are the resolutions for the Greeks and the
-	// implied-vol round trip; zero selects Steps/4. The Greeks price five
-	// points there: the base solve, whose top rows give delta, gamma and
-	// theta, and central vol and rate bumps for vega and rho. The
-	// implied-vol Newton search starts on the base and the vol bumps, so at
-	// equal steps it shares them through the batch memo.
-	GreeksSteps, IVSteps int
-	// SkipGreeks / SkipImpliedVol drop those columns for a price-only chain.
-	SkipGreeks, SkipImpliedVol bool
-	// Workers bounds the pool as in BatchOptions.
-	Workers int
 	// Tier selects the pricing tier, as in BatchOptions: under TierAuto the
 	// headline prices, the Greeks and the implied-vol iterations of every
 	// in-envelope cell all run on the analytic fast path, which turns a full
@@ -585,12 +487,6 @@ func (o ChainOptions) withDefaults() ChainOptions {
 	if o.Steps <= 0 {
 		o.Steps = 10_000
 	}
-	if o.GreeksSteps <= 0 {
-		o.GreeksSteps = max(o.Steps/4, 1)
-	}
-	if o.IVSteps <= 0 {
-		o.IVSteps = max(o.Steps/4, 1)
-	}
 	return o
 }
 
@@ -600,15 +496,15 @@ func (o ChainOptions) withDefaults() ChainOptions {
 // per cell. Quotes are returned in row-major order: cell (i, j) of the grid
 // is Quotes[i*len(expiries)+j]. Each cell prices under its natural model
 // (see AutoModel), errors are reported per cell, and the whole grid shares
-// one bounded worker pool and one model/price cache.
+// one bounded worker pool and one price memo.
 func Chain(underlying Option, strikes, expiries []float64, opts ChainOptions) []Quote {
 	return ChainCtx(context.Background(), underlying, strikes, expiries, opts)
 }
 
 // ChainCtx is Chain with a context: cells not yet started fail immediately
 // with ctx.Err() once the context is done, and in-flight solves stop within
-// one trapezoid of work. Chains are bulk-class work — see
-// BatchOptions.Interactive.
+// one trapezoid of work. The pool has par.Workers() workers, and chains are
+// bulk-class work — see BatchOptions.Interactive.
 func ChainCtx(ctx context.Context, underlying Option, strikes, expiries []float64, opts ChainOptions) []Quote {
 	o := opts.withDefaults()
 	quotes := make([]Quote, len(strikes)*len(expiries))
@@ -619,7 +515,7 @@ func ChainCtx(ctx context.Context, underlying Option, strikes, expiries []float6
 	eng.cancel = ctxCancel(ctx)
 	eng.tier = o.Tier
 	eng.trace = obs.FromContext(ctx)
-	runPool(len(quotes), o.Workers, true, eng.trace, func(idx int) {
+	runPool(len(quotes), 0, true, eng.trace, func(idx int) {
 		i, j := idx/len(expiries), idx%len(expiries)
 		quotes[idx] = eng.quote(underlying, strikes[i], expiries[j], o)
 	})
@@ -652,26 +548,23 @@ func (e *engine) quote(underlying Option, strike, expiry float64, opts ChainOpti
 	}
 	q.Price = price
 
-	if !opts.SkipGreeks {
-		g, err := e.greeks(o, AutoModel, Config{Steps: opts.GreeksSteps})
-		if err != nil {
-			q.Err = err
-			return q
-		}
-		q.Greeks = g
+	steps := max(opts.Steps/4, 1)
+	g, err := e.greeks(o, AutoModel, Config{Steps: steps})
+	if err != nil {
+		q.Err = err
+		return q
 	}
+	q.Greeks = g
 
-	if !opts.SkipImpliedVol {
-		// Round-trip the implied vol from the computed price as the desk
-		// sanity check: solving at IVSteps should recover the vol mark.
-		iv, err := impliedVolWith(o, price, func(oo Option) (float64, error) {
-			return e.priceAmerican(oo, opts.IVSteps)
-		})
-		if err != nil {
-			q.Err = err
-			return q
-		}
-		q.ImpliedVol = iv
+	// Round-trip the implied vol from the computed price as the desk sanity
+	// check: solving at the Greeks' resolution should recover the vol mark.
+	iv, err := impliedVolWith(o, price, func(oo Option) (float64, error) {
+		return e.priceAmerican(oo, steps)
+	})
+	if err != nil {
+		q.Err = err
+		return q
 	}
+	q.ImpliedVol = iv
 	return q
 }

@@ -86,9 +86,8 @@ func TestPriceBatchPartialFailure(t *testing.T) {
 	}
 }
 
-// Duplicate contracts are priced once and shared through the memo, and
-// identical lattice parameters hit the model cache.
-func TestBatchEngineMemoAndModelCache(t *testing.T) {
+// Duplicate contracts are priced once and shared through the memo.
+func TestBatchEngineMemo(t *testing.T) {
 	eng := newEngine()
 	o := defaultCall()
 	cfg := Config{Steps: 512}
@@ -105,14 +104,6 @@ func TestBatchEngineMemoAndModelCache(t *testing.T) {
 	}
 	if len(eng.memo) != 1 {
 		t.Errorf("memo holds %d entries after a duplicate request, want 1", len(eng.memo))
-	}
-	// A different algorithm on the same lattice reuses the constructed model.
-	before := eng.models.Hits()
-	if _, err := eng.price(o, Binomial, Config{Steps: 512, Algorithm: Naive}); err != nil {
-		t.Fatal(err)
-	}
-	if eng.models.Hits() != before+1 {
-		t.Errorf("model cache hits %d, want %d: same lattice parameters should share the model", eng.models.Hits(), before+1)
 	}
 }
 
@@ -192,8 +183,9 @@ func TestPriceBatchEmpty(t *testing.T) {
 	}
 }
 
-// Chain: prices match the single-option API, Greeks are sensible, and the
-// implied-vol round trip recovers the vol mark.
+// Chain: prices match the single-option API, Greeks and implied vols are the
+// single-option API's at a quarter of Steps, bit for bit, Greeks are
+// sensible, and the implied-vol round trip recovers the vol mark.
 func TestChainRoundTrip(t *testing.T) {
 	underlying := Option{Type: Call, S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
 	strikes := []float64{120, 130}
@@ -220,6 +212,21 @@ func TestChainRoundTrip(t *testing.T) {
 		if q.Price != want {
 			t.Errorf("quote %d: price %v != PriceAmerican %v", idx, q.Price, want)
 		}
+		side := max(opts.Steps/4, 1)
+		g, err := GreeksAmerican(o, side)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if greeksBits(q.Greeks) != greeksBits(g) {
+			t.Errorf("quote %d: Greeks %+v != GreeksAmerican(o, %d) %+v", idx, q.Greeks, side, g)
+		}
+		iv, err := ImpliedVol(o, side, q.Price)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(q.ImpliedVol) != math.Float64bits(iv) {
+			t.Errorf("quote %d: implied vol %v != ImpliedVol(o, %d, price) %v", idx, q.ImpliedVol, side, iv)
+		}
 		if q.Greeks.Delta <= 0 || q.Greeks.Delta > 1 {
 			t.Errorf("quote %d: call delta %v outside (0, 1]", idx, q.Greeks.Delta)
 		}
@@ -229,12 +236,16 @@ func TestChainRoundTrip(t *testing.T) {
 	}
 }
 
+// greeksBits returns the bits of g's fields.
+func greeksBits(g Greeks) [5]uint64 {
+	return [5]uint64{math.Float64bits(g.Delta), math.Float64bits(g.Gamma), math.Float64bits(g.Theta),
+		math.Float64bits(g.Vega), math.Float64bits(g.Rho)}
+}
+
 // A chain cell with impossible parameters fails alone; its neighbors price.
 func TestChainPartialFailure(t *testing.T) {
 	underlying := Option{Type: Call, S: 127.62, R: 0.00163, V: 0.21, Y: 0.0163}
-	quotes := Chain(underlying, []float64{130, -5}, []float64{1.0}, ChainOptions{
-		Steps: 500, SkipGreeks: true, SkipImpliedVol: true,
-	})
+	quotes := Chain(underlying, []float64{130, -5}, []float64{1.0}, ChainOptions{Steps: 500})
 	if quotes[0].Err != nil {
 		t.Errorf("valid cell failed: %v", quotes[0].Err)
 	}

@@ -90,9 +90,6 @@ func Enabled() bool { return enabled.Load() }
 // Enable opens the injection gate. Armed rules start firing.
 func Enable() { enabled.Store(true) }
 
-// Disable closes the gate without clearing rules.
-func Disable() { enabled.Store(false) }
-
 // Reset closes the gate and clears every rule. Tests call it in cleanup.
 func Reset() {
 	enabled.Store(false)

@@ -115,7 +115,7 @@ func (m *Model) swap() (*Model, error) {
 // the put's exercise table (from exerciseTable).
 func (m *Model) putProblem(tab []float64) *fbstencil.GreenLeftOneSided {
 	hi := m.r() * m.T
-	fill := m.putFill(tab)
+	fill := m.rowView(tab)
 	leaves := fill(0, 0, hi, nil)
 	// Largest leaf column with strictly positive put payoff; the payoff
 	// falls as the column rises.

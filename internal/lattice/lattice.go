@@ -101,18 +101,26 @@ func (m *Model) exercise(kind option.Kind, i int) float64 {
 
 // exerciseTable returns the put's exercise value for every net move i in
 // [-T, T] a fast solve reaches, laid out so that every obstacle row is a
-// contiguous run of it (see tabIndex): K - S*e^(i*logU), the closed form's
-// operations on the grid's shared ladder. The caller owns the pooled table
-// and returns it with scratch.PutFloats.
+// contiguous run of it (see tabIndex). The caller owns the pooled table and
+// returns it with scratch.PutFloats.
 func (m *Model) exerciseTable() []float64 {
-	return m.putTable(scratch.Floats(2*m.T + 1))
+	return m.table(option.Put, scratch.Floats(2*m.T+1))
 }
 
-// putTable fills tab, 2T+1 long, as exerciseTable lays it out and returns
-// it.
-func (m *Model) putTable(tab []float64) []float64 {
+// table fills tab, 2T+1 long, with kind's exercise value as exerciseTable
+// lays it out and returns it: S*e^(i*logU) - K for a call and
+// K - S*e^(i*logU) for a put, the closed form's operations on the grid's
+// shared ladder.
+func (m *Model) table(kind option.Kind, tab []float64) []float64 {
 	k, s := m.Prm.K, m.Prm.S
-	for i, e := range m.ladder() {
+	lad := m.ladder()
+	if kind == option.Call {
+		for i, e := range lad {
+			tab[i] = s*e - k
+		}
+		return tab
+	}
+	for i, e := range lad {
 		tab[i] = k - s*e
 	}
 	return tab
@@ -174,10 +182,10 @@ func (m *Model) tabIndex(k int) int {
 	return k&1*(m.T+1) + k>>1
 }
 
-// putFill returns the put's exercise row fill: the row of cells (depth,
-// lo..hi) is a view of tab (from exerciseTable), bitwise equal to the closed
-// form.
-func (m *Model) putFill(tab []float64) fbstencil.FillFunc {
+// rowView returns the exercise row fill of a table laid out as
+// exerciseTable's: the row of cells (depth, lo..hi) is a view of tab,
+// bitwise equal to the closed form.
+func (m *Model) rowView(tab []float64) fbstencil.FillFunc {
 	stride := 2 / m.r()
 	return func(depth, lo, hi int, _ []float64) []float64 {
 		i := m.tabIndex(stride*lo + depth)
@@ -192,43 +200,16 @@ func (m *Model) Stencil() linstencil.Stencil {
 }
 
 // SweepProblem builds the American baseline-sweep description of the given
-// option kind, the problem the Price* sweeps below solve. The put reads its
-// exercise rows from a table, as the fast solve does.
+// option kind, the problem the Price* sweeps below solve. Its exercise rows
+// are views of the kind's table, as the fast solve's are.
 func (m *Model) SweepProblem(kind option.Kind) *sweep.Problem {
-	p := &sweep.Problem{
-		W:    m.W,
-		T:    m.T,
-		Hi0:  m.r() * m.T,
-		Leaf: func(col int) float64 { return m.Prm.Payoff(kind, m.Asset(0, col)) },
+	return &sweep.Problem{
+		W:            m.W,
+		T:            m.T,
+		Hi0:          m.r() * m.T,
+		Leaf:         func(col int) float64 { return m.Prm.Payoff(kind, m.Asset(0, col)) },
+		FillExercise: m.rowView(m.table(kind, make([]float64, 2*m.T+1))),
 	}
-	if kind == option.Put {
-		p.FillExercise = m.putFill(m.putTable(make([]float64, 2*m.T+1)))
-		return p
-	}
-	// One column is 2/r net up-moves.
-	f := m.U
-	if m.r() == 1 {
-		f *= m.U
-	}
-	// The assets of a row follow by recurrence from a normal float whose
-	// step stays finite. Otherwise the next one comes from the closed form:
-	// a subnormal carries too few bits to scale up, and an overflow turns
-	// into Inf or NaN.
-	K := m.Prm.K
-	p.FillExercise = func(depth, lo, hi int, buf []float64) []float64 {
-		out := buf[:hi-lo+1]
-		a := m.Asset(depth, lo)
-		for i := range out {
-			out[i] = a - K
-			if n := a * f; a >= 0x1p-1022 && n <= math.MaxFloat64 {
-				a = n
-			} else {
-				a = m.Asset(depth, lo+i+1)
-			}
-		}
-		return out
-	}
-	return p
 }
 
 // PriceNaive is the serial nested loop of Figure 1 (American).

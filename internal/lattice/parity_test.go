@@ -55,7 +55,9 @@ var parityT = []int{1, 7, 64, 333, 2000, 4096}
 // the fast call on the trees, to the per-cell closed form: the same solve
 // with its obstacle rows filled by evaluating Exercise cell by cell must
 // return the identical float64. The call is checked on the production path,
-// the put of the swapped model.
+// the put of the swapped model. The baseline sweeps' exercise rows, the
+// put's on every grid and the call's on the trees, must equal Exercise cell
+// for cell.
 func TestExerciseTableParity(t *testing.T) {
 	for _, g := range grids {
 		t.Run(g.name, func(t *testing.T) {
@@ -76,7 +78,9 @@ func TestExerciseTableParity(t *testing.T) {
 						}
 						got, gotErr := m.PriceFast()
 						checkParity(t, "call", p, T, got, want, gotErr, wantErr)
+						checkSweepRows(t, m, option.Call)
 					}
+					checkSweepRows(t, m, option.Put)
 
 					want, wantErr := closedFormPut(m)
 					got, gotErr := m.PriceFastPut()
@@ -149,6 +153,23 @@ func TestPutFillOnGrid(t *testing.T) {
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Errorf("%s: table %v, closed form %v", g.name, got, want)
+		}
+	}
+}
+
+// checkSweepRows compares the rows of m's kind sweep with Exercise, bit for
+// bit: every row up to T=256, and rows 1+T/256 apart above.
+func checkSweepRows(t *testing.T, m *lattice.Model, kind option.Kind) {
+	t.Helper()
+	fill := m.SweepProblem(kind).FillExercise
+	r := len(m.W) - 1
+	buf := make([]float64, r*m.T+1)
+	for d := 0; d <= m.T; d += 1 + m.T/256 {
+		hi := r * (m.T - d)
+		for col, got := range fill(d, 0, hi, buf) {
+			if want := m.Exercise(kind, d, col); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v sweep T=%d %+v depth %d col %d: row %v, Exercise %v", kind, m.T, m.Prm, d, col, got, want)
+			}
 		}
 	}
 }

@@ -74,9 +74,6 @@ type Stencil struct {
 	W      []float64
 }
 
-// MaxOff returns the largest offset of the stencil.
-func (s Stencil) MaxOff() int { return s.MinOff + len(s.W) - 1 }
-
 // Span returns MaxOff - MinOff, the degree of the stencil polynomial.
 func (s Stencil) Span() int { return len(s.W) - 1 }
 

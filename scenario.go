@@ -127,15 +127,13 @@ type SweepOptions struct {
 	// request's own full resolution (the correction then degenerates to the
 	// plain scenario price).
 	ScenarioSteps int
-	// Greeks adds per-scenario Greeks at each scenario point: delta, gamma
-	// and theta off the top rows of the point's own Fast solve (on the
-	// request's model, whatever its algorithm), vega and rho by central vol
-	// and rate bumps. The solves route through the sweep's shared memo, so
-	// a point the plan already priced is not solved again.
+	// Greeks adds per-scenario Greeks at each scenario point, at the
+	// scenario resolution: delta, gamma and theta off the top rows of the
+	// point's own Fast solve (on the request's model, whatever its
+	// algorithm), vega and rho by central vol and rate bumps. The solves
+	// route through the sweep's shared memo, so a point the plan already
+	// priced is not solved again.
 	Greeks bool
-	// GreeksSteps is the resolution for the Greeks; zero selects the
-	// scenario resolution.
-	GreeksSteps int
 	// OnResult, when non-nil, is invoked once per (contract, scenario) cell
 	// as it completes (serialized, completion order, concurrent with the
 	// rest of the sweep) — e.g. to stream the P&L ladder as it fills in.
@@ -303,11 +301,7 @@ func ScenarioSweepCtx(ctx context.Context, reqs []Request, scenarios []Scenario,
 			r.PnL = cp.scen.price - cp.lo.price
 			r.Price = cp.hi.price + r.PnL
 			if opts.Greeks {
-				gcfg := cp.scen.cfg
-				if opts.GreeksSteps > 0 {
-					gcfg.Steps = opts.GreeksSteps
-				}
-				g, err := eng.greeks(cp.scen.o, reqs[c].Model, gcfg)
+				g, err := eng.greeks(cp.scen.o, reqs[c].Model, cp.scen.cfg)
 				if err != nil {
 					r.Err = err
 				} else {

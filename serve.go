@@ -14,8 +14,8 @@
 //   - request coalescing: quotes for dirty contracts do not each run their
 //     own solve. The first becomes the leader of a repricing flight that
 //     collects the entire dirty set into one PriceBatch (sharing the batch
-//     engine's dedup plan, lattice-model cache and the process-wide
-//     kernel-spectrum cache underneath); concurrent quotes join that flight
+//     engine's memo and the process-wide kernel-spectrum cache
+//     underneath); concurrent quotes join that flight
 //     and wait for its result (CoalescedRequests). The flight's waiter queue
 //     is bounded — beyond MaxPending the server sheds load with
 //     ErrServerBusy — and the batch itself draws its workers from
@@ -122,9 +122,8 @@ type ServerOptions struct {
 	BreakerThreshold int
 	// BreakerBackoff is the initial open interval before a breaker admits a
 	// probe flight; each consecutive re-open doubles it up to
-	// BreakerMaxBackoff. Zeros select the defaults (100ms, 5s).
-	BreakerBackoff    time.Duration
-	BreakerMaxBackoff time.Duration
+	// serve.DefaultBreakerMaxBackoff (5s). Zero selects the default (100ms).
+	BreakerBackoff time.Duration
 	// Tier selects the pricing tier for every repricing flight, as in
 	// BatchOptions: TierAuto serves in-envelope vanilla American contracts
 	// from the analytic fast path (amop_tier_analytic_serves_total counts
@@ -279,9 +278,8 @@ func NewServer(book []BookEntry, opts ServerOptions) (*Server, error) {
 			m = Market{Spot: e.Option.S, Vol: e.Option.V, Rate: e.Option.R}
 			s.markets[e.Symbol] = m
 			s.breakers[e.Symbol] = &serve.Breaker{
-				Threshold:  opts.BreakerThreshold,
-				Backoff:    opts.BreakerBackoff,
-				MaxBackoff: opts.BreakerMaxBackoff,
+				Threshold: opts.BreakerThreshold,
+				Backoff:   opts.BreakerBackoff,
 			}
 		}
 		c := bookContract{entry: e}
@@ -651,8 +649,8 @@ func (c *bookContract) actionable(s *Server, now time.Time) bool {
 
 // repriceDirty is the flight body: snapshot the dirty set, solve it as one
 // PriceBatch at the cells' representative market points, write the surface
-// back. The batch shares the engine's dedup plan and lattice-model cache —
-// identical contracts collapse to one solve — and, underneath, the
+// back. The batch shares the engine's memo — identical contracts collapse to
+// one solve — and, underneath, the
 // process-wide kernel-spectrum cache, so a tick-to-tick re-solve at an
 // already-seen step count runs at steady-state cache hit rates. A tick
 // landing between snapshot and write-back moves cur ahead of the solved key;
