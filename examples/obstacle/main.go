@@ -77,7 +77,7 @@ func main() {
 
 	// 3. Scaling comparison.
 	fmt.Printf("%9s  %12s  %12s  %8s\n", "steps", "fast", "direct", "speedup")
-	for _, T := range []int{4000, 16000, 64000} {
+	for _, T := range []int{4000, 8000, 16000} {
 		p := buildProblem(T)
 		start := time.Now()
 		var st stencil.Stats

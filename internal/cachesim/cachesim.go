@@ -6,7 +6,8 @@
 //
 // Package trace drives it: every column replays, serially, the recorded
 // schedule of the code that ships, the fast engine and the quadratic
-// baselines of internal/sweep alike. The resulting miss
+// baselines of internal/sweep alike, as addresses handed out by Alloc and
+// touched by Access; the model holds no data. The resulting miss
 // counts reproduce the relative behavior the paper measures — the quadratic
 // algorithms stream the whole grid every row while the FFT algorithm's
 // working sets are logarithmically sized.
@@ -100,14 +101,6 @@ func (c *Cache) access(addr uint64) bool {
 	return false
 }
 
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
-	c.Hits, c.Misses, c.clock = 0, 0, 0
-}
-
 // Hierarchy is an inclusive two-level hierarchy plus operation counters and
 // a bump allocator for the traced kernels' address space. It is not safe for
 // concurrent use: traced kernels run serially by design.
@@ -174,66 +167,4 @@ func (h *Hierarchy) Snapshot() Counters {
 		L2Hits: h.L2.Hits, L2Misses: h.L2.Misses,
 		Flops: h.Flops,
 	}
-}
-
-// F64 is a traced []float64: every Get/Set replays one 8-byte access.
-type F64 struct {
-	h    *Hierarchy
-	base uint64
-	data []float64
-}
-
-// NewF64 allocates a traced float64 slice.
-func (h *Hierarchy) NewF64(n int) F64 {
-	return F64{h: h, base: h.Alloc(8 * n), data: make([]float64, n)}
-}
-
-// Len returns the slice length.
-func (v F64) Len() int { return len(v.data) }
-
-// Get loads element i.
-func (v F64) Get(i int) float64 {
-	v.h.Access(v.base + 8*uint64(i))
-	return v.data[i]
-}
-
-// Set stores element i.
-func (v F64) Set(i int, x float64) {
-	v.h.Access(v.base + 8*uint64(i))
-	v.data[i] = x
-}
-
-// Addr returns the simulated address of element i without accessing it.
-func (v F64) Addr(i int) uint64 { return v.base + 8*uint64(i) }
-
-// Slice returns a traced view of [lo, hi) sharing the same storage.
-func (v F64) Slice(lo, hi int) F64 {
-	return F64{h: v.h, base: v.base + 8*uint64(lo), data: v.data[lo:hi]}
-}
-
-// C128 is a traced []complex128 (16-byte elements).
-type C128 struct {
-	h    *Hierarchy
-	base uint64
-	data []complex128
-}
-
-// NewC128 allocates a traced complex128 slice.
-func (h *Hierarchy) NewC128(n int) C128 {
-	return C128{h: h, base: h.Alloc(16 * n), data: make([]complex128, n)}
-}
-
-// Len returns the slice length.
-func (v C128) Len() int { return len(v.data) }
-
-// Get loads element i.
-func (v C128) Get(i int) complex128 {
-	v.h.Access(v.base + 16*uint64(i))
-	return v.data[i]
-}
-
-// Set stores element i.
-func (v C128) Set(i int, x complex128) {
-	v.h.Access(v.base + 16*uint64(i))
-	v.data[i] = x
 }

@@ -369,7 +369,6 @@ func (e *glosEngine) direct(row, ex []float64, d, from, b, floor int) int {
 // also write cells of dst in [bnd-drop*h, newBnd]; the green ones the next
 // step reads, the caller refills from the obstacle.
 func (e *glosEngine) zone(src []float64, sa, d, bnd, h int, dst []float64, da int) int {
-	checkCancel(e.cancel)
 	e.stats.addTrap()
 	if bnd < 0 {
 		// No green cells remain and the band holds no red cell of its own.
@@ -378,6 +377,9 @@ func (e *glosEngine) zone(src []float64, sa, d, bnd, h int, dst []float64, da in
 	if h <= e.base {
 		return e.zoneNaive(src, sa, d, bnd, h, dst, da)
 	}
+	// Polled above the leaves only: a leaf is at most BaseCase direct
+	// steps, and its parent's poll covers it.
+	checkCancel(e.cancel)
 	h1 := (h + 1) / 2
 	h2 := h - h1
 	r := e.r

@@ -150,7 +150,7 @@ func (r *replayer) apply(ev fbstencil.Event) {
 			*r.cells.at(&ev.Dst[i]) = cell{p: &ev.Dst[i], addr: base + 8*uint64(i), unwritten: true}
 		}
 	case fbstencil.EventFFT:
-		out := r.evolveCone(len(ev.Src), func(i int) float64 { r.read(ev.Src, i, true); return 0 }, ev.W, ev.Steps)
+		out := r.evolveCone(len(ev.Src), func(i int) { r.read(ev.Src, i, true) }, ev.W, ev.Steps)
 		r.write(ev.Dst, ev.InPlace, out)
 	}
 }

@@ -7,7 +7,9 @@
 // column (Replay): fbstencil.SolveGreenLeftOneSided reports its obstacle
 // fills, copies, direct steps and FFT evolutions together with the buffers
 // they read and write, and each is replayed on simulated memory that follows
-// those buffers, with a traced FFT. Its direct steps are in-place sweeps,
+// those buffers, with a traced FFT. The replay carries addresses and flop
+// charges, never values: the traced FFT is an access pattern, and the
+// counters read nothing else. Its direct steps are in-place sweeps,
 // each after the EventFill of its obstacle row. The direct baselines
 // (ReplaySweep): internal/sweep's Naive, Tiled and Recursive report their
 // buffers, copies and row updates in the same event vocabulary, and the
@@ -20,7 +22,6 @@
 package trace
 
 import (
-	"math"
 	"math/bits"
 
 	"github.com/nlstencil/amop/internal/cachesim"
@@ -41,15 +42,14 @@ const (
 // ---------------------------------------------------------------------------
 
 // tracedPlan is a model of the FFT's memory traffic, not a copy of the
-// shipped kernel: a complex radix-2 transform of size N with its twiddle and
-// bit-reversal tables resident in simulated memory. The solver instead runs
-// a real transform through a size-N/2 split-plane radix-4 ladder
-// (internal/fft) and reads its multiplier from the spectrum cache, where
-// evolveCone below evaluates the symbol per frequency.
+// shipped kernel: the accesses of a complex radix-2 transform of size N with
+// its twiddle and bit-reversal tables resident in simulated memory. The
+// solver instead runs a real transform through a size-N/2 split-plane
+// radix-4 ladder (internal/fft) and reads its multiplier from the spectrum
+// cache, where evolveCone below charges a symbol evaluation per frequency.
 type tracedPlan struct {
 	n       int
 	rev     []int32
-	tw      []complex128
 	revBase uint64
 	twBase  uint64
 }
@@ -66,32 +66,31 @@ func (pc planCache) get(h *cachesim.Hierarchy, n int) *tracedPlan {
 	for i := 0; i < n; i++ {
 		p.rev[i] = int32(bits.Reverse(uint(i)) >> shift)
 	}
-	p.tw = make([]complex128, n/2)
-	for k := range p.tw {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		p.tw[k] = complex(c, s)
-	}
 	p.revBase = h.Alloc(4 * n)
 	p.twBase = h.Alloc(16 * (n / 2))
 	// Table construction writes once, as in the real plan cache.
 	for i := 0; i < n; i++ {
 		h.Access(p.revBase + 4*uint64(i))
 	}
-	for k := range p.tw {
+	for k := 0; k < n/2; k++ {
 		h.Access(p.twBase + 16*uint64(k))
 	}
 	pc[n] = p
 	return p
 }
 
-func (p *tracedPlan) transform(h *cachesim.Hierarchy, a cachesim.C128, inverse bool) {
+// transform replays the accesses of one transform of the n 16-byte cells at
+// base: bit-reversal swaps, butterflies and, if inverse, the 1/n scale.
+func (p *tracedPlan) transform(h *cachesim.Hierarchy, base uint64, inverse bool) {
 	n := p.n
+	at := func(i int) uint64 { return base + 16*uint64(i) }
 	for i, r := range p.rev {
 		h.Access(p.revBase + 4*uint64(i))
 		if int32(i) < r {
-			x, y := a.Get(i), a.Get(int(r))
-			a.Set(i, y)
-			a.Set(int(r), x)
+			h.Access(at(i))
+			h.Access(at(int(r)))
+			h.Access(at(i))
+			h.Access(at(int(r)))
 		}
 	}
 	for size := 2; size <= n; size <<= 1 {
@@ -100,23 +99,19 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, a cachesim.C128, inverse b
 		for b := 0; b < n; b += size {
 			for j := 0; j < half; j++ {
 				h.Access(p.twBase + 16*uint64(j*step))
-				w := p.tw[j*step]
-				if inverse {
-					w = complex(real(w), -imag(w))
-				}
 				lo, hi := b+j, b+j+half
-				x, y := a.Get(lo), a.Get(hi)
-				t := y * w
-				a.Set(hi, x-t)
-				a.Set(lo, x+t)
+				h.Access(at(lo))
+				h.Access(at(hi))
+				h.Access(at(hi))
+				h.Access(at(lo))
 				h.AddFlops(flopsPerButterfly)
 			}
 		}
 	}
 	if inverse {
-		inv := complex(1/float64(n), 0)
 		for i := 0; i < n; i++ {
-			a.Set(i, a.Get(i)*inv)
+			h.Access(at(i))
+			h.Access(at(i))
 		}
 		h.AddFlops(uint64(2 * n))
 	}
@@ -127,7 +122,8 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, a cachesim.C128, inverse b
 // order. It returns the exit pass's read of in-cone output i (of the first
 // n-k*(len(w)-1) positions), which the caller pairs with the store into
 // its destination.
-func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k int) func(i int) {
+func (r *replayer) evolveCone(n int, load func(i int), w []float64, k int) func(i int) {
+	h := r.h
 	span := len(w) - 1
 	outN := n - k*span
 	if outN <= 0 {
@@ -135,47 +131,45 @@ func (r *replayer) evolveCone(n int, load func(i int) float64, w []float64, k in
 	}
 	if n*k*(span+1) <= 1<<11 {
 		// Mirror the production naive cutoff so traffic patterns match.
-		buf := r.h.NewF64(n)
+		buf := h.Alloc(8 * n)
+		at := func(i int) uint64 { return buf + 8*uint64(i) }
 		for i := 0; i < n; i++ {
-			buf.Set(i, load(i))
+			load(i)
+			h.Access(at(i))
 		}
 		m := n
 		for step := 0; step < k; step++ {
 			m -= span
 			for j := 0; j < m; j++ {
-				var acc float64
-				for i, wi := range w {
-					acc += wi * buf.Get(j+i)
+				for i := range w {
+					h.Access(at(j + i))
 				}
-				buf.Set(j, acc)
-				r.h.AddFlops(flopsPerCell)
+				h.Access(at(j))
+				h.AddFlops(flopsPerCell)
 			}
 		}
-		return func(i int) { buf.Get(i) }
+		return func(i int) { h.Access(at(i)) }
 	}
 
 	N := fft.NextPow2(n)
-	p := r.plans.get(r.h, N)
-	a := r.h.NewC128(N)
+	p := r.plans.get(h, N)
+	a := h.Alloc(16 * N)
+	at := func(i int) uint64 { return a + 16*uint64(i) }
 	for i := 0; i < n; i++ {
-		a.Set(i, complex(load(i), 0))
+		load(i)
+		h.Access(at(i))
 	}
 	for i := n; i < N; i++ {
-		a.Set(i, 0)
+		h.Access(at(i))
 	}
-	p.transform(r.h, a, false)
-	logK := uint64(bits.Len(uint(k)))
+	p.transform(h, a, false)
+	// Per frequency: the symbol (Horner and a k-th power) and the multiply.
+	symbolFlops := uint64(flopsPerExp + 8*bits.Len(uint(k)) + 8)
 	for f := 0; f < N; f++ {
-		sin, cos := math.Sincos(-2 * math.Pi * float64(f) / float64(N))
-		omega := complex(cos, sin)
-		sym := complex(w[len(w)-1], 0)
-		for i := len(w) - 2; i >= 0; i-- {
-			sym = sym*omega + complex(w[i], 0)
-		}
-		kp := fft.Pow(sym, k)
-		a.Set(f, a.Get(f)*complex(real(kp), -imag(kp)))
-		r.h.AddFlops(flopsPerExp + 8*logK + 8)
+		h.Access(at(f))
+		h.Access(at(f))
+		h.AddFlops(symbolFlops)
 	}
-	p.transform(r.h, a, true)
-	return func(i int) { a.Get(i) }
+	p.transform(h, a, true)
+	return func(i int) { h.Access(at(i)) }
 }
