@@ -7,9 +7,9 @@
 // column (Replay): fbstencil.SolveGreenLeftOneSided reports its obstacle
 // fills, copies, direct steps and FFT evolutions together with the buffers
 // they read and write, and each is replayed on simulated memory that follows
-// those buffers, with a traced FFT. The replay carries addresses and flop
-// charges, never values: the traced FFT is an access pattern, and the
-// counters read nothing else. Its direct steps are in-place sweeps,
+// those buffers, with a traced FFT. Simulated memory holds no values: the
+// counters read only addresses and flop charges, so the traced FFT is an
+// access pattern. Its direct steps are in-place sweeps,
 // each after the EventFill of its obstacle row. The direct baselines
 // (ReplaySweep): internal/sweep's Naive, Tiled and Recursive report their
 // buffers, copies and row updates in the same event vocabulary, and the
@@ -87,7 +87,7 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, base uint64, inverse bool)
 	for i, r := range p.rev {
 		h.Access(p.revBase + 4*uint64(i))
 		if int32(i) < r {
-			h.Access(at(i))
+			h.Access(at(i)) // load i and r, then store i and r
 			h.Access(at(int(r)))
 			h.Access(at(i))
 			h.Access(at(int(r)))
@@ -100,7 +100,7 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, base uint64, inverse bool)
 			for j := 0; j < half; j++ {
 				h.Access(p.twBase + 16*uint64(j*step))
 				lo, hi := b+j, b+j+half
-				h.Access(at(lo))
+				h.Access(at(lo)) // load lo and hi, then store hi and lo
 				h.Access(at(hi))
 				h.Access(at(hi))
 				h.Access(at(lo))
@@ -110,7 +110,7 @@ func (p *tracedPlan) transform(h *cachesim.Hierarchy, base uint64, inverse bool)
 	}
 	if inverse {
 		for i := 0; i < n; i++ {
-			h.Access(at(i))
+			h.Access(at(i)) // load, then store
 			h.Access(at(i))
 		}
 		h.AddFlops(uint64(2 * n))
@@ -166,7 +166,7 @@ func (r *replayer) evolveCone(n int, load func(i int), w []float64, k int) func(
 	// Per frequency: the symbol (Horner and a k-th power) and the multiply.
 	symbolFlops := uint64(flopsPerExp + 8*bits.Len(uint(k)) + 8)
 	for f := 0; f < N; f++ {
-		h.Access(at(f))
+		h.Access(at(f)) // load, then store
 		h.Access(at(f))
 		h.AddFlops(symbolFlops)
 	}
