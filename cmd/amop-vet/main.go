@@ -10,10 +10,9 @@
 //
 // Usage:
 //
-//	amop-vet [packages]              # standalone; defaults to ./...
-//	go vet -vettool=$(command -v amop-vet) ./...
+//	amop-vet [packages]              # defaults to ./...
 //
-// `make vet` runs the standalone form over ./...; CI fails on any finding.
+// `make vet` runs it over ./...; CI fails on any finding.
 // Findings are suppressed — one reviewed case at a time — with an inline
 // directive on the flagged line or the line above:
 //

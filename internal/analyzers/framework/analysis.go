@@ -2,8 +2,7 @@
 // golang.org/x/tools/go/analysis: just enough of the Analyzer/Pass contract
 // to write project-specific vet checks against the standard library's
 // go/ast and go/types, load the module's packages offline from `go list
-// -export` data, and drive them either standalone (`amop-vet ./...`) or
-// under `go vet -vettool=` via the unitchecker .cfg protocol.
+// -export` data, and run them over those packages (`amop-vet ./...`).
 //
 // The x/tools module is deliberately not imported: this repository builds
 // hermetically from the standard library alone, and the five analyzers in

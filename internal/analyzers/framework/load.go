@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Offline package loading.
@@ -86,7 +85,7 @@ func Load(patterns ...string) ([]*Package, error) {
 		if len(t.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported by amop-vet", t.ImportPath)
 		}
-		pkg, err := checkPackage(fset, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles), imp, "")
+		pkg, err := checkPackage(fset, t.ImportPath, t.Dir, absFiles(t.Dir, t.GoFiles), imp)
 		if err != nil {
 			return nil, err
 		}
@@ -104,10 +103,8 @@ func absFiles(dir string, names []string) []string {
 }
 
 // checkPackage parses files and type-checks them as package pkgPath using
-// imp for imports. goVersion, when non-empty, pins the language version
-// (the unitchecker config supplies it; standalone runs use the toolchain
-// default).
-func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, imp types.Importer, goVersion string) (*Package, error) {
+// imp for imports, at the toolchain's default language version.
+func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, imp types.Importer) (*Package, error) {
 	var astFiles []*ast.File
 	for _, name := range files {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -118,9 +115,8 @@ func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, imp 
 	}
 	info := newInfo()
 	conf := types.Config{
-		Importer:  imp,
-		GoVersion: goVersion,
-		Sizes:     types.SizesFor("gc", "amd64"),
+		Importer: imp,
+		Sizes:    types.SizesFor("gc", "amd64"),
 	}
 	tpkg, err := conf.Check(pkgPath, fset, astFiles, info)
 	if err != nil {
@@ -137,8 +133,7 @@ func checkPackage(fset *token.FileSet, pkgPath, dir string, files []string, imp 
 }
 
 // newExportImporter returns a types.Importer that resolves import paths
-// through compiled export data files (gc format), with an optional import
-// map applied first (the unitchecker config's vendor/renaming table).
+// through compiled export data files (gc format).
 func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
 		file, ok := exports[path]
@@ -148,31 +143,4 @@ func newExportImporter(fset *token.FileSet, exports map[string]string) types.Imp
 		return os.Open(file)
 	}
 	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// mappedImporter applies an import-path rename table in front of another
-// importer.
-type mappedImporter struct {
-	m    map[string]string
-	next types.Importer
-}
-
-func (mi *mappedImporter) Import(path string) (*types.Package, error) {
-	if mapped, ok := mi.m[path]; ok {
-		path = mapped
-	}
-	return mi.next.Import(path)
-}
-
-// moduleOnly filters pkgs down to the ones inside the module whose path has
-// the given prefix; amop-vet analyzes the amop module, not its (empty) set
-// of dependencies.
-func moduleOnly(pkgs []*Package, modulePath string) []*Package {
-	var out []*Package
-	for _, p := range pkgs {
-		if p.PkgPath == modulePath || strings.HasPrefix(p.PkgPath, modulePath+"/") {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -1,31 +1,18 @@
 package framework
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
-	"io"
 	"os"
 	"strings"
 )
 
 // Main is the amop-vet entry point: a multichecker over the given
-// analyzers. It supports two modes:
-//
-//   - standalone: `amop-vet [packages]` loads the named packages (default
-//     ./...) through the go toolchain and reports findings, exiting 2 when
-//     any survive suppression — the mode `make vet` and CI use;
-//   - vettool: `go vet -vettool=$(which amop-vet) ./...` drives the binary
-//     through cmd/go's unitchecker protocol (a -V=full version handshake,
-//     then one JSON .cfg file per package), so the suite composes with the
-//     standard vet analyzers and go vet's caching.
+// analyzers. `amop-vet [packages]` loads the named packages (default ./...)
+// through the go toolchain and reports findings, exiting 2 when any survive
+// suppression.
 func Main(analyzers ...*Analyzer) {
 	fs := flag.NewFlagSet("amop-vet", flag.ExitOnError)
-	versionFlag := fs.String("V", "", "print version and exit (cmd/go handshake)")
-	flagsFlag := fs.Bool("flags", false, "print flags in JSON and exit (cmd/go handshake)")
-	jsonFlag := fs.Bool("json", false, "emit JSON diagnostics (unitchecker protocol)")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: amop-vet [packages]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
@@ -33,56 +20,11 @@ func Main(analyzers ...*Analyzer) {
 		}
 	}
 	fs.Parse(os.Args[1:])
-
-	if *versionFlag != "" {
-		printVersion()
-		return
-	}
-	if *flagsFlag {
-		printFlags(fs)
-		return
-	}
 	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], *jsonFlag, analyzers))
-	}
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
 	os.Exit(standalone(args, analyzers))
-}
-
-// printVersion implements cmd/go's vettool identification handshake: the
-// output must name the tool and include a build identifier that changes
-// when the binary does, so go vet can cache per-package results keyed on
-// the tool's identity.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("amop-vet version devel buildID=%x\n", h.Sum(nil))
-}
-
-// printFlags implements cmd/go's flag-discovery handshake (`amop-vet
-// -flags`): a JSON description of the tool's flags, which go vet reads to
-// learn how to parse and forward command-line options.
-func printFlags(fs *flag.FlagSet) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{f.Name, ok && b.IsBoolFlag(), f.Usage})
-	})
-	data, _ := json.MarshalIndent(out, "", "\t")
-	os.Stdout.Write(data)
 }
 
 // standalone loads patterns and runs every analyzer over each package.
@@ -105,97 +47,6 @@ func standalone(patterns []string, analyzers []*Analyzer) int {
 		}
 	}
 	if found {
-		return 2
-	}
-	return 0
-}
-
-// unitcheckerConfig is the JSON cmd/go writes for each package when driving
-// a vettool; field names and meanings follow x/tools/go/analysis/unitchecker.
-type unitcheckerConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// jsonDiagnostic is one finding in unitchecker's -json output shape.
-type jsonDiagnostic struct {
-	Posn    string `json:"posn"`
-	Message string `json:"message"`
-}
-
-// unitcheck analyzes the single package described by the cfg file.
-func unitcheck(cfgPath string, asJSON bool, analyzers []*Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "amop-vet:", err)
-		return 1
-	}
-	var cfg unitcheckerConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "amop-vet: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The analyzers carry no facts, but cmd/go requires the facts file to
-	// exist after a successful run.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "amop-vet:", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	imp := &mappedImporter{
-		m:    cfg.ImportMap,
-		next: newExportImporter(fset, cfg.PackageFile),
-	}
-	goVersion := strings.TrimPrefix(cfg.GoVersion, "go")
-	pkg, err := checkPackage(fset, cfg.ImportPath, cfg.Dir, cfg.GoFiles, imp, goVersion)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "amop-vet:", err)
-		return 1
-	}
-	diags, err := RunAnalyzers(pkg, analyzers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "amop-vet: %s: %v\n", pkg.PkgPath, err)
-		return 1
-	}
-	if asJSON {
-		// unitchecker JSON shape: {pkg: {analyzer: [diagnostics]}}.
-		byAnalyzer := make(map[string][]jsonDiagnostic)
-		for _, d := range diags {
-			byAnalyzer[d.Analyzer] = append(byAnalyzer[d.Analyzer], jsonDiagnostic{
-				Posn:    fset.Position(d.Pos).String(),
-				Message: d.Message,
-			})
-		}
-		out, _ := json.MarshalIndent(map[string]map[string][]jsonDiagnostic{cfg.ImportPath: byAnalyzer}, "", "\t")
-		os.Stdout.Write(append(out, '\n'))
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(d.Pos), d.Message)
-	}
-	if len(diags) > 0 {
 		return 2
 	}
 	return 0

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"github.com/nlstencil/amop/internal/bopm"
-	"github.com/nlstencil/amop/internal/fbstencil"
-	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/option"
 )
 
@@ -139,18 +137,28 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// centered is the put on the unshifted grid as fbstencil's centered
-// green-left problem, with obstacle green; its naive solve is the loop of
-// Equation 5 as the paper writes it, in price units.
-func centered(m *Model, green fbstencil.GreenFunc) *fbstencil.GreenLeft {
-	return &fbstencil.GreenLeft{
-		Stencil: linstencil.Stencil{MinOff: -1, W: m.W},
-		T:       m.T,
-		Lo0:     0,
-		Hi0:     2 * m.T,
-		Init:    func(col int) float64 { return math.Max(m.Exercise(option.Put, 0, col), 0) },
-		Green:   green,
+// centered is the loop of Equation 5 as the paper writes it, on the
+// unshifted grid and in price units: cell (d, j), j in [d, 2T-d], is the
+// max of its centered three-point sum and obstacle(d, j). It returns the
+// apex (T, T).
+func centered(m *Model, obstacle func(d, j int) float64) float64 {
+	T, w := m.T, m.W
+	row, next := make([]float64, 2*T+1), make([]float64, 2*T+1)
+	for j := range row {
+		row[j] = math.Max(m.Exercise(option.Put, 0, j), 0)
 	}
+	for d := 1; d <= T; d++ {
+		for j := d; j <= 2*T-d; j++ {
+			lin := w[0]*row[j-1] + w[1]*row[j] + w[2]*row[j+1]
+			if g := obstacle(d, j); g > lin {
+				next[j] = g
+			} else {
+				next[j] = lin
+			}
+		}
+		row, next = next, row
+	}
+	return row[T]
 }
 
 // TestNaiveMatchesCenteredReference: the sweep on depth-shifted columns is
@@ -169,17 +177,11 @@ func TestNaiveMatchesCenteredReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := fbstencil.SolveGreenLeftNaive(centered(m, func(d, col int) float64 { return m.Exercise(option.Put, d, col-d) }))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := centered(m, func(d, col int) float64 { return m.Exercise(option.Put, d, col-d) })
 		if got := m.PriceNaive(option.Put); got != ref {
 			t.Errorf("trial %d (T=%d): PriceNaive %.17g, centered reference %.17g", trial, m.T, got, ref)
 		}
-		eur, err := fbstencil.SolveGreenLeftNaive(centered(m, noObstacle))
-		if err != nil {
-			t.Fatal(err)
-		}
+		eur := centered(m, noObstacle)
 		if got := m.PriceEuropeanNaive(option.Put); got != eur {
 			t.Errorf("trial %d (T=%d): PriceEuropeanNaive %.17g, centered reference %.17g", trial, m.T, got, eur)
 		}

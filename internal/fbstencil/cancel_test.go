@@ -9,19 +9,19 @@ import (
 	"github.com/nlstencil/amop/internal/par"
 )
 
-// TestCancelMidSolve: a Cancel hook that fails after k polls unwinds the
-// solve with the hook's error, from the main loop or from a forked strip
-// (where the unwinding panic arrives wrapped in a *par.PanicError), leaves
-// no spawn token in use, and leaves the pooled engine able to repeat the
-// uncanceled solve bit for bit.
+// TestCancelMidSolve: on a span-2 put, a Cancel hook that fails after k
+// polls unwinds the solve with the hook's error, from the main loop or from
+// a forked strip (where the unwinding panic arrives wrapped in a
+// *par.PanicError), leaves no spawn token in use, and leaves the pooled
+// engine able to repeat the uncanceled solve bit for bit.
 func TestCancelMidSolve(t *testing.T) {
 	prev := par.SetWorkers(2)
 	defer par.SetWorkers(prev)
 	errStop := errors.New("stop")
 	p := optParams{S: 100, K: 100, R: 0.05, V: 0.3, Y: 0.02, E: 1}
 	for _, T := range []int{4096, 32768} {
-		prob := bsmProblem(p, T)
-		want, wantBnd, err := SolveGreenLeft(prob, nil)
+		prob := putProblemTOPM(p, T)
+		want, wantBnd, err := SolveGreenLeftOneSided(prob, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,13 +34,13 @@ func TestCancelMidSolve(t *testing.T) {
 				}
 				return nil
 			}
-			if _, _, err := SolveGreenLeft(&q, nil); !errors.Is(err, errStop) {
+			if _, _, err := SolveGreenLeftOneSided(&q, nil); !errors.Is(err, errStop) {
 				t.Fatalf("T=%d k=%d: canceled solve returned %v, want %v", T, k, err, errStop)
 			}
 			if n := par.InUse(); n != 0 {
 				t.Errorf("T=%d k=%d: %d spawn tokens in use after the canceled solve", T, k, n)
 			}
-			got, gotBnd, err := SolveGreenLeft(prob, nil)
+			got, gotBnd, err := SolveGreenLeftOneSided(prob, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,17 +29,9 @@
 // stand, and the lattice calls are priced as the puts of their swapped
 // contracts (put-call symmetry). The BSM American put (Section 4.3, a
 // centered 3-point stencil) becomes one in depth-shifted columns c' = c - d,
-// with offsets 0..2.
-//
-// Two adapters serve the stencil package and the tests; each fills its
-// obstacle rows cell by cell:
-//
-//   - SolveGreenRight (behind stencil.ObstacleRight): offsets 0..r with the
-//     green region on the right. In mirrored columns c' = (T-d)*r - c the
-//     green region lies on the left and the stencil keeps offsets 0..r
-//     with reversed weights.
-//   - SolveGreenLeft (behind stencil.ObstacleLeft): a centered stencil with
-//     the green region on the left, in depth-shifted columns.
+// with offsets 0..2. Package stencil maps its public problem types onto the
+// same engine: a green region on the right in mirrored columns
+// c' = (T-d)*r - c, a centered stencil in depth-shifted columns.
 package fbstencil
 
 import (
@@ -48,7 +40,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"github.com/nlstencil/amop/internal/linstencil"
 	"github.com/nlstencil/amop/internal/par"
 )
 
@@ -250,189 +241,8 @@ func (s *Stats) addTrap() {
 	}
 }
 
-// GreenFunc is the closed-form obstacle value of cell (depth, col). depth 0
-// is the initial row; the solve advances to depth T.
-type GreenFunc func(depth, col int) float64
-
 // FillFunc returns the obstacle values of cells (depth, lo..hi), hi-lo+1 of
 // them: either a read-only view of a table the problem computed before the
 // solve, or buf, which holds at least that many cells, filled. The engine
 // and the baseline sweeps (package sweep) read the obstacle through it.
 type FillFunc func(depth, lo, hi int, buf []float64) []float64
-
-// ---------------------------------------------------------------------------
-// Green-right, one-sided stencils (the stencil.ObstacleRight adapter).
-// ---------------------------------------------------------------------------
-
-// GreenRight describes a free-boundary problem whose stencil has offsets
-// 0..r (deps point right at the previous depth) and whose green region lies
-// to the right of the red region in every row. After the first step the
-// boundary (the largest red column) never moves right and moves left by at
-// most r columns per step; American calls on the binomial and trinomial
-// trees move at most one (Corollaries 2.7 and A.6).
-//
-// Grid geometry: depth 0 holds the initial row on columns [0, Hi0]; at depth
-// d the valid columns are [0, Hi0-d*r]. The answer is the value of the apex
-// cell (T, 0), which requires Hi0 >= T*r. Init and Green are only evaluated
-// on that grid.
-type GreenRight struct {
-	Stencil linstencil.Stencil // MinOff must be 0
-	T       int                // number of steps
-	Hi0     int                // last column of the initial row
-	Init    func(col int) float64
-	Green   GreenFunc
-	// Bnd0 is the largest red column of the initial row (-1 if the whole
-	// row is green). Cells right of Bnd0 must satisfy Init(col) ==
-	// Green(0, col).
-	Bnd0     int
-	BaseCase int // recursion cutoff; 0 means DefaultBaseCase
-	// Cancel, when non-nil, is polled at trapezoid granularity; see
-	// GreenLeftOneSided.Cancel.
-	Cancel func() error
-}
-
-func (p *GreenRight) validate() error {
-	if err := p.Stencil.Validate(); err != nil {
-		return err
-	}
-	if p.Stencil.MinOff != 0 {
-		return fmt.Errorf("fbstencil: GreenRight requires MinOff 0, got %d", p.Stencil.MinOff)
-	}
-	if p.Stencil.Span() < 1 {
-		return fmt.Errorf("fbstencil: stencil must have span >= 1")
-	}
-	if p.T < 0 {
-		return fmt.Errorf("fbstencil: negative step count %d", p.T)
-	}
-	if p.Hi0 < p.T*p.Stencil.Span() {
-		return fmt.Errorf("fbstencil: initial row too narrow: Hi0=%d < T*r=%d", p.Hi0, p.T*p.Stencil.Span())
-	}
-	if p.Init == nil || p.Green == nil {
-		return fmt.Errorf("fbstencil: Init and Green must be set")
-	}
-	if p.Bnd0 > p.Hi0 {
-		return fmt.Errorf("fbstencil: Bnd0=%d beyond row end %d", p.Bnd0, p.Hi0)
-	}
-	return nil
-}
-
-// SolveGreenRight solves p as a GreenLeftOneSided problem in mirrored
-// columns c' = (T-d)*r - c. The stencil keeps offsets 0..r with reversed
-// weights, and a boundary that never moves right and moves left by at most
-// r becomes a green boundary that never rises and drops by at most r. Only
-// the apex's cone, columns [0, T*r] of the initial row, is solved. It returns
-// the apex value and the largest red column of the final row (0, or -1 when
-// the apex is green). Cancellation and health semantics match
-// SolveGreenLeftOneSided.
-func SolveGreenRight(p *GreenRight, st *Stats) (float64, int, error) {
-	if err := p.validate(); err != nil {
-		return 0, 0, err
-	}
-	T, r, init, green := p.T, p.Stencil.Span(), p.Init, p.Green
-	hi := T * r
-	w := make([]float64, r+1)
-	for i, wi := range p.Stencil.W {
-		w[r-i] = wi
-	}
-	v, b, err := SolveGreenLeftOneSided(&GreenLeftOneSided{
-		Stencil: linstencil.Stencil{MinOff: 0, W: w},
-		T:       T,
-		Hi0:     hi,
-		Init:    func(c int) float64 { return init(hi - c) },
-		Fill: func(d, c, h int, buf []float64) []float64 {
-			out := buf[:h-c+1]
-			for i := range out {
-				out[i] = green(d, (T-d)*r-c-i)
-			}
-			return out
-		},
-		Bnd0:     hi - min(p.Bnd0, hi) - 1,
-		BaseCase: p.BaseCase,
-		MaxDrop:  r,
-		Cancel:   p.Cancel,
-	}, st)
-	return v, max(-b-1, -1), err
-}
-
-// ---------------------------------------------------------------------------
-// Green-left, centered stencils (BSM American put).
-// ---------------------------------------------------------------------------
-
-// GreenLeft describes a free-boundary problem with a 3-point centered stencil
-// (offsets -1, 0, +1) whose green region lies to the left of the red region,
-// and whose boundary moves left by at most one column per step (the paper's
-// Theorem 4.3). Green cells must equal Green exactly — this is what lets the
-// solver extend any window leftward with obstacle values.
-//
-// Grid geometry: depth 0 holds the initial row on columns [Lo0, Hi0]; at
-// depth d the valid columns are [Lo0+d, Hi0-d]. The answer is the apex cell
-// (T, apex) with apex = Lo0+T = Hi0-T, so Hi0-Lo0 must equal 2*T. Init and
-// Green are only evaluated on that grid.
-//
-// It is solved in depth-shifted columns c' = c-Lo0-d. There the stencil is
-// one-sided (offsets 0..2 on columns [0, 2T-2d]) and the boundary's unit
-// leftward move is a drop of at most two, which makes it a
-// GreenLeftOneSided instance.
-type GreenLeft struct {
-	Stencil  linstencil.Stencil // MinOff must be -1, span 2
-	T        int
-	Lo0, Hi0 int
-	Init     func(col int) float64
-	Green    GreenFunc
-	// Bnd0 is the largest green column of the initial row (Lo0-1 if the
-	// whole row is red, >= Hi0 if entirely green).
-	Bnd0     int
-	BaseCase int
-	// Cancel, when non-nil, is polled at trapezoid granularity; see
-	// GreenRight.Cancel.
-	Cancel func() error
-}
-
-func (p *GreenLeft) validate() error {
-	if err := p.Stencil.Validate(); err != nil {
-		return err
-	}
-	if p.Stencil.MinOff != -1 || p.Stencil.Span() != 2 {
-		return fmt.Errorf("fbstencil: GreenLeft requires a centered 3-point stencil (MinOff=-1, span=2)")
-	}
-	if p.T < 0 {
-		return fmt.Errorf("fbstencil: negative step count %d", p.T)
-	}
-	if p.Hi0-p.Lo0 != 2*p.T {
-		return fmt.Errorf("fbstencil: row width %d must be exactly 2*T=%d", p.Hi0-p.Lo0, 2*p.T)
-	}
-	if p.Init == nil || p.Green == nil {
-		return fmt.Errorf("fbstencil: Init and Green must be set")
-	}
-	return nil
-}
-
-// SolveGreenLeft runs the fast solver on the depth-shifted problem and
-// returns the apex value (depth T, column Lo0+T) and the final boundary
-// column. Cancellation and health semantics match SolveGreenRight.
-func SolveGreenLeft(p *GreenLeft, st *Stats) (float64, int, error) {
-	if err := p.validate(); err != nil {
-		return 0, 0, err
-	}
-	lo, init, green := p.Lo0, p.Init, p.Green
-	v, bnd, err := SolveGreenLeftOneSided(&GreenLeftOneSided{
-		Stencil: linstencil.Stencil{MinOff: 0, W: p.Stencil.W},
-		T:       p.T,
-		Hi0:     p.Hi0 - lo,
-		Init:    func(c int) float64 { return init(c + lo) },
-		Fill: func(d, c, h int, buf []float64) []float64 {
-			out := buf[:h-c+1]
-			for i := range out {
-				out[i] = green(d, c+lo+d+i)
-			}
-			return out
-		},
-		// An all-green row may carry any Bnd0 >= Hi0; the one-sided
-		// problem only accepts up to its row end.
-		Bnd0:     min(max(p.Bnd0, lo-1), p.Hi0) - lo,
-		BaseCase: p.BaseCase,
-		MaxDrop:  2,
-		Cancel:   p.Cancel,
-	}, st)
-	return v, bnd + lo + p.T, err
-}

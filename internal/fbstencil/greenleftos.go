@@ -19,15 +19,14 @@ import (
 // It carries three production instances. One is the paper's BSM American
 // put (Section 4, Figure 4b) in depth-shifted columns c' = c-d, where the
 // centered stencil turns one-sided (offsets 0..2) and Theorem 4.3's unit
-// leftward boundary move turns into a drop of at most two per step (see
-// GreenLeft). The other two are the binomial and trinomial American puts,
-// which also price the lattice calls: a call is the put of its swapped
-// contract (S and K, r and q exchanged; McDonald–Schroder symmetry, exact on
-// both trees). Read the other way, a lattice put in its own columns is its
+// leftward boundary move turns into a drop of at most two per step. The
+// other two are the binomial and trinomial American puts, which also price
+// the lattice calls: a call is the put of its swapped contract (S and K, r
+// and q exchanged; McDonald–Schroder symmetry, exact on both trees). Read the other way, a lattice put in its own columns is its
 // swapped contract's call in mirrored columns c' = (T-d)*r - c, so the
 // paper's call structure (Corollaries 2.7 and A.6: never right, at most one
 // left) proves the put's: the green region is a left prefix whose boundary
-// never rises and drops at most r columns per interior step (see GreenRight).
+// never rises and drops at most r columns per interior step.
 // GreenLeftOneSidedBoundaryTrace checks that structure on any instance and
 // stays as the tests' oracle.
 //
@@ -44,10 +43,11 @@ import (
 // and never asks Fill for them.
 
 // GreenLeftOneSided describes a free-boundary problem with stencil offsets
-// 0..r and the green region on the left. Geometry matches GreenRight
-// (columns [0, Hi0-d*r] at depth d; answer at (T, 0)); green cells must
-// equal the obstacle exactly, so boundary windows may extend leftward on
-// obstacle fills.
+// 0..r and the green region on the left. Depth 0 holds the initial row on
+// columns [0, Hi0], Hi0 >= T*r; at depth d the valid columns are
+// [0, Hi0-d*r], and the answer is the apex (T, 0). Green cells must equal
+// the obstacle exactly, so boundary windows may extend leftward on obstacle
+// fills.
 type GreenLeftOneSided struct {
 	Stencil linstencil.Stencil // MinOff must be 0
 	T       int
@@ -62,8 +62,8 @@ type GreenLeftOneSided struct {
 	// MaxDrop bounds how many columns the boundary can move left per
 	// interior step (0 means 1). Binomial puts satisfy 1; trinomial puts
 	// and the BSM put 2 (one from the grid's per-step drift plus the
-	// boundary's own); GreenRight problems in mirrored columns r, the
-	// stencil's span.
+	// boundary's own); a green region on the right in mirrored columns r,
+	// the stencil's span.
 	MaxDrop int
 	// Cancel, when non-nil, is polled at trapezoid granularity; the first
 	// non-nil error it returns unwinds the solve, and the solver returns

@@ -11,7 +11,7 @@ import (
 )
 
 // rowFill fills an obstacle row cell by cell from green.
-func rowFill(green GreenFunc) FillFunc {
+func rowFill(green func(depth, col int) float64) FillFunc {
 	return func(depth, lo, hi int, buf []float64) []float64 {
 		out := buf[:hi-lo+1]
 		for i := range out {

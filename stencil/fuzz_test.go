@@ -7,50 +7,13 @@ import (
 	"github.com/nlstencil/amop/internal/fbstencil"
 )
 
-// spanPut is the American put on a lattice of span r: each step compounds r
-// binomial substeps of factor sqrt(x) = e^(sigma*sqrt(dt/r)) up or down, so
-// its weights are disc*C(r,k)*q^k*(1-q)^(r-k) on offsets 0..r. Its exercise
-// boundary never rises and drops at most r columns per step. It returns nil
-// when q falls outside (0, 1), where the weights are no lattice's.
-func spanPut(S, K, sigma, rate float64, T, r int) *ObstacleLeftOneSided {
-	dt := 1 / float64(T)
-	lnx := 2 * sigma * math.Sqrt(dt/float64(r))
-	sq := math.Exp(lnx / 2)
-	q := (math.Exp(rate*dt/float64(r)) - 1/sq) / (sq - 1/sq)
-	if !(q > 0 && q < 1) {
-		return nil
-	}
-	disc := math.Exp(-rate * dt)
-	w := make([]float64, r+1)
-	for k := range w {
-		binom := 1.0
-		for i := 0; i < k; i++ {
-			binom = binom * float64(r-i) / float64(i+1)
-		}
-		w[k] = disc * binom * math.Pow(q, float64(k)) * math.Pow(1-q, float64(r-k))
-	}
-	obstacle := func(depth, col int) float64 {
-		return K - S*math.Exp((float64(col)+float64(r*(depth-T))/2)*lnx)
-	}
-	bnd0 := -1
-	for bnd0 < T*r && obstacle(0, bnd0+1) > 0 {
-		bnd0++
-	}
-	return &ObstacleLeftOneSided{
-		Stencil:  Linear{MinOffset: 0, Weights: w},
-		Steps:    T,
-		Hi0:      T * r,
-		Init:     func(col int) float64 { return math.Max(0, obstacle(0, col)) },
-		Obstacle: obstacle,
-		Bnd0:     bnd0,
-		MaxDrop:  r,
-	}
-}
-
 // FuzzObstacleOneSided drives the public one-sided obstacle engine with
-// puts on lattices of span 1 to 3. Whenever BoundaryTrace accepts an
-// instance, Solve must match SolveNaive to 1e-9 relative, at any base case,
-// and evaluate Init and Obstacle only on the grid.
+// puts on lattices of span 1 to 3, and the mirrored one with the calls of
+// their swapped contracts (S and K, rate and dividend yield exchanged) as
+// ObstacleRight. Whenever BoundaryTrace accepts an instance, Solve must
+// match the direct sweep (SolveNaive for the put, directRight in the
+// call's own columns) to 1e-9 relative, at any base case, and evaluate
+// Init and Obstacle only on the grid.
 func FuzzObstacleOneSided(f *testing.F) {
 	f.Add(uint16(300), uint8(0), 100.0, 105.0, 0.25, 0.02, uint8(0))
 	f.Add(uint16(200), uint8(1), 100.0, 90.0, 0.3, 0.05, uint8(3))
@@ -62,27 +25,51 @@ func FuzzObstacleOneSided(f *testing.F) {
 		if !(S >= 1 && S <= 1000 && K >= 1 && K <= 1000 && sigma >= 0.01 && sigma <= 2 && rate >= 0 && rate <= 0.2) {
 			t.Skip()
 		}
-		p := spanPut(S, K, sigma, rate, T, r)
-		if p == nil {
-			t.Skip()
+		baseCase := int(base) % (fbstencil.DefaultBaseCase + 1)
+		if p := spanPut(optParams{S: S, K: K, R: rate, V: sigma, E: 1}, T, r); lattice(p.Stencil) {
+			p.BaseCase = baseCase
+			g := &gridCheck{steps: T, lo: func(int) int { return 0 }, hi: func(d int) int { return p.Hi0 - d*r }}
+			p.Init, p.Obstacle = g.init(p.Init), g.obstacle(p.Obstacle)
+			if _, err := p.BoundaryTrace(); err == nil {
+				naive, err := p.SolveNaive()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fuzzSolve(t, "put", p.Solve, naive)
+				g.report(t, "ObstacleLeftOneSided")
+			}
 		}
-		p.BaseCase = int(base) % (fbstencil.DefaultBaseCase + 1)
-		g := &gridCheck{steps: T, lo: func(int) int { return 0 }, hi: func(d int) int { return p.Hi0 - d*r }}
-		p.Init, p.Obstacle = g.init(p.Init), g.obstacle(p.Obstacle)
-		if _, err := p.BoundaryTrace(); err != nil {
-			t.Skip()
+		if p := spanCall(optParams{S: K, K: S, Y: rate, V: sigma, E: 1}, T, r); lattice(p.Stencil) {
+			p.BaseCase = baseCase
+			g := &gridCheck{steps: T, lo: func(int) int { return 0 }, hi: func(d int) int { return p.Hi0 - d*r }}
+			p.Init, p.Obstacle = g.init(p.Init), g.obstacle(p.Obstacle)
+			if _, err := p.BoundaryTrace(); err == nil {
+				fuzzSolve(t, "call", p.Solve, directRight(p))
+				g.report(t, "ObstacleRight")
+			}
 		}
-		fast, err := p.Solve(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := p.SolveNaive()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(fast-naive) > 1e-9*math.Max(1, math.Abs(naive)) {
-			t.Errorf("T=%d r=%d S=%v K=%v sigma=%v rate=%v base=%d: fast %.15g naive %.15g", T, r, S, K, sigma, rate, p.BaseCase, fast, naive)
-		}
-		g.report(t, "ObstacleLeftOneSided")
 	})
+}
+
+// lattice reports whether every weight of s is positive: whether q lies in
+// (0, 1), where the weights are a lattice's.
+func lattice(s Linear) bool {
+	for _, w := range s.Weights {
+		if !(w > 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// fuzzSolve fails t unless solve matches want to 1e-9 relative.
+func fuzzSolve(t *testing.T, name string, solve func(*Stats) (float64, error), want float64) {
+	t.Helper()
+	fast, err := solve(nil)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if math.Abs(fast-want) > 1e-9*math.Max(1, math.Abs(want)) {
+		t.Errorf("%s: fast %.15g, direct sweep %.15g", name, fast, want)
+	}
 }

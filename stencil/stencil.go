@@ -12,6 +12,14 @@
 //     max(linear combination, closed-form obstacle), solved in O(T log^2 T)
 //     work when the red/green boundary is monotone — the PPoPP 2024 paper's
 //     core contribution.
+//
+// The three obstacle problem types run on one engine: ObstacleLeftOneSided
+// as it stands, ObstacleRight in mirrored columns and ObstacleLeft in
+// depth-shifted ones. Solve, SolveNaive and BoundaryTrace all solve the
+// mapped problem, so the structure BoundaryTrace checks is the one Solve
+// relies on: in the engine's columns the obstacle-active region is a prefix
+// of every row, and from depth 2 on its boundary never moves right and
+// moves left by at most MaxDrop columns per step.
 package stencil
 
 import (
@@ -80,13 +88,14 @@ type Stats = fbstencil.Stats
 // region in every row, with a boundary that never moves right and moves left
 // by at most r columns per step between interior rows (American calls under
 // binomial/trinomial trees move at most one; Corollaries 2.7 and A.6 of the
-// paper). Solve runs it on the same engine as ObstacleLeftOneSided, in
-// mirrored columns. The lattice pricers reach that engine without the
-// mirror: they price a call as the put of its swapped contract.
+// paper). It runs on ObstacleLeftOneSided's engine in mirrored columns
+// c' = (T-d)*r - c over the apex's cone, with reversed weights and MaxDrop
+// r. The lattice pricers reach that engine without the mirror: they price a
+// call as the put of its swapped contract.
 //
-// Depth 0 holds the initial row on columns [0, Hi0]; at depth d the valid
-// columns are [0, Hi0-d*r]; Solve returns the apex value (T, 0). Init and
-// Obstacle are only evaluated on that grid.
+// Depth 0 holds the initial row on columns [0, Hi0], Hi0 >= Steps*r; at
+// depth d the valid columns are [0, Hi0-d*r]; Solve returns the apex value
+// (T, 0). Init and Obstacle are only evaluated on that grid.
 type ObstacleRight struct {
 	Stencil  Linear
 	Steps    int
@@ -104,42 +113,70 @@ type ObstacleRight struct {
 // Solve runs the fast O(T log^2 T) solver. The monotone-boundary structure
 // is assumed, not checked; use SolveNaive to cross-validate on new problem
 // classes.
-func (p *ObstacleRight) Solve(st *Stats) (float64, error) {
-	v, _, err := fbstencil.SolveGreenRight(p.problem(), st)
-	return v, err
-}
+func (p *ObstacleRight) Solve(st *Stats) (float64, error) { return p.engine().solve(st) }
 
 // SolveNaive computes the same value by the direct O(T^2) sweep with no
 // structural assumptions.
-func (p *ObstacleRight) SolveNaive() (float64, error) {
-	return fbstencil.SolveGreenRightNaive(p.problem())
-}
+func (p *ObstacleRight) SolveNaive() (float64, error) { return p.engine().solveNaive() }
 
 // BoundaryTrace solves naively while verifying the red/green structure the
-// fast solver depends on, returning the boundary column per depth. An error
-// identifies the first violated invariant.
-func (p *ObstacleRight) BoundaryTrace() ([]int, error) {
-	return fbstencil.GreenRightBoundaryTrace(p.problem())
-}
+// fast solver depends on, returning the largest red column per depth (-1
+// if none). It traces the apex's cone, columns [0, (T-d)*r] at depth d,
+// also when Hi0 > T*r, and checks that the red region is a prefix of every
+// row and that from depth 2 on its boundary never moves right and moves
+// left by at most r columns per step. An error identifies the first
+// violated invariant, in mirrored columns.
+func (p *ObstacleRight) BoundaryTrace() ([]int, error) { return p.engine().boundaryTrace() }
 
-func (p *ObstacleRight) problem() *fbstencil.GreenRight {
-	return &fbstencil.GreenRight{
-		Stencil:  p.Stencil.internal(),
-		T:        p.Steps,
-		Hi0:      p.Hi0,
-		Init:     p.Init,
-		Green:    fbstencil.GreenFunc(p.Obstacle),
-		Bnd0:     p.Bnd0,
-		BaseCase: p.BaseCase,
+func (p *ObstacleRight) engine() engine {
+	s := p.Stencil.internal()
+	if err := s.Validate(); err != nil {
+		return engine{err: err}
+	}
+	T, r := p.Steps, s.Span()
+	switch {
+	case s.MinOff != 0:
+		return invalid("stencil: ObstacleRight requires MinOffset 0, got %d", s.MinOff)
+	case r < 1:
+		return invalid("stencil: stencil must have span >= 1")
+	case p.Hi0 < T*r:
+		return invalid("stencil: initial row too narrow: Hi0=%d < T*r=%d", p.Hi0, T*r)
+	case p.Init == nil || p.Obstacle == nil:
+		return invalid("stencil: Init and Obstacle must be set")
+	case p.Bnd0 > p.Hi0:
+		return invalid("stencil: Bnd0=%d beyond row end %d", p.Bnd0, p.Hi0)
+	}
+	hi, init := T*r, p.Init
+	w := make([]float64, r+1)
+	for i, wi := range s.W {
+		w[r-i] = wi
+	}
+	mirror := func(d, c int) int { return (T-d)*r - c }
+	return engine{
+		q: &fbstencil.GreenLeftOneSided{
+			Stencil:  linstencil.Stencil{W: w},
+			T:        T,
+			Hi0:      hi,
+			Init:     func(c int) float64 { return init(hi - c) },
+			Fill:     fill(p.Obstacle, mirror),
+			Bnd0:     hi - min(p.Bnd0, hi) - 1,
+			BaseCase: p.BaseCase,
+			MaxDrop:  r,
+		},
+		cols: "mirrored columns c' = (T-d)*r - c",
+		// The largest red column lies just left of the smallest green one.
+		back: func(d, g int) int { return mirror(d, g) - 1 },
 	}
 }
 
 // ObstacleLeft describes a free-boundary problem with a centered 3-point
 // stencil (offsets -1..1) whose obstacle-active region lies to the left,
-// with a boundary that moves left by at most one column per step between
-// interior rows (the structure of American puts under the explicit
-// Black-Scholes scheme; Theorem 4.3 of the paper). Cells in the active
-// region must equal the obstacle exactly.
+// with a boundary that moves by at most one column per step between
+// interior rows (American puts under the explicit Black-Scholes scheme only
+// move left; Theorem 4.3 of the paper). Cells in the active region must
+// equal the obstacle exactly. It runs on ObstacleLeftOneSided's engine in
+// depth-shifted columns c' = c-Lo0-d, where the stencil has offsets 0..2
+// and the boundary drops at most two columns per step.
 //
 // Depth 0 holds the initial row on columns [Lo0, Hi0] with Hi0-Lo0 = 2*Steps;
 // at depth d the valid columns are [Lo0+d, Hi0-d]; Solve returns the apex
@@ -158,31 +195,50 @@ type ObstacleLeft struct {
 }
 
 // Solve runs the fast O(T log^2 T) solver.
-func (p *ObstacleLeft) Solve(st *Stats) (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeft(p.problem(), st)
-	return v, err
-}
+func (p *ObstacleLeft) Solve(st *Stats) (float64, error) { return p.engine().solve(st) }
 
 // SolveNaive computes the same value by the direct O(T^2) sweep.
-func (p *ObstacleLeft) SolveNaive() (float64, error) {
-	return fbstencil.SolveGreenLeftNaive(p.problem())
-}
+func (p *ObstacleLeft) SolveNaive() (float64, error) { return p.engine().solveNaive() }
 
-// BoundaryTrace verifies the free-boundary structure on this instance.
-func (p *ObstacleLeft) BoundaryTrace() ([]int, error) {
-	return fbstencil.GreenLeftBoundaryTrace(p.problem())
-}
+// BoundaryTrace verifies the free-boundary structure on this instance and
+// returns the largest obstacle-active column per depth (Lo0+d-1 if none;
+// depth 0 holds Bnd0 clamped to [Lo0-1, Hi0]). It checks that the active
+// region is a prefix of every row and that from depth 2 on its boundary
+// moves by at most one column per step. An error identifies the first
+// violated invariant, in depth-shifted columns.
+func (p *ObstacleLeft) BoundaryTrace() ([]int, error) { return p.engine().boundaryTrace() }
 
-func (p *ObstacleLeft) problem() *fbstencil.GreenLeft {
-	return &fbstencil.GreenLeft{
-		Stencil:  p.Stencil.internal(),
-		T:        p.Steps,
-		Lo0:      p.Lo0,
-		Hi0:      p.Hi0,
-		Init:     p.Init,
-		Green:    fbstencil.GreenFunc(p.Obstacle),
-		Bnd0:     p.Bnd0,
-		BaseCase: p.BaseCase,
+func (p *ObstacleLeft) engine() engine {
+	s := p.Stencil.internal()
+	if err := s.Validate(); err != nil {
+		return engine{err: err}
+	}
+	T, lo := p.Steps, p.Lo0
+	switch {
+	case s.MinOff != -1 || s.Span() != 2:
+		return invalid("stencil: ObstacleLeft requires a centered 3-point stencil (MinOffset=-1, span=2)")
+	case p.Hi0-lo != 2*T:
+		return invalid("stencil: row width %d must be exactly 2*T=%d", p.Hi0-lo, 2*T)
+	case p.Init == nil || p.Obstacle == nil:
+		return invalid("stencil: Init and Obstacle must be set")
+	}
+	init := p.Init
+	shift := func(d, c int) int { return c + lo + d }
+	return engine{
+		q: &fbstencil.GreenLeftOneSided{
+			Stencil: linstencil.Stencil{W: s.W},
+			T:       T,
+			Hi0:     2 * T,
+			Init:    func(c int) float64 { return init(c + lo) },
+			Fill:    fill(p.Obstacle, shift),
+			// An all-green row may carry any Bnd0 >= Hi0; the engine only
+			// accepts up to its row end.
+			Bnd0:     min(max(p.Bnd0, lo-1), p.Hi0) - lo,
+			BaseCase: p.BaseCase,
+			MaxDrop:  2,
+		},
+		cols: "depth-shifted columns c' = c-Lo0-d",
+		back: shift,
 	}
 }
 
@@ -211,23 +267,18 @@ type ObstacleLeftOneSided struct {
 }
 
 // Solve runs the fast O(T log^2 T) solver.
-func (p *ObstacleLeftOneSided) Solve(st *Stats) (float64, error) {
-	v, _, err := fbstencil.SolveGreenLeftOneSided(p.problem(), st)
-	return v, err
-}
+func (p *ObstacleLeftOneSided) Solve(st *Stats) (float64, error) { return p.engine().solve(st) }
 
 // SolveNaive computes the same value by the direct O(T^2) sweep.
-func (p *ObstacleLeftOneSided) SolveNaive() (float64, error) {
-	return fbstencil.SolveGreenLeftOneSidedNaive(p.problem())
-}
+func (p *ObstacleLeftOneSided) SolveNaive() (float64, error) { return p.engine().solveNaive() }
 
-// BoundaryTrace verifies the free-boundary structure (contiguity, no right
-// moves, drops bounded by MaxDrop) on this instance.
-func (p *ObstacleLeftOneSided) BoundaryTrace() ([]int, error) {
-	return fbstencil.GreenLeftOneSidedBoundaryTrace(p.problem())
-}
+// BoundaryTrace verifies the free-boundary structure (contiguity; from
+// depth 2 on, no right moves and drops bounded by MaxDrop) on this
+// instance, and returns the largest obstacle-active column per depth (-1 if
+// none).
+func (p *ObstacleLeftOneSided) BoundaryTrace() ([]int, error) { return p.engine().boundaryTrace() }
 
-func (p *ObstacleLeftOneSided) problem() *fbstencil.GreenLeftOneSided {
+func (p *ObstacleLeftOneSided) engine() engine {
 	q := &fbstencil.GreenLeftOneSided{
 		Stencil:  p.Stencil.internal(),
 		T:        p.Steps,
@@ -237,14 +288,69 @@ func (p *ObstacleLeftOneSided) problem() *fbstencil.GreenLeftOneSided {
 		BaseCase: p.BaseCase,
 		MaxDrop:  p.MaxDrop,
 	}
-	if obstacle := p.Obstacle; obstacle != nil {
-		q.Fill = func(depth, lo, hi int, buf []float64) []float64 {
-			out := buf[:hi-lo+1]
-			for i := range out {
-				out[i] = obstacle(depth, lo+i)
-			}
-			return out
+	if p.Obstacle != nil {
+		q.Fill = fill(p.Obstacle, func(_, c int) int { return c })
+	}
+	return engine{q: q}
+}
+
+// engine is a problem mapped onto the one-sided engine, or the error that
+// kept it from mapping. back maps the engine's boundary at depth d, its
+// largest green column g, to the problem's (nil: the columns are the
+// problem's), and cols names the map in BoundaryTrace's errors.
+type engine struct {
+	q    *fbstencil.GreenLeftOneSided
+	err  error
+	back func(d, g int) int
+	cols string
+}
+
+func invalid(format string, args ...any) engine {
+	return engine{err: fmt.Errorf(format, args...)}
+}
+
+// fill reads the engine's obstacle rows cell by cell, engine cell (d, c)
+// from the problem's column col(d, c).
+func fill(obstacle Obstacle, col func(d, c int) int) fbstencil.FillFunc {
+	return func(d, lo, hi int, buf []float64) []float64 {
+		out := buf[:hi-lo+1]
+		for i := range out {
+			out[i] = obstacle(d, col(d, lo+i))
+		}
+		return out
+	}
+}
+
+func (e engine) solve(st *Stats) (float64, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	v, _, err := fbstencil.SolveGreenLeftOneSided(e.q, st)
+	return v, err
+}
+
+func (e engine) solveNaive() (float64, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	return fbstencil.SolveGreenLeftOneSidedNaive(e.q)
+}
+
+func (e engine) boundaryTrace() ([]int, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	trace, err := fbstencil.GreenLeftOneSidedBoundaryTrace(e.q)
+	if err != nil {
+		if e.cols != "" {
+			err = fmt.Errorf("stencil: in %s: %w", e.cols, err)
+		}
+		return nil, err
+	}
+	if e.back != nil {
+		for d, g := range trace {
+			trace[d] = e.back(d, g)
 		}
 	}
-	return q
+	return trace, nil
 }
